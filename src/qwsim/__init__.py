@@ -46,6 +46,7 @@ from .oracle import (
     NAIVE_QUBIT_GUARD,
     build_gate_full_matrix,
     partial_trace_by_definition,
+    rearrange_bits,
     simulate_naive,
 )
 from .analysis import (
@@ -58,7 +59,6 @@ from .analysis import (
     probability_of_one,
     purity,
     qubit_stats,
-    rearrange_bits,
     stabilizer_renyi_entropy,
     von_neumann_entropy,
 )

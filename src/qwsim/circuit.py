@@ -189,8 +189,15 @@ def format_circuit(circuit: Circuit) -> str:
 
 
 def load_circuit(path) -> Circuit:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_circuit(fh.read())
+    """Read and parse a UTF-8 circuit file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line_no, f"not UTF-8 text (byte {exc.start})") from None
+    return parse_circuit(text)
 
 
 # ---------------------------------------------------------------------------

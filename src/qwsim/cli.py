@@ -20,7 +20,7 @@ import numpy as np
 from . import analysis, engine, measurement, oracle
 from .circuit import Circuit, load_circuit, random_circuit
 from .errors import SimulationError
-from .linalg import random_state
+from .linalg import make_rng, random_state
 
 PRINT_EPS = 1e-12
 
@@ -137,7 +137,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    rng = make_rng(args.seed)
     single = args.qubits > oracle.NAIVE_QUBIT_GUARD
     circ = random_circuit(args.qubits, args.depth, rng, single_qubit_only=single)
     start = time.perf_counter()
@@ -156,7 +156,7 @@ def _cmd_bench(args) -> int:
 def _cmd_bench_trace(args) -> int:
     if not 0 < args.keep < args.qubits:
         raise SimulationError("--keep must be between 1 and qubits-1")
-    rng = np.random.default_rng(args.seed)
+    rng = make_rng(args.seed)
     psi = random_state(args.qubits, rng)
     kept = list(range(args.keep))
     start = time.perf_counter()

@@ -135,6 +135,30 @@ def basis_state(n: int, index: int) -> np.ndarray:
     return psi
 
 
+def initial_state(n: int, psi0=None) -> np.ndarray:
+    """A fresh starting state: a copy of ``psi0``, or |00...0> if it is None.
+
+    Raises ``DimensionError`` for a wrong length and ``ContractError`` when
+    ``psi0`` is not normalized (a NaN norm counts as not normalized).
+    """
+    if psi0 is None:
+        return zero_state(n)
+    psi = np.array(psi0, dtype=complex)
+    if psi.shape != (1 << n,):
+        raise DimensionError(f"state must have length {1 << n}, got shape {psi.shape}")
+    if not is_normalized(psi):
+        raise ContractError("initial state is not normalized")
+    return psi
+
+
+def make_rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, raising ``ContractError`` on a bad seed."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"invalid seed {seed!r}: {exc}") from None
+
+
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random normalized state (Gaussian components, normalized)."""
     n = check_qubit_count(n)

@@ -27,7 +27,7 @@ from .gates import MEASURE
 from .analysis import probability_of_one
 from .circuit import Circuit, GateOp
 from .engine import ControlSpec, apply_op
-from .linalg import STATE_ATOL
+from .linalg import initial_state, make_rng
 
 PRUNE_EPS = 1e-14
 
@@ -135,17 +135,7 @@ def run_with_branches(circuit: Circuit, psi0=None) -> BranchTree:
     whose state equals the plain simulation result.
     """
     n = circuit.n
-    if psi0 is None:
-        state0 = np.zeros(1 << n, dtype=complex)
-        state0[0] = 1.0
-    else:
-        state0 = np.array(psi0, dtype=complex)
-        if state0.shape != (1 << n,):
-            raise DimensionError(
-                f"state must have length {1 << n}, got shape {state0.shape}"
-            )
-        if abs(np.vdot(state0, state0).real - 1.0) > STATE_ATOL:
-            raise ContractError("initial state is not normalized")
+    state0 = initial_state(n, psi0)
 
     wire_map: dict[int, int | None] = {w: w for w in range(n)}
     measured: list[int] = []
@@ -187,6 +177,7 @@ def sample_shots(circuit: Circuit, shots: int, seed, psi0=None) -> dict[str, int
     Returns a histogram mapping outcome strings (one character per MEASURE
     op, in circuit order) to counts.  A single ``numpy`` generator seeded
     with ``seed`` drives every outcome, so results are reproducible.
+    ``psi0``, like in :func:`run_with_branches`, must be normalized.
     """
     shots = int(shots)
     if shots < 1:
@@ -194,17 +185,8 @@ def sample_shots(circuit: Circuit, shots: int, seed, psi0=None) -> dict[str, int
     if not circuit.has_measurements:
         raise ContractError("circuit has no MEASURE ops to sample")
     n = circuit.n
-    if psi0 is None:
-        base = np.zeros(1 << n, dtype=complex)
-        base[0] = 1.0
-    else:
-        base = np.array(psi0, dtype=complex)
-        if base.shape != (1 << n,):
-            raise DimensionError(
-                f"state must have length {1 << n}, got shape {base.shape}"
-            )
-
-    rng = np.random.default_rng(seed)
+    base = initial_state(n, psi0)
+    rng = make_rng(seed)
     histogram: dict[str, int] = {}
     for _ in range(shots):
         state = base.copy()

@@ -4,8 +4,10 @@ Everything here is deliberately direct and slow: gates become explicit
 ``2**n x 2**n`` matrices built column by column from the basis-state
 mapping, circuits are simulated by dense matrix-vector products, and the
 partial trace follows its textbook definition with explicit permutation
-and embedding matrices.  None of the fast kernels are used, so agreement
-between this module and the engine checks both against each other.
+and embedding matrices, built one index at a time with the bit-scatter
+helper :func:`rearrange_bits`.  None of the fast kernels are used, so
+agreement between this module and the engine checks both against each
+other.
 
 Capped at ``NAIVE_QUBIT_GUARD`` qubits; a dense operator on more would be
 pointlessly large for a reference path.
@@ -105,15 +107,28 @@ def simulate_naive(circuit, psi0=None) -> np.ndarray:
     return psi
 
 
+def rearrange_bits(i: int, positions) -> int:
+    """Scatter the low bits of ``i`` to new positions.
+
+    Bit ``k`` of ``i`` moves to bit ``positions[k]`` of the result; a
+    negative entry drops that bit.  Bits of ``i`` beyond ``len(positions)``
+    are dropped as well.  E.g. ``rearrange_bits(0b01, [1, 0]) == 0b10``.
+    """
+    out = 0
+    for k, pos in enumerate(positions):
+        if pos < 0:
+            continue
+        out |= ((i >> k) & 1) << int(pos)
+    return out
+
+
 def _permutation_matrix(n: int, new_pos: dict[int, int]) -> np.ndarray:
     """Permutation sending bit ``q`` of an index to position ``new_pos[q]``."""
     dim = 1 << n
+    positions = [new_pos[q] for q in range(n)]
     p = np.zeros((dim, dim), dtype=complex)
     for old in range(dim):
-        new = 0
-        for q in range(n):
-            new |= ((old >> q) & 1) << new_pos[q]
-        p[new, old] = 1.0
+        p[rearrange_bits(old, positions), old] = 1.0
     return p
 
 

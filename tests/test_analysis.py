@@ -26,28 +26,28 @@ def dense_pauli_string(labels):
 
 class TestRearrangeBits:
     def test_swap_two_bits(self):
-        assert analysis.rearrange_bits(0b01, [1, 0]) == 0b10
-        assert analysis.rearrange_bits(0b10, [1, 0]) == 0b01
+        assert oracle.rearrange_bits(0b01, [1, 0]) == 0b10
+        assert oracle.rearrange_bits(0b10, [1, 0]) == 0b01
 
     def test_identity_placement(self):
-        assert analysis.rearrange_bits(0b101, [0, 1, 2]) == 0b101
-        assert analysis.rearrange_bits(0, [3, 1, 0]) == 0
+        assert oracle.rearrange_bits(0b101, [0, 1, 2]) == 0b101
+        assert oracle.rearrange_bits(0, [3, 1, 0]) == 0
 
     def test_scatter_to_sparse_positions(self):
         # bit 0 -> position 1, bit 1 -> position 3: 0b11 -> 0b1010
-        assert analysis.rearrange_bits(0b11, [1, 3]) == 0b1010
+        assert oracle.rearrange_bits(0b11, [1, 3]) == 0b1010
 
     def test_bit_zero_to_top_rotation(self):
         # positions [3, 0, 1, 2] rotate the low four bits right
-        assert analysis.rearrange_bits(0b0001, [3, 0, 1, 2]) == 0b1000
-        assert analysis.rearrange_bits(0b1110, [3, 0, 1, 2]) == 0b0111
+        assert oracle.rearrange_bits(0b0001, [3, 0, 1, 2]) == 0b1000
+        assert oracle.rearrange_bits(0b1110, [3, 0, 1, 2]) == 0b0111
 
     def test_negative_position_drops_bit(self):
-        assert analysis.rearrange_bits(0b111, [0, -1, 1]) == 0b11
-        assert analysis.rearrange_bits(0b010, [0, -1, 1]) == 0
+        assert oracle.rearrange_bits(0b111, [0, -1, 1]) == 0b11
+        assert oracle.rearrange_bits(0b010, [0, -1, 1]) == 0
 
     def test_extra_high_bits_dropped(self):
-        assert analysis.rearrange_bits(0b1101, [0, 1]) == 0b01
+        assert oracle.rearrange_bits(0b1101, [0, 1]) == 0b01
 
 
 class TestPartialTraceMatrix:
@@ -176,6 +176,15 @@ class TestPartialTraceState:
         with pytest.raises(DimensionError):
             analysis.partial_trace_state(3, np.zeros(4, dtype=complex), [0])
 
+    def test_twenty_qubit_single_keep_diagonal_matches_probability_of_one(self):
+        n = 20
+        psi = linalg.random_state(n, np.random.default_rng(13))
+        for q in (0, 7, 19):
+            rho = analysis.partial_trace_state(n, psi, [q], keep=True)
+            p1 = analysis.probability_of_one(psi, q)
+            assert abs(rho[1, 1].real - p1) < 1e-12
+            assert abs(rho[0, 0].real - (1.0 - p1)) < 1e-12
+
 
 class TestProbabilityOfOne:
     def test_flip_phase_pair_top_wire(self):
@@ -261,6 +270,14 @@ class TestQubitStats:
             s = analysis.qubit_stats(rho)
             assert abs(s.purity - (1.0 + s.r**2) / 2.0) < 1e-10
             assert abs(s.prob1 - (1.0 - s.z) / 2.0) < 1e-10
+
+    def test_azimuth_is_zero_on_the_z_axis(self):
+        # x and y here are roundoff; their arctan2 would be -pi
+        s = analysis.qubit_stats(np.array([[1, -1e-17], [-1e-17, 0]], dtype=complex))
+        assert abs(s.x) < 1e-12 and abs(s.y) < 1e-12
+        assert s.phi == 0.0 and s.theta == 0.0
+        s = analysis.qubit_stats(np.array([[0, 1e-17j], [-1e-17j, 1]], dtype=complex))
+        assert s.phi == 0.0 and abs(s.theta - np.pi) < 1e-12
 
     def test_rejects_invalid_density_matrices(self):
         with pytest.raises(ContractError):
@@ -397,9 +414,10 @@ class TestStabilizerRenyiEntropy:
 
     def test_matches_dense_pauli_enumeration(self):
         rng = np.random.default_rng(11)
-        for n in (1, 2, 3):
-            circ = random_circuit(n, 8, rng)
-            psi = engine.run_circuit(circ)
+        states = [engine.run_circuit(random_circuit(n, 8, rng)) for n in (1, 2, 3)]
+        states += [linalg.random_state(n, rng) for n in (4, 5)]
+        for psi in states:
+            n = psi.shape[0].bit_length() - 1
             total = 0.0
             for labels in np.ndindex(*(4,) * n):
                 names = tuple("IXYZ"[k] for k in labels)

@@ -170,3 +170,10 @@ class TestLoadCircuit:
         path.write_text("qubits 1\nH 0\n", encoding="utf-8")
         circ = circ_mod.load_circuit(path)
         assert circ.n == 1
+
+    def test_non_utf8_file_names_the_line(self, tmp_path):
+        path = tmp_path / "c.qc"
+        path.write_bytes(b"qubits 2\nH 0\nX 1 \xff\n")
+        with pytest.raises(ParseError, match="line 3") as info:
+            circ_mod.load_circuit(path)
+        assert info.value.line_no == 3

@@ -191,6 +191,25 @@ class TestSample:
         assert code == 1
         assert "MEASURE" in err
 
+    def test_negative_seed_is_one_error_line(self, capsys, circuit_file):
+        code, out, err = run_cli(
+            capsys, "sample", circuit_file(BELL_MEASURE), "--shots", "5", "--seed", "-1"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "seed" in err
+
+
+class TestBadInput:
+    def test_non_utf8_file_is_one_error_line(self, capsys, tmp_path):
+        path = tmp_path / "latin1.qc"
+        path.write_bytes("qubits 1\n# caf\u00e9\nH 0\n".encode("latin-1"))
+        for command in ("simulate", "stats"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert code == 1 and out == ""
+            assert err.startswith("error: line 2: ") and err.count("\n") == 1
+            assert "UTF-8" in err
+
 
 class TestBench:
     def test_bench_reports_timing_line(self, capsys):
@@ -229,3 +248,8 @@ class TestBench:
         )
         assert code == 1
         assert "--keep" in err
+
+    def test_bench_negative_seed_is_one_error_line(self, capsys):
+        code, _, err = run_cli(capsys, "bench", "--qubits", "2", "--seed", "-3")
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -236,3 +236,22 @@ class TestSampleShots:
         circ = parse_circuit("qubits 1\nMEASURE 0\n")
         with pytest.raises(ContractError):
             measurement.sample_shots(circ, 0, 0)
+
+    def test_rejects_unnormalized_or_misshapen_start_state(self):
+        bell = parse_circuit("qubits 2\nH 0\nCX 0 1\nMEASURE 0\n")
+        with pytest.raises(ContractError):
+            measurement.sample_shots(bell, 10, 0, psi0=np.ones(4))
+        with pytest.raises(ContractError):
+            measurement.sample_shots(bell, 10, 0, psi0=np.full(4, np.nan))
+        with pytest.raises(DimensionError):
+            measurement.sample_shots(bell, 10, 0, psi0=np.ones(2) * _SQ2)
+
+    def test_normalized_start_state_is_used(self):
+        circ = parse_circuit("qubits 2\nMEASURE 0\nMEASURE 1\n")
+        psi0 = linalg.basis_state(2, 0b10)
+        assert measurement.sample_shots(circ, 20, 0, psi0=psi0) == {"01": 20}
+
+    def test_rejects_negative_seed(self):
+        circ = parse_circuit("qubits 1\nH 0\nMEASURE 0\n")
+        with pytest.raises(ContractError, match="seed"):
+            measurement.sample_shots(circ, 10, -1)
