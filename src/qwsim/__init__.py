@@ -1,4 +1,4 @@
-"""State-vector quantum circuit simulator with bitmask gate kernels.
+"""State-vector quantum circuit simulator with one strided-view gate kernel.
 
 Quick start::
 
@@ -7,7 +7,7 @@ Quick start::
     circ = parse_circuit("qubits 2\\nH 0\\nCX 0 1\\n")
     psi = run_circuit(circ)          # Bell state amplitudes
 
-See the individual modules for the full API: ``engine`` (gate kernels),
+See the individual modules for the full API: ``engine`` (the gate kernel),
 ``analysis`` (partial traces and statistics), ``measurement`` (branch
 trees and sampling), ``oracle`` (naive reference path), ``circuit``
 (parsing), and ``cli``.
@@ -37,8 +37,6 @@ from .engine import (
     ControlSpec,
     apply_multi_qubit_gate,
     apply_op,
-    apply_swap,
-    qubit_wise_multiply,
     run_circuit,
     swap_bits,
 )
@@ -104,7 +102,6 @@ __all__ = [
     "UNITARY_ATOL",
     "apply_multi_qubit_gate",
     "apply_op",
-    "apply_swap",
     "basis_state",
     "build_gate_full_matrix",
     "concurrence",
@@ -124,7 +121,6 @@ __all__ = [
     "probability_of_one",
     "purity",
     "qubit_stats",
-    "qubit_wise_multiply",
     "random_circuit",
     "random_state",
     "rearrange_bits",

@@ -208,9 +208,9 @@ def qubit_stats(rho) -> QubitStats:
     a = rho[0, 0].real
     b = rho[0, 1].real
     c = rho[0, 1].imag
-    x = 2.0 * b
-    y = -2.0 * c
-    z = 2.0 * a - 1.0
+    x = float(2.0 * b)
+    y = float(-2.0 * c)
+    z = float(2.0 * a - 1.0)
     for value, pauli in ((x, "X"), (y, "Y"), (z, "Z")):
         expect = float(np.trace(rho @ gate_matrix(pauli)).real)
         if abs(value - expect) > STATE_ATOL:

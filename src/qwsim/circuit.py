@@ -23,7 +23,7 @@ import numpy as np
 from .errors import CatalogError, ContractError, ParseError
 from .gates import MEASURE, gate_def, gate_names
 from .engine import ControlSpec, coerce_controls
-from .linalg import MAX_QUBITS
+from .linalg import MAX_QUBITS, check_qubit_count
 
 
 @dataclass(frozen=True)
@@ -70,16 +70,12 @@ class Circuit:
     ops: tuple[GateOp, ...] = ()
 
     def __post_init__(self):
-        n = int(self.n)
-        if n < 1:
-            raise ContractError(f"circuit needs at least 1 qubit, got {n}")
-        if n > MAX_QUBITS:
-            raise ContractError(f"circuit size {n} exceeds the cap of {MAX_QUBITS}")
+        n = check_qubit_count(self.n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ops", tuple(self.ops))
         for op in self.ops:
             for w in op.wires:
-                if w >= n:
+                if not 0 <= w < n:
                     raise ContractError(
                         f"op {op.gate} touches wire {w}, register has {n} qubits"
                     )

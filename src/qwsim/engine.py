@@ -1,19 +1,24 @@
-"""State-vector gate kernels driven by bitmask index arithmetic.
+"""The state-vector gate kernel.
 
 A gate on wire ``t`` of an ``n``-qubit register pairs every amplitude
 index with bit ``t`` clear against the index with bit ``t`` set and mixes
-each pair through the 2x2 gate matrix.  That touches each amplitude once,
-so a gate costs O(2**n) work and no operator matrix is ever built.  The
-pair enumeration, control handling and swap tricks below all operate on
-index arrays, which keeps the per-amplitude work inside numpy.
+each pair through the 2x2 gate matrix; a gate on ``m`` wires mixes groups
+of ``2**m`` amplitudes the same way.  That touches each amplitude once,
+so a gate costs O(2**n) work and no operator matrix is ever built.
+
+:func:`apply_multi_qubit_gate` is the one kernel, for every gate.  It
+reads the state as a tensor with one length-2 axis per target or control
+wire, so each group member is a strided view of the state and the
+per-amplitude work stays inside numpy, with no index arrays.
 
 Controls never enlarge the gate matrix: a control (or anticontrol) wire
-contributes a bit to an inclusion mask, and a pair is mixed only when its
-index carries the desired value on every masked bit.
+contributes a bit to an inclusion mask, and a group is mixed only when its
+index carries the desired value on every masked bit.  The kernel applies
+the mask by fixing the control's axis to that bit.
 
-Kernels return a fresh vector by default; pass ``in_place=True`` to mutate
-the input (it must then be a writeable, contiguous complex128 array).
-Results are identical either way.
+The kernel returns a fresh vector by default; pass ``in_place=True`` to
+mutate the input (it must then be a writeable, contiguous complex128
+array).  Results are identical either way.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 from .gates import MEASURE, gate_def
-from .linalg import STATE_ATOL, check_qubit_count, is_unitary
+from .linalg import STATE_ATOL, check_qubit_count, initial_state, is_normalized
 
 
 @dataclass(frozen=True)
@@ -80,10 +85,12 @@ def coerce_controls(controls) -> ControlSpec:
 
 
 def _check_wires(n: int, targets, spec: ControlSpec) -> None:
+    tset = set(targets)
+    if len(tset) != len(targets):
+        raise ContractError(f"duplicate target wires in {targets}")
     for t in targets:
         if not 0 <= t < n:
             raise ContractError(f"target wire {t} out of range for {n} qubits")
-    tset = set(targets)
     for w in spec.wires:
         if not 0 <= w < n:
             raise ContractError(f"control wire {w} out of range for {n} qubits")
@@ -108,59 +115,6 @@ def _working_copy(a, n: int, in_place: bool) -> np.ndarray:
     return out
 
 
-def _paired_indices(n: int, wire: int) -> np.ndarray:
-    """All indices with bit ``wire`` clear, ascending.
-
-    Index ``b`` of the half-sized range maps to
-    ``((b >> wire) << (wire + 1)) | (b & (2**wire - 1))``: the low bits of
-    ``b`` stay put and the rest shift up one position to leave a zero at
-    ``wire``.  OR-ing ``1 << wire`` back in yields the partner index.
-    """
-    idx = np.arange(1 << (n - 1), dtype=np.int64)
-    low = (1 << wire) - 1
-    return ((idx >> wire) << (wire + 1)) | (idx & low)
-
-
-def qubit_wise_multiply(
-    n: int,
-    u,
-    target: int,
-    a,
-    controls=None,
-    *,
-    in_place: bool = False,
-) -> np.ndarray:
-    """Apply a 2x2 matrix ``u`` to wire ``target`` of state ``a``.
-
-    For each index pair ``(i1, i2 = i1 | 1 << target)`` that passes the
-    control masks::
-
-        out[i1] = u[0,0]*a[i1] + u[0,1]*a[i2]
-        out[i2] = u[1,0]*a[i1] + u[1,1]*a[i2]
-
-    Amplitudes failing the control masks are left untouched.  ``u`` is not
-    required to be unitary here; higher layers enforce that where the
-    contract demands it.
-    """
-    n = check_qubit_count(n)
-    spec = coerce_controls(controls)
-    _check_wires(n, (target,), spec)
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise DimensionError(f"single-qubit gate must be 2x2, got {u.shape}")
-    out = _working_copy(a, n, in_place)
-
-    i1 = _paired_indices(n, target)
-    if spec.inclusion_mask:
-        i1 = i1[(i1 & spec.inclusion_mask) == spec.desired_value_mask]
-    i2 = i1 | (1 << target)
-    lo = out[i1]  # fancy indexing copies, so gathering before writing is safe
-    hi = out[i2]
-    out[i1] = u[0, 0] * lo + u[0, 1] * hi
-    out[i2] = u[1, 0] * lo + u[1, 1] * hi
-    return out
-
-
 def swap_bits(k: int, i: int, j: int) -> int:
     """Return ``k`` with bits ``i`` and ``j`` exchanged."""
     if i < 0 or j < 0:
@@ -172,60 +126,6 @@ def swap_bits(k: int, i: int, j: int) -> int:
     return k
 
 
-def apply_swap(
-    n: int,
-    wire_i: int,
-    wire_j: int,
-    a,
-    controls=None,
-    *,
-    in_place: bool = False,
-    reference: bool = False,
-) -> np.ndarray:
-    """Exchange wires ``wire_i`` and ``wire_j`` by permuting amplitudes.
-
-    A swap only moves amplitudes whose two wire bits differ, and each such
-    index pairs with its bit-swapped partner.  The fast path enumerates
-    exactly the indices with bit ``i`` set and bit ``j`` clear (a quarter
-    of the register) and exchanges each with its partner, obtained by
-    clearing bit ``i`` and setting bit ``j``.  ``reference=True`` selects
-    a per-index loop that walks every index and swaps when the partner is
-    larger; it exists as a differential test target and is slow.
-    """
-    n = check_qubit_count(n)
-    spec = coerce_controls(controls)
-    _check_wires(n, (wire_i, wire_j), spec)
-    out = _working_copy(a, n, in_place)
-    if wire_i == wire_j:
-        return out
-
-    if reference:
-        for k in range(1 << n):
-            if not spec.passes(k):
-                continue
-            k2 = swap_bits(k, wire_i, wire_j)
-            if k2 > k:
-                out[k], out[k2] = out[k2], out[k]
-        return out
-
-    lo, hi = sorted((wire_i, wire_j))
-    quarter = np.arange(1 << (n - 2), dtype=np.int64)
-    x = ((quarter >> lo) << (lo + 1)) | (quarter & ((1 << lo) - 1))
-    x = ((x >> hi) << (hi + 1)) | (x & ((1 << hi) - 1))
-    k = x | (1 << wire_i)  # bit i set, bit j clear
-    if spec.inclusion_mask:
-        # The control masks are symmetric between each pair (k, k2) only
-        # when controls do not touch the swapped wires, which _check_wires
-        # guarantees; filtering on k therefore filters the pair.
-        k = k[(k & spec.inclusion_mask) == spec.desired_value_mask]
-    k2 = (k & ~(1 << wire_i)) | (1 << wire_j)
-    vk = out[k]
-    vk2 = out[k2]
-    out[k] = vk2
-    out[k2] = vk
-    return out
-
-
 def apply_multi_qubit_gate(
     n: int,
     u,
@@ -234,26 +134,25 @@ def apply_multi_qubit_gate(
     controls=None,
     *,
     in_place: bool = False,
-    strict_unitary: bool = True,
 ) -> np.ndarray:
-    """Apply a ``2**m x 2**m`` unitary ``u`` to ``m`` target wires.
+    """Apply a ``2**m x 2**m`` matrix ``u`` to ``m`` target wires.
 
     Bit ``k`` of a row/column index of ``u`` addresses the ``k``-th
-    smallest target wire.  Targets need not be adjacent: the wires are
-    first moved onto positions ``0..m-1`` (ascending) with compensating
-    swaps, the gate is applied blockwise there, and the swaps are undone
-    in reverse order.  Control wires are remapped through the same
-    rewiring, so controls keep acting on their original wires.
+    smallest target wire.  The state is viewed with one length-2 axis per
+    target or control wire and one merged axis per run of other wires.
+    Fixing each control axis to its wanted bit and the target axes to a
+    pattern ``c`` gives ``block_c``, a strided view of every amplitude
+    whose target bits read ``c`` and that passes the controls.  Row ``r``
+    then writes ``block_r = sum_c u[r, c] * block_c``, skipping zero
+    entries and identity rows; only the blocks a later row still reads
+    are copied first.
 
-    With ``strict_unitary=True`` (the default) a non-unitary ``u`` raises
-    ``ContractError``; pass ``False`` to apply it anyway (useful for
-    building non-unitary probes on top of the same kernel).
+    ``u`` is applied as given, unitary or not: catalog gates are checked
+    once at import and ``run_circuit`` checks the norm of its result.
     """
     n = check_qubit_count(n)
     spec = coerce_controls(controls)
     targets = tuple(int(t) for t in targets)
-    if len(set(targets)) != len(targets):
-        raise ContractError(f"duplicate target wires in {targets}")
     _check_wires(n, targets, spec)
     m = len(targets)
     if m == 0:
@@ -264,36 +163,52 @@ def apply_multi_qubit_gate(
         raise DimensionError(
             f"gate on {m} wires must be {dim}x{dim}, got {u.shape}"
         )
-    if strict_unitary and not is_unitary(u):
-        raise ContractError("gate matrix is not unitary")
+    rows = u.tolist()
+    reads = [[c for c, x in enumerate(row) if x] for row in rows]
+    writes = [r for r in range(dim) if reads[r] != [r] or rows[r][r] != 1]
     out = _working_copy(a, n, in_place)
+    if not writes:
+        return out
 
-    # Move the sorted targets onto wires 0..m-1.  wire_at[p] is the
-    # original wire currently sitting at position p; pos_of inverts it.
-    wire_at = list(range(n))
-    pos_of = list(range(n))
-    swaps: list[tuple[int, int]] = []
-    for k, t in enumerate(sorted(targets)):
-        p = pos_of[t]
-        if p != k:
-            swaps.append((k, p))
-            w = wire_at[k]
-            wire_at[k], wire_at[p] = t, w
-            pos_of[t], pos_of[w] = k, p
-    for i, j in swaps:
-        out = apply_swap(n, i, j, out, in_place=True)
+    # C order puts the highest wire on axis 0.
+    shape: list[int] = []
+    axis_of: dict[int, int] = {}
+    above = n
+    for w in sorted(targets + spec.wires, reverse=True):
+        if above - w > 1:
+            shape.append(1 << (above - w - 1))
+        axis_of[w] = len(shape)
+        shape.append(2)
+        above = w
+    if above:
+        shape.append(1 << above)
+    view = out.reshape(shape)
+    index: list = [slice(None)] * len(shape)
+    for w, is_control in spec.entries:
+        index[axis_of[w]] = int(is_control)
+    target_axes = [axis_of[t] for t in sorted(targets)]
+    blocks = {}
+    for c in {*writes, *(c for r in writes for c in reads[r])}:
+        for k, axis in enumerate(target_axes):
+            index[axis] = (c >> k) & 1
+        # the trailing ... keeps a block a 0-d view when every axis is fixed
+        blocks[c] = view[(*index, ...)]
 
-    mapped = ControlSpec(tuple((pos_of[w], f) for w, f in spec.entries))
-    blocks = out.reshape(-1, dim)
-    if mapped.inclusion_mask:
-        base = np.arange(blocks.shape[0], dtype=np.int64) << m
-        sel = (base & mapped.inclusion_mask) == mapped.desired_value_mask
-        blocks[sel] = blocks[sel] @ u.T
-    else:
-        blocks[:] = blocks @ u.T
-
-    for i, j in reversed(swaps):
-        out = apply_swap(n, i, j, out, in_place=True)
+    sources = dict(blocks)
+    for c in writes:
+        if any(c in reads[r] for r in writes if r > c):
+            sources[c] = blocks[c].copy()
+    for r in writes:
+        dst, row = blocks[r], rows[r]
+        # own block first; a zero row scales its own block by 0
+        terms = sorted(reads[r], key=lambda c: c != r) or [r]
+        first = terms[0]
+        if row[first] != 1:
+            np.multiply(sources[first], row[first], out=dst)
+        elif first != r:
+            np.copyto(dst, sources[first])
+        for c in terms[1:]:
+            dst += row[c] * sources[c]
     return out
 
 
@@ -303,17 +218,8 @@ def apply_op(n: int, op, a, *, in_place: bool = False) -> np.ndarray:
         raise ContractError(
             "measurement ops are handled by the measurement module, not the engine"
         )
-    g = gate_def(op.gate)
-    if g.arity == 1:
-        return qubit_wise_multiply(
-            n, g.matrix, op.targets[0], a, op.controls, in_place=in_place
-        )
-    if op.gate == "SWAP":
-        return apply_swap(
-            n, op.targets[0], op.targets[1], a, op.controls, in_place=in_place
-        )
     return apply_multi_qubit_gate(
-        n, g.matrix, op.targets, a, op.controls, in_place=in_place
+        n, gate_def(op.gate).matrix, op.targets, a, op.controls, in_place=in_place
     )
 
 
@@ -324,15 +230,12 @@ def run_circuit(circuit, psi0=None, *, in_place: bool = False) -> np.ndarray:
     a drift beyond ``STATE_ATOL`` would indicate a kernel bug and raises.
     """
     n = circuit.n
-    if psi0 is None:
-        state = np.zeros(1 << n, dtype=complex)
-        state[0] = 1.0
-    else:
-        # _working_copy copies unless in_place, so the loop below may mutate.
-        state = _working_copy(psi0, n, in_place)
-        # written so a NaN norm fails the check instead of slipping past it
-        if not abs(np.vdot(state, state).real - 1.0) <= STATE_ATOL:
+    if in_place and psi0 is not None:
+        state = _working_copy(psi0, n, True)
+        if not is_normalized(state):
             raise ContractError("initial state is not normalized")
+    else:
+        state = initial_state(n, psi0)
     for op in circuit.ops:
         state = apply_op(n, op, state, in_place=True)
     drift = abs(np.vdot(state, state).real - 1.0)

@@ -1,7 +1,6 @@
 """Dense linear algebra helpers and state-vector constructors.
 
-Matrix plumbing (products, Kronecker products, adjoints, traces) delegates
-to numpy.  The Hermitian eigensolver is written here as an explicit cyclic
+The Hermitian eigensolver is written here as an explicit cyclic
 Jacobi iteration so the package does not depend on an opaque routine for
 the one numerically delicate primitive; tests cross-check it against an
 independent implementation.
@@ -48,59 +47,6 @@ def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
     return arr
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = _as_matrix(a, "left operand")
-    b = _as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product ``a (x) b``.
-
-    In this package's little-endian indexing the *second* factor owns the
-    low bits of the combined index: ``kron(A, B)[i] = A[i >> k] * B[i & mask]``
-    for vectors with ``B`` of length ``2**k``.  Results whose dimensions
-    would exceed ``2**MAX_QUBITS`` are refused.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim not in (1, 2) or b.ndim not in (1, 2) or a.ndim != b.ndim:
-        raise DimensionError("kron expects two vectors or two matrices")
-    limit = 1 << MAX_QUBITS
-    for d1, d2 in zip(a.shape, b.shape):
-        if d1 * d2 > limit:
-            raise DimensionError(
-                f"kron result dimension {d1 * d2} exceeds the cap of {limit}"
-            )
-    return np.kron(a, b)
-
-
-def dagger(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_matrix(m).conj().T
-
-
-def trace(m) -> complex:
-    a = _as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"trace needs a square matrix, got {a.shape}")
-    return complex(np.trace(a))
-
-
-def outer(u, v=None) -> np.ndarray:
-    """Outer product ``|u><v|`` (defaults to ``|u><u|``)."""
-    u = np.asarray(u, dtype=complex)
-    v = u if v is None else np.asarray(v, dtype=complex)
-    if u.ndim != 1 or v.ndim != 1:
-        raise DimensionError("outer expects 1-D vectors")
-    return np.outer(u, v.conj())
 
 
 def is_unitary(m, atol: float = UNITARY_ATOL) -> bool:

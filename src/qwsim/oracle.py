@@ -5,7 +5,8 @@ Everything here is deliberately direct and slow: gates become explicit
 mapping, circuits are simulated by dense matrix-vector products, and the
 partial trace follows its textbook definition with explicit permutation
 and embedding matrices, built one index at a time with the bit-scatter
-helper :func:`rearrange_bits`.  None of the fast kernels are used, so
+helper :func:`rearrange_bits`.  :func:`swap_wires` exchanges two wires
+by walking every amplitude index.  None of the fast kernels are used, so
 agreement between this module and the engine checks both against each
 other.
 
@@ -19,7 +20,8 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, ResourceError
 from .gates import MEASURE, GateDef, gate_def
-from .engine import ControlSpec, coerce_controls
+from .engine import ControlSpec, _check_wires, coerce_controls, swap_bits
+from .linalg import initial_state
 
 NAIVE_QUBIT_GUARD = 12
 
@@ -50,20 +52,11 @@ def build_gate_full_matrix(n: int, gate, targets, controls=None) -> np.ndarray:
     g: GateDef = gate if isinstance(gate, GateDef) else gate_def(gate)
     spec: ControlSpec = coerce_controls(controls)
     targets = sorted(int(t) for t in targets)
-    if len(set(targets)) != len(targets):
-        raise ContractError(f"duplicate target wires in {targets}")
     if len(targets) != g.arity:
         raise ContractError(
             f"gate {g.name} acts on {g.arity} wires, got {len(targets)} targets"
         )
-    for t in targets:
-        if not 0 <= t < n:
-            raise ContractError(f"target wire {t} out of range for {n} qubits")
-    for w in spec.wires:
-        if not 0 <= w < n:
-            raise ContractError(f"control wire {w} out of range for {n} qubits")
-        if w in targets:
-            raise ContractError(f"wire {w} is both a control and a target")
+    _check_wires(n, targets, spec)
 
     dim = 1 << n
     u = g.matrix
@@ -90,21 +83,34 @@ def build_gate_full_matrix(n: int, gate, targets, controls=None) -> np.ndarray:
 def simulate_naive(circuit, psi0=None) -> np.ndarray:
     """Dense reference run: one full operator matrix per gate."""
     n = _check_guard(circuit.n)
-    if psi0 is None:
-        psi = np.zeros(1 << n, dtype=complex)
-        psi[0] = 1.0
-    else:
-        psi = np.array(psi0, dtype=complex)
-        if psi.shape != (1 << n,):
-            raise DimensionError(
-                f"state must have length {1 << n}, got shape {psi.shape}"
-            )
+    psi = initial_state(n, psi0)
     for op in circuit.ops:
         if op.gate == MEASURE:
             raise ContractError("naive simulation does not handle measurements")
         layer = build_gate_full_matrix(n, op.gate, op.targets, op.controls)
         psi = layer @ psi
     return psi
+
+
+def swap_wires(n: int, wire_i: int, wire_j: int, psi, controls=None) -> np.ndarray:
+    """Exchange two wires of ``psi`` one amplitude index at a time.
+
+    Every index ``k`` that passes the controls trades amplitudes with its
+    partner ``swap_bits(k, wire_i, wire_j)`` when the partner is larger, so
+    each pair moves exactly once.  The reference for SWAP in the engine.
+    """
+    n = _check_guard(n)
+    spec = coerce_controls(controls)
+    _check_wires(n, (int(wire_i), int(wire_j)), spec)
+    out = np.array(psi, dtype=complex)
+    if out.shape != (1 << n,):
+        raise DimensionError(f"state must have length {1 << n}, got shape {out.shape}")
+    for k in range(1 << n):
+        if spec.passes(k):
+            k2 = swap_bits(k, wire_i, wire_j)
+            if k2 > k:
+                out[k], out[k2] = out[k2], out[k]
+    return out
 
 
 def rearrange_bits(i: int, positions) -> int:

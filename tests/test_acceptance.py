@@ -183,7 +183,7 @@ def test_criterion_8_invariant_bundle():
         spec = engine.ControlSpec(
             tuple((w, bool(rng.integers(2))) for w in free[: 1 + int(rng.integers(len(free)))])
         )
-        out = engine.qubit_wise_multiply(n, gates.gate_matrix("H"), target, psi, spec)
+        out = engine.apply_multi_qubit_gate(n, gates.gate_matrix("H"), (target,), psi, spec)
         skipped = [k for k in range(1 << n) if not spec.passes(k)]
         np.testing.assert_array_equal(out[skipped], psi[skipped])
 
@@ -191,10 +191,10 @@ def test_criterion_8_invariant_bundle():
     x = gates.gate_matrix("X")
     for n, i, j in ((2, 0, 1), (4, 3, 1), (6, 0, 5)):
         psi = linalg.random_state(n, rng)
-        via_swap = engine.apply_swap(n, i, j, psi)
-        via_cx = engine.qubit_wise_multiply(n, x, i, psi, [(j, True)])
-        via_cx = engine.qubit_wise_multiply(n, x, j, via_cx, [(i, True)])
-        via_cx = engine.qubit_wise_multiply(n, x, i, via_cx, [(j, True)])
+        via_swap = engine.apply_multi_qubit_gate(n, gates.gate_matrix("SWAP"), (i, j), psi)
+        via_cx = engine.apply_multi_qubit_gate(n, x, (i,), psi, [(j, True)])
+        via_cx = engine.apply_multi_qubit_gate(n, x, (j,), via_cx, [(i, True)])
+        via_cx = engine.apply_multi_qubit_gate(n, x, (i,), via_cx, [(j, True)])
         np.testing.assert_allclose(via_swap, via_cx, atol=1e-12, rtol=0)
 
     # reduced matrices ignore global phase and are valid density matrices

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 
 import numpy as np
@@ -278,6 +279,11 @@ class TestQubitStats:
         assert s.phi == 0.0 and s.theta == 0.0
         s = analysis.qubit_stats(np.array([[0, 1e-17j], [-1e-17j, 1]], dtype=complex))
         assert s.phi == 0.0 and abs(s.theta - np.pi) < 1e-12
+
+    def test_fields_are_plain_floats(self):
+        psi = np.array([0.6, 0.8j])
+        s = analysis.qubit_stats(np.outer(psi, psi.conj()))
+        assert all(type(v) is float for v in dataclasses.astuple(s))
 
     def test_rejects_invalid_density_matrices(self):
         with pytest.raises(ContractError):

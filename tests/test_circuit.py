@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from qwsim import circuit as circ_mod
-from qwsim import engine, gates
+from qwsim import engine, gates, linalg
 from qwsim.circuit import Circuit, GateOp, format_circuit, parse_circuit, random_circuit
 from qwsim.engine import ControlSpec
-from qwsim.errors import ContractError, ParseError
+from qwsim.errors import ContractError, ParseError, ResourceError
 
 
 class TestGateOp:
@@ -34,6 +34,14 @@ class TestGateOp:
             Circuit(2, (GateOp("X", (2,)),))
         with pytest.raises(ContractError):
             Circuit(2, (GateOp("X", (0,), ControlSpec(((5, True),))),))
+
+    def test_circuit_rejects_negative_target(self):
+        with pytest.raises(ContractError):
+            Circuit(2, (GateOp("X", (-1,)),))
+
+    def test_over_cap_circuit_raises_resource_error(self):
+        with pytest.raises(ResourceError):
+            Circuit(linalg.MAX_QUBITS + 1)
 
 
 class TestParser:

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from qwsim import engine, gates, linalg, oracle
-from qwsim.circuit import parse_circuit, random_circuit
+from qwsim.circuit import GateOp, parse_circuit, random_circuit
 from qwsim.engine import ControlSpec, NO_CONTROLS
 from qwsim.errors import ContractError, DimensionError
 
 _SQ2 = 1.0 / np.sqrt(2.0)
+SWAP = gates.gate_matrix("SWAP")
 
 
 def random_unitary(dim, rng):
@@ -47,28 +48,30 @@ class TestControlSpec:
 
 
 class TestQubitWiseMultiply:
+    """The kernel on one target wire: the paper's qubit-wise multiply."""
+
     def test_hadamard_on_zero(self):
-        psi = engine.qubit_wise_multiply(1, gates.gate_matrix("H"), 0, [1, 0])
+        psi = engine.apply_multi_qubit_gate(1, gates.gate_matrix("H"), (0,), [1, 0])
         np.testing.assert_allclose(psi, [_SQ2, _SQ2], atol=1e-15)
 
     def test_controlled_x_flips_bit_when_control_set(self):
         psi = linalg.basis_state(2, 0b10)  # wire 1 set
-        out = engine.qubit_wise_multiply(
-            2, gates.gate_matrix("X"), 0, psi, [(1, True)]
+        out = engine.apply_multi_qubit_gate(
+            2, gates.gate_matrix("X"), (0,), psi, [(1, True)]
         )
         np.testing.assert_allclose(out, linalg.basis_state(2, 0b11), atol=1e-15)
 
     def test_controlled_x_idles_when_control_clear(self):
         psi = linalg.basis_state(2, 0b00)
-        out = engine.qubit_wise_multiply(
-            2, gates.gate_matrix("X"), 0, psi, [(1, True)]
+        out = engine.apply_multi_qubit_gate(
+            2, gates.gate_matrix("X"), (0,), psi, [(1, True)]
         )
         np.testing.assert_array_equal(out, psi)
 
     def test_anticontrol_fires_on_zero(self):
         psi = linalg.basis_state(2, 0b00)
-        out = engine.qubit_wise_multiply(
-            2, gates.gate_matrix("X"), 0, psi, [(1, False)]
+        out = engine.apply_multi_qubit_gate(
+            2, gates.gate_matrix("X"), (0,), psi, [(1, False)]
         )
         np.testing.assert_allclose(out, linalg.basis_state(2, 0b01), atol=1e-15)
 
@@ -77,11 +80,11 @@ class TestQubitWiseMultiply:
         # takes |000> to (|100> - |011>)/sqrt(2)
         h, x, z = (gates.gate_matrix(g) for g in "HXZ")
         psi = linalg.zero_state(3)
-        psi = engine.qubit_wise_multiply(3, h, 1, psi)
-        psi = engine.qubit_wise_multiply(3, x, 2, psi)
-        psi = engine.qubit_wise_multiply(3, x, 0, psi, [(1, True)])
-        psi = engine.qubit_wise_multiply(3, z, 0, psi)
-        psi = engine.qubit_wise_multiply(3, x, 2, psi, [(1, True)])
+        psi = engine.apply_multi_qubit_gate(3, h, (1,), psi)
+        psi = engine.apply_multi_qubit_gate(3, x, (2,), psi)
+        psi = engine.apply_multi_qubit_gate(3, x, (0,), psi, [(1, True)])
+        psi = engine.apply_multi_qubit_gate(3, z, (0,), psi)
+        psi = engine.apply_multi_qubit_gate(3, x, (2,), psi, [(1, True)])
         expect = np.zeros(8, dtype=complex)
         expect[0b100] = _SQ2
         expect[0b011] = -_SQ2
@@ -97,8 +100,8 @@ class TestQubitWiseMultiply:
             rng.shuffle(free)
             picks = free[: int(rng.integers(1, len(free) + 1))]
             spec = ControlSpec(tuple((w, bool(rng.integers(2))) for w in picks))
-            out = engine.qubit_wise_multiply(
-                n, random_unitary(2, rng), target, psi, spec
+            out = engine.apply_multi_qubit_gate(
+                n, random_unitary(2, rng), (target,), psi, spec
             )
             untouched = [k for k in range(1 << n) if not spec.passes(k)]
             assert untouched, "control draw should leave some indices out"
@@ -107,42 +110,42 @@ class TestQubitWiseMultiply:
     def test_identity_gate_with_controls_is_noop(self):
         rng = np.random.default_rng(22)
         psi = linalg.random_state(3, rng)
-        out = engine.qubit_wise_multiply(
-            3, gates.gate_matrix("I"), 1, psi, [(0, True), (2, False)]
+        out = engine.apply_multi_qubit_gate(
+            3, gates.gate_matrix("I"), (1,), psi, [(0, True), (2, False)]
         )
         np.testing.assert_array_equal(out, psi)
 
     def test_norm_conserved(self):
         rng = np.random.default_rng(8)
         psi = linalg.random_state(5, rng)
-        out = engine.qubit_wise_multiply(5, random_unitary(2, rng), 3, psi)
+        out = engine.apply_multi_qubit_gate(5, random_unitary(2, rng), (3,), psi)
         assert abs(np.vdot(out, out).real - 1.0) < 1e-12
 
     def test_in_place_matches_copy(self):
         rng = np.random.default_rng(9)
         psi = linalg.random_state(4, rng)
         u = random_unitary(2, rng)
-        copied = engine.qubit_wise_multiply(4, u, 2, psi, [(0, True)])
+        copied = engine.apply_multi_qubit_gate(4, u, (2,), psi, [(0, True)])
         work = psi.copy()
-        returned = engine.qubit_wise_multiply(
-            4, u, 2, work, [(0, True)], in_place=True
+        returned = engine.apply_multi_qubit_gate(
+            4, u, (2,), work, [(0, True)], in_place=True
         )
         assert returned is work
         np.testing.assert_array_equal(copied, work)
 
     def test_wire_collision_rejected(self):
         with pytest.raises(ContractError):
-            engine.qubit_wise_multiply(
-                2, gates.gate_matrix("X"), 0, linalg.zero_state(2), [(0, True)]
+            engine.apply_multi_qubit_gate(
+                2, gates.gate_matrix("X"), (0,), linalg.zero_state(2), [(0, True)]
             )
 
     def test_bad_shapes_rejected(self):
         with pytest.raises(DimensionError):
-            engine.qubit_wise_multiply(2, np.eye(4), 0, linalg.zero_state(2))
+            engine.apply_multi_qubit_gate(2, np.eye(4), (0,), linalg.zero_state(2))
         with pytest.raises(DimensionError):
-            engine.qubit_wise_multiply(2, np.eye(2), 0, np.zeros(5))
+            engine.apply_multi_qubit_gate(2, np.eye(2), (0,), np.zeros(5))
         with pytest.raises(ContractError):
-            engine.qubit_wise_multiply(2, np.eye(2), 2, linalg.zero_state(2))
+            engine.apply_multi_qubit_gate(2, np.eye(2), (2,), linalg.zero_state(2))
 
 
 class TestSwapBits:
@@ -177,14 +180,11 @@ class TestSwapBits:
 
 
 class TestApplySwap:
-    def test_swaps_basis_state(self):
-        out = engine.apply_swap(2, 0, 1, linalg.basis_state(2, 0b01))
-        np.testing.assert_array_equal(out, linalg.basis_state(2, 0b10))
+    """SWAP is the kernel with the SWAP matrix: view copies, no arithmetic."""
 
-    def test_same_wire_is_identity(self):
-        rng = np.random.default_rng(0)
-        psi = linalg.random_state(3, rng)
-        np.testing.assert_array_equal(engine.apply_swap(3, 1, 1, psi), psi)
+    def test_swaps_basis_state(self):
+        out = engine.apply_multi_qubit_gate(2, SWAP, (0, 1), linalg.basis_state(2, 0b01))
+        np.testing.assert_array_equal(out, linalg.basis_state(2, 0b10))
 
     def test_hand_worked_swap_sequence(self):
         # H 0; SWAP 0 2; X 1 anticontrolled on 2; X 0 controlled on 1;
@@ -192,13 +192,13 @@ class TestApplySwap:
         # takes |000> to (i|010> - i|011>)/sqrt(2)
         h, x, y, z = (gates.gate_matrix(g) for g in "HXYZ")
         psi = linalg.zero_state(3)
-        psi = engine.qubit_wise_multiply(3, h, 0, psi)
-        psi = engine.apply_swap(3, 0, 2, psi)
-        psi = engine.qubit_wise_multiply(3, x, 1, psi, [(2, False)])
-        psi = engine.qubit_wise_multiply(3, x, 0, psi, [(1, True)])
-        psi = engine.qubit_wise_multiply(3, y, 0, psi)
-        psi = engine.apply_swap(3, 1, 2, psi, [(0, True)])
-        psi = engine.qubit_wise_multiply(3, z, 1, psi)
+        psi = engine.apply_multi_qubit_gate(3, h, (0,), psi)
+        psi = engine.apply_multi_qubit_gate(3, SWAP, (0, 2), psi)
+        psi = engine.apply_multi_qubit_gate(3, x, (1,), psi, [(2, False)])
+        psi = engine.apply_multi_qubit_gate(3, x, (0,), psi, [(1, True)])
+        psi = engine.apply_multi_qubit_gate(3, y, (0,), psi)
+        psi = engine.apply_multi_qubit_gate(3, SWAP, (1, 2), psi, [(0, True)])
+        psi = engine.apply_multi_qubit_gate(3, z, (1,), psi)
         expect = np.zeros(8, dtype=complex)
         expect[0b010] = 1j * _SQ2
         expect[0b011] = -1j * _SQ2
@@ -207,14 +207,16 @@ class TestApplySwap:
     def test_involution(self):
         rng = np.random.default_rng(14)
         psi = linalg.random_state(5, rng)
-        out = engine.apply_swap(5, 1, 4, engine.apply_swap(5, 1, 4, psi))
+        once = engine.apply_multi_qubit_gate(5, SWAP, (1, 4), psi)
+        out = engine.apply_multi_qubit_gate(5, SWAP, (1, 4), once)
         np.testing.assert_array_equal(out, psi)
 
     def test_wire_order_does_not_matter(self):
         rng = np.random.default_rng(15)
         psi = linalg.random_state(4, rng)
         np.testing.assert_array_equal(
-            engine.apply_swap(4, 0, 3, psi), engine.apply_swap(4, 3, 0, psi)
+            engine.apply_multi_qubit_gate(4, SWAP, (0, 3), psi),
+            engine.apply_multi_qubit_gate(4, SWAP, (3, 0), psi),
         )
 
     def test_fast_path_matches_reference_loop(self):
@@ -232,14 +234,14 @@ class TestApplySwap:
                     controls.append((w, True))
                 elif u < 0.4:
                     controls.append((w, False))
-            fast = engine.apply_swap(n, i, j, psi, controls)
-            slow = engine.apply_swap(n, i, j, psi, controls, reference=True)
+            fast = engine.apply_multi_qubit_gate(n, SWAP, (i, j), psi, controls)
+            slow = oracle.swap_wires(n, i, j, psi, controls)
             np.testing.assert_array_equal(fast, slow)
 
     def test_controlled_swap_leaves_other_block_alone(self):
         rng = np.random.default_rng(17)
         psi = linalg.random_state(3, rng)
-        out = engine.apply_swap(3, 0, 1, psi, [(2, True)])
+        out = engine.apply_multi_qubit_gate(3, SWAP, (0, 1), psi, [(2, True)])
         low = [k for k in range(8) if not k & 0b100]
         np.testing.assert_array_equal(out[low], psi[low])
 
@@ -248,22 +250,22 @@ class TestApplySwap:
         x = gates.gate_matrix("X")
         for n, i, j in ((2, 0, 1), (4, 1, 3), (5, 4, 0)):
             psi = linalg.random_state(n, rng)
-            via_swap = engine.apply_swap(n, i, j, psi)
-            via_cx = engine.qubit_wise_multiply(n, x, i, psi, [(j, True)])
-            via_cx = engine.qubit_wise_multiply(n, x, j, via_cx, [(i, True)])
-            via_cx = engine.qubit_wise_multiply(n, x, i, via_cx, [(j, True)])
+            via_swap = engine.apply_multi_qubit_gate(n, SWAP, (i, j), psi)
+            via_cx = engine.apply_multi_qubit_gate(n, x, (i,), psi, [(j, True)])
+            via_cx = engine.apply_multi_qubit_gate(n, x, (j,), via_cx, [(i, True)])
+            via_cx = engine.apply_multi_qubit_gate(n, x, (i,), via_cx, [(j, True)])
             np.testing.assert_allclose(via_swap, via_cx, atol=1e-12)
 
 
 class TestMultiQubitGate:
     def test_swap_matrix_matches_apply_swap(self):
+        # the reference swap loop, with the wires named in either order
         rng = np.random.default_rng(30)
-        swap = gates.gate_matrix("SWAP")
         for n, targets in ((2, (0, 1)), (4, (1, 3)), (5, (4, 2))):
             psi = linalg.random_state(n, rng)
-            a = engine.apply_multi_qubit_gate(n, swap, targets, psi)
-            b = engine.apply_swap(n, targets[0], targets[1], psi)
-            np.testing.assert_allclose(a, b, atol=1e-12)
+            a = engine.apply_multi_qubit_gate(n, SWAP, targets, psi)
+            b = oracle.swap_wires(n, targets[0], targets[1], psi)
+            np.testing.assert_array_equal(a, b)
 
     def test_iswap_on_spread_wires(self):
         # ISWAP on wires (0, 2) of |001>: wire 0 is gate bit 0, so the
@@ -278,7 +280,7 @@ class TestMultiQubitGate:
 
     def test_controlled_x_as_two_wire_matrix(self):
         # CX expressed as a 4x4 acting on wires (0, 1) -- gate bit 1 is the
-        # control -- must agree with the controlled single-qubit kernel
+        # control -- must agree with X on wire 0 controlled by wire 1
         cx = np.array(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
             dtype=complex,
@@ -286,10 +288,10 @@ class TestMultiQubitGate:
         rng = np.random.default_rng(34)
         psi = linalg.random_state(2, rng)
         via_matrix = engine.apply_multi_qubit_gate(2, cx, (0, 1), psi)
-        via_kernel = engine.qubit_wise_multiply(
-            2, gates.gate_matrix("X"), 0, psi, [(1, True)]
+        via_control = engine.apply_multi_qubit_gate(
+            2, gates.gate_matrix("X"), (0,), psi, [(1, True)]
         )
-        np.testing.assert_allclose(via_matrix, via_kernel, atol=1e-14)
+        np.testing.assert_allclose(via_matrix, via_control, atol=1e-14)
 
     def test_matches_full_matrix_oracle(self):
         rng = np.random.default_rng(31)
@@ -308,6 +310,24 @@ class TestMultiQubitGate:
             )
             np.testing.assert_allclose(fast, big @ psi, atol=1e-10)
 
+    def test_every_catalog_gate_through_apply_op_matches_oracle(self):
+        rng = np.random.default_rng(35)
+        for name in gates.gate_names():
+            arity = gates.gate_def(name).arity
+            for n in range(arity, 6):
+                for _ in range(4):
+                    wires = [int(w) for w in rng.permutation(n)]
+                    targets = tuple(wires[:arity])
+                    controls = [(w, bool(rng.integers(2))) for w in wires[arity:]]
+                    if rng.random() < 0.5:  # else every wire is named
+                        controls = controls[: int(rng.integers(len(controls) + 1))]
+                    op = GateOp(name, targets, ControlSpec(tuple(controls)))
+                    psi = linalg.random_state(n, rng)
+                    big = oracle.build_gate_full_matrix(n, name, targets, controls)
+                    np.testing.assert_allclose(
+                        engine.apply_op(n, op, psi), big @ psi, atol=1e-12, rtol=0
+                    )
+
     def test_gate_bit_order_follows_sorted_targets(self):
         rng = np.random.default_rng(32)
         u = random_unitary(4, rng)
@@ -318,17 +338,17 @@ class TestMultiQubitGate:
             atol=1e-14,
         )
 
-    def test_rejects_non_unitary_by_default(self):
-        with pytest.raises(ContractError):
-            engine.apply_multi_qubit_gate(
-                2, np.eye(4) * 2.0, (0, 1), linalg.zero_state(2)
-            )
-
-    def test_non_unitary_allowed_when_opted_in(self):
-        out = engine.apply_multi_qubit_gate(
-            2, np.eye(4) * 2.0, (0, 1), linalg.zero_state(2), strict_unitary=False
+    def test_non_unitary_applied_as_linear_map(self):
+        rng = np.random.default_rng(36)
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        m[1] = 0.0  # a zero row, as well as non-unitary ones
+        psi = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        controls = [(0, False), (3, True)]
+        out = engine.apply_multi_qubit_gate(5, m, (4, 2), psi, controls)
+        big = oracle.build_gate_full_matrix(
+            5, gates.GateDef("M", 2, m), (4, 2), controls
         )
-        np.testing.assert_allclose(out, 2.0 * linalg.zero_state(2))
+        np.testing.assert_allclose(out, big @ psi, atol=1e-12, rtol=0)
 
     def test_duplicate_targets_rejected(self):
         with pytest.raises(ContractError):
@@ -339,12 +359,12 @@ class TestMultiQubitGate:
     def test_control_overlapping_target_rejected(self):
         with pytest.raises(ContractError):
             engine.apply_multi_qubit_gate(
-                3, gates.gate_matrix("SWAP"), (0, 1), linalg.zero_state(3), [(1, True)]
+                3, SWAP, (0, 1), linalg.zero_state(3), [(1, True)]
             )
 
     def test_three_wire_permutation_restores_layout(self):
         # applying U then its inverse through scrambled wires is an identity,
-        # which fails if the compensating swaps are not undone correctly
+        # which fails if the target bits are mapped to the wrong axes
         rng = np.random.default_rng(33)
         u = random_unitary(8, rng)
         psi = linalg.random_state(5, rng)
@@ -394,16 +414,8 @@ class TestRunCircuit:
             psi0 = linalg.random_state(n, rng)
             psi = engine.run_circuit(circ, psi0)
             for op in reversed(circ.ops):
-                g = gates.gate_def(op.gate)
-                u = g.matrix.conj().T
-                if g.arity == 1:
-                    psi = engine.qubit_wise_multiply(
-                        n, u, op.targets[0], psi, op.controls
-                    )
-                else:
-                    psi = engine.apply_multi_qubit_gate(
-                        n, u, op.targets, psi, op.controls
-                    )
+                u = gates.gate_matrix(op.gate).conj().T
+                psi = engine.apply_multi_qubit_gate(n, u, op.targets, psi, op.controls)
             np.testing.assert_allclose(psi, psi0, atol=1e-10)
 
     def test_norm_conserved_over_deep_circuit(self):

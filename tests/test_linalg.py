@@ -16,80 +16,7 @@ def random_unitary(dim, rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-class TestKron:
-    def test_three_zero_states_compose_to_index_zero(self):
-        zero = np.array([1, 0], dtype=complex)
-        psi = linalg.kron(linalg.kron(zero, zero), zero)
-        np.testing.assert_allclose(psi, linalg.basis_state(3, 0))
-
-    def test_binary_labels_map_to_indices(self):
-        zero = np.array([1, 0], dtype=complex)
-        one = np.array([0, 1], dtype=complex)
-        # |q2 q1 q0> = |011>: second factor of kron owns the low bits
-        psi = linalg.kron(linalg.kron(zero, one), one)
-        np.testing.assert_allclose(psi, linalg.basis_state(3, 0b011))
-
-    def test_matrix_blocks(self):
-        m = np.array([[1, 2], [3, 4]], dtype=complex)
-        out = linalg.kron(np.eye(2), m)
-        np.testing.assert_array_equal(out[:2, :2], m)
-        np.testing.assert_array_equal(out[2:, 2:], m)
-        np.testing.assert_array_equal(out[:2, 2:], np.zeros((2, 2)))
-
-    def test_associative_on_integer_matrices(self):
-        rng = np.random.default_rng(11)
-        a, b, c = (rng.integers(-3, 4, size=(2, 2)).astype(complex) for _ in range(3))
-        left = linalg.kron(linalg.kron(a, b), c)
-        right = linalg.kron(a, linalg.kron(b, c))
-        np.testing.assert_array_equal(left, right)
-
-    def test_result_dimension_cap(self):
-        big = np.zeros(1 << 14, dtype=complex)
-        with pytest.raises(DimensionError):
-            linalg.kron(big, big)
-
-    def test_mixed_rank_rejected(self):
-        with pytest.raises(DimensionError):
-            linalg.kron(np.zeros(2), np.zeros((2, 2)))
-
-
 class TestBasicOps:
-    def test_dagger_conjugates_and_transposes(self):
-        m = np.array([[1 + 2j], [3 - 4j]])
-        out = linalg.dagger(m)
-        np.testing.assert_array_equal(out, np.array([[1 - 2j, 3 + 4j]]))
-
-    def test_dagger_involution(self):
-        rng = np.random.default_rng(0)
-        m = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        np.testing.assert_array_equal(linalg.dagger(linalg.dagger(m)), m)
-
-    def test_matmul_shape_check(self):
-        with pytest.raises(DimensionError):
-            linalg.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_matmul_identity(self):
-        rng = np.random.default_rng(1)
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        np.testing.assert_allclose(linalg.matmul(np.eye(4), m), m)
-
-    def test_trace_cyclic(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert abs(linalg.trace(a @ b) - linalg.trace(b @ a)) < 1e-12
-
-    def test_trace_requires_square(self):
-        with pytest.raises(DimensionError):
-            linalg.trace(np.zeros((2, 3)))
-
-    def test_outer_of_state_has_unit_trace(self):
-        rng = np.random.default_rng(3)
-        psi = linalg.random_state(3, rng)
-        rho = linalg.outer(psi)
-        assert abs(linalg.trace(rho) - 1.0) < 1e-12
-        np.testing.assert_allclose(rho, rho.conj().T, atol=1e-15)
-
     def test_is_unitary(self):
         rng = np.random.default_rng(4)
         assert linalg.is_unitary(random_unitary(8, rng))

@@ -75,6 +75,11 @@ class TestSimulateNaive:
         circ = parse_circuit("qubits 2\n")
         np.testing.assert_array_equal(oracle.simulate_naive(circ), linalg.zero_state(2))
 
+    def test_rejects_unnormalized_initial_state(self):
+        circ = parse_circuit("qubits 1\nH 0\n")
+        with pytest.raises(ContractError):
+            oracle.simulate_naive(circ, np.array([1.0, 1.0], dtype=complex))
+
     def test_guard_rejects_large_registers(self):
         circ = parse_circuit(f"qubits {oracle.NAIVE_QUBIT_GUARD + 1}\n")
         with pytest.raises(ResourceError):
