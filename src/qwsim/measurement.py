@@ -1,4 +1,4 @@
-"""Projective measurement: branch trees and repeated-shot sampling.
+"""Projective measurement: branch trees and seeded shot sampling.
 
 Measuring wire ``q`` of an ``n``-qubit state splits it into (up to) two
 residual states, one per outcome ``b``: keep the amplitudes whose bit ``q``
@@ -7,17 +7,30 @@ equals ``b``, delete that bit from the index, and renormalize by
 ``q`` shift down by one.  Branches with probability below ``PRUNE_EPS``
 carry no residual (there is nothing meaningful to renormalize).
 
-Two consumers are built on that primitive:
+Which wire sits where after each measurement does not depend on outcomes,
+so a circuit is compiled once into gates remapped to the live wires.  One
+depth-first walker then serves both consumers: it applies gates in place
+until the next MEASURE, splits the state there, and goes on into each
+child with that child's own fresh residual, outcome 0 first.
 
-* :func:`run_with_branches` follows *every* outcome, producing a tree whose
-  leaves carry the outcome history, its probability, and the final residual
-  state.  Exact, deterministic, exponential in the number of measurements.
-* :func:`sample_shots` replays the circuit once per shot, choosing each
-  outcome with a seeded generator.  Linear in shots, statistical.
+* :func:`run_with_branches` follows *every* non-pruned outcome, producing a
+  tree whose leaves carry the outcome history, its probability, and the
+  final residual state, in sorted outcome order.  Exact, deterministic,
+  exponential in the number of measurements.
+* :func:`sample_shots` draws every shot's outcomes from one seeded
+  generator and sends the shots that reached an outcome prefix down the
+  branches they drew.  Each distinct prefix is simulated once however many
+  shots share it, so the cost is distinct prefixes x circuit, not
+  shots x circuit.  Statistical.
+
+Besides the state being walked, the walk holds at most one pending sibling
+residual per level.  Residuals halve at each level, so these add up to
+less than one more state.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +43,8 @@ from .engine import ControlSpec, apply_op
 from .linalg import initial_state, make_rng
 
 PRUNE_EPS = 1e-14
+# Shots drawn and walked together; bounds the draw table at a few MiB.
+_SHOT_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -66,14 +81,12 @@ def measure_qubit(psi, n: int, qubit: int) -> tuple[MeasurementBranch, Measureme
     p1 = probability_of_one(psi, qubit)
     p0 = max(0.0, 1.0 - p1)
 
-    half = np.arange(1 << (n - 1), dtype=np.int64)
-    low = (1 << qubit) - 1
-    cleared = ((half >> qubit) << (qubit + 1)) | (half & low)
+    halves = psi.reshape(-1, 2, 1 << qubit)  # axis 1 is bit ``qubit``
 
     def branch(bit: int, p: float) -> MeasurementBranch:
         if p < PRUNE_EPS:
             return MeasurementBranch(bit, 0.0, None)
-        residual = psi[cleared | (bit << qubit)] / np.sqrt(p)
+        residual = (halves[:, bit, :] / np.sqrt(p)).reshape(-1)
         return MeasurementBranch(bit, float(p), residual)
 
     return branch(0, p0), branch(1, p1)
@@ -128,86 +141,138 @@ def _measure_and_shift(wire_map: dict[int, int | None], wire: int) -> None:
     wire_map[wire] = None
 
 
-def run_with_branches(circuit: Circuit, psi0=None) -> BranchTree:
-    """Follow every measurement outcome of ``circuit`` exhaustively.
+def _compile(circuit: Circuit):
+    """Remap every op of ``circuit`` once, before any outcome is known.
 
-    A circuit without measurements yields a single leaf of probability 1
-    whose state equals the plain simulation result.
+    Returns ``(steps, measured, wire_map)``.  Each step is ``(n_live, op,
+    slot)``: a gate remapped to the ``n_live`` wires still live (``slot``
+    is None), or ``op`` None for a MEASURE of live wire ``slot``.
+    ``measured`` lists the measured wires in op order; ``wire_map`` sends
+    each original wire to its final slot or to None.  Raises
+    ``ContractError`` for a wire measured twice or an op on a measured wire.
     """
-    n = circuit.n
-    state0 = initial_state(n, psi0)
-
-    wire_map: dict[int, int | None] = {w: w for w in range(n)}
+    n_live = circuit.n
+    wire_map: dict[int, int | None] = {w: w for w in range(n_live)}
+    steps: list[tuple[int, GateOp | None, int | None]] = []
     measured: list[int] = []
-    live: list[tuple[tuple[int, ...], float, np.ndarray]] = [((), 1.0, state0)]
-    n_live = n
-
     for op in circuit.ops:
         if op.gate == MEASURE:
             wire = op.targets[0]
             slot = wire_map[wire]
             if slot is None:
                 raise ContractError(f"wire {wire} measured twice")
-            grown: list[tuple[tuple[int, ...], float, np.ndarray]] = []
-            for outcomes, prob, state in live:
-                for br in measure_qubit(state, n_live, slot):
-                    if br.residual is None:
-                        continue
-                    grown.append(
-                        (outcomes + (br.outcome,), prob * br.probability, br.residual)
-                    )
-            live = grown
+            steps.append((n_live, None, slot))
             measured.append(wire)
             _measure_and_shift(wire_map, wire)
             n_live -= 1
         else:
-            mapped = _remap_op(op, wire_map)
-            live = [
-                (outcomes, prob, apply_op(n_live, mapped, state, in_place=True))
-                for outcomes, prob, state in live
-            ]
+            steps.append((n_live, _remap_op(op, wire_map), None))
+    return steps, tuple(measured), wire_map
 
-    leaves = tuple(BranchLeaf(o, p, s) for o, p, s in live)
-    return BranchTree(n, tuple(measured), dict(wire_map), leaves)
+
+def _walk(steps, state, draws, shots, visit) -> None:
+    """Walk the outcome tree of ``steps`` depth-first from ``state``.
+
+    Gates are applied in place until the next MEASURE, where
+    :func:`measure_qubit` splits the state; each child goes on with its own
+    fresh residual, outcome 0 first, so leaves come in sorted outcome
+    order.  ``visit(outcomes, probability, state, shots)`` is called at
+    every leaf.
+
+    With ``draws`` None every non-pruned branch is followed.  Otherwise
+    ``shots`` holds the indices of the shots that reached this prefix: at
+    the ``d``-th MEASURE shot ``s`` takes outcome 1 when ``draws[s, d]`` is
+    below its probability, and a child that no shot takes is skipped.  A
+    pruned branch takes no shot; its sibling takes them all.
+
+    Pending children wait on an explicit stack rather than in recursive
+    frames, so a split state is released once its first child is taken up.
+    """
+    stack = [(0, state, (), 1.0, shots)]
+    while stack:
+        start, state, outcomes, prob, shots = stack.pop()
+        for k in range(start, len(steps)):
+            n_live, op, slot = steps[k]
+            if op is not None:
+                state = apply_op(n_live, op, state, in_place=True)
+                continue
+            b0, b1 = measure_qubit(state, n_live, slot)
+            split = (shots, shots)
+            if draws is not None and b0.residual is not None and b1.residual is not None:
+                ones = draws[shots, len(outcomes)] < b1.probability
+                split = (shots[~ones], shots[ones])
+            for br, sub in ((b1, split[1]), (b0, split[0])):  # outcome 0 pops first
+                if br.residual is not None and (sub is None or sub.size):
+                    stack.append(
+                        (k + 1, br.residual, outcomes + (br.outcome,), prob * br.probability, sub)
+                    )
+            break
+        else:
+            visit(outcomes, prob, state, shots)
+
+
+def run_with_branches(circuit: Circuit, psi0=None) -> BranchTree:
+    """Follow every measurement outcome of ``circuit`` exhaustively.
+
+    Leaves come in sorted outcome order.  A circuit without measurements
+    yields a single leaf of probability 1 whose state equals the plain
+    simulation result.
+    """
+    steps, measured, wire_map = _compile(circuit)
+    leaves: list[BranchLeaf] = []
+    _walk(
+        steps,
+        initial_state(circuit.n, psi0),
+        None,
+        None,
+        lambda outcomes, prob, state, _: leaves.append(BranchLeaf(outcomes, prob, state)),
+    )
+    return BranchTree(circuit.n, measured, wire_map, tuple(leaves))
+
+
+def _shot_count(shots) -> int:
+    """``shots`` as a positive int; a bool, float or string is refused."""
+    try:
+        count = operator.index(shots)
+    except TypeError:
+        count = None
+    if count is None or isinstance(shots, bool):
+        raise ContractError(f"shots must be an integer, got {shots!r}")
+    if count < 1:
+        raise ContractError(f"shots must be at least 1, got {count}")
+    return count
 
 
 def sample_shots(circuit: Circuit, shots: int, seed, psi0=None) -> dict[str, int]:
-    """Sample measurement records by replaying the circuit per shot.
+    """Sample measurement records of ``circuit``, ``shots`` times.
 
     Returns a histogram mapping outcome strings (one character per MEASURE
-    op, in circuit order) to counts.  A single ``numpy`` generator seeded
-    with ``seed`` drives every outcome, so results are reproducible.
-    ``psi0``, like in :func:`run_with_branches`, must be normalized.
+    op, in circuit order) to counts, in sorted key order.  A single
+    ``numpy`` generator seeded with ``seed`` drives every outcome: shot
+    ``s`` takes outcome 1 at its ``d``-th MEASURE when its ``d``-th uniform
+    draw, made shot by shot, is below that outcome's probability.  The
+    shots of a chunk are walked together, so each distinct outcome prefix
+    is simulated once per chunk, not once per shot.  ``psi0``, like in
+    :func:`run_with_branches`, must be normalized.
     """
-    shots = int(shots)
-    if shots < 1:
-        raise ContractError(f"shots must be at least 1, got {shots}")
+    shots = _shot_count(shots)
     if not circuit.has_measurements:
         raise ContractError("circuit has no MEASURE ops to sample")
-    n = circuit.n
-    base = initial_state(n, psi0)
+    base = initial_state(circuit.n, psi0)
     rng = make_rng(seed)
+    steps, measured, _ = _compile(circuit)
+    last = max(k for k, (_, op, _) in enumerate(steps) if op is None)
+    del steps[last + 1:]  # gates after the last MEASURE cannot change a record
+
     histogram: dict[str, int] = {}
-    for _ in range(shots):
-        state = base.copy()
-        wire_map: dict[int, int | None] = {w: w for w in range(n)}
-        n_live = n
-        record: list[str] = []
-        for op in circuit.ops:
-            if op.gate == MEASURE:
-                slot = wire_map[op.targets[0]]
-                if slot is None:
-                    raise ContractError(f"wire {op.targets[0]} measured twice")
-                branches = measure_qubit(state, n_live, slot)
-                picked = branches[1] if rng.random() < branches[1].probability else branches[0]
-                if picked.residual is None:  # vanishing branch drawn at the boundary
-                    picked = branches[1 - picked.outcome]
-                state = picked.residual
-                record.append(str(picked.outcome))
-                _measure_and_shift(wire_map, op.targets[0])
-                n_live -= 1
-            else:
-                state = apply_op(n_live, _remap_op(op, wire_map), state, in_place=True)
-        key = "".join(record)
-        histogram[key] = histogram.get(key, 0) + 1
-    return histogram
+
+    def count(outcomes, _prob, _state, reached) -> None:
+        key = "".join(map(str, outcomes))
+        histogram[key] = histogram.get(key, 0) + reached.size
+
+    for first in range(0, shots, _SHOT_CHUNK):
+        chunk = min(_SHOT_CHUNK, shots - first)
+        # rows of one table read the generator exactly as shot-by-shot draws would
+        draws = rng.random((chunk, len(measured)))
+        _walk(steps, base.copy(), draws, np.arange(chunk), count)
+    return dict(sorted(histogram.items()))

@@ -8,7 +8,9 @@ and embedding matrices, built one index at a time with the bit-scatter
 helper :func:`rearrange_bits`.  :func:`swap_wires` exchanges two wires
 by walking every amplitude index.  None of the fast kernels are used, so
 agreement between this module and the engine checks both against each
-other.
+other.  The one exception is :func:`sample_shots_replay`, which checks
+the shared-prefix walk of ``measurement.sample_shots`` rather than the
+kernels: it replays the whole circuit, with the engine, once per shot.
 
 Capped at ``NAIVE_QUBIT_GUARD`` qubits; a dense operator on more would be
 pointlessly large for a reference path.
@@ -20,8 +22,9 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, ResourceError
 from .gates import MEASURE, GateDef, gate_def
-from .engine import ControlSpec, _check_wires, coerce_controls, swap_bits
-from .linalg import initial_state
+from .engine import ControlSpec, _check_wires, apply_op, coerce_controls, swap_bits
+from .linalg import initial_state, make_rng
+from .measurement import _measure_and_shift, _remap_op, measure_qubit
 
 NAIVE_QUBIT_GUARD = 12
 
@@ -111,6 +114,49 @@ def swap_wires(n: int, wire_i: int, wire_j: int, psi, controls=None) -> np.ndarr
             if k2 > k:
                 out[k], out[k2] = out[k2], out[k]
     return out
+
+
+def sample_shots_replay(circuit, shots: int, seed, psi0=None) -> dict[str, int]:
+    """Sample measurement records by replaying the circuit once per shot.
+
+    Each shot starts from a copy of the initial state, remaps every op to
+    the live wires and draws one ``rng.random()`` per MEASURE, taking
+    outcome 1 when the draw is below its probability (a pruned outcome is
+    never taken).  The reference for ``measurement.sample_shots``, whose
+    histogram must equal this one for every seed.
+    """
+    shots = int(shots)
+    if shots < 1:
+        raise ContractError(f"shots must be at least 1, got {shots}")
+    if not circuit.has_measurements:
+        raise ContractError("circuit has no MEASURE ops to sample")
+    n = circuit.n
+    base = initial_state(n, psi0)
+    rng = make_rng(seed)
+    histogram: dict[str, int] = {}
+    for _ in range(shots):
+        state = base.copy()
+        wire_map: dict[int, int | None] = {w: w for w in range(n)}
+        n_live = n
+        record: list[str] = []
+        for op in circuit.ops:
+            if op.gate == MEASURE:
+                slot = wire_map[op.targets[0]]
+                if slot is None:
+                    raise ContractError(f"wire {op.targets[0]} measured twice")
+                branches = measure_qubit(state, n_live, slot)
+                picked = branches[1] if rng.random() < branches[1].probability else branches[0]
+                if picked.residual is None:  # vanishing branch drawn at the boundary
+                    picked = branches[1 - picked.outcome]
+                state = picked.residual
+                record.append(str(picked.outcome))
+                _measure_and_shift(wire_map, op.targets[0])
+                n_live -= 1
+            else:
+                state = apply_op(n_live, _remap_op(op, wire_map), state, in_place=True)
+        key = "".join(record)
+        histogram[key] = histogram.get(key, 0) + 1
+    return histogram
 
 
 def rearrange_bits(i: int, positions) -> int:

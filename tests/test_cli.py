@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,12 @@ class TestSample:
         counts = dict(line.split(": ") for line in out_a.splitlines())
         assert sum(int(v) for v in counts.values()) == 200
         assert set(counts) <= {"0", "1"}
+
+    def test_bell_measure_histogram_is_pinned(self, capsys):
+        # a fixed seed keeps its histogram across changes to the sampler
+        path = Path(__file__).resolve().parents[1] / "circuits" / "bell_measure.qc"
+        code, out, err = run_cli(capsys, "sample", str(path), "--shots", "1000", "--seed", "7")
+        assert (code, out, err) == (0, "0: 498\n1: 502\n", "")
 
     def test_no_measurement_is_an_error(self, capsys, circuit_file):
         code, _, err = run_cli(

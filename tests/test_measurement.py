@@ -1,11 +1,41 @@
 import numpy as np
 import pytest
 
-from qwsim import engine, linalg, measurement
-from qwsim.circuit import parse_circuit
+from qwsim import analysis, engine, linalg, measurement, oracle
+from qwsim.circuit import Circuit, GateOp, parse_circuit
 from qwsim.errors import ContractError, DimensionError
+from qwsim.gates import MEASURE, gate_def, gate_names
 
 _SQ2 = 1.0 / np.sqrt(2.0)
+
+
+def measured_circuit(rng, n):
+    """Random catalog gates on the live wires, with MEASUREs between them.
+
+    Every gate draws its targets, controls and anticontrols from the wires
+    not yet measured, so measuring at the end instead gives the same joint
+    distribution.  Wires left untouched measure deterministically and prune.
+    """
+    live = list(range(n))
+    ops = []
+    for _ in range(int(rng.integers(2, 3 * n))):
+        if rng.random() < 0.3:
+            ops.append(GateOp(MEASURE, (live.pop(int(rng.integers(len(live)))),)))
+            if not live:
+                break
+            continue
+        names = [g for g in gate_names() if gate_def(g).arity <= len(live)]
+        name = names[int(rng.integers(len(names)))]
+        targets = tuple(int(t) for t in rng.choice(live, gate_def(name).arity, replace=False))
+        controls = tuple(
+            (w, bool(rng.random() < 0.5))
+            for w in live
+            if w not in targets and rng.random() < 0.2
+        )
+        ops.append(GateOp(name, targets, engine.ControlSpec(controls)))
+    if live and not any(op.gate == MEASURE for op in ops):
+        ops.append(GateOp(MEASURE, (live[0],)))
+    return Circuit(n, tuple(ops))
 
 
 def assert_same_up_to_phase(a, b, atol=1e-12):
@@ -70,6 +100,19 @@ class TestMeasureQubit:
         b0, _ = measurement.measure_qubit(psi, 3, 1)
         assert b0.probability == 1.0
         np.testing.assert_allclose(b0.residual, linalg.basis_state(2, 0b11), atol=1e-15)
+
+    def test_residuals_equal_explicit_index_gather(self):
+        rng = np.random.default_rng(4)
+        for n in range(1, 7):
+            psi = linalg.random_state(n, rng)
+            for q in range(n):
+                branches = measurement.measure_qubit(psi, n, q)
+                for bit, br in enumerate(branches):
+                    index = [k for k in range(1 << n) if (k >> q) & 1 == bit]
+                    assert br.outcome == bit
+                    assert np.array_equal(br.residual, psi[index] / np.sqrt(br.probability))
+                    assert br.residual.flags.c_contiguous
+                assert branches[1].probability == analysis.probability_of_one(psi, q)
 
     def test_bad_inputs(self):
         with pytest.raises(ContractError):
@@ -158,6 +201,49 @@ class TestRunWithBranches:
         with pytest.raises(ContractError):
             measurement.run_with_branches(circ)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "qubits 3\nH 0\nMEASURE 0\nH 1\nMEASURE 1\nSWAP 0 2\n",
+            "qubits 3\nH 0\nMEASURE 2\nMEASURE 0\nX 1 a=2\n",
+            "qubits 2\nH 0\nMEASURE 1\nMEASURE 0\nMEASURE 1\n",
+        ],
+    )
+    @pytest.mark.parametrize("entry", ["branches", "sample"])
+    def test_measured_wire_reuse_rejected_by_both_entry_points(self, text, entry):
+        circ = parse_circuit(text)
+        with pytest.raises(ContractError, match="measured"):
+            if entry == "branches":
+                measurement.run_with_branches(circ)
+            else:
+                measurement.sample_shots(circ, 10, 0)
+
+    def test_leaves_sorted_and_match_deferred_measurement(self):
+        # No gate touches a wire once it is measured, so each leaf must be
+        # the naive final state projected on its outcomes and renormalized.
+        rng = np.random.default_rng(17)
+        pruned = 0
+        for k in range(30):
+            n = int(rng.integers(2, 8))
+            circ = measured_circuit(rng, n)
+            psi0 = linalg.random_state(n, rng) if k % 4 == 0 else None
+            plain = Circuit(n, tuple(op for op in circ.ops if op.gate != MEASURE))
+            final = oracle.simulate_naive(plain, psi0).reshape([2] * n)  # axis a is wire n-1-a
+            tree = measurement.run_with_branches(circ, psi0)
+            outcomes = [leaf.outcomes for leaf in tree.leaves]
+            assert outcomes == sorted(outcomes)
+            pruned += len(outcomes) < 2 ** len(tree.measured_wires)
+            for leaf in tree.leaves:
+                index = [slice(None)] * n
+                for wire, bit in zip(tree.measured_wires, leaf.outcomes):
+                    index[n - 1 - wire] = bit
+                part = final[tuple(index)].reshape(-1)
+                p = float(np.vdot(part, part).real)
+                assert abs(leaf.probability - p) < 1e-10
+                np.testing.assert_allclose(leaf.state, part / np.sqrt(p), rtol=0, atol=1e-10)
+            assert abs(sum(leaf.probability for leaf in tree.leaves) - 1.0) < 1e-10
+        assert pruned >= 5
+
     def test_branch_probabilities_match_outcome_chain(self):
         # P(outcomes) should equal the product of single-measure probabilities
         text = "qubits 2\nH 0\nT 0\nCX 0 1\nH 1\nMEASURE 0\nMEASURE 1\n"
@@ -236,6 +322,46 @@ class TestSampleShots:
         circ = parse_circuit("qubits 1\nMEASURE 0\n")
         with pytest.raises(ContractError):
             measurement.sample_shots(circ, 0, 0)
+
+    @pytest.mark.parametrize("shots", [2.7, 3.0, "3", True, np.bool_(True), None])
+    def test_rejects_non_integral_shot_counts(self, shots):
+        circ = parse_circuit("qubits 1\nH 0\nMEASURE 0\n")
+        with pytest.raises(ContractError, match="shots"):
+            measurement.sample_shots(circ, shots, 0)
+
+    def test_accepts_numpy_integer_shot_counts(self):
+        circ = parse_circuit("qubits 1\nX 0\nMEASURE 0\n")
+        assert measurement.sample_shots(circ, np.int64(3), 0) == {"1": 3}
+
+    def test_histogram_keys_in_sorted_order(self):
+        circ = parse_circuit("qubits 3\nH 0\nH 1\nH 2\nMEASURE 2\nMEASURE 0\nMEASURE 1\n")
+        hist = measurement.sample_shots(circ, 200, 8)
+        assert list(hist) == sorted(hist) and len(hist) == 8
+
+    def test_equals_per_shot_replay(self):
+        rng = np.random.default_rng(29)
+        pruned = 0
+        for k in range(30):
+            n = int(rng.integers(2, 9))
+            circ = measured_circuit(rng, n)
+            psi0 = linalg.random_state(n, rng) if k % 5 == 0 else None
+            shots = (1, 40, 997)[k % 3]
+            seed = int(rng.integers(1 << 31))
+            got = measurement.sample_shots(circ, shots, seed, psi0)
+            assert got == oracle.sample_shots_replay(circ, shots, seed, psi0)
+            tree = measurement.run_with_branches(circ, psi0)
+            pruned += len(tree.leaves) < 2 ** len(tree.measured_wires)
+        assert pruned >= 5
+
+    def test_equals_per_shot_replay_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(measurement, "_SHOT_CHUNK", 7)
+        circ = parse_circuit(
+            "qubits 4\nH 0\nCX 0 1\nMEASURE 1\nH 2\nT 2\nH 2\nMEASURE 2\n"
+            "SQRTSWAP 0 3\nMEASURE 3\nH 0\nMEASURE 0\n"
+        )
+        for shots, seed in ((40, 3), (997, 4)):
+            got = measurement.sample_shots(circ, shots, seed)
+            assert got == oracle.sample_shots_replay(circ, shots, seed)
 
     def test_rejects_unnormalized_or_misshapen_start_state(self):
         bell = parse_circuit("qubits 2\nH 0\nCX 0 1\nMEASURE 0\n")
