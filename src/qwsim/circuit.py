@@ -11,7 +11,8 @@ The text format is line-oriented::
 ``#`` starts a comment, names are case-insensitive, ``c=w`` / ``a=w``
 tokens attach control / anticontrol wires to any gate.  ``CX``, ``CCX``
 and ``CSWAP`` expand to X and SWAP with controls.  A ';' between gates is
-purely cosmetic grouping: ops run in file order either way.
+purely cosmetic grouping: ops run in file order either way.  Wires and
+the qubit count are ASCII digits ``0-9`` only.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CatalogError, ContractError, ParseError
-from .gates import MEASURE, gate_def, gate_names
+from .errors import ContractError, ParseError, SimulationError
+from .gates import MEASURE, gate_def
 from .engine import ControlSpec, coerce_controls
-from .linalg import MAX_QUBITS, check_qubit_count
+from .linalg import check_qubit_count
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class GateOp:
             g = gate_def(self.gate)  # raises CatalogError for unknown names
             if len(self.targets) != g.arity:
                 raise ContractError(
-                    f"{g.name} acts on {g.arity} wires, got {len(self.targets)}"
+                    f"{g.name} takes {g.arity} wire(s), got {len(self.targets)}"
                 )
         if len(set(self.targets)) != len(self.targets):
             raise ContractError(f"duplicate target wires in {self.targets}")
@@ -60,6 +61,12 @@ class GateOp:
     @property
     def wires(self) -> tuple[int, ...]:
         return self.targets + self.controls.wires
+
+    def __str__(self) -> str:
+        """The op in the circuit text format, e.g. ``X 0 c=1 a=2``."""
+        parts = [self.gate, *(str(t) for t in self.targets)]
+        parts += [f"{'c' if is_c else 'a'}={w}" for w, is_c in self.controls.entries]
+        return " ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -77,7 +84,7 @@ class Circuit:
             for w in op.wires:
                 if not 0 <= w < n:
                     raise ContractError(
-                        f"op {op.gate} touches wire {w}, register has {n} qubits"
+                        f"{op} touches wire {w}, out of range for {n} qubits"
                     )
 
     @property
@@ -88,21 +95,29 @@ class Circuit:
 # ---------------------------------------------------------------------------
 # parsing
 
-_SUGAR_CONTROL_COUNT = {"CX": 1, "CCX": 2, "CSWAP": 1}
-_SUGAR_BASE = {"CX": "X", "CCX": "X", "CSWAP": "SWAP"}
+# sugar name -> (base gate, number of leading wires that become controls)
+_SUGAR = {"CX": ("X", 1), "CCX": ("X", 2), "CSWAP": ("SWAP", 1)}
 
 
 def _parse_int(token: str, line_no: int, what: str) -> int:
+    """A wire or qubit count: ASCII digits 0-9 only, no sign, no ``_``."""
     try:
-        return int(token, 10)
-    except ValueError:
-        raise ParseError(line_no, f"{what} {token!r} is not an integer") from None
+        if token.isascii() and token.isdigit():
+            return int(token)
+    except ValueError:  # more digits than int() reads
+        pass
+    raise ParseError(line_no, f"{what} {token!r} is not an integer of digits 0-9")
 
 
 def _parse_gate(chunk: str, n: int, line_no: int) -> GateOp:
+    """Tokenise one gate and expand its sugar.
+
+    ``GateOp`` and ``Circuit`` make every check; a failure becomes a
+    ``ParseError`` naming ``line_no``.
+    """
     tokens = chunk.split()
     name = tokens[0].upper()
-    plain: list[int] = []
+    targets: list[int] = []
     controls: list[tuple[int, bool]] = []
     for token in tokens[1:]:
         lowered = token.lower()
@@ -110,41 +125,21 @@ def _parse_gate(chunk: str, n: int, line_no: int) -> GateOp:
             wire = _parse_int(token[2:], line_no, "control wire")
             controls.append((wire, lowered.startswith("c=")))
         else:
-            plain.append(_parse_int(token, line_no, "wire"))
+            targets.append(_parse_int(token, line_no, "wire"))
 
-    if name in _SUGAR_CONTROL_COUNT:
-        k = _SUGAR_CONTROL_COUNT[name]
-        base = _SUGAR_BASE[name]
-        expected = k + gate_def(base).arity
-        if len(plain) != expected:
-            raise ParseError(line_no, f"{name} takes {expected} wires, got {len(plain)}")
-        controls = [(w, True) for w in plain[:k]] + controls
-        targets = plain[k:]
-        name = base
-    elif name == MEASURE:
-        if controls:
-            raise ParseError(line_no, "MEASURE cannot carry controls")
-        if len(plain) != 1:
-            raise ParseError(line_no, f"MEASURE takes one wire, got {len(plain)}")
-        targets = plain
-    else:
-        try:
-            g = gate_def(name)
-        except CatalogError:
-            raise ParseError(line_no, f"unknown gate {tokens[0]!r}") from None
-        if len(plain) != g.arity:
-            raise ParseError(
-                line_no, f"{g.name} takes {g.arity} wire(s), got {len(plain)}"
-            )
-        targets = plain
-
-    for w in targets + [w for w, _ in controls]:
-        if not 0 <= w < n:
-            raise ParseError(line_no, f"wire {w} out of range (register has {n})")
+    if name in _SUGAR:
+        name, k = _SUGAR[name]
+        expected = k + gate_def(name).arity
+        if len(targets) != expected:
+            raise ParseError(line_no, f"{tokens[0]} takes {expected} wires, got {len(targets)}")
+        controls = [(w, True) for w in targets[:k]] + controls
+        targets = targets[k:]
     try:
-        return GateOp(name, tuple(targets), ControlSpec(tuple(controls)))
-    except ContractError as exc:
+        op = GateOp(name, tuple(targets), ControlSpec(tuple(controls)))
+        Circuit(n, (op,))  # the wire-range check of every circuit
+    except SimulationError as exc:
         raise ParseError(line_no, str(exc)) from None
+    return op
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -159,11 +154,10 @@ def parse_circuit(text: str) -> Circuit:
             tokens = line.split()
             if len(tokens) != 2 or tokens[0].lower() != "qubits":
                 raise ParseError(line_no, "expected 'qubits <n>' header")
-            n = _parse_int(tokens[1], line_no, "qubit count")
-            if not 1 <= n <= MAX_QUBITS:
-                raise ParseError(
-                    line_no, f"qubit count must be in 1..{MAX_QUBITS}, got {n}"
-                )
+            try:
+                n = check_qubit_count(_parse_int(tokens[1], line_no, "qubit count"))
+            except SimulationError as exc:
+                raise ParseError(line_no, str(exc)) from None
             continue
         for chunk in line.split(";"):
             chunk = chunk.strip()
@@ -176,18 +170,13 @@ def parse_circuit(text: str) -> Circuit:
 
 def format_circuit(circuit: Circuit) -> str:
     """Render a circuit back to text.  ``parse_circuit`` round-trips it."""
-    lines = [f"qubits {circuit.n}"]
-    for op in circuit.ops:
-        parts = [op.gate, *(str(t) for t in op.targets)]
-        parts += [f"{'c' if is_c else 'a'}={w}" for w, is_c in op.controls.entries]
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"qubits {circuit.n}", *map(str, circuit.ops)]) + "\n"
 
 
 def load_circuit(path) -> Circuit:
-    """Read and parse a UTF-8 circuit file."""
+    """Read and parse a UTF-8 circuit file; one leading BOM is skipped."""
     with open(path, "rb") as fh:
-        raw = fh.read()
+        raw = fh.read().removeprefix(b"\xef\xbb\xbf")
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -12,6 +12,7 @@ probability is below 1e-12 are omitted from listings.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -234,15 +235,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call only."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

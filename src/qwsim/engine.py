@@ -16,9 +16,11 @@ contributes a bit to an inclusion mask, and a group is mixed only when its
 index carries the desired value on every masked bit.  The kernel applies
 the mask by fixing the control's axis to that bit.
 
-The kernel returns a fresh vector by default; pass ``in_place=True`` to
-mutate the input (it must then be a writeable, contiguous complex128
-array).  Results are identical either way.
+A gate's plan (view shape, block indices, row writes, blocks to copy)
+depends only on its matrix and wires.  :func:`compile_circuit` checks a
+circuit once and builds each gate's plan once; :func:`run_circuit` and
+the measurement walker run the plans in their own working state, and
+:func:`apply_multi_qubit_gate` is the checked entry point for one gate.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 from .gates import MEASURE, gate_def
-from .linalg import STATE_ATOL, check_qubit_count, initial_state, is_normalized
+from .linalg import STATE_ATOL, check_qubit_count, initial_state
 
 
 @dataclass(frozen=True)
@@ -98,23 +100,6 @@ def _check_wires(n: int, targets, spec: ControlSpec) -> None:
             raise ContractError(f"wire {w} is both a control and a target")
 
 
-def _working_copy(a, n: int, in_place: bool) -> np.ndarray:
-    size = 1 << n
-    if in_place:
-        if not isinstance(a, np.ndarray) or a.dtype != np.complex128:
-            raise ContractError("in_place requires a complex128 ndarray")
-        if not (a.flags.writeable and a.flags.c_contiguous):
-            raise ContractError("in_place requires a writeable contiguous array")
-        out = a
-    else:
-        out = np.array(a, dtype=np.complex128)
-    if out.ndim != 1 or out.shape[0] != size:
-        raise DimensionError(
-            f"state must have length {size} for {n} qubits, got shape {out.shape}"
-        )
-    return out
-
-
 def swap_bits(k: int, i: int, j: int) -> int:
     """Return ``k`` with bits ``i`` and ``j`` exchanged."""
     if i < 0 or j < 0:
@@ -126,15 +111,71 @@ def swap_bits(k: int, i: int, j: int) -> int:
     return k
 
 
-def apply_multi_qubit_gate(
-    n: int,
-    u,
-    targets,
-    a,
-    controls=None,
-    *,
-    in_place: bool = False,
-) -> np.ndarray:
+def _build_plan(n: int, u: np.ndarray, targets, entries) -> tuple:
+    """Work out, unchecked, how the kernel applies ``u`` to ``targets``.
+
+    ``entries`` are the controls' ``(wire, is_control)`` pairs.  The plan
+    is ``(shape, keys, copies, steps)``: the view shape of an ``n``-wire
+    state, the ``(c, index)`` of each block ``block_c`` read or written,
+    the blocks to copy before any write, and per written row ``r`` its
+    ``(r, ((c, u[r, c]), ...))`` terms, own block first.
+    """
+    rows = u.tolist()
+    reads = [[c for c, x in enumerate(row) if x] for row in rows]
+    writes = [r for r in range(len(rows)) if reads[r] != [r] or rows[r][r] != 1]
+
+    # C order puts the highest wire on axis 0.
+    shape: list[int] = []
+    axis_of: dict[int, int] = {}
+    above = n
+    for w in sorted([*targets, *(w for w, _ in entries)], reverse=True):
+        if above - w > 1:
+            shape.append(1 << (above - w - 1))
+        axis_of[w] = len(shape)
+        shape.append(2)
+        above = w
+    if above:
+        shape.append(1 << above)
+    index: list = [slice(None)] * len(shape)
+    for w, is_control in entries:
+        index[axis_of[w]] = int(is_control)
+    target_axes = [axis_of[t] for t in sorted(targets)]
+    keys = []
+    for c in {*writes, *(c for r in writes for c in reads[r])}:
+        for k, axis in enumerate(target_axes):
+            index[axis] = (c >> k) & 1
+        # the trailing ... keeps a block a 0-d view when every axis is fixed
+        keys.append((c, (*index, ...)))
+
+    copies = tuple(c for c in writes if any(c in reads[r] for r in writes if r > c))
+    # own block first; a zero row scales its own block by 0
+    steps = tuple(
+        (r, tuple((c, rows[r][c]) for c in sorted(reads[r], key=lambda c: c != r) or [r]))
+        for r in writes
+    )
+    return tuple(shape), tuple(keys), copies, steps
+
+
+def _run_plan(plan: tuple, state: np.ndarray) -> np.ndarray:
+    """Run a plan of :func:`_build_plan` in ``state``, a contiguous vector."""
+    shape, keys, copies, steps = plan
+    view = state.reshape(shape)
+    blocks = {c: view[key] for c, key in keys}
+    sources = dict(blocks)
+    for c in copies:
+        sources[c] = blocks[c].copy()
+    for r, ((first, scale), *rest) in steps:
+        dst = blocks[r]
+        if scale != 1:
+            np.multiply(sources[first], scale, out=dst)
+        elif first != r:
+            np.copyto(dst, sources[first])
+        for c, x in rest:
+            dst += x * sources[c]
+    return state
+
+
+def apply_multi_qubit_gate(n: int, u, targets, a, controls=None) -> np.ndarray:
     """Apply a ``2**m x 2**m`` matrix ``u`` to ``m`` target wires.
 
     Bit ``k`` of a row/column index of ``u`` addresses the ``k``-th
@@ -147,8 +188,10 @@ def apply_multi_qubit_gate(
     entries and identity rows; only the blocks a later row still reads
     are copied first.
 
-    ``u`` is applied as given, unitary or not: catalog gates are checked
-    once at import and ``run_circuit`` checks the norm of its result.
+    The checked entry point: it validates its arguments, then builds and
+    runs the plan on a fresh copy of ``a``.  ``u`` is applied as given,
+    unitary or not: catalog gates are checked once at import and
+    ``run_circuit`` checks the norm of its result.
     """
     n = check_qubit_count(n)
     spec = coerce_controls(controls)
@@ -163,81 +206,68 @@ def apply_multi_qubit_gate(
         raise DimensionError(
             f"gate on {m} wires must be {dim}x{dim}, got {u.shape}"
         )
-    rows = u.tolist()
-    reads = [[c for c, x in enumerate(row) if x] for row in rows]
-    writes = [r for r in range(dim) if reads[r] != [r] or rows[r][r] != 1]
-    out = _working_copy(a, n, in_place)
-    if not writes:
-        return out
-
-    # C order puts the highest wire on axis 0.
-    shape: list[int] = []
-    axis_of: dict[int, int] = {}
-    above = n
-    for w in sorted(targets + spec.wires, reverse=True):
-        if above - w > 1:
-            shape.append(1 << (above - w - 1))
-        axis_of[w] = len(shape)
-        shape.append(2)
-        above = w
-    if above:
-        shape.append(1 << above)
-    view = out.reshape(shape)
-    index: list = [slice(None)] * len(shape)
-    for w, is_control in spec.entries:
-        index[axis_of[w]] = int(is_control)
-    target_axes = [axis_of[t] for t in sorted(targets)]
-    blocks = {}
-    for c in {*writes, *(c for r in writes for c in reads[r])}:
-        for k, axis in enumerate(target_axes):
-            index[axis] = (c >> k) & 1
-        # the trailing ... keeps a block a 0-d view when every axis is fixed
-        blocks[c] = view[(*index, ...)]
-
-    sources = dict(blocks)
-    for c in writes:
-        if any(c in reads[r] for r in writes if r > c):
-            sources[c] = blocks[c].copy()
-    for r in writes:
-        dst, row = blocks[r], rows[r]
-        # own block first; a zero row scales its own block by 0
-        terms = sorted(reads[r], key=lambda c: c != r) or [r]
-        first = terms[0]
-        if row[first] != 1:
-            np.multiply(sources[first], row[first], out=dst)
-        elif first != r:
-            np.copyto(dst, sources[first])
-        for c in terms[1:]:
-            dst += row[c] * sources[c]
-    return out
+    out = np.array(a, dtype=np.complex128)
+    if out.shape != (1 << n,):
+        raise DimensionError(
+            f"state must have length {1 << n} for {n} qubits, got shape {out.shape}"
+        )
+    return _run_plan(_build_plan(n, u, targets, spec.entries), out)
 
 
-def apply_op(n: int, op, a, *, in_place: bool = False) -> np.ndarray:
+def apply_op(n: int, op, a) -> np.ndarray:
     """Apply one circuit operation (anything except a measurement)."""
     if op.gate == MEASURE:
-        raise ContractError(
-            "measurement ops are handled by the measurement module, not the engine"
-        )
-    return apply_multi_qubit_gate(
-        n, gate_def(op.gate).matrix, op.targets, a, op.controls, in_place=in_place
-    )
+        raise ContractError(f"{op} is a measurement; use the measurement module")
+    return apply_multi_qubit_gate(n, gate_def(op.gate).matrix, op.targets, a, op.controls)
 
 
-def run_circuit(circuit, psi0=None, *, in_place: bool = False) -> np.ndarray:
+def compile_circuit(circuit) -> tuple[list, tuple[int, ...], dict[int, int | None]]:
+    """Check every op of ``circuit`` once and lower its gates to kernel plans.
+
+    Returns ``(steps, measured, wire_map)``.  A measured wire leaves the
+    state and the live wires keep their order, so each step is fixed in
+    advance: ``(n_live, plan, None)`` runs a gate's plan on the ``n_live``
+    wires still live, ``(n_live, None, slot)`` measures live wire ``slot``.
+    ``measured`` lists the measured wires in op order; ``wire_map`` sends
+    each wire to its final slot, or None.  Reusing a measured wire raises
+    ``ContractError`` naming the op.
+    """
+    live = list(range(circuit.n))
+    steps: list[tuple[int, tuple | None, int | None]] = []
+    measured: list[int] = []
+    for k, op in enumerate(circuit.ops):
+        gone = [w for w in op.wires if w not in live]
+        if gone and op.gate == MEASURE:
+            raise ContractError(f"op {k} ({op}): wire {gone[0]} measured twice")
+        if gone:
+            raise ContractError(f"op {k} ({op}) touches wire {gone[0]}, which was measured")
+        slots = [live.index(w) for w in op.wires]
+        if op.gate == MEASURE:
+            steps.append((len(live), None, slots[0]))
+            measured.append(live.pop(slots[0]))
+            continue
+        m = len(op.targets)
+        entries = [(s, f) for s, (_, f) in zip(slots[m:], op.controls.entries)]
+        plan = _build_plan(len(live), gate_def(op.gate).matrix, slots[:m], entries)
+        steps.append((len(live), plan, None))
+    wire_map = {w: live.index(w) if w in live else None for w in range(circuit.n)}
+    return steps, tuple(measured), wire_map
+
+
+def run_circuit(circuit, psi0=None) -> np.ndarray:
     """Run every gate of a measurement-free circuit over ``psi0``.
 
-    ``psi0`` defaults to |00...0>.  The returned vector stays normalized;
-    a drift beyond ``STATE_ATOL`` would indicate a kernel bug and raises.
+    ``psi0`` defaults to |00...0>.  The compiled plans run in one working
+    copy.  The returned vector stays normalized; a drift beyond
+    ``STATE_ATOL`` would indicate a kernel bug and raises.
     """
-    n = circuit.n
-    if in_place and psi0 is not None:
-        state = _working_copy(psi0, n, True)
-        if not is_normalized(state):
-            raise ContractError("initial state is not normalized")
-    else:
-        state = initial_state(n, psi0)
-    for op in circuit.ops:
-        state = apply_op(n, op, state, in_place=True)
+    for k, op in enumerate(circuit.ops):
+        if op.gate == MEASURE:
+            raise ContractError(f"op {k} ({op}) is a measurement; use the measurement module")
+    steps, _, _ = compile_circuit(circuit)
+    state = initial_state(circuit.n, psi0)
+    for _, plan, _ in steps:
+        _run_plan(plan, state)
     drift = abs(np.vdot(state, state).real - 1.0)
     if not drift <= STATE_ATOL:
         raise ContractError(f"norm drifted by {drift:.3e} during simulation")

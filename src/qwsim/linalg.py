@@ -31,14 +31,23 @@ MAX_QUBITS = 26
 _JACOBI_MAX_SWEEPS = 100
 
 
-def check_qubit_count(n: int, *, cap: int | None = None) -> int:
+def _state_size(n: int) -> str:
+    """Memory of one ``n``-qubit complex128 state, e.g. ``'1 GiB'``."""
+    bits = n + 4  # 16 bytes per amplitude
+    units = ("bytes", "KiB", "MiB", "GiB", "TiB", "PiB", "EiB")
+    return f"{1 << bits % 10} {units[bits // 10]}" if bits < 70 else f"2**{bits} bytes"
+
+
+def check_qubit_count(n: int) -> int:
     """Validate a register size and return it as a plain int."""
     n = int(n)
-    limit = MAX_QUBITS if cap is None else cap
     if n < 1:
         raise ContractError(f"qubit count must be at least 1, got {n}")
-    if n > limit:
-        raise ResourceError(f"qubit count {n} exceeds the cap of {limit}")
+    if n > MAX_QUBITS:
+        raise ResourceError(
+            f"{n} qubits need {_state_size(n)} per state; "
+            f"cap {MAX_QUBITS} ({_state_size(MAX_QUBITS)})"
+        )
     return n
 
 

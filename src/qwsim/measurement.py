@@ -8,10 +8,11 @@ equals ``b``, delete that bit from the index, and renormalize by
 carry no residual (there is nothing meaningful to renormalize).
 
 Which wire sits where after each measurement does not depend on outcomes,
-so a circuit is compiled once into gates remapped to the live wires.  One
-depth-first walker then serves both consumers: it applies gates in place
-until the next MEASURE, splits the state there, and goes on into each
-child with that child's own fresh residual, outcome 0 first.
+so ``engine.compile_circuit`` checks a circuit once and lowers its gates
+to kernel plans over the live wires.  One depth-first walker then serves
+both consumers: it runs the plans in place until the next MEASURE,
+splits the state there, and goes on into each child with that child's
+own fresh residual, outcome 0 first.
 
 * :func:`run_with_branches` follows *every* non-pruned outcome, producing a
   tree whose leaves carry the outcome history, its probability, and the
@@ -36,10 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .gates import MEASURE
 from .analysis import probability_of_one
-from .circuit import Circuit, GateOp
-from .engine import ControlSpec, apply_op
+from .circuit import Circuit
+from .engine import _run_plan, compile_circuit
 from .linalg import initial_state, make_rng
 
 PRUNE_EPS = 1e-14
@@ -75,10 +75,7 @@ def measure_qubit(psi, n: int, qubit: int) -> tuple[MeasurementBranch, Measureme
     if n < 1:
         raise ContractError("cannot measure an empty register")
     qubit = int(qubit)
-    if not 0 <= qubit < n:
-        raise ContractError(f"qubit {qubit} out of range for {n} qubits")
-
-    p1 = probability_of_one(psi, qubit)
+    p1 = probability_of_one(psi, qubit)  # also checks that qubit is in range
     p0 = max(0.0, 1.0 - p1)
 
     halves = psi.reshape(-1, 2, 1 << qubit)  # axis 1 is bit ``qubit``
@@ -120,60 +117,10 @@ class BranchTree:
     leaves: tuple[BranchLeaf, ...]
 
 
-def _remap_op(op: GateOp, wire_map: dict[int, int | None]) -> GateOp:
-    """Rewrite an op's wires to post-measurement positions."""
-    for w in op.wires:
-        if wire_map[w] is None:
-            raise ContractError(f"op {op.gate} touches wire {w}, which was measured")
-    return GateOp(
-        op.gate,
-        tuple(wire_map[t] for t in op.targets),
-        ControlSpec(tuple((wire_map[w], f) for w, f in op.controls.entries)),
-    )
-
-
-def _measure_and_shift(wire_map: dict[int, int | None], wire: int) -> None:
-    """Mark ``wire`` measured; wires above its current slot shift down."""
-    slot = wire_map[wire]
-    for k, v in wire_map.items():
-        if v is not None and v > slot:
-            wire_map[k] = v - 1
-    wire_map[wire] = None
-
-
-def _compile(circuit: Circuit):
-    """Remap every op of ``circuit`` once, before any outcome is known.
-
-    Returns ``(steps, measured, wire_map)``.  Each step is ``(n_live, op,
-    slot)``: a gate remapped to the ``n_live`` wires still live (``slot``
-    is None), or ``op`` None for a MEASURE of live wire ``slot``.
-    ``measured`` lists the measured wires in op order; ``wire_map`` sends
-    each original wire to its final slot or to None.  Raises
-    ``ContractError`` for a wire measured twice or an op on a measured wire.
-    """
-    n_live = circuit.n
-    wire_map: dict[int, int | None] = {w: w for w in range(n_live)}
-    steps: list[tuple[int, GateOp | None, int | None]] = []
-    measured: list[int] = []
-    for op in circuit.ops:
-        if op.gate == MEASURE:
-            wire = op.targets[0]
-            slot = wire_map[wire]
-            if slot is None:
-                raise ContractError(f"wire {wire} measured twice")
-            steps.append((n_live, None, slot))
-            measured.append(wire)
-            _measure_and_shift(wire_map, wire)
-            n_live -= 1
-        else:
-            steps.append((n_live, _remap_op(op, wire_map), None))
-    return steps, tuple(measured), wire_map
-
-
 def _walk(steps, state, draws, shots, visit) -> None:
     """Walk the outcome tree of ``steps`` depth-first from ``state``.
 
-    Gates are applied in place until the next MEASURE, where
+    Gate plans run in place until the next MEASURE, where
     :func:`measure_qubit` splits the state; each child goes on with its own
     fresh residual, outcome 0 first, so leaves come in sorted outcome
     order.  ``visit(outcomes, probability, state, shots)`` is called at
@@ -192,9 +139,9 @@ def _walk(steps, state, draws, shots, visit) -> None:
     while stack:
         start, state, outcomes, prob, shots = stack.pop()
         for k in range(start, len(steps)):
-            n_live, op, slot = steps[k]
-            if op is not None:
-                state = apply_op(n_live, op, state, in_place=True)
+            n_live, plan, slot = steps[k]
+            if plan is not None:
+                _run_plan(plan, state)
                 continue
             b0, b1 = measure_qubit(state, n_live, slot)
             split = (shots, shots)
@@ -218,7 +165,7 @@ def run_with_branches(circuit: Circuit, psi0=None) -> BranchTree:
     yields a single leaf of probability 1 whose state equals the plain
     simulation result.
     """
-    steps, measured, wire_map = _compile(circuit)
+    steps, measured, wire_map = compile_circuit(circuit)
     leaves: list[BranchLeaf] = []
     _walk(
         steps,
@@ -260,8 +207,8 @@ def sample_shots(circuit: Circuit, shots: int, seed, psi0=None) -> dict[str, int
         raise ContractError("circuit has no MEASURE ops to sample")
     base = initial_state(circuit.n, psi0)
     rng = make_rng(seed)
-    steps, measured, _ = _compile(circuit)
-    last = max(k for k, (_, op, _) in enumerate(steps) if op is None)
+    steps, measured, _ = compile_circuit(circuit)
+    last = max(k for k, (_, plan, _) in enumerate(steps) if plan is None)
     del steps[last + 1:]  # gates after the last MEASURE cannot change a record
 
     histogram: dict[str, int] = {}

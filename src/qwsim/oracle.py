@@ -9,8 +9,10 @@ helper :func:`rearrange_bits`.  :func:`swap_wires` exchanges two wires
 by walking every amplitude index.  None of the fast kernels are used, so
 agreement between this module and the engine checks both against each
 other.  The one exception is :func:`sample_shots_replay`, which checks
-the shared-prefix walk of ``measurement.sample_shots`` rather than the
-kernels: it replays the whole circuit, with the engine, once per shot.
+the shared-prefix walk and the compiled plans of
+``measurement.sample_shots`` rather than the kernel: it replays the whole
+circuit once per shot, remapping every op to the live wires itself and
+applying it through the engine's checked entry point.
 
 Capped at ``NAIVE_QUBIT_GUARD`` qubits; a dense operator on more would be
 pointlessly large for a reference path.
@@ -22,17 +24,17 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, ResourceError
 from .gates import MEASURE, GateDef, gate_def
+from .analysis import _split_kept
+from .circuit import GateOp
 from .engine import ControlSpec, _check_wires, apply_op, coerce_controls, swap_bits
-from .linalg import initial_state, make_rng
-from .measurement import _measure_and_shift, _remap_op, measure_qubit
+from .linalg import check_qubit_count, initial_state, make_rng
+from .measurement import measure_qubit
 
 NAIVE_QUBIT_GUARD = 12
 
 
 def _check_guard(n: int) -> int:
-    n = int(n)
-    if n < 1:
-        raise ContractError(f"qubit count must be at least 1, got {n}")
+    n = check_qubit_count(n)
     if n > NAIVE_QUBIT_GUARD:
         raise ResourceError(
             f"naive path refuses {n} qubits (guard is {NAIVE_QUBIT_GUARD})"
@@ -116,14 +118,36 @@ def swap_wires(n: int, wire_i: int, wire_j: int, psi, controls=None) -> np.ndarr
     return out
 
 
+def _remap_op(op: GateOp, wire_map: dict[int, int | None]) -> GateOp:
+    """Rewrite an op's wires to post-measurement positions."""
+    for w in op.wires:
+        if wire_map[w] is None:
+            raise ContractError(f"op {op.gate} touches wire {w}, which was measured")
+    return GateOp(
+        op.gate,
+        tuple(wire_map[t] for t in op.targets),
+        ControlSpec(tuple((wire_map[w], f) for w, f in op.controls.entries)),
+    )
+
+
+def _measure_and_shift(wire_map: dict[int, int | None], wire: int) -> None:
+    """Mark ``wire`` measured; wires above its current slot shift down."""
+    slot = wire_map[wire]
+    for k, v in wire_map.items():
+        if v is not None and v > slot:
+            wire_map[k] = v - 1
+    wire_map[wire] = None
+
+
 def sample_shots_replay(circuit, shots: int, seed, psi0=None) -> dict[str, int]:
     """Sample measurement records by replaying the circuit once per shot.
 
     Each shot starts from a copy of the initial state, remaps every op to
-    the live wires and draws one ``rng.random()`` per MEASURE, taking
-    outcome 1 when the draw is below its probability (a pruned outcome is
-    never taken).  The reference for ``measurement.sample_shots``, whose
-    histogram must equal this one for every seed.
+    the live wires, applies it with ``engine.apply_op``, and draws one
+    ``rng.random()`` per MEASURE, taking outcome 1 when the draw is below
+    its probability (a pruned outcome is never taken).  The reference for
+    ``measurement.sample_shots``, whose histogram must equal this one for
+    every seed.
     """
     shots = int(shots)
     if shots < 1:
@@ -153,7 +177,7 @@ def sample_shots_replay(circuit, shots: int, seed, psi0=None) -> dict[str, int]:
                 _measure_and_shift(wire_map, op.targets[0])
                 n_live -= 1
             else:
-                state = apply_op(n_live, _remap_op(op, wire_map), state, in_place=True)
+                state = apply_op(n_live, _remap_op(op, wire_map), state)
         key = "".join(record)
         histogram[key] = histogram.get(key, 0) + 1
     return histogram
@@ -197,18 +221,12 @@ def partial_trace_by_definition(rho, n: int, qubits_to_trace_out) -> np.ndarray:
     the ``k``-th smallest kept qubit.
     """
     n = _check_guard(n)
-    traced = [int(q) for q in qubits_to_trace_out]
-    if sorted(set(traced)) != traced:
-        raise ContractError("qubit list must be strictly ascending, no duplicates")
-    for q in traced:
-        if not 0 <= q < n:
-            raise ContractError(f"qubit {q} out of range for {n} qubits")
+    traced, kept = _split_kept(n, qubits_to_trace_out, keep=False)
     rho = np.asarray(rho, dtype=complex)
     dim = 1 << n
     if rho.shape != (dim, dim):
         raise DimensionError(f"density matrix must be {dim}x{dim}, got {rho.shape}")
 
-    kept = [q for q in range(n) if q not in set(traced)]
     t_count = len(traced)
     new_pos = {q: i for i, q in enumerate(traced)}
     new_pos.update({q: t_count + i for i, q in enumerate(kept)})

@@ -99,12 +99,34 @@ class TestParser:
             ("qubits 2\nMEASURE 0 c=1\n", "MEASURE"),
             ("qubits 2\nCX 0\n", "takes 2 wires"),
             ("qubits 2\nX zero\n", "not an integer"),
+            # wires and qubit counts are ASCII digits only
+            ("qubits 2\nH 1_0\n", "not an integer"),
+            ("qubits 2\nH +1\n", "not an integer"),
+            ("qubits 2\nH \u0661\n", "not an integer"),
+            ("qubits 2\nX 0 c=+1\n", "not an integer"),
+            ("qubits +2\nH 0\n", "not an integer"),
+            ("qubits 2\nH -1\n", "not an integer"),
+            ("qubits 2\nH " + "9" * 5000 + "\n", "not an integer"),
+            ("qubits 27\n", "27 qubits need 2 GiB"),
         ],
     )
     def test_rejects_malformed_programs(self, text, fragment):
         with pytest.raises(ParseError) as err:
             parse_circuit(text)
         assert fragment in str(err.value)
+
+    def test_checks_of_gateop_and_circuit_name_the_line(self):
+        # the parser leaves wire range, arity and MEASURE shape to GateOp
+        # and Circuit, and reports their errors against the line
+        for text, message in [
+            ("qubits 2\nH 0\nX 9\n", "line 3: X 9 touches wire 9, out of range for 2 qubits"),
+            ("qubits 2\nH 0\n\nH 0 1\n", "line 4: H takes 1 wire(s), got 2"),
+            ("qubits 2\nMEASURE 0 1\n", "line 2: MEASURE takes exactly one wire"),
+            ("qubits 2\nH 0 ; foo 1\n", "line 2: unknown gate 'FOO'"),
+        ]:
+            with pytest.raises(ParseError) as err:
+                parse_circuit(text)
+            assert str(err.value) == message
 
     def test_errors_carry_line_numbers(self):
         with pytest.raises(ParseError) as err:
@@ -178,6 +200,24 @@ class TestLoadCircuit:
         path.write_text("qubits 1\nH 0\n", encoding="utf-8")
         circ = circ_mod.load_circuit(path)
         assert circ.n == 1
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "c.qc"
+        path.write_bytes(b"\xef\xbb\xbfqubits 2\nH 0\nCX 0 1\n")
+        assert circ_mod.load_circuit(path) == parse_circuit("qubits 2\nH 0\nCX 0 1\n")
+
+    def test_only_one_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "c.qc"
+        path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfqubits 2\n")
+        with pytest.raises(ParseError, match="header"):
+            circ_mod.load_circuit(path)
+
+    def test_non_utf8_after_bom_names_the_line(self, tmp_path):
+        path = tmp_path / "c.qc"
+        path.write_bytes(b"\xef\xbb\xbfqubits 2\nH 0\nX 1 \xff\n")
+        with pytest.raises(ParseError) as info:
+            circ_mod.load_circuit(path)
+        assert info.value.line_no == 3
 
     def test_non_utf8_file_names_the_line(self, tmp_path):
         path = tmp_path / "c.qc"

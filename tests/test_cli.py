@@ -174,6 +174,12 @@ class TestStats:
         assert code == 1
         assert "measurement" in err
 
+    def test_measurement_error_names_the_op(self, capsys, circuit_file):
+        code, out, err = run_cli(capsys, "stats", circuit_file(BELL_MEASURE))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: op 2 (MEASURE 0) is a measurement")
+        assert err.count("\n") == 1
+
 
 class TestSample:
     def test_histogram_is_deterministic_per_seed(self, capsys, circuit_file):
@@ -261,3 +267,18 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", "--qubits", "2", "--seed", "-3")
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestParserReuse:
+    def test_main_builds_its_parser_at_most_once(self, capsys, circuit_file, monkeypatch):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            path = circuit_file(MIXED_PAIR)
+            assert run_cli(capsys, "simulate", path, "--probs")[0] == 0
+            assert run_cli(capsys, "stats", path, "--pair", "0", "1")[0] == 0
+            assert len(built) <= 1
+        finally:
+            cli._parser.cache_clear()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qwsim import engine, gates, linalg, oracle
+from qwsim import engine, gates, linalg, measurement, oracle
 from qwsim.circuit import GateOp, parse_circuit, random_circuit
 from qwsim.engine import ControlSpec, NO_CONTROLS
 from qwsim.errors import ContractError, DimensionError
@@ -120,18 +120,6 @@ class TestQubitWiseMultiply:
         psi = linalg.random_state(5, rng)
         out = engine.apply_multi_qubit_gate(5, random_unitary(2, rng), (3,), psi)
         assert abs(np.vdot(out, out).real - 1.0) < 1e-12
-
-    def test_in_place_matches_copy(self):
-        rng = np.random.default_rng(9)
-        psi = linalg.random_state(4, rng)
-        u = random_unitary(2, rng)
-        copied = engine.apply_multi_qubit_gate(4, u, (2,), psi, [(0, True)])
-        work = psi.copy()
-        returned = engine.apply_multi_qubit_gate(
-            4, u, (2,), work, [(0, True)], in_place=True
-        )
-        assert returned is work
-        np.testing.assert_array_equal(copied, work)
 
     def test_wire_collision_rejected(self):
         with pytest.raises(ContractError):
@@ -434,16 +422,69 @@ class TestRunCircuit:
         with pytest.raises(ContractError):
             engine.run_circuit(circ, np.array([1.0, 1.0], dtype=complex))
 
-    def test_in_place_run_mutates_caller_array(self):
-        circ = parse_circuit("qubits 2\nH 0\nCX 0 1\n")
-        psi = linalg.zero_state(2)
-        out = engine.run_circuit(circ, psi, in_place=True)
-        assert out is psi
-        np.testing.assert_allclose(
-            psi, [_SQ2, 0, 0, _SQ2], atol=1e-15
-        )
+    def test_matches_gate_by_gate_application(self):
+        # compiled plans must give exactly what the checked entry point gives
+        rng = np.random.default_rng(58)
+        seen = set()
+        for k in range(40):
+            n = int(rng.integers(2, 9))
+            circ = random_circuit(n, 25, rng, control_probability=0.4)
+            psi0 = linalg.random_state(n, rng) if k % 2 else None
+            want = linalg.zero_state(n) if psi0 is None else psi0
+            for op in circ.ops:
+                want = engine.apply_multi_qubit_gate(
+                    n, gates.gate_matrix(op.gate), op.targets, want, op.controls
+                )
+                seen.update(f for _, f in op.controls.entries)
+                seen.add(len(op.targets))
+            assert np.array_equal(engine.run_circuit(circ, psi0), want)
+        assert seen == {True, False, 1, 2}
 
-    def test_in_place_requires_complex_array(self):
-        circ = parse_circuit("qubits 1\nH 0\n")
-        with pytest.raises(ContractError):
-            engine.run_circuit(circ, np.array([1.0, 0.0]), in_place=True)
+    def test_measurement_error_names_the_op(self):
+        circ = parse_circuit("qubits 2\nH 0\nMEASURE 1\n")
+        with pytest.raises(ContractError, match=r"^op 1 \(MEASURE 1\) is a measurement"):
+            engine.run_circuit(circ)
+
+
+class TestCompileCircuit:
+    def test_steps_slots_and_wire_map(self):
+        circ = parse_circuit("qubits 3\nH 2\nMEASURE 1\nX 2 c=0\nMEASURE 0\n")
+        steps, measured, wire_map = engine.compile_circuit(circ)
+        assert [(n_live, plan is None, slot) for n_live, plan, slot in steps] == [
+            (3, False, None), (3, True, 1), (2, False, None), (2, True, 0)
+        ]
+        assert measured == (1, 0)
+        assert wire_map == {0: None, 1: None, 2: 0}
+
+    def test_plan_runs_like_the_checked_entry_point(self):
+        # X on live slot 1 controlled by slot 0, once wire 1 is measured away
+        circ = parse_circuit("qubits 3\nMEASURE 1\nX 2 c=0\n")
+        (_, _, _), (n_live, plan, _) = engine.compile_circuit(circ)[0]
+        psi = linalg.random_state(2, np.random.default_rng(59))
+        want = engine.apply_multi_qubit_gate(2, gates.gate_matrix("X"), (1,), psi, [(0, True)])
+        assert n_live == 2
+        assert np.array_equal(engine._run_plan(plan, psi.copy()), want)
+
+    def test_wire_measured_twice_names_the_op(self):
+        circ = parse_circuit("qubits 2\nH 0\nMEASURE 0\nMEASURE 0\n")
+        with pytest.raises(ContractError) as err:
+            engine.compile_circuit(circ)
+        assert str(err.value) == "op 2 (MEASURE 0): wire 0 measured twice"
+
+    def test_gate_on_measured_wire_names_the_op(self):
+        circ = parse_circuit("qubits 2\nMEASURE 0\nH 1\nX 1 a=0\n")
+        with pytest.raises(ContractError) as err:
+            engine.compile_circuit(circ)
+        assert str(err.value) == "op 2 (X 1 a=0) touches wire 0, which was measured"
+
+    def test_plans_are_built_once_per_compile(self, monkeypatch):
+        built = []
+        real = engine._build_plan
+        monkeypatch.setattr(
+            engine, "_build_plan", lambda *args: built.append(args) or real(*args)
+        )
+        circ = parse_circuit("qubits 3\nH 0\nH 1\nMEASURE 0\nX 2 c=1\nMEASURE 1\nH 2\n")
+        measurement.sample_shots(circ, 500, 3)
+        assert len(built) == 4
+        measurement.run_with_branches(circ)
+        assert len(built) == 8

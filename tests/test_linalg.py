@@ -41,6 +41,16 @@ class TestStates:
         with pytest.raises(ResourceError):
             linalg.zero_state(linalg.MAX_QUBITS + 1)
 
+    def test_cap_is_stated_in_bytes(self):
+        with pytest.raises(ResourceError) as err:
+            linalg.check_qubit_count(27)
+        assert str(err.value) == "27 qubits need 2 GiB per state; cap 26 (1 GiB)"
+        with pytest.raises(ResourceError, match=r"^40 qubits need 16 TiB per state;"):
+            linalg.check_qubit_count(40)
+        # too large to print as a number of units, still one clean message
+        with pytest.raises(ResourceError, match=r"^100000 qubits need 2\*\*100004 bytes"):
+            linalg.check_qubit_count(100000)
+
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_random_state_normalized(self, n):
         rng = np.random.default_rng(100 + n)
