@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ContractError, ParseError, SimulationError
 from .gates import MEASURE, gate_def
-from .engine import ControlSpec, coerce_controls
+from .engine import ControlSpec, _check_distinct, coerce_controls
 from .linalg import check_qubit_count
 
 
@@ -50,13 +50,7 @@ class GateOp:
                 raise ContractError(
                     f"{g.name} takes {g.arity} wire(s), got {len(self.targets)}"
                 )
-        if len(set(self.targets)) != len(self.targets):
-            raise ContractError(f"duplicate target wires in {self.targets}")
-        overlap = set(self.targets) & set(self.controls.wires)
-        if overlap:
-            raise ContractError(
-                f"wire {min(overlap)} is both a control and a target"
-            )
+        _check_distinct(self.targets, self.controls)
 
     @property
     def wires(self) -> tuple[int, ...]:
@@ -80,12 +74,12 @@ class Circuit:
         n = check_qubit_count(self.n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ops", tuple(self.ops))
-        for op in self.ops:
+        for k, op in enumerate(self.ops):
             for w in op.wires:
                 if not 0 <= w < n:
-                    raise ContractError(
-                        f"{op} touches wire {w}, out of range for {n} qubits"
-                    )
+                    exc = ContractError(f"{op} touches wire {w}, out of range for {n} qubits")
+                    exc.op_index = k  # lets parse_circuit name the op's line
+                    raise exc
 
     @property
     def has_measurements(self) -> bool:
@@ -109,11 +103,11 @@ def _parse_int(token: str, line_no: int, what: str) -> int:
     raise ParseError(line_no, f"{what} {token!r} is not an integer of digits 0-9")
 
 
-def _parse_gate(chunk: str, n: int, line_no: int) -> GateOp:
+def _parse_gate(chunk: str, line_no: int) -> GateOp:
     """Tokenise one gate and expand its sugar.
 
-    ``GateOp`` and ``Circuit`` make every check; a failure becomes a
-    ``ParseError`` naming ``line_no``.
+    ``GateOp`` makes every check but the wire range, which the circuit
+    makes; a failure becomes a ``ParseError`` naming ``line_no``.
     """
     tokens = chunk.split()
     name = tokens[0].upper()
@@ -135,17 +129,16 @@ def _parse_gate(chunk: str, n: int, line_no: int) -> GateOp:
         controls = [(w, True) for w in targets[:k]] + controls
         targets = targets[k:]
     try:
-        op = GateOp(name, tuple(targets), ControlSpec(tuple(controls)))
-        Circuit(n, (op,))  # the wire-range check of every circuit
+        return GateOp(name, tuple(targets), ControlSpec(tuple(controls)))
     except SimulationError as exc:
         raise ParseError(line_no, str(exc)) from None
-    return op
 
 
 def parse_circuit(text: str) -> Circuit:
     """Parse circuit text; every failure names the offending line."""
     n: int | None = None
     ops: list[GateOp] = []
+    op_lines: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -162,10 +155,14 @@ def parse_circuit(text: str) -> Circuit:
         for chunk in line.split(";"):
             chunk = chunk.strip()
             if chunk:
-                ops.append(_parse_gate(chunk, n, line_no))
+                ops.append(_parse_gate(chunk, line_no))
+                op_lines.append(line_no)
     if n is None:
         raise ParseError(1, "missing 'qubits <n>' header")
-    return Circuit(n, tuple(ops))
+    try:
+        return Circuit(n, tuple(ops))
+    except ContractError as exc:  # a wire out of range
+        raise ParseError(op_lines[exc.op_index], str(exc)) from None
 
 
 def format_circuit(circuit: Circuit) -> str:

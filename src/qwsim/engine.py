@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 from .gates import MEASURE, gate_def
-from .linalg import STATE_ATOL, check_qubit_count, initial_state
+from .linalg import MAX_QUBITS, STATE_ATOL, check_qubit_count, initial_state
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ class ControlSpec:
         inclusion = 0
         desired = 0
         for wire, is_control in entries:
-            if wire < 0:
-                raise ContractError(f"control wire {wire} is negative")
+            if not 0 <= wire < MAX_QUBITS:  # no register holds it; before 1 << wire
+                raise ContractError(f"control wire {wire} is outside 0..{MAX_QUBITS - 1}")
             bit = 1 << wire
             if inclusion & bit:
                 raise ContractError(
@@ -86,18 +86,20 @@ def coerce_controls(controls) -> ControlSpec:
     return ControlSpec(tuple((w, f) for w, f in controls))
 
 
-def _check_wires(n: int, targets, spec: ControlSpec) -> None:
-    tset = set(targets)
-    if len(tset) != len(targets):
+def _check_distinct(targets, spec: ControlSpec) -> None:
+    """No target repeats and no wire is both a control and a target."""
+    if len(set(targets)) != len(targets):
         raise ContractError(f"duplicate target wires in {targets}")
-    for t in targets:
-        if not 0 <= t < n:
-            raise ContractError(f"target wire {t} out of range for {n} qubits")
-    for w in spec.wires:
+    overlap = set(targets) & set(spec.wires)
+    if overlap:
+        raise ContractError(f"wire {min(overlap)} is both a control and a target")
+
+
+def _check_wires(n: int, targets, spec: ControlSpec) -> None:
+    _check_distinct(targets, spec)
+    for w in (*targets, *spec.wires):
         if not 0 <= w < n:
-            raise ContractError(f"control wire {w} out of range for {n} qubits")
-        if w in tset:
-            raise ContractError(f"wire {w} is both a control and a target")
+            raise ContractError(f"wire {w} out of range for {n} qubits")
 
 
 def swap_bits(k: int, i: int, j: int) -> int:
@@ -261,10 +263,11 @@ def run_circuit(circuit, psi0=None) -> np.ndarray:
     copy.  The returned vector stays normalized; a drift beyond
     ``STATE_ATOL`` would indicate a kernel bug and raises.
     """
-    for k, op in enumerate(circuit.ops):
-        if op.gate == MEASURE:
-            raise ContractError(f"op {k} ({op}) is a measurement; use the measurement module")
     steps, _, _ = compile_circuit(circuit)
+    for k, (_, plan, _) in enumerate(steps):
+        if plan is None:
+            op = circuit.ops[k]
+            raise ContractError(f"op {k} ({op}) is a measurement; use the measurement module")
     state = initial_state(circuit.n, psi0)
     for _, plan, _ in steps:
         _run_plan(plan, state)

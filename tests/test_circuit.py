@@ -107,6 +107,10 @@ class TestParser:
             ("qubits +2\nH 0\n", "not an integer"),
             ("qubits 2\nH -1\n", "not an integer"),
             ("qubits 2\nH " + "9" * 5000 + "\n", "not an integer"),
+            # a control wire past the qubit cap is refused before it becomes a bit mask
+            ("qubits 2\nX 0 c=99999999999\n", "control wire 99999999999 is outside 0..25"),
+            ("qubits 2\nX 0 a=1000000000000000000\n", "is outside 0..25"),
+            ("qubits 2\nX 0 c=" + "9" * 4000 + "\n", "is outside 0..25"),
             ("qubits 27\n", "27 qubits need 2 GiB"),
         ],
     )
@@ -127,6 +131,13 @@ class TestParser:
             with pytest.raises(ParseError) as err:
                 parse_circuit(text)
             assert str(err.value) == message
+
+    def test_wire_range_is_checked_after_every_line_is_read(self):
+        # the range check runs once, over the whole circuit, and still names
+        # the line of the first op out of range
+        with pytest.raises(ParseError) as err:
+            parse_circuit("qubits 2\nH 0 ; X 1 c=0\nX 0 c=7\nH 9\n")
+        assert str(err.value) == "line 3: X 0 c=7 touches wire 7, out of range for 2 qubits"
 
     def test_errors_carry_line_numbers(self):
         with pytest.raises(ParseError) as err:

@@ -205,6 +205,11 @@ class TestSample:
         assert code == 1
         assert "MEASURE" in err
 
+    def test_huge_control_wire_is_one_error_line(self, capsys, circuit_file):
+        code, out, err = run_cli(capsys, "simulate", circuit_file("qubits 2\nX 0 c=99999999999\n"))
+        assert (code, out) == (1, "")
+        assert err == "error: line 2: control wire 99999999999 is outside 0..25\n"
+
     def test_negative_seed_is_one_error_line(self, capsys, circuit_file):
         code, out, err = run_cli(
             capsys, "sample", circuit_file(BELL_MEASURE), "--shots", "5", "--seed", "-1"

@@ -40,6 +40,12 @@ class TestControlSpec:
         with pytest.raises(ContractError):
             ControlSpec(((-1, True),))
 
+    def test_wire_past_the_qubit_cap_rejected(self):
+        assert ControlSpec(((linalg.MAX_QUBITS - 1, True),)).inclusion_mask == 1 << 25
+        for wire in (linalg.MAX_QUBITS, 10**18, 10**4000):
+            with pytest.raises(ContractError, match="is outside 0..25"):
+                ControlSpec(((wire, False),))
+
     def test_coerce_from_pairs(self):
         spec = engine.coerce_controls([(2, True)])
         assert spec.entries == ((2, True),)
@@ -444,6 +450,13 @@ class TestRunCircuit:
         circ = parse_circuit("qubits 2\nH 0\nMEASURE 1\n")
         with pytest.raises(ContractError, match=r"^op 1 \(MEASURE 1\) is a measurement"):
             engine.run_circuit(circ)
+
+    def test_compile_errors_come_before_the_measurement_error(self):
+        # run_circuit compiles first, so a wire measured twice is named as such
+        circ = parse_circuit("qubits 2\nMEASURE 0\nMEASURE 0\n")
+        with pytest.raises(ContractError) as err:
+            engine.run_circuit(circ)
+        assert str(err.value) == "op 1 (MEASURE 0): wire 0 measured twice"
 
 
 class TestCompileCircuit:
