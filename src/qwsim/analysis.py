@@ -135,10 +135,14 @@ def check_density_matrix(
     atol: float = STATE_ATOL,
     eigen_atol: float = EIGEN_ATOL,
 ) -> int:
-    """Validate Hermiticity, unit trace and positive semidefiniteness.
+    """Validate finiteness, Hermiticity, unit trace and positive semidefiniteness.
 
     Returns the qubit count of the matrix.  Raises ``ContractError`` on
     any violation; intended as the gate in front of the statistics below.
+    Finiteness is tested first and every tolerance in the
+    ``not (x <= atol)`` form, so a NaN entry is refused rather than passing
+    a comparison that is false for NaN.  The smallest eigenvalue comes
+    from LAPACK (``np.linalg.eigvalsh``) once the matrix has passed.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -146,11 +150,14 @@ def check_density_matrix(
     dim = rho.shape[0]
     if dim == 0 or dim & (dim - 1):
         raise ContractError(f"density matrix dimension {dim} is not a power of two")
-    if np.max(np.abs(rho - rho.conj().T)) > atol:
+    if not np.isfinite(rho).all():
+        raise ContractError("density matrix has a non-finite entry")
+    if not np.max(np.abs(rho - rho.conj().T)) <= atol:
         raise ContractError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > atol or abs(np.trace(rho).imag) > atol:
+    trace = np.trace(rho)
+    if not (abs(trace.real - 1.0) <= atol and abs(trace.imag) <= atol):
         raise ContractError("density matrix trace is not 1")
-    if float(hermitian_eigenvalues(rho).min()) < -eigen_atol:
+    if not np.linalg.eigvalsh(rho)[0] >= -eigen_atol:
         raise ContractError("density matrix has a negative eigenvalue")
     return dim.bit_length() - 1
 
@@ -196,11 +203,10 @@ class QubitStats:
 def qubit_stats(rho) -> QubitStats:
     """Bloch vector, angles, purity and linear entropy of a 1-qubit state.
 
-    The Bloch components are read off the matrix entries (for
-    ``rho = [[a, b+ic], [b-ic, 1-a]]`` they are ``x=2b, y=-2c, z=2a-1``)
-    and cross-checked against the trace form ``<P> = Tr(rho P)`` for each
-    Pauli ``P``, so a disagreement (impossible for a valid input) fails
-    loudly instead of reporting garbage.
+    The Bloch components are read off the matrix entries: for
+    ``rho = [[a, b+ic], [b-ic, 1-a]]`` they are ``x=2b, y=-2c, z=2a-1``,
+    which equal ``Tr(rho P)`` for the Paulis ``P`` on any Hermitian
+    unit-trace input; the tests hold them to the trace form.
     """
     rho = np.asarray(rho, dtype=complex)
     if check_density_matrix(rho) != 1:
@@ -211,12 +217,6 @@ def qubit_stats(rho) -> QubitStats:
     x = float(2.0 * b)
     y = float(-2.0 * c)
     z = float(2.0 * a - 1.0)
-    for value, pauli in ((x, "X"), (y, "Y"), (z, "Z")):
-        expect = float(np.trace(rho @ gate_matrix(pauli)).real)
-        if abs(value - expect) > STATE_ATOL:
-            raise ContractError(
-                f"Bloch component {pauli} disagrees with Tr(rho {pauli})"
-            )
     r = float(np.sqrt(x * x + y * y + z * z))
     theta = 0.0
     if r >= BLOCH_DEGENERATE_EPS:
@@ -244,7 +244,7 @@ def concurrence(rho) -> float:
 
     Uses the spin-flipped matrix ``rho~ = (Y(x)Y) conj(rho) (Y(x)Y)`` and
     the square roots of the eigenvalues of ``sqrt(rho) rho~ sqrt(rho)``
-    (a Hermitian PSD product, so the Jacobi solver applies), sorted
+    (a Hermitian PSD product, so the Hermitian eigensolver applies), sorted
     descending: ``C = max(0, l1 - l2 - l3 - l4)``.
 
     Eigenvalues of the triple product below the solver's noise floor are
@@ -254,10 +254,10 @@ def concurrence(rho) -> float:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ContractError(f"concurrence needs a 4x4 density matrix, got {rho.shape}")
+    w, v = hermitian_eig(rho)  # first, so a non-finite rho is refused
     y = gate_matrix("Y")
     yy = np.kron(y, y)
     flipped = yy @ rho.conj() @ yy
-    w, v = hermitian_eig(rho)
     sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     product = sqrt_rho @ flipped @ sqrt_rho
     # product is PSD up to roundoff but only approximately Hermitian in

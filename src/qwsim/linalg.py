@@ -1,9 +1,15 @@
 """Dense linear algebra helpers and state-vector constructors.
 
-The Hermitian eigensolver is written here as an explicit cyclic
-Jacobi iteration so the package does not depend on an opaque routine for
-the one numerically delicate primitive; tests cross-check it against an
-independent implementation.
+The Hermitian eigensolver is LAPACK's, through ``np.linalg.eigh``, behind a
+check that the input is square, finite and Hermitian.  It was once a
+cyclic Jacobi iteration written out here, so that the one numerically
+delicate primitive rested on no opaque routine.  That independence is
+what a test needs, not production: the iteration is kept as
+``oracle.jacobi_eig`` and the tests hold the two solvers to each other at
+1e-9, as the naive oracle checks the gate kernel.  Run in production, its
+Python loops cost about 1 ms on a 4x4 and 30 ms on a 16x16, against 15
+and 73 microseconds for ``eigh`` (2-core Xeon, numpy 2.4.6, one thread);
+and numpy, the package's one dependency, ships LAPACK already.
 
 Conventions used throughout the package:
 
@@ -27,8 +33,6 @@ UNITARY_ATOL = 1e-12
 # Largest supported register.  2**26 complex128 amplitudes occupy 1 GiB;
 # one working copy doubles that.  Raise at your own risk.
 MAX_QUBITS = 26
-
-_JACOBI_MAX_SWEEPS = 100
 
 
 def _state_size(n: int) -> str:
@@ -128,85 +132,42 @@ def is_normalized(psi, atol: float = STATE_ATOL) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Hermitian eigensolver (cyclic Jacobi with complex rotations)
+# Hermitian eigensolver (LAPACK through numpy, checked)
 
 
-def _check_hermitian(a: np.ndarray, atol: float) -> np.ndarray:
+def _check_hermitian(a, atol: float) -> np.ndarray:
+    """Square, non-empty, finite and Hermitian within ``atol``, symmetrized.
+
+    Finiteness is tested first and the tolerance in the ``not (x <= atol)``
+    form, so a NaN or an inf entry is refused rather than slipping past a
+    comparison that is false for NaN.
+    """
     a = _as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"eigensolver needs a square matrix, got {a.shape}")
-    if np.max(np.abs(a - a.conj().T)) > atol:
+    if a.shape[0] != a.shape[1] or not a.size:
+        raise DimensionError(
+            f"eigensolver needs a non-empty square matrix, got {a.shape}"
+        )
+    if not np.isfinite(a).all():
+        raise ContractError("matrix has a non-finite entry")
+    if not np.max(np.abs(a - a.conj().T)) <= atol:
         raise ContractError("matrix is not Hermitian within tolerance")
-    # Symmetrize away representation roundoff so the iteration preserves
-    # Hermiticity exactly.
+    # LAPACK reads one triangle only; averaging both keeps the roundoff of
+    # the other in the answer.
     return (a + a.conj().T) / 2.0
 
 
 def hermitian_eig(a, atol: float = EIGEN_ATOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix (``np.linalg.eigh``).
 
     Returns ``(w, v)`` with real eigenvalues ``w`` ascending and unitary
     ``v`` whose columns are the matching eigenvectors (``a @ v = v @ diag(w)``).
-
-    Each sweep visits every off-diagonal pair ``(p, q)`` and applies a
-    complex plane rotation chosen to zero ``a[p, q]``: with
-    ``a[p, q] = r * exp(i*phi)`` the rotation angle is
-    ``theta = atan2(2r, a[q,q] - a[p,p]) / 2`` and the rotation matrix acts
-    on rows/columns ``p`` and ``q`` only.  Off-diagonal mass is strictly
-    non-increasing, so the loop terminates; a hundred sweeps is far beyond
-    what any matrix in this package needs (4x4 typically converges in ~6).
+    Raises ``DimensionError`` for an empty or non-square input and
+    ``ContractError`` for a non-finite or non-Hermitian one.
     """
-    work = _check_hermitian(a, atol)
-    n = work.shape[0]
-    vecs = np.eye(n, dtype=complex)
-    if n == 1:
-        return work.real.diagonal().copy(), vecs
-
-    scale = max(float(np.max(np.abs(work))), 1.0)
-    stop = 1e-14 * scale
-    skip = 1e-18 * scale
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = np.abs(work - np.diag(work.diagonal()))
-        if float(off.max()) <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                phi = np.angle(apq)
-                theta = 0.5 * np.arctan2(2.0 * r, (work[q, q] - work[p, p]).real)
-                c = np.cos(theta)
-                s = np.sin(theta)
-                e = np.exp(1j * phi)
-                # work <- R^H work R, applied as a column update then a row
-                # update; R differs from identity only in the (p, q) plane:
-                # R[p,p]=c, R[p,q]=s*e, R[q,p]=-s*conj(e), R[q,q]=c.
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                work[:, p] = c * col_p - s * np.conj(e) * col_q
-                work[:, q] = s * e * col_p + c * col_q
-                row_p = work[p, :].copy()
-                row_q = work[q, :].copy()
-                work[p, :] = c * row_p - s * e * row_q
-                work[q, :] = s * np.conj(e) * row_p + c * row_q
-                col_p = vecs[:, p].copy()
-                col_q = vecs[:, q].copy()
-                vecs[:, p] = c * col_p - s * np.conj(e) * col_q
-                vecs[:, q] = s * e * col_p + c * col_q
-    else:
-        off = np.abs(work - np.diag(work.diagonal()))
-        if float(off.max()) > stop:
-            raise ContractError("Jacobi eigensolver did not converge")
-
-    w = work.diagonal().real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], vecs[:, order]
+    w, v = np.linalg.eigh(_check_hermitian(a, atol))
+    return w, v
 
 
 def hermitian_eigenvalues(a, atol: float = EIGEN_ATOL) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix."""
-    w, _ = hermitian_eig(a, atol)
-    return w
+    """Ascending real eigenvalues of a Hermitian matrix (``np.linalg.eigvalsh``)."""
+    return np.linalg.eigvalsh(_check_hermitian(a, atol))

@@ -12,7 +12,9 @@ other.  The one exception is :func:`sample_shots_replay`, which checks
 the shared-prefix walk and the compiled plans of
 ``measurement.sample_shots`` rather than the kernel: it replays the whole
 circuit once per shot, remapping every op to the live wires itself and
-applying it through the engine's checked entry point.
+applying it through the engine's checked entry point.  The Hermitian
+eigensolver :func:`jacobi_eig` is the reference for ``linalg.hermitian_eig``
+(LAPACK): cyclic Jacobi rotations written out in Python loops.
 
 Capped at ``NAIVE_QUBIT_GUARD`` qubits; a dense operator on more would be
 pointlessly large for a reference path.
@@ -27,10 +29,18 @@ from .gates import MEASURE, GateDef, gate_def
 from .analysis import _split_kept
 from .circuit import GateOp
 from .engine import ControlSpec, _check_wires, apply_op, coerce_controls, swap_bits
-from .linalg import check_qubit_count, initial_state, make_rng
+from .linalg import (
+    EIGEN_ATOL,
+    _check_hermitian,
+    check_qubit_count,
+    initial_state,
+    make_rng,
+)
 from .measurement import measure_qubit
 
 NAIVE_QUBIT_GUARD = 12
+
+_JACOBI_MAX_SWEEPS = 100
 
 
 def _check_guard(n: int) -> int:
@@ -243,3 +253,69 @@ def partial_trace_by_definition(rho, n: int, qubits_to_trace_out) -> np.ndarray:
         embed = np.kron(eye_keep, bra)  # kept bits are high after the permutation
         acc += embed @ rho_p @ embed.conj().T
     return acc
+
+
+def jacobi_eig(a, atol: float = EIGEN_ATOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+
+    Returns ``(w, v)`` with real eigenvalues ``w`` ascending and unitary
+    ``v`` whose columns are the matching eigenvectors (``a @ v = v @ diag(w)``),
+    under the input checks of ``linalg.hermitian_eig``.
+
+    Each sweep visits every off-diagonal pair ``(p, q)`` and applies a
+    complex plane rotation chosen to zero ``a[p, q]``: with
+    ``a[p, q] = r * exp(i*phi)`` the rotation angle is
+    ``theta = atan2(2r, a[q,q] - a[p,p]) / 2`` and the rotation matrix acts
+    on rows/columns ``p`` and ``q`` only.  Off-diagonal mass is strictly
+    non-increasing, so the loop terminates; a hundred sweeps is far beyond
+    what any matrix in this package needs (4x4 typically converges in ~6).
+    """
+    # symmetrized, so the iteration preserves Hermiticity exactly
+    work = _check_hermitian(a, atol)
+    n = work.shape[0]
+    vecs = np.eye(n, dtype=complex)
+    if n == 1:
+        return work.real.diagonal().copy(), vecs
+
+    scale = max(float(np.max(np.abs(work))), 1.0)
+    stop = 1e-14 * scale
+    skip = 1e-18 * scale
+
+    for _ in range(_JACOBI_MAX_SWEEPS):
+        off = np.abs(work - np.diag(work.diagonal()))
+        if float(off.max()) <= stop:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = work[p, q]
+                r = abs(apq)
+                if r <= skip:
+                    continue
+                phi = np.angle(apq)
+                theta = 0.5 * np.arctan2(2.0 * r, (work[q, q] - work[p, p]).real)
+                c = np.cos(theta)
+                s = np.sin(theta)
+                e = np.exp(1j * phi)
+                # work <- R^H work R, applied as a column update then a row
+                # update; R differs from identity only in the (p, q) plane:
+                # R[p,p]=c, R[p,q]=s*e, R[q,p]=-s*conj(e), R[q,q]=c.
+                col_p = work[:, p].copy()
+                col_q = work[:, q].copy()
+                work[:, p] = c * col_p - s * np.conj(e) * col_q
+                work[:, q] = s * e * col_p + c * col_q
+                row_p = work[p, :].copy()
+                row_q = work[q, :].copy()
+                work[p, :] = c * row_p - s * e * row_q
+                work[q, :] = s * np.conj(e) * row_p + c * row_q
+                col_p = vecs[:, p].copy()
+                col_q = vecs[:, q].copy()
+                vecs[:, p] = c * col_p - s * np.conj(e) * col_q
+                vecs[:, q] = s * e * col_p + c * col_q
+    else:
+        off = np.abs(work - np.diag(work.diagonal()))
+        if float(off.max()) > stop:
+            raise ContractError("Jacobi eigensolver did not converge")
+
+    w = work.diagonal().real.copy()
+    order = np.argsort(w, kind="stable")
+    return w[order], vecs[:, order]

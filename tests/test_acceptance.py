@@ -146,7 +146,7 @@ def test_criterion_7_scaling_budgets():
     assert big_elapsed < 10.0, f"20-qubit run took {big_elapsed:.1f} s, budget 10 s"
     assert abs(np.vdot(psi, psi).real - 1.0) < 1e-10
 
-    n = 12
+    n = 10  # the density matrix takes 16 MiB here (256 MiB at n = 12)
     psi = linalg.random_state(n, rng)
     t0 = time.perf_counter()
     direct = analysis.partial_trace_state(n, psi, [0], keep=True)

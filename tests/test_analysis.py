@@ -285,6 +285,19 @@ class TestQubitStats:
         s = analysis.qubit_stats(np.outer(psi, psi.conj()))
         assert all(type(v) is float for v in dataclasses.astuple(s))
 
+    def test_bloch_components_equal_pauli_traces(self):
+        # the entries-based x, y, z against Tr(rho P) on every wire
+        pauli = {p: gates.gate_matrix(p) for p in "XYZ"}
+        rng = np.random.default_rng(14)
+        for n in range(1, 7):
+            for _ in range(3):
+                psi = linalg.random_state(n, rng)
+                for q in range(n):
+                    rho = analysis.partial_trace_state(n, psi, [q], keep=True)
+                    s = analysis.qubit_stats(rho)
+                    for value, p in ((s.x, "X"), (s.y, "Y"), (s.z, "Z")):
+                        assert abs(value - np.trace(rho @ pauli[p]).real) < 1e-12
+
     def test_rejects_invalid_density_matrices(self):
         with pytest.raises(ContractError):
             analysis.qubit_stats(np.eye(2).astype(complex))  # trace 2
@@ -294,6 +307,38 @@ class TestQubitStats:
             analysis.qubit_stats(np.diag([1.5, -0.5]).astype(complex))  # not PSD
         with pytest.raises(ContractError):
             analysis.qubit_stats(np.eye(4, dtype=complex) / 4)  # wrong size
+
+
+class TestNonFiniteInputs:
+    """A NaN or inf entry is refused, never turned into NaN statistics."""
+
+    def test_qubit_stats_of_all_nan(self):
+        with pytest.raises(ContractError, match="non-finite"):
+            analysis.qubit_stats(np.full((2, 2), np.nan))
+
+    def test_pair_stats_with_one_nan_diagonal_entry(self):
+        rho = np.eye(4, dtype=complex) / 4
+        rho[2, 2] = np.nan
+        with pytest.raises(ContractError, match="non-finite"):
+            analysis.pair_stats(rho)
+
+    def test_von_neumann_entropy_of_nan_matrix(self):
+        with pytest.raises(ContractError, match="non-finite"):
+            analysis.von_neumann_entropy(np.full((4, 4), np.nan))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_inf_entry(self, bad):
+        # symmetric off-diagonal placement: Hermitian in form, trace 1
+        rho = np.eye(2, dtype=complex) / 2
+        rho[0, 1] = rho[1, 0] = bad
+        with pytest.raises(ContractError, match="non-finite"):
+            analysis.check_density_matrix(rho)
+        with pytest.raises(ContractError, match="non-finite"):
+            analysis.qubit_stats(rho)
+        pair = np.eye(4, dtype=complex) / 4
+        pair[0, 3] = pair[3, 0] = bad
+        with pytest.raises(ContractError, match="non-finite"):
+            analysis.concurrence(pair)
 
 
 class TestPurityEntropy:

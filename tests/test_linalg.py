@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qwsim import linalg
+from qwsim import linalg, oracle
 from qwsim.errors import ContractError, DimensionError, ResourceError
 
 
@@ -88,12 +88,13 @@ class TestHermitianEig:
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8, 16])
     def test_matches_independent_solver(self, dim):
+        # the Python-loop Jacobi reference shares no code with LAPACK
         rng = np.random.default_rng(dim)
         for _ in range(20):
             m = random_hermitian(dim, rng)
             np.testing.assert_allclose(
                 linalg.hermitian_eigenvalues(m),
-                np.linalg.eigvalsh(m),
+                oracle.jacobi_eig(m)[0],
                 atol=1e-9,
             )
 
@@ -119,6 +120,21 @@ class TestHermitianEig:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
             linalg.hermitian_eigenvalues(np.zeros((2, 3)))
+
+    def test_rejects_empty(self):
+        for solve in (linalg.hermitian_eig, linalg.hermitian_eigenvalues):
+            with pytest.raises(DimensionError):
+                solve(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # symmetric placement, so a NaN-blind Hermitian check would pass it
+        m = np.array([[0.5, bad], [bad, 0.5]], dtype=complex)
+        for solve in (linalg.hermitian_eig, linalg.hermitian_eigenvalues):
+            with pytest.raises(ContractError, match="non-finite"):
+                solve(m)
+        with pytest.raises(ContractError, match="non-finite"):
+            linalg.hermitian_eigenvalues(np.diag([bad, 1.0]).astype(complex))
 
     def test_one_by_one(self):
         w, v = linalg.hermitian_eig(np.array([[2.5]], dtype=complex))

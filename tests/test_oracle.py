@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qwsim import gates, linalg, oracle
+from qwsim import analysis, gates, linalg, oracle
 from qwsim.circuit import parse_circuit, random_circuit
 from qwsim.errors import ContractError, ResourceError
 
@@ -163,3 +163,56 @@ class TestNaiveAgainstEngine:
         np.testing.assert_allclose(
             engine.run_circuit(circ), oracle.simulate_naive(circ), atol=1e-10
         )
+
+
+def _random_hermitian(dim, rng):
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return m + m.conj().T
+
+
+class TestJacobiEig:
+    """The Python-loop Jacobi solver against the LAPACK one in ``linalg``."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8, 16])
+    def test_matches_lapack_on_random_hermitian(self, dim):
+        rng = np.random.default_rng(500 + dim)
+        for _ in range(10):
+            m = _random_hermitian(dim, rng)
+            w, v = oracle.jacobi_eig(m)
+            w_ref, v_ref = linalg.hermitian_eig(m)
+            np.testing.assert_allclose(w, w_ref, atol=1e-9)
+            # random spectra are simple, so each eigenvector is fixed up to
+            # a phase and its projector is comparable
+            for k in range(dim):
+                np.testing.assert_allclose(
+                    np.outer(v[:, k], v[:, k].conj()),
+                    np.outer(v_ref[:, k], v_ref[:, k].conj()),
+                    atol=1e-9,
+                )
+
+    @pytest.mark.parametrize("k, n", [(1, 1), (2, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
+    def test_rank_deficient_density_matrices(self, k, n):
+        # k kept qubits of an n-qubit pure state have rank at most
+        # 2**(n-k), so 2**k - 2**(n-k) eigenvalues are exactly zero
+        rng = np.random.default_rng(600 + 10 * k + n)
+        for _ in range(5):
+            psi = linalg.random_state(n, rng)
+            rho = analysis.partial_trace_state(n, psi, list(range(k)), keep=True)
+            w = oracle.jacobi_eig(rho)[0]
+            np.testing.assert_allclose(w, linalg.hermitian_eigenvalues(rho), atol=1e-9)
+            zeros = (1 << k) - (1 << (n - k))
+            np.testing.assert_allclose(w[:zeros], 0.0, atol=1e-9)
+            assert abs(w.sum() - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_eigenvectors_reconstruct(self, dim):
+        rng = np.random.default_rng(700 + dim)
+        m = _random_hermitian(dim, rng)
+        w, v = oracle.jacobi_eig(m)
+        np.testing.assert_allclose((v * w) @ v.conj().T, m, atol=1e-9)
+        np.testing.assert_allclose(v.conj().T @ v, np.eye(dim), atol=1e-9)
+        assert np.all(np.diff(w) >= 0)
+
+    def test_one_by_one(self):
+        w, v = oracle.jacobi_eig(np.array([[2.5]], dtype=complex))
+        assert w[0] == 2.5 and v[0, 0] == 1.0
