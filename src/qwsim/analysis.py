@@ -108,7 +108,11 @@ def partial_trace_state(n: int, psi, qubits, *, keep: bool = False) -> np.ndarra
     # highest kept wire first; the order of the traced axes is immaterial
     axes = [n - 1 - w for w in kept[::-1] + traced]
     m = psi.reshape((2,) * n).transpose(axes).reshape(1 << len(kept), -1)
-    return m @ m.conj().T
+    rho = m @ m.conj().T
+    # a non-finite amplitude reaches the small result, so test that, not psi
+    if not np.isfinite(rho).all():
+        raise ContractError("state has a non-finite amplitude")
+    return rho
 
 
 def probability_of_one(psi, qubit: int) -> float:
@@ -122,7 +126,10 @@ def probability_of_one(psi, qubit: int) -> float:
     if not 0 <= qubit < n:
         raise ContractError(f"qubit {qubit} out of range for {n} qubits")
     probs = np.abs(psi) ** 2
-    return float(probs.reshape(-1, 2, 1 << qubit)[:, 1, :].sum())
+    p = float(probs.reshape(-1, 2, 1 << qubit)[:, 1, :].sum())
+    if not np.isfinite(p):
+        raise ContractError("state has a non-finite amplitude")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +169,18 @@ def check_density_matrix(
     return dim.bit_length() - 1
 
 
-def purity(rho) -> float:
-    """``Tr(rho^2)`` as a real number; 1 for pure states, 1/2**k at minimum."""
-    rho = np.asarray(rho, dtype=complex)
+def _trace_of_square(rho: np.ndarray) -> float:
     return float(np.trace(rho @ rho).real)
+
+
+def purity(rho) -> float:
+    """``Tr(rho^2)`` as a real number; 1 for pure states, 1/2**k at minimum.
+
+    ``rho`` must pass :func:`check_density_matrix`.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    check_density_matrix(rho)
+    return _trace_of_square(rho)
 
 
 def von_neumann_entropy(rho) -> float:
@@ -225,7 +240,7 @@ def qubit_stats(rho) -> QubitStats:
     phi = 0.0
     if np.hypot(x, y) >= BLOCH_DEGENERATE_EPS:
         phi = float(np.arctan2(y, x))
-    p = purity(rho)
+    p = _trace_of_square(rho)  # rho was checked above
     return QubitStats(
         prob1=float(rho[1, 1].real),
         x=x,
@@ -284,7 +299,7 @@ def pair_stats(rho) -> PairStats:
     rho = np.asarray(rho, dtype=complex)
     if check_density_matrix(rho) != 2:
         raise ContractError(f"expected a 4x4 density matrix, got {rho.shape}")
-    p = purity(rho)
+    p = _trace_of_square(rho)  # rho was checked above
     return PairStats(
         purity=p,
         linear_entropy=1.0 - p,

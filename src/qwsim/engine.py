@@ -16,11 +16,16 @@ contributes a bit to an inclusion mask, and a group is mixed only when its
 index carries the desired value on every masked bit.  The kernel applies
 the mask by fixing the control's axis to that bit.
 
-A gate's plan (view shape, block indices, row writes, blocks to copy)
-depends only on its matrix and wires.  :func:`compile_circuit` checks a
-circuit once and builds each gate's plan once; :func:`run_circuit` and
-the measurement walker run the plans in their own working state, and
-:func:`apply_multi_qubit_gate` is the checked entry point for one gate.
+A gate's plan has two parts.  Its template (which rows are written,
+which blocks each row reads, which blocks are copied first, and each
+row's terms) comes from the matrix alone, so the template of every
+catalog gate is derived once, at import.  Its placement (the view shape
+and each block's index) comes from the wires alone.
+:func:`compile_circuit` checks a circuit once and places each gate's
+template once; :func:`run_circuit` and the measurement walker run the
+plans in their own working state.  :func:`apply_multi_qubit_gate` is the
+checked entry point for one gate of any matrix, and :func:`apply_op` for
+one catalog gate.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .gates import MEASURE, gate_def
+from .gates import MEASURE, gate_def, gate_names
 from .linalg import MAX_QUBITS, STATE_ATOL, check_qubit_count, initial_state
 
 
@@ -46,6 +51,8 @@ class ControlSpec:
     entries: tuple[tuple[int, bool], ...] = ()
     inclusion_mask: int = field(init=False, default=0)
     desired_value_mask: int = field(init=False, default=0)
+    # the wires of ``entries``, in order; derived, so not compared or shown
+    wires: tuple[int, ...] = field(init=False, default=(), compare=False, repr=False)
 
     def __post_init__(self):
         entries = tuple((int(w), bool(f)) for w, f in self.entries)
@@ -65,10 +72,7 @@ class ControlSpec:
                 desired |= bit
         object.__setattr__(self, "inclusion_mask", inclusion)
         object.__setattr__(self, "desired_value_mask", desired)
-
-    @property
-    def wires(self) -> tuple[int, ...]:
-        return tuple(w for w, _ in self.entries)
+        object.__setattr__(self, "wires", tuple(w for w, _ in entries))
 
     def passes(self, k: int) -> bool:
         return (k & self.inclusion_mask) == self.desired_value_mask
@@ -113,19 +117,40 @@ def swap_bits(k: int, i: int, j: int) -> int:
     return k
 
 
-def _build_plan(n: int, u: np.ndarray, targets, entries) -> tuple:
-    """Work out, unchecked, how the kernel applies ``u`` to ``targets``.
+def _template(u: np.ndarray) -> tuple:
+    """Work out, unchecked, what the kernel does with the matrix ``u``.
 
-    ``entries`` are the controls' ``(wire, is_control)`` pairs.  The plan
-    is ``(shape, keys, copies, steps)``: the view shape of an ``n``-wire
-    state, the ``(c, index)`` of each block ``block_c`` read or written,
-    the blocks to copy before any write, and per written row ``r`` its
-    ``(r, ((c, u[r, c]), ...))`` terms, own block first.
+    The template is ``(used, copies, steps)``: the block labels ``c`` a
+    row write reads or writes, the blocks to copy before any write, and
+    per written row ``r`` its ``(r, ((c, u[r, c]), ...))`` terms, own
+    block first.  Rows equal to the identity's are not written.
     """
     rows = u.tolist()
     reads = [[c for c, x in enumerate(row) if x] for row in rows]
     writes = [r for r in range(len(rows)) if reads[r] != [r] or rows[r][r] != 1]
+    used = tuple({*writes, *(c for r in writes for c in reads[r])})
+    copies = tuple(c for c in writes if any(c in reads[r] for r in writes if r > c))
+    # own block first; a zero row scales its own block by 0
+    steps = tuple(
+        (r, tuple((c, rows[r][c]) for c in sorted(reads[r], key=lambda c: c != r) or [r]))
+        for r in writes
+    )
+    return used, copies, steps
 
+
+# Every catalog gate's template, derived once here rather than per gate applied.
+_TEMPLATES = {name: _template(gate_def(name).matrix) for name in gate_names()}
+
+
+def _place(n: int, template: tuple, targets, entries) -> tuple:
+    """Place, unchecked, a template of :func:`_template` on wires of ``n``.
+
+    ``entries`` are the controls' ``(wire, is_control)`` pairs.  The plan
+    is ``(shape, keys, copies, steps)``: the view shape of an ``n``-wire
+    state, the ``(c, index)`` of each block ``block_c`` the template uses,
+    and the template's copies and steps.
+    """
+    used, copies, steps = template
     # C order puts the highest wire on axis 0.
     shape: list[int] = []
     axis_of: dict[int, int] = {}
@@ -143,23 +168,16 @@ def _build_plan(n: int, u: np.ndarray, targets, entries) -> tuple:
         index[axis_of[w]] = int(is_control)
     target_axes = [axis_of[t] for t in sorted(targets)]
     keys = []
-    for c in {*writes, *(c for r in writes for c in reads[r])}:
+    for c in used:
         for k, axis in enumerate(target_axes):
             index[axis] = (c >> k) & 1
         # the trailing ... keeps a block a 0-d view when every axis is fixed
         keys.append((c, (*index, ...)))
-
-    copies = tuple(c for c in writes if any(c in reads[r] for r in writes if r > c))
-    # own block first; a zero row scales its own block by 0
-    steps = tuple(
-        (r, tuple((c, rows[r][c]) for c in sorted(reads[r], key=lambda c: c != r) or [r]))
-        for r in writes
-    )
     return tuple(shape), tuple(keys), copies, steps
 
 
 def _run_plan(plan: tuple, state: np.ndarray) -> np.ndarray:
-    """Run a plan of :func:`_build_plan` in ``state``, a contiguous vector."""
+    """Run a plan of :func:`_place` in ``state``, a contiguous vector."""
     shape, keys, copies, steps = plan
     view = state.reshape(shape)
     blocks = {c: view[key] for c, key in keys}
@@ -177,23 +195,10 @@ def _run_plan(plan: tuple, state: np.ndarray) -> np.ndarray:
     return state
 
 
-def apply_multi_qubit_gate(n: int, u, targets, a, controls=None) -> np.ndarray:
-    """Apply a ``2**m x 2**m`` matrix ``u`` to ``m`` target wires.
+def _check_gate(n: int, u, targets, a, controls) -> tuple:
+    """Check one gate's arguments; return ``(n, u, targets, spec, state)``.
 
-    Bit ``k`` of a row/column index of ``u`` addresses the ``k``-th
-    smallest target wire.  The state is viewed with one length-2 axis per
-    target or control wire and one merged axis per run of other wires.
-    Fixing each control axis to its wanted bit and the target axes to a
-    pattern ``c`` gives ``block_c``, a strided view of every amplitude
-    whose target bits read ``c`` and that passes the controls.  Row ``r``
-    then writes ``block_r = sum_c u[r, c] * block_c``, skipping zero
-    entries and identity rows; only the blocks a later row still reads
-    are copied first.
-
-    The checked entry point: it validates its arguments, then builds and
-    runs the plan on a fresh copy of ``a``.  ``u`` is applied as given,
-    unitary or not: catalog gates are checked once at import and
-    ``run_circuit`` checks the norm of its result.
+    ``state`` is a fresh complex copy of ``a`` for the kernel to write.
     """
     n = check_qubit_count(n)
     spec = coerce_controls(controls)
@@ -213,14 +218,43 @@ def apply_multi_qubit_gate(n: int, u, targets, a, controls=None) -> np.ndarray:
         raise DimensionError(
             f"state must have length {1 << n} for {n} qubits, got shape {out.shape}"
         )
-    return _run_plan(_build_plan(n, u, targets, spec.entries), out)
+    return n, u, targets, spec, out
+
+
+def apply_multi_qubit_gate(n: int, u, targets, a, controls=None) -> np.ndarray:
+    """Apply a ``2**m x 2**m`` matrix ``u`` to ``m`` target wires.
+
+    Bit ``k`` of a row/column index of ``u`` addresses the ``k``-th
+    smallest target wire.  The state is viewed with one length-2 axis per
+    target or control wire and one merged axis per run of other wires.
+    Fixing each control axis to its wanted bit and the target axes to a
+    pattern ``c`` gives ``block_c``, a strided view of every amplitude
+    whose target bits read ``c`` and that passes the controls.  Row ``r``
+    then writes ``block_r = sum_c u[r, c] * block_c``, skipping zero
+    entries and identity rows; only the blocks a later row still reads
+    are copied first.
+
+    The checked entry point for any matrix: it validates its arguments,
+    derives the template of ``u``, places it and runs the plan on a fresh
+    copy of ``a``.  ``u`` is applied as given, unitary or not: catalog
+    gates are checked once at import and ``run_circuit`` checks the norm
+    of its result.
+    """
+    n, u, targets, spec, out = _check_gate(n, u, targets, a, controls)
+    return _run_plan(_place(n, _template(u), targets, spec.entries), out)
 
 
 def apply_op(n: int, op, a) -> np.ndarray:
-    """Apply one circuit operation (anything except a measurement)."""
+    """Apply one circuit operation (anything except a measurement).
+
+    Checked like :func:`apply_multi_qubit_gate`, but the gate's template
+    comes from the catalog table.
+    """
     if op.gate == MEASURE:
         raise ContractError(f"{op} is a measurement; use the measurement module")
-    return apply_multi_qubit_gate(n, gate_def(op.gate).matrix, op.targets, a, op.controls)
+    g = gate_def(op.gate)
+    n, _, targets, spec, out = _check_gate(n, g.matrix, op.targets, a, op.controls)
+    return _run_plan(_place(n, _TEMPLATES[g.name], targets, spec.entries), out)
 
 
 def compile_circuit(circuit) -> tuple[list, tuple[int, ...], dict[int, int | None]]:
@@ -235,24 +269,27 @@ def compile_circuit(circuit) -> tuple[list, tuple[int, ...], dict[int, int | Non
     ``ContractError`` naming the op.
     """
     live = list(range(circuit.n))
+    slot_of = {w: w for w in live}
     steps: list[tuple[int, tuple | None, int | None]] = []
     measured: list[int] = []
     for k, op in enumerate(circuit.ops):
-        gone = [w for w in op.wires if w not in live]
-        if gone and op.gate == MEASURE:
-            raise ContractError(f"op {k} ({op}): wire {gone[0]} measured twice")
-        if gone:
-            raise ContractError(f"op {k} ({op}) touches wire {gone[0]}, which was measured")
-        slots = [live.index(w) for w in op.wires]
+        wires = op.wires
+        slots = [slot_of.get(w) for w in wires]
+        if None in slots:
+            gone = wires[slots.index(None)]
+            if op.gate == MEASURE:
+                raise ContractError(f"op {k} ({op}): wire {gone} measured twice")
+            raise ContractError(f"op {k} ({op}) touches wire {gone}, which was measured")
         if op.gate == MEASURE:
             steps.append((len(live), None, slots[0]))
             measured.append(live.pop(slots[0]))
+            slot_of = {w: s for s, w in enumerate(live)}
             continue
         m = len(op.targets)
         entries = [(s, f) for s, (_, f) in zip(slots[m:], op.controls.entries)]
-        plan = _build_plan(len(live), gate_def(op.gate).matrix, slots[:m], entries)
+        plan = _place(len(live), _TEMPLATES[op.gate], slots[:m], entries)
         steps.append((len(live), plan, None))
-    wire_map = {w: live.index(w) if w in live else None for w in range(circuit.n)}
+    wire_map = {w: slot_of.get(w) for w in range(circuit.n)}
     return steps, tuple(measured), wire_map
 
 

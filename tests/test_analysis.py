@@ -7,6 +7,7 @@ import pytest
 from qwsim import analysis, engine, gates, linalg, oracle
 from qwsim.circuit import format_circuit, parse_circuit, random_circuit
 from qwsim.errors import ContractError, DimensionError, ResourceError
+from qwsim.measurement import measure_qubit
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -340,8 +341,27 @@ class TestNonFiniteInputs:
         with pytest.raises(ContractError, match="non-finite"):
             analysis.concurrence(pair)
 
+    def test_purity_of_nan_matrix(self):
+        with pytest.raises(ContractError, match="non-finite"):
+            analysis.purity(np.full((2, 2), np.nan))
+
+    def test_nan_state(self):
+        psi = np.full(4, np.nan)
+        with pytest.raises(ContractError, match="non-finite"):
+            analysis.probability_of_one(psi, 0)
+        with pytest.raises(ContractError, match="non-finite"):
+            analysis.partial_trace_state(2, psi, [0])
+        with pytest.raises(ContractError, match="non-finite"):
+            measure_qubit(psi, 2, 1)
+
 
 class TestPurityEntropy:
+    def test_purity_checks_its_matrix(self):
+        with pytest.raises(ContractError, match="trace is not 1"):
+            analysis.purity(3 * np.eye(2))
+        with pytest.raises(ContractError, match="must be square"):
+            analysis.purity(np.full((2, 3), 0.5))
+
     def test_pure_state_extremes(self):
         psi = mixed_pair_state()
         bell = analysis.partial_trace_state(3, psi, [0, 1], keep=True)

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from qwsim import engine, gates, linalg, measurement, oracle
-from qwsim.circuit import GateOp, parse_circuit, random_circuit
+from qwsim.circuit import Circuit, GateOp, parse_circuit, random_circuit
 from qwsim.engine import ControlSpec, NO_CONTROLS
 from qwsim.errors import ContractError, DimensionError
 
@@ -45,6 +47,19 @@ class TestControlSpec:
         for wire in (linalg.MAX_QUBITS, 10**18, 10**4000):
             with pytest.raises(ContractError, match="is outside 0..25"):
                 ControlSpec(((wire, False),))
+
+    def test_wires_are_derived_once_and_change_no_comparison(self):
+        spec = ControlSpec(((0, True), (3, False)))
+        assert spec.wires == (0, 3)
+        assert spec.wires is spec.wires
+        assert NO_CONTROLS.wires == ()
+        assert spec == ControlSpec([(0, 1), (3, 0)])
+        assert spec != ControlSpec(((3, False), (0, True)))
+        assert hash(spec) == hash((((0, True), (3, False)), 0b1001, 0b0001))
+        assert repr(spec) == (
+            "ControlSpec(entries=((0, True), (3, False)), "
+            "inclusion_mask=9, desired_value_mask=1)"
+        )
 
     def test_coerce_from_pairs(self):
         spec = engine.coerce_controls([(2, True)])
@@ -492,12 +507,57 @@ class TestCompileCircuit:
 
     def test_plans_are_built_once_per_compile(self, monkeypatch):
         built = []
-        real = engine._build_plan
+        real = engine._place
         monkeypatch.setattr(
-            engine, "_build_plan", lambda *args: built.append(args) or real(*args)
+            engine, "_place", lambda *args: built.append(args) or real(*args)
         )
         circ = parse_circuit("qubits 3\nH 0\nH 1\nMEASURE 0\nX 2 c=1\nMEASURE 1\nH 2\n")
         measurement.sample_shots(circ, 500, 3)
         assert len(built) == 4
         measurement.run_with_branches(circ)
         assert len(built) == 8
+
+
+class TestTemplates:
+    """Each catalog gate's template is derived once, at import."""
+
+    def test_table_plans_match_derived_plans_and_the_oracle(self):
+        rng = np.random.default_rng(60)
+        n = 4
+        for name in gates.gate_names():
+            arity = gates.gate_def(name).arity
+            derived = engine._template(gates.gate_def(name).matrix)
+            for wires in itertools.permutations(range(n), arity + 2):
+                targets = wires[:arity]
+                for controls in ((), ((wires[arity], True), (wires[arity + 1], False))):
+                    circ = Circuit(n, (GateOp(name, targets, ControlSpec(controls)),))
+                    (_, plan, _), = engine.compile_circuit(circ)[0]
+                    assert plan == engine._place(n, derived, targets, controls)
+                    psi = linalg.random_state(n, rng)
+                    np.testing.assert_allclose(
+                        engine.run_circuit(circ, psi),
+                        oracle.simulate_naive(circ, psi),
+                        atol=1e-12,
+                        rtol=0,
+                    )
+
+    def test_catalog_gates_derive_no_template(self, monkeypatch):
+        derived = []
+        real = engine._template
+        monkeypatch.setattr(
+            engine, "_template", lambda u: derived.append(u) or real(u)
+        )
+        rng = np.random.default_rng(61)
+        circ = random_circuit(6, 40, rng, control_probability=0.4)
+        engine.compile_circuit(circ)
+        engine.run_circuit(circ)
+        psi = linalg.zero_state(6)
+        for op in circ.ops:
+            psi = engine.apply_op(6, op, psi)
+        measured = parse_circuit("qubits 2\nH 0\nX 1 c=0\nMEASURE 1\nH 0\nMEASURE 0\n")
+        oracle.sample_shots_replay(measured, 20, 1)
+        measurement.sample_shots(measured, 20, 1)
+        assert derived == []
+        # any other matrix derives its own template, once per call
+        engine.apply_multi_qubit_gate(1, gates.gate_matrix("H"), (0,), [1, 0])
+        assert len(derived) == 1
