@@ -18,6 +18,7 @@ expectations at once with a Walsh-Hadamard transform; see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,9 @@ from .gates import gate_matrix
 from .linalg import (
     EIGEN_ATOL,
     STATE_ATOL,
+    check_qubit_count,
+    check_state,
+    check_wires,
     hermitian_eig,
     hermitian_eigenvalues,
     is_normalized,
@@ -40,17 +44,10 @@ BLOCH_DEGENERATE_EPS = 1e-12
 STABILIZER_ENTROPY_MAX_QUBITS = 10
 
 
-def _validate_qubits(n: int, qubits) -> list[int]:
-    qs = [int(q) for q in qubits]
-    if any(not 0 <= q < n for q in qs):
-        raise ContractError(f"qubit list {qs} out of range for {n} qubits")
+def _split_kept(n: int, qubits, keep: bool) -> tuple[list[int], list[int]]:
+    qs = list(check_wires(n, qubits))
     if sorted(set(qs)) != qs:
         raise ContractError(f"qubit list {qs} must be strictly ascending, no duplicates")
-    return qs
-
-
-def _split_kept(n: int, qubits, keep: bool) -> tuple[list[int], list[int]]:
-    qs = _validate_qubits(n, qubits)
     rest = [q for q in range(n) if q not in set(qs)]
     return (rest, qs) if keep else (qs, rest)
 
@@ -70,6 +67,7 @@ def partial_trace_matrix(n: int, rho, qubits, *, keep: bool = False) -> np.ndarr
     diagonal, and lists the kept axes highest wire first.  Nothing assumes
     Hermitian input, so the operation stays a plain linear map.
     """
+    n = check_qubit_count(n)
     traced, kept = _split_kept(n, qubits, keep)
     dim = 1 << n
     rho = np.asarray(rho, dtype=complex)
@@ -99,17 +97,15 @@ def partial_trace_state(n: int, psi, qubits, *, keep: bool = False) -> np.ndarra
     single product ``M @ M^H``: one reordered copy of ``psi`` and
     O(4**K * 2**T) work in BLAS.
     """
+    psi, n = check_state(psi, n)
     traced, kept = _split_kept(n, qubits, keep)
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (1 << n,):
-        raise DimensionError(
-            f"state must have length {1 << n} for {n} qubits, got shape {psi.shape}"
-        )
     # highest kept wire first; the order of the traced axes is immaterial
     axes = [n - 1 - w for w in kept[::-1] + traced]
     m = psi.reshape((2,) * n).transpose(axes).reshape(1 << len(kept), -1)
-    rho = m @ m.conj().T
-    # a non-finite amplitude reaches the small result, so test that, not psi
+    # a non-finite amplitude reaches the small result, so test that, not
+    # psi, with numpy's warning about the NaN it makes on the way held back
+    with np.errstate(all="ignore"):
+        rho = m @ m.conj().T
     if not np.isfinite(rho).all():
         raise ContractError("state has a non-finite amplitude")
     return rho
@@ -117,37 +113,30 @@ def partial_trace_state(n: int, psi, qubits, *, keep: bool = False) -> np.ndarra
 
 def probability_of_one(psi, qubit: int) -> float:
     """Probability that measuring ``qubit`` yields 1."""
-    psi = np.asarray(psi, dtype=complex)
-    size = psi.shape[0] if psi.ndim == 1 else 0
-    if size == 0 or size & (size - 1):
-        raise DimensionError("state length must be a power of two")
-    n = size.bit_length() - 1
-    qubit = int(qubit)
-    if not 0 <= qubit < n:
-        raise ContractError(f"qubit {qubit} out of range for {n} qubits")
-    probs = np.abs(psi) ** 2
-    p = float(probs.reshape(-1, 2, 1 << qubit)[:, 1, :].sum())
-    if not np.isfinite(p):
+    psi, n = check_state(psi, None)
+    (qubit,) = check_wires(n, (qubit,))
+    return _probability_of_one(psi, qubit)
+
+
+def _probability_of_one(psi: np.ndarray, qubit: int) -> float:
+    """Unchecked :func:`probability_of_one`; refuses a non-finite amplitude."""
+    if not math.isfinite(np.vdot(psi, psi).real):
         raise ContractError("state has a non-finite amplitude")
-    return p
+    probs = np.abs(psi) ** 2
+    return float(probs.reshape(-1, 2, 1 << qubit)[:, 1, :].sum())
 
 
 # ---------------------------------------------------------------------------
 # density-matrix validation and statistics
 
 
-def check_density_matrix(
-    rho,
-    *,
-    atol: float = STATE_ATOL,
-    eigen_atol: float = EIGEN_ATOL,
-) -> int:
+def check_density_matrix(rho) -> int:
     """Validate finiteness, Hermiticity, unit trace and positive semidefiniteness.
 
     Returns the qubit count of the matrix.  Raises ``ContractError`` on
     any violation; intended as the gate in front of the statistics below.
     Finiteness is tested first and every tolerance in the
-    ``not (x <= atol)`` form, so a NaN entry is refused rather than passing
+    ``not (x <= tol)`` form, so a NaN entry is refused rather than passing
     a comparison that is false for NaN.  The smallest eigenvalue comes
     from LAPACK (``np.linalg.eigvalsh``) once the matrix has passed.
     """
@@ -159,12 +148,12 @@ def check_density_matrix(
         raise ContractError(f"density matrix dimension {dim} is not a power of two")
     if not np.isfinite(rho).all():
         raise ContractError("density matrix has a non-finite entry")
-    if not np.max(np.abs(rho - rho.conj().T)) <= atol:
+    if not np.max(np.abs(rho - rho.conj().T)) <= STATE_ATOL:
         raise ContractError("density matrix is not Hermitian")
     trace = np.trace(rho)
-    if not (abs(trace.real - 1.0) <= atol and abs(trace.imag) <= atol):
+    if not (abs(trace.real - 1.0) <= STATE_ATOL and abs(trace.imag) <= STATE_ATOL):
         raise ContractError("density matrix trace is not 1")
-    if not np.linalg.eigvalsh(rho)[0] >= -eigen_atol:
+    if not np.linalg.eigvalsh(rho)[0] >= -EIGEN_ATOL:
         raise ContractError("density matrix has a negative eigenvalue")
     return dim.bit_length() - 1
 
@@ -331,18 +320,10 @@ def stabilizer_renyi_entropy(psi, n: int) -> float:
     holds ``4**n`` complex128 values, 16 MiB per buffer at n = 10, and
     building and reducing it takes a few temporaries of that order.
     """
-    n = int(n)
-    if n < 1:
-        raise ContractError(f"qubit count must be at least 1, got {n}")
+    psi, n = check_state(psi, n)
     if n > STABILIZER_ENTROPY_MAX_QUBITS:
         raise ResourceError(
-            f"stabilizer entropy refuses {n} qubits "
-            f"(cap is {STABILIZER_ENTROPY_MAX_QUBITS})"
-        )
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (1 << n,):
-        raise DimensionError(
-            f"state must have length {1 << n} for {n} qubits, got shape {psi.shape}"
+            f"stabilizer entropy refuses {n} qubits (cap is {STABILIZER_ENTROPY_MAX_QUBITS})"
         )
     if not is_normalized(psi):
         raise ContractError("state is not normalized")

@@ -17,14 +17,14 @@ the qubit count are ASCII digits ``0-9`` only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, ParseError, SimulationError
 from .gates import MEASURE, gate_def
-from .engine import ControlSpec, _check_distinct, coerce_controls
-from .linalg import check_qubit_count
+from .engine import NO_CONTROLS, ControlSpec, _check_distinct, coerce_controls
+from .linalg import check_int, check_qubit_count, check_wires
 
 
 @dataclass(frozen=True)
@@ -33,11 +33,11 @@ class GateOp:
 
     gate: str
     targets: tuple[int, ...]
-    controls: ControlSpec = field(default_factory=ControlSpec)
+    controls: ControlSpec = NO_CONTROLS
 
     def __post_init__(self):
         object.__setattr__(self, "gate", str(self.gate).upper())
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
+        object.__setattr__(self, "targets", tuple(check_int(t, "wire") for t in self.targets))
         object.__setattr__(self, "controls", coerce_controls(self.controls))
         if self.gate == MEASURE:
             if len(self.targets) != 1:
@@ -75,11 +75,12 @@ class Circuit:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ops", tuple(self.ops))
         for k, op in enumerate(self.ops):
-            for w in op.wires:
-                if not 0 <= w < n:
-                    exc = ContractError(f"{op} touches wire {w}, out of range for {n} qubits")
-                    exc.op_index = k  # lets parse_circuit name the op's line
-                    raise exc
+            try:
+                check_wires(n, op.wires)
+            except ContractError as exc:
+                err = ContractError(f"{op} touches wire {exc.wire}, out of range for {n} qubits")
+                err.op_index = k  # lets parse_circuit name the op's line
+                raise err from None
 
     @property
     def has_measurements(self) -> bool:
@@ -129,7 +130,7 @@ def _parse_gate(chunk: str, line_no: int) -> GateOp:
         controls = [(w, True) for w in targets[:k]] + controls
         targets = targets[k:]
     try:
-        return GateOp(name, tuple(targets), ControlSpec(tuple(controls)))
+        return GateOp(name, tuple(targets), controls)
     except SimulationError as exc:
         raise ParseError(line_no, str(exc)) from None
 
@@ -212,7 +213,7 @@ def random_circuit(
     for _ in range(depth):
         name = names[int(rng.integers(len(names)))]
         arity = gate_def(name).arity
-        targets = tuple(int(t) for t in rng.choice(n, size=arity, replace=False))
+        targets = tuple(rng.choice(n, size=arity, replace=False))
         controls: list[tuple[int, bool]] = []
         if not single_qubit_only and control_probability > 0:
             for w in range(n):
@@ -223,5 +224,5 @@ def random_circuit(
                     controls.append((w, True))
                 elif u < control_probability:
                     controls.append((w, False))
-        ops.append(GateOp(name, targets, ControlSpec(tuple(controls))))
+        ops.append(GateOp(name, targets, controls))
     return Circuit(n, tuple(ops))

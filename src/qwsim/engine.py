@@ -23,9 +23,11 @@ catalog gate is derived once, at import.  Its placement (the view shape
 and each block's index) comes from the wires alone.
 :func:`compile_circuit` checks a circuit once and places each gate's
 template once; :func:`run_circuit` and the measurement walker run the
-plans in their own working state.  :func:`apply_multi_qubit_gate` is the
-checked entry point for one gate of any matrix, and :func:`apply_op` for
-one catalog gate.
+plans in their own working state and check nothing per gate.
+:func:`apply_multi_qubit_gate` is the checked entry point for one gate of
+any matrix, and :func:`apply_op` for one catalog gate; like every public
+entry, they check the qubit count, the wires and the state with the one
+check of each kind in ``linalg``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 from .gates import MEASURE, gate_def, gate_names
-from .linalg import MAX_QUBITS, STATE_ATOL, check_qubit_count, initial_state
+from .linalg import MAX_QUBITS, STATE_ATOL, check_state, check_wires, initial_state
 
 
 @dataclass(frozen=True)
@@ -55,13 +57,16 @@ class ControlSpec:
     wires: tuple[int, ...] = field(init=False, default=(), compare=False, repr=False)
 
     def __post_init__(self):
-        entries = tuple((int(w), bool(f)) for w, f in self.entries)
+        pairs = tuple(self.entries)
+        try:  # no register holds a wire past the cap; refuse it before 1 << wire
+            wires = check_wires(MAX_QUBITS, [w for w, _ in pairs])
+        except ContractError as exc:
+            raise ContractError(f"control {exc}") from None
+        entries = tuple((w, bool(f)) for w, (_, f) in zip(wires, pairs))
         object.__setattr__(self, "entries", entries)
         inclusion = 0
         desired = 0
         for wire, is_control in entries:
-            if not 0 <= wire < MAX_QUBITS:  # no register holds it; before 1 << wire
-                raise ContractError(f"control wire {wire} is outside 0..{MAX_QUBITS - 1}")
             bit = 1 << wire
             if inclusion & bit:
                 raise ContractError(
@@ -72,7 +77,7 @@ class ControlSpec:
                 desired |= bit
         object.__setattr__(self, "inclusion_mask", inclusion)
         object.__setattr__(self, "desired_value_mask", desired)
-        object.__setattr__(self, "wires", tuple(w for w, _ in entries))
+        object.__setattr__(self, "wires", wires)
 
     def passes(self, k: int) -> bool:
         return (k & self.inclusion_mask) == self.desired_value_mask
@@ -83,11 +88,10 @@ NO_CONTROLS = ControlSpec()
 
 def coerce_controls(controls) -> ControlSpec:
     """Accept a ControlSpec, None, or an iterable of (wire, is_control)."""
-    if controls is None:
-        return NO_CONTROLS
     if isinstance(controls, ControlSpec):
         return controls
-    return ControlSpec(tuple((w, f) for w, f in controls))
+    entries = () if controls is None else tuple(controls)
+    return ControlSpec(entries) if entries else NO_CONTROLS
 
 
 def _check_distinct(targets, spec: ControlSpec) -> None:
@@ -99,11 +103,12 @@ def _check_distinct(targets, spec: ControlSpec) -> None:
         raise ContractError(f"wire {min(overlap)} is both a control and a target")
 
 
-def _check_wires(n: int, targets, spec: ControlSpec) -> None:
+def _check_wires(n: int, targets, spec: ControlSpec) -> tuple[int, ...]:
+    """The targets as ints; every wire in range, and none named twice."""
+    targets = check_wires(n, targets)
+    check_wires(n, spec.wires)
     _check_distinct(targets, spec)
-    for w in (*targets, *spec.wires):
-        if not 0 <= w < n:
-            raise ContractError(f"wire {w} out of range for {n} qubits")
+    return targets
 
 
 def swap_bits(k: int, i: int, j: int) -> int:
@@ -200,24 +205,16 @@ def _check_gate(n: int, u, targets, a, controls) -> tuple:
 
     ``state`` is a fresh complex copy of ``a`` for the kernel to write.
     """
-    n = check_qubit_count(n)
+    out, n = check_state(np.array(a, dtype=complex), n)
     spec = coerce_controls(controls)
-    targets = tuple(int(t) for t in targets)
-    _check_wires(n, targets, spec)
+    targets = _check_wires(n, targets, spec)
     m = len(targets)
     if m == 0:
         raise ContractError("multi-qubit gate needs at least one target")
     dim = 1 << m
     u = np.asarray(u, dtype=complex)
     if u.shape != (dim, dim):
-        raise DimensionError(
-            f"gate on {m} wires must be {dim}x{dim}, got {u.shape}"
-        )
-    out = np.array(a, dtype=np.complex128)
-    if out.shape != (1 << n,):
-        raise DimensionError(
-            f"state must have length {1 << n} for {n} qubits, got shape {out.shape}"
-        )
+        raise DimensionError(f"gate on {m} wires must be {dim}x{dim}, got {u.shape}")
     return n, u, targets, spec, out
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CatalogError
-from .linalg import UNITARY_ATOL, is_unitary
+from .linalg import is_unitary
 
 MEASURE = "MEASURE"
 
@@ -88,12 +88,12 @@ def gate_matrix(name: str) -> np.ndarray:
     return gate_def(name).matrix
 
 
-def check_catalog_unitarity(atol: float = UNITARY_ATOL) -> None:
+def check_catalog_unitarity() -> None:
     """Assert every catalog entry is unitary; import-time sanity hook."""
     for g in _CATALOG.values():
         if g.matrix.shape != (1 << g.arity, 1 << g.arity):
             raise CatalogError(f"gate {g.name} has wrong shape {g.matrix.shape}")
-        if not is_unitary(g.matrix, atol):
+        if not is_unitary(g.matrix):
             raise CatalogError(f"gate {g.name} is not unitary")
 
 

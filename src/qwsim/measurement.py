@@ -31,16 +31,15 @@ less than one more state.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
-from .analysis import probability_of_one
+from .errors import ContractError
+from .analysis import _probability_of_one
 from .circuit import Circuit
 from .engine import _run_plan, compile_circuit
-from .linalg import initial_state, make_rng
+from .linalg import check_int, check_state, check_wires, initial_state, make_rng
 
 PRUNE_EPS = 1e-14
 # Shots drawn and walked together; bounds the draw table at a few MiB.
@@ -67,15 +66,9 @@ def measure_qubit(psi, n: int, qubit: int) -> tuple[MeasurementBranch, Measureme
     always sum to 1 (up to the pruning threshold); residuals are unit
     vectors of length ``2**(n-1)``.
     """
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (1 << n,):
-        raise DimensionError(
-            f"state must have length {1 << n} for {n} qubits, got shape {psi.shape}"
-        )
-    if n < 1:
-        raise ContractError("cannot measure an empty register")
-    qubit = int(qubit)
-    p1 = probability_of_one(psi, qubit)  # also checks that qubit is in range
+    psi, n = check_state(psi, n)
+    (qubit,) = check_wires(n, (qubit,))
+    p1 = _probability_of_one(psi, qubit)
     p0 = max(0.0, 1.0 - p1)
 
     halves = psi.reshape(-1, 2, 1 << qubit)  # axis 1 is bit ``qubit``
@@ -179,12 +172,7 @@ def run_with_branches(circuit: Circuit, psi0=None) -> BranchTree:
 
 def _shot_count(shots) -> int:
     """``shots`` as a positive int; a bool, float or string is refused."""
-    try:
-        count = operator.index(shots)
-    except TypeError:
-        count = None
-    if count is None or isinstance(shots, bool):
-        raise ContractError(f"shots must be an integer, got {shots!r}")
+    count = check_int(shots, "shots")
     if count < 1:
         raise ContractError(f"shots must be at least 1, got {count}")
     return count

@@ -29,14 +29,8 @@ from .gates import MEASURE, GateDef, gate_def
 from .analysis import _split_kept
 from .circuit import GateOp
 from .engine import ControlSpec, _check_wires, apply_op, coerce_controls, swap_bits
-from .linalg import (
-    EIGEN_ATOL,
-    _check_hermitian,
-    check_qubit_count,
-    initial_state,
-    make_rng,
-)
-from .measurement import measure_qubit
+from .linalg import _check_hermitian, check_qubit_count, check_state, initial_state, make_rng
+from .measurement import _shot_count, measure_qubit
 
 NAIVE_QUBIT_GUARD = 12
 
@@ -46,9 +40,7 @@ _JACOBI_MAX_SWEEPS = 100
 def _check_guard(n: int) -> int:
     n = check_qubit_count(n)
     if n > NAIVE_QUBIT_GUARD:
-        raise ResourceError(
-            f"naive path refuses {n} qubits (guard is {NAIVE_QUBIT_GUARD})"
-        )
+        raise ResourceError(f"naive path refuses {n} qubits (guard is {NAIVE_QUBIT_GUARD})")
     return n
 
 
@@ -66,12 +58,11 @@ def build_gate_full_matrix(n: int, gate, targets, controls=None) -> np.ndarray:
     n = _check_guard(n)
     g: GateDef = gate if isinstance(gate, GateDef) else gate_def(gate)
     spec: ControlSpec = coerce_controls(controls)
-    targets = sorted(int(t) for t in targets)
+    targets = sorted(_check_wires(n, targets, spec))
     if len(targets) != g.arity:
         raise ContractError(
             f"gate {g.name} acts on {g.arity} wires, got {len(targets)} targets"
         )
-    _check_wires(n, targets, spec)
 
     dim = 1 << n
     u = g.matrix
@@ -116,10 +107,8 @@ def swap_wires(n: int, wire_i: int, wire_j: int, psi, controls=None) -> np.ndarr
     """
     n = _check_guard(n)
     spec = coerce_controls(controls)
-    _check_wires(n, (int(wire_i), int(wire_j)), spec)
-    out = np.array(psi, dtype=complex)
-    if out.shape != (1 << n,):
-        raise DimensionError(f"state must have length {1 << n}, got shape {out.shape}")
+    wire_i, wire_j = _check_wires(n, (wire_i, wire_j), spec)
+    out, _ = check_state(np.array(psi, dtype=complex), n)
     for k in range(1 << n):
         if spec.passes(k):
             k2 = swap_bits(k, wire_i, wire_j)
@@ -159,9 +148,7 @@ def sample_shots_replay(circuit, shots: int, seed, psi0=None) -> dict[str, int]:
     ``measurement.sample_shots``, whose histogram must equal this one for
     every seed.
     """
-    shots = int(shots)
-    if shots < 1:
-        raise ContractError(f"shots must be at least 1, got {shots}")
+    shots = _shot_count(shots)
     if not circuit.has_measurements:
         raise ContractError("circuit has no MEASURE ops to sample")
     n = circuit.n
@@ -255,7 +242,7 @@ def partial_trace_by_definition(rho, n: int, qubits_to_trace_out) -> np.ndarray:
     return acc
 
 
-def jacobi_eig(a, atol: float = EIGEN_ATOL) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
 
     Returns ``(w, v)`` with real eigenvalues ``w`` ascending and unitary
@@ -271,7 +258,7 @@ def jacobi_eig(a, atol: float = EIGEN_ATOL) -> tuple[np.ndarray, np.ndarray]:
     what any matrix in this package needs (4x4 typically converges in ~6).
     """
     # symmetrized, so the iteration preserves Hermiticity exactly
-    work = _check_hermitian(a, atol)
+    work = _check_hermitian(a)
     n = work.shape[0]
     vecs = np.eye(n, dtype=complex)
     if n == 1:

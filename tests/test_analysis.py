@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -353,6 +354,18 @@ class TestNonFiniteInputs:
             analysis.partial_trace_state(2, psi, [0])
         with pytest.raises(ContractError, match="non-finite"):
             measure_qubit(psi, 2, 1)
+
+    def test_inf_on_the_outcome_zero_side(self):
+        # the outcome-1 sum alone is finite, and M @ M^H makes a NaN of the inf
+        psi = np.array([np.inf, 0, 0, 0], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="non-finite"):
+                analysis.probability_of_one(psi, 0)
+            with pytest.raises(ContractError, match="non-finite"):
+                measure_qubit(psi, 2, 0)
+            with pytest.raises(ContractError, match="non-finite"):
+                analysis.partial_trace_state(2, psi, [0])
 
 
 class TestPurityEntropy:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from qwsim import linalg, oracle
-from qwsim.errors import ContractError, DimensionError, ResourceError
+from qwsim import analysis, engine, gates, linalg, measurement, oracle
+from qwsim.circuit import Circuit, GateOp
+from qwsim.engine import ControlSpec
+from qwsim.errors import ContractError, DimensionError, ResourceError, SimulationError
 
 
 def random_hermitian(dim, rng):
@@ -140,3 +142,89 @@ class TestHermitianEig:
         w, v = linalg.hermitian_eig(np.array([[2.5]], dtype=complex))
         assert w[0] == 2.5
         assert v[0, 0] == 1.0
+
+
+_PSI = linalg.zero_state(2)
+_RHO = np.eye(4, dtype=complex) / 4
+_X = gates.gate_matrix("X")
+
+# every public entry point, called with a bad value in place of one qubit
+# count or one wire
+_TAKES_A_COUNT = {
+    "Circuit": lambda v: Circuit(v),
+    "apply_multi_qubit_gate": lambda v: engine.apply_multi_qubit_gate(v, _X, (0,), _PSI),
+    "apply_op": lambda v: engine.apply_op(v, GateOp("X", (0,)), _PSI),
+    "measure_qubit": lambda v: measurement.measure_qubit(_PSI, v, 0),
+    "partial_trace_state": lambda v: analysis.partial_trace_state(v, _PSI, [0]),
+    "partial_trace_matrix": lambda v: analysis.partial_trace_matrix(v, _RHO, [0]),
+    "basis_state": lambda v: linalg.basis_state(v, 0),
+    "initial_state": lambda v: linalg.initial_state(v, _PSI),
+    "stabilizer_renyi_entropy": lambda v: analysis.stabilizer_renyi_entropy(_PSI, v),
+}
+_TAKES_A_WIRE = {
+    "GateOp": lambda v: GateOp("H", (v,)),
+    "ControlSpec": lambda v: ControlSpec(((v, True),)),
+    "apply_multi_qubit_gate": lambda v: engine.apply_multi_qubit_gate(2, _X, (v,), _PSI),
+    "measure_qubit": lambda v: measurement.measure_qubit(_PSI, 2, v),
+    "probability_of_one": lambda v: analysis.probability_of_one(_PSI, v),
+    "partial_trace_state": lambda v: analysis.partial_trace_state(2, _PSI, [v]),
+    "partial_trace_matrix": lambda v: analysis.partial_trace_matrix(2, _RHO, [v]),
+    "basis_state": lambda v: linalg.basis_state(2, v),  # a basis index
+}
+
+
+class TestArgumentContract:
+    """A bad count or wire raises a SimulationError, never a bare
+    ValueError, and a float is refused rather than truncated."""
+
+    @pytest.mark.parametrize("bad", [-1, "a", 1.7, 2.5])
+    @pytest.mark.parametrize("entry", sorted(_TAKES_A_COUNT))
+    def test_bad_qubit_count(self, entry, bad):
+        with pytest.raises(SimulationError):
+            _TAKES_A_COUNT[entry](bad)
+
+    @pytest.mark.parametrize("bad", ["a", 1.7, 2.5])
+    @pytest.mark.parametrize("entry", sorted(_TAKES_A_WIRE))
+    def test_bad_wire(self, entry, bad):
+        with pytest.raises(SimulationError):
+            _TAKES_A_WIRE[entry](bad)
+
+    def test_numpy_integers_are_accepted(self):
+        two, one = np.int64(2), np.int32(1)
+        op = GateOp("H", (one,), ControlSpec(((np.uint8(0), True),)))
+        assert op.wires == (1, 0) and all(type(w) is int for w in op.wires)
+        assert Circuit(two, (op,)).n == 2
+        flipped = engine.apply_multi_qubit_gate(two, _X, (one,), _PSI)
+        assert np.array_equal(flipped, linalg.basis_state(two, np.int64(2)))
+        assert np.array_equal(engine.apply_op(two, GateOp("X", (one,)), _PSI), flipped)
+        assert measurement.measure_qubit(flipped, two, one)[1].probability == 1.0
+        assert analysis.probability_of_one(flipped, one) == 1.0
+        assert analysis.partial_trace_state(two, flipped, [one], keep=True)[1, 1] == 1.0
+        assert analysis.partial_trace_matrix(two, _RHO, [one]).shape == (2, 2)
+        assert np.array_equal(linalg.initial_state(two, flipped), flipped)
+        assert abs(analysis.stabilizer_renyi_entropy(flipped, two)) < 1e-12
+
+    def test_float_wire_is_not_truncated(self):
+        # before the one wire check these acted on wires 1 and 0
+        with pytest.raises(ContractError, match="must be an integer"):
+            GateOp("H", (1.7,))
+        with pytest.raises(ContractError, match="must be an integer"):
+            engine.apply_multi_qubit_gate(2, np.eye(2), [0.9], _PSI)
+        with pytest.raises(ContractError, match="control wire must be an integer"):
+            ControlSpec(((0.5, True),))
+
+    def test_state_length_is_checked_once_for_every_caller(self):
+        short = np.zeros(2, dtype=complex)
+        for call in (
+            lambda: linalg.initial_state(2, short),
+            lambda: engine.apply_multi_qubit_gate(2, _X, (0,), short),
+            lambda: measurement.measure_qubit(short, 2, 0),
+            lambda: analysis.partial_trace_state(2, short, [0]),
+            lambda: analysis.stabilizer_renyi_entropy(short, 2),
+            lambda: oracle.swap_wires(2, 0, 1, short),
+        ):
+            with pytest.raises(DimensionError, match="state must have length 4 for 2 qubits"):
+                call()
+        for length in (0, 1, 3, 6):
+            with pytest.raises(DimensionError):
+                analysis.probability_of_one(np.zeros(length, dtype=complex), 0)

@@ -328,6 +328,8 @@ class TestSampleShots:
         circ = parse_circuit("qubits 1\nH 0\nMEASURE 0\n")
         with pytest.raises(ContractError, match="shots"):
             measurement.sample_shots(circ, shots, 0)
+        with pytest.raises(ContractError, match="shots"):
+            oracle.sample_shots_replay(circ, shots, 0)
 
     def test_accepts_numpy_integer_shot_counts(self):
         circ = parse_circuit("qubits 1\nX 0\nMEASURE 0\n")
