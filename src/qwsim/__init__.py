@@ -28,7 +28,6 @@ from .linalg import (
     UNITARY_ATOL,
     basis_state,
     hermitian_eig,
-    hermitian_eigenvalues,
     random_state,
     zero_state,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "gate_matrix",
     "gate_names",
     "hermitian_eig",
-    "hermitian_eigenvalues",
     "load_circuit",
     "measure_qubit",
     "pair_stats",

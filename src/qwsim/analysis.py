@@ -11,6 +11,11 @@ and the full density matrix is never formed.  For a density matrix an
 ``einsum`` sums the diagonal of each traced wire's row/column axis pair
 on a ``(2,)*2n`` view of the input, O(2**T * 4**K) work and no copy.
 
+Every density-matrix statistic passes one gate, the checks of
+:func:`check_density_matrix`, which hands on the spectrum it solved for:
+purity, entropy and the per-qubit and pair statistics refuse the same
+matrices, and :func:`pair_stats` solves for the spectrum of ``rho`` once.
+
 The stabilizer Renyi entropy is computed from all ``4**n`` Pauli
 expectations at once with a Walsh-Hadamard transform; see
 :func:`stabilizer_renyi_entropy`.
@@ -23,16 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, ResourceError
+from .errors import ContractError, ResourceError
 from .gates import gate_matrix
 from .linalg import (
     EIGEN_ATOL,
     STATE_ATOL,
+    _hermitian_part,
+    check_matrix,
     check_qubit_count,
     check_state,
     check_wires,
-    hermitian_eig,
-    hermitian_eigenvalues,
     is_normalized,
 )
 
@@ -65,14 +70,12 @@ def partial_trace_matrix(n: int, rho, qubits, *, keep: bool = False) -> np.ndarr
     each half holding wire ``n-1-a``.  One ``einsum`` gives each traced
     wire the same label on its row and its column axis, which sums that
     diagonal, and lists the kept axes highest wire first.  Nothing assumes
-    Hermitian input, so the operation stays a plain linear map.
+    Hermitian input, so the operation stays a plain linear map; but
+    ``rho`` passes ``check_matrix``, so a NaN or inf entry is refused.
     """
     n = check_qubit_count(n)
     traced, kept = _split_kept(n, qubits, keep)
-    dim = 1 << n
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (dim, dim):
-        raise DimensionError(f"density matrix must be {dim}x{dim}, got {rho.shape}")
+    rho = check_matrix(rho, 1 << n)
     if not traced:
         return rho.copy()  # einsum would hand back a view of the input
 
@@ -130,32 +133,40 @@ def _probability_of_one(psi: np.ndarray, qubit: int) -> float:
 # density-matrix validation and statistics
 
 
+def _density_gate(rho, qubits=None, *, vectors=False) -> tuple:
+    """The one density-matrix check; returns ``(rho, w, v)`` from one solve.
+
+    ``rho`` must pass ``check_matrix`` (``DimensionError`` for a wrong
+    shape) and the Hermitian test, and have a power-of-two side
+    (``2**qubits`` when ``qubits`` is given), unit trace and no eigenvalue
+    below ``-EIGEN_ATOL`` (``ContractError``).  Returned are the checked
+    matrix, its ascending eigenvalues ``w`` from LAPACK and, when
+    ``vectors``, the matching eigenvectors ``v`` (else None).
+    """
+    rho = check_matrix(rho)
+    herm = _hermitian_part(rho)
+    dim = rho.shape[0]
+    if dim & (dim - 1):
+        raise ContractError(f"density matrix dimension {dim} is not a power of two")
+    if qubits is not None and dim != 1 << qubits:
+        raise ContractError(f"expected a {qubits}-qubit density matrix, got {rho.shape}")
+    trace = rho.trace()
+    if not (abs(trace.real - 1.0) <= STATE_ATOL and abs(trace.imag) <= STATE_ATOL):
+        raise ContractError("density matrix trace is not 1")
+    w, v = np.linalg.eigh(herm) if vectors else (np.linalg.eigvalsh(herm), None)
+    if w[0] < -EIGEN_ATOL:
+        raise ContractError("density matrix has a negative eigenvalue")
+    return rho, w, v
+
+
 def check_density_matrix(rho) -> int:
     """Validate finiteness, Hermiticity, unit trace and positive semidefiniteness.
 
-    Returns the qubit count of the matrix.  Raises ``ContractError`` on
-    any violation; intended as the gate in front of the statistics below.
-    Finiteness is tested first and every tolerance in the
-    ``not (x <= tol)`` form, so a NaN entry is refused rather than passing
-    a comparison that is false for NaN.  The smallest eigenvalue comes
-    from LAPACK (``np.linalg.eigvalsh``) once the matrix has passed.
+    Returns the qubit count of the matrix.  Raises ``DimensionError`` for
+    an empty or non-square matrix and ``ContractError`` for any other
+    violation.  Every statistic below passes the same checks.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ContractError(f"density matrix must be square, got shape {rho.shape}")
-    dim = rho.shape[0]
-    if dim == 0 or dim & (dim - 1):
-        raise ContractError(f"density matrix dimension {dim} is not a power of two")
-    if not np.isfinite(rho).all():
-        raise ContractError("density matrix has a non-finite entry")
-    if not np.max(np.abs(rho - rho.conj().T)) <= STATE_ATOL:
-        raise ContractError("density matrix is not Hermitian")
-    trace = np.trace(rho)
-    if not (abs(trace.real - 1.0) <= STATE_ATOL and abs(trace.imag) <= STATE_ATOL):
-        raise ContractError("density matrix trace is not 1")
-    if not np.linalg.eigvalsh(rho)[0] >= -EIGEN_ATOL:
-        raise ContractError("density matrix has a negative eigenvalue")
-    return dim.bit_length() - 1
+    return _density_gate(rho)[0].shape[0].bit_length() - 1
 
 
 def _trace_of_square(rho: np.ndarray) -> float:
@@ -167,21 +178,25 @@ def purity(rho) -> float:
 
     ``rho`` must pass :func:`check_density_matrix`.
     """
-    rho = np.asarray(rho, dtype=complex)
-    check_density_matrix(rho)
-    return _trace_of_square(rho)
+    return _trace_of_square(_density_gate(rho)[0])
+
+
+def _entropy(w: np.ndarray) -> float:
+    """``-sum(lam * log2(lam))`` over the spectrum ``w``, clamped to [0, 1]."""
+    lams = np.clip(w, 0.0, 1.0)
+    positive = lams[lams > 0.0]
+    return float(-np.sum(positive * np.log2(positive)))
 
 
 def von_neumann_entropy(rho) -> float:
     """Entropy ``-sum(lam * log2(lam))`` over the spectrum, in bits.
 
-    Eigenvalues are clamped to [0, 1] before the logarithm so the tiny
-    negative values a finite eigensolver produces for rank-deficient
-    matrices do not turn into NaNs; ``0 * log(0)`` counts as 0.
+    ``rho`` must pass :func:`check_density_matrix`.  Eigenvalues are
+    clamped to [0, 1] before the logarithm so the tiny negative values a
+    finite eigensolver produces for rank-deficient matrices do not turn
+    into NaNs; ``0 * log(0)`` counts as 0.
     """
-    lams = np.clip(hermitian_eigenvalues(rho), 0.0, 1.0)
-    positive = lams[lams > 0.0]
-    return float(-np.sum(positive * np.log2(positive)))
+    return _entropy(_density_gate(rho)[1])
 
 
 @dataclass(frozen=True)
@@ -212,9 +227,7 @@ def qubit_stats(rho) -> QubitStats:
     which equal ``Tr(rho P)`` for the Paulis ``P`` on any Hermitian
     unit-trace input; the tests hold them to the trace form.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if check_density_matrix(rho) != 1:
-        raise ContractError(f"expected a 2x2 density matrix, got {rho.shape}")
+    rho = _density_gate(rho, 1)[0]
     a = rho[0, 0].real
     b = rho[0, 1].real
     c = rho[0, 1].imag
@@ -229,7 +242,7 @@ def qubit_stats(rho) -> QubitStats:
     phi = 0.0
     if np.hypot(x, y) >= BLOCH_DEGENERATE_EPS:
         phi = float(np.arctan2(y, x))
-    p = _trace_of_square(rho)  # rho was checked above
+    p = _trace_of_square(rho)
     return QubitStats(
         prob1=float(rho[1, 1].real),
         x=x,
@@ -248,26 +261,28 @@ def concurrence(rho) -> float:
 
     Uses the spin-flipped matrix ``rho~ = (Y(x)Y) conj(rho) (Y(x)Y)`` and
     the square roots of the eigenvalues of ``sqrt(rho) rho~ sqrt(rho)``
-    (a Hermitian PSD product, so the Hermitian eigensolver applies), sorted
-    descending: ``C = max(0, l1 - l2 - l3 - l4)``.
+    (a Hermitian PSD product), sorted descending:
+    ``C = max(0, l1 - l2 - l3 - l4)``.  ``rho`` must pass
+    :func:`check_density_matrix` and be 4x4.
 
     Eigenvalues of the triple product below the solver's noise floor are
     zeroed before the square root: ``sqrt`` turns O(1e-15) roundoff on an
     exactly singular product into O(1e-8) phantom contributions otherwise.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ContractError(f"concurrence needs a 4x4 density matrix, got {rho.shape}")
-    w, v = hermitian_eig(rho)  # first, so a non-finite rho is refused
+    return _concurrence(*_density_gate(rho, 2, vectors=True))
+
+
+def _concurrence(rho: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
+    """:func:`concurrence` of a checked ``rho`` with eigenpairs ``(w, v)``."""
     y = gate_matrix("Y")
     yy = np.kron(y, y)
     flipped = yy @ rho.conj() @ yy
     sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     product = sqrt_rho @ flipped @ sqrt_rho
     # product is PSD up to roundoff but only approximately Hermitian in
-    # floating point; symmetrizing keeps the eigensolver contract honest.
+    # floating point; LAPACK reads one triangle, so average both.
     product = (product + product.conj().T) / 2.0
-    mus = np.clip(hermitian_eigenvalues(product), 0.0, None)
+    mus = np.clip(np.linalg.eigvalsh(product), 0.0, None)
     floor = 1e-13 * max(1.0, float(mus.max()))
     mus[mus < floor] = 0.0
     lams = np.sort(np.sqrt(mus))[::-1]
@@ -285,15 +300,14 @@ class PairStats:
 
 
 def pair_stats(rho) -> PairStats:
-    rho = np.asarray(rho, dtype=complex)
-    if check_density_matrix(rho) != 2:
-        raise ContractError(f"expected a 4x4 density matrix, got {rho.shape}")
-    p = _trace_of_square(rho)  # rho was checked above
+    """:class:`PairStats` of a 4x4 density matrix, from one eigensolve of ``rho``."""
+    rho, w, v = _density_gate(rho, 2, vectors=True)
+    p = _trace_of_square(rho)
     return PairStats(
         purity=p,
         linear_entropy=1.0 - p,
-        concurrence=concurrence(rho),
-        von_neumann_entropy=von_neumann_entropy(rho),
+        concurrence=_concurrence(rho, w, v),
+        von_neumann_entropy=_entropy(w),
     )
 
 

@@ -206,6 +206,8 @@ def random_circuit(
     ``single_qubit_only`` restricts to 1-wire gates with no controls,
     which is the shape large-register benchmarks want.
     """
+    n = check_qubit_count(n)
+    depth = check_int(depth, "depth")
     if depth < 0:
         raise ContractError(f"depth must be non-negative, got {depth}")
     names = _RANDOM_1Q if (single_qubit_only or n < 2) else _RANDOM_1Q + _RANDOM_2Q

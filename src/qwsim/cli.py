@@ -21,7 +21,7 @@ import numpy as np
 from . import analysis, engine, measurement, oracle
 from .circuit import Circuit, load_circuit, random_circuit
 from .errors import SimulationError
-from .linalg import make_rng, random_state
+from .linalg import check_wires, make_rng, random_state
 
 PRINT_EPS = 1e-12
 
@@ -87,6 +87,10 @@ _STATS_COLUMNS = (
 
 def _cmd_stats(args) -> int:
     circ = load_circuit(args.circuit)
+    if args.pair is not None:
+        lo, hi = sorted(check_wires(circ.n, args.pair))
+        if lo == hi:
+            raise SimulationError("--pair needs two distinct wires")
     psi = engine.run_circuit(circ)
 
     rows = []
@@ -114,9 +118,6 @@ def _cmd_stats(args) -> int:
             print("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
 
     if args.pair is not None:
-        lo, hi = sorted(args.pair)
-        if lo == hi:
-            raise SimulationError("--pair needs two distinct wires")
         rho2 = analysis.partial_trace_state(circ.n, psi, [lo, hi], keep=True)
         p = analysis.pair_stats(rho2)
         print(f"pair ({lo},{hi}): purity={_fmt(p.purity)} "

@@ -26,8 +26,8 @@ template once; :func:`run_circuit` and the measurement walker run the
 plans in their own working state and check nothing per gate.
 :func:`apply_multi_qubit_gate` is the checked entry point for one gate of
 any matrix, and :func:`apply_op` for one catalog gate; like every public
-entry, they check the qubit count, the wires and the state with the one
-check of each kind in ``linalg``.
+entry, they check the qubit count, the wires, the state and the matrix
+with the one check of each kind in ``linalg``.
 """
 
 from __future__ import annotations
@@ -36,9 +36,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError
 from .gates import MEASURE, gate_def, gate_names
-from .linalg import MAX_QUBITS, STATE_ATOL, check_state, check_wires, initial_state
+from .linalg import (
+    MAX_QUBITS,
+    STATE_ATOL,
+    check_int,
+    check_matrix,
+    check_state,
+    check_wires,
+    initial_state,
+)
 
 
 @dataclass(frozen=True)
@@ -113,6 +121,8 @@ def _check_wires(n: int, targets, spec: ControlSpec) -> tuple[int, ...]:
 
 def swap_bits(k: int, i: int, j: int) -> int:
     """Return ``k`` with bits ``i`` and ``j`` exchanged."""
+    k = check_int(k, "index")
+    i, j = check_int(i, "bit position"), check_int(j, "bit position")
     if i < 0 or j < 0:
         raise ContractError("bit positions must be non-negative")
     bi = (k >> i) & 1
@@ -200,22 +210,17 @@ def _run_plan(plan: tuple, state: np.ndarray) -> np.ndarray:
     return state
 
 
-def _check_gate(n: int, u, targets, a, controls) -> tuple:
-    """Check one gate's arguments; return ``(n, u, targets, spec, state)``.
+def _check_gate(n: int, targets, a, controls) -> tuple:
+    """Check one gate's wires and state; return ``(n, targets, spec, state)``.
 
     ``state`` is a fresh complex copy of ``a`` for the kernel to write.
     """
-    out, n = check_state(np.array(a, dtype=complex), n)
+    out, n = check_state(a, n)
     spec = coerce_controls(controls)
     targets = _check_wires(n, targets, spec)
-    m = len(targets)
-    if m == 0:
+    if not targets:
         raise ContractError("multi-qubit gate needs at least one target")
-    dim = 1 << m
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (dim, dim):
-        raise DimensionError(f"gate on {m} wires must be {dim}x{dim}, got {u.shape}")
-    return n, u, targets, spec, out
+    return n, targets, spec, out.copy()
 
 
 def apply_multi_qubit_gate(n: int, u, targets, a, controls=None) -> np.ndarray:
@@ -237,7 +242,8 @@ def apply_multi_qubit_gate(n: int, u, targets, a, controls=None) -> np.ndarray:
     gates are checked once at import and ``run_circuit`` checks the norm
     of its result.
     """
-    n, u, targets, spec, out = _check_gate(n, u, targets, a, controls)
+    n, targets, spec, out = _check_gate(n, targets, a, controls)
+    u = check_matrix(u, 1 << len(targets))
     return _run_plan(_place(n, _template(u), targets, spec.entries), out)
 
 
@@ -250,7 +256,7 @@ def apply_op(n: int, op, a) -> np.ndarray:
     if op.gate == MEASURE:
         raise ContractError(f"{op} is a measurement; use the measurement module")
     g = gate_def(op.gate)
-    n, _, targets, spec, out = _check_gate(n, g.matrix, op.targets, a, op.controls)
+    n, targets, spec, out = _check_gate(n, op.targets, a, op.controls)
     return _run_plan(_place(n, _TEMPLATES[g.name], targets, spec.entries), out)
 
 

@@ -12,9 +12,14 @@ and 73 microseconds for ``eigh`` (2-core Xeon, numpy 2.4.6, one thread);
 and numpy, the package's one dependency, ships LAPACK already.
 
 Every public entry point checks its arguments here, one function per
-kind: :func:`check_int`, :func:`check_qubit_count`, :func:`check_state`
-and :func:`check_wires`.  Each raises a ``SimulationError`` subclass, and
-a float is refused rather than truncated.
+kind: :func:`check_int`, :func:`check_qubit_count`, :func:`check_state`,
+:func:`check_matrix` and :func:`check_wires`.  Each raises a
+``SimulationError`` subclass: a float is refused rather than truncated,
+and an array numpy cannot read as numbers is a ``ContractError``.  A
+matrix is also refused for a non-finite entry (a state is not: the
+statistics refuse a NaN where it reaches their result, and a gate would
+pay a pass over every amplitude).  One Hermitian test, at ``STATE_ATOL``,
+stands in front of every eigensolve.
 
 Conventions used throughout the package:
 
@@ -29,10 +34,11 @@ import operator
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, ResourceError
+from .errors import ContractError, DimensionError, ResourceError, SimulationError
 
-# Absolute tolerances used across modules: state-vector comparisons,
-# eigenvalue comparisons, and unitarity checks respectively.
+# Absolute tolerances used across modules: state-vector comparisons (and
+# the Hermitian and unit-trace tests of a matrix), eigenvalue comparisons,
+# and unitarity checks respectively.
 STATE_ATOL = 1e-10
 EIGEN_ATOL = 1e-9
 UNITARY_ATOL = 1e-12
@@ -72,13 +78,21 @@ def check_qubit_count(n) -> int:
     return n
 
 
+def _as_complex(x) -> np.ndarray:
+    """``x`` as a complex array; what numpy cannot convert raises ``ContractError``."""
+    try:
+        return np.asarray(x, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"expected an array of numbers: {exc}") from None
+
+
 def check_state(psi, n) -> tuple[np.ndarray, int]:
     """``psi`` as a complex vector of length ``2**n``, and ``n`` checked.
 
     With ``n`` None the qubit count is read off the length, which must be
     a power of two, at least 2.  A wrong length raises ``DimensionError``.
     """
-    psi = np.asarray(psi, dtype=complex)
+    psi = _as_complex(psi)
     if n is None:  # any other length fails the test below
         n = max(psi.size, 2).bit_length() - 1
     n = check_qubit_count(n)
@@ -104,17 +118,27 @@ def check_wires(n: int, wires) -> tuple[int, ...]:
     return tuple(wires)
 
 
-def _as_matrix(m) -> np.ndarray:
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2:
-        raise DimensionError(f"matrix must be 2-D, got shape {arr.shape}")
-    return arr
+def check_matrix(m, dim=None) -> np.ndarray:
+    """``m`` as a finite, non-empty, square complex array, ``dim x dim`` if given.
+
+    A wrong shape raises ``DimensionError``; a non-finite or non-numeric
+    entry raises ``ContractError``.
+    """
+    a = _as_complex(m)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise DimensionError(f"matrix must be square and non-empty, got shape {a.shape}")
+    if dim is not None and a.shape[0] != dim:
+        raise DimensionError(f"matrix must be {dim}x{dim}, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ContractError("matrix has a non-finite entry")
+    return a
 
 
 def is_unitary(m) -> bool:
-    """True when ``m^H m = I`` entrywise within ``UNITARY_ATOL``."""
-    a = _as_matrix(m)
-    if a.shape[0] != a.shape[1]:
+    """True for a matrix with ``m^H m = I`` entrywise within ``UNITARY_ATOL``."""
+    try:
+        a = check_matrix(m)
+    except SimulationError:
         return False
     eye = np.eye(a.shape[0])
     return bool(np.max(np.abs(a.conj().T @ a - eye)) <= UNITARY_ATOL)
@@ -148,7 +172,7 @@ def initial_state(n: int, psi0=None) -> np.ndarray:
     """
     if psi0 is None:
         return zero_state(n)
-    psi, _ = check_state(np.array(psi0, dtype=complex), n)
+    psi = check_state(psi0, n)[0].copy()
     if not is_normalized(psi):
         raise ContractError("initial state is not normalized")
     return psi
@@ -180,25 +204,17 @@ def is_normalized(psi) -> bool:
 # Hermitian eigensolver (LAPACK through numpy, checked)
 
 
-def _check_hermitian(a) -> np.ndarray:
-    """Square, non-empty, finite and Hermitian within ``EIGEN_ATOL``, symmetrized.
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """``(a + a^H) / 2`` of a checked matrix; the one Hermitian test.
 
-    Finiteness is tested first and the tolerance in the ``not (x <= tol)``
-    form, so a NaN or an inf entry is refused rather than slipping past a
-    comparison that is false for NaN.
+    A matrix further than ``STATE_ATOL`` from Hermitian raises
+    ``ContractError``.  LAPACK reads one triangle only; averaging both
+    keeps the roundoff of the other in the answer.
     """
-    a = _as_matrix(a)
-    if a.shape[0] != a.shape[1] or not a.size:
-        raise DimensionError(
-            f"eigensolver needs a non-empty square matrix, got {a.shape}"
-        )
-    if not np.isfinite(a).all():
-        raise ContractError("matrix has a non-finite entry")
-    if not np.max(np.abs(a - a.conj().T)) <= EIGEN_ATOL:
+    ah = a.conj().T
+    if np.abs(a - ah).max() > STATE_ATOL:
         raise ContractError("matrix is not Hermitian within tolerance")
-    # LAPACK reads one triangle only; averaging both keeps the roundoff of
-    # the other in the answer.
-    return (a + a.conj().T) / 2.0
+    return (a + ah) / 2.0
 
 
 def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
@@ -209,10 +225,5 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     Raises ``DimensionError`` for an empty or non-square input and
     ``ContractError`` for a non-finite or non-Hermitian one.
     """
-    w, v = np.linalg.eigh(_check_hermitian(a))
+    w, v = np.linalg.eigh(_hermitian_part(check_matrix(a)))
     return w, v
-
-
-def hermitian_eigenvalues(a) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix (``np.linalg.eigvalsh``)."""
-    return np.linalg.eigvalsh(_check_hermitian(a))

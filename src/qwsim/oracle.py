@@ -24,12 +24,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, ResourceError
+from .errors import ContractError, ResourceError
 from .gates import MEASURE, GateDef, gate_def
 from .analysis import _split_kept
 from .circuit import GateOp
 from .engine import ControlSpec, _check_wires, apply_op, coerce_controls, swap_bits
-from .linalg import _check_hermitian, check_qubit_count, check_state, initial_state, make_rng
+from .linalg import (
+    _hermitian_part,
+    check_matrix,
+    check_qubit_count,
+    check_state,
+    initial_state,
+    make_rng,
+)
 from .measurement import _shot_count, measure_qubit
 
 NAIVE_QUBIT_GUARD = 12
@@ -108,7 +115,7 @@ def swap_wires(n: int, wire_i: int, wire_j: int, psi, controls=None) -> np.ndarr
     n = _check_guard(n)
     spec = coerce_controls(controls)
     wire_i, wire_j = _check_wires(n, (wire_i, wire_j), spec)
-    out, _ = check_state(np.array(psi, dtype=complex), n)
+    out = check_state(psi, n)[0].copy()
     for k in range(1 << n):
         if spec.passes(k):
             k2 = swap_bits(k, wire_i, wire_j)
@@ -219,10 +226,7 @@ def partial_trace_by_definition(rho, n: int, qubits_to_trace_out) -> np.ndarray:
     """
     n = _check_guard(n)
     traced, kept = _split_kept(n, qubits_to_trace_out, keep=False)
-    rho = np.asarray(rho, dtype=complex)
-    dim = 1 << n
-    if rho.shape != (dim, dim):
-        raise DimensionError(f"density matrix must be {dim}x{dim}, got {rho.shape}")
+    rho = check_matrix(rho, 1 << n)
 
     t_count = len(traced)
     new_pos = {q: i for i, q in enumerate(traced)}
@@ -258,7 +262,7 @@ def jacobi_eig(a) -> tuple[np.ndarray, np.ndarray]:
     what any matrix in this package needs (4x4 typically converges in ~6).
     """
     # symmetrized, so the iteration preserves Hermiticity exactly
-    work = _check_hermitian(a)
+    work = _hermitian_part(check_matrix(a))
     n = work.shape[0]
     vecs = np.eye(n, dtype=complex)
     if n == 1:

@@ -368,11 +368,44 @@ class TestNonFiniteInputs:
                 analysis.partial_trace_state(2, psi, [0])
 
 
+class TestDensityGate:
+    """Entropy and concurrence refuse every matrix the density check refuses."""
+
+    def test_trace_two_is_refused(self):
+        for rho in (np.eye(2), np.eye(4) / 2):
+            with pytest.raises(ContractError, match="trace is not 1"):
+                analysis.von_neumann_entropy(rho)
+        with pytest.raises(ContractError, match="trace is not 1"):
+            analysis.concurrence(2 * np.eye(4))
+
+    def test_negative_eigenvalue_is_refused(self):
+        rho = np.diag([1.5, -0.5, 0.0, 0.0])  # Hermitian, trace 1
+        for stat in (analysis.von_neumann_entropy, analysis.concurrence):
+            with pytest.raises(ContractError, match="negative eigenvalue"):
+                stat(rho)
+
+    def test_pair_stats_solves_for_the_spectrum_once(self, monkeypatch):
+        # one eigensolve of rho, plus one of the concurrence product
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda a, real=real, name=name: calls.append(name) or real(a)
+            )
+        rho = analysis.partial_trace_state(3, mixed_pair_state(), [0, 1], keep=True)
+        p = analysis.pair_stats(rho)
+        assert calls == ["eigh", "eigvalsh"]
+        assert abs(p.concurrence - 1.0) < 1e-9
+        calls.clear()
+        analysis.qubit_stats(np.eye(2) / 2)
+        assert calls == ["eigvalsh"]  # no eigenvectors for a 2x2
+
+
 class TestPurityEntropy:
     def test_purity_checks_its_matrix(self):
         with pytest.raises(ContractError, match="trace is not 1"):
             analysis.purity(3 * np.eye(2))
-        with pytest.raises(ContractError, match="must be square"):
+        with pytest.raises(DimensionError, match="must be square"):
             analysis.purity(np.full((2, 3), 0.5))
 
     def test_pure_state_extremes(self):

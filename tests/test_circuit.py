@@ -204,6 +204,16 @@ class TestRandomCircuit:
         circ = random_circuit(1, 10, np.random.default_rng(4))
         assert all(op.targets == (0,) for op in circ.ops)
 
+    def test_checks_its_count_and_depth(self):
+        # each used to escape from numpy as a bare ValueError or TypeError
+        rng = np.random.default_rng(5)
+        for n, depth in ((0, 3), (-1, 3), (2.5, 3), ("2", 3), (2, 2.5), (2, -1)):
+            with pytest.raises(ContractError):
+                random_circuit(n, depth, rng)
+        with pytest.raises(ResourceError):
+            random_circuit(linalg.MAX_QUBITS + 1, 1, rng)
+        assert random_circuit(np.int64(2), np.int32(3), rng).n == 2
+
 
 class TestLoadCircuit:
     def test_loads_from_file(self, tmp_path):

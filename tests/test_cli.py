@@ -161,6 +161,13 @@ class TestStats:
         assert code == 1
         assert "distinct" in err
 
+    def test_bad_pair_fails_before_any_output(self, capsys, circuit_file):
+        path = circuit_file(MIXED_PAIR)
+        for pair in (("0", "9"), ("1", "1"), ("-1", "0")):
+            code, out, err = run_cli(capsys, "stats", path, "--pair", *pair)
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_magic_line(self, capsys, circuit_file):
         code, out, _ = run_cli(
             capsys, "stats", circuit_file("qubits 1\nH 0\nT 0\n"), "--magic"
@@ -267,6 +274,12 @@ class TestBench:
         )
         assert code == 1
         assert "--keep" in err
+
+    @pytest.mark.parametrize("qubits", ["0", "-2"])
+    def test_bench_bad_qubit_count_is_one_error_line(self, capsys, qubits):
+        code, out, err = run_cli(capsys, "bench", "--qubits", qubits)
+        assert code == 1 and out == ""
+        assert err == f"error: qubit count must be at least 1, got {int(qubits)}\n"
 
     def test_bench_negative_seed_is_one_error_line(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--qubits", "2", "--seed", "-3")

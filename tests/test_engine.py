@@ -187,6 +187,13 @@ class TestSwapBits:
                     rebuilt = k & ~(1 << i) & ~(1 << j) | (bj << i) | (bi << j)
                     assert engine.swap_bits(k, i, j) == rebuilt
 
+    def test_arguments_must_be_integers(self):
+        # a float used to escape as a bare TypeError from the shift
+        for args in ((3, 1.5, 0), (3, 0, "1"), (3.0, 0, 1), (True, 0, 1)):
+            with pytest.raises(ContractError, match="must be an integer"):
+                engine.swap_bits(*args)
+        assert engine.swap_bits(np.int64(2), np.int32(1), np.uint8(0)) == 1
+
 
 class TestApplySwap:
     """SWAP is the kernel with the SWAP matrix: view copies, no arithmetic."""

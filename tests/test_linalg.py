@@ -67,11 +67,11 @@ class TestStates:
 
 class TestHermitianEig:
     def test_diagonal_passthrough(self):
-        w = linalg.hermitian_eigenvalues(np.diag([0.5, 0.5]).astype(complex))
+        w = linalg.hermitian_eig(np.diag([0.5, 0.5]).astype(complex))[0]
         np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-12)
 
     def test_pauli_x_spectrum(self):
-        w = linalg.hermitian_eigenvalues(np.array([[0, 1], [1, 0]], dtype=complex))
+        w = linalg.hermitian_eig(np.array([[0, 1], [1, 0]], dtype=complex))[0]
         np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-12)
 
     def test_frozen_rank_two_projector_spectrum(self):
@@ -85,7 +85,7 @@ class TestHermitianEig:
             ],
             dtype=complex,
         )
-        w = linalg.hermitian_eigenvalues(rho)
+        w = linalg.hermitian_eig(rho)[0]
         np.testing.assert_allclose(w, [0.0, 0.0, 0.5, 0.5], atol=1e-9)
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8, 16])
@@ -95,7 +95,7 @@ class TestHermitianEig:
         for _ in range(20):
             m = random_hermitian(dim, rng)
             np.testing.assert_allclose(
-                linalg.hermitian_eigenvalues(m),
+                linalg.hermitian_eig(m)[0],
                 oracle.jacobi_eig(m)[0],
                 atol=1e-9,
             )
@@ -111,32 +111,30 @@ class TestHermitianEig:
     def test_eigenvalues_ascending_and_sum_to_trace(self):
         rng = np.random.default_rng(77)
         m = random_hermitian(6, rng)
-        w = linalg.hermitian_eigenvalues(m)
+        w = linalg.hermitian_eig(m)[0]
         assert np.all(np.diff(w) >= 0)
         assert abs(w.sum() - np.trace(m).real) < 1e-9
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ContractError):
-            linalg.hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
+            linalg.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))[0]
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
-            linalg.hermitian_eigenvalues(np.zeros((2, 3)))
+            linalg.hermitian_eig(np.zeros((2, 3)))[0]
 
     def test_rejects_empty(self):
-        for solve in (linalg.hermitian_eig, linalg.hermitian_eigenvalues):
-            with pytest.raises(DimensionError):
-                solve(np.zeros((0, 0)))
+        with pytest.raises(DimensionError):
+            linalg.hermitian_eig(np.zeros((0, 0)))[0]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
         # symmetric placement, so a NaN-blind Hermitian check would pass it
         m = np.array([[0.5, bad], [bad, 0.5]], dtype=complex)
-        for solve in (linalg.hermitian_eig, linalg.hermitian_eigenvalues):
-            with pytest.raises(ContractError, match="non-finite"):
-                solve(m)
         with pytest.raises(ContractError, match="non-finite"):
-            linalg.hermitian_eigenvalues(np.diag([bad, 1.0]).astype(complex))
+            linalg.hermitian_eig(m)[0]
+        with pytest.raises(ContractError, match="non-finite"):
+            linalg.hermitian_eig(np.diag([bad, 1.0]).astype(complex))[0]
 
     def test_one_by_one(self):
         w, v = linalg.hermitian_eig(np.array([[2.5]], dtype=complex))
@@ -228,3 +226,72 @@ class TestArgumentContract:
         for length in (0, 1, 3, 6):
             with pytest.raises(DimensionError):
                 analysis.probability_of_one(np.zeros(length, dtype=complex), 0)
+
+
+# symmetric, so a Hermitian test alone would pass it
+_NAN = np.array([[0.5, np.nan], [np.nan, 0.5]])
+
+# every public entry point that takes a matrix, called with a bad one
+_TAKES_A_MATRIX = {
+    "check_matrix": linalg.check_matrix,
+    "hermitian_eig": linalg.hermitian_eig,
+    "jacobi_eig": oracle.jacobi_eig,
+    "apply_multi_qubit_gate": lambda m: engine.apply_multi_qubit_gate(1, m, (0,), linalg.zero_state(1)),
+    "partial_trace_matrix": lambda m: analysis.partial_trace_matrix(1, m, [0]),
+    "partial_trace_by_definition": lambda m: oracle.partial_trace_by_definition(m, 1, [0]),
+    "check_density_matrix": analysis.check_density_matrix,
+    "purity": analysis.purity,
+    "von_neumann_entropy": analysis.von_neumann_entropy,
+    "qubit_stats": analysis.qubit_stats,
+    "concurrence": analysis.concurrence,
+    "pair_stats": analysis.pair_stats,
+}
+
+
+class TestMatrixContract:
+    """Every matrix argument goes through the one matrix check."""
+
+    def test_non_square_matrix_is_a_dimension_error(self):
+        for call in _TAKES_A_MATRIX.values():
+            with pytest.raises(DimensionError, match="square"):
+                call(np.full((2, 3), 0.5))
+
+    def test_non_numeric_matrix_is_a_contract_error(self):
+        for call in _TAKES_A_MATRIX.values():
+            with pytest.raises(ContractError, match="array of numbers"):
+                call([["a", 0], [0, 1]])
+
+    def test_non_finite_matrix_is_a_contract_error(self):
+        for call in _TAKES_A_MATRIX.values():
+            with pytest.raises(ContractError, match="non-finite"):
+                call(_NAN)
+
+    def test_is_unitary_stays_a_predicate(self):
+        for bad in (np.full((2, 3), 0.5), [["a", 0], [0, 1]], _NAN, np.zeros((0, 0))):
+            assert not linalg.is_unitary(bad)
+
+    def test_wrong_side_is_a_dimension_error(self):
+        with pytest.raises(DimensionError, match="must be 4x4"):
+            linalg.check_matrix(np.eye(2), 4)
+        with pytest.raises(DimensionError, match="must be 2x2"):
+            engine.apply_multi_qubit_gate(1, np.eye(4), (0,), linalg.zero_state(1))
+        with pytest.raises(DimensionError, match="must be 4x4"):
+            analysis.partial_trace_matrix(2, np.eye(2), [0])
+
+    def test_non_numeric_state_is_a_contract_error(self):
+        for call in (
+            lambda: linalg.initial_state(1, ["a", "b"]),
+            lambda: engine.apply_multi_qubit_gate(1, np.eye(2), (0,), ["a", "b"]),
+            lambda: analysis.probability_of_one(["a", "b"], 0),
+            lambda: oracle.swap_wires(2, 0, 1, ["a", "b", "c", "d"]),
+        ):
+            with pytest.raises(ContractError, match="array of numbers"):
+                call()
+
+    def test_hermitian_bound_is_the_state_tolerance(self):
+        off = np.array([[0.5, 0.0], [5e-10, 0.5]])  # within 1e-9, beyond 1e-10
+        for call in (linalg.hermitian_eig, oracle.jacobi_eig, analysis.check_density_matrix):
+            with pytest.raises(ContractError, match="not Hermitian"):
+                call(off)
+        off[1, 0] = 5e-11
+        assert analysis.check_density_matrix(off) == 1
