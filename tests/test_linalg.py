@@ -228,6 +228,7 @@ class TestArgumentContract:
                 analysis.probability_of_one(np.zeros(length, dtype=complex), 0)
 
 
+_PSI1 = linalg.zero_state(1)
 # symmetric, so a Hermitian test alone would pass it
 _NAN = np.array([[0.5, np.nan], [np.nan, 0.5]])
 
@@ -236,7 +237,7 @@ _TAKES_A_MATRIX = {
     "check_matrix": linalg.check_matrix,
     "hermitian_eig": linalg.hermitian_eig,
     "jacobi_eig": oracle.jacobi_eig,
-    "apply_multi_qubit_gate": lambda m: engine.apply_multi_qubit_gate(1, m, (0,), linalg.zero_state(1)),
+    "apply_multi_qubit_gate": lambda m: engine.apply_multi_qubit_gate(1, m, (0,), _PSI1),
     "partial_trace_matrix": lambda m: analysis.partial_trace_matrix(1, m, [0]),
     "partial_trace_by_definition": lambda m: oracle.partial_trace_by_definition(m, 1, [0]),
     "check_density_matrix": analysis.check_density_matrix,
@@ -274,7 +275,7 @@ class TestMatrixContract:
         with pytest.raises(DimensionError, match="must be 4x4"):
             linalg.check_matrix(np.eye(2), 4)
         with pytest.raises(DimensionError, match="must be 2x2"):
-            engine.apply_multi_qubit_gate(1, np.eye(4), (0,), linalg.zero_state(1))
+            engine.apply_multi_qubit_gate(1, np.eye(4), (0,), _PSI1)
         with pytest.raises(DimensionError, match="must be 4x4"):
             analysis.partial_trace_matrix(2, np.eye(2), [0])
 
