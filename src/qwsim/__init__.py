@@ -27,7 +27,6 @@ from .linalg import (
     STATE_ATOL,
     UNITARY_ATOL,
     basis_state,
-    hermitian_eig,
     random_state,
     zero_state,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "gate_def",
     "gate_matrix",
     "gate_names",
-    "hermitian_eig",
     "load_circuit",
     "measure_qubit",
     "pair_stats",

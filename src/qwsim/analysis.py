@@ -185,7 +185,8 @@ def _entropy(w: np.ndarray) -> float:
     """``-sum(lam * log2(lam))`` over the spectrum ``w``, clamped to [0, 1]."""
     lams = np.clip(w, 0.0, 1.0)
     positive = lams[lams > 0.0]
-    return float(-np.sum(positive * np.log2(positive)))
+    # 0.0 minus, not unary minus, so a pure state gives +0.0 and not -0.0
+    return 0.0 - float(np.sum(positive * np.log2(positive)))
 
 
 def von_neumann_entropy(rho) -> float:

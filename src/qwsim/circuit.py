@@ -184,7 +184,7 @@ def load_circuit(path) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# random circuits (test and benchmark workloads)
+# random circuits (test workloads)
 
 _RANDOM_1Q = ("H", "X", "Y", "Z", "S", "SDG", "T", "TDG")
 _RANDOM_2Q = ("SWAP", "ISWAP", "SQRTSWAP")
@@ -204,7 +204,7 @@ def random_circuit(
     each remaining wire into a control or anticontrol with probability
     ``control_probability`` (split evenly between the two flavors).
     ``single_qubit_only`` restricts to 1-wire gates with no controls,
-    which is the shape large-register benchmarks want.
+    the shape of the 20-qubit timing budget in the acceptance tests.
     """
     n = check_qubit_count(n)
     depth = check_int(depth, "depth")

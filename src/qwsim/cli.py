@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``simulate`` (amplitudes / probabilities / branch tree),
-``stats`` (per-qubit and pair statistics), ``sample`` (seeded shot
-histogram), and two micro-benchmarks (``bench``, ``bench-trace``).
+``stats`` (per-qubit and pair statistics) and ``sample`` (seeded shot
+histogram).
 
 Numbers are printed with 12 significant digits; values smaller than 1e-12
 in magnitude print as plain 0, and basis entries whose amplitude or
@@ -14,14 +14,13 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-import time
 
 import numpy as np
 
-from . import analysis, engine, measurement, oracle
-from .circuit import Circuit, load_circuit, random_circuit
+from . import analysis, engine, measurement
+from .circuit import load_circuit
 from .errors import SimulationError
-from .linalg import check_wires, make_rng, random_state
+from .linalg import check_wires
 
 PRINT_EPS = 1e-12
 
@@ -138,43 +137,6 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    rng = make_rng(args.seed)
-    single = args.qubits > oracle.NAIVE_QUBIT_GUARD
-    circ = random_circuit(args.qubits, args.depth, rng, single_qubit_only=single)
-    start = time.perf_counter()
-    if args.method == "naive":
-        oracle.simulate_naive(circ)
-    else:
-        engine.run_circuit(circ)
-    elapsed = time.perf_counter() - start
-    print(
-        f"method={args.method} qubits={args.qubits} depth={args.depth} "
-        f"seconds={elapsed:.6f}"
-    )
-    return 0
-
-
-def _cmd_bench_trace(args) -> int:
-    if not 0 < args.keep < args.qubits:
-        raise SimulationError("--keep must be between 1 and qubits-1")
-    rng = make_rng(args.seed)
-    psi = random_state(args.qubits, rng)
-    kept = list(range(args.keep))
-    start = time.perf_counter()
-    if args.method == "matrix":
-        rho_full = np.outer(psi, psi.conj())
-        analysis.partial_trace_matrix(args.qubits, rho_full, kept, keep=True)
-    else:
-        analysis.partial_trace_state(args.qubits, psi, kept, keep=True)
-    elapsed = time.perf_counter() - start
-    print(
-        f"method={args.method} qubits={args.qubits} keep={args.keep} "
-        f"seconds={elapsed:.6f}"
-    )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qwsim",
@@ -218,20 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("bench", help="time a random circuit")
-    p.add_argument("--qubits", type=int, required=True)
-    p.add_argument("--depth", type=int, default=100)
-    p.add_argument("--method", choices=("qubitwise", "naive"), default="qubitwise")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_bench)
-
-    p = sub.add_parser("bench-trace", help="time a partial trace")
-    p.add_argument("--qubits", type=int, required=True)
-    p.add_argument("--keep", type=int, required=True)
-    p.add_argument("--method", choices=("statevector", "matrix"), default="statevector")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_bench_trace)
 
     return parser
 

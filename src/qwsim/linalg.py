@@ -1,15 +1,11 @@
 """Dense linear algebra helpers and state-vector constructors.
 
-The Hermitian eigensolver is LAPACK's, through ``np.linalg.eigh``, behind a
-check that the input is square, finite and Hermitian.  It was once a
-cyclic Jacobi iteration written out here, so that the one numerically
-delicate primitive rested on no opaque routine.  That independence is
-what a test needs, not production: the iteration is kept as
-``oracle.jacobi_eig`` and the tests hold the two solvers to each other at
-1e-9, as the naive oracle checks the gate kernel.  Run in production, its
-Python loops cost about 1 ms on a 4x4 and 30 ms on a 16x16, against 15
-and 73 microseconds for ``eigh`` (2-core Xeon, numpy 2.4.6, one thread);
-and numpy, the package's one dependency, ships LAPACK already.
+No eigensolver lives here.  The one place that computes a spectrum is
+the density gate of ``analysis``, which calls LAPACK (``np.linalg.eigh``
+or ``eigvalsh``) behind :func:`check_matrix` and the one Hermitian test
+below.  A cyclic Jacobi iteration written out in Python loops is kept
+as ``oracle.jacobi_eig``, and the tests hold the two to each other at
+1e-9, as the naive oracle checks the gate kernel.
 
 Every public entry point checks its arguments here, one function per
 kind: :func:`check_int`, :func:`check_qubit_count`, :func:`check_state`,
@@ -201,7 +197,7 @@ def is_normalized(psi) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Hermitian eigensolver (LAPACK through numpy, checked)
+# Hermitian test
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -216,14 +212,3 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
         raise ContractError("matrix is not Hermitian within tolerance")
     return (a + ah) / 2.0
 
-
-def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix (``np.linalg.eigh``).
-
-    Returns ``(w, v)`` with real eigenvalues ``w`` ascending and unitary
-    ``v`` whose columns are the matching eigenvectors (``a @ v = v @ diag(w)``).
-    Raises ``DimensionError`` for an empty or non-square input and
-    ``ContractError`` for a non-finite or non-Hermitian one.
-    """
-    w, v = np.linalg.eigh(_hermitian_part(check_matrix(a)))
-    return w, v

@@ -13,8 +13,9 @@ the shared-prefix walk and the compiled plans of
 ``measurement.sample_shots`` rather than the kernel: it replays the whole
 circuit once per shot, remapping every op to the live wires itself and
 applying it through the engine's checked entry point.  The Hermitian
-eigensolver :func:`jacobi_eig` is the reference for ``linalg.hermitian_eig``
-(LAPACK): cyclic Jacobi rotations written out in Python loops.
+eigensolver :func:`jacobi_eig` is the reference for the spectra of the
+density gate in ``analysis`` (LAPACK): cyclic Jacobi rotations written
+out in Python loops.
 
 Capped at ``NAIVE_QUBIT_GUARD`` qubits; a dense operator on more would be
 pointlessly large for a reference path.
@@ -251,7 +252,7 @@ def jacobi_eig(a) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(w, v)`` with real eigenvalues ``w`` ascending and unitary
     ``v`` whose columns are the matching eigenvectors (``a @ v = v @ diag(w)``),
-    under the input checks of ``linalg.hermitian_eig``.
+    behind ``linalg.check_matrix`` and the one Hermitian test.
 
     Each sweep visits every off-diagonal pair ``(p, q)`` and applies a
     complex plane rotation chosen to zero ``a[p, q]``: with

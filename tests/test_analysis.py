@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 from itertools import combinations
 
@@ -446,6 +447,28 @@ class TestPurityEntropy:
             for sub in ([0, 1], [2, 3]):
                 rho = analysis.partial_trace_state(4, psi, sub, keep=True)
                 assert abs(analysis.purity(rho) - 1.0) < 1e-10
+
+    def test_frozen_rank_two_projector_entropy(self):
+        # reduced state of a Bell pair plus a |+> spectator, worked by hand:
+        # spectrum [0, 0, 1/2, 1/2], so exactly one bit
+        rho = np.array(
+            [
+                [0.25, 0, 0.25, 0],
+                [0, 0.25, 0, 0.25],
+                [0.25, 0, 0.25, 0],
+                [0, 0.25, 0, 0.25],
+            ],
+            dtype=complex,
+        )
+        assert abs(analysis.von_neumann_entropy(rho) - 1.0) < 1e-9
+
+    def test_pure_state_entropy_is_positive_zero(self):
+        # the sum over a spectrum of ones and zeros is 0.0; its negation
+        # must not leak out as -0.0
+        s = analysis.von_neumann_entropy(np.diag([1.0, 0.0]))
+        pair = analysis.pair_stats(np.diag([1.0, 0, 0, 0])).von_neumann_entropy
+        assert s == 0.0 and math.copysign(1.0, s) == 1.0
+        assert pair == 0.0 and math.copysign(1.0, pair) == 1.0
 
     def test_entropy_bounds_on_random_reduced_states(self):
         rng = np.random.default_rng(8)

@@ -225,6 +225,11 @@ class TestSample:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "seed" in err
 
+    def test_zero_shots_is_one_error_line(self, capsys):
+        path = Path(__file__).resolve().parents[1] / "circuits" / "bell_measure.qc"
+        code, out, err = run_cli(capsys, "sample", str(path), "--shots", "0")
+        assert (code, out, err) == (1, "", "error: shots must be at least 1, got 0\n")
+
 
 class TestBadInput:
     def test_non_utf8_file_is_one_error_line(self, capsys, tmp_path):
@@ -235,56 +240,6 @@ class TestBadInput:
             assert code == 1 and out == ""
             assert err.startswith("error: line 2: ") and err.count("\n") == 1
             assert "UTF-8" in err
-
-
-class TestBench:
-    def test_bench_reports_timing_line(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "bench", "--qubits", "6", "--depth", "10", "--seed", "3"
-        )
-        assert code == 0
-        assert out.startswith("method=qubitwise qubits=6 depth=10 seconds=")
-
-    def test_bench_naive_method(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "bench", "--qubits", "4", "--depth", "5", "--method", "naive"
-        )
-        assert code == 0
-        assert out.startswith("method=naive qubits=4 depth=5")
-
-    def test_bench_naive_respects_guard(self, capsys):
-        code, _, err = run_cli(
-            capsys, "bench", "--qubits", "14", "--depth", "2", "--method", "naive"
-        )
-        assert code == 1
-        assert "guard" in err
-
-    def test_bench_trace_both_methods(self, capsys):
-        for method in ("statevector", "matrix"):
-            code, out, _ = run_cli(
-                capsys,
-                "bench-trace", "--qubits", "6", "--keep", "2", "--method", method,
-            )
-            assert code == 0
-            assert out.startswith(f"method={method} qubits=6 keep=2")
-
-    def test_bench_trace_keep_bounds(self, capsys):
-        code, _, err = run_cli(
-            capsys, "bench-trace", "--qubits", "4", "--keep", "4"
-        )
-        assert code == 1
-        assert "--keep" in err
-
-    @pytest.mark.parametrize("qubits", ["0", "-2"])
-    def test_bench_bad_qubit_count_is_one_error_line(self, capsys, qubits):
-        code, out, err = run_cli(capsys, "bench", "--qubits", qubits)
-        assert code == 1 and out == ""
-        assert err == f"error: qubit count must be at least 1, got {int(qubits)}\n"
-
-    def test_bench_negative_seed_is_one_error_line(self, capsys):
-        code, _, err = run_cli(capsys, "bench", "--qubits", "2", "--seed", "-3")
-        assert code == 1
-        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestParserReuse:

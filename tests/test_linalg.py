@@ -7,11 +7,6 @@ from qwsim.engine import ControlSpec
 from qwsim.errors import ContractError, DimensionError, ResourceError, SimulationError
 
 
-def random_hermitian(dim, rng):
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return m + m.conj().T
-
-
 def random_unitary(dim, rng):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(m)
@@ -63,83 +58,6 @@ class TestStates:
         a = linalg.random_state(4, np.random.default_rng(9))
         b = linalg.random_state(4, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
-
-
-class TestHermitianEig:
-    def test_diagonal_passthrough(self):
-        w = linalg.hermitian_eig(np.diag([0.5, 0.5]).astype(complex))[0]
-        np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-12)
-
-    def test_pauli_x_spectrum(self):
-        w = linalg.hermitian_eig(np.array([[0, 1], [1, 0]], dtype=complex))[0]
-        np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-12)
-
-    def test_frozen_rank_two_projector_spectrum(self):
-        # reduced state of a Bell pair plus a |+> spectator, worked by hand
-        rho = np.array(
-            [
-                [0.25, 0, 0.25, 0],
-                [0, 0.25, 0, 0.25],
-                [0.25, 0, 0.25, 0],
-                [0, 0.25, 0, 0.25],
-            ],
-            dtype=complex,
-        )
-        w = linalg.hermitian_eig(rho)[0]
-        np.testing.assert_allclose(w, [0.0, 0.0, 0.5, 0.5], atol=1e-9)
-
-    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8, 16])
-    def test_matches_independent_solver(self, dim):
-        # the Python-loop Jacobi reference shares no code with LAPACK
-        rng = np.random.default_rng(dim)
-        for _ in range(20):
-            m = random_hermitian(dim, rng)
-            np.testing.assert_allclose(
-                linalg.hermitian_eig(m)[0],
-                oracle.jacobi_eig(m)[0],
-                atol=1e-9,
-            )
-
-    @pytest.mark.parametrize("dim", [2, 4, 8])
-    def test_eigenvectors_reconstruct(self, dim):
-        rng = np.random.default_rng(40 + dim)
-        m = random_hermitian(dim, rng)
-        w, v = linalg.hermitian_eig(m)
-        np.testing.assert_allclose((v * w) @ v.conj().T, m, atol=1e-9)
-        np.testing.assert_allclose(v.conj().T @ v, np.eye(dim), atol=1e-9)
-
-    def test_eigenvalues_ascending_and_sum_to_trace(self):
-        rng = np.random.default_rng(77)
-        m = random_hermitian(6, rng)
-        w = linalg.hermitian_eig(m)[0]
-        assert np.all(np.diff(w) >= 0)
-        assert abs(w.sum() - np.trace(m).real) < 1e-9
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ContractError):
-            linalg.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))[0]
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionError):
-            linalg.hermitian_eig(np.zeros((2, 3)))[0]
-
-    def test_rejects_empty(self):
-        with pytest.raises(DimensionError):
-            linalg.hermitian_eig(np.zeros((0, 0)))[0]
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite(self, bad):
-        # symmetric placement, so a NaN-blind Hermitian check would pass it
-        m = np.array([[0.5, bad], [bad, 0.5]], dtype=complex)
-        with pytest.raises(ContractError, match="non-finite"):
-            linalg.hermitian_eig(m)[0]
-        with pytest.raises(ContractError, match="non-finite"):
-            linalg.hermitian_eig(np.diag([bad, 1.0]).astype(complex))[0]
-
-    def test_one_by_one(self):
-        w, v = linalg.hermitian_eig(np.array([[2.5]], dtype=complex))
-        assert w[0] == 2.5
-        assert v[0, 0] == 1.0
 
 
 _PSI = linalg.zero_state(2)
@@ -235,7 +153,6 @@ _NAN = np.array([[0.5, np.nan], [np.nan, 0.5]])
 # every public entry point that takes a matrix, called with a bad one
 _TAKES_A_MATRIX = {
     "check_matrix": linalg.check_matrix,
-    "hermitian_eig": linalg.hermitian_eig,
     "jacobi_eig": oracle.jacobi_eig,
     "apply_multi_qubit_gate": lambda m: engine.apply_multi_qubit_gate(1, m, (0,), _PSI1),
     "partial_trace_matrix": lambda m: analysis.partial_trace_matrix(1, m, [0]),
@@ -254,8 +171,9 @@ class TestMatrixContract:
 
     def test_non_square_matrix_is_a_dimension_error(self):
         for call in _TAKES_A_MATRIX.values():
-            with pytest.raises(DimensionError, match="square"):
-                call(np.full((2, 3), 0.5))
+            for bad in (np.full((2, 3), 0.5), np.zeros((0, 0))):
+                with pytest.raises(DimensionError, match="square and non-empty"):
+                    call(bad)
 
     def test_non_numeric_matrix_is_a_contract_error(self):
         for call in _TAKES_A_MATRIX.values():
@@ -291,7 +209,7 @@ class TestMatrixContract:
 
     def test_hermitian_bound_is_the_state_tolerance(self):
         off = np.array([[0.5, 0.0], [5e-10, 0.5]])  # within 1e-9, beyond 1e-10
-        for call in (linalg.hermitian_eig, oracle.jacobi_eig, analysis.check_density_matrix):
+        for call in (oracle.jacobi_eig, analysis.check_density_matrix):
             with pytest.raises(ContractError, match="not Hermitian"):
                 call(off)
         off[1, 0] = 5e-11

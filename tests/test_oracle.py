@@ -171,7 +171,7 @@ def _random_hermitian(dim, rng):
 
 
 class TestJacobiEig:
-    """The Python-loop Jacobi solver against the LAPACK one in ``linalg``."""
+    """The Python-loop Jacobi solver against LAPACK and the density gate."""
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8, 16])
     def test_matches_lapack_on_random_hermitian(self, dim):
@@ -179,7 +179,7 @@ class TestJacobiEig:
         for _ in range(10):
             m = _random_hermitian(dim, rng)
             w, v = oracle.jacobi_eig(m)
-            w_ref, v_ref = linalg.hermitian_eig(m)
+            w_ref, v_ref = np.linalg.eigh(m)
             np.testing.assert_allclose(w, w_ref, atol=1e-9)
             # random spectra are simple, so each eigenvector is fixed up to
             # a phase and its projector is comparable
@@ -199,10 +199,22 @@ class TestJacobiEig:
             psi = linalg.random_state(n, rng)
             rho = analysis.partial_trace_state(n, psi, list(range(k)), keep=True)
             w = oracle.jacobi_eig(rho)[0]
-            np.testing.assert_allclose(w, linalg.hermitian_eig(rho)[0], atol=1e-9)
+            np.testing.assert_allclose(w, analysis._density_gate(rho)[1], atol=1e-9)
             zeros = (1 << k) - (1 << (n - k))
             np.testing.assert_allclose(w[:zeros], 0.0, atol=1e-9)
             assert abs(w.sum() - 1.0) < 1e-9
+
+    def test_concurrence_from_jacobi_eigenpairs(self):
+        # the concurrence built on Jacobi's eigenpairs equals the one built
+        # on the density gate's, over random 2-qubit reduced states
+        rng = np.random.default_rng(650)
+        for _ in range(10):
+            n = int(rng.integers(2, 6))  # n = 2 gives a pure, rank-one rho
+            psi = linalg.random_state(n, rng)
+            sub = sorted(int(q) for q in rng.choice(n, size=2, replace=False))
+            rho = analysis.partial_trace_state(n, psi, sub, keep=True)
+            c = analysis._concurrence(rho, *oracle.jacobi_eig(rho))
+            assert abs(c - analysis.concurrence(rho)) < 1e-9
 
     @pytest.mark.parametrize("dim", [2, 4, 8])
     def test_eigenvectors_reconstruct(self, dim):
