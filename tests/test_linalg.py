@@ -60,6 +60,78 @@ class TestStates:
         np.testing.assert_array_equal(a, b)
 
 
+def random_hermitian(dim, rng):
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return m + m.conj().T
+
+
+def random_density_matrix(dim, rng):
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = m @ m.conj().T
+    return rho / np.trace(rho).real
+
+
+class TestHermitianEig:
+    """The one Hermitian eigensolve: LAPACK behind ``check_matrix`` and
+    ``_hermitian_part``, as the density gate of ``analysis`` runs it."""
+
+    def test_diagonal_passthrough(self):
+        w = analysis._density_gate(np.diag([0.5, 0.5]))[1]
+        np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8, 16])
+    def test_matches_independent_solver(self, dim):
+        # a skew below STATE_ATOL passes the Hermitian test, whose exactly
+        # Hermitian average has the spectrum of the Python-loop Jacobi
+        # reference, which shares no code with LAPACK
+        rng = np.random.default_rng(dim)
+        skew = np.triu(np.full((dim, dim), 1e-11j), 1)
+        for _ in range(20):
+            m = random_hermitian(dim, rng)
+            herm = linalg._hermitian_part(linalg.check_matrix(m + skew))
+            np.testing.assert_array_equal(herm, herm.conj().T)
+            np.testing.assert_allclose(
+                np.linalg.eigvalsh(herm),
+                oracle.jacobi_eig(m)[0],
+                atol=1e-9,
+            )
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_eigenvectors_reconstruct(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        rho = random_density_matrix(dim, rng)
+        _, w, v = analysis._density_gate(rho, vectors=True)
+        np.testing.assert_allclose((v * w) @ v.conj().T, rho, atol=1e-9)
+        np.testing.assert_allclose(v.conj().T @ v, np.eye(dim), atol=1e-9)
+
+    def test_eigenvalues_ascending_and_sum_to_trace(self):
+        rng = np.random.default_rng(77)
+        w = analysis._density_gate(random_density_matrix(8, rng))[1]
+        assert np.all(np.diff(w) >= 0)
+        assert abs(w.sum() - 1.0) < 1e-9
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ContractError, match="not Hermitian"):
+            analysis.check_density_matrix(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionError):
+            analysis.check_density_matrix(np.zeros((2, 3)))
+
+    def test_rejects_empty(self):
+        with pytest.raises(DimensionError):
+            analysis.check_density_matrix(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # symmetric placement, so a NaN-blind Hermitian test would pass it
+        m = np.array([[0.5, bad], [bad, 0.5]], dtype=complex)
+        with pytest.raises(ContractError, match="non-finite"):
+            analysis.check_density_matrix(m)
+        with pytest.raises(ContractError, match="non-finite"):
+            analysis.check_density_matrix(np.diag([bad, 1.0]).astype(complex))
+
+
 _PSI = linalg.zero_state(2)
 _RHO = np.eye(4, dtype=complex) / 4
 _X = gates.gate_matrix("X")
