@@ -16,6 +16,10 @@ Every density-matrix statistic passes one gate, the checks of
 purity, entropy and the per-qubit and pair statistics refuse the same
 matrices, and :func:`pair_stats` solves for the spectrum of ``rho`` once.
 
+A pure state passes ``linalg.check_unit_state`` before any work.
+:func:`probability_of_one` sums ``|psi|**2`` over the half where the bit
+is 1, as ``measure_qubit`` sums each outcome over its own half.
+
 The stabilizer Renyi entropy is computed from all ``4**n`` Pauli
 expectations at once with a Walsh-Hadamard transform; see
 :func:`stabilizer_renyi_entropy`.
@@ -23,7 +27,6 @@ expectations at once with a Walsh-Hadamard transform; see
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +40,8 @@ from .linalg import (
     check_matrix,
     check_qubit_count,
     check_state,
+    check_unit_state,
     check_wires,
-    is_normalized,
 )
 
 # Bloch vectors shorter than this are treated as the maximally mixed point,
@@ -98,35 +101,21 @@ def partial_trace_state(n: int, psi, qubits, *, keep: bool = False) -> np.ndarra
     is reshaped to ``M`` of shape ``2**K x 2**T`` for ``K`` kept and ``T``
     traced qubits.  Then ``rho[r, c] = sum_t M[r, t] conj(M[c, t])`` is the
     single product ``M @ M^H``: one reordered copy of ``psi`` and
-    O(4**K * 2**T) work in BLAS.
+    O(4**K * 2**T) work in BLAS.  ``psi`` passes ``check_unit_state``.
     """
-    psi, n = check_state(psi, n)
+    psi, n = check_unit_state(psi, n)
     traced, kept = _split_kept(n, qubits, keep)
     # highest kept wire first; the order of the traced axes is immaterial
     axes = [n - 1 - w for w in kept[::-1] + traced]
     m = psi.reshape((2,) * n).transpose(axes).reshape(1 << len(kept), -1)
-    # a non-finite amplitude reaches the small result, so test that, not
-    # psi, with numpy's warning about the NaN it makes on the way held back
-    with np.errstate(all="ignore"):
-        rho = m @ m.conj().T
-    if not np.isfinite(rho).all():
-        raise ContractError("state has a non-finite amplitude")
-    return rho
+    return m @ m.conj().T
 
 
 def probability_of_one(psi, qubit: int) -> float:
-    """Probability that measuring ``qubit`` yields 1."""
-    psi, n = check_state(psi, None)
+    """Probability that measuring ``qubit`` yields 1: ``|psi|**2`` over that half."""
+    psi, n = check_unit_state(psi, None)
     (qubit,) = check_wires(n, (qubit,))
-    return _probability_of_one(psi, qubit)
-
-
-def _probability_of_one(psi: np.ndarray, qubit: int) -> float:
-    """Unchecked :func:`probability_of_one`; refuses a non-finite amplitude."""
-    if not math.isfinite(np.vdot(psi, psi).real):
-        raise ContractError("state has a non-finite amplitude")
-    probs = np.abs(psi) ** 2
-    return float(probs.reshape(-1, 2, 1 << qubit)[:, 1, :].sum())
+    return float((np.abs(psi) ** 2).reshape(-1, 2, 1 << qubit)[:, 1, :].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +329,7 @@ def stabilizer_renyi_entropy(psi, n: int) -> float:
         raise ResourceError(
             f"stabilizer entropy refuses {n} qubits (cap is {STABILIZER_ENTROPY_MAX_QUBITS})"
         )
-    if not is_normalized(psi):
-        raise ContractError("state is not normalized")
+    check_unit_state(psi, n)
 
     dim = 1 << n
     k = np.arange(dim)

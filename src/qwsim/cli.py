@@ -91,6 +91,8 @@ def _cmd_stats(args) -> int:
         if lo == hi:
             raise SimulationError("--pair needs two distinct wires")
     psi = engine.run_circuit(circ)
+    # computed before any row is printed, so that a refusal prints nothing
+    m2 = analysis.stabilizer_renyi_entropy(psi, circ.n) if args.magic else None
 
     rows = []
     for q in range(circ.n):
@@ -123,8 +125,7 @@ def _cmd_stats(args) -> int:
               f"lin_entropy={_fmt(p.linear_entropy)} "
               f"concurrence={_fmt(p.concurrence)} "
               f"von_neumann={_fmt(p.von_neumann_entropy)}")
-    if args.magic:
-        m2 = analysis.stabilizer_renyi_entropy(psi, circ.n)
+    if m2 is not None:
         print(f"stabilizer_renyi_2: {_fmt(m2)}")
     return 0
 

@@ -40,10 +40,10 @@ from .errors import ContractError
 from .gates import MEASURE, gate_def, gate_names
 from .linalg import (
     MAX_QUBITS,
-    STATE_ATOL,
     check_int,
     check_matrix,
     check_state,
+    check_unit_state,
     check_wires,
     initial_state,
 )
@@ -300,8 +300,8 @@ def run_circuit(circuit, psi0=None) -> np.ndarray:
     """Run every gate of a measurement-free circuit over ``psi0``.
 
     ``psi0`` defaults to |00...0>.  The compiled plans run in one working
-    copy.  The returned vector stays normalized; a drift beyond
-    ``STATE_ATOL`` would indicate a kernel bug and raises.
+    copy.  The result passes ``check_unit_state`` again, so a norm drift
+    beyond ``STATE_ATOL``, which would mean a kernel bug, raises.
     """
     steps, _, _ = compile_circuit(circuit)
     for k, (_, plan, _) in enumerate(steps):
@@ -311,7 +311,4 @@ def run_circuit(circuit, psi0=None) -> np.ndarray:
     state = initial_state(circuit.n, psi0)
     for _, plan, _ in steps:
         _run_plan(plan, state)
-    drift = abs(np.vdot(state, state).real - 1.0)
-    if not drift <= STATE_ATOL:
-        raise ContractError(f"norm drifted by {drift:.3e} during simulation")
-    return state
+    return check_unit_state(state, circuit.n)[0]

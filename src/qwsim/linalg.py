@@ -9,13 +9,15 @@ as ``oracle.jacobi_eig``, and the tests hold the two to each other at
 
 Every public entry point checks its arguments here, one function per
 kind: :func:`check_int`, :func:`check_qubit_count`, :func:`check_state`,
-:func:`check_matrix` and :func:`check_wires`.  Each raises a
-``SimulationError`` subclass: a float is refused rather than truncated,
-and an array numpy cannot read as numbers is a ``ContractError``.  A
-matrix is also refused for a non-finite entry (a state is not: the
-statistics refuse a NaN where it reaches their result, and a gate would
-pay a pass over every amplitude).  One Hermitian test, at ``STATE_ATOL``,
-stands in front of every eigensolve.
+:func:`check_unit_state`, :func:`check_matrix` and :func:`check_wires`.
+Each raises a ``SimulationError`` subclass: a float is refused rather
+than truncated, and an array numpy cannot read as numbers is a
+``ContractError``.  A matrix is also refused for a non-finite entry.  A
+state read as probabilities passes :func:`check_unit_state`; a vector a
+gate maps passes :func:`check_state` only, as a gate is linear.  A
+measurement takes each outcome's probability from its own half of
+``|psi|**2``, so its residuals are unit and pass the check at every split.
+One Hermitian test, at ``STATE_ATOL``, stands in front of every eigensolve.
 
 Conventions used throughout the package:
 
@@ -99,6 +101,20 @@ def check_state(psi, n) -> tuple[np.ndarray, int]:
     return psi, n
 
 
+def check_unit_state(psi, n) -> tuple[np.ndarray, int]:
+    """:func:`check_state`, and ``|psi|**2`` within ``STATE_ATOL`` of 1.
+
+    A NaN or infinite amplitude, or a norm that is off, is a ``ContractError``.
+    """
+    psi, n = check_state(psi, n)
+    norm = np.vdot(psi, psi).real
+    if not np.isfinite(norm):
+        raise ContractError("state has a non-finite amplitude")
+    if abs(norm - 1.0) > STATE_ATOL:
+        raise ContractError("state is not normalized")
+    return psi, n
+
+
 def check_wires(n: int, wires) -> tuple[int, ...]:
     """``wires`` as plain ints, each in ``0..n-1`` for a checked count ``n``.
 
@@ -163,15 +179,11 @@ def basis_state(n: int, index: int) -> np.ndarray:
 def initial_state(n: int, psi0=None) -> np.ndarray:
     """A fresh starting state: a copy of ``psi0``, or |00...0> if it is None.
 
-    Raises ``DimensionError`` for a wrong length and ``ContractError`` when
-    ``psi0`` is not normalized (a NaN norm counts as not normalized).
+    ``psi0`` passes :func:`check_unit_state`.
     """
     if psi0 is None:
         return zero_state(n)
-    psi = check_state(psi0, n)[0].copy()
-    if not is_normalized(psi):
-        raise ContractError("initial state is not normalized")
-    return psi
+    return check_unit_state(psi0, n)[0].copy()
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -188,12 +200,6 @@ def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     size = 1 << n
     psi = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     return psi / np.linalg.norm(psi)
-
-
-def is_normalized(psi) -> bool:
-    """True when the squared norm of ``psi`` is 1 within ``STATE_ATOL``."""
-    psi = np.asarray(psi)
-    return bool(abs(np.vdot(psi, psi).real - 1.0) <= STATE_ATOL)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Projective measurement: branch trees and seeded shot sampling.
 
-Measuring wire ``q`` of an ``n``-qubit state splits it into (up to) two
-residual states, one per outcome ``b``: keep the amplitudes whose bit ``q``
-equals ``b``, delete that bit from the index, and renormalize by
-``sqrt(Pr[b])``.  Residuals therefore live on ``n - 1`` qubits; wires above
+Measuring wire ``q`` of an ``n``-qubit unit state splits it into (up to)
+two residual states, one per outcome ``b``: keep the amplitudes whose bit
+``q`` equals ``b``, delete that bit from the index, and renormalize by
+``sqrt(Pr[b])``.  ``Pr[b]`` is the sum of ``|psi|**2`` over that same half
+of the amplitudes, for each outcome on its own, so every residual is a
+unit vector to rounding, however rare its outcome, and passes the unit
+check of the next split.  Residuals live on ``n - 1`` qubits; wires above
 ``q`` shift down by one.  Branches with probability below ``PRUNE_EPS``
 carry no residual (there is nothing meaningful to renormalize).
 
@@ -36,10 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .analysis import _probability_of_one
 from .circuit import Circuit
 from .engine import _run_plan, compile_circuit
-from .linalg import check_int, check_state, check_wires, initial_state, make_rng
+from .linalg import check_int, check_unit_state, check_wires, initial_state, make_rng
 
 PRUNE_EPS = 1e-14
 # Shots drawn and walked together; bounds the draw table at a few MiB.
@@ -62,24 +64,25 @@ class MeasurementBranch:
 def measure_qubit(psi, n: int, qubit: int) -> tuple[MeasurementBranch, MeasurementBranch]:
     """Split a state on the outcome of measuring ``qubit``.
 
-    Returns the ``(outcome 0, outcome 1)`` branch pair.  Probabilities
-    always sum to 1 (up to the pruning threshold); residuals are unit
-    vectors of length ``2**(n-1)``.
+    Returns the ``(outcome 0, outcome 1)`` branch pair.  ``psi`` passes
+    ``check_unit_state``.  Each probability is the sum of ``|psi|**2`` over
+    its own half of the amplitudes, so the two sum to the squared norm of
+    ``psi``, and each residual is a unit vector of length ``2**(n-1)`` to
+    rounding.
     """
-    psi, n = check_state(psi, n)
+    psi, n = check_unit_state(psi, n)
     (qubit,) = check_wires(n, (qubit,))
-    p1 = _probability_of_one(psi, qubit)
-    p0 = max(0.0, 1.0 - p1)
-
     halves = psi.reshape(-1, 2, 1 << qubit)  # axis 1 is bit ``qubit``
+    probs = np.abs(halves) ** 2
 
-    def branch(bit: int, p: float) -> MeasurementBranch:
+    def branch(bit: int) -> MeasurementBranch:
+        p = float(probs[:, bit, :].sum())
         if p < PRUNE_EPS:
             return MeasurementBranch(bit, 0.0, None)
         residual = (halves[:, bit, :] / np.sqrt(p)).reshape(-1)
-        return MeasurementBranch(bit, float(p), residual)
+        return MeasurementBranch(bit, p, residual)
 
-    return branch(0, p0), branch(1, p1)
+    return branch(0), branch(1)
 
 
 @dataclass(frozen=True)

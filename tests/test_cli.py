@@ -176,6 +176,13 @@ class TestStats:
         line = [l for l in out.splitlines() if l.startswith("stabilizer_renyi_2:")][0]
         assert line == "stabilizer_renyi_2: 0.415037499279"
 
+    def test_magic_over_the_cap_fails_before_any_output(self, capsys, circuit_file):
+        # the cap lives in analysis; no stats row may be printed before it
+        code, out, err = run_cli(capsys, "stats", circuit_file("qubits 11\nH 0\n"), "--magic")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: stabilizer entropy refuses 11 qubits")
+        assert err.count("\n") == 1
+
     def test_stats_rejects_measurement_circuits(self, capsys, circuit_file):
         code, _, err = run_cli(capsys, "stats", circuit_file(BELL_MEASURE))
         assert code == 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qwsim import analysis, engine, gates, linalg, measurement, oracle
-from qwsim.circuit import Circuit, GateOp
+from qwsim.circuit import Circuit, GateOp, parse_circuit
 from qwsim.engine import ControlSpec
 from qwsim.errors import ContractError, DimensionError, ResourceError, SimulationError
 
@@ -52,7 +52,9 @@ class TestStates:
     def test_random_state_normalized(self, n):
         rng = np.random.default_rng(100 + n)
         psi = linalg.random_state(n, rng)
-        assert linalg.is_normalized(psi)
+        assert linalg.check_unit_state(psi, n)[1] == n
+        with pytest.raises(ContractError, match="not normalized"):
+            linalg.check_unit_state(1.001 * psi, n)
 
     def test_random_state_seeded(self):
         a = linalg.random_state(4, np.random.default_rng(9))
@@ -286,3 +288,48 @@ class TestMatrixContract:
                 call(off)
         off[1, 0] = 5e-11
         assert analysis.check_density_matrix(off) == 1
+
+
+_PURE = parse_circuit("qubits 2\nH 0\n")
+_MEASURED = parse_circuit("qubits 2\nH 0\nMEASURE 0\n")
+
+# every public entry point that reads a state as probabilities, called
+# with a bad 2-qubit state
+_TAKES_A_UNIT_STATE = {
+    "initial_state": lambda psi: linalg.initial_state(2, psi),
+    "measure_qubit": lambda psi: measurement.measure_qubit(psi, 2, 1),
+    "probability_of_one": lambda psi: analysis.probability_of_one(psi, 1),
+    "partial_trace_state": lambda psi: analysis.partial_trace_state(2, psi, [0]),
+    "stabilizer_renyi_entropy": lambda psi: analysis.stabilizer_renyi_entropy(psi, 2),
+    "run_circuit": lambda psi: engine.run_circuit(_PURE, psi),
+    "run_with_branches": lambda psi: measurement.run_with_branches(_MEASURED, psi),
+    "sample_shots": lambda psi: measurement.sample_shots(_MEASURED, 10, 0, psi),
+    "simulate_naive": lambda psi: oracle.simulate_naive(_PURE, psi),
+    "sample_shots_replay": lambda psi: oracle.sample_shots_replay(_MEASURED, 10, 0, psi),
+}
+_BAD_STATES = {
+    "norm 2": ([1, 1, 0, 0], "not normalized"),
+    "norm 0.02": ([0.1, 0.1, 0, 0], "not normalized"),
+    "nan": ([1, 0, 0, np.nan], "non-finite"),
+    "inf": ([0, 0, np.inf, 0], "non-finite"),
+}
+
+
+class TestStateContract:
+    """A state read as probabilities passes the one unit-state check; a
+    vector that a gate maps passes the length check only."""
+
+    @pytest.mark.parametrize("bad", sorted(_BAD_STATES))
+    @pytest.mark.parametrize("entry", sorted(_TAKES_A_UNIT_STATE))
+    def test_bad_state_is_a_contract_error(self, entry, bad):
+        psi, message = _BAD_STATES[bad]
+        with pytest.raises(ContractError, match=message):
+            _TAKES_A_UNIT_STATE[entry](np.array(psi, dtype=complex))
+
+    def test_gates_map_any_vector(self):
+        ones = np.array([1, 1], dtype=complex)
+        expect = [np.sqrt(2), 0]
+        out = engine.apply_multi_qubit_gate(1, gates.gate_matrix("H"), (0,), ones)
+        np.testing.assert_allclose(out, expect, atol=1e-15)
+        out = engine.apply_op(1, GateOp("H", (0,)), ones)
+        np.testing.assert_allclose(out, expect, atol=1e-15)

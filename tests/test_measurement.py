@@ -114,6 +114,21 @@ class TestMeasureQubit:
                     assert br.residual.flags.c_contiguous
                 assert branches[1].probability == analysis.probability_of_one(psi, q)
 
+    @pytest.mark.parametrize("p0", [1e-13, 1e-12])
+    def test_rare_outcome_keeps_a_unit_residual(self, p0):
+        # Pr[0] taken as 1 - Pr[1] would be 3e-4 off here, and so would |r|**2
+        a, b = np.sqrt(p0 / 2), np.sqrt((1 - p0) / 2)
+        psi0 = np.array([a, b, 1j * a, -b])
+        b0, _ = measurement.measure_qubit(psi0, 2, 0)
+        assert abs(np.vdot(b0.residual, b0.residual).real - 1.0) < 1e-12
+        direct = abs(psi0[0]) ** 2 + abs(psi0[2]) ** 2
+        assert abs(b0.probability - direct) < 1e-12 * direct
+        circ = parse_circuit("qubits 2\nMEASURE 0\nH 1\nMEASURE 1\n")
+        leaves = measurement.run_with_branches(circ, psi0).leaves
+        assert {(0, 0), (0, 1)} <= {leaf.outcomes for leaf in leaves}
+        for leaf in leaves:
+            assert abs(np.vdot(leaf.state, leaf.state).real - 1.0) < 1e-12
+
     def test_bad_inputs(self):
         with pytest.raises(ContractError):
             measurement.measure_qubit(linalg.zero_state(2), 2, 2)
