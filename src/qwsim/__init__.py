@@ -34,7 +34,6 @@ from .gates import GateDef, gate_def, gate_matrix, gate_names
 from .engine import (
     ControlSpec,
     apply_multi_qubit_gate,
-    apply_op,
     run_circuit,
     swap_bits,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "SimulationError",
     "UNITARY_ATOL",
     "apply_multi_qubit_gate",
-    "apply_op",
     "basis_state",
     "build_gate_full_matrix",
     "concurrence",

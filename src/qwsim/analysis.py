@@ -54,9 +54,9 @@ STABILIZER_ENTROPY_MAX_QUBITS = 10
 
 def _split_kept(n: int, qubits, keep: bool) -> tuple[list[int], list[int]]:
     qs = list(check_wires(n, qubits))
-    if sorted(set(qs)) != qs:
-        raise ContractError(f"qubit list {qs} must be strictly ascending, no duplicates")
-    rest = [q for q in range(n) if q not in set(qs)]
+    if sorted(qs) != qs:
+        raise ContractError(f"qubit list {qs} must be strictly ascending")
+    rest = [q for q in range(n) if q not in qs]
     return (rest, qs) if keep else (qs, rest)
 
 

@@ -18,13 +18,14 @@ the qubit count are ASCII digits ``0-9`` only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import ContractError, ParseError, SimulationError
 from .gates import MEASURE, gate_def
-from .engine import NO_CONTROLS, ControlSpec, _check_distinct, coerce_controls
-from .linalg import check_int, check_qubit_count, check_wires
+from .engine import NO_CONTROLS, ControlSpec, coerce_controls
+from .linalg import MAX_QUBITS, check_int, check_qubit_count, check_wires
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,11 @@ class GateOp:
 
     def __post_init__(self):
         object.__setattr__(self, "gate", str(self.gate).upper())
-        object.__setattr__(self, "targets", tuple(check_int(t, "wire") for t in self.targets))
-        object.__setattr__(self, "controls", coerce_controls(self.controls))
+        controls = coerce_controls(self.controls)
+        # no register holds a wire past the cap; the circuit checks its own range
+        wires = check_wires(MAX_QUBITS, chain(self.targets, controls.wires))
+        object.__setattr__(self, "targets", wires[: len(wires) - len(controls.wires)])
+        object.__setattr__(self, "controls", controls)
         if self.gate == MEASURE:
             if len(self.targets) != 1:
                 raise ContractError("MEASURE takes exactly one wire")
@@ -50,7 +54,6 @@ class GateOp:
                 raise ContractError(
                     f"{g.name} takes {g.arity} wire(s), got {len(self.targets)}"
                 )
-        _check_distinct(self.targets, self.controls)
 
     @property
     def wires(self) -> tuple[int, ...]:
@@ -73,8 +76,13 @@ class Circuit:
     def __post_init__(self):
         n = check_qubit_count(self.n)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ops", tuple(self.ops))
+        try:
+            object.__setattr__(self, "ops", tuple(self.ops))
+        except TypeError:
+            raise ContractError(f"ops must be a sequence of GateOp, got {self.ops!r}") from None
         for k, op in enumerate(self.ops):
+            if not isinstance(op, GateOp):
+                raise ContractError(f"op {k} is {op!r}, not a GateOp")
             try:
                 check_wires(n, op.wires)
             except ContractError as exc:
@@ -107,8 +115,8 @@ def _parse_int(token: str, line_no: int, what: str) -> int:
 def _parse_gate(chunk: str, line_no: int) -> GateOp:
     """Tokenise one gate and expand its sugar.
 
-    ``GateOp`` makes every check but the wire range, which the circuit
-    makes; a failure becomes a ``ParseError`` naming ``line_no``.
+    ``GateOp`` makes every check but the register's wire range, which the
+    circuit makes; a failure becomes a ``ParseError`` naming ``line_no``.
     """
     tokens = chunk.split()
     name = tokens[0].upper()

@@ -88,8 +88,6 @@ def _cmd_stats(args) -> int:
     circ = load_circuit(args.circuit)
     if args.pair is not None:
         lo, hi = sorted(check_wires(circ.n, args.pair))
-        if lo == hi:
-            raise SimulationError("--pair needs two distinct wires")
     psi = engine.run_circuit(circ)
     # computed before any row is printed, so that a refusal prints nothing
     m2 = analysis.stabilizer_renyi_entropy(psi, circ.n) if args.magic else None

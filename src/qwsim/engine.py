@@ -25,14 +25,16 @@ and each block's index) comes from the wires alone.
 template once; :func:`run_circuit` and the measurement walker run the
 plans in their own working state and check nothing per gate.
 :func:`apply_multi_qubit_gate` is the checked entry point for one gate of
-any matrix, and :func:`apply_op` for one catalog gate; like every public
-entry, they check the qubit count, the wires, the state and the matrix
-with the one check of each kind in ``linalg``.
+any matrix; like every public entry, it checks the qubit count, the
+wires, the state and the matrix with the one check of each kind in
+``linalg``.  Its targets and controls go through ``check_wires`` as one
+list, so every wire is in range and none is named twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -65,24 +67,24 @@ class ControlSpec:
     wires: tuple[int, ...] = field(init=False, default=(), compare=False, repr=False)
 
     def __post_init__(self):
-        pairs = tuple(self.entries)
+        try:
+            pairs = [(w, bool(f)) for w, f in self.entries]
+        except (TypeError, ValueError):
+            raise ContractError(
+                f"controls must be (wire, is_control) pairs, got {self.entries!r}"
+            ) from None
         try:  # no register holds a wire past the cap; refuse it before 1 << wire
             wires = check_wires(MAX_QUBITS, [w for w, _ in pairs])
         except ContractError as exc:
             raise ContractError(f"control {exc}") from None
-        entries = tuple((w, bool(f)) for w, (_, f) in zip(wires, pairs))
+        entries = tuple((w, f) for w, (_, f) in zip(wires, pairs))
         object.__setattr__(self, "entries", entries)
         inclusion = 0
         desired = 0
         for wire, is_control in entries:
-            bit = 1 << wire
-            if inclusion & bit:
-                raise ContractError(
-                    f"wire {wire} appears more than once in the control spec"
-                )
-            inclusion |= bit
+            inclusion |= 1 << wire
             if is_control:
-                desired |= bit
+                desired |= 1 << wire
         object.__setattr__(self, "inclusion_mask", inclusion)
         object.__setattr__(self, "desired_value_mask", desired)
         object.__setattr__(self, "wires", wires)
@@ -98,25 +100,9 @@ def coerce_controls(controls) -> ControlSpec:
     """Accept a ControlSpec, None, or an iterable of (wire, is_control)."""
     if isinstance(controls, ControlSpec):
         return controls
-    entries = () if controls is None else tuple(controls)
-    return ControlSpec(entries) if entries else NO_CONTROLS
-
-
-def _check_distinct(targets, spec: ControlSpec) -> None:
-    """No target repeats and no wire is both a control and a target."""
-    if len(set(targets)) != len(targets):
-        raise ContractError(f"duplicate target wires in {targets}")
-    overlap = set(targets) & set(spec.wires)
-    if overlap:
-        raise ContractError(f"wire {min(overlap)} is both a control and a target")
-
-
-def _check_wires(n: int, targets, spec: ControlSpec) -> tuple[int, ...]:
-    """The targets as ints; every wire in range, and none named twice."""
-    targets = check_wires(n, targets)
-    check_wires(n, spec.wires)
-    _check_distinct(targets, spec)
-    return targets
+    if controls is None or isinstance(controls, (list, tuple)) and not controls:
+        return NO_CONTROLS  # most gates have no controls; build no spec for them
+    return ControlSpec(controls)
 
 
 def swap_bits(k: int, i: int, j: int) -> int:
@@ -210,19 +196,6 @@ def _run_plan(plan: tuple, state: np.ndarray) -> np.ndarray:
     return state
 
 
-def _check_gate(n: int, targets, a, controls) -> tuple:
-    """Check one gate's wires and state; return ``(n, targets, spec, state)``.
-
-    ``state`` is a fresh complex copy of ``a`` for the kernel to write.
-    """
-    out, n = check_state(a, n)
-    spec = coerce_controls(controls)
-    targets = _check_wires(n, targets, spec)
-    if not targets:
-        raise ContractError("multi-qubit gate needs at least one target")
-    return n, targets, spec, out.copy()
-
-
 def apply_multi_qubit_gate(n: int, u, targets, a, controls=None) -> np.ndarray:
     """Apply a ``2**m x 2**m`` matrix ``u`` to ``m`` target wires.
 
@@ -242,22 +215,14 @@ def apply_multi_qubit_gate(n: int, u, targets, a, controls=None) -> np.ndarray:
     gates are checked once at import and ``run_circuit`` checks the norm
     of its result.
     """
-    n, targets, spec, out = _check_gate(n, targets, a, controls)
+    out, n = check_state(a, n)
+    spec = coerce_controls(controls)
+    wires = check_wires(n, chain(targets, spec.wires))
+    targets = wires[: len(wires) - len(spec.wires)]
+    if not targets:
+        raise ContractError("multi-qubit gate needs at least one target")
     u = check_matrix(u, 1 << len(targets))
-    return _run_plan(_place(n, _template(u), targets, spec.entries), out)
-
-
-def apply_op(n: int, op, a) -> np.ndarray:
-    """Apply one circuit operation (anything except a measurement).
-
-    Checked like :func:`apply_multi_qubit_gate`, but the gate's template
-    comes from the catalog table.
-    """
-    if op.gate == MEASURE:
-        raise ContractError(f"{op} is a measurement; use the measurement module")
-    g = gate_def(op.gate)
-    n, targets, spec, out = _check_gate(n, op.targets, a, op.controls)
-    return _run_plan(_place(n, _TEMPLATES[g.name], targets, spec.entries), out)
+    return _run_plan(_place(n, _template(u), targets, spec.entries), out.copy())
 
 
 def compile_circuit(circuit) -> tuple[list, tuple[int, ...], dict[int, int | None]]:

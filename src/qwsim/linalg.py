@@ -105,29 +105,40 @@ def check_unit_state(psi, n) -> tuple[np.ndarray, int]:
     """:func:`check_state`, and ``|psi|**2`` within ``STATE_ATOL`` of 1.
 
     A NaN or infinite amplitude, or a norm that is off, is a ``ContractError``.
+    The amplitudes are tested for finiteness only when the norm is not
+    finite, so a finite state whose squared norm overflows is "not normalized".
     """
     psi, n = check_state(psi, n)
     norm = np.vdot(psi, psi).real
-    if not np.isfinite(norm):
+    if not np.isfinite(norm) and not np.isfinite(psi).all():
         raise ContractError("state has a non-finite amplitude")
-    if abs(norm - 1.0) > STATE_ATOL:
+    if not abs(norm - 1.0) <= STATE_ATOL:
         raise ContractError("state is not normalized")
     return psi, n
 
 
 def check_wires(n: int, wires) -> tuple[int, ...]:
-    """``wires`` as plain ints, each in ``0..n-1`` for a checked count ``n``.
+    """``wires`` as distinct plain ints, each in ``0..n-1`` for a checked count ``n``.
 
-    Raises ``ContractError``.  The error for a wire out of range carries it
-    as ``wire``, so a caller can restate the error in its own terms.
+    The one check of a list of wires.  Raises ``ContractError`` for a
+    ``wires`` that is not iterable, a wire that is not an integer, a wire
+    out of range, or a wire named more than once.  The error for a wire out
+    of range carries it as ``wire``, so a caller can restate the error in
+    its own terms.
     """
-    wires = [check_int(w, "wire") for w in wires]
+    try:
+        wires = tuple([check_int(w, "wire") for w in wires])
+    except TypeError as exc:  # ``wires`` itself is not iterable
+        raise ContractError(f"expected a list of wires: {exc}") from None
     for w in wires:
         if not 0 <= w < n:
             exc = ContractError(f"wire {w} is outside 0..{n - 1}")
             exc.wire = w
             raise exc
-    return tuple(wires)
+    if len(set(wires)) < len(wires):
+        w = next(w for k, w in enumerate(wires) if w in wires[:k])
+        raise ContractError(f"wire {w} is named more than once")
+    return wires
 
 
 def check_matrix(m, dim=None) -> np.ndarray:

@@ -12,7 +12,9 @@ other.  The one exception is :func:`sample_shots_replay`, which checks
 the shared-prefix walk and the compiled plans of
 ``measurement.sample_shots`` rather than the kernel: it replays the whole
 circuit once per shot, remapping every op to the live wires itself and
-applying it through the engine's checked entry point.  The Hermitian
+applying its matrix through the engine's checked entry point, which
+derives the kernel template from the matrix rather than reading the
+compiled table.  The Hermitian
 eigensolver :func:`jacobi_eig` is the reference for the spectra of the
 density gate in ``analysis`` (LAPACK): cyclic Jacobi rotations written
 out in Python loops.
@@ -23,18 +25,21 @@ pointlessly large for a reference path.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .errors import ContractError, ResourceError
 from .gates import MEASURE, GateDef, gate_def
 from .analysis import _split_kept
 from .circuit import GateOp
-from .engine import ControlSpec, _check_wires, apply_op, coerce_controls, swap_bits
+from .engine import ControlSpec, apply_multi_qubit_gate, coerce_controls, swap_bits
 from .linalg import (
     _hermitian_part,
     check_matrix,
     check_qubit_count,
     check_state,
+    check_wires,
     initial_state,
     make_rng,
 )
@@ -66,7 +71,8 @@ def build_gate_full_matrix(n: int, gate, targets, controls=None) -> np.ndarray:
     n = _check_guard(n)
     g: GateDef = gate if isinstance(gate, GateDef) else gate_def(gate)
     spec: ControlSpec = coerce_controls(controls)
-    targets = sorted(_check_wires(n, targets, spec))
+    wires = check_wires(n, chain(targets, spec.wires))
+    targets = sorted(wires[: len(wires) - len(spec.wires)])
     if len(targets) != g.arity:
         raise ContractError(
             f"gate {g.name} acts on {g.arity} wires, got {len(targets)} targets"
@@ -115,7 +121,7 @@ def swap_wires(n: int, wire_i: int, wire_j: int, psi, controls=None) -> np.ndarr
     """
     n = _check_guard(n)
     spec = coerce_controls(controls)
-    wire_i, wire_j = _check_wires(n, (wire_i, wire_j), spec)
+    wire_i, wire_j = check_wires(n, (wire_i, wire_j, *spec.wires))[:2]
     out = check_state(psi, n)[0].copy()
     for k in range(1 << n):
         if spec.passes(k):
@@ -150,7 +156,8 @@ def sample_shots_replay(circuit, shots: int, seed, psi0=None) -> dict[str, int]:
     """Sample measurement records by replaying the circuit once per shot.
 
     Each shot starts from a copy of the initial state, remaps every op to
-    the live wires, applies it with ``engine.apply_op``, and draws one
+    the live wires, applies its catalog matrix with
+    ``engine.apply_multi_qubit_gate``, and draws one
     ``rng.random()`` per MEASURE, taking outcome 1 when the draw is below
     its probability (a pruned outcome is never taken).  The reference for
     ``measurement.sample_shots``, whose histogram must equal this one for
@@ -182,7 +189,9 @@ def sample_shots_replay(circuit, shots: int, seed, psi0=None) -> dict[str, int]:
                 _measure_and_shift(wire_map, op.targets[0])
                 n_live -= 1
             else:
-                state = apply_op(n_live, _remap_op(op, wire_map), state)
+                live = _remap_op(op, wire_map)
+                u = gate_def(live.gate).matrix
+                state = apply_multi_qubit_gate(n_live, u, live.targets, state, live.controls)
         key = "".join(record)
         histogram[key] = histogram.get(key, 0) + 1
     return histogram

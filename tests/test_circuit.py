@@ -39,6 +39,17 @@ class TestGateOp:
         with pytest.raises(ContractError):
             Circuit(2, (GateOp("X", (-1,)),))
 
+    def test_circuit_rejects_ops_that_are_not_gate_ops(self):
+        for ops, message in [
+            (5, "ops must be a sequence of GateOp, got 5"),
+            (None, "ops must be a sequence of GateOp, got None"),
+            (["H 0"], "op 0 is 'H 0', not a GateOp"),
+            ((GateOp("H", (0,)), ("X", 1)), "op 1 is ('X', 1), not a GateOp"),
+        ]:
+            with pytest.raises(ContractError) as err:
+                Circuit(2, ops)
+            assert str(err.value) == message
+
     def test_over_cap_circuit_raises_resource_error(self):
         with pytest.raises(ResourceError):
             Circuit(linalg.MAX_QUBITS + 1)
@@ -92,9 +103,11 @@ class TestParser:
             ("qubits 0\n", "qubit count"),
             ("qubits 2\nFOO 0\n", "unknown gate"),
             ("qubits 2\nH 5\n", "out of range"),
+            # a target past the qubit cap is refused by GateOp, as a control wire is
+            ("qubits 2\nH 30\n", "line 2: wire 30 is outside 0..25"),
             ("qubits 2\nH 0 1\n", "takes 1 wire"),
-            ("qubits 2\nSWAP 1 1\n", "duplicate"),
-            ("qubits 2\nX 0 c=0\n", "control"),
+            ("qubits 2\nSWAP 1 1\n", "line 2: wire 1 is named more than once"),
+            ("qubits 2\nX 0 c=0\n", "line 2: wire 0 is named more than once"),
             ("qubits 2\nX 0 c=1 a=1\n", "more than once"),
             ("qubits 2\nMEASURE 0 c=1\n", "MEASURE"),
             ("qubits 2\nCX 0\n", "takes 2 wires"),

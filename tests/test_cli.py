@@ -159,7 +159,7 @@ class TestStats:
             capsys, "stats", circuit_file(MIXED_PAIR), "--pair", "1", "1"
         )
         assert code == 1
-        assert "distinct" in err
+        assert err == "error: wire 1 is named more than once\n"
 
     def test_bad_pair_fails_before_any_output(self, capsys, circuit_file):
         path = circuit_file(MIXED_PAIR)

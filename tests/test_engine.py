@@ -327,6 +327,8 @@ class TestMultiQubitGate:
             np.testing.assert_allclose(fast, big @ psi, atol=1e-10)
 
     def test_every_catalog_gate_through_apply_op_matches_oracle(self):
+        # each gate runs as a one-op circuit, so its plan is placed from
+        # the catalog template in _TEMPLATES, including I's empty one
         rng = np.random.default_rng(35)
         for name in gates.gate_names():
             arity = gates.gate_def(name).arity
@@ -341,7 +343,10 @@ class TestMultiQubitGate:
                     psi = linalg.random_state(n, rng)
                     big = oracle.build_gate_full_matrix(n, name, targets, controls)
                     np.testing.assert_allclose(
-                        engine.apply_op(n, op, psi), big @ psi, atol=1e-12, rtol=0
+                        engine.run_circuit(Circuit(n, (op,)), psi),
+                        big @ psi,
+                        atol=1e-12,
+                        rtol=0,
                     )
 
     def test_gate_bit_order_follows_sorted_targets(self):
@@ -558,11 +563,7 @@ class TestTemplates:
         circ = random_circuit(6, 40, rng, control_probability=0.4)
         engine.compile_circuit(circ)
         engine.run_circuit(circ)
-        psi = linalg.zero_state(6)
-        for op in circ.ops:
-            psi = engine.apply_op(6, op, psi)
         measured = parse_circuit("qubits 2\nH 0\nX 1 c=0\nMEASURE 1\nH 0\nMEASURE 0\n")
-        oracle.sample_shots_replay(measured, 20, 1)
         measurement.sample_shots(measured, 20, 1)
         assert derived == []
         # any other matrix derives its own template, once per call

@@ -143,7 +143,6 @@ _X = gates.gate_matrix("X")
 _TAKES_A_COUNT = {
     "Circuit": lambda v: Circuit(v),
     "apply_multi_qubit_gate": lambda v: engine.apply_multi_qubit_gate(v, _X, (0,), _PSI),
-    "apply_op": lambda v: engine.apply_op(v, GateOp("X", (0,)), _PSI),
     "measure_qubit": lambda v: measurement.measure_qubit(_PSI, v, 0),
     "partial_trace_state": lambda v: analysis.partial_trace_state(v, _PSI, [0]),
     "partial_trace_matrix": lambda v: analysis.partial_trace_matrix(v, _RHO, [0]),
@@ -160,6 +159,32 @@ _TAKES_A_WIRE = {
     "partial_trace_state": lambda v: analysis.partial_trace_state(2, _PSI, [v]),
     "partial_trace_matrix": lambda v: analysis.partial_trace_matrix(2, _RHO, [v]),
     "basis_state": lambda v: linalg.basis_state(2, v),  # a basis index
+}
+_SWAP = gates.gate_matrix("SWAP")
+
+
+def _controls(v):
+    """A list of wires as control pairs; anything else stands as one entry."""
+    return [(w, True) for w in v] if isinstance(v, list) else [v]
+
+
+# every public entry point that takes a list of wires, called with a bad
+# one: a non-list or a list that names a wire twice
+_TAKES_WIRES = {
+    "GateOp targets": lambda v: GateOp("SWAP", v),
+    "GateOp controls": lambda v: GateOp("H", (0,), _controls(v)),
+    "ControlSpec": lambda v: ControlSpec(_controls(v)),
+    "apply_multi_qubit_gate targets": lambda v: engine.apply_multi_qubit_gate(2, _SWAP, v, _PSI),
+    "apply_multi_qubit_gate controls": lambda v: engine.apply_multi_qubit_gate(
+        2, _X, (0,), _PSI, _controls(v)
+    ),
+    "partial_trace_state": lambda v: analysis.partial_trace_state(2, _PSI, v),
+    "partial_trace_matrix": lambda v: analysis.partial_trace_matrix(2, _RHO, v),
+    "build_gate_full_matrix targets": lambda v: oracle.build_gate_full_matrix(2, "SWAP", v),
+    "build_gate_full_matrix controls": lambda v: oracle.build_gate_full_matrix(
+        2, "X", (0,), _controls(v)
+    ),
+    "swap_wires controls": lambda v: oracle.swap_wires(2, 0, 1, _PSI, _controls(v)),
 }
 
 
@@ -179,6 +204,50 @@ class TestArgumentContract:
         with pytest.raises(SimulationError):
             _TAKES_A_WIRE[entry](bad)
 
+    @pytest.mark.parametrize("bad", [0, None])
+    @pytest.mark.parametrize("entry", sorted(_TAKES_WIRES))
+    def test_non_list_of_wires(self, entry, bad):
+        with pytest.raises(ContractError):
+            _TAKES_WIRES[entry](bad)
+
+    @pytest.mark.parametrize("entry", sorted(_TAKES_WIRES))
+    def test_repeated_wire(self, entry):
+        with pytest.raises(ContractError, match="wire 1 is named more than once$"):
+            _TAKES_WIRES[entry]([1, 1])
+
+    def test_a_wire_named_as_target_and_control_has_the_one_message(self):
+        for call in (
+            lambda: GateOp("X", (1,), [(1, False)]),
+            lambda: engine.apply_multi_qubit_gate(2, _X, (1,), _PSI, [(1, True)]),
+            lambda: oracle.build_gate_full_matrix(2, "X", (1,), [(1, True)]),
+            lambda: oracle.swap_wires(2, 0, 1, _PSI, [(1, True)]),
+            lambda: oracle.swap_wires(2, 1, 1, _PSI),
+            lambda: linalg.check_wires(2, (1, 0, 1)),
+        ):
+            with pytest.raises(ContractError) as err:
+                call()
+            assert str(err.value) == "wire 1 is named more than once"
+
+    def test_malformed_arguments_are_simulation_errors(self):
+        # a malformed list of wires, controls or ops is a ContractError,
+        # never a bare TypeError or ValueError
+        for call in (
+            lambda: GateOp("H", 0),
+            lambda: GateOp("H", (0,), [1]),
+            lambda: ControlSpec(5),
+            lambda: ControlSpec([(1,)]),
+            lambda: engine.coerce_controls(5),
+            lambda: engine.apply_multi_qubit_gate(2, np.eye(2), 0, _PSI),
+            lambda: analysis.partial_trace_state(2, _PSI, 0),
+            lambda: oracle.build_gate_full_matrix(2, "H", 0),
+            lambda: linalg.check_wires(2, None),
+            lambda: Circuit(2, 5),
+            lambda: Circuit(2, None),
+            lambda: Circuit(2, ["H 0"]),
+        ):
+            with pytest.raises(ContractError):
+                call()
+
     def test_numpy_integers_are_accepted(self):
         two, one = np.int64(2), np.int32(1)
         op = GateOp("H", (one,), ControlSpec(((np.uint8(0), True),)))
@@ -186,7 +255,6 @@ class TestArgumentContract:
         assert Circuit(two, (op,)).n == 2
         flipped = engine.apply_multi_qubit_gate(two, _X, (one,), _PSI)
         assert np.array_equal(flipped, linalg.basis_state(two, np.int64(2)))
-        assert np.array_equal(engine.apply_op(two, GateOp("X", (one,)), _PSI), flipped)
         assert measurement.measure_qubit(flipped, two, one)[1].probability == 1.0
         assert analysis.probability_of_one(flipped, one) == 1.0
         assert analysis.partial_trace_state(two, flipped, [one], keep=True)[1, 1] == 1.0
@@ -312,6 +380,8 @@ _BAD_STATES = {
     "norm 0.02": ([0.1, 0.1, 0, 0], "not normalized"),
     "nan": ([1, 0, 0, np.nan], "non-finite"),
     "inf": ([0, 0, np.inf, 0], "non-finite"),
+    # finite amplitudes whose squared norm overflows
+    "overflow": ([1e200, 0, 0, 0], "not normalized"),
 }
 
 
@@ -330,6 +400,4 @@ class TestStateContract:
         ones = np.array([1, 1], dtype=complex)
         expect = [np.sqrt(2), 0]
         out = engine.apply_multi_qubit_gate(1, gates.gate_matrix("H"), (0,), ones)
-        np.testing.assert_allclose(out, expect, atol=1e-15)
-        out = engine.apply_op(1, GateOp("H", (0,)), ones)
         np.testing.assert_allclose(out, expect, atol=1e-15)
