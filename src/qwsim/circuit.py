@@ -83,12 +83,11 @@ class Circuit:
         for k, op in enumerate(self.ops):
             if not isinstance(op, GateOp):
                 raise ContractError(f"op {k} is {op!r}, not a GateOp")
-            try:
-                check_wires(n, op.wires)
-            except ContractError as exc:
-                err = ContractError(f"{op} touches wire {exc.wire}, out of range for {n} qubits")
-                err.op_index = k  # lets parse_circuit name the op's line
-                raise err from None
+            for w in op.wires:  # GateOp made them distinct ints in 0..MAX_QUBITS-1
+                if w >= n:
+                    err = ContractError(f"{op} touches wire {w}, out of range for {n} qubits")
+                    err.op_index = k  # lets parse_circuit name the op's line
+                    raise err
 
     @property
     def has_measurements(self) -> bool:

@@ -23,7 +23,10 @@ catalog gate is derived once, at import.  Its placement (the view shape
 and each block's index) comes from the wires alone.
 :func:`compile_circuit` checks a circuit once and places each gate's
 template once; :func:`run_circuit` and the measurement walker run the
-plans in their own working state and check nothing per gate.
+plans in their own working state and check nothing per gate.  A plan
+accepts leading batch axes: on a ``(B, 2**n)`` stack of states it runs
+each numpy row write once for all ``B`` rows, with the same arithmetic
+per amplitude as on one state.
 :func:`apply_multi_qubit_gate` is the checked entry point for one gate of
 any matrix; like every public entry, it checks the qubit count, the
 wires, the state and the matrix with the one check of each kind in
@@ -149,7 +152,8 @@ def _place(n: int, template: tuple, targets, entries) -> tuple:
     ``entries`` are the controls' ``(wire, is_control)`` pairs.  The plan
     is ``(shape, keys, copies, steps)``: the view shape of an ``n``-wire
     state, the ``(c, index)`` of each block ``block_c`` the template uses,
-    and the template's copies and steps.
+    the blocks to copy (the template's, or all of them when every axis
+    is fixed) and the template's steps.
     """
     used, copies, steps = template
     # C order puts the highest wire on axis 0.
@@ -172,15 +176,24 @@ def _place(n: int, template: tuple, targets, entries) -> tuple:
     for c in used:
         for k, axis in enumerate(target_axes):
             index[axis] = (c >> k) & 1
-        # the trailing ... keeps a block a 0-d view when every axis is fixed
-        keys.append((c, (*index, ...)))
+        # the ... keeps a block a view (0-d when every axis is fixed) and takes
+        # any leading batch axes of a stack of states
+        keys.append((c, (..., *index)))
+    if len(axis_of) == n:
+        # Every axis is fixed, so a block of one state is one amplitude.
+        # numpy scales a one-element block in place in a scalar loop that
+        # rounds a complex product unlike its vector loop, which the rows of
+        # a stack take; reading from copies keeps a stack's rows bit-equal
+        # to the same states run one by one.
+        copies = used
     return tuple(shape), tuple(keys), copies, steps
 
 
 def _run_plan(plan: tuple, state: np.ndarray) -> np.ndarray:
-    """Run a plan of :func:`_place` in ``state``, a contiguous vector."""
+    """Run a plan of :func:`_place` in ``state``, a contiguous vector or a
+    contiguous stack of them along leading axes, every row alike."""
     shape, keys, copies, steps = plan
-    view = state.reshape(shape)
+    view = state.reshape(state.shape[:-1] + shape)
     blocks = {c: view[key] for c, key in keys}
     sources = dict(blocks)
     for c in copies:

@@ -9,7 +9,9 @@ as ``oracle.jacobi_eig``, and the tests hold the two to each other at
 
 Every public entry point checks its arguments here, one function per
 kind: :func:`check_int`, :func:`check_qubit_count`, :func:`check_state`,
-:func:`check_unit_state`, :func:`check_matrix` and :func:`check_wires`.
+:func:`check_unit_state`, :func:`check_matrix` and :func:`check_wires`;
+:func:`check_unit_norms` is the norm test of :func:`check_unit_state`,
+which the measurement walker also applies to each row of a stack.
 Each raises a ``SimulationError`` subclass: a float is refused rather
 than truncated, and an array numpy cannot read as numbers is a
 ``ContractError``.  A matrix is also refused for a non-finite entry.  A
@@ -102,19 +104,28 @@ def check_state(psi, n) -> tuple[np.ndarray, int]:
 
 
 def check_unit_state(psi, n) -> tuple[np.ndarray, int]:
-    """:func:`check_state`, and ``|psi|**2`` within ``STATE_ATOL`` of 1.
-
-    A NaN or infinite amplitude, or a norm that is off, is a ``ContractError``.
-    The amplitudes are tested for finiteness only when the norm is not
-    finite, so a finite state whose squared norm overflows is "not normalized".
-    """
+    """:func:`check_state`, and ``|psi|**2`` within ``STATE_ATOL`` of 1
+    (:func:`check_unit_norms`)."""
     psi, n = check_state(psi, n)
-    norm = np.vdot(psi, psi).real
-    if not np.isfinite(norm) and not np.isfinite(psi).all():
-        raise ContractError("state has a non-finite amplitude")
-    if not abs(norm - 1.0) <= STATE_ATOL:
-        raise ContractError("state is not normalized")
+    check_unit_norms(psi, np.vdot(psi, psi).real)
     return psi, n
+
+
+def check_unit_norms(states, norms) -> None:
+    """Each squared norm in ``norms`` within ``STATE_ATOL`` of 1.
+
+    ``norms`` holds the squared norm of ``states``, one state, or of each
+    row of a ``(B, 2**n)`` stack of them.  A NaN or infinite amplitude, or
+    a norm that is off, is a ``ContractError``.  A state's amplitudes are
+    tested for finiteness only when its norm is not finite, so a finite
+    state whose squared norm overflows is "not normalized".
+    """
+    if (abs(norms - 1.0) <= STATE_ATOL).all():  # false for a NaN or inf
+        return
+    bad = ~np.isfinite(norms)
+    if bad.any() and not np.isfinite(states[bad]).all():
+        raise ContractError("state has a non-finite amplitude")
+    raise ContractError("state is not normalized")
 
 
 def check_wires(n: int, wires) -> tuple[int, ...]:
@@ -122,9 +133,7 @@ def check_wires(n: int, wires) -> tuple[int, ...]:
 
     The one check of a list of wires.  Raises ``ContractError`` for a
     ``wires`` that is not iterable, a wire that is not an integer, a wire
-    out of range, or a wire named more than once.  The error for a wire out
-    of range carries it as ``wire``, so a caller can restate the error in
-    its own terms.
+    out of range, or a wire named more than once.
     """
     try:
         wires = tuple([check_int(w, "wire") for w in wires])
@@ -132,9 +141,7 @@ def check_wires(n: int, wires) -> tuple[int, ...]:
         raise ContractError(f"expected a list of wires: {exc}") from None
     for w in wires:
         if not 0 <= w < n:
-            exc = ContractError(f"wire {w} is outside 0..{n - 1}")
-            exc.wire = w
-            raise exc
+            raise ContractError(f"wire {w} is outside 0..{n - 1}")
     if len(set(wires)) < len(wires):
         w = next(w for k, w in enumerate(wires) if w in wires[:k])
         raise ContractError(f"wire {w} is named more than once")

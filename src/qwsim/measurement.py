@@ -12,10 +12,12 @@ carry no residual (there is nothing meaningful to renormalize).
 
 Which wire sits where after each measurement does not depend on outcomes,
 so ``engine.compile_circuit`` checks a circuit once and lowers its gates
-to kernel plans over the live wires.  One depth-first walker then serves
-both consumers: it runs the plans in place until the next MEASURE,
-splits the state there, and goes on into each child with that child's
-own fresh residual, outcome 0 first.
+to kernel plans over the live wires.  One breadth-first walker then serves
+both consumers.  It holds every live outcome prefix as one row of a
+``(B, 2**n_live)`` stack of residuals: each gate plan runs once on the
+whole stack, and each MEASURE splits every row at once into a stack of
+children ordered by ``2 * row + outcome``, so rows stay in sorted outcome
+order.
 
 * :func:`run_with_branches` follows *every* non-pruned outcome, producing a
   tree whose leaves carry the outcome history, its probability, and the
@@ -23,13 +25,15 @@ own fresh residual, outcome 0 first.
   exponential in the number of measurements.
 * :func:`sample_shots` draws every shot's outcomes from one seeded
   generator and sends the shots that reached an outcome prefix down the
-  branches they drew.  Each distinct prefix is simulated once however many
-  shots share it, so the cost is distinct prefixes x circuit, not
+  branches they drew.  Each distinct prefix is one row however many shots
+  share it, so the cost is distinct prefixes x circuit, not
   shots x circuit.  Statistical.
 
-Besides the state being walked, the walk holds at most one pending sibling
-residual per level.  Residuals halve at each level, so these add up to
-less than one more state.
+Residuals halve at each level and the rows at most double, so a stack
+never holds more amplitudes than one state.  A split holds the stack and
+then either its ``|stack|**2`` (half a state, in float64) or the next
+stack, never both, so a level peaks near two states plus the gate
+kernel's temporaries.
 """
 
 from __future__ import annotations
@@ -41,7 +45,14 @@ import numpy as np
 from .errors import ContractError
 from .circuit import Circuit
 from .engine import _run_plan, compile_circuit
-from .linalg import check_int, check_unit_state, check_wires, initial_state, make_rng
+from .linalg import (
+    check_int,
+    check_state,
+    check_unit_norms,
+    check_wires,
+    initial_state,
+    make_rng,
+)
 
 PRUNE_EPS = 1e-14
 # Shots drawn and walked together; bounds the draw table at a few MiB.
@@ -61,6 +72,46 @@ class MeasurementBranch:
     residual: np.ndarray | None
 
 
+def _split(stack: np.ndarray, slot: int, rows=None, draws=None) -> tuple:
+    """Split each row of a ``(B, 2**n)`` stack of states on live wire ``slot``.
+
+    Each row's ``Pr[0]`` and ``Pr[1]`` are the sums of ``|row|**2`` over
+    their own halves, and must add up to 1 (``check_unit_norms``); an
+    outcome below ``PRUNE_EPS`` is pruned.  Returns ``(nodes, bits, p,
+    children, rows)``: child ``k`` is outcome ``bits[k]`` of row
+    ``nodes[k]``, of probability ``p[k]``, with the renormalized residual
+    ``children[k]``, in order of ``2 * node + bit``.
+
+    With ``rows`` given, shot ``s`` sits at row ``rows[s]`` and takes
+    outcome 1 when ``draws[s]`` is below that row's ``Pr[1]``.  A pruned
+    outcome takes no shot and its sibling takes them all; only children
+    that some shot takes are kept, and the returned ``rows`` index them.
+    """
+    b = stack.shape[0]
+    halves = stack.reshape(b, -1, 2, 1 << slot)  # axis 2 is bit ``slot``
+    with np.errstate(over="ignore"):  # an overflow fails the norm test below
+        probs = np.abs(halves)
+        np.square(probs, out=probs)
+        # one sum per outcome adds up each row exactly as on a lone state
+        p = np.stack([probs[:, :, bit, :].sum(axis=(1, 2)) for bit in (0, 1)], axis=1)
+        norms = p[:, 0] + p[:, 1]
+    del probs
+    check_unit_norms(stack, norms)
+    p[p < PRUNE_EPS] = 0.0
+    if rows is None:
+        kept = p > 0.0
+    else:
+        # a pruned Pr[1] is 0 and takes no draw; every draw is below 1.0
+        child = 2 * rows + (draws < np.where(p[:, 0] > 0.0, p[:, 1], 1.0)[rows])
+        kept = np.bincount(child, minlength=2 * b).reshape(b, 2) > 0
+        rows = (np.cumsum(kept) - 1)[child]
+    nodes, bits = np.nonzero(kept)
+    p = p[nodes, bits]
+    children = halves[nodes, :, bits, :]
+    np.divide(children, np.sqrt(p)[:, None, None], out=children)
+    return nodes, bits, p, children.reshape(len(nodes), -1), rows
+
+
 def measure_qubit(psi, n: int, qubit: int) -> tuple[MeasurementBranch, MeasurementBranch]:
     """Split a state on the outcome of measuring ``qubit``.
 
@@ -68,21 +119,15 @@ def measure_qubit(psi, n: int, qubit: int) -> tuple[MeasurementBranch, Measureme
     ``check_unit_state``.  Each probability is the sum of ``|psi|**2`` over
     its own half of the amplitudes, so the two sum to the squared norm of
     ``psi``, and each residual is a unit vector of length ``2**(n-1)`` to
-    rounding.
+    rounding.  The checked entry to the walker's split, on a stack of one.
     """
-    psi, n = check_unit_state(psi, n)
+    psi, n = check_state(psi, n)
     (qubit,) = check_wires(n, (qubit,))
-    halves = psi.reshape(-1, 2, 1 << qubit)  # axis 1 is bit ``qubit``
-    probs = np.abs(halves) ** 2
-
-    def branch(bit: int) -> MeasurementBranch:
-        p = float(probs[:, bit, :].sum())
-        if p < PRUNE_EPS:
-            return MeasurementBranch(bit, 0.0, None)
-        residual = (halves[:, bit, :] / np.sqrt(p)).reshape(-1)
-        return MeasurementBranch(bit, p, residual)
-
-    return branch(0), branch(1)
+    branches = [MeasurementBranch(0, 0.0, None), MeasurementBranch(1, 0.0, None)]
+    _, bits, p, children, _ = _split(psi[None], qubit)
+    for bit, prob, residual in zip(bits.tolist(), p.tolist(), children):
+        branches[bit] = MeasurementBranch(bit, prob, residual)
+    return branches[0], branches[1]
 
 
 @dataclass(frozen=True)
@@ -113,45 +158,36 @@ class BranchTree:
     leaves: tuple[BranchLeaf, ...]
 
 
-def _walk(steps, state, draws, shots, visit) -> None:
-    """Walk the outcome tree of ``steps`` depth-first from ``state``.
+def _walk(steps, stack, draws=None) -> tuple:
+    """Walk the outcome tree of ``steps`` breadth-first from ``stack``.
 
-    Gate plans run in place until the next MEASURE, where
-    :func:`measure_qubit` splits the state; each child goes on with its own
-    fresh residual, outcome 0 first, so leaves come in sorted outcome
-    order.  ``visit(outcomes, probability, state, shots)`` is called at
-    every leaf.
+    The walk holds one ``(B, 2**n_live)`` stack with a row per live outcome
+    prefix, starting from ``stack``, the start state as a stack of one,
+    which the walk takes over (pass it as a temporary, so that it is freed
+    at the first split).  Each gate plan runs once on the whole stack, in
+    place.  Each MEASURE splits every row at once (:func:`_split`) into the
+    next stack, whose rows stay in sorted outcome order.  Returns ``(outcomes, probs, stack, rows)``: leaf ``k`` has the
+    outcome record ``outcomes[k]``, probability ``probs[k]`` and state
+    ``stack[k]``.
 
-    With ``draws`` None every non-pruned branch is followed.  Otherwise
-    ``shots`` holds the indices of the shots that reached this prefix: at
-    the ``d``-th MEASURE shot ``s`` takes outcome 1 when ``draws[s, d]`` is
-    below its probability, and a child that no shot takes is skipped.  A
-    pruned branch takes no shot; its sibling takes them all.
-
-    Pending children wait on an explicit stack rather than in recursive
-    frames, so a split state is released once its first child is taken up.
+    With ``draws`` None every non-pruned branch is followed and ``rows`` is
+    None.  Otherwise shot ``s`` takes outcome 1 at the ``d``-th MEASURE
+    when ``draws[s, d]`` is below its probability, a child that no shot
+    takes is dropped, and ``rows[s]`` is the leaf that shot ``s`` reached.
     """
-    stack = [(0, state, (), 1.0, shots)]
-    while stack:
-        start, state, outcomes, prob, shots = stack.pop()
-        for k in range(start, len(steps)):
-            n_live, plan, slot = steps[k]
-            if plan is not None:
-                _run_plan(plan, state)
-                continue
-            b0, b1 = measure_qubit(state, n_live, slot)
-            split = (shots, shots)
-            if draws is not None and b0.residual is not None and b1.residual is not None:
-                ones = draws[shots, len(outcomes)] < b1.probability
-                split = (shots[~ones], shots[ones])
-            for br, sub in ((b1, split[1]), (b0, split[0])):  # outcome 0 pops first
-                if br.residual is not None and (sub is None or sub.size):
-                    stack.append(
-                        (k + 1, br.residual, outcomes + (br.outcome,), prob * br.probability, sub)
-                    )
-            break
-        else:
-            visit(outcomes, prob, state, shots)
+    outcomes = np.zeros((1, 0), dtype=np.intp)
+    probs = np.ones(1)
+    rows = None if draws is None else np.zeros(len(draws), dtype=np.intp)
+    for _, plan, slot in steps:
+        if plan is not None:
+            _run_plan(plan, stack)
+            continue
+        d = outcomes.shape[1]
+        column = None if draws is None else draws[:, d]
+        nodes, bits, p, stack, rows = _split(stack, slot, rows, column)
+        outcomes = np.column_stack((outcomes[nodes], bits))
+        probs = probs[nodes] * p
+    return outcomes, probs, stack, rows
 
 
 def run_with_branches(circuit: Circuit, psi0=None) -> BranchTree:
@@ -162,15 +198,12 @@ def run_with_branches(circuit: Circuit, psi0=None) -> BranchTree:
     simulation result.
     """
     steps, measured, wire_map = compile_circuit(circuit)
-    leaves: list[BranchLeaf] = []
-    _walk(
-        steps,
-        initial_state(circuit.n, psi0),
-        None,
-        None,
-        lambda outcomes, prob, state, _: leaves.append(BranchLeaf(outcomes, prob, state)),
+    outcomes, probs, states, _ = _walk(steps, initial_state(circuit.n, psi0)[None])
+    leaves = tuple(
+        BranchLeaf(tuple(record), prob, state)
+        for record, prob, state in zip(outcomes.tolist(), probs.tolist(), states)
     )
-    return BranchTree(circuit.n, measured, wire_map, tuple(leaves))
+    return BranchTree(circuit.n, measured, wire_map, leaves)
 
 
 def _shot_count(shots) -> int:
@@ -190,8 +223,8 @@ def sample_shots(circuit: Circuit, shots: int, seed, psi0=None) -> dict[str, int
     ``s`` takes outcome 1 at its ``d``-th MEASURE when its ``d``-th uniform
     draw, made shot by shot, is below that outcome's probability.  The
     shots of a chunk are walked together, so each distinct outcome prefix
-    is simulated once per chunk, not once per shot.  ``psi0``, like in
-    :func:`run_with_branches`, must be normalized.
+    is one stacked row per chunk, not one simulation per shot.  ``psi0``,
+    like in :func:`run_with_branches`, must be normalized.
     """
     shots = _shot_count(shots)
     if not circuit.has_measurements:
@@ -203,14 +236,13 @@ def sample_shots(circuit: Circuit, shots: int, seed, psi0=None) -> dict[str, int
     del steps[last + 1:]  # gates after the last MEASURE cannot change a record
 
     histogram: dict[str, int] = {}
-
-    def count(outcomes, _prob, _state, reached) -> None:
-        key = "".join(map(str, outcomes))
-        histogram[key] = histogram.get(key, 0) + reached.size
-
     for first in range(0, shots, _SHOT_CHUNK):
         chunk = min(_SHOT_CHUNK, shots - first)
         # rows of one table read the generator exactly as shot-by-shot draws would
         draws = rng.random((chunk, len(measured)))
-        _walk(steps, base.copy(), draws, np.arange(chunk), count)
+        outcomes, _, _, rows = _walk(steps, base[None].copy(), draws)
+        counts = np.bincount(rows, minlength=len(outcomes))
+        for record, count in zip(outcomes.tolist(), counts.tolist()):
+            key = "".join(map(str, record))
+            histogram[key] = histogram.get(key, 0) + count
     return dict(sorted(histogram.items()))

@@ -137,6 +137,7 @@ class TestParser:
         # and Circuit, and reports their errors against the line
         for text, message in [
             ("qubits 2\nH 0\nX 9\n", "line 3: X 9 touches wire 9, out of range for 2 qubits"),
+            ("qubits 2\nX 0 c=5\n", "line 2: X 0 c=5 touches wire 5, out of range for 2 qubits"),
             ("qubits 2\nH 0\n\nH 0 1\n", "line 4: H takes 1 wire(s), got 2"),
             ("qubits 2\nMEASURE 0 1\n", "line 2: MEASURE takes exactly one wire"),
             ("qubits 2\nH 0 ; foo 1\n", "line 2: unknown gate 'FOO'"),

@@ -505,6 +505,21 @@ class TestCompileCircuit:
         assert n_live == 2
         assert np.array_equal(engine._run_plan(plan, psi.copy()), want)
 
+    def test_plan_on_a_stack_equals_each_row_alone(self):
+        # the measurement walker runs one plan on a (B, 2**n) stack of states
+        rng = np.random.default_rng(62)
+        for name in gates.gate_names():
+            arity = gates.gate_def(name).arity
+            for n_controls in range(3):
+                for n in range(arity + n_controls, 7):
+                    wires = [int(w) for w in rng.permutation(n)[: arity + n_controls]]
+                    entries = [(w, bool(rng.random() < 0.5)) for w in wires[arity:]]
+                    plan = engine._place(n, engine._TEMPLATES[name], wires[:arity], entries)
+                    for b in (1, 3):
+                        stack = np.stack([linalg.random_state(n, rng) for _ in range(b)])
+                        rows = [engine._run_plan(plan, row.copy()) for row in stack]
+                        assert np.array_equal(engine._run_plan(plan, stack), np.stack(rows))
+
     def test_wire_measured_twice_names_the_op(self):
         circ = parse_circuit("qubits 2\nH 0\nMEASURE 0\nMEASURE 0\n")
         with pytest.raises(ContractError) as err:

@@ -355,6 +355,43 @@ class TestSampleShots:
         hist = measurement.sample_shots(circ, 200, 8)
         assert list(hist) == sorted(hist) and len(hist) == 8
 
+    def test_fixed_seed_histogram_is_pinned(self):
+        # wire 3 is measured in a basis state, so its outcome 0 is pruned
+        circ = parse_circuit(
+            "qubits 4\nH 0\nT 0\nH 0\nX 3\nMEASURE 3\nH 1\nCX 1 2\nMEASURE 0\n"
+            "T 2\nH 2\nMEASURE 2\n"
+        )
+        hist = measurement.sample_shots(circ, 1000, 7)
+        assert hist == {"100": 432, "101": 422, "110": 63, "111": 83}
+        leaves = measurement.run_with_branches(circ).leaves
+        assert [leaf.outcomes for leaf in leaves] == [(1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
+        assert all(leaf.probability > 0 for leaf in leaves)
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            # the stack's total norm stays B; each row is off on its own
+            ((np.sqrt(1.5), np.sqrt(0.5)), "state is not normalized"),
+            ((1.0, np.nan), "state has a non-finite amplitude"),
+        ],
+    )
+    def test_split_checks_every_stacked_row(self, monkeypatch, spoil, message):
+        real = measurement._run_plan
+
+        def run_and_spoil(plan, stack):
+            real(plan, stack)
+            if len(stack) > 1:
+                stack[0] *= spoil[0]
+                stack[1] *= spoil[1]
+            return stack
+
+        monkeypatch.setattr(measurement, "_run_plan", run_and_spoil)
+        circ = parse_circuit("qubits 3\nH 0\nH 1\nMEASURE 0\nH 2\nMEASURE 1\n")
+        with pytest.raises(ContractError, match=message):
+            measurement.run_with_branches(circ)
+        with pytest.raises(ContractError, match=message):
+            measurement.sample_shots(circ, 100, 1)
+
     def test_equals_per_shot_replay(self):
         rng = np.random.default_rng(29)
         pruned = 0
