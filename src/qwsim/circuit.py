@@ -68,7 +68,12 @@ class GateOp:
 
 @dataclass(frozen=True)
 class Circuit:
-    """An ``n``-qubit register plus an ordered tuple of operations."""
+    """An ``n``-qubit register plus an ordered tuple of operations.
+
+    Every wire of every op is below ``n``, and no op touches a wire once a
+    MEASURE has taken it out of the state.  A violation raises
+    ``ContractError`` with ``op_index`` set to the offending op.
+    """
 
     n: int
     ops: tuple[GateOp, ...] = ()
@@ -80,14 +85,24 @@ class Circuit:
             object.__setattr__(self, "ops", tuple(self.ops))
         except TypeError:
             raise ContractError(f"ops must be a sequence of GateOp, got {self.ops!r}") from None
+        measured: set[int] = set()
         for k, op in enumerate(self.ops):
             if not isinstance(op, GateOp):
                 raise ContractError(f"op {k} is {op!r}, not a GateOp")
             for w in op.wires:  # GateOp made them distinct ints in 0..MAX_QUBITS-1
                 if w >= n:
-                    err = ContractError(f"{op} touches wire {w}, out of range for {n} qubits")
-                    err.op_index = k  # lets parse_circuit name the op's line
-                    raise err
+                    message = f"{op} touches wire {w}, out of range for {n} qubits"
+                elif w not in measured:
+                    continue
+                elif op.gate == MEASURE:
+                    message = f"op {k} ({op}): wire {w} measured twice"
+                else:
+                    message = f"op {k} ({op}) touches wire {w}, which was measured"
+                err = ContractError(message)
+                err.op_index = k  # lets parse_circuit name the op's line
+                raise err
+            if op.gate == MEASURE:
+                measured.update(op.targets)
 
     @property
     def has_measurements(self) -> bool:
@@ -114,8 +129,9 @@ def _parse_int(token: str, line_no: int, what: str) -> int:
 def _parse_gate(chunk: str, line_no: int) -> GateOp:
     """Tokenise one gate and expand its sugar.
 
-    ``GateOp`` makes every check but the register's wire range, which the
-    circuit makes; a failure becomes a ``ParseError`` naming ``line_no``.
+    ``GateOp`` makes every check but those of the register, its wire range
+    and its measured wires, which the circuit makes; a failure becomes a
+    ``ParseError`` naming ``line_no``.
     """
     tokens = chunk.split()
     name = tokens[0].upper()
@@ -169,7 +185,7 @@ def parse_circuit(text: str) -> Circuit:
         raise ParseError(1, "missing 'qubits <n>' header")
     try:
         return Circuit(n, tuple(ops))
-    except ContractError as exc:  # a wire out of range
+    except ContractError as exc:  # a wire out of range or already measured
         raise ParseError(op_lines[exc.op_index], str(exc)) from None
 
 
@@ -195,6 +211,8 @@ def load_circuit(path) -> Circuit:
 
 _RANDOM_1Q = ("H", "X", "Y", "Z", "S", "SDG", "T", "TDG")
 _RANDOM_2Q = ("SWAP", "ISWAP", "SQRTSWAP")
+# chance that a wire off a random gate's targets becomes a control or anticontrol
+_CONTROL_PROBABILITY = 0.3
 
 
 def random_circuit(
@@ -203,13 +221,12 @@ def random_circuit(
     rng: np.random.Generator,
     *,
     single_qubit_only: bool = False,
-    control_probability: float = 0.3,
 ) -> Circuit:
     """Draw a random measurement-free circuit of ``depth`` gates.
 
     Each gate picks a catalog name, distinct target wires, and then turns
     each remaining wire into a control or anticontrol with probability
-    ``control_probability`` (split evenly between the two flavors).
+    ``_CONTROL_PROBABILITY`` (split evenly between the two flavors).
     ``single_qubit_only`` restricts to 1-wire gates with no controls,
     the shape of the 20-qubit timing budget in the acceptance tests.
     """
@@ -224,14 +241,14 @@ def random_circuit(
         arity = gate_def(name).arity
         targets = tuple(rng.choice(n, size=arity, replace=False))
         controls: list[tuple[int, bool]] = []
-        if not single_qubit_only and control_probability > 0:
+        if not single_qubit_only:
             for w in range(n):
                 if w in targets:
                     continue
                 u = rng.random()
-                if u < control_probability / 2:
+                if u < _CONTROL_PROBABILITY / 2:
                     controls.append((w, True))
-                elif u < control_probability:
+                elif u < _CONTROL_PROBABILITY:
                     controls.append((w, False))
         ops.append(GateOp(name, targets, controls))
     return Circuit(n, tuple(ops))

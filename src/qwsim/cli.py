@@ -49,13 +49,14 @@ def _bits(index: int, width: int) -> str:
 
 def _print_state(psi: np.ndarray, width: int, probs: bool, indent: str = "") -> None:
     if probs:
-        for i, p in enumerate(np.abs(psi) ** 2):
-            if p >= PRINT_EPS:
-                print(f"{indent}{_bits(i, width)}: {_fmt(p)}")
+        values = size = np.abs(psi) ** 2
     else:
-        for i, z in enumerate(psi):
-            if abs(z) >= PRINT_EPS:
-                print(f"{indent}{_bits(i, width)}: {_fmt_amplitude(z)}")
+        # hypot rounds as the scalar abs(z) does; numpy's vector complex abs
+        # can differ in the last bit and flip an entry at PRINT_EPS
+        values, size = psi, np.hypot(psi.real, psi.imag)
+    fmt = _fmt if probs else _fmt_amplitude
+    for i in np.flatnonzero(size >= PRINT_EPS).tolist():
+        print(f"{indent}{_bits(i, width)}: {fmt(values[i])}")
 
 
 def _cmd_simulate(args) -> int:

@@ -21,9 +21,10 @@ which blocks each row reads, which blocks are copied first, and each
 row's terms) comes from the matrix alone, so the template of every
 catalog gate is derived once, at import.  Its placement (the view shape
 and each block's index) comes from the wires alone.
-:func:`compile_circuit` checks a circuit once and places each gate's
-template once; :func:`run_circuit` and the measurement walker run the
-plans in their own working state and check nothing per gate.  A plan
+:func:`compile_circuit` places each gate's template once, on the wires
+still live when it runs (the ``Circuit`` has already refused any reuse
+of a measured wire); :func:`run_circuit` and the measurement walker run
+the plans in their own working state and check nothing per gate.  A plan
 accepts leading batch axes: on a ``(B, 2**n)`` stack of states it runs
 each numpy row write once for all ``B`` rows, with the same arithmetic
 per amplitude as on one state.
@@ -239,37 +240,30 @@ def apply_multi_qubit_gate(n: int, u, targets, a, controls=None) -> np.ndarray:
 
 
 def compile_circuit(circuit) -> tuple[list, tuple[int, ...], dict[int, int | None]]:
-    """Check every op of ``circuit`` once and lower its gates to kernel plans.
+    """Lower the ops of ``circuit`` to kernel plans over the live wires.
 
     Returns ``(steps, measured, wire_map)``.  A measured wire leaves the
     state and the live wires keep their order, so each step is fixed in
-    advance: ``(n_live, plan, None)`` runs a gate's plan on the ``n_live``
-    wires still live, ``(n_live, None, slot)`` measures live wire ``slot``.
-    ``measured`` lists the measured wires in op order; ``wire_map`` sends
-    each wire to its final slot, or None.  Reusing a measured wire raises
-    ``ContractError`` naming the op.
+    advance: ``(plan, None)`` runs a gate's plan on the wires still live,
+    ``(None, slot)`` measures live wire ``slot``.  ``measured`` lists the
+    measured wires in op order; ``wire_map`` sends each wire to its final
+    slot, or None.  ``Circuit`` refuses any reuse of a measured wire, so a
+    compile only places templates and cannot fail.
     """
     live = list(range(circuit.n))
     slot_of = {w: w for w in live}
-    steps: list[tuple[int, tuple | None, int | None]] = []
+    steps: list[tuple[tuple | None, int | None]] = []
     measured: list[int] = []
-    for k, op in enumerate(circuit.ops):
-        wires = op.wires
-        slots = [slot_of.get(w) for w in wires]
-        if None in slots:
-            gone = wires[slots.index(None)]
-            if op.gate == MEASURE:
-                raise ContractError(f"op {k} ({op}): wire {gone} measured twice")
-            raise ContractError(f"op {k} ({op}) touches wire {gone}, which was measured")
+    for op in circuit.ops:
+        slots = [slot_of[w] for w in op.wires]
         if op.gate == MEASURE:
-            steps.append((len(live), None, slots[0]))
+            steps.append((None, slots[0]))
             measured.append(live.pop(slots[0]))
             slot_of = {w: s for s, w in enumerate(live)}
             continue
         m = len(op.targets)
         entries = [(s, f) for s, (_, f) in zip(slots[m:], op.controls.entries)]
-        plan = _place(len(live), _TEMPLATES[op.gate], slots[:m], entries)
-        steps.append((len(live), plan, None))
+        steps.append((_place(len(live), _TEMPLATES[op.gate], slots[:m], entries), None))
     wire_map = {w: slot_of.get(w) for w in range(circuit.n)}
     return steps, tuple(measured), wire_map
 
@@ -281,12 +275,10 @@ def run_circuit(circuit, psi0=None) -> np.ndarray:
     copy.  The result passes ``check_unit_state`` again, so a norm drift
     beyond ``STATE_ATOL``, which would mean a kernel bug, raises.
     """
-    steps, _, _ = compile_circuit(circuit)
-    for k, (_, plan, _) in enumerate(steps):
-        if plan is None:
-            op = circuit.ops[k]
+    for k, op in enumerate(circuit.ops):
+        if op.gate == MEASURE:
             raise ContractError(f"op {k} ({op}) is a measurement; use the measurement module")
     state = initial_state(circuit.n, psi0)
-    for _, plan, _ in steps:
+    for plan, _ in compile_circuit(circuit)[0]:
         _run_plan(plan, state)
     return check_unit_state(state, circuit.n)[0]

@@ -11,13 +11,12 @@ check of the next split.  Residuals live on ``n - 1`` qubits; wires above
 carry no residual (there is nothing meaningful to renormalize).
 
 Which wire sits where after each measurement does not depend on outcomes,
-so ``engine.compile_circuit`` checks a circuit once and lowers its gates
-to kernel plans over the live wires.  One breadth-first walker then serves
-both consumers.  It holds every live outcome prefix as one row of a
-``(B, 2**n_live)`` stack of residuals: each gate plan runs once on the
-whole stack, and each MEASURE splits every row at once into a stack of
-children ordered by ``2 * row + outcome``, so rows stay in sorted outcome
-order.
+so ``engine.compile_circuit`` places each gate's kernel plan once, on the
+live wires.  One breadth-first walker then serves both consumers.  It
+holds every live outcome prefix as one row of a ``(B, 2**n_live)`` stack
+of residuals: each gate plan runs once on the whole stack, and each
+MEASURE splits every row at once into a stack of children ordered by
+``2 * row + outcome``, so rows stay in sorted outcome order.
 
 * :func:`run_with_branches` follows *every* non-pruned outcome, producing a
   tree whose leaves carry the outcome history, its probability, and the
@@ -178,7 +177,7 @@ def _walk(steps, stack, draws=None) -> tuple:
     outcomes = np.zeros((1, 0), dtype=np.intp)
     probs = np.ones(1)
     rows = None if draws is None else np.zeros(len(draws), dtype=np.intp)
-    for _, plan, slot in steps:
+    for plan, slot in steps:
         if plan is not None:
             _run_plan(plan, stack)
             continue
@@ -232,7 +231,7 @@ def sample_shots(circuit: Circuit, shots: int, seed, psi0=None) -> dict[str, int
     base = initial_state(circuit.n, psi0)
     rng = make_rng(seed)
     steps, measured, _ = compile_circuit(circuit)
-    last = max(k for k, (_, plan, _) in enumerate(steps) if plan is None)
+    last = max(k for k, (plan, _) in enumerate(steps) if plan is None)
     del steps[last + 1:]  # gates after the last MEASURE cannot change a record
 
     histogram: dict[str, int] = {}

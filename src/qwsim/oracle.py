@@ -32,7 +32,6 @@ import numpy as np
 from .errors import ContractError, ResourceError
 from .gates import MEASURE, GateDef, gate_def
 from .analysis import _split_kept
-from .circuit import GateOp
 from .engine import ControlSpec, apply_multi_qubit_gate, coerce_controls, swap_bits
 from .linalg import (
     _hermitian_part,
@@ -131,18 +130,6 @@ def swap_wires(n: int, wire_i: int, wire_j: int, psi, controls=None) -> np.ndarr
     return out
 
 
-def _remap_op(op: GateOp, wire_map: dict[int, int | None]) -> GateOp:
-    """Rewrite an op's wires to post-measurement positions."""
-    for w in op.wires:
-        if wire_map[w] is None:
-            raise ContractError(f"op {op.gate} touches wire {w}, which was measured")
-    return GateOp(
-        op.gate,
-        tuple(wire_map[t] for t in op.targets),
-        ControlSpec(tuple((wire_map[w], f) for w, f in op.controls.entries)),
-    )
-
-
 def _measure_and_shift(wire_map: dict[int, int | None], wire: int) -> None:
     """Mark ``wire`` measured; wires above its current slot shift down."""
     slot = wire_map[wire]
@@ -177,10 +164,7 @@ def sample_shots_replay(circuit, shots: int, seed, psi0=None) -> dict[str, int]:
         record: list[str] = []
         for op in circuit.ops:
             if op.gate == MEASURE:
-                slot = wire_map[op.targets[0]]
-                if slot is None:
-                    raise ContractError(f"wire {op.targets[0]} measured twice")
-                branches = measure_qubit(state, n_live, slot)
+                branches = measure_qubit(state, n_live, wire_map[op.targets[0]])
                 picked = branches[1] if rng.random() < branches[1].probability else branches[0]
                 if picked.residual is None:  # vanishing branch drawn at the boundary
                     picked = branches[1 - picked.outcome]
@@ -189,9 +173,10 @@ def sample_shots_replay(circuit, shots: int, seed, psi0=None) -> dict[str, int]:
                 _measure_and_shift(wire_map, op.targets[0])
                 n_live -= 1
             else:
-                live = _remap_op(op, wire_map)
-                u = gate_def(live.gate).matrix
-                state = apply_multi_qubit_gate(n_live, u, live.targets, state, live.controls)
+                u = gate_def(op.gate).matrix
+                targets = [wire_map[t] for t in op.targets]
+                controls = [(wire_map[w], f) for w, f in op.controls.entries]
+                state = apply_multi_qubit_gate(n_live, u, targets, state, controls)
         key = "".join(record)
         histogram[key] = histogram.get(key, 0) + 1
     return histogram

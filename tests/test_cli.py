@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwsim import cli
+from qwsim import cli, measurement
 
 FLIP_PHASE_PAIR = "qubits 3\nH 1 ; X 2\nCX 1 0\nZ 0\nCX 1 2\n"
 MIXED_PAIR = "qubits 3\nH 0\nCX 0 1\nH 2\n"
@@ -97,6 +97,45 @@ class TestSimulate:
         assert lines[0] == "measured wires: none"
         assert "branch -: p=1" in lines
         assert "  1: 1" in lines
+
+    def test_listing_threshold(self, capsys, circuit_file, monkeypatch):
+        # entries just above and just below 1e-12: |z| for amplitudes, |z|**2
+        # for probabilities; a listed amplitude may still print as 0
+        edge = np.array(
+            [0.8, 1.01e-12, 0.99e-12, 1.01e-6, 0.99e-6j, 0.8e-12 + 0.8e-12j, 0.0, -0.6]
+        )
+        tree = measurement.BranchTree(
+            3, (), {0: 0, 1: 1, 2: 2}, (measurement.BranchLeaf((), 1.0, edge),)
+        )
+        monkeypatch.setattr(cli.engine, "run_circuit", lambda circ: edge)
+        monkeypatch.setattr(cli.measurement, "run_with_branches", lambda circ: tree)
+        path = circuit_file("qubits 3\nH 0\n")
+        amplitudes = ["000: 0.8", "001: 1.01e-12", "011: 1.01e-06", "100: 9.9e-07i",
+                      "101: 0", "111: -0.6"]
+        probs = ["000: 0.64", "011: 1.0201e-12", "111: 0.36"]
+        header = ["measured wires: none", "kept wires: 0->0, 1->1, 2->2", "branch -: p=1"]
+        for args, want in (
+            ((), amplitudes),
+            (("--probs",), probs),
+            (("--branches",), header + ["  " + line for line in amplitudes]),
+            (("--branches", "--probs"), header + ["  " + line for line in probs]),
+        ):
+            code, out, err = run_cli(capsys, "simulate", path, *args)
+            assert (code, err) == (0, "")
+            assert out.splitlines() == want
+
+    def test_listing_threshold_is_the_scalar_abs(self, capsys):
+        # each |z| is within an ulp of 1e-12, where numpy's vector complex abs
+        # and the scalar abs(z) round to opposite sides of the threshold
+        psi = np.array([
+            1.0,
+            -9.13017231083978e-13 + 4.0792099203613656e-13j,
+            5.372111492017122e-13 + 8.43447793982162e-13j,
+            9.861287376072356e-13 - 1.6598226671894655e-13j,
+        ])
+        cli._print_state(psi, 2, probs=False)
+        listed = [int(line.split(":")[0], 2) for line in capsys.readouterr().out.splitlines()]
+        assert listed == [i for i, z in enumerate(psi) if abs(z) >= cli.PRINT_EPS]
 
     def test_parse_error_exits_nonzero(self, capsys, circuit_file):
         code, out, err = run_cli(

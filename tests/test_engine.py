@@ -6,7 +6,7 @@ import pytest
 from qwsim import engine, gates, linalg, measurement, oracle
 from qwsim.circuit import Circuit, GateOp, parse_circuit, random_circuit
 from qwsim.engine import ControlSpec, NO_CONTROLS
-from qwsim.errors import ContractError, DimensionError
+from qwsim.errors import ContractError, DimensionError, ParseError
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 SWAP = gates.gate_matrix("SWAP")
@@ -461,7 +461,7 @@ class TestRunCircuit:
         seen = set()
         for k in range(40):
             n = int(rng.integers(2, 9))
-            circ = random_circuit(n, 25, rng, control_probability=0.4)
+            circ = random_circuit(n, 25, rng)
             psi0 = linalg.random_state(n, rng) if k % 2 else None
             want = linalg.zero_state(n) if psi0 is None else psi0
             for op in circ.ops:
@@ -478,31 +478,35 @@ class TestRunCircuit:
         with pytest.raises(ContractError, match=r"^op 1 \(MEASURE 1\) is a measurement"):
             engine.run_circuit(circ)
 
-    def test_compile_errors_come_before_the_measurement_error(self):
-        # run_circuit compiles first, so a wire measured twice is named as such
-        circ = parse_circuit("qubits 2\nMEASURE 0\nMEASURE 0\n")
+    def test_reuse_is_refused_before_the_measurement_error(self):
+        # the circuit refuses a wire measured twice, so run_circuit never sees it
+        ops = (GateOp("MEASURE", (0,)), GateOp("MEASURE", (0,)))
         with pytest.raises(ContractError) as err:
-            engine.run_circuit(circ)
+            engine.run_circuit(Circuit(2, ops))
         assert str(err.value) == "op 1 (MEASURE 0): wire 0 measured twice"
+        with pytest.raises(ParseError) as err:
+            engine.run_circuit(parse_circuit("qubits 2\nMEASURE 0\nMEASURE 0\n"))
+        assert str(err.value) == "line 3: op 1 (MEASURE 0): wire 0 measured twice"
 
 
 class TestCompileCircuit:
     def test_steps_slots_and_wire_map(self):
         circ = parse_circuit("qubits 3\nH 2\nMEASURE 1\nX 2 c=0\nMEASURE 0\n")
         steps, measured, wire_map = engine.compile_circuit(circ)
-        assert [(n_live, plan is None, slot) for n_live, plan, slot in steps] == [
-            (3, False, None), (3, True, 1), (2, False, None), (2, True, 0)
+        assert [(plan is None, slot) for plan, slot in steps] == [
+            (False, None), (True, 1), (False, None), (True, 0)
         ]
+        # each plan views a state of the wires still live: 3, then 2
+        assert [int(np.prod(plan[0])) for plan, _ in steps if plan is not None] == [8, 4]
         assert measured == (1, 0)
         assert wire_map == {0: None, 1: None, 2: 0}
 
     def test_plan_runs_like_the_checked_entry_point(self):
         # X on live slot 1 controlled by slot 0, once wire 1 is measured away
         circ = parse_circuit("qubits 3\nMEASURE 1\nX 2 c=0\n")
-        (_, _, _), (n_live, plan, _) = engine.compile_circuit(circ)[0]
+        (_, _), (plan, _) = engine.compile_circuit(circ)[0]
         psi = linalg.random_state(2, np.random.default_rng(59))
         want = engine.apply_multi_qubit_gate(2, gates.gate_matrix("X"), (1,), psi, [(0, True)])
-        assert n_live == 2
         assert np.array_equal(engine._run_plan(plan, psi.copy()), want)
 
     def test_plan_on_a_stack_equals_each_row_alone(self):
@@ -520,17 +524,18 @@ class TestCompileCircuit:
                         rows = [engine._run_plan(plan, row.copy()) for row in stack]
                         assert np.array_equal(engine._run_plan(plan, stack), np.stack(rows))
 
+    # The circuit refuses a measured wire's reuse, so a compile cannot fail.
     def test_wire_measured_twice_names_the_op(self):
-        circ = parse_circuit("qubits 2\nH 0\nMEASURE 0\nMEASURE 0\n")
+        ops = (GateOp("H", (0,)), GateOp("MEASURE", (0,)), GateOp("MEASURE", (0,)))
         with pytest.raises(ContractError) as err:
-            engine.compile_circuit(circ)
+            Circuit(2, ops)
         assert str(err.value) == "op 2 (MEASURE 0): wire 0 measured twice"
+        assert err.value.op_index == 2
 
     def test_gate_on_measured_wire_names_the_op(self):
-        circ = parse_circuit("qubits 2\nMEASURE 0\nH 1\nX 1 a=0\n")
-        with pytest.raises(ContractError) as err:
-            engine.compile_circuit(circ)
-        assert str(err.value) == "op 2 (X 1 a=0) touches wire 0, which was measured"
+        with pytest.raises(ParseError) as err:
+            parse_circuit("qubits 2\nMEASURE 0\nH 1\nX 1 a=0\n")
+        assert str(err.value) == "line 4: op 2 (X 1 a=0) touches wire 0, which was measured"
 
     def test_plans_are_built_once_per_compile(self, monkeypatch):
         built = []
@@ -558,7 +563,7 @@ class TestTemplates:
                 targets = wires[:arity]
                 for controls in ((), ((wires[arity], True), (wires[arity + 1], False))):
                     circ = Circuit(n, (GateOp(name, targets, ControlSpec(controls)),))
-                    (_, plan, _), = engine.compile_circuit(circ)[0]
+                    (plan, _), = engine.compile_circuit(circ)[0]
                     assert plan == engine._place(n, derived, targets, controls)
                     psi = linalg.random_state(n, rng)
                     np.testing.assert_allclose(
@@ -575,7 +580,7 @@ class TestTemplates:
             engine, "_template", lambda u: derived.append(u) or real(u)
         )
         rng = np.random.default_rng(61)
-        circ = random_circuit(6, 40, rng, control_probability=0.4)
+        circ = random_circuit(6, 40, rng)
         engine.compile_circuit(circ)
         engine.run_circuit(circ)
         measured = parse_circuit("qubits 2\nH 0\nX 1 c=0\nMEASURE 1\nH 0\nMEASURE 0\n")

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from qwsim import analysis, engine, linalg, measurement, oracle
-from qwsim.circuit import Circuit, GateOp, parse_circuit
-from qwsim.errors import ContractError, DimensionError
+from qwsim.circuit import Circuit, GateOp, format_circuit, parse_circuit
+from qwsim.errors import ContractError, DimensionError, ParseError
 from qwsim.gates import MEASURE, gate_def, gate_names
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -36,6 +36,17 @@ def measured_circuit(rng, n):
     if live and not any(op.gate == MEASURE for op in ops):
         ops.append(GateOp(MEASURE, (live[0],)))
     return Circuit(n, tuple(ops))
+
+
+# circuits that reuse a measured wire, and the parser's refusal of each
+_REUSE = {
+    "qubits 3\nH 0\nMEASURE 0\nH 1\nMEASURE 1\nSWAP 0 2\n":
+        "line 6: op 4 (SWAP 0 2) touches wire 0, which was measured",
+    "qubits 3\nH 0\nMEASURE 2\nMEASURE 0\nX 1 a=2\n":
+        "line 5: op 3 (X 1 a=2) touches wire 2, which was measured",
+    "qubits 2\nH 0\nMEASURE 1\nMEASURE 0\nMEASURE 1\n":
+        "line 5: op 3 (MEASURE 1): wire 1 measured twice",
+}
 
 
 def assert_same_up_to_phase(a, b, atol=1e-12):
@@ -201,37 +212,33 @@ class TestRunWithBranches:
         total = sum(leaf.probability for leaf in tree.leaves)
         assert abs(total - 1.0) < 1e-9
 
+    # The circuit refuses a measured wire's reuse, so neither entry point
+    # below can be handed such a circuit.
     def test_measuring_a_wire_twice_rejected(self):
-        circ = parse_circuit("qubits 2\nH 0\nMEASURE 0\nMEASURE 0\n")
-        with pytest.raises(ContractError):
-            measurement.run_with_branches(circ)
+        with pytest.raises(ParseError) as err:
+            measurement.run_with_branches(parse_circuit("qubits 2\nH 0\nMEASURE 0\nMEASURE 0\n"))
+        assert str(err.value) == "line 4: op 2 (MEASURE 0): wire 0 measured twice"
 
     def test_gate_on_measured_wire_rejected(self):
-        circ = parse_circuit("qubits 2\nMEASURE 0\nX 0\n")
-        with pytest.raises(ContractError):
-            measurement.run_with_branches(circ)
+        with pytest.raises(ContractError) as err:
+            Circuit(2, (GateOp(MEASURE, (0,)), GateOp("X", (0,))))
+        assert str(err.value) == "op 1 (X 0) touches wire 0, which was measured"
 
     def test_control_on_measured_wire_rejected(self):
-        circ = parse_circuit("qubits 2\nMEASURE 0\nX 1 c=0\n")
-        with pytest.raises(ContractError):
-            measurement.run_with_branches(circ)
+        with pytest.raises(ParseError) as err:
+            measurement.run_with_branches(parse_circuit("qubits 2\nMEASURE 0\nX 1 c=0\n"))
+        assert str(err.value) == "line 3: op 1 (X 1 c=0) touches wire 0, which was measured"
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "qubits 3\nH 0\nMEASURE 0\nH 1\nMEASURE 1\nSWAP 0 2\n",
-            "qubits 3\nH 0\nMEASURE 2\nMEASURE 0\nX 1 a=2\n",
-            "qubits 2\nH 0\nMEASURE 1\nMEASURE 0\nMEASURE 1\n",
-        ],
-    )
+    @pytest.mark.parametrize("text", list(_REUSE))
     @pytest.mark.parametrize("entry", ["branches", "sample"])
     def test_measured_wire_reuse_rejected_by_both_entry_points(self, text, entry):
-        circ = parse_circuit(text)
-        with pytest.raises(ContractError, match="measured"):
+        with pytest.raises(ParseError) as err:
+            circ = parse_circuit(text)
             if entry == "branches":
                 measurement.run_with_branches(circ)
             else:
                 measurement.sample_shots(circ, 10, 0)
+        assert str(err.value) == _REUSE[text]
 
     def test_leaves_sorted_and_match_deferred_measurement(self):
         # No gate touches a wire once it is measured, so each leaf must be
@@ -278,6 +285,35 @@ class TestRunWithBranches:
                     if l.outcomes == (first.outcome, second.outcome)
                 )
                 assert abs(leaf.probability - want) < 1e-12
+
+
+class TestMeasuredCircuitText:
+    """The constructor and the parser accept exactly the same circuits."""
+
+    def test_format_round_trips(self):
+        for seed in (64, 65, 66):
+            rng = np.random.default_rng(seed)
+            for n in range(2, 9):
+                circ = measured_circuit(rng, n)
+                assert parse_circuit(format_circuit(circ)) == circ
+
+    @pytest.mark.parametrize(
+        "reuse, message",
+        [
+            (GateOp(MEASURE, (0,)), "op 2 (MEASURE 0): wire 0 measured twice"),
+            (GateOp("X", (1,), ((0, True),)), "op 2 (X 1 c=0) touches wire 0, which was measured"),
+        ],
+    )
+    def test_reuse_refused_by_constructor_and_parser(self, reuse, message):
+        ops = (GateOp("H", (0,)), GateOp(MEASURE, (0,)), reuse)
+        with pytest.raises(ContractError) as err:
+            Circuit(2, ops)
+        assert str(err.value) == message
+        assert err.value.op_index == 2
+        text = format_circuit(Circuit(2, ops[:2])) + "# comment\n" + f"{reuse}\n"
+        with pytest.raises(ParseError) as err:
+            parse_circuit(text)
+        assert str(err.value) == f"line 5: {message}"
 
 
 class TestSampleShots:
