@@ -8,9 +8,9 @@ Quick start::
     psi = run_circuit(circ)          # Bell state amplitudes
 
 See the individual modules for the full API: ``engine`` (the gate kernel),
-``analysis`` (partial traces and statistics), ``measurement`` (branch
-trees and sampling), ``oracle`` (naive reference path), ``circuit``
-(parsing), and ``cli``.
+``analysis`` (partial traces and statistics, every wire's in one sweep),
+``measurement`` (branch trees and sampling), ``oracle`` (naive reference
+path), ``circuit`` (parsing), and ``cli``.
 """
 
 from .errors import (
@@ -47,6 +47,7 @@ from .oracle import (
 from .analysis import (
     PairStats,
     QubitStats,
+    all_qubit_stats,
     concurrence,
     pair_stats,
     partial_trace_matrix,
@@ -97,6 +98,7 @@ __all__ = [
     "STATE_ATOL",
     "SimulationError",
     "UNITARY_ATOL",
+    "all_qubit_stats",
     "apply_multi_qubit_gate",
     "basis_state",
     "build_gate_full_matrix",

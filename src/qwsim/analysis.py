@@ -15,6 +15,14 @@ Every density-matrix statistic passes one gate, the checks of
 :func:`check_density_matrix`, which hands on the spectrum it solved for:
 purity, entropy and the per-qubit and pair statistics refuse the same
 matrices, and :func:`pair_stats` solves for the spectrum of ``rho`` once.
+The gate takes one matrix or a ``(k, d, d)`` stack of them, with one
+eigensolve for the whole stack.
+
+:func:`all_qubit_stats` reports every wire of a pure state in one sweep:
+each wire's 2x2 reduced matrix is read off strided views of the state,
+with no transpose and no ``M @ M^H``, and the ``(n, 2, 2)`` stack passes
+the gate once.
+:func:`qubit_stats` is the same computation on a stack of one.
 
 A pure state passes ``linalg.check_unit_state`` before any work.
 :func:`probability_of_one` sums ``|psi|**2`` over the half where the bit
@@ -125,25 +133,26 @@ def probability_of_one(psi, qubit: int) -> float:
 def _density_gate(rho, qubits=None, *, vectors=False) -> tuple:
     """The one density-matrix check; returns ``(rho, w, v)`` from one solve.
 
-    ``rho`` must pass ``check_matrix`` (``DimensionError`` for a wrong
-    shape) and the Hermitian test, and have a power-of-two side
+    ``rho`` is one matrix or a ``(k, d, d)`` stack of them, already
+    finite: a public matrix passes ``check_matrix`` first, and the stack of
+    :func:`all_qubit_stats` is built from a checked unit state.  Each
+    matrix must pass the Hermitian test, and have a power-of-two side
     (``2**qubits`` when ``qubits`` is given), unit trace and no eigenvalue
-    below ``-EIGEN_ATOL`` (``ContractError``).  Returned are the checked
-    matrix, its ascending eigenvalues ``w`` from LAPACK and, when
-    ``vectors``, the matching eigenvectors ``v`` (else None).
+    below ``-EIGEN_ATOL`` (``ContractError``).  Returned are ``rho``, the
+    ascending eigenvalues ``w`` of each matrix from one LAPACK call and,
+    when ``vectors``, the matching eigenvectors ``v`` (else None).
     """
-    rho = check_matrix(rho)
     herm = _hermitian_part(rho)
-    dim = rho.shape[0]
+    dim = rho.shape[-1]
     if dim & (dim - 1):
         raise ContractError(f"density matrix dimension {dim} is not a power of two")
     if qubits is not None and dim != 1 << qubits:
-        raise ContractError(f"expected a {qubits}-qubit density matrix, got {rho.shape}")
-    trace = rho.trace()
-    if not (abs(trace.real - 1.0) <= STATE_ATOL and abs(trace.imag) <= STATE_ATOL):
+        raise ContractError(f"expected a {qubits}-qubit density matrix, got {rho.shape[-2:]}")
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    if not ((abs(trace.real - 1.0) <= STATE_ATOL) & (abs(trace.imag) <= STATE_ATOL)).all():
         raise ContractError("density matrix trace is not 1")
     w, v = np.linalg.eigh(herm) if vectors else (np.linalg.eigvalsh(herm), None)
-    if w[0] < -EIGEN_ATOL:
+    if (w[..., 0] < -EIGEN_ATOL).any():
         raise ContractError("density matrix has a negative eigenvalue")
     return rho, w, v
 
@@ -155,11 +164,12 @@ def check_density_matrix(rho) -> int:
     an empty or non-square matrix and ``ContractError`` for any other
     violation.  Every statistic below passes the same checks.
     """
-    return _density_gate(rho)[0].shape[0].bit_length() - 1
+    return _density_gate(check_matrix(rho))[0].shape[0].bit_length() - 1
 
 
-def _trace_of_square(rho: np.ndarray) -> float:
-    return float(np.trace(rho @ rho).real)
+def _trace_of_square(rho: np.ndarray):
+    """``Tr(rho^2)`` of one matrix, or of each in a stack."""
+    return np.trace(rho @ rho, axis1=-2, axis2=-1).real
 
 
 def purity(rho) -> float:
@@ -167,7 +177,7 @@ def purity(rho) -> float:
 
     ``rho`` must pass :func:`check_density_matrix`.
     """
-    return _trace_of_square(_density_gate(rho)[0])
+    return float(_trace_of_square(_density_gate(check_matrix(rho))[0]))
 
 
 def _entropy(w: np.ndarray) -> float:
@@ -186,7 +196,7 @@ def von_neumann_entropy(rho) -> float:
     finite eigensolver produces for rank-deficient matrices do not turn
     into NaNs; ``0 * log(0)`` counts as 0.
     """
-    return _entropy(_density_gate(rho)[1])
+    return _entropy(_density_gate(check_matrix(rho))[1])
 
 
 @dataclass(frozen=True)
@@ -209,41 +219,62 @@ class QubitStats:
     linear_entropy: float
 
 
-def qubit_stats(rho) -> QubitStats:
-    """Bloch vector, angles, purity and linear entropy of a 1-qubit state.
+def _bloch_stats(rho: np.ndarray) -> list[QubitStats]:
+    """:class:`QubitStats` of each matrix in a gated ``(k, 2, 2)`` stack.
 
     The Bloch components are read off the matrix entries: for
     ``rho = [[a, b+ic], [b-ic, 1-a]]`` they are ``x=2b, y=-2c, z=2a-1``,
     which equal ``Tr(rho P)`` for the Paulis ``P`` on any Hermitian
-    unit-trace input; the tests hold them to the trace form.
+    unit-trace input; the tests hold them to the trace form.  Every field
+    is one array over the stack.  The angles are selected, not divided,
+    where the vector is shorter than ``BLOCH_DEGENERATE_EPS``.
     """
-    rho = _density_gate(rho, 1)[0]
-    a = rho[0, 0].real
-    b = rho[0, 1].real
-    c = rho[0, 1].imag
-    x = float(2.0 * b)
-    y = float(-2.0 * c)
-    z = float(2.0 * a - 1.0)
-    r = float(np.sqrt(x * x + y * y + z * z))
-    theta = 0.0
-    if r >= BLOCH_DEGENERATE_EPS:
-        theta = float(np.arccos(np.clip(z / r, -1.0, 1.0)))
-    # on the z-axis x and y are roundoff, and so would be their arctan2
-    phi = 0.0
-    if np.hypot(x, y) >= BLOCH_DEGENERATE_EPS:
-        phi = float(np.arctan2(y, x))
+    x = 2.0 * rho[:, 0, 1].real
+    y = -2.0 * rho[:, 0, 1].imag
+    z = 2.0 * rho[:, 0, 0].real - 1.0
+    r = np.sqrt(x * x + y * y + z * z)
+    cos = np.divide(z, r, out=np.ones_like(r), where=r >= BLOCH_DEGENERATE_EPS)
+    theta = np.arccos(np.clip(cos, -1.0, 1.0))
+    # on the z-axis x and y are roundoff, and so would be their arctan2;
+    # on the negative x half-axis a y of -0.0 gives phi = -pi
+    phi = np.where(np.hypot(x, y) >= BLOCH_DEGENERATE_EPS, np.arctan2(y, x), 0.0)
     p = _trace_of_square(rho)
-    return QubitStats(
-        prob1=float(rho[1, 1].real),
-        x=x,
-        y=y,
-        z=z,
-        r=r,
-        theta=theta,
-        phi=phi,
-        purity=p,
-        linear_entropy=1.0 - p,
-    )
+    fields = np.stack((rho[:, 1, 1].real, x, y, z, r, theta, phi, p, 1.0 - p), axis=1)
+    # adding 0.0 turns -0.0 into +0.0 and moves no other value
+    return [QubitStats(*row) for row in (fields + 0.0).tolist()]
+
+
+def qubit_stats(rho) -> QubitStats:
+    """Bloch vector, angles, purity and linear entropy of a 1-qubit state.
+
+    ``rho`` passes ``check_matrix``, then the gate and the statistics of
+    :func:`all_qubit_stats` as a stack of one.
+    """
+    return _bloch_stats(_density_gate(check_matrix(rho)[None], 1)[0])[0]
+
+
+def all_qubit_stats(psi, n) -> list[QubitStats]:
+    """:func:`qubit_stats` of every wire of a pure state, wire 0 first.
+
+    With ``psi`` and ``p = |psi|**2`` viewed as ``(-1, 2, 2**q)``, axis 1
+    is bit ``q``, as ``measure_qubit`` splits a measurement.  Wire ``q``'s
+    ``rho[b, b]`` sums ``p`` over half ``b`` and ``rho[0, 1]`` is
+    ``sum(psi_0 * conj(psi_1))`` over the two halves: the matrix of
+    ``partial_trace_state(n, psi, [q], keep=True)`` without its transposed
+    copy of ``psi``.  The ``(n, 2, 2)`` stack then passes the density gate
+    with one eigensolve.  ``psi`` passes ``check_unit_state``, which
+    refuses a non-finite amplitude, so the stack needs no finiteness test.
+    """
+    psi, n = check_unit_state(psi, n)
+    p = np.abs(psi) ** 2
+    rho = np.empty((n, 2, 2), dtype=complex)
+    for q in range(n):
+        halves, probs = psi.reshape(-1, 2, 1 << q), p.reshape(-1, 2, 1 << q)
+        rho[q, 0, 0] = probs[:, 0].sum()
+        rho[q, 1, 1] = probs[:, 1].sum()
+        rho[q, 0, 1] = np.vdot(halves[:, 1], halves[:, 0])
+    rho[:, 1, 0] = rho[:, 0, 1].conj()
+    return _bloch_stats(_density_gate(rho, 1)[0])
 
 
 def concurrence(rho) -> float:
@@ -259,7 +290,7 @@ def concurrence(rho) -> float:
     zeroed before the square root: ``sqrt`` turns O(1e-15) roundoff on an
     exactly singular product into O(1e-8) phantom contributions otherwise.
     """
-    return _concurrence(*_density_gate(rho, 2, vectors=True))
+    return _concurrence(*_density_gate(check_matrix(rho), 2, vectors=True))
 
 
 def _concurrence(rho: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
@@ -291,8 +322,8 @@ class PairStats:
 
 def pair_stats(rho) -> PairStats:
     """:class:`PairStats` of a 4x4 density matrix, from one eigensolve of ``rho``."""
-    rho, w, v = _density_gate(rho, 2, vectors=True)
-    p = _trace_of_square(rho)
+    rho, w, v = _density_gate(check_matrix(rho), 2, vectors=True)
+    p = float(_trace_of_square(rho))
     return PairStats(
         purity=p,
         linear_entropy=1.0 - p,

@@ -93,17 +93,14 @@ def _cmd_stats(args) -> int:
     # computed before any row is printed, so that a refusal prints nothing
     m2 = analysis.stabilizer_renyi_entropy(psi, circ.n) if args.magic else None
 
-    rows = []
-    for q in range(circ.n):
-        rho = analysis.partial_trace_state(circ.n, psi, [q], keep=True)
-        s = analysis.qubit_stats(rho)
-        rows.append(
-            (
-                str(q),
-                _fmt(s.prob1), _fmt(s.x), _fmt(s.y), _fmt(s.z), _fmt(s.r),
-                _fmt(s.theta), _fmt(s.phi), _fmt(s.purity), _fmt(s.linear_entropy),
-            )
+    rows = [
+        (
+            str(q),
+            _fmt(s.prob1), _fmt(s.x), _fmt(s.y), _fmt(s.z), _fmt(s.r),
+            _fmt(s.theta), _fmt(s.phi), _fmt(s.purity), _fmt(s.linear_entropy),
         )
+        for q, s in enumerate(analysis.all_qubit_stats(psi, circ.n))
+    ]
     if args.format == "records":
         for row in rows:
             pairs = " ".join(f"{k}={v}" for k, v in zip(_STATS_COLUMNS, row))

@@ -225,13 +225,13 @@ def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    """``(a + a^H) / 2`` of a checked matrix; the one Hermitian test.
+    """``(a + a^H) / 2`` of a checked matrix or stack of them; the one Hermitian test.
 
     A matrix further than ``STATE_ATOL`` from Hermitian raises
     ``ContractError``.  LAPACK reads one triangle only; averaging both
     keeps the roundoff of the other in the answer.
     """
-    ah = a.conj().T
+    ah = a.conj().swapaxes(-1, -2)
     if np.abs(a - ah).max() > STATE_ATOL:
         raise ContractError("matrix is not Hermitian within tolerance")
     return (a + ah) / 2.0

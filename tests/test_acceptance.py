@@ -207,15 +207,17 @@ def test_criterion_8_invariant_bundle():
             np.testing.assert_allclose(a, b, atol=1e-12, rtol=0)
             assert analysis.check_density_matrix(a) == k
 
-    # Bloch round trip reconstructs every single-qubit reduced state
+    # Bloch round trip reconstructs every single-qubit reduced state, from
+    # one wire's matrix and from the sweep over all wires
     pauli = {p: gates.gate_matrix(p) for p in "XYZ"}
+    swept = analysis.all_qubit_stats(psi, 5)
     for q in range(5):
         rho = analysis.partial_trace_state(5, psi, [q], keep=True)
-        s = analysis.qubit_stats(rho)
-        rebuilt = (
-            np.eye(2) + s.x * pauli["X"] + s.y * pauli["Y"] + s.z * pauli["Z"]
-        ) / 2.0
-        np.testing.assert_allclose(rebuilt, rho, atol=1e-12, rtol=0)
+        for s in (analysis.qubit_stats(rho), swept[q]):
+            rebuilt = (
+                np.eye(2) + s.x * pauli["X"] + s.y * pauli["Y"] + s.z * pauli["Z"]
+            ) / 2.0
+            np.testing.assert_allclose(rebuilt, rho, atol=1e-12, rtol=0)
 
     # stabilizer circuits carry no magic
     cliff = engine.run_circuit(

@@ -289,17 +289,19 @@ class TestQubitStats:
         assert all(type(v) is float for v in dataclasses.astuple(s))
 
     def test_bloch_components_equal_pauli_traces(self):
-        # the entries-based x, y, z against Tr(rho P) on every wire
+        # the entries-based x, y, z against Tr(rho P) on every wire, from
+        # one wire's matrix and from the sweep over all of them
         pauli = {p: gates.gate_matrix(p) for p in "XYZ"}
         rng = np.random.default_rng(14)
         for n in range(1, 7):
             for _ in range(3):
                 psi = linalg.random_state(n, rng)
+                swept = analysis.all_qubit_stats(psi, n)
                 for q in range(n):
                     rho = analysis.partial_trace_state(n, psi, [q], keep=True)
-                    s = analysis.qubit_stats(rho)
-                    for value, p in ((s.x, "X"), (s.y, "Y"), (s.z, "Z")):
-                        assert abs(value - np.trace(rho @ pauli[p]).real) < 1e-12
+                    for s in (analysis.qubit_stats(rho), swept[q]):
+                        for value, p in ((s.x, "X"), (s.y, "Y"), (s.z, "Z")):
+                            assert abs(value - np.trace(rho @ pauli[p]).real) < 1e-12
 
     def test_rejects_invalid_density_matrices(self):
         with pytest.raises(ContractError):
@@ -310,6 +312,63 @@ class TestQubitStats:
             analysis.qubit_stats(np.diag([1.5, -0.5]).astype(complex))  # not PSD
         with pytest.raises(ContractError):
             analysis.qubit_stats(np.eye(4, dtype=complex) / 4)  # wrong size
+
+
+class TestAllQubitStats:
+    """Every wire's statistics from one sweep over the state."""
+
+    def test_equals_the_per_wire_path(self):
+        rng = np.random.default_rng(16)
+        for n in range(1, 13):
+            for _ in range(3):
+                psi = linalg.random_state(n, rng)
+                swept = analysis.all_qubit_stats(psi, n)
+                assert len(swept) == n
+                for q, s in enumerate(swept):
+                    rho = analysis.partial_trace_state(n, psi, [q], keep=True)
+                    want = dataclasses.astuple(analysis.qubit_stats(rho))
+                    got = dataclasses.astuple(s)
+                    assert all(type(v) is float for v in got)
+                    np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+
+    def test_implied_matrices_match_the_definition_oracle(self):
+        # (I + x X + y Y + z Z) / 2 against the textbook partial trace
+        eye, x, y, z = (gates.gate_matrix(p) for p in "IXYZ")
+        rng = np.random.default_rng(17)
+        for n in range(1, 9):
+            psi = linalg.random_state(n, rng)
+            rho = np.outer(psi, psi.conj())
+            for q, s in enumerate(analysis.all_qubit_stats(psi, n)):
+                want = oracle.partial_trace_by_definition(
+                    rho, n, [w for w in range(n) if w != q]
+                )
+                implied = (eye + s.x * x + s.y * y + s.z * z) / 2.0
+                np.testing.assert_allclose(implied, want, atol=1e-10, rtol=0)
+                assert abs(s.prob1 - want[1, 1].real) < 1e-10
+                assert abs(s.purity - np.trace(want @ want).real) < 1e-10
+
+    def test_degenerate_points(self):
+        # wires 0 and 1 hold a Bell pair, each at the Bloch centre; wire 2
+        # is |1> and wire 3 is |0>, on the z-axis
+        psi = engine.run_circuit(parse_circuit("qubits 4\nH 0\nCX 0 1\nX 2\n"))
+        eps = analysis.BLOCH_DEGENERATE_EPS
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a bare z / r at r = 0 would warn
+            swept = analysis.all_qubit_stats(psi, 4)
+            single = [
+                analysis.qubit_stats(analysis.partial_trace_state(4, psi, [q], keep=True))
+                for q in range(4)
+            ]
+        for stats in (swept, single):
+            assert [s.r < eps for s in stats] == [True, True, False, False]
+            assert [math.hypot(s.x, s.y) < eps for s in stats] == [True] * 4
+            for s in stats:
+                assert s.phi == 0.0
+                if s.r < eps:
+                    assert s.theta == 0.0
+                zeros = [v for v in dataclasses.astuple(s) if v == 0.0]
+                assert all(math.copysign(1.0, v) == 1.0 for v in zeros)  # no -0.0
+            assert stats[2].theta == math.pi and stats[3].theta == 0.0
 
 
 class TestNonFiniteInputs:
@@ -400,6 +459,9 @@ class TestDensityGate:
         calls.clear()
         analysis.qubit_stats(np.eye(2) / 2)
         assert calls == ["eigvalsh"]  # no eigenvectors for a 2x2
+        calls.clear()
+        analysis.all_qubit_stats(linalg.random_state(6, np.random.default_rng(9)), 6)
+        assert calls == ["eigvalsh"]  # one for the stack of all six wires
 
 
 class TestPurityEntropy:

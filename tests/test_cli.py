@@ -177,6 +177,50 @@ class TestStats:
         assert lines[0].startswith("qubit=0 prob1=0.5")
         assert "purity=0.5" in lines[0]
 
+    @pytest.mark.parametrize(
+        "fmt, rows",
+        [
+            (
+                "table",
+                "qubit  prob1  x  y  z  r  theta          phi  purity  lin_entropy\n"
+                "0      0.5    0  0  0  0  0              0    0.5     0.5\n"
+                "1      0.5    0  0  0  0  0              0    0.5     0.5\n"
+                "2      0.5    1  0  0  1  1.57079632679  0    1       0\n",
+            ),
+            (
+                "records",
+                "qubit=0 prob1=0.5 x=0 y=0 z=0 r=0 theta=0 phi=0 purity=0.5 lin_entropy=0.5\n"
+                "qubit=1 prob1=0.5 x=0 y=0 z=0 r=0 theta=0 phi=0 purity=0.5 lin_entropy=0.5\n"
+                "qubit=2 prob1=0.5 x=1 y=0 z=0 r=1 theta=1.57079632679 phi=0 purity=1 "
+                "lin_entropy=0\n",
+            ),
+        ],
+    )
+    def test_mixed_pair_output_is_pinned(self, capsys, fmt, rows):
+        # the text the CI console-script step pins for circuits/mixed_pair.qc
+        path = Path(__file__).resolve().parents[1] / "circuits" / "mixed_pair.qc"
+        code, out, err = run_cli(
+            capsys, "stats", str(path), "--pair", "0", "1", "--magic", "--format", fmt
+        )
+        tail = (
+            "pair (0,1): purity=1 lin_entropy=0 concurrence=1 von_neumann=0\n"
+            "stabilizer_renyi_2: 0\n"
+        )
+        assert (code, out, err) == (0, rows + tail, "")
+
+    def test_one_partial_trace_per_run(self, capsys, circuit_file, monkeypatch):
+        # every wire's row comes from one sweep; only the pair takes a trace
+        calls = []
+        real = cli.analysis.partial_trace_state
+        monkeypatch.setattr(
+            cli.analysis, "partial_trace_state", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        path = circuit_file(MIXED_PAIR)
+        assert run_cli(capsys, "stats", path)[0] == 0
+        assert calls == []
+        assert run_cli(capsys, "stats", path, "--pair", "0", "2")[0] == 0
+        assert calls == [1]
+
     def test_pair_block(self, capsys, circuit_file):
         code, out, _ = run_cli(
             capsys, "stats", circuit_file(MIXED_PAIR), "--pair", "0", "1"

@@ -149,6 +149,7 @@ _TAKES_A_COUNT = {
     "basis_state": lambda v: linalg.basis_state(v, 0),
     "initial_state": lambda v: linalg.initial_state(v, _PSI),
     "stabilizer_renyi_entropy": lambda v: analysis.stabilizer_renyi_entropy(_PSI, v),
+    "all_qubit_stats": lambda v: analysis.all_qubit_stats(_PSI, v),
 }
 _TAKES_A_WIRE = {
     "GateOp": lambda v: GateOp("H", (v,)),
@@ -278,6 +279,7 @@ class TestArgumentContract:
             lambda: engine.apply_multi_qubit_gate(2, _X, (0,), short),
             lambda: measurement.measure_qubit(short, 2, 0),
             lambda: analysis.partial_trace_state(2, short, [0]),
+            lambda: analysis.all_qubit_stats(short, 2),
             lambda: analysis.stabilizer_renyi_entropy(short, 2),
             lambda: oracle.swap_wires(2, 0, 1, short),
         ):
@@ -358,6 +360,28 @@ class TestMatrixContract:
         assert analysis.check_density_matrix(off) == 1
 
 
+class TestStackedDensityGate:
+    """The density gate checks each matrix of a ``(k, d, d)`` stack."""
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.eye(2), "trace is not 1"),
+            (np.array([[0.5, 0.5], [-0.5, 0.5]]), "not Hermitian"),
+            (np.diag([1.5, -0.5]), "negative eigenvalue"),
+        ],
+    )
+    def test_one_bad_matrix_in_a_stack_fails_the_gate(self, bad, message):
+        # the stack the per-qubit sweep hands the gate, with only its middle
+        # matrix bad, is refused as that matrix alone is
+        good = np.eye(2, dtype=complex) / 2
+        with pytest.raises(ContractError) as alone:
+            analysis.qubit_stats(bad)
+        with pytest.raises(ContractError, match=message) as stacked:
+            analysis._density_gate(np.stack([good, bad, good]).astype(complex), 1)
+        assert str(stacked.value) == str(alone.value)
+
+
 _PURE = parse_circuit("qubits 2\nH 0\n")
 _MEASURED = parse_circuit("qubits 2\nH 0\nMEASURE 0\n")
 
@@ -369,6 +393,7 @@ _TAKES_A_UNIT_STATE = {
     "probability_of_one": lambda psi: analysis.probability_of_one(psi, 1),
     "partial_trace_state": lambda psi: analysis.partial_trace_state(2, psi, [0]),
     "stabilizer_renyi_entropy": lambda psi: analysis.stabilizer_renyi_entropy(psi, 2),
+    "all_qubit_stats": lambda psi: analysis.all_qubit_stats(psi, 2),
     "run_circuit": lambda psi: engine.run_circuit(_PURE, psi),
     "run_with_branches": lambda psi: measurement.run_with_branches(_MEASURED, psi),
     "sample_shots": lambda psi: measurement.sample_shots(_MEASURED, 10, 0, psi),
