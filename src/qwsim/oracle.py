@@ -8,16 +8,14 @@ and embedding matrices, built one index at a time with the bit-scatter
 helper :func:`rearrange_bits`.  :func:`swap_wires` exchanges two wires
 by walking every amplitude index.  None of the fast kernels are used, so
 agreement between this module and the engine checks both against each
-other.  The one exception is :func:`sample_shots_replay`, which checks
-the shared-prefix walk and the compiled plans of
-``measurement.sample_shots`` rather than the kernel: it replays the whole
-circuit once per shot, remapping every op to the live wires itself and
-applying its matrix through the engine's checked entry point, which
-derives the kernel template from the matrix rather than reading the
-compiled table.  The Hermitian
-eigensolver :func:`jacobi_eig` is the reference for the spectra of the
-density gate in ``analysis`` (LAPACK): cyclic Jacobi rotations written
-out in Python loops.
+other.  Shot sampling defers every MEASURE to the end (Nielsen & Chuang,
+section 4.4), which is exact because ``Circuit`` refuses any op on a
+measured wire: :func:`sample_shots_deferred` draws from the marginals of
+:func:`measured_distribution`, taken from :func:`simulate_naive`, and
+shares nothing with the walker of ``measurement`` but ``PRUNE_EPS``.
+The Hermitian eigensolver :func:`jacobi_eig` is the reference for the
+spectra of the density gate in ``analysis`` (LAPACK): cyclic Jacobi
+rotations written out in Python loops.
 
 Capped at ``NAIVE_QUBIT_GUARD`` qubits; a dense operator on more would be
 pointlessly large for a reference path.
@@ -32,9 +30,11 @@ import numpy as np
 from .errors import ContractError, ResourceError
 from .gates import MEASURE, GateDef, gate_def
 from .analysis import _split_kept
-from .engine import ControlSpec, apply_multi_qubit_gate, coerce_controls, swap_bits
+from .circuit import Circuit
+from .engine import ControlSpec, coerce_controls, swap_bits
 from .linalg import (
     _hermitian_part,
+    check_int,
     check_matrix,
     check_qubit_count,
     check_state,
@@ -42,7 +42,7 @@ from .linalg import (
     initial_state,
     make_rng,
 )
-from .measurement import _shot_count, measure_qubit
+from .measurement import PRUNE_EPS
 
 NAIVE_QUBIT_GUARD = 12
 
@@ -130,56 +130,53 @@ def swap_wires(n: int, wire_i: int, wire_j: int, psi, controls=None) -> np.ndarr
     return out
 
 
-def _measure_and_shift(wire_map: dict[int, int | None], wire: int) -> None:
-    """Mark ``wire`` measured; wires above its current slot shift down."""
-    slot = wire_map[wire]
-    for k, v in wire_map.items():
-        if v is not None and v > slot:
-            wire_map[k] = v - 1
-    wire_map[wire] = None
+def measured_distribution(circuit, psi0=None) -> np.ndarray:
+    """Joint distribution of the outcomes of the MEASURE ops of ``circuit``.
 
-
-def sample_shots_replay(circuit, shots: int, seed, psi0=None) -> dict[str, int]:
-    """Sample measurement records by replaying the circuit once per shot.
-
-    Each shot starts from a copy of the initial state, remaps every op to
-    the live wires, applies its catalog matrix with
-    ``engine.apply_multi_qubit_gate``, and draws one
-    ``rng.random()`` per MEASURE, taking outcome 1 when the draw is below
-    its probability (a pruned outcome is never taken).  The reference for
-    ``measurement.sample_shots``, whose histogram must equal this one for
-    every seed.
+    Axis ``d`` is the ``d``-th MEASURE in circuit order.  The MEASURE-free
+    circuit runs through :func:`simulate_naive`, and each basis index adds
+    its ``|psi|**2`` at its bits on the measured wires.
     """
-    shots = _shot_count(shots)
+    measured = [op.targets[0] for op in circuit.ops if op.gate == MEASURE]
+    gates = Circuit(circuit.n, tuple(op for op in circuit.ops if op.gate != MEASURE))
+    probs = np.abs(simulate_naive(gates, psi0)) ** 2
+    joint = np.zeros((2,) * len(measured))
+    for k, p in enumerate(probs):
+        joint[tuple((k >> w) & 1 for w in measured)] += p
+    return joint
+
+
+def sample_shots_deferred(circuit, shots: int, seed, psi0=None) -> dict[str, int]:
+    """Sample measurement records from :func:`measured_distribution`.
+
+    Shot by shot, the ``d``-th outcome is drawn from its probability given
+    the earlier outcomes, read off the joint marginals, with an outcome
+    below ``PRUNE_EPS`` zeroed: one ``rng.random()`` per MEASURE, outcome
+    1 when it is below ``Pr[1]`` or when ``Pr[0]`` is pruned.  The
+    reference for ``measurement.sample_shots``, whose histogram must equal
+    this one for every seed.
+    """
+    count = check_int(shots, "shots")
+    if count < 1:
+        raise ContractError(f"shots must be at least 1, got {count}")
     if not circuit.has_measurements:
         raise ContractError("circuit has no MEASURE ops to sample")
-    n = circuit.n
-    base = initial_state(n, psi0)
+    joint = measured_distribution(circuit, psi0)
+    # marginals[d][prefix] holds Pr[prefix, 0] and Pr[prefix, 1]
+    marginals = [joint.sum(axis=tuple(range(d + 1, joint.ndim))) for d in range(joint.ndim)]
     rng = make_rng(seed)
     histogram: dict[str, int] = {}
-    for _ in range(shots):
-        state = base.copy()
-        wire_map: dict[int, int | None] = {w: w for w in range(n)}
-        n_live = n
-        record: list[str] = []
-        for op in circuit.ops:
-            if op.gate == MEASURE:
-                branches = measure_qubit(state, n_live, wire_map[op.targets[0]])
-                picked = branches[1] if rng.random() < branches[1].probability else branches[0]
-                if picked.residual is None:  # vanishing branch drawn at the boundary
-                    picked = branches[1 - picked.outcome]
-                state = picked.residual
-                record.append(str(picked.outcome))
-                _measure_and_shift(wire_map, op.targets[0])
-                n_live -= 1
-            else:
-                u = gate_def(op.gate).matrix
-                targets = [wire_map[t] for t in op.targets]
-                controls = [(wire_map[w], f) for w, f in op.controls.entries]
-                state = apply_multi_qubit_gate(n_live, u, targets, state, controls)
-        key = "".join(record)
+    for _ in range(count):
+        record: list[int] = []
+        for marginal in marginals:
+            pair = marginal[tuple(record)]
+            pr = pair / pair.sum()
+            pr[pr < PRUNE_EPS] = 0.0
+            # the draw comes first: a pruned Pr[0] still uses up its number
+            record.append(int(rng.random() < pr[1] or pr[0] == 0.0))
+        key = "".join(map(str, record))
         histogram[key] = histogram.get(key, 0) + 1
-    return histogram
+    return dict(sorted(histogram.items()))
 
 
 def rearrange_bits(i: int, positions) -> int:

@@ -398,7 +398,7 @@ _TAKES_A_UNIT_STATE = {
     "run_with_branches": lambda psi: measurement.run_with_branches(_MEASURED, psi),
     "sample_shots": lambda psi: measurement.sample_shots(_MEASURED, 10, 0, psi),
     "simulate_naive": lambda psi: oracle.simulate_naive(_PURE, psi),
-    "sample_shots_replay": lambda psi: oracle.sample_shots_replay(_MEASURED, 10, 0, psi),
+    "sample_shots_deferred": lambda psi: oracle.sample_shots_deferred(_MEASURED, 10, 0, psi),
 }
 _BAD_STATES = {
     "norm 2": ([1, 1, 0, 0], "not normalized"),

@@ -124,6 +124,9 @@ class TestMeasureQubit:
                     assert np.array_equal(br.residual, psi[index] / np.sqrt(br.probability))
                     assert br.residual.flags.c_contiguous
                 assert branches[1].probability == analysis.probability_of_one(psi, q)
+                joint = oracle.measured_distribution(Circuit(n, (GateOp(MEASURE, (q,)),)), psi)
+                for bit, br in enumerate(branches):
+                    assert abs(br.probability - joint[bit]) < 1e-12
 
     @pytest.mark.parametrize("p0", [1e-13, 1e-12])
     def test_rare_outcome_keeps_a_unit_residual(self, p0):
@@ -251,6 +254,7 @@ class TestRunWithBranches:
             psi0 = linalg.random_state(n, rng) if k % 4 == 0 else None
             plain = Circuit(n, tuple(op for op in circ.ops if op.gate != MEASURE))
             final = oracle.simulate_naive(plain, psi0).reshape([2] * n)  # axis a is wire n-1-a
+            joint = oracle.measured_distribution(circ, psi0)
             tree = measurement.run_with_branches(circ, psi0)
             outcomes = [leaf.outcomes for leaf in tree.leaves]
             assert outcomes == sorted(outcomes)
@@ -260,7 +264,7 @@ class TestRunWithBranches:
                 for wire, bit in zip(tree.measured_wires, leaf.outcomes):
                     index[n - 1 - wire] = bit
                 part = final[tuple(index)].reshape(-1)
-                p = float(np.vdot(part, part).real)
+                p = joint[leaf.outcomes]
                 assert abs(leaf.probability - p) < 1e-10
                 np.testing.assert_allclose(leaf.state, part / np.sqrt(p), rtol=0, atol=1e-10)
             assert abs(sum(leaf.probability for leaf in tree.leaves) - 1.0) < 1e-10
@@ -380,7 +384,7 @@ class TestSampleShots:
         with pytest.raises(ContractError, match="shots"):
             measurement.sample_shots(circ, shots, 0)
         with pytest.raises(ContractError, match="shots"):
-            oracle.sample_shots_replay(circ, shots, 0)
+            oracle.sample_shots_deferred(circ, shots, 0)
 
     def test_accepts_numpy_integer_shot_counts(self):
         circ = parse_circuit("qubits 1\nX 0\nMEASURE 0\n")
@@ -438,7 +442,7 @@ class TestSampleShots:
             shots = (1, 40, 997)[k % 3]
             seed = int(rng.integers(1 << 31))
             got = measurement.sample_shots(circ, shots, seed, psi0)
-            assert got == oracle.sample_shots_replay(circ, shots, seed, psi0)
+            assert got == oracle.sample_shots_deferred(circ, shots, seed, psi0)
             tree = measurement.run_with_branches(circ, psi0)
             pruned += len(tree.leaves) < 2 ** len(tree.measured_wires)
         assert pruned >= 5
@@ -451,7 +455,23 @@ class TestSampleShots:
         )
         for shots, seed in ((40, 3), (997, 4)):
             got = measurement.sample_shots(circ, shots, seed)
-            assert got == oracle.sample_shots_replay(circ, shots, seed)
+            assert got == oracle.sample_shots_deferred(circ, shots, seed)
+
+    def test_oracle_does_not_share_the_split(self, monkeypatch):
+        # a split that conjugates its residuals keeps every probability of
+        # the first level but moves the second; the oracle must not follow
+        circ = parse_circuit("qubits 2\nH 1\nS 1\nH 0\nMEASURE 0\nS 1\nH 1\nMEASURE 1\n")
+        want = oracle.sample_shots_deferred(circ, 100, 3)
+        assert measurement.sample_shots(circ, 100, 3) == want
+        real = measurement._split
+
+        def conjugated(*args):
+            nodes, bits, p, children, rows = real(*args)
+            return nodes, bits, p, children.conj(), rows
+
+        monkeypatch.setattr(measurement, "_split", conjugated)
+        assert measurement.sample_shots(circ, 100, 3) != want
+        assert oracle.sample_shots_deferred(circ, 100, 3) == want
 
     def test_rejects_unnormalized_or_misshapen_start_state(self):
         bell = parse_circuit("qubits 2\nH 0\nCX 0 1\nMEASURE 0\n")

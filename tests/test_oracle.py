@@ -81,6 +81,9 @@ class TestSimulateNaive:
             oracle.simulate_naive(circ, np.array([1.0, 1.0], dtype=complex))
 
     def test_guard_rejects_large_registers(self):
+        circ = parse_circuit(f"qubits {oracle.NAIVE_QUBIT_GUARD + 1}\nMEASURE 0\n")
+        with pytest.raises(ResourceError):
+            oracle.sample_shots_deferred(circ, 10, 0)
         circ = parse_circuit(f"qubits {oracle.NAIVE_QUBIT_GUARD + 1}\n")
         with pytest.raises(ResourceError):
             oracle.simulate_naive(circ)
