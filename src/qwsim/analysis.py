@@ -45,6 +45,7 @@ from .linalg import (
     EIGEN_ATOL,
     STATE_ATOL,
     _hermitian_part,
+    _state_size,
     check_matrix,
     check_qubit_count,
     check_state,
@@ -357,8 +358,10 @@ def stabilizer_renyi_entropy(psi, n: int) -> float:
     """
     psi, n = check_state(psi, n)
     if n > STABILIZER_ENTROPY_MAX_QUBITS:
+        cap = STABILIZER_ENTROPY_MAX_QUBITS
         raise ResourceError(
-            f"stabilizer entropy refuses {n} qubits (cap is {STABILIZER_ENTROPY_MAX_QUBITS})"
+            f"stabilizer entropy refuses {n} qubits: its 4**{n} table takes "
+            f"{_state_size(2 * n)} (cap {cap}, {_state_size(2 * cap)})"
         )
     check_unit_state(psi, n)
 

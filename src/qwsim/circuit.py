@@ -8,7 +8,8 @@ The text format is line-oriented::
     Z 0
     MEASURE 0         # measurement on one wire
 
-``#`` starts a comment, names are case-insensitive, ``c=w`` / ``a=w``
+A line ends at CR LF, CR or LF and nowhere else, and ``#`` starts a
+comment up to it.  Names are case-insensitive, ``c=w`` / ``a=w``
 tokens attach control / anticontrol wires to any gate.  ``CX``, ``CCX``
 and ``CSWAP`` expand to X and SWAP with controls.  A ';' between gates is
 purely cosmetic grouping: ops run in file order either way.  Wires and
@@ -17,15 +18,15 @@ the qubit count are ASCII digits ``0-9`` only.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .errors import ContractError, ParseError, SimulationError
 from .gates import MEASURE, gate_def
-from .engine import NO_CONTROLS, ControlSpec, coerce_controls
-from .linalg import MAX_QUBITS, check_int, check_qubit_count, check_wires
+from .engine import NO_CONTROLS, ControlSpec, check_targets
+from .linalg import MAX_QUBITS, check_int, check_qubit_count
 
 
 @dataclass(frozen=True)
@@ -38,10 +39,9 @@ class GateOp:
 
     def __post_init__(self):
         object.__setattr__(self, "gate", str(self.gate).upper())
-        controls = coerce_controls(self.controls)
         # no register holds a wire past the cap; the circuit checks its own range
-        wires = check_wires(MAX_QUBITS, chain(self.targets, controls.wires))
-        object.__setattr__(self, "targets", wires[: len(wires) - len(controls.wires)])
+        targets, controls = check_targets(MAX_QUBITS, self.targets, self.controls)
+        object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "controls", controls)
         if self.gate == MEASURE:
             if len(self.targets) != 1:
@@ -91,7 +91,7 @@ class Circuit:
                 raise ContractError(f"op {k} is {op!r}, not a GateOp")
             for w in op.wires:  # GateOp made them distinct ints in 0..MAX_QUBITS-1
                 if w >= n:
-                    message = f"{op} touches wire {w}, out of range for {n} qubits"
+                    message = f"op {k} ({op}) touches wire {w}, out of range for {n} qubits"
                 elif w not in measured:
                     continue
                 elif op.gate == MEASURE:
@@ -111,6 +111,12 @@ class Circuit:
 
 # ---------------------------------------------------------------------------
 # parsing
+
+
+def _lines(text: str) -> list[str]:
+    """``text`` split at CR LF, CR or LF only, not at FF, NEL or U+2028 as by splitlines()."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
 
 # sugar name -> (base gate, number of leading wires that become controls)
 _SUGAR = {"CX": ("X", 1), "CCX": ("X", 2), "CSWAP": ("SWAP", 1)}
@@ -163,7 +169,7 @@ def parse_circuit(text: str) -> Circuit:
     n: int | None = None
     ops: list[GateOp] = []
     op_lines: list[int] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -195,13 +201,15 @@ def format_circuit(circuit: Circuit) -> str:
 
 
 def load_circuit(path) -> Circuit:
-    """Read and parse a UTF-8 circuit file; one leading BOM is skipped."""
+    """Read and parse the UTF-8 circuit file at ``path``; one leading BOM is skipped."""
+    if not isinstance(path, (str, bytes, os.PathLike)):  # open() reads an int as an fd
+        raise ContractError(f"expected a path to a circuit file, got {path!r}")
     with open(path, "rb") as fh:
         raw = fh.read().removeprefix(b"\xef\xbb\xbf")
     try:
         text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_no = raw.count(b"\n", 0, exc.start) + 1
+    except UnicodeDecodeError as exc:  # every byte before exc.start decodes
+        line_no = len(_lines(raw[: exc.start].decode("utf-8")))
         raise ParseError(line_no, f"not UTF-8 text (byte {exc.start})") from None
     return parse_circuit(text)
 
@@ -231,9 +239,7 @@ def random_circuit(
     the shape of the 20-qubit timing budget in the acceptance tests.
     """
     n = check_qubit_count(n)
-    depth = check_int(depth, "depth")
-    if depth < 0:
-        raise ContractError(f"depth must be non-negative, got {depth}")
+    depth = check_int(depth, "depth", 0)
     names = _RANDOM_1Q if (single_qubit_only or n < 2) else _RANDOM_1Q + _RANDOM_2Q
     ops = []
     for _ in range(depth):

@@ -20,7 +20,6 @@ import numpy as np
 from . import analysis, engine, measurement
 from .circuit import load_circuit
 from .errors import SimulationError
-from .linalg import check_wires
 
 PRINT_EPS = 1e-12
 
@@ -87,10 +86,11 @@ _STATS_COLUMNS = (
 
 def _cmd_stats(args) -> int:
     circ = load_circuit(args.circuit)
-    if args.pair is not None:
-        lo, hi = sorted(check_wires(circ.n, args.pair))
     psi = engine.run_circuit(circ)
     # computed before any row is printed, so that a refusal prints nothing
+    if args.pair is not None:
+        pair = sorted(args.pair)
+        p = analysis.pair_stats(analysis.partial_trace_state(circ.n, psi, pair, keep=True))
     m2 = analysis.stabilizer_renyi_entropy(psi, circ.n) if args.magic else None
 
     rows = [
@@ -115,9 +115,7 @@ def _cmd_stats(args) -> int:
             print("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
 
     if args.pair is not None:
-        rho2 = analysis.partial_trace_state(circ.n, psi, [lo, hi], keep=True)
-        p = analysis.pair_stats(rho2)
-        print(f"pair ({lo},{hi}): purity={_fmt(p.purity)} "
+        print(f"pair ({pair[0]},{pair[1]}): purity={_fmt(p.purity)} "
               f"lin_entropy={_fmt(p.linear_entropy)} "
               f"concurrence={_fmt(p.concurrence)} "
               f"von_neumann={_fmt(p.von_neumann_entropy)}")

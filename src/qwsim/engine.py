@@ -31,8 +31,8 @@ per amplitude as on one state.
 :func:`apply_multi_qubit_gate` is the checked entry point for one gate of
 any matrix; like every public entry, it checks the qubit count, the
 wires, the state and the matrix with the one check of each kind in
-``linalg``.  Its targets and controls go through ``check_wires`` as one
-list, so every wire is in range and none is named twice.
+``linalg``.  Its targets and controls, like every gate's, go through
+:func:`check_targets` as one list, so each wire is in range and none twice.
 """
 
 from __future__ import annotations
@@ -109,12 +109,17 @@ def coerce_controls(controls) -> ControlSpec:
     return ControlSpec(controls)
 
 
+def check_targets(n: int, targets, controls) -> tuple[tuple[int, ...], ControlSpec]:
+    """``targets`` as ints and ``controls`` as a ``ControlSpec``, checked as one list of wires."""
+    spec = coerce_controls(controls)
+    wires = check_wires(n, chain(targets, spec.wires))
+    return wires[: len(wires) - len(spec.wires)], spec
+
+
 def swap_bits(k: int, i: int, j: int) -> int:
     """Return ``k`` with bits ``i`` and ``j`` exchanged."""
     k = check_int(k, "index")
-    i, j = check_int(i, "bit position"), check_int(j, "bit position")
-    if i < 0 or j < 0:
-        raise ContractError("bit positions must be non-negative")
+    i, j = check_int(i, "bit position", 0), check_int(j, "bit position", 0)
     bi = (k >> i) & 1
     bj = (k >> j) & 1
     if bi != bj:
@@ -230,9 +235,7 @@ def apply_multi_qubit_gate(n: int, u, targets, a, controls=None) -> np.ndarray:
     of its result.
     """
     out, n = check_state(a, n)
-    spec = coerce_controls(controls)
-    wires = check_wires(n, chain(targets, spec.wires))
-    targets = wires[: len(wires) - len(spec.wires)]
+    targets, spec = check_targets(n, targets, controls)
     if not targets:
         raise ContractError("multi-qubit gate needs at least one target")
     u = check_matrix(u, 1 << len(targets))

@@ -8,10 +8,10 @@ as ``oracle.jacobi_eig``, and the tests hold the two to each other at
 1e-9, as the naive oracle checks the gate kernel.
 
 Every public entry point checks its arguments here, one function per
-kind: :func:`check_int`, :func:`check_qubit_count`, :func:`check_state`,
-:func:`check_unit_state`, :func:`check_matrix` and :func:`check_wires`;
-:func:`check_unit_norms` is the norm test of :func:`check_unit_state`,
-which the measurement walker also applies to each row of a stack.
+kind: :func:`check_int` (and any bound on it), :func:`check_qubit_count`,
+:func:`check_state`, :func:`check_unit_state`, :func:`check_matrix` and
+:func:`check_wires`; :func:`check_unit_norms` is the norm test of
+:func:`check_unit_state`, also applied to each row of a walker's stack.
 Each raises a ``SimulationError`` subclass: a float is refused rather
 than truncated, and an array numpy cannot read as numbers is a
 ``ContractError``.  A matrix is also refused for a non-finite entry.  A
@@ -55,11 +55,16 @@ def _state_size(n: int) -> str:
     return f"{1 << bits % 10} {units[bits // 10]}" if bits < 70 else f"2**{bits} bytes"
 
 
-def check_int(value, what: str) -> int:
-    """``value`` as a plain int; a bool, float or string raises ``ContractError``."""
+def check_int(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as a plain int, within ``lo`` (and ``hi``) if given; else ``ContractError``."""
     try:
         if not isinstance(value, bool):
-            return operator.index(value)
+            k = operator.index(value)
+            if lo is None or lo <= k and (hi is None or k <= hi):
+                return k
+            if hi is None:
+                raise ContractError(f"{what} must be at least {lo}, got {k}")
+            raise ContractError(f"{what} {k} is outside {lo}..{hi}")
     except TypeError:
         pass
     raise ContractError(f"{what} must be an integer, got {value!r}")
@@ -67,9 +72,7 @@ def check_int(value, what: str) -> int:
 
 def check_qubit_count(n) -> int:
     """Validate a register size and return it as a plain int."""
-    n = check_int(n, "qubit count")
-    if n < 1:
-        raise ContractError(f"qubit count must be at least 1, got {n}")
+    n = check_int(n, "qubit count", 1)
     if n > MAX_QUBITS:
         raise ResourceError(
             f"{n} qubits need {_state_size(n)} per state; "
@@ -136,12 +139,9 @@ def check_wires(n: int, wires) -> tuple[int, ...]:
     out of range, or a wire named more than once.
     """
     try:
-        wires = tuple([check_int(w, "wire") for w in wires])
+        wires = tuple([check_int(w, "wire", 0, n - 1) for w in wires])
     except TypeError as exc:  # ``wires`` itself is not iterable
         raise ContractError(f"expected a list of wires: {exc}") from None
-    for w in wires:
-        if not 0 <= w < n:
-            raise ContractError(f"wire {w} is outside 0..{n - 1}")
     if len(set(wires)) < len(wires):
         w = next(w for k, w in enumerate(wires) if w in wires[:k])
         raise ContractError(f"wire {w} is named more than once")
@@ -186,9 +186,7 @@ def zero_state(n: int) -> np.ndarray:
 def basis_state(n: int, index: int) -> np.ndarray:
     """Computational basis state ``|index>`` on ``n`` qubits."""
     n = check_qubit_count(n)
-    index = check_int(index, "basis index")
-    if not 0 <= index < (1 << n):
-        raise ContractError(f"basis index {index} out of range for {n} qubits")
+    index = check_int(index, "basis index", 0, (1 << n) - 1)
     psi = np.zeros(1 << n, dtype=complex)
     psi[index] = 1.0
     return psi

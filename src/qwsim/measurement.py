@@ -205,14 +205,6 @@ def run_with_branches(circuit: Circuit, psi0=None) -> BranchTree:
     return BranchTree(circuit.n, measured, wire_map, leaves)
 
 
-def _shot_count(shots) -> int:
-    """``shots`` as a positive int; a bool, float or string is refused."""
-    count = check_int(shots, "shots")
-    if count < 1:
-        raise ContractError(f"shots must be at least 1, got {count}")
-    return count
-
-
 def sample_shots(circuit: Circuit, shots: int, seed, psi0=None) -> dict[str, int]:
     """Sample measurement records of ``circuit``, ``shots`` times.
 
@@ -225,7 +217,7 @@ def sample_shots(circuit: Circuit, shots: int, seed, psi0=None) -> dict[str, int
     is one stacked row per chunk, not one simulation per shot.  ``psi0``,
     like in :func:`run_with_branches`, must be normalized.
     """
-    shots = _shot_count(shots)
+    shots = check_int(shots, "shots", 1)
     if not circuit.has_measurements:
         raise ContractError("circuit has no MEASURE ops to sample")
     base = initial_state(circuit.n, psi0)

@@ -23,22 +23,20 @@ pointlessly large for a reference path.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from .errors import ContractError, ResourceError
 from .gates import MEASURE, GateDef, gate_def
 from .analysis import _split_kept
 from .circuit import Circuit
-from .engine import ControlSpec, coerce_controls, swap_bits
+from .engine import check_targets, swap_bits
 from .linalg import (
     _hermitian_part,
+    _state_size,
     check_int,
     check_matrix,
     check_qubit_count,
     check_state,
-    check_wires,
     initial_state,
     make_rng,
 )
@@ -52,7 +50,10 @@ _JACOBI_MAX_SWEEPS = 100
 def _check_guard(n: int) -> int:
     n = check_qubit_count(n)
     if n > NAIVE_QUBIT_GUARD:
-        raise ResourceError(f"naive path refuses {n} qubits (guard is {NAIVE_QUBIT_GUARD})")
+        raise ResourceError(
+            f"naive path refuses {n} qubits: its 4**{n} matrix takes {_state_size(2 * n)} "
+            f"(guard {NAIVE_QUBIT_GUARD}, {_state_size(2 * NAIVE_QUBIT_GUARD)})"
+        )
     return n
 
 
@@ -69,9 +70,8 @@ def build_gate_full_matrix(n: int, gate, targets, controls=None) -> np.ndarray:
     """
     n = _check_guard(n)
     g: GateDef = gate if isinstance(gate, GateDef) else gate_def(gate)
-    spec: ControlSpec = coerce_controls(controls)
-    wires = check_wires(n, chain(targets, spec.wires))
-    targets = sorted(wires[: len(wires) - len(spec.wires)])
+    targets, spec = check_targets(n, targets, controls)
+    targets = sorted(targets)
     if len(targets) != g.arity:
         raise ContractError(
             f"gate {g.name} acts on {g.arity} wires, got {len(targets)} targets"
@@ -119,8 +119,7 @@ def swap_wires(n: int, wire_i: int, wire_j: int, psi, controls=None) -> np.ndarr
     each pair moves exactly once.  The reference for SWAP in the engine.
     """
     n = _check_guard(n)
-    spec = coerce_controls(controls)
-    wire_i, wire_j = check_wires(n, (wire_i, wire_j, *spec.wires))[:2]
+    (wire_i, wire_j), spec = check_targets(n, (wire_i, wire_j), controls)
     out = check_state(psi, n)[0].copy()
     for k in range(1 << n):
         if spec.passes(k):
@@ -156,9 +155,7 @@ def sample_shots_deferred(circuit, shots: int, seed, psi0=None) -> dict[str, int
     reference for ``measurement.sample_shots``, whose histogram must equal
     this one for every seed.
     """
-    count = check_int(shots, "shots")
-    if count < 1:
-        raise ContractError(f"shots must be at least 1, got {count}")
+    count = check_int(shots, "shots", 1)
     if not circuit.has_measurements:
         raise ContractError("circuit has no MEASURE ops to sample")
     joint = measured_distribution(circuit, psi0)

@@ -631,8 +631,12 @@ class TestStabilizerRenyiEntropy:
 
     def test_qubit_cap(self):
         n = analysis.STABILIZER_ENTROPY_MAX_QUBITS + 1
-        with pytest.raises(ResourceError):
+        with pytest.raises(ResourceError) as err:
             analysis.stabilizer_renyi_entropy(np.zeros(1 << n, dtype=complex), n)
+        # stated in bytes: the 4**n complex128 transform
+        assert str(err.value) == (
+            "stabilizer entropy refuses 11 qubits: its 4**11 table takes 64 MiB (cap 10, 16 MiB)"
+        )
 
     def test_rejects_unnormalized_state(self):
         with pytest.raises(ContractError):

@@ -1,3 +1,6 @@
+import contextlib
+import os
+
 import numpy as np
 import pytest
 
@@ -34,6 +37,12 @@ class TestGateOp:
             Circuit(2, (GateOp("X", (2,)),))
         with pytest.raises(ContractError):
             Circuit(2, (GateOp("X", (0,), ControlSpec(((5, True),))),))
+
+    def test_out_of_range_refusal_names_the_op(self):
+        with pytest.raises(ContractError) as err:
+            Circuit(2, (GateOp("X", (0,)), GateOp("X", (5,))))
+        assert str(err.value) == "op 1 (X 5) touches wire 5, out of range for 2 qubits"
+        assert err.value.op_index == 1
 
     def test_circuit_rejects_negative_target(self):
         with pytest.raises(ContractError):
@@ -132,12 +141,30 @@ class TestParser:
             parse_circuit(text)
         assert fragment in str(err.value)
 
+    # every line break of str.splitlines() that is not CR or LF
+    @pytest.mark.parametrize(
+        "c", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_a_comment_ends_at_a_line_end_only(self, c):
+        assert parse_circuit(f"qubits 2\nH 0  # a{c}X 1\n").ops == (GateOp("H", (0,)),)
+        with pytest.raises(ParseError) as err:
+            parse_circuit(f"qubits 2\n# a{c}b\nH 9\n")
+        assert err.value.line_no == 3 and "wire 9" in str(err.value)
+
+    def test_crlf_and_cr_only_lines_parse(self):
+        want = parse_circuit("qubits 2\nH 0 # a\nX 1\n")
+        assert parse_circuit("qubits 2\r\nH 0 # a\r\nX 1\r\n") == want
+        assert parse_circuit("qubits 2\rH 0 # a\rX 1\r") == want
+        with pytest.raises(ParseError) as err:
+            parse_circuit("qubits 2\r\rH 9")
+        assert err.value.line_no == 3
+
     def test_checks_of_gateop_and_circuit_name_the_line(self):
         # the parser leaves wire range, arity and MEASURE shape to GateOp
         # and Circuit, and reports their errors against the line
         for text, message in [
-            ("qubits 2\nH 0\nX 9\n", "line 3: X 9 touches wire 9, out of range for 2 qubits"),
-            ("qubits 2\nX 0 c=5\n", "line 2: X 0 c=5 touches wire 5, out of range for 2 qubits"),
+            ("qubits 2\nH 0\nX 9\n", "line 3: op 1 (X 9) touches wire 9, out of range for 2 qubits"),
+            ("qubits 2\nX 0 c=5\n", "line 2: op 0 (X 0 c=5) touches wire 5, out of range for 2 qubits"),
             ("qubits 2\nH 0\n\nH 0 1\n", "line 4: H takes 1 wire(s), got 2"),
             ("qubits 2\nMEASURE 0 1\n", "line 2: MEASURE takes exactly one wire"),
             ("qubits 2\nH 0 ; foo 1\n", "line 2: unknown gate 'FOO'"),
@@ -151,7 +178,7 @@ class TestParser:
         # the line of the first op out of range
         with pytest.raises(ParseError) as err:
             parse_circuit("qubits 2\nH 0 ; X 1 c=0\nX 0 c=7\nH 9\n")
-        assert str(err.value) == "line 3: X 0 c=7 touches wire 7, out of range for 2 qubits"
+        assert str(err.value) == "line 3: op 2 (X 0 c=7) touches wire 7, out of range for 2 qubits"
 
     def test_errors_carry_line_numbers(self):
         with pytest.raises(ParseError) as err:
@@ -253,6 +280,29 @@ class TestLoadCircuit:
         with pytest.raises(ParseError) as info:
             circ_mod.load_circuit(path)
         assert info.value.line_no == 3
+
+    def test_non_utf8_line_is_counted_as_the_parser_counts(self, tmp_path):
+        path = tmp_path / "c.qc"
+        path.write_bytes(b"qubits 2\r# a\x0cb\r\nX 1 \xff\n")
+        with pytest.raises(ParseError) as info:
+            circ_mod.load_circuit(path)
+        assert info.value.line_no == 3
+
+    def test_refuses_anything_but_a_path(self):
+        # open() would read an int as a file descriptor, and close it
+        read_fd, write_fd = os.pipe()
+        os.write(write_fd, b"qubits 1\n")
+        os.close(write_fd)
+        try:
+            with pytest.raises(ContractError):
+                circ_mod.load_circuit(read_fd)
+            os.fstat(read_fd)  # still open
+        finally:
+            with contextlib.suppress(OSError):
+                os.close(read_fd)
+        for bad in (None, 1.5):
+            with pytest.raises(ContractError):
+                circ_mod.load_circuit(bad)
 
     def test_non_utf8_file_names_the_line(self, tmp_path):
         path = tmp_path / "c.qc"

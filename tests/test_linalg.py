@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qwsim import analysis, engine, gates, linalg, measurement, oracle
-from qwsim.circuit import Circuit, GateOp, parse_circuit
+from qwsim.circuit import Circuit, GateOp, parse_circuit, random_circuit
 from qwsim.engine import ControlSpec
 from qwsim.errors import ContractError, DimensionError, ResourceError, SimulationError
 
@@ -162,6 +162,38 @@ _TAKES_A_WIRE = {
     "basis_state": lambda v: linalg.basis_state(2, v),  # a basis index
 }
 _SWAP = gates.gate_matrix("SWAP")
+_MEASURE_0 = parse_circuit("qubits 1\nMEASURE 0\n")
+
+# every integer bound of a public entry point, one past each end: the call
+# and the one message of linalg.check_int
+_PAST_A_BOUND = {
+    "check_qubit_count": (
+        lambda: linalg.check_qubit_count(0), "qubit count must be at least 1, got 0"
+    ),
+    "check_wires below": (lambda: linalg.check_wires(2, (-1,)), "wire -1 is outside 0..1"),
+    "check_wires above": (lambda: linalg.check_wires(2, (2,)), "wire 2 is outside 0..1"),
+    "basis_state below": (
+        lambda: linalg.basis_state(2, -1), "basis index -1 is outside 0..3"
+    ),
+    "basis_state above": (lambda: linalg.basis_state(2, 4), "basis index 4 is outside 0..3"),
+    "swap_bits i": (
+        lambda: engine.swap_bits(5, -1, 0), "bit position must be at least 0, got -1"
+    ),
+    "swap_bits j": (
+        lambda: engine.swap_bits(5, 0, -1), "bit position must be at least 0, got -1"
+    ),
+    "sample_shots": (
+        lambda: measurement.sample_shots(_MEASURE_0, 0, 0), "shots must be at least 1, got 0"
+    ),
+    "sample_shots_deferred": (
+        lambda: oracle.sample_shots_deferred(_MEASURE_0, 0, 0),
+        "shots must be at least 1, got 0",
+    ),
+    "random_circuit": (
+        lambda: random_circuit(2, -1, np.random.default_rng(0)),
+        "depth must be at least 0, got -1",
+    ),
+}
 
 
 def _controls(v):
@@ -204,6 +236,13 @@ class TestArgumentContract:
     def test_bad_wire(self, entry, bad):
         with pytest.raises(SimulationError):
             _TAKES_A_WIRE[entry](bad)
+
+    @pytest.mark.parametrize("entry", sorted(_PAST_A_BOUND))
+    def test_every_bound_has_the_one_message(self, entry):
+        call, message = _PAST_A_BOUND[entry]
+        with pytest.raises(ContractError) as err:
+            call()
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("bad", [0, None])
     @pytest.mark.parametrize("entry", sorted(_TAKES_WIRES))

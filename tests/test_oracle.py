@@ -85,8 +85,12 @@ class TestSimulateNaive:
         with pytest.raises(ResourceError):
             oracle.sample_shots_deferred(circ, 10, 0)
         circ = parse_circuit(f"qubits {oracle.NAIVE_QUBIT_GUARD + 1}\n")
-        with pytest.raises(ResourceError):
+        with pytest.raises(ResourceError) as err:
             oracle.simulate_naive(circ)
+        # stated in bytes: the 2**13 x 2**13 operator of complex128
+        assert str(err.value) == (
+            "naive path refuses 13 qubits: its 4**13 matrix takes 1 GiB (guard 12, 256 MiB)"
+        )
 
     def test_rejects_measurements(self):
         circ = parse_circuit("qubits 1\nMEASURE 0\n")
