@@ -28,6 +28,22 @@ the plans in their own working state and check nothing per gate.  A plan
 accepts leading batch axes: on a ``(B, 2**n)`` stack of states it runs
 each numpy row write once for all ``B`` rows, with the same arithmetic
 per amplitude as on one state.
+
+A plan that makes more than one pass over its blocks (it copies a block,
+writes more than one row, or writes a row of more than one term, as H, X,
+Y and the three swaps do) runs slice by slice once a block, counted over
+all stacked rows, holds more than ``_SLICE`` amplitudes: every step runs
+on one slice of the outermost free axis, one that no target or control
+fixes, before the next slice.  A slice is ``_SLICE`` = 2**15 amplitudes
+(512 KiB), or one index of that axis when that holds more.  So a slice,
+its block copies and its term temporaries stay in a core's L2 cache over
+all the passes, and no temporary outgrows a slice.  Every step is
+elementwise and the slices are disjoint, so each amplitude meets the same
+numpy operations on the same operands as in one piece, and the result is
+bit-identical.  A single-pass plan, a plan whose targets and controls
+name every wire, and any state of at most ``2 * _SLICE`` amplitudes run
+in one piece.
+
 :func:`apply_multi_qubit_gate` is the checked entry point for one gate of
 any matrix; like every public entry, it checks the qubit count, the
 wires, the state and the matrix with the one check of each kind in
@@ -117,9 +133,10 @@ def check_targets(n: int, targets, controls) -> tuple[tuple[int, ...], ControlSp
 
 
 def swap_bits(k: int, i: int, j: int) -> int:
-    """Return ``k`` with bits ``i`` and ``j`` exchanged."""
+    """Return ``k`` with bits ``i`` and ``j`` exchanged; each position is a
+    wire, so ``0..MAX_QUBITS - 1``."""
     k = check_int(k, "index")
-    i, j = check_int(i, "bit position", 0), check_int(j, "bit position", 0)
+    i, j = (check_int(b, "bit position", 0, MAX_QUBITS - 1) for b in (i, j))
     bi = (k >> i) & 1
     bj = (k >> j) & 1
     if bi != bj:
@@ -130,10 +147,13 @@ def swap_bits(k: int, i: int, j: int) -> int:
 def _template(u: np.ndarray) -> tuple:
     """Work out, unchecked, what the kernel does with the matrix ``u``.
 
-    The template is ``(used, copies, steps)``: the block labels ``c`` a
-    row write reads or writes, the blocks to copy before any write, and
-    per written row ``r`` its ``(r, ((c, u[r, c]), ...))`` terms, own
-    block first.  Rows equal to the identity's are not written.
+    The template is ``(used, copies, steps, multi_pass)``: the block
+    labels ``c`` a row write reads or writes, the blocks to copy before
+    any write, per written row ``r`` its ``(r, ((c, u[r, c]), ...))``
+    terms, own block first, and whether the plan makes more than one pass
+    over its blocks (it copies a block, writes more than one row, or
+    writes a row of more than one term).  Rows equal to the identity's are
+    not written.
     """
     rows = u.tolist()
     reads = [[c for c, x in enumerate(row) if x] for row in rows]
@@ -145,8 +165,13 @@ def _template(u: np.ndarray) -> tuple:
         (r, tuple((c, rows[r][c]) for c in sorted(reads[r], key=lambda c: c != r) or [r]))
         for r in writes
     )
-    return used, copies, steps
+    multi_pass = bool(copies) or len(steps) > 1 or any(len(terms) > 1 for _, terms in steps)
+    return used, copies, steps, multi_pass
 
+
+# Amplitudes, over all stacked rows, in one slice of a sliced plan: its
+# blocks, their copies and term temporaries then stay in a core's L2.
+_SLICE = 1 << 15
 
 # Every catalog gate's template, derived once here rather than per gate applied.
 _TEMPLATES = {name: _template(gate_def(name).matrix) for name in gate_names()}
@@ -156,23 +181,28 @@ def _place(n: int, template: tuple, targets, entries) -> tuple:
     """Place, unchecked, a template of :func:`_template` on wires of ``n``.
 
     ``entries`` are the controls' ``(wire, is_control)`` pairs.  The plan
-    is ``(shape, keys, copies, steps)``: the view shape of an ``n``-wire
-    state, the ``(c, index)`` of each block ``block_c`` the template uses,
-    the blocks to copy (the template's, or all of them when every axis
-    is fixed) and the template's steps.
+    is ``(shape, keys, copies, steps, cut)``: the view shape of an
+    ``n``-wire state, the ``(c, index)`` of each block ``block_c`` the
+    template uses, the blocks to copy (the template's, or all of them when
+    every axis is fixed), the template's steps, and for a template that
+    makes more than one pass, placed with a free axis, ``(axis, fixed)``:
+    its outermost free axis and the number of axes its keys fix; else None.
     """
-    used, copies, steps = template
+    used, copies, steps, multi_pass = template
     # C order puts the highest wire on axis 0.
     shape: list[int] = []
     axis_of: dict[int, int] = {}
+    free: list[int] = []  # the axes of runs of other wires, which no key fixes
     above = n
     for w in sorted([*targets, *(w for w, _ in entries)], reverse=True):
         if above - w > 1:
+            free.append(len(shape))
             shape.append(1 << (above - w - 1))
         axis_of[w] = len(shape)
         shape.append(2)
         above = w
     if above:
+        free.append(len(shape))
         shape.append(1 << above)
     index: list = [slice(None)] * len(shape)
     for w, is_control in entries:
@@ -192,26 +222,39 @@ def _place(n: int, template: tuple, targets, entries) -> tuple:
         # a stack take; reading from copies keeps a stack's rows bit-equal
         # to the same states run one by one.
         copies = used
-    return tuple(shape), tuple(keys), copies, steps
+    cut = (free[0], len(axis_of)) if multi_pass and free else None
+    return tuple(shape), tuple(keys), copies, steps, cut
 
 
 def _run_plan(plan: tuple, state: np.ndarray) -> np.ndarray:
     """Run a plan of :func:`_place` in ``state``, a contiguous vector or a
-    contiguous stack of them along leading axes, every row alike."""
-    shape, keys, copies, steps = plan
+    contiguous stack of them along leading axes, every row alike.
+
+    A plan with a ``cut`` whose blocks, over all rows, hold more than
+    ``_SLICE`` amplitudes runs its steps on successive slices of its
+    outermost free axis, each about ``_SLICE`` amplitudes of the view.
+    """
+    shape, keys, copies, steps, cut = plan
     view = state.reshape(state.shape[:-1] + shape)
-    blocks = {c: view[key] for c, key in keys}
-    sources = dict(blocks)
-    for c in copies:
-        sources[c] = blocks[c].copy()
-    for r, ((first, scale), *rest) in steps:
-        dst = blocks[r]
-        if scale != 1:
-            np.multiply(sources[first], scale, out=dst)
-        elif first != r:
-            np.copyto(dst, sources[first])
-        for c, x in rest:
-            dst += x * sources[c]
+    parts = (view,)
+    if cut is not None and state.size >> cut[1] > _SLICE:  # a block outgrows a slice
+        axis, length = cut[0], shape[cut[0]]
+        width = max(1, _SLICE // (state.size // length))
+        head = (slice(None),) * (view.ndim - len(shape) + axis)
+        parts = (view[(*head, slice(lo, lo + width))] for lo in range(0, length, width))
+    for part in parts:
+        blocks = {c: part[key] for c, key in keys}
+        sources = dict(blocks)
+        for c in copies:
+            sources[c] = blocks[c].copy()
+        for r, ((first, scale), *rest) in steps:
+            dst = blocks[r]
+            if scale != 1:
+                np.multiply(sources[first], scale, out=dst)
+            elif first != r:
+                np.copyto(dst, sources[first])
+            for c, x in rest:
+                dst += x * sources[c]
     return state
 
 

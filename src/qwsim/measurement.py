@@ -32,7 +32,8 @@ Residuals halve at each level and the rows at most double, so a stack
 never holds more amplitudes than one state.  A split holds the stack and
 then either its ``|stack|**2`` (half a state, in float64) or the next
 stack, never both, so a level peaks near two states plus the gate
-kernel's temporaries.
+kernel's temporaries.  Those are at most one slice each (see ``engine``),
+unless the gate names every live wire.
 """
 
 from __future__ import annotations

@@ -8,6 +8,26 @@ from qwsim import cli, measurement
 FLIP_PHASE_PAIR = "qubits 3\nH 1 ; X 2\nCX 1 0\nZ 0\nCX 1 2\n"
 MIXED_PAIR = "qubits 3\nH 0\nCX 0 1\nH 2\n"
 BELL_MEASURE = "qubits 2\nH 0\nCX 0 1\nMEASURE 0\n"
+# the text the CI console-script step pins for circuits/slice17.qc
+SLICE17_RECORDS = (
+    "qubit=0 prob1=0.8125 x=0.25 y=0.5 z=-0.625 r=0.838525491562 theta=2.41186499736 phi=1.10714871779 purity=0.8515625 lin_entropy=0.1484375\n"
+    "qubit=1 prob1=0.90625 x=0.125 y=-0.375 z=-0.8125 r=0.903552018425 theta=2.68879981349 phi=-1.2490457724 purity=0.908203125 lin_entropy=0.091796875\n"
+    "qubit=2 prob1=1 x=0 y=0 z=-1 r=1 theta=3.14159265359 phi=0 purity=1 lin_entropy=0\n"
+    "qubit=3 prob1=0.90625 x=0.375 y=0.125 z=-0.8125 r=0.903552018425 theta=2.68879981349 phi=0.321750554397 purity=0.908203125 lin_entropy=0.091796875\n"
+    "qubit=4 prob1=0 x=0 y=0 z=1 r=1 theta=0 phi=0 purity=1 lin_entropy=0\n"
+    "qubit=5 prob1=0 x=0 y=0 z=1 r=1 theta=0 phi=0 purity=1 lin_entropy=0\n"
+    "qubit=6 prob1=0.5 x=0.5 y=0.5 z=0 r=0.707106781187 theta=1.57079632679 phi=0.785398163397 purity=0.75 lin_entropy=0.25\n"
+    "qubit=7 prob1=0.375 x=0.75 y=0.25 z=0.25 r=0.829156197589 theta=1.26451895763 phi=0.321750554397 purity=0.84375 lin_entropy=0.15625\n"
+    "qubit=8 prob1=0 x=0 y=0 z=1 r=1 theta=0 phi=0 purity=1 lin_entropy=0\n"
+    "qubit=9 prob1=0.5 x=1 y=0 z=0 r=1 theta=1.57079632679 phi=0 purity=1 lin_entropy=0\n"
+    "qubit=10 prob1=1 x=0 y=0 z=-1 r=1 theta=3.14159265359 phi=0 purity=1 lin_entropy=0\n"
+    "qubit=11 prob1=0 x=0 y=0 z=1 r=1 theta=0 phi=0 purity=1 lin_entropy=0\n"
+    "qubit=12 prob1=0 x=0 y=0 z=1 r=1 theta=0 phi=0 purity=1 lin_entropy=0\n"
+    "qubit=13 prob1=0.5 x=1 y=0 z=0 r=1 theta=1.57079632679 phi=0 purity=1 lin_entropy=0\n"
+    "qubit=14 prob1=0 x=0 y=0 z=1 r=1 theta=0 phi=0 purity=1 lin_entropy=0\n"
+    "qubit=15 prob1=0 x=0 y=0 z=1 r=1 theta=0 phi=0 purity=1 lin_entropy=0\n"
+    "qubit=16 prob1=0.5 x=1 y=0 z=0 r=1 theta=1.57079632679 phi=0 purity=1 lin_entropy=0\n"
+)
 
 
 @pytest.fixture
@@ -207,6 +227,12 @@ class TestStats:
             "stabilizer_renyi_2: 0\n"
         )
         assert (code, out, err) == (0, rows + tail, "")
+
+    def test_sliced_circuit_output_is_pinned(self, capsys):
+        # a 17-qubit state, so the kernel runs its multi-pass plans slice by slice
+        path = Path(__file__).resolve().parents[1] / "circuits" / "slice17.qc"
+        code, out, err = run_cli(capsys, "stats", str(path), "--format", "records")
+        assert (code, out, err) == (0, SLICE17_RECORDS, "")
 
     def test_one_partial_trace_per_run(self, capsys, circuit_file, monkeypatch):
         # every wire's row comes from one sweep; only the pair takes a trace

@@ -550,6 +550,79 @@ class TestCompileCircuit:
         assert len(built) == 8
 
 
+MEASURED_12Q = """qubits 12
+H 11 ; H 3 ; H 6
+SQRTSWAP 11 2
+Y 7 c=3
+MEASURE 3
+H 0
+ISWAP 10 4 a=11
+X 6 c=0 a=2
+MEASURE 11
+SWAP 9 1
+H 8
+Y 10
+MEASURE 0
+H 5
+"""
+
+
+class TestSlicing:
+    """A plan that makes several passes over blocks bigger than one slice
+    runs slice by slice, and that changes no bit of any result."""
+
+    UNSLICED = engine._SLICE  # a 12-qubit state is too small to slice
+    FORCED = 1 << 6  # slices every multi-pass plan below
+    MULTI_PASS = ("H", "X", "Y", "SWAP", "ISWAP", "SQRTSWAP")
+
+    @staticmethod
+    def run(monkeypatch, width, plan, states):
+        monkeypatch.setattr(engine, "_SLICE", width)
+        return engine._run_plan(plan, states.copy())
+
+    @pytest.mark.parametrize("shape", [(1 << 12,), (3, 1 << 11)])
+    def test_every_catalog_gate_is_bit_identical(self, monkeypatch, shape):
+        rng = np.random.default_rng(63)
+        n = shape[-1].bit_length() - 1
+        # the first pattern targets the top wire, which fixes axis 0, so a
+        # later axis is sliced
+        for wires in ([n - 1, 0, 5, 3], [0, 1, 2, 3], [5, 2, 9, 4], [3, 7, n - 1, 0]):
+            for name in gates.gate_names():
+                arity = gates.gate_def(name).arity
+                for controls in ((), ((wires[arity], True), (wires[arity + 1], False))):
+                    plan = engine._place(n, engine._TEMPLATES[name], wires[:arity], controls)
+                    assert (plan[4] is not None) == (name in self.MULTI_PASS)
+                    states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                    want = self.run(monkeypatch, self.UNSLICED, plan, states)
+                    got = self.run(monkeypatch, self.FORCED, plan, states)
+                    assert np.array_equal(got, want), (name, wires, controls)
+
+    def test_a_plan_on_every_wire_is_never_sliced(self, monkeypatch):
+        # every axis is fixed, so none is free to slice, however many rows
+        plan = engine._place(3, engine._TEMPLATES["SWAP"], (0, 2), ((1, False),))
+        assert plan[4] is None
+        rng = np.random.default_rng(64)
+        states = rng.standard_normal((1 << 10, 8)) + 1j * rng.standard_normal((1 << 10, 8))
+        want = self.run(monkeypatch, self.UNSLICED, plan, states)
+        assert np.array_equal(self.run(monkeypatch, 1, plan, states), want)
+
+    def test_branches_and_shots_are_bit_identical(self, monkeypatch):
+        circ = parse_circuit(MEASURED_12Q)
+
+        def outputs():
+            tree = measurement.run_with_branches(circ)
+            leaves = [(leaf.outcomes, leaf.probability) for leaf in tree.leaves]
+            return leaves, [leaf.state for leaf in tree.leaves], measurement.sample_shots(circ, 3000, 9)
+
+        leaves, states, histogram = outputs()
+        monkeypatch.setattr(engine, "_SLICE", self.FORCED)
+        sliced_leaves, sliced_states, sliced_histogram = outputs()
+        assert len(leaves) == 8
+        assert sliced_leaves == leaves
+        assert all(map(np.array_equal, sliced_states, states))
+        assert sliced_histogram == histogram
+
+
 class TestTemplates:
     """Each catalog gate's template is derived once, at import."""
 

@@ -176,11 +176,14 @@ _PAST_A_BOUND = {
         lambda: linalg.basis_state(2, -1), "basis index -1 is outside 0..3"
     ),
     "basis_state above": (lambda: linalg.basis_state(2, 4), "basis index 4 is outside 0..3"),
-    "swap_bits i": (
-        lambda: engine.swap_bits(5, -1, 0), "bit position must be at least 0, got -1"
+    "swap_bits i": (lambda: engine.swap_bits(5, -1, 0), "bit position -1 is outside 0..25"),
+    "swap_bits j": (lambda: engine.swap_bits(5, 0, -1), "bit position -1 is outside 0..25"),
+    # a position is a wire; past the cap it used to build an int of that many bits
+    "swap_bits i above": (
+        lambda: engine.swap_bits(5, 26, 0), "bit position 26 is outside 0..25"
     ),
-    "swap_bits j": (
-        lambda: engine.swap_bits(5, 0, -1), "bit position must be at least 0, got -1"
+    "swap_bits j above": (
+        lambda: engine.swap_bits(5, 0, 26), "bit position 26 is outside 0..25"
     ),
     "sample_shots": (
         lambda: measurement.sample_shots(_MEASURE_0, 0, 0), "shots must be at least 1, got 0"
