@@ -44,6 +44,24 @@ bit-identical.  A single-pass plan, a plan whose targets and controls
 name every wire, and any state of at most ``2 * _SLICE`` amplitudes run
 in one piece.
 
+A state of more than ``2 * _SLICE`` amplitudes, counted over all stacked
+rows, takes two more rules, so that a gate costs about the same on every
+wire.  First, its steps run with numpy's ufunc buffer at ``_BUFSIZE`` =
+256 elements, and the caller's size is restored on the way out, also when
+a step raises.  A block on a mid wire ``w`` is made of contiguous runs of
+``2**w`` amplitudes; numpy copies runs shorter than its buffer (8192
+elements by default) through the buffer and back, about three passes
+where one would do, and a small buffer lets it work on them in place.
+Second, a plan whose lowest named wire is 1, with wire 0 free and another
+axis free, runs each piece (the whole view or a slice) as its two wire-0
+halves.  Its blocks would otherwise be runs of 2 amplitudes, and numpy
+would call its inner loop once per run; a half puts the inner loop on a
+longer axis.  Without the other free axis, a half of one state would be
+a block of one amplitude, which numpy rounds unlike a stack's rows (see
+:func:`_place`), so such a plan keeps its pieces whole.  Buffering only
+moves data and the halves are disjoint, elementwise pieces, so these
+results are bit-identical too; no reduction runs under the small buffer.
+
 :func:`apply_multi_qubit_gate` is the checked entry point for one gate of
 any matrix; like every public entry, it checks the qubit count, the
 wires, the state and the matrix with the one check of each kind in
@@ -55,6 +73,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -173,20 +192,39 @@ def _template(u: np.ndarray) -> tuple:
 # blocks, their copies and term temporaries then stay in a core's L2.
 _SLICE = 1 << 15
 
+# numpy's ufunc buffer, in elements, while a big state runs a plan: below
+# numpy's default of 8192, contiguous runs shorter than the buffer are no
+# longer copied through it and back.  Of 64 to 1024, 256 ran 18-qubit
+# circuits fastest.
+_BUFSIZE = 256
+
 # Every catalog gate's template, derived once here rather than per gate applied.
 _TEMPLATES = {name: _template(gate_def(name).matrix) for name in gate_names()}
 
 
-def _place(n: int, template: tuple, targets, entries) -> tuple:
+class Plan(NamedTuple):
+    """A template of :func:`_template` placed on the wires of one state."""
+
+    shape: tuple[int, ...]  # the view shape of one state, highest wire first
+    keys: tuple  # ``(c, index)`` of each block ``block_c`` the template uses
+    copies: tuple  # the blocks to copy before any write
+    steps: tuple  # the template's row writes
+    # (outermost free axis, number of fixed axes) of a multi-pass template
+    # placed with a free axis, else None
+    cut: tuple[int, int] | None
+    # whether a big state runs the plan as its two wire-0 halves: wire 0 is
+    # the only wire below the lowest named wire, and another axis is free
+    halves: bool
+
+
+def _place(n: int, template: tuple, targets, entries) -> Plan:
     """Place, unchecked, a template of :func:`_template` on wires of ``n``.
 
     ``entries`` are the controls' ``(wire, is_control)`` pairs.  The plan
-    is ``(shape, keys, copies, steps, cut)``: the view shape of an
-    ``n``-wire state, the ``(c, index)`` of each block ``block_c`` the
-    template uses, the blocks to copy (the template's, or all of them when
-    every axis is fixed), the template's steps, and for a template that
-    makes more than one pass, placed with a free axis, ``(axis, fixed)``:
-    its outermost free axis and the number of axes its keys fix; else None.
+    holds the view shape of an ``n``-wire state, each block's key, the
+    blocks to copy (the template's, or all of them when every axis is
+    fixed), the template's steps, the ``cut`` a big state slices at, and
+    whether a big state runs it as two wire-0 ``halves`` (see :class:`Plan`).
     """
     used, copies, steps, multi_pass = template
     # C order puts the highest wire on axis 0.
@@ -223,38 +261,55 @@ def _place(n: int, template: tuple, targets, entries) -> tuple:
         # to the same states run one by one.
         copies = used
     cut = (free[0], len(axis_of)) if multi_pass and free else None
-    return tuple(shape), tuple(keys), copies, steps, cut
+    # a half keeps another free axis, so its blocks never shrink to one
+    # amplitude (see above)
+    halves = above == 1 and len(free) > 1
+    return Plan(tuple(shape), tuple(keys), copies, steps, cut, halves)
 
 
-def _run_plan(plan: tuple, state: np.ndarray) -> np.ndarray:
+def _run_plan(plan: Plan, state: np.ndarray) -> np.ndarray:
     """Run a plan of :func:`_place` in ``state``, a contiguous vector or a
     contiguous stack of them along leading axes, every row alike.
 
-    A plan with a ``cut`` whose blocks, over all rows, hold more than
-    ``_SLICE`` amplitudes runs its steps on successive slices of its
-    outermost free axis, each about ``_SLICE`` amplitudes of the view.
+    A state of at most ``2 * _SLICE`` amplitudes, over all rows, runs the
+    steps once on the whole view.  A bigger one runs them with numpy's
+    ufunc buffer at ``_BUFSIZE`` elements, restored on the way out; a plan
+    with a ``cut`` whose blocks hold more than ``_SLICE`` amplitudes runs
+    them on successive slices of its outermost free axis, each about
+    ``_SLICE`` amplitudes of the view; and a plan with ``halves`` runs them
+    on the two wire-0 halves of each piece.
     """
-    shape, keys, copies, steps, cut = plan
+    shape, keys, copies, steps, cut, halves = plan
     view = state.reshape(state.shape[:-1] + shape)
     parts = (view,)
-    if cut is not None and state.size >> cut[1] > _SLICE:  # a block outgrows a slice
-        axis, length = cut[0], shape[cut[0]]
-        width = max(1, _SLICE // (state.size // length))
-        head = (slice(None),) * (view.ndim - len(shape) + axis)
-        parts = (view[(*head, slice(lo, lo + width))] for lo in range(0, length, width))
-    for part in parts:
-        blocks = {c: part[key] for c, key in keys}
-        sources = dict(blocks)
-        for c in copies:
-            sources[c] = blocks[c].copy()
-        for r, ((first, scale), *rest) in steps:
-            dst = blocks[r]
-            if scale != 1:
-                np.multiply(sources[first], scale, out=dst)
-            elif first != r:
-                np.copyto(dst, sources[first])
-            for c, x in rest:
-                dst += x * sources[c]
+    bufsize = None
+    if state.size > 2 * _SLICE:
+        if cut is not None and state.size >> cut[1] > _SLICE:  # a block outgrows a slice
+            axis, length = cut[0], shape[cut[0]]
+            width = max(1, _SLICE // (state.size // length))
+            head = (slice(None),) * (view.ndim - len(shape) + axis)
+            parts = (view[(*head, slice(lo, lo + width))] for lo in range(0, length, width))
+        if halves:  # wire 0 is the last axis, so drop its index from the keys
+            keys = [(c, key[:-1]) for c, key in keys]
+            parts = (part[..., bit] for part in parts for bit in (0, 1))
+        bufsize = np.setbufsize(_BUFSIZE)
+    try:
+        for part in parts:
+            blocks = {c: part[key] for c, key in keys}
+            sources = dict(blocks)
+            for c in copies:
+                sources[c] = blocks[c].copy()
+            for r, ((first, scale), *rest) in steps:
+                dst = blocks[r]
+                if scale != 1:
+                    np.multiply(sources[first], scale, out=dst)
+                elif first != r:
+                    np.copyto(dst, sources[first])
+                for c, x in rest:
+                    dst += x * sources[c]
+    finally:
+        if bufsize is not None:
+            np.setbufsize(bufsize)
     return state
 
 
@@ -301,15 +356,14 @@ def compile_circuit(circuit) -> tuple[list, tuple[int, ...], dict[int, int | Non
     steps: list[tuple[tuple | None, int | None]] = []
     measured: list[int] = []
     for op in circuit.ops:
-        slots = [slot_of[w] for w in op.wires]
+        slots = [slot_of[t] for t in op.targets]
         if op.gate == MEASURE:
             steps.append((None, slots[0]))
             measured.append(live.pop(slots[0]))
             slot_of = {w: s for s, w in enumerate(live)}
             continue
-        m = len(op.targets)
-        entries = [(s, f) for s, (_, f) in zip(slots[m:], op.controls.entries)]
-        steps.append((_place(len(live), _TEMPLATES[op.gate], slots[:m], entries), None))
+        entries = [(slot_of[w], f) for w, f in op.controls.entries]
+        steps.append((_place(len(live), _TEMPLATES[op.gate], slots, entries), None))
     wire_map = {w: slot_of.get(w) for w in range(circuit.n)}
     return steps, tuple(measured), wire_map
 

@@ -321,6 +321,14 @@ class TestSample:
         code, out, err = run_cli(capsys, "sample", str(path), "--shots", "1000", "--seed", "7")
         assert (code, out, err) == (0, "0: 498\n1: 502\n", "")
 
+    def test_measured_17_qubit_histogram_is_pinned(self, capsys):
+        # the text the CI console-script step pins: a stack of branches over
+        # 2**16 amplitudes, so every plan runs the big-state way
+        path = Path(__file__).resolve().parents[1] / "circuits" / "measure17.qc"
+        code, out, err = run_cli(capsys, "sample", str(path), "--shots", "1000", "--seed", "7")
+        want = "000: 212\n001: 225\n010: 210\n011: 220\n100: 37\n101: 32\n110: 36\n111: 28\n"
+        assert (code, out, err) == (0, want, "")
+
     def test_no_measurement_is_an_error(self, capsys, circuit_file):
         code, _, err = run_cli(
             capsys, "sample", circuit_file("qubits 1\nH 0\n"), "--shots", "10"

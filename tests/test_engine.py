@@ -1,10 +1,11 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qwsim import engine, gates, linalg, measurement, oracle
-from qwsim.circuit import Circuit, GateOp, parse_circuit, random_circuit
+from qwsim.circuit import Circuit, GateOp, load_circuit, parse_circuit, random_circuit
 from qwsim.engine import ControlSpec, NO_CONTROLS
 from qwsim.errors import ContractError, DimensionError, ParseError
 
@@ -568,8 +569,10 @@ H 5
 
 
 class TestSlicing:
-    """A plan that makes several passes over blocks bigger than one slice
-    runs slice by slice, and that changes no bit of any result."""
+    """A state of more than ``2 * _SLICE`` amplitudes runs its plans with a
+    small ufunc buffer, multi-pass plans on blocks bigger than one slice run
+    slice by slice, and plans on wire 1 with wire 0 free run as two wire-0
+    halves; none of that changes a bit of any result."""
 
     UNSLICED = engine._SLICE  # a 12-qubit state is too small to slice
     FORCED = 1 << 6  # slices every multi-pass plan below
@@ -585,13 +588,16 @@ class TestSlicing:
         rng = np.random.default_rng(63)
         n = shape[-1].bit_length() - 1
         # the first pattern targets the top wire, which fixes axis 0, so a
-        # later axis is sliced
-        for wires in ([n - 1, 0, 5, 3], [0, 1, 2, 3], [5, 2, 9, 4], [3, 7, n - 1, 0]):
+        # later axis is sliced; the last names wire 1 but not wire 0, so each
+        # piece runs as two wire-0 halves
+        patterns = ([n - 1, 0, 5, 3], [0, 1, 2, 3], [5, 2, 9, 4], [3, 7, n - 1, 0], [1, 6, 3, 9])
+        for wires in patterns:
             for name in gates.gate_names():
                 arity = gates.gate_def(name).arity
                 for controls in ((), ((wires[arity], True), (wires[arity + 1], False))):
                     plan = engine._place(n, engine._TEMPLATES[name], wires[:arity], controls)
-                    assert (plan[4] is not None) == (name in self.MULTI_PASS)
+                    assert (plan.cut is not None) == (name in self.MULTI_PASS)
+                    assert plan.halves == (min(wires[: arity + len(controls)]) == 1)
                     states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                     want = self.run(monkeypatch, self.UNSLICED, plan, states)
                     got = self.run(monkeypatch, self.FORCED, plan, states)
@@ -600,11 +606,70 @@ class TestSlicing:
     def test_a_plan_on_every_wire_is_never_sliced(self, monkeypatch):
         # every axis is fixed, so none is free to slice, however many rows
         plan = engine._place(3, engine._TEMPLATES["SWAP"], (0, 2), ((1, False),))
-        assert plan[4] is None
+        assert plan.cut is None
         rng = np.random.default_rng(64)
         states = rng.standard_normal((1 << 10, 8)) + 1j * rng.standard_normal((1 << 10, 8))
         want = self.run(monkeypatch, self.UNSLICED, plan, states)
         assert np.array_equal(self.run(monkeypatch, 1, plan, states), want)
+
+    def test_a_plan_on_every_wire_but_0_is_never_halved(self, monkeypatch):
+        # wire 0 is the only free axis, so a half of one state would be a
+        # block of one amplitude, which numpy rounds unlike a stack's rows
+        rng = np.random.default_rng(65)
+        for name in gates.gate_names():
+            arity = gates.gate_def(name).arity
+            for n_controls in range(3):
+                n = arity + n_controls + 1
+                wires = [int(w) for w in rng.permutation(range(1, n))]
+                entries = [(w, bool(k % 2)) for k, w in enumerate(wires[arity:])]
+                plan = engine._place(n, engine._TEMPLATES[name], wires[:arity], entries)
+                assert not plan.halves
+                stack = np.stack([linalg.random_state(n, rng) for _ in range(3)])
+                want = self.run(monkeypatch, self.UNSLICED, plan, stack)
+                # every run, one row or three, takes the big-state path
+                rows = [self.run(monkeypatch, 1, plan, row) for row in stack]
+                assert np.array_equal(np.stack(rows), want), (name, wires)
+                assert np.array_equal(self.run(monkeypatch, 1, plan, stack), want), (name, wires)
+
+    def test_the_callers_buffer_size_is_restored(self):
+        root = Path(__file__).resolve().parents[1] / "circuits"
+        plain = load_circuit(root / "slice17.qc")
+        measured = load_circuit(root / "measure17.qc")
+        old = np.setbufsize(4096)
+        try:
+            engine.run_circuit(plain)
+            assert np.getbufsize() == 4096
+            measurement.run_with_branches(measured)
+            assert np.getbufsize() == 4096
+            measurement.sample_shots(measured, 50, 7)
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(old)
+
+    # a state of 2**12 amplitudes is big once it holds more than 2 * _SLICE
+    @pytest.mark.parametrize("width, bufsize", [(1 << 11, 4096), ((1 << 11) - 1, engine._BUFSIZE)])
+    def test_a_step_that_raises_restores_the_buffer_size(self, monkeypatch, width, bufsize):
+        seen = []
+
+        class Scale(complex):  # a step's scale that fails once it is read
+            def __ne__(self, other):
+                seen.append(np.getbufsize())
+                raise ArithmeticError("step failed")
+
+        plan = engine._place(12, engine._TEMPLATES["T"], (1,), ())
+        (r, ((c, x),)), = plan.steps
+        plan = plan._replace(steps=((r, ((c, Scale(x)),)),))
+        monkeypatch.setattr(engine, "_SLICE", width)
+        old = np.setbufsize(4096)
+        try:
+            with pytest.raises(ArithmeticError):
+                engine._run_plan(plan, np.ones(1 << 12, dtype=complex))
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(old)
+        # the step ran under the buffer of its path: the caller's on a small
+        # state, ``_BUFSIZE`` on a big one
+        assert seen == [bufsize]
 
     def test_branches_and_shots_are_bit_identical(self, monkeypatch):
         circ = parse_circuit(MEASURED_12Q)
