@@ -376,4 +376,5 @@ def stabilizer_renyi_entropy(psi, n: int) -> float:
         lo += hi
         hi[...] = diff
     total = float(np.sum(np.abs(v) ** 4))
-    return float(-np.log2(total / dim))
+    # 0.0 minus, as in _entropy, so a stabilizer state gives +0.0 and not -0.0
+    return 0.0 - float(np.log2(total / dim))

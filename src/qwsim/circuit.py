@@ -13,7 +13,9 @@ comment up to it.  Names are case-insensitive, ``c=w`` / ``a=w``
 tokens attach control / anticontrol wires to any gate.  ``CX``, ``CCX``
 and ``CSWAP`` expand to X and SWAP with controls.  A ';' between gates is
 purely cosmetic grouping: ops run in file order either way.  Wires and
-the qubit count are ASCII digits ``0-9`` only.
+the qubit count are ASCII digits ``0-9`` only.  A gate's wires, targets
+and controls, pass one ``check_wires`` in ``GateOp``; the ``Circuit``
+checks each op against the register once, after every line is read.
 """
 
 from __future__ import annotations
@@ -29,31 +31,29 @@ from .engine import NO_CONTROLS, ControlSpec, check_targets
 from .linalg import MAX_QUBITS, check_int, check_qubit_count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GateOp:
-    """One gate (or measurement) with its targets and controls."""
+    """One gate (or measurement) with its targets and controls (a
+    ``ControlSpec``, None or pairs), all checked as one list of wires."""
 
     gate: str
     targets: tuple[int, ...]
     controls: ControlSpec = NO_CONTROLS
 
-    def __post_init__(self):
-        object.__setattr__(self, "gate", str(self.gate).upper())
+    def __init__(self, gate, targets, controls=NO_CONTROLS):
+        gate = str(gate).upper()
         # no register holds a wire past the cap; the circuit checks its own range
-        targets, controls = check_targets(MAX_QUBITS, self.targets, self.controls)
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "controls", controls)
-        if self.gate == MEASURE:
-            if len(self.targets) != 1:
+        targets, controls = check_targets(MAX_QUBITS, targets, controls)
+        if gate == MEASURE:
+            if len(targets) != 1:
                 raise ContractError("MEASURE takes exactly one wire")
-            if self.controls.entries:
+            if controls.entries:
                 raise ContractError("MEASURE cannot carry controls")
         else:
-            g = gate_def(self.gate)  # raises CatalogError for unknown names
-            if len(self.targets) != g.arity:
-                raise ContractError(
-                    f"{g.name} takes {g.arity} wire(s), got {len(self.targets)}"
-                )
+            g = gate_def(gate)  # raises CatalogError for unknown names
+            if len(targets) != g.arity:
+                raise ContractError(f"{g.name} takes {g.arity} wire(s), got {len(targets)}")
+        self.__dict__.update(gate=gate, targets=targets, controls=controls)
 
     @property
     def wires(self) -> tuple[int, ...]:
@@ -132,22 +132,20 @@ def _parse_int(token: str, line_no: int, what: str) -> int:
     raise ParseError(line_no, f"{what} {token!r} is not an integer of digits 0-9")
 
 
-def _parse_gate(chunk: str, line_no: int) -> GateOp:
-    """Tokenise one gate and expand its sugar.
+def _parse_gate(tokens: list[str], line_no: int) -> GateOp:
+    """Read one gate's tokens and expand its sugar.
 
     ``GateOp`` makes every check but those of the register, its wire range
     and its measured wires, which the circuit makes; a failure becomes a
     ``ParseError`` naming ``line_no``.
     """
-    tokens = chunk.split()
     name = tokens[0].upper()
     targets: list[int] = []
     controls: list[tuple[int, bool]] = []
     for token in tokens[1:]:
-        lowered = token.lower()
-        if lowered.startswith(("c=", "a=")):
-            wire = _parse_int(token[2:], line_no, "control wire")
-            controls.append((wire, lowered.startswith("c=")))
+        head = token[:2].lower()
+        if head == "c=" or head == "a=":
+            controls.append((_parse_int(token[2:], line_no, "control wire"), head == "c="))
         else:
             targets.append(_parse_int(token, line_no, "wire"))
 
@@ -159,34 +157,36 @@ def _parse_gate(chunk: str, line_no: int) -> GateOp:
         controls = [(w, True) for w in targets[:k]] + controls
         targets = targets[k:]
     try:
-        return GateOp(name, tuple(targets), controls)
+        return GateOp(name, targets, controls or NO_CONTROLS)
     except SimulationError as exc:
         raise ParseError(line_no, str(exc)) from None
 
 
 def parse_circuit(text: str) -> Circuit:
     """Parse circuit text; every failure names the offending line."""
+    if not isinstance(text, str):
+        raise ContractError(f"expected circuit text as a str, got {type(text).__name__}")
     n: int | None = None
     ops: list[GateOp] = []
     op_lines: list[int] = []
     for line_no, raw in enumerate(_lines(text), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]
+        if n is not None:
+            for chunk in line.split(";"):
+                tokens = chunk.split()
+                if tokens:
+                    ops.append(_parse_gate(tokens, line_no))
+                    op_lines.append(line_no)
             continue
-        if n is None:
-            tokens = line.split()
-            if len(tokens) != 2 or tokens[0].lower() != "qubits":
-                raise ParseError(line_no, "expected 'qubits <n>' header")
-            try:
-                n = check_qubit_count(_parse_int(tokens[1], line_no, "qubit count"))
-            except SimulationError as exc:
-                raise ParseError(line_no, str(exc)) from None
+        tokens = line.split()
+        if not tokens:
             continue
-        for chunk in line.split(";"):
-            chunk = chunk.strip()
-            if chunk:
-                ops.append(_parse_gate(chunk, line_no))
-                op_lines.append(line_no)
+        if len(tokens) != 2 or tokens[0].lower() != "qubits":
+            raise ParseError(line_no, "expected 'qubits <n>' header")
+        try:
+            n = check_qubit_count(_parse_int(tokens[1], line_no, "qubit count"))
+        except SimulationError as exc:
+            raise ParseError(line_no, str(exc)) from None
     if n is None:
         raise ParseError(1, "missing 'qubits <n>' header")
     try:
@@ -240,6 +240,8 @@ def random_circuit(
     """
     n = check_qubit_count(n)
     depth = check_int(depth, "depth", 0)
+    if not isinstance(rng, np.random.Generator):
+        raise ContractError(f"expected a numpy Generator as rng, got {type(rng).__name__}")
     names = _RANDOM_1Q if (single_qubit_only or n < 2) else _RANDOM_1Q + _RANDOM_2Q
     ops = []
     for _ in range(depth):

@@ -1,72 +1,47 @@
 """The state-vector gate kernel.
 
-A gate on wire ``t`` of an ``n``-qubit register pairs every amplitude
-index with bit ``t`` clear against the index with bit ``t`` set and mixes
-each pair through the 2x2 gate matrix; a gate on ``m`` wires mixes groups
-of ``2**m`` amplitudes the same way.  That touches each amplitude once,
-so a gate costs O(2**n) work and no operator matrix is ever built.
-
+A gate on ``m`` wires of an ``n``-qubit register mixes each group of
+``2**m`` amplitudes that differ only in those wires' bits, so it touches
+each amplitude once, O(2**n) work, and no operator matrix is ever built.
 :func:`apply_multi_qubit_gate` is the one kernel, for every gate.  It
 reads the state as a tensor with one length-2 axis per target or control
-wire, so each group member is a strided view of the state and the
-per-amplitude work stays inside numpy, with no index arrays.
+wire, so each group member is a strided view and the per-amplitude work
+stays inside numpy.  A control never enlarges the matrix: it fixes its
+axis to the wanted bit, which is what its ``ControlSpec`` bitmasks mean.
 
-Controls never enlarge the gate matrix: a control (or anticontrol) wire
-contributes a bit to an inclusion mask, and a group is mixed only when its
-index carries the desired value on every masked bit.  The kernel applies
-the mask by fixing the control's axis to that bit.
+A gate's plan has two parts.  Its template (the blocks it uses with
+their target bits, the blocks to copy, each written row's terms) comes
+from the matrix alone; every catalog gate's is derived once, at import.
+Its placement (the view shape and each block's index) comes from the
+wires alone, in one pass over them from the top.  :func:`compile_circuit`
+places each gate once per call, on the wires still live when it runs;
+:func:`run_circuit` and the measurement walker run the plans and check
+nothing per gate.  A plan accepts leading batch axes: on a ``(B, 2**n)``
+stack it makes each numpy call once for all rows, with the same
+arithmetic per amplitude as on one state.
 
-A gate's plan has two parts.  Its template (which rows are written,
-which blocks each row reads, which blocks are copied first, and each
-row's terms) comes from the matrix alone, so the template of every
-catalog gate is derived once, at import.  Its placement (the view shape
-and each block's index) comes from the wires alone.
-:func:`compile_circuit` places each gate's template once, on the wires
-still live when it runs (the ``Circuit`` has already refused any reuse
-of a measured wire); :func:`run_circuit` and the measurement walker run
-the plans in their own working state and check nothing per gate.  A plan
-accepts leading batch axes: on a ``(B, 2**n)`` stack of states it runs
-each numpy row write once for all ``B`` rows, with the same arithmetic
-per amplitude as on one state.
+A state of at most ``2 * _SLICE`` amplitudes, over all rows, runs a
+plan's steps on the whole view and nothing else.  A bigger one takes
+three rules, each bit-identical: every step is elementwise, the pieces
+are disjoint, and buffering only moves data.  (1) A plan that makes more
+than one pass over its blocks (H, X, Y, the swaps) runs slice by slice
+once a block holds more than ``_SLICE`` = 2**15 amplitudes: every step on
+one slice of the outermost free axis before the next, so a slice, its
+copies and its temporaries stay in a core's L2 cache.  (2) Its steps run
+with numpy's ufunc buffer at ``_BUFSIZE`` = 256 elements, restored on the
+way out, also when a step raises: numpy copies contiguous runs shorter
+than its buffer (8192 by default), such as a block on a mid wire, through
+it and back.  (3) A plan whose lowest named wire is 1, with wire 0 and
+another axis free, runs each piece as its two wire-0 halves, so numpy's
+inner loop runs along a long axis rather than once per run of 2.  Without
+the other free axis a half would be one amplitude, which numpy rounds
+unlike a stack's rows (see :func:`_place`).
 
-A plan that makes more than one pass over its blocks (it copies a block,
-writes more than one row, or writes a row of more than one term, as H, X,
-Y and the three swaps do) runs slice by slice once a block, counted over
-all stacked rows, holds more than ``_SLICE`` amplitudes: every step runs
-on one slice of the outermost free axis, one that no target or control
-fixes, before the next slice.  A slice is ``_SLICE`` = 2**15 amplitudes
-(512 KiB), or one index of that axis when that holds more.  So a slice,
-its block copies and its term temporaries stay in a core's L2 cache over
-all the passes, and no temporary outgrows a slice.  Every step is
-elementwise and the slices are disjoint, so each amplitude meets the same
-numpy operations on the same operands as in one piece, and the result is
-bit-identical.  A single-pass plan, a plan whose targets and controls
-name every wire, and any state of at most ``2 * _SLICE`` amplitudes run
-in one piece.
-
-A state of more than ``2 * _SLICE`` amplitudes, counted over all stacked
-rows, takes two more rules, so that a gate costs about the same on every
-wire.  First, its steps run with numpy's ufunc buffer at ``_BUFSIZE`` =
-256 elements, and the caller's size is restored on the way out, also when
-a step raises.  A block on a mid wire ``w`` is made of contiguous runs of
-``2**w`` amplitudes; numpy copies runs shorter than its buffer (8192
-elements by default) through the buffer and back, about three passes
-where one would do, and a small buffer lets it work on them in place.
-Second, a plan whose lowest named wire is 1, with wire 0 free and another
-axis free, runs each piece (the whole view or a slice) as its two wire-0
-halves.  Its blocks would otherwise be runs of 2 amplitudes, and numpy
-would call its inner loop once per run; a half puts the inner loop on a
-longer axis.  Without the other free axis, a half of one state would be
-a block of one amplitude, which numpy rounds unlike a stack's rows (see
-:func:`_place`), so such a plan keeps its pieces whole.  Buffering only
-moves data and the halves are disjoint, elementwise pieces, so these
-results are bit-identical too; no reduction runs under the small buffer.
-
-:func:`apply_multi_qubit_gate` is the checked entry point for one gate of
-any matrix; like every public entry, it checks the qubit count, the
-wires, the state and the matrix with the one check of each kind in
-``linalg``.  Its targets and controls, like every gate's, go through
-:func:`check_targets` as one list, so each wire is in range and none twice.
+Every public entry checks its arguments with the one check of each kind
+in ``linalg``.  A gate's targets and controls go through
+:func:`check_targets` as one list, one ``check_wires``, so each wire is
+in range and none twice; ``ControlSpec`` pairs are checked on their own
+only to name a fault of theirs.
 """
 
 from __future__ import annotations
@@ -90,7 +65,7 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ControlSpec:
     """Control and anticontrol wires compiled to a pair of bitmasks.
 
@@ -105,50 +80,54 @@ class ControlSpec:
     # the wires of ``entries``, in order; derived, so not compared or shown
     wires: tuple[int, ...] = field(init=False, default=(), compare=False, repr=False)
 
-    def __post_init__(self):
-        try:
-            pairs = [(w, bool(f)) for w, f in self.entries]
-        except (TypeError, ValueError):
-            raise ContractError(
-                f"controls must be (wire, is_control) pairs, got {self.entries!r}"
-            ) from None
-        try:  # no register holds a wire past the cap; refuse it before 1 << wire
-            wires = check_wires(MAX_QUBITS, [w for w, _ in pairs])
-        except ContractError as exc:
-            raise ContractError(f"control {exc}") from None
-        entries = tuple((w, f) for w, (_, f) in zip(wires, pairs))
-        object.__setattr__(self, "entries", entries)
-        inclusion = 0
-        desired = 0
-        for wire, is_control in entries:
-            inclusion |= 1 << wire
-            if is_control:
-                desired |= 1 << wire
-        object.__setattr__(self, "inclusion_mask", inclusion)
-        object.__setattr__(self, "desired_value_mask", desired)
-        object.__setattr__(self, "wires", wires)
+    def __new__(cls, entries=()):
+        # no register holds a wire past the cap; refuse it before 1 << wire
+        return check_targets(MAX_QUBITS, (), entries)[1]
 
     def passes(self, k: int) -> bool:
         return (k & self.inclusion_mask) == self.desired_value_mask
 
 
-NO_CONTROLS = ControlSpec()
-
-
-def coerce_controls(controls) -> ControlSpec:
-    """Accept a ControlSpec, None, or an iterable of (wire, is_control)."""
-    if isinstance(controls, ControlSpec):
-        return controls
-    if controls is None or isinstance(controls, (list, tuple)) and not controls:
-        return NO_CONTROLS  # most gates have no controls; build no spec for them
-    return ControlSpec(controls)
-
-
 def check_targets(n: int, targets, controls) -> tuple[tuple[int, ...], ControlSpec]:
-    """``targets`` as ints and ``controls`` as a ``ControlSpec``, checked as one list of wires."""
-    spec = coerce_controls(controls)
-    wires = check_wires(n, chain(targets, spec.wires))
-    return wires[: len(wires) - len(spec.wires)], spec
+    """``targets`` as ints and ``controls`` (a ``ControlSpec``, None or
+    ``(wire, is_control)`` pairs) as a ``ControlSpec``, checked as one list
+    of wires.  Pairs are checked alone, against the cap, only once that
+    check fails, so that a fault of theirs is named a control's."""
+    if isinstance(controls, ControlSpec):
+        wires, flags = controls.wires, None
+    else:
+        wires, flags = [], []
+        try:
+            for wire, is_control in () if controls is None else controls:
+                wires.append(wire)
+                flags.append(bool(is_control))
+        except (TypeError, ValueError):
+            message = f"controls must be (wire, is_control) pairs, got {controls!r}"
+            raise ContractError(message) from None
+    try:
+        checked = check_wires(n, chain(targets, wires))
+    except ContractError:
+        if flags is not None:
+            try:
+                check_wires(MAX_QUBITS, wires)
+            except ContractError as exc:
+                raise ContractError(f"control {exc}") from None
+        raise
+    cut = len(checked) - len(wires)
+    if flags is None:
+        return checked[:cut], controls
+    wires = checked[cut:]
+    inclusion = desired = 0
+    for wire, is_control in zip(wires, flags):
+        inclusion |= 1 << wire
+        desired |= is_control << wire
+    spec = object.__new__(ControlSpec)  # checked above, so built without __new__
+    spec.__dict__.update(entries=tuple(zip(wires, flags)), inclusion_mask=inclusion,
+                         desired_value_mask=desired, wires=wires)
+    return checked[:cut], spec
+
+
+NO_CONTROLS = ControlSpec()
 
 
 def swap_bits(k: int, i: int, j: int) -> int:
@@ -166,18 +145,20 @@ def swap_bits(k: int, i: int, j: int) -> int:
 def _template(u: np.ndarray) -> tuple:
     """Work out, unchecked, what the kernel does with the matrix ``u``.
 
-    The template is ``(used, copies, steps, multi_pass)``: the block
-    labels ``c`` a row write reads or writes, the blocks to copy before
-    any write, per written row ``r`` its ``(r, ((c, u[r, c]), ...))``
-    terms, own block first, and whether the plan makes more than one pass
-    over its blocks (it copies a block, writes more than one row, or
-    writes a row of more than one term).  Rows equal to the identity's are
-    not written.
+    The template is ``(labels, copies, steps, multi_pass)``: per block
+    ``c`` a row write reads or writes, ``(c, bits)`` with the bits of ``c``
+    from the highest target down, the blocks to copy before any write,
+    per written row ``r`` its ``(r, ((c, u[r, c]), ...))`` terms, own
+    block first, and whether the plan makes more than one pass over its
+    blocks (it copies a block, writes more than one row, or writes a row
+    of more than one term).  Rows equal to the identity's are not written.
     """
     rows = u.tolist()
     reads = [[c for c, x in enumerate(row) if x] for row in rows]
     writes = [r for r in range(len(rows)) if reads[r] != [r] or rows[r][r] != 1]
-    used = tuple({*writes, *(c for r in writes for c in reads[r])})
+    used = sorted({*writes, *(c for r in writes for c in reads[r])})
+    ranks = range(len(rows).bit_length() - 2, -1, -1)  # highest target first
+    labels = tuple((c, tuple((c >> k) & 1 for k in ranks)) for c in used)
     copies = tuple(c for c in writes if any(c in reads[r] for r in writes if r > c))
     # own block first; a zero row scales its own block by 0
     steps = tuple(
@@ -185,7 +166,7 @@ def _template(u: np.ndarray) -> tuple:
         for r in writes
     )
     multi_pass = bool(copies) or len(steps) > 1 or any(len(terms) > 1 for _, terms in steps)
-    return used, copies, steps, multi_pass
+    return labels, copies, steps, multi_pass
 
 
 # Amplitudes, over all stacked rows, in one slice of a sliced plan: its
@@ -197,6 +178,8 @@ _SLICE = 1 << 15
 # longer copied through it and back.  Of 64 to 1024, 256 ran 18-qubit
 # circuits fastest.
 _BUFSIZE = 256
+
+_ALL = slice(None)
 
 # Every catalog gate's template, derived once here rather than per gate applied.
 _TEMPLATES = {name: _template(gate_def(name).matrix) for name in gate_names()}
@@ -220,51 +203,70 @@ class Plan(NamedTuple):
 def _place(n: int, template: tuple, targets, entries) -> Plan:
     """Place, unchecked, a template of :func:`_template` on wires of ``n``.
 
-    ``entries`` are the controls' ``(wire, is_control)`` pairs.  The plan
-    holds the view shape of an ``n``-wire state, each block's key, the
-    blocks to copy (the template's, or all of them when every axis is
-    fixed), the template's steps, the ``cut`` a big state slices at, and
-    whether a big state runs it as two wire-0 ``halves`` (see :class:`Plan`).
+    ``entries`` are the controls' ``(wire, is_control)`` pairs.  One pass
+    over the named wires, from the top, builds the view shape and an index
+    holding each control's bit; each block's key sets the block's target
+    bits, from the template, on the target axes.  See :class:`Plan`.
     """
-    used, copies, steps, multi_pass = template
+    labels, copies, steps, multi_pass = template
+    bit_of = dict(entries)
     # C order puts the highest wire on axis 0.
     shape: list[int] = []
-    axis_of: dict[int, int] = {}
-    free: list[int] = []  # the axes of runs of other wires, which no key fixes
+    index: list = []  # a run of other wires, which no key fixes, is indexed by _ALL
+    target_axes: list[int] = []  # highest target first, as the template's bits
     above = n
-    for w in sorted([*targets, *(w for w, _ in entries)], reverse=True):
+    for w in sorted((*targets, *bit_of), reverse=True):
         if above - w > 1:
-            free.append(len(shape))
             shape.append(1 << (above - w - 1))
-        axis_of[w] = len(shape)
+            index.append(_ALL)
+        if w in bit_of:
+            index.append(int(bit_of[w]))
+        else:
+            target_axes.append(len(index))
+            index.append(0)
         shape.append(2)
         above = w
     if above:
-        free.append(len(shape))
         shape.append(1 << above)
-    index: list = [slice(None)] * len(shape)
-    for w, is_control in entries:
-        index[axis_of[w]] = int(is_control)
-    target_axes = [axis_of[t] for t in sorted(targets)]
+        index.append(_ALL)
     keys = []
-    for c in used:
-        for k, axis in enumerate(target_axes):
-            index[axis] = (c >> k) & 1
+    for c, bits in labels:
+        for axis, bit in zip(target_axes, bits):
+            index[axis] = bit
         # the ... keeps a block a view (0-d when every axis is fixed) and takes
         # any leading batch axes of a stack of states
         keys.append((c, (..., *index)))
-    if len(axis_of) == n:
-        # Every axis is fixed, so a block of one state is one amplitude.
-        # numpy scales a one-element block in place in a scalar loop that
-        # rounds a complex product unlike its vector loop, which the rows of
-        # a stack take; reading from copies keeps a stack's rows bit-equal
-        # to the same states run one by one.
-        copies = used
-    cut = (free[0], len(axis_of)) if multi_pass and free else None
+    named = len(targets) + len(bit_of)
+    free = len(shape) - named
+    if not free:
+        # A block of one state is one amplitude, which numpy scales in place
+        # in a scalar loop that rounds unlike the vector loop a stack's rows
+        # take; reading from copies keeps those rows bit-equal to lone states.
+        copies = tuple([c for c, _ in labels])
+    cut = (index.index(_ALL), named) if multi_pass and free else None
     # a half keeps another free axis, so its blocks never shrink to one
     # amplitude (see above)
-    halves = above == 1 and len(free) > 1
-    return Plan(tuple(shape), tuple(keys), copies, steps, cut, halves)
+    return Plan(tuple(shape), tuple(keys), copies, steps, cut, above == 1 and free > 1)
+
+
+def _run_steps(view: np.ndarray, keys: tuple, copies: tuple, steps: tuple) -> None:
+    """Run a plan's steps on ``view``, a view of the plan's shape or a piece of one."""
+    blocks = {}
+    for c, key in keys:
+        blocks[c] = view[key]
+    sources = blocks
+    if copies:  # only blocks that a later row still reads
+        sources = dict(blocks)
+        for c in copies:
+            sources[c] = blocks[c].copy()
+    for r, ((first, scale), *rest) in steps:
+        dst = blocks[r]
+        if scale != 1:
+            np.multiply(sources[first], scale, out=dst)
+        elif first != r:
+            dst[...] = sources[first]
+        for c, x in rest:
+            dst += x * sources[c]
 
 
 def _run_plan(plan: Plan, state: np.ndarray) -> np.ndarray:
@@ -272,44 +274,30 @@ def _run_plan(plan: Plan, state: np.ndarray) -> np.ndarray:
     contiguous stack of them along leading axes, every row alike.
 
     A state of at most ``2 * _SLICE`` amplitudes, over all rows, runs the
-    steps once on the whole view.  A bigger one runs them with numpy's
-    ufunc buffer at ``_BUFSIZE`` elements, restored on the way out; a plan
-    with a ``cut`` whose blocks hold more than ``_SLICE`` amplitudes runs
-    them on successive slices of its outermost free axis, each about
-    ``_SLICE`` amplitudes of the view; and a plan with ``halves`` runs them
-    on the two wire-0 halves of each piece.
+    steps on the whole view.  A bigger one runs them under a ``_BUFSIZE``
+    ufunc buffer, on slices of about ``_SLICE`` amplitudes of the ``cut``
+    axis once a block outgrows one, and on wire-0 ``halves`` (see above).
     """
     shape, keys, copies, steps, cut, halves = plan
     view = state.reshape(state.shape[:-1] + shape)
+    if state.size <= 2 * _SLICE:
+        _run_steps(view, keys, copies, steps)
+        return state
     parts = (view,)
-    bufsize = None
-    if state.size > 2 * _SLICE:
-        if cut is not None and state.size >> cut[1] > _SLICE:  # a block outgrows a slice
-            axis, length = cut[0], shape[cut[0]]
-            width = max(1, _SLICE // (state.size // length))
-            head = (slice(None),) * (view.ndim - len(shape) + axis)
-            parts = (view[(*head, slice(lo, lo + width))] for lo in range(0, length, width))
-        if halves:  # wire 0 is the last axis, so drop its index from the keys
-            keys = [(c, key[:-1]) for c, key in keys]
-            parts = (part[..., bit] for part in parts for bit in (0, 1))
-        bufsize = np.setbufsize(_BUFSIZE)
+    if cut is not None and state.size >> cut[1] > _SLICE:  # a block outgrows a slice
+        axis, length = cut[0], shape[cut[0]]
+        width = max(1, _SLICE // (state.size // length))
+        head = (slice(None),) * (view.ndim - len(shape) + axis)
+        parts = (view[(*head, slice(lo, lo + width))] for lo in range(0, length, width))
+    if halves:  # wire 0 is the last axis, so drop its index from the keys
+        keys = [(c, key[:-1]) for c, key in keys]
+        parts = (part[..., bit] for part in parts for bit in (0, 1))
+    bufsize = np.setbufsize(_BUFSIZE)
     try:
         for part in parts:
-            blocks = {c: part[key] for c, key in keys}
-            sources = dict(blocks)
-            for c in copies:
-                sources[c] = blocks[c].copy()
-            for r, ((first, scale), *rest) in steps:
-                dst = blocks[r]
-                if scale != 1:
-                    np.multiply(sources[first], scale, out=dst)
-                elif first != r:
-                    np.copyto(dst, sources[first])
-                for c, x in rest:
-                    dst += x * sources[c]
+            _run_steps(part, keys, copies, steps)
     finally:
-        if bufsize is not None:
-            np.setbufsize(bufsize)
+        np.setbufsize(bufsize)
     return state
 
 
@@ -351,12 +339,16 @@ def compile_circuit(circuit) -> tuple[list, tuple[int, ...], dict[int, int | Non
     slot, or None.  ``Circuit`` refuses any reuse of a measured wire, so a
     compile only places templates and cannot fail.
     """
+    from .circuit import Circuit  # circuit imports this module
+
+    if not isinstance(circuit, Circuit):
+        raise ContractError(f"expected a Circuit, got {type(circuit).__name__}")
     live = list(range(circuit.n))
     slot_of = {w: w for w in live}
     steps: list[tuple[tuple | None, int | None]] = []
     measured: list[int] = []
     for op in circuit.ops:
-        slots = [slot_of[t] for t in op.targets]
+        slots = list(map(slot_of.__getitem__, op.targets))
         if op.gate == MEASURE:
             steps.append((None, slots[0]))
             measured.append(live.pop(slots[0]))
@@ -375,10 +367,11 @@ def run_circuit(circuit, psi0=None) -> np.ndarray:
     copy.  The result passes ``check_unit_state`` again, so a norm drift
     beyond ``STATE_ATOL``, which would mean a kernel bug, raises.
     """
+    steps = compile_circuit(circuit)[0]
     for k, op in enumerate(circuit.ops):
         if op.gate == MEASURE:
             raise ContractError(f"op {k} ({op}) is a measurement; use the measurement module")
     state = initial_state(circuit.n, psi0)
-    for plan, _ in compile_circuit(circuit)[0]:
+    for plan, _ in steps:
         _run_plan(plan, state)
     return check_unit_state(state, circuit.n)[0]

@@ -138,10 +138,13 @@ def check_wires(n: int, wires) -> tuple[int, ...]:
     ``wires`` that is not iterable, a wire that is not an integer, a wire
     out of range, or a wire named more than once.
     """
+    checked = []
     try:
-        wires = tuple([check_int(w, "wire", 0, n - 1) for w in wires])
+        for w in wires:
+            checked.append(check_int(w, "wire", 0, n - 1))
     except TypeError as exc:  # ``wires`` itself is not iterable
         raise ContractError(f"expected a list of wires: {exc}") from None
+    wires = tuple(checked)
     if len(set(wires)) < len(wires):
         w = next(w for k, w in enumerate(wires) if w in wires[:k])
         raise ContractError(f"wire {w} is named more than once")

@@ -16,7 +16,9 @@ live wires.  One breadth-first walker then serves both consumers.  It
 holds every live outcome prefix as one row of a ``(B, 2**n_live)`` stack
 of residuals: each gate plan runs once on the whole stack, and each
 MEASURE splits every row at once into a stack of children ordered by
-``2 * row + outcome``, so rows stay in sorted outcome order.
+``2 * row + outcome``, so rows stay in sorted outcome order.  A split is
+a fixed handful of numpy calls whatever the rows: ``|stack|**2``, one sum
+per outcome into one ``(2, B)`` table, the norm test, one batched division.
 
 * :func:`run_with_branches` follows *every* non-pruned outcome, producing a
   tree whose leaves carry the outcome history, its probability, and the
@@ -47,8 +49,8 @@ from .circuit import Circuit
 from .engine import _run_plan, compile_circuit
 from .linalg import (
     check_int,
-    check_state,
     check_unit_norms,
+    check_unit_state,
     check_wires,
     initial_state,
     make_rng,
@@ -89,27 +91,30 @@ def _split(stack: np.ndarray, slot: int, rows=None, draws=None) -> tuple:
     """
     b = stack.shape[0]
     halves = stack.reshape(b, -1, 2, 1 << slot)  # axis 2 is bit ``slot``
-    with np.errstate(over="ignore"):  # an overflow fails the norm test below
-        probs = np.abs(halves)
-        np.square(probs, out=probs)
-        # one sum per outcome adds up each row exactly as on a lone state
-        p = np.stack([probs[:, :, bit, :].sum(axis=(1, 2)) for bit in (0, 1)], axis=1)
-        norms = p[:, 0] + p[:, 1]
+    p = np.empty((2, b))  # row ``bit`` holds each stacked row's Pr[bit]
+    probs = np.abs(halves)  # rows are unit vectors, so no square overflows
+    np.square(probs, out=probs)
+    # one sum per outcome adds up each row exactly as on a lone state
+    np.add.reduce(probs[:, :, 0, :], axis=(1, 2), out=p[0])
+    np.add.reduce(probs[:, :, 1, :], axis=(1, 2), out=p[1])
+    norms = p[0] + p[1]
     del probs
     check_unit_norms(stack, norms)
     p[p < PRUNE_EPS] = 0.0
     if rows is None:
-        kept = p > 0.0
+        kept = p.T > 0.0
     else:
         # a pruned Pr[1] is 0 and takes no draw; every draw is below 1.0
-        child = 2 * rows + (draws < np.where(p[:, 0] > 0.0, p[:, 1], 1.0)[rows])
+        child = rows * 2
+        child += draws < np.where(p[0] > 0.0, p[1], 1.0)[rows]
         kept = np.bincount(child, minlength=2 * b).reshape(b, 2) > 0
-        rows = (np.cumsum(kept) - 1)[child]
-    nodes, bits = np.nonzero(kept)
-    p = p[nodes, bits]
-    children = halves[nodes, :, bits, :]
-    np.divide(children, np.sqrt(p)[:, None, None], out=children)
-    return nodes, bits, p, children.reshape(len(nodes), -1), rows
+        rows = np.cumsum(kept)[child]
+        rows -= 1
+    nodes, bits = kept.nonzero()
+    p = p[bits, nodes]
+    children = halves[nodes, :, bits, :].reshape(len(nodes), -1)  # a fresh array
+    np.divide(children, np.sqrt(p)[:, None], out=children)
+    return nodes, bits, p, children, rows
 
 
 def measure_qubit(psi, n: int, qubit: int) -> tuple[MeasurementBranch, MeasurementBranch]:
@@ -121,7 +126,7 @@ def measure_qubit(psi, n: int, qubit: int) -> tuple[MeasurementBranch, Measureme
     ``psi``, and each residual is a unit vector of length ``2**(n-1)`` to
     rounding.  The checked entry to the walker's split, on a stack of one.
     """
-    psi, n = check_state(psi, n)
+    psi, n = check_unit_state(psi, n)  # before the split squares any amplitude
     (qubit,) = check_wires(n, (qubit,))
     branches = [MeasurementBranch(0, 0.0, None), MeasurementBranch(1, 0.0, None)]
     _, bits, p, children, _ = _split(psi[None], qubit)
@@ -185,7 +190,7 @@ def _walk(steps, stack, draws=None) -> tuple:
         d = outcomes.shape[1]
         column = None if draws is None else draws[:, d]
         nodes, bits, p, stack, rows = _split(stack, slot, rows, column)
-        outcomes = np.column_stack((outcomes[nodes], bits))
+        outcomes = np.concatenate((outcomes[nodes], bits[:, None]), axis=1)
         probs = probs[nodes] * p
     return outcomes, probs, stack, rows
 
@@ -219,13 +224,13 @@ def sample_shots(circuit: Circuit, shots: int, seed, psi0=None) -> dict[str, int
     like in :func:`run_with_branches`, must be normalized.
     """
     shots = check_int(shots, "shots", 1)
-    if not circuit.has_measurements:
+    steps, measured, _ = compile_circuit(circuit)
+    if not measured:
         raise ContractError("circuit has no MEASURE ops to sample")
     base = initial_state(circuit.n, psi0)
     rng = make_rng(seed)
-    steps, measured, _ = compile_circuit(circuit)
-    last = max(k for k, (plan, _) in enumerate(steps) if plan is None)
-    del steps[last + 1:]  # gates after the last MEASURE cannot change a record
+    while steps[-1][0] is not None:  # gates after the last MEASURE cannot change a record
+        steps.pop()
 
     histogram: dict[str, int] = {}
     for first in range(0, shots, _SHOT_CHUNK):

@@ -594,6 +594,12 @@ class TestStabilizerRenyiEntropy:
     def test_zero_for_basis_states(self):
         assert abs(analysis.stabilizer_renyi_entropy(linalg.zero_state(3), 3)) < 1e-9
 
+    def test_stabilizer_state_gives_positive_zero(self):
+        # the log of an exact 1.0 is 0.0; its negation must not leak out as -0.0
+        for psi, n in (([1, 0], 1), (linalg.zero_state(3), 3)):
+            m = analysis.stabilizer_renyi_entropy(psi, n)
+            assert m == 0.0 and math.copysign(1.0, m) == 1.0
+
     @pytest.mark.parametrize(
         "text",
         [

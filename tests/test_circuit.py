@@ -1,7 +1,9 @@
 import contextlib
+import json
 import os
 
 import numpy as np
+import parse_refusals
 import pytest
 
 from qwsim import circuit as circ_mod
@@ -193,6 +195,17 @@ class TestParser:
     def test_empty_program_rejected(self):
         with pytest.raises(ParseError):
             parse_circuit("")
+
+    def test_every_refusal_keeps_its_class_line_and_message(self):
+        # parse_refusals.json was written by parse_refusals.py before the
+        # parser was last rewritten; each text must still end the same way
+        table = json.loads(parse_refusals.PATH.read_text())
+        for text, want in table["fixed"]:
+            assert parse_refusals.outcome(text) == want, text
+        assert len(table["sweep"]) == parse_refusals.MUTATIONS
+        for base, line, token, kind, new, want in table["sweep"]:
+            text = parse_refusals.mutate(table["bases"][base], line, token, kind, new)
+            assert parse_refusals.outcome(text) == want, text
 
 
 class TestFormatter:

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +329,19 @@ class TestSample:
         code, out, err = run_cli(capsys, "sample", str(path), "--shots", "1000", "--seed", "7")
         want = "000: 212\n001: 225\n010: 210\n011: 220\n100: 37\n101: 32\n110: 36\n111: 28\n"
         assert (code, out, err) == (0, want, "")
+
+    def test_measured_10_qubit_outputs_are_pinned(self, capsys):
+        # the texts the CI console-script step pins: every plan runs in one
+        # piece, with controls, anticontrols and 2-qubit gates whose lowest
+        # named wire is each of 0..9
+        path = str(Path(__file__).resolve().parents[1] / "circuits" / "sample10.qc")
+        code, out, err = run_cli(capsys, "sample", path, "--shots", "1000", "--seed", "7")
+        want = "000: 131\n001: 137\n010: 109\n011: 126\n100: 118\n101: 120\n110: 137\n111: 122\n"
+        assert (code, out, err) == (0, want, "")
+        code, out, err = run_cli(capsys, "simulate", path)
+        assert (code, err, out.count("\n")) == (0, "", 278)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "44558024574adc4c864f6eb1b0eb6069aab4b76c7019721b846ad827c3e86f65"
 
     def test_no_measurement_is_an_error(self, capsys, circuit_file):
         code, _, err = run_cli(

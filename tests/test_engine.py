@@ -62,12 +62,6 @@ class TestControlSpec:
             "inclusion_mask=9, desired_value_mask=1)"
         )
 
-    def test_coerce_from_pairs(self):
-        spec = engine.coerce_controls([(2, True)])
-        assert spec.entries == ((2, True),)
-        assert engine.coerce_controls(None) is NO_CONTROLS
-        assert engine.coerce_controls(spec) is spec
-
 
 class TestQubitWiseMultiply:
     """The kernel on one target wire: the paper's qubit-wise multiply."""

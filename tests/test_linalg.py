@@ -279,7 +279,6 @@ class TestArgumentContract:
             lambda: GateOp("H", (0,), [1]),
             lambda: ControlSpec(5),
             lambda: ControlSpec([(1,)]),
-            lambda: engine.coerce_controls(5),
             lambda: engine.apply_multi_qubit_gate(2, np.eye(2), 0, _PSI),
             lambda: analysis.partial_trace_state(2, _PSI, 0),
             lambda: oracle.build_gate_full_matrix(2, "H", 0),
@@ -289,6 +288,19 @@ class TestArgumentContract:
             lambda: Circuit(2, ["H 0"]),
         ):
             with pytest.raises(ContractError):
+                call()
+        # a public entry given the wrong type names the type it got, where
+        # each of these raised a bare TypeError or AttributeError
+        for call, name in (
+            (lambda: parse_circuit(b"qubits 1\n"), "bytes"),
+            (lambda: parse_circuit(None), "NoneType"),
+            (lambda: parse_circuit(5), "int"),
+            (lambda: engine.run_circuit("qubits 1\nH 0\n"), "str"),
+            (lambda: measurement.run_with_branches(None), "NoneType"),
+            (lambda: measurement.sample_shots(5, 10, 1), "int"),
+            (lambda: random_circuit(2, 3, None), "NoneType"),
+        ):
+            with pytest.raises(ContractError, match=f"got {name}$"):
                 call()
 
     def test_numpy_integers_are_accepted(self):
