@@ -183,8 +183,9 @@ def parse_circuit(text: str) -> Circuit:
             continue
         if len(tokens) != 2 or tokens[0].lower() != "qubits":
             raise ParseError(line_no, "expected 'qubits <n>' header")
+        count = _parse_int(tokens[1], line_no, "qubit count")  # names its line itself
         try:
-            n = check_qubit_count(_parse_int(tokens[1], line_no, "qubit count"))
+            n = check_qubit_count(count)
         except SimulationError as exc:
             raise ParseError(line_no, str(exc)) from None
     if n is None:

@@ -20,6 +20,18 @@ nothing per gate.  A plan accepts leading batch axes: on a ``(B, 2**n)``
 stack it makes each numpy call once for all rows, with the same
 arithmetic per amplitude as on one state.
 
+Started at |00...0>, a circuit's early gates meet wires that no gate has
+yet moved off 0, and like a control, such a wire confines the state to
+the amplitudes where it reads 0.  :func:`compile_circuit` tracks these
+wires.  A gate with a control that wants 1 on one of them, or whose
+targets are all such wires and whose template fixes block 0 (writes no
+row 0 and reads block 0 in no row it writes), places no plan; any other
+gate gains an anticontrol on each such wire it does not name.  The
+amplitudes this skips are exact zeros, and each other amplitude meets
+the same numpy operations, so results equal (``np.array_equal``) those
+of plans that take no wire as known; a skipped zero may keep a sign that
+a full run would flip.
+
 A state of at most ``2 * _SLICE`` amplitudes, over all rows, runs a
 plan's steps on the whole view and nothing else.  A bigger one takes
 three rules, each bit-identical: every step is elementwise, the pieces
@@ -184,6 +196,14 @@ _ALL = slice(None)
 # Every catalog gate's template, derived once here rather than per gate applied.
 _TEMPLATES = {name: _template(gate_def(name).matrix) for name in gate_names()}
 
+# The catalog gates whose template fixes block 0: row 0 is not written and
+# no written row reads block 0, so on targets all still |0> they do nothing.
+_FIXES_ZERO = frozenset(
+    name
+    for name, (_, _, steps, _) in _TEMPLATES.items()
+    if not any(r == 0 or any(c == 0 for c, _ in terms) for r, terms in steps)
+)
+
 
 class Plan(NamedTuple):
     """A template of :func:`_template` placed on the wires of one state."""
@@ -328,7 +348,7 @@ def apply_multi_qubit_gate(n: int, u, targets, a, controls=None) -> np.ndarray:
     return _run_plan(_place(n, _template(u), targets, spec.entries), out.copy())
 
 
-def compile_circuit(circuit) -> tuple[list, tuple[int, ...], dict[int, int | None]]:
+def compile_circuit(circuit, psi0=None) -> tuple[list, tuple[int, ...], dict[int, int | None]]:
     """Lower the ops of ``circuit`` to kernel plans over the live wires.
 
     Returns ``(steps, measured, wire_map)``.  A measured wire leaves the
@@ -338,6 +358,17 @@ def compile_circuit(circuit) -> tuple[list, tuple[int, ...], dict[int, int | Non
     measured wires in op order; ``wire_map`` sends each wire to its final
     slot, or None.  ``Circuit`` refuses any reuse of a measured wire, so a
     compile only places templates and cannot fail.
+
+    When ``psi0`` is None the start is |00...0>, and the compile tracks the
+    live wires that no gate has yet moved off 0; given a ``psi0``, it takes
+    no wire as known.  A gate then places no plan when a control of it
+    wants 1 on such a wire, or when its targets are all such wires and its
+    template fixes block 0 (Z, S, T, SDG, TDG, I and the swaps).  Any other
+    gate gains an anticontrol on each such wire it does not name, so it
+    runs only where those wires read 0, and its targets leave the set, as
+    a measured wire does.  The skipped amplitudes are exact zeros, and
+    every other amplitude gets the same numpy work, so results compare
+    equal (``np.array_equal``) to those of the plans without it.
     """
     from .circuit import Circuit  # circuit imports this module
 
@@ -345,6 +376,7 @@ def compile_circuit(circuit) -> tuple[list, tuple[int, ...], dict[int, int | Non
         raise ContractError(f"expected a Circuit, got {type(circuit).__name__}")
     live = list(range(circuit.n))
     slot_of = {w: w for w in live}
+    zero = set(live) if psi0 is None else set()  # live wires still 0 in every amplitude
     steps: list[tuple[tuple | None, int | None]] = []
     measured: list[int] = []
     for op in circuit.ops:
@@ -352,9 +384,17 @@ def compile_circuit(circuit) -> tuple[list, tuple[int, ...], dict[int, int | Non
         if op.gate == MEASURE:
             steps.append((None, slots[0]))
             measured.append(live.pop(slots[0]))
+            zero.discard(measured[-1])
             slot_of = {w: s for s, w in enumerate(live)}
             continue
         entries = [(slot_of[w], f) for w, f in op.controls.entries]
+        if zero:
+            if any(f and w in zero for w, f in op.controls.entries):
+                continue  # a control that wants 1 on a wire still 0 never fires
+            if op.gate in _FIXES_ZERO and zero.issuperset(op.targets):
+                continue  # only block 0 is nonzero, and the gate fixes it
+            entries += [(slot_of[w], False) for w in zero.difference(op.wires)]
+            zero.difference_update(op.targets)
         steps.append((_place(len(live), _TEMPLATES[op.gate], slots, entries), None))
     wire_map = {w: slot_of.get(w) for w in range(circuit.n)}
     return steps, tuple(measured), wire_map
@@ -367,7 +407,7 @@ def run_circuit(circuit, psi0=None) -> np.ndarray:
     copy.  The result passes ``check_unit_state`` again, so a norm drift
     beyond ``STATE_ATOL``, which would mean a kernel bug, raises.
     """
-    steps = compile_circuit(circuit)[0]
+    steps = compile_circuit(circuit, psi0)[0]
     for k, op in enumerate(circuit.ops):
         if op.gate == MEASURE:
             raise ContractError(f"op {k} ({op}) is a measurement; use the measurement module")

@@ -47,6 +47,7 @@ import numpy as np
 from .errors import ContractError
 from .circuit import Circuit
 from .engine import _run_plan, compile_circuit
+from .gates import MEASURE
 from .linalg import (
     check_int,
     check_unit_norms,
@@ -202,7 +203,7 @@ def run_with_branches(circuit: Circuit, psi0=None) -> BranchTree:
     yields a single leaf of probability 1 whose state equals the plain
     simulation result.
     """
-    steps, measured, wire_map = compile_circuit(circuit)
+    steps, measured, wire_map = compile_circuit(circuit, psi0)
     outcomes, probs, states, _ = _walk(steps, initial_state(circuit.n, psi0)[None])
     leaves = tuple(
         BranchLeaf(tuple(record), prob, state)
@@ -224,13 +225,18 @@ def sample_shots(circuit: Circuit, shots: int, seed, psi0=None) -> dict[str, int
     like in :func:`run_with_branches`, must be normalized.
     """
     shots = check_int(shots, "shots", 1)
-    steps, measured, _ = compile_circuit(circuit)
-    if not measured:
+    if not isinstance(circuit, Circuit):
+        raise ContractError(f"expected a Circuit, got {type(circuit).__name__}")
+    ends = [k + 1 for k, op in enumerate(circuit.ops) if op.gate == MEASURE]
+    if not ends:
         raise ContractError("circuit has no MEASURE ops to sample")
+    # Gates after the last MEASURE cannot change a record, so none is placed.
+    # A prefix of a checked circuit is checked, so it is built without a check.
+    head = object.__new__(Circuit)
+    head.__dict__.update(n=circuit.n, ops=circuit.ops[: ends[-1]])
+    steps, measured, _ = compile_circuit(head, psi0)
     base = initial_state(circuit.n, psi0)
     rng = make_rng(seed)
-    while steps[-1][0] is not None:  # gates after the last MEASURE cannot change a record
-        steps.pop()
 
     histogram: dict[str, int] = {}
     for first in range(0, shots, _SHOT_CHUNK):

@@ -182,6 +182,13 @@ class TestParser:
             parse_circuit("qubits 2\nH 0 ; X 1 c=0\nX 0 c=7\nH 9\n")
         assert str(err.value) == "line 3: op 2 (X 0 c=7) touches wire 7, out of range for 2 qubits"
 
+    @pytest.mark.parametrize("count", ["-1", "2.0", "qubits"])
+    def test_a_header_refusal_names_its_line_once(self, count):
+        with pytest.raises(ParseError) as err:
+            parse_circuit(f"\nqubits {count}\n")
+        want = f"line 2: qubit count {count!r} is not an integer of digits 0-9"
+        assert (err.value.line_no, str(err.value)) == (2, want)
+
     def test_errors_carry_line_numbers(self):
         with pytest.raises(ParseError) as err:
             parse_circuit("qubits 2\nH 0\nX 9\n")

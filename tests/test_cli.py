@@ -343,6 +343,19 @@ class TestSample:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "44558024574adc4c864f6eb1b0eb6069aab4b76c7019721b846ad827c3e86f65"
 
+    def test_fresh_wire_outputs_are_pinned(self, capsys):
+        # the texts the CI console-script step pins, which a run that takes
+        # no wire as still in |0> prints too: diagonal, controlled and swap
+        # gates on never-touched wires, an anticontrol on one, and a
+        # MEASURE on a never-touched and on a touched wire
+        path = str(Path(__file__).resolve().parents[1] / "circuits" / "fresh12.qc")
+        code, out, err = run_cli(capsys, "sample", path, "--shots", "1000", "--seed", "7")
+        assert (code, out, err) == (0, "00: 497\n01: 503\n", "")
+        code, out, err = run_cli(capsys, "simulate", path)
+        assert (code, err, out.count("\n")) == (0, "", 31)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "61aa4df6d2b76a0503798d88f68d498d5012b5067aade8b2f9af128d709a7211"
+
     def test_no_measurement_is_an_error(self, capsys, circuit_file):
         code, _, err = run_cli(
             capsys, "sample", circuit_file("qubits 1\nH 0\n"), "--shots", "10"

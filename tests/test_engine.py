@@ -487,7 +487,8 @@ class TestRunCircuit:
 class TestCompileCircuit:
     def test_steps_slots_and_wire_map(self):
         circ = parse_circuit("qubits 3\nH 2\nMEASURE 1\nX 2 c=0\nMEASURE 0\n")
-        steps, measured, wire_map = engine.compile_circuit(circ)
+        # a given start, so that no wire is known to be 0 and every gate is placed
+        steps, measured, wire_map = engine.compile_circuit(circ, linalg.zero_state(3))
         assert [(plan is None, slot) for plan, slot in steps] == [
             (False, None), (True, 1), (False, None), (True, 0)
         ]
@@ -499,7 +500,7 @@ class TestCompileCircuit:
     def test_plan_runs_like_the_checked_entry_point(self):
         # X on live slot 1 controlled by slot 0, once wire 1 is measured away
         circ = parse_circuit("qubits 3\nMEASURE 1\nX 2 c=0\n")
-        (_, _), (plan, _) = engine.compile_circuit(circ)[0]
+        (_, _), (plan, _) = engine.compile_circuit(circ, linalg.zero_state(3))[0]
         psi = linalg.random_state(2, np.random.default_rng(59))
         want = engine.apply_multi_qubit_gate(2, gates.gate_matrix("X"), (1,), psi, [(0, True)])
         assert np.array_equal(engine._run_plan(plan, psi.copy()), want)
@@ -540,9 +541,65 @@ class TestCompileCircuit:
         )
         circ = parse_circuit("qubits 3\nH 0\nH 1\nMEASURE 0\nX 2 c=1\nMEASURE 1\nH 2\n")
         measurement.sample_shots(circ, 500, 3)
-        assert len(built) == 4
+        assert len(built) == 3  # H 2, after the last MEASURE, is not placed
         measurement.run_with_branches(circ)
-        assert len(built) == 8
+        assert len(built) == 7
+
+
+class TestZeroWires:
+    """Started at |00...0>, a compile places no plan for a gate that cannot
+    change the state while some wires are still 0, and an anticontrol on
+    each such wire for any other gate.  Results are held to runs without
+    that knowledge in ``test_measurement.TestZeroWires``."""
+
+    def test_the_gates_that_fix_block_0_are_derived_from_their_templates(self):
+        want = {"I", "Z", "S", "SDG", "T", "TDG", "SWAP", "ISWAP", "SQRTSWAP"}
+        assert engine._FIXES_ZERO == want
+
+    def test_which_ops_place_no_plan_and_which_gain_anticontrols(self):
+        circ = parse_circuit(
+            "qubits 4\n"
+            "Z 0\n"  # diagonal on a wire still 0: no plan
+            "X 1 c=2\n"  # wants 1 on wire 2, still 0: no plan
+            "SWAP 2 3\n"  # both targets still 0: no plan
+            "H 0\n"  # wire 0 leaves the set; anticontrols on 1, 2, 3
+            "X 1 a=2\n"  # its own anticontrol on 2, an implicit one on 3
+            "CX 0 3\n"  # target 3 is still 0, but X moves block 0
+            "T 2 c=0\n"  # T fixes block 0 and wire 2 is still 0: no plan
+            "MEASURE 2\n"  # splits as ever; wire 2 leaves the set
+            "H 3 c=1\n"  # live wires 0, 1, 3 as slots 0, 1, 2, none still 0
+        )
+        t = engine._TEMPLATES
+        want = [
+            (engine._place(4, t["H"], (0,), ((1, False), (2, False), (3, False))), None),
+            (engine._place(4, t["X"], (1,), ((2, False), (3, False))), None),
+            (engine._place(4, t["X"], (3,), ((0, True), (2, False))), None),
+            (None, 2),
+            (engine._place(3, t["H"], (2,), ((1, True),)), None),
+        ]
+        steps, measured, wire_map = engine.compile_circuit(circ)
+        assert steps == want
+        assert (measured, wire_map) == ((2,), {0: 0, 1: 1, 2: None, 3: 2})
+        # given a start, no wire is known to be 0: every gate is placed as written
+        assert len(engine.compile_circuit(circ, linalg.zero_state(4))[0]) == len(circ.ops)
+
+    def test_a_plan_at_the_qubit_cap_stays_under_numpys_rank_limit(self):
+        n = linalg.MAX_QUBITS
+        # every odd wire leaves the set, so each even wire is an anticontrol
+        text = "".join(f"H {w}\n" for w in range(1, n, 2))
+        circ = parse_circuit(f"qubits {n}\n{text}SWAP {n - 1} {n - 3} c=1\n")
+        plan = engine.compile_circuit(circ)[0][-1][0]
+        named = 3 + n // 2  # the SWAP's targets, its control and 13 anticontrols
+        # named wires and the single wires between them: an axis per wire
+        assert len(plan.shape) == n <= 2 * named + 1
+        # a stack of states adds one axis, and numpy takes each key on it;
+        # zero strides make the view of 2**n amplitudes without memory
+        stack = np.lib.stride_tricks.as_strided(
+            np.zeros(1, dtype=complex), (3, *plan.shape), (0,) * (1 + len(plan.shape))
+        )
+        assert stack.ndim < 64
+        for _, key in plan.keys:
+            assert stack[key].shape[0] == 3
 
 
 MEASURED_12Q = """qubits 12
@@ -695,9 +752,9 @@ class TestTemplates:
                 targets = wires[:arity]
                 for controls in ((), ((wires[arity], True), (wires[arity + 1], False))):
                     circ = Circuit(n, (GateOp(name, targets, ControlSpec(controls)),))
-                    (plan, _), = engine.compile_circuit(circ)[0]
-                    assert plan == engine._place(n, derived, targets, controls)
                     psi = linalg.random_state(n, rng)
+                    (plan, _), = engine.compile_circuit(circ, psi)[0]
+                    assert plan == engine._place(n, derived, targets, controls)
                     np.testing.assert_allclose(
                         engine.run_circuit(circ, psi),
                         oracle.simulate_naive(circ, psi),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qwsim import analysis, engine, linalg, measurement, oracle
-from qwsim.circuit import Circuit, GateOp, format_circuit, parse_circuit
+from qwsim.circuit import Circuit, GateOp, format_circuit, parse_circuit, random_circuit
 from qwsim.errors import ContractError, DimensionError, ParseError
 from qwsim.gates import MEASURE, gate_def, gate_names
 
@@ -491,3 +491,39 @@ class TestSampleShots:
         circ = parse_circuit("qubits 1\nH 0\nMEASURE 0\n")
         with pytest.raises(ContractError, match="seed"):
             measurement.sample_shots(circ, 10, -1)
+
+
+class TestZeroWires:
+    """Started at |00...0>, a compile skips the work on wires that no gate
+    has yet moved off 0, and every result stays equal to a run that takes
+    no wire as known: a fold of the checked kernel for ``run_circuit``, and
+    the same circuit started from an explicit ``psi0`` for the walker."""
+
+    @pytest.mark.parametrize("width", [None, 1 << 6])  # 1 << 6 slices and halves plans
+    def test_results_equal_runs_without_zero_knowledge(self, monkeypatch, width):
+        if width is not None:
+            monkeypatch.setattr(engine, "_SLICE", width)
+        skipped = 0
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(4, 13))
+            plain = random_circuit(n, int(rng.integers(1, 3 * n)), rng)
+            want = linalg.zero_state(n)
+            for op in plain.ops:
+                matrix = gate_def(op.gate).matrix
+                want = engine.apply_multi_qubit_gate(n, matrix, op.targets, want, op.controls)
+            assert np.array_equal(engine.run_circuit(plain), want), seed
+
+            circ = measured_circuit(rng, n)
+            start = linalg.basis_state(n, 0)
+            tree = measurement.run_with_branches(circ)
+            ref = measurement.run_with_branches(circ, start)
+            assert [(leaf.outcomes, leaf.probability) for leaf in tree.leaves] == [
+                (leaf.outcomes, leaf.probability) for leaf in ref.leaves
+            ], seed
+            assert all(np.array_equal(a.state, b.state) for a, b in zip(tree.leaves, ref.leaves))
+            want = measurement.sample_shots(circ, 300, seed, start)
+            assert measurement.sample_shots(circ, 300, seed) == want, seed
+            for c in (plain, circ):
+                skipped += len(engine.compile_circuit(c, start)[0]) - len(engine.compile_circuit(c)[0])
+        assert skipped > 300  # the rule is not vacuous on these circuits
