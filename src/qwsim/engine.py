@@ -30,7 +30,12 @@ gate gains an anticontrol on each such wire it does not name.  The
 amplitudes this skips are exact zeros, and each other amplitude meets
 the same numpy operations, so results equal (``np.array_equal``) those
 of plans that take no wire as known; a skipped zero may keep a sign that
-a full run would flip.
+a full run would flip.  A circuit with no MEASURE and no ``psi0`` runs
+on the register of the K wires that its placed gates target, in wire
+order: every other wire stays 0 to the end, so it takes no axis and no
+anticontrol, and :func:`run_circuit` scatters the ``2**K`` amplitudes
+once into a zeroed state of every wire.  A circuit with a MEASURE keeps
+every live wire, since a split's sums follow the state's layout.
 
 A state of at most ``2 * _SLICE`` amplitudes, over all rows, runs a
 plan's steps on the whole view and nothing else.  A bigger one takes
@@ -355,9 +360,10 @@ def compile_circuit(circuit, psi0=None) -> tuple[list, tuple[int, ...], dict[int
     state and the live wires keep their order, so each step is fixed in
     advance: ``(plan, None)`` runs a gate's plan on the wires still live,
     ``(None, slot)`` measures live wire ``slot``.  ``measured`` lists the
-    measured wires in op order; ``wire_map`` sends each wire to its final
-    slot, or None.  ``Circuit`` refuses any reuse of a measured wire, so a
-    compile only places templates and cannot fail.
+    measured wires in op order; ``wire_map`` sends each wire to its slot in
+    the state the steps end on, or None when that state does not hold it.
+    ``Circuit`` refuses any reuse of a measured wire, so a compile only
+    places templates and cannot fail.
 
     When ``psi0`` is None the start is |00...0>, and the compile tracks the
     live wires that no gate has yet moved off 0; given a ``psi0``, it takes
@@ -369,49 +375,91 @@ def compile_circuit(circuit, psi0=None) -> tuple[list, tuple[int, ...], dict[int
     a measured wire does.  The skipped amplitudes are exact zeros, and
     every other amplitude gets the same numpy work, so results compare
     equal (``np.array_equal``) to those of the plans without it.
+
+    A circuit with no MEASURE and no ``psi0`` goes one step further: its
+    steps start on the register of the K wires that some placed gate
+    targets, in wire order, and ``wire_map`` sends every other wire, which
+    stays 0 throughout, to None.  Such a wire takes no axis and no
+    anticontrol, and an anticontrol of the circuit's own on it always
+    passes, so it is dropped.  Any other circuit starts on all its wires,
+    since the measurement walker splits on the full live register (its
+    sums over a smaller one could round differently).
     """
     from .circuit import Circuit  # circuit imports this module
 
     if not isinstance(circuit, Circuit):
         raise ContractError(f"expected a Circuit, got {type(circuit).__name__}")
-    live = list(range(circuit.n))
-    slot_of = {w: w for w in live}
-    zero = set(live) if psi0 is None else set()  # live wires still 0 in every amplitude
-    steps: list[tuple[tuple | None, int | None]] = []
+    zero = set(range(circuit.n)) if psi0 is None else set()  # wires still 0 in every amplitude
+    kept = []  # each placed gate with its (wire, is_control) entries; each MEASURE with None
+    moved: set[int] = set()  # the targets of the placed gates
     measured: list[int] = []
     for op in circuit.ops:
-        slots = list(map(slot_of.__getitem__, op.targets))
         if op.gate == MEASURE:
-            steps.append((None, slots[0]))
-            measured.append(live.pop(slots[0]))
+            measured.append(op.targets[0])
             zero.discard(measured[-1])
-            slot_of = {w: s for s, w in enumerate(live)}
+            kept.append((op, None))
             continue
-        entries = [(slot_of[w], f) for w, f in op.controls.entries]
+        entries = op.controls.entries
         if zero:
-            if any(f and w in zero for w, f in op.controls.entries):
+            if any(f and w in zero for w, f in entries):
                 continue  # a control that wants 1 on a wire still 0 never fires
             if op.gate in _FIXES_ZERO and zero.issuperset(op.targets):
                 continue  # only block 0 is nonzero, and the gate fixes it
-            entries += [(slot_of[w], False) for w in zero.difference(op.wires)]
+            entries += tuple((w, False) for w in zero.difference(op.wires))
             zero.difference_update(op.targets)
+        moved.update(op.targets)
+        kept.append((op, entries))
+    live = sorted(moved) if psi0 is None and not measured else list(range(circuit.n))
+    slot_of = {w: s for s, w in enumerate(live)}
+    steps: list[tuple[tuple | None, int | None]] = []
+    for op, entries in kept:
+        slots = list(map(slot_of.__getitem__, op.targets))
+        if entries is None:
+            steps.append((None, slots[0]))
+            live.pop(slots[0])
+            slot_of = {w: s for s, w in enumerate(live)}
+            continue
+        entries = [(slot_of[w], f) for w, f in entries if w in slot_of]
         steps.append((_place(len(live), _TEMPLATES[op.gate], slots, entries), None))
     wire_map = {w: slot_of.get(w) for w in range(circuit.n)}
     return steps, tuple(measured), wire_map
+
+
+def _run_gates(n: int, steps, wire_map, psi0=None) -> np.ndarray:
+    """Run the plans of a measurement-free compile and return the state on
+    all ``n`` wires, checked by ``check_unit_state``.
+
+    The plans run in one working copy of ``psi0`` or, on a register of K < n
+    wires, of |00...0> on those K wires, which is then scattered once, by
+    one strided assignment, into a zeroed state of ``n`` wires.
+    """
+    k = sum(slot is not None for slot in wire_map.values())  # the register's size
+    if k == n:
+        state = initial_state(n, psi0)
+    else:
+        state = np.zeros(1 << k, dtype=complex)
+        state[0] = 1.0
+    for plan, _ in steps:
+        _run_plan(plan, state)
+    if k < n:
+        full = np.zeros(1 << n, dtype=complex)
+        # an axis per wire, highest first; a wire off the register reads 0
+        index = tuple(_ALL if wire_map[w] is not None else 0 for w in range(n - 1, -1, -1))
+        full.reshape((2,) * n)[index] = state.reshape((2,) * k)
+        state = full
+    return check_unit_state(state, n)[0]
 
 
 def run_circuit(circuit, psi0=None) -> np.ndarray:
     """Run every gate of a measurement-free circuit over ``psi0``.
 
     ``psi0`` defaults to |00...0>.  The compiled plans run in one working
-    copy.  The result passes ``check_unit_state`` again, so a norm drift
-    beyond ``STATE_ATOL``, which would mean a kernel bug, raises.
+    copy, on the register that :func:`compile_circuit` chose.  The result
+    passes ``check_unit_state`` again, so a norm drift beyond
+    ``STATE_ATOL``, which would mean a kernel bug, raises.
     """
-    steps = compile_circuit(circuit, psi0)[0]
+    steps, _, wire_map = compile_circuit(circuit, psi0)
     for k, op in enumerate(circuit.ops):
         if op.gate == MEASURE:
             raise ContractError(f"op {k} ({op}) is a measurement; use the measurement module")
-    state = initial_state(circuit.n, psi0)
-    for plan, _ in steps:
-        _run_plan(plan, state)
-    return check_unit_state(state, circuit.n)[0]
+    return _run_gates(circuit.n, steps, wire_map, psi0)

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import ContractError
 from .circuit import Circuit
-from .engine import _run_plan, compile_circuit
+from .engine import _run_gates, _run_plan, compile_circuit
 from .gates import MEASURE
 from .linalg import (
     check_int,
@@ -204,6 +204,9 @@ def run_with_branches(circuit: Circuit, psi0=None) -> BranchTree:
     simulation result.
     """
     steps, measured, wire_map = compile_circuit(circuit, psi0)
+    if not measured:  # the plain run, on the register the compile chose
+        leaf = BranchLeaf((), 1.0, _run_gates(circuit.n, steps, wire_map, psi0))
+        return BranchTree(circuit.n, (), {w: w for w in range(circuit.n)}, (leaf,))
     outcomes, probs, states, _ = _walk(steps, initial_state(circuit.n, psi0)[None])
     leaves = tuple(
         BranchLeaf(tuple(record), prob, state)
@@ -235,7 +238,9 @@ def sample_shots(circuit: Circuit, shots: int, seed, psi0=None) -> dict[str, int
     head = object.__new__(Circuit)
     head.__dict__.update(n=circuit.n, ops=circuit.ops[: ends[-1]])
     steps, measured, _ = compile_circuit(head, psi0)
-    base = initial_state(circuit.n, psi0)
+    # a list, so that the last chunk can take the start state out of it and
+    # the walk frees it at its first split; each earlier chunk walks a copy
+    base = [initial_state(circuit.n, psi0)[None]]
     rng = make_rng(seed)
 
     histogram: dict[str, int] = {}
@@ -243,7 +248,8 @@ def sample_shots(circuit: Circuit, shots: int, seed, psi0=None) -> dict[str, int
         chunk = min(_SHOT_CHUNK, shots - first)
         # rows of one table read the generator exactly as shot-by-shot draws would
         draws = rng.random((chunk, len(measured)))
-        outcomes, _, _, rows = _walk(steps, base[None].copy(), draws)
+        last = first + chunk == shots
+        outcomes, _, _, rows = _walk(steps, base.pop() if last else base[0].copy(), draws)
         counts = np.bincount(rows, minlength=len(outcomes))
         for record, count in zip(outcomes.tolist(), counts.tolist()):
             key = "".join(map(str, record))

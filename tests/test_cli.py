@@ -230,10 +230,19 @@ class TestStats:
         assert (code, out, err) == (0, rows + tail, "")
 
     def test_sliced_circuit_output_is_pinned(self, capsys):
-        # a 17-qubit state, so the kernel runs its multi-pass plans slice by slice
+        # 17 qubits, of which 14 leave |0>: a register of 14 wires, run in one piece
         path = Path(__file__).resolve().parents[1] / "circuits" / "slice17.qc"
         code, out, err = run_cli(capsys, "stats", str(path), "--format", "records")
         assert (code, out, err) == (0, SLICE17_RECORDS, "")
+
+    def test_wide_circuit_output_digest_is_pinned(self, capsys):
+        # the digest the CI console-script step pins: every one of 17 wires
+        # leaves |0>, so the kernel runs its multi-pass plans slice by slice
+        path = Path(__file__).resolve().parents[1] / "circuits" / "wide17.qc"
+        code, out, err = run_cli(capsys, "stats", str(path), "--format", "records")
+        assert (code, err, out.count("\n")) == (0, "", 17)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "f7b69d8fdf6efc8f0054ab8f35b2d38ec94dd42f1b5676f559f11f4282d51c4e"
 
     def test_one_partial_trace_per_run(self, capsys, circuit_file, monkeypatch):
         # every wire's row comes from one sweep; only the pair takes a trace

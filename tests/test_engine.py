@@ -585,10 +585,11 @@ class TestZeroWires:
 
     def test_a_plan_at_the_qubit_cap_stays_under_numpys_rank_limit(self):
         n = linalg.MAX_QUBITS
-        # every odd wire leaves the set, so each even wire is an anticontrol
+        # every odd wire leaves the set, so each even wire is an anticontrol;
+        # the MEASURE keeps every wire on the register the walker runs
         text = "".join(f"H {w}\n" for w in range(1, n, 2))
-        circ = parse_circuit(f"qubits {n}\n{text}SWAP {n - 1} {n - 3} c=1\n")
-        plan = engine.compile_circuit(circ)[0][-1][0]
+        circ = parse_circuit(f"qubits {n}\n{text}SWAP {n - 1} {n - 3} c=1\nMEASURE 0\n")
+        plan = engine.compile_circuit(circ)[0][-2][0]
         named = 3 + n // 2  # the SWAP's targets, its control and 13 anticontrols
         # named wires and the single wires between them: an axis per wire
         assert len(plan.shape) == n <= 2 * named + 1
@@ -600,6 +601,94 @@ class TestZeroWires:
         assert stack.ndim < 64
         for _, key in plan.keys:
             assert stack[key].shape[0] == 3
+
+    def test_without_a_measure_the_plan_at_the_cap_sits_on_the_moved_wires(self):
+        n = linalg.MAX_QUBITS
+        text = "".join(f"H {w}\n" for w in range(1, n, 2))
+        circ = parse_circuit(f"qubits {n}\n{text}SWAP {n - 1} {n - 3} c=1\n")
+        steps, _, wire_map = engine.compile_circuit(circ)
+        # the 13 odd wires, as slots 0..12: the SWAP on slots 12 and 11,
+        # its control on slot 0, and no wire left to anticontrol
+        assert [w for w, slot in wire_map.items() if slot is not None] == list(range(1, n, 2))
+        want = engine._place(n // 2, engine._TEMPLATES["SWAP"], (12, 11), ((0, True),))
+        assert steps[-1] == (want, None)
+        assert int(np.prod(want.shape)) == 1 << 13
+
+
+class TestRegister:
+    """A circuit with no MEASURE, started at |00...0>, runs on the register
+    of the wires that its placed gates target; ``run_circuit`` scatters the
+    result once into a state of every wire."""
+
+    SPREAD = (
+        "qubits 20\n"
+        "H 7\n"  # anticontrols on 2, 13 and 19, still 0; none on the rest
+        "X 2 c=7 a=5\n"  # wire 5 never moves, so its anticontrol always passes
+        "Z 11\n"  # diagonal on a wire still 0: no plan
+        "SWAP 7 13 a=2\n"
+        "H 19 a=13\n"
+        "ISWAP 13 2 c=19\n"
+        "T 19 c=4\n"  # wants 1 on wire 4, which never moves: no plan
+    )
+    ZERO = "qubits 20\nZ 3\nX 1 c=2\nSWAP 4 5\n"
+
+    @staticmethod
+    def sizes(monkeypatch):
+        sizes = []
+        real = engine._run_plan
+        monkeypatch.setattr(
+            engine, "_run_plan", lambda plan, state: sizes.append(state.size) or real(plan, state)
+        )
+        return sizes
+
+    def test_plans_sit_on_the_moved_wires_in_wire_order(self):
+        t = engine._TEMPLATES
+        want = [
+            (engine._place(4, t["H"], (1,), ((0, False), (2, False), (3, False))), None),
+            (engine._place(4, t["X"], (0,), ((1, True), (2, False), (3, False))), None),
+            (engine._place(4, t["SWAP"], (1, 2), ((0, False), (3, False))), None),
+            (engine._place(4, t["H"], (3,), ((2, False),)), None),
+            (engine._place(4, t["ISWAP"], (2, 0), ((3, True),)), None),
+        ]
+        steps, measured, wire_map = engine.compile_circuit(parse_circuit(self.SPREAD))
+        assert (steps, measured) == (want, ())
+        slots = {2: 0, 7: 1, 13: 2, 19: 3}
+        assert wire_map == {w: slots.get(w) for w in range(20)}
+
+    def test_every_plan_run_sees_two_to_the_k_amplitudes(self, monkeypatch):
+        circ = parse_circuit(self.SPREAD)
+        sizes = self.sizes(monkeypatch)
+        psi = engine.run_circuit(circ)
+        assert sizes == [1 << 4] * 5
+        # given a start, every plan is placed on all 20 wires and runs on them
+        sizes.clear()
+        assert np.array_equal(psi, engine.run_circuit(circ, linalg.zero_state(20)))
+        assert sizes == [1 << 20] * 7
+        steps, _, wire_map = engine.compile_circuit(circ, linalg.zero_state(20))
+        assert {int(np.prod(plan.shape)) for plan, _ in steps} == {1 << 20}
+        assert wire_map == {w: w for w in range(20)}
+
+    def test_a_circuit_that_moves_no_wire_runs_no_plan(self, monkeypatch):
+        circ = parse_circuit(self.ZERO)
+        assert engine.compile_circuit(circ) == ([], (), dict.fromkeys(range(20)))
+        sizes = self.sizes(monkeypatch)
+        psi = engine.run_circuit(circ)
+        assert sizes == []
+        assert psi.tobytes() == linalg.zero_state(20).tobytes()
+        # a psi0 run places each of its three gates on all 20 wires
+        steps = engine.compile_circuit(circ, linalg.zero_state(20))[0]
+        assert [int(np.prod(plan.shape)) for plan, _ in steps] == [1 << 20] * 3
+
+    @pytest.mark.parametrize("text", [SPREAD, ZERO, "qubits 3\nH 0\nCX 0 1\nH 2\n"])
+    def test_branches_of_a_measure_free_circuit_are_the_plain_run(self, text):
+        circ = parse_circuit(text)
+        tree = measurement.run_with_branches(circ)
+        (leaf,) = tree.leaves
+        assert (leaf.outcomes, leaf.probability) == ((), 1.0)
+        assert leaf.state.tobytes() == engine.run_circuit(circ).tobytes()
+        # every wire keeps its own index in the leaf state
+        assert tree.measured_wires == ()
+        assert tree.wire_map == {w: w for w in range(circ.n)}
 
 
 MEASURED_12Q = """qubits 12
@@ -682,14 +771,26 @@ class TestSlicing:
                 assert np.array_equal(np.stack(rows), want), (name, wires)
                 assert np.array_equal(self.run(monkeypatch, 1, plan, stack), want), (name, wires)
 
-    def test_the_callers_buffer_size_is_restored(self):
+    def test_the_callers_buffer_size_is_restored(self, monkeypatch):
         root = Path(__file__).resolve().parents[1] / "circuits"
-        plain = load_circuit(root / "slice17.qc")
+        plain = load_circuit(root / "wide17.qc")
         measured = load_circuit(root / "measure17.qc")
+        seen = []  # the buffer size and the slice shape each step run sees
+        real = engine._run_steps
+        monkeypatch.setattr(
+            engine,
+            "_run_steps",
+            lambda view, *args: seen.append((np.getbufsize(), view.shape)) or real(view, *args),
+        )
         old = np.setbufsize(4096)
         try:
             engine.run_circuit(plain)
             assert np.getbufsize() == 4096
+            # every wire leaves |0>, so every plan runs on 2**17 amplitudes the
+            # big-state way, and H 5, on a view of shape (2048, 2, 32), runs
+            # slice by slice, _SLICE amplitudes at a time
+            assert {bufsize for bufsize, _ in seen} == {engine._BUFSIZE}
+            assert (engine._SLICE // 64, 2, 32) in [shape for _, shape in seen]
             measurement.run_with_branches(measured)
             assert np.getbufsize() == 4096
             measurement.sample_shots(measured, 50, 7)

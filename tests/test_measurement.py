@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -456,6 +458,22 @@ class TestSampleShots:
         for shots, seed in ((40, 3), (997, 4)):
             got = measurement.sample_shots(circ, shots, seed)
             assert got == oracle.sample_shots_deferred(circ, shots, seed)
+
+    @pytest.mark.parametrize("shots", [1, 1000])
+    def test_one_chunk_walks_the_start_state_itself(self, shots):
+        # the walk takes the start state over and frees it at the first
+        # split, so a 16-qubit walk peaks near two states, not three
+        n = 16
+        text = "".join(f"H {w}\n" for w in range(n))
+        circ = parse_circuit(f"qubits {n}\n{text}MEASURE 3\nH 0\nMEASURE 5\n")
+        measurement.sample_shots(circ, 1, 1)  # a first call may import numpy.random
+        tracemalloc.start()
+        try:
+            measurement.sample_shots(circ, shots, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * linalg.zero_state(n).nbytes
 
     def test_oracle_does_not_share_the_split(self, monkeypatch):
         # a split that conjugates its residuals keeps every probability of
