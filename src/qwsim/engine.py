@@ -14,11 +14,12 @@ their target bits, the blocks to copy, each written row's terms) comes
 from the matrix alone; every catalog gate's is derived once, at import.
 Its placement (the view shape and each block's index) comes from the
 wires alone, in one pass over them from the top.  :func:`compile_circuit`
-places each gate once per call, on the wires still live when it runs;
-:func:`run_circuit` and the measurement walker run the plans and check
-nothing per gate.  A plan accepts leading batch axes: on a ``(B, 2**n)``
-stack it makes each numpy call once for all rows, with the same
-arithmetic per amplitude as on one state.
+places each gate of a checked circuit's ops once per call, on the wires
+still live when it runs; :func:`run_circuit` and the measurement walker
+run the plans from a state of :func:`_start`, the one place a run's
+start is built, and check nothing per gate.  A plan accepts leading batch
+axes: on a ``(B, 2**n)`` stack it makes each numpy call once for all
+rows, with the same arithmetic per amplitude as on one state.
 
 Started at |00...0>, a circuit's early gates meet wires that no gate has
 yet moved off 0, and like a control, such a wire confines the state to
@@ -78,7 +79,6 @@ from .linalg import (
     check_state,
     check_unit_state,
     check_wires,
-    initial_state,
 )
 
 
@@ -353,8 +353,20 @@ def apply_multi_qubit_gate(n: int, u, targets, a, controls=None) -> np.ndarray:
     return _run_plan(_place(n, _template(u), targets, spec.entries), out.copy())
 
 
-def compile_circuit(circuit, psi0=None) -> tuple[list, tuple[int, ...], dict[int, int | None]]:
-    """Lower the ops of ``circuit`` to kernel plans over the live wires.
+def _start(width: int, psi0=None) -> np.ndarray:
+    """A fresh ``(1, 2**width)`` stack: a checked copy of ``psi0``, or
+    |00...0> on ``width`` wires, ``width = 0`` included.  Every run starts
+    from one."""
+    if psi0 is not None:
+        return check_unit_state(psi0, width)[0][None].copy()
+    stack = np.zeros((1, 1 << width), dtype=complex)
+    stack[0, 0] = 1.0
+    return stack
+
+
+def compile_circuit(n: int, ops, psi0=None) -> tuple[list, tuple[int, ...], dict[int, int | None]]:
+    """Lower ``ops``, the ops of an ``n``-qubit ``Circuit`` or a slice of
+    them, to kernel plans over the live wires.
 
     Returns ``(steps, measured, wire_map)``.  A measured wire leaves the
     state and the live wires keep their order, so each step is fixed in
@@ -362,8 +374,8 @@ def compile_circuit(circuit, psi0=None) -> tuple[list, tuple[int, ...], dict[int
     ``(None, slot)`` measures live wire ``slot``.  ``measured`` lists the
     measured wires in op order; ``wire_map`` sends each wire to its slot in
     the state the steps end on, or None when that state does not hold it.
-    ``Circuit`` refuses any reuse of a measured wire, so a compile only
-    places templates and cannot fail.
+    ``Circuit`` checks its ops and refuses any reuse of a measured wire, so
+    a compile checks nothing, only places templates, and cannot fail.
 
     When ``psi0`` is None the start is |00...0>, and the compile tracks the
     live wires that no gate has yet moved off 0; given a ``psi0``, it takes
@@ -385,15 +397,11 @@ def compile_circuit(circuit, psi0=None) -> tuple[list, tuple[int, ...], dict[int
     since the measurement walker splits on the full live register (its
     sums over a smaller one could round differently).
     """
-    from .circuit import Circuit  # circuit imports this module
-
-    if not isinstance(circuit, Circuit):
-        raise ContractError(f"expected a Circuit, got {type(circuit).__name__}")
-    zero = set(range(circuit.n)) if psi0 is None else set()  # wires still 0 in every amplitude
+    zero = set(range(n)) if psi0 is None else set()  # wires still 0 in every amplitude
     kept = []  # each placed gate with its (wire, is_control) entries; each MEASURE with None
     moved: set[int] = set()  # the targets of the placed gates
     measured: list[int] = []
-    for op in circuit.ops:
+    for op in ops:
         if op.gate == MEASURE:
             measured.append(op.targets[0])
             zero.discard(measured[-1])
@@ -409,7 +417,7 @@ def compile_circuit(circuit, psi0=None) -> tuple[list, tuple[int, ...], dict[int
             zero.difference_update(op.targets)
         moved.update(op.targets)
         kept.append((op, entries))
-    live = sorted(moved) if psi0 is None and not measured else list(range(circuit.n))
+    live = sorted(moved) if psi0 is None and not measured else list(range(n))
     slot_of = {w: s for s, w in enumerate(live)}
     steps: list[tuple[tuple | None, int | None]] = []
     for op, entries in kept:
@@ -421,24 +429,31 @@ def compile_circuit(circuit, psi0=None) -> tuple[list, tuple[int, ...], dict[int
             continue
         entries = [(slot_of[w], f) for w, f in entries if w in slot_of]
         steps.append((_place(len(live), _TEMPLATES[op.gate], slots, entries), None))
-    wire_map = {w: slot_of.get(w) for w in range(circuit.n)}
+    wire_map = {w: slot_of.get(w) for w in range(n)}
     return steps, tuple(measured), wire_map
 
 
-def _run_gates(n: int, steps, wire_map, psi0=None) -> np.ndarray:
-    """Run the plans of a measurement-free compile and return the state on
-    all ``n`` wires, checked by ``check_unit_state``.
+def run_circuit(circuit, psi0=None) -> np.ndarray:
+    """Run every gate of a measurement-free circuit over ``psi0``.
 
-    The plans run in one working copy of ``psi0`` or, on a register of K < n
-    wires, of |00...0> on those K wires, which is then scattered once, by
-    one strided assignment, into a zeroed state of ``n`` wires.
+    ``psi0`` defaults to |00...0>.  A MEASURE is refused before anything
+    is compiled.  The compiled plans run in one working copy of ``psi0``
+    or, on a register of K < n wires, of |00...0> on those K wires, which
+    is then scattered once, by one strided assignment, into a zeroed state
+    of all ``n`` wires.  The result passes ``check_unit_state`` again, so a
+    norm drift beyond ``STATE_ATOL``, which would mean a kernel bug, raises.
     """
+    from .circuit import Circuit  # circuit imports this module
+
+    if not isinstance(circuit, Circuit):
+        raise ContractError(f"expected a Circuit, got {type(circuit).__name__}")
+    for k, op in enumerate(circuit.ops):
+        if op.gate == MEASURE:
+            raise ContractError(f"op {k} ({op}) is a measurement; use the measurement module")
+    n = circuit.n
+    steps, _, wire_map = compile_circuit(n, circuit.ops, psi0)
     k = sum(slot is not None for slot in wire_map.values())  # the register's size
-    if k == n:
-        state = initial_state(n, psi0)
-    else:
-        state = np.zeros(1 << k, dtype=complex)
-        state[0] = 1.0
+    state = _start(k, psi0)[0]  # a psi0 takes no wire as known, so then k == n
     for plan, _ in steps:
         _run_plan(plan, state)
     if k < n:
@@ -448,18 +463,3 @@ def _run_gates(n: int, steps, wire_map, psi0=None) -> np.ndarray:
         full.reshape((2,) * n)[index] = state.reshape((2,) * k)
         state = full
     return check_unit_state(state, n)[0]
-
-
-def run_circuit(circuit, psi0=None) -> np.ndarray:
-    """Run every gate of a measurement-free circuit over ``psi0``.
-
-    ``psi0`` defaults to |00...0>.  The compiled plans run in one working
-    copy, on the register that :func:`compile_circuit` chose.  The result
-    passes ``check_unit_state`` again, so a norm drift beyond
-    ``STATE_ATOL``, which would mean a kernel bug, raises.
-    """
-    steps, _, wire_map = compile_circuit(circuit, psi0)
-    for k, op in enumerate(circuit.ops):
-        if op.gate == MEASURE:
-            raise ContractError(f"op {k} ({op}) is a measurement; use the measurement module")
-    return _run_gates(circuit.n, steps, wire_map, psi0)

@@ -46,14 +46,13 @@ import numpy as np
 
 from .errors import ContractError
 from .circuit import Circuit
-from .engine import _run_gates, _run_plan, compile_circuit
+from .engine import _run_plan, _start, compile_circuit, run_circuit
 from .gates import MEASURE
 from .linalg import (
     check_int,
     check_unit_norms,
     check_unit_state,
     check_wires,
-    initial_state,
     make_rng,
 )
 
@@ -172,9 +171,10 @@ def _walk(steps, stack, draws=None) -> tuple:
     which the walk takes over (pass it as a temporary, so that it is freed
     at the first split).  Each gate plan runs once on the whole stack, in
     place.  Each MEASURE splits every row at once (:func:`_split`) into the
-    next stack, whose rows stay in sorted outcome order.  Returns ``(outcomes, probs, stack, rows)``: leaf ``k`` has the
-    outcome record ``outcomes[k]``, probability ``probs[k]`` and state
-    ``stack[k]``.
+    next stack, whose rows stay in sorted outcome order.
+
+    Returns ``(outcomes, probs, stack, rows)``: leaf ``k`` has the outcome
+    record ``outcomes[k]``, probability ``probs[k]`` and state ``stack[k]``.
 
     With ``draws`` None every non-pruned branch is followed and ``rows`` is
     None.  Otherwise shot ``s`` takes outcome 1 at the ``d``-th MEASURE
@@ -200,14 +200,16 @@ def run_with_branches(circuit: Circuit, psi0=None) -> BranchTree:
     """Follow every measurement outcome of ``circuit`` exhaustively.
 
     Leaves come in sorted outcome order.  A circuit without measurements
-    yields a single leaf of probability 1 whose state equals the plain
-    simulation result.
+    goes to :func:`~qwsim.engine.run_circuit` and yields a single leaf of
+    probability 1 holding its result.
     """
-    steps, measured, wire_map = compile_circuit(circuit, psi0)
-    if not measured:  # the plain run, on the register the compile chose
-        leaf = BranchLeaf((), 1.0, _run_gates(circuit.n, steps, wire_map, psi0))
+    if not isinstance(circuit, Circuit):
+        raise ContractError(f"expected a Circuit, got {type(circuit).__name__}")
+    if all(op.gate != MEASURE for op in circuit.ops):
+        leaf = BranchLeaf((), 1.0, run_circuit(circuit, psi0))
         return BranchTree(circuit.n, (), {w: w for w in range(circuit.n)}, (leaf,))
-    outcomes, probs, states, _ = _walk(steps, initial_state(circuit.n, psi0)[None])
+    steps, measured, wire_map = compile_circuit(circuit.n, circuit.ops, psi0)
+    outcomes, probs, states, _ = _walk(steps, _start(circuit.n, psi0))
     leaves = tuple(
         BranchLeaf(tuple(record), prob, state)
         for record, prob, state in zip(outcomes.tolist(), probs.tolist(), states)
@@ -234,13 +236,7 @@ def sample_shots(circuit: Circuit, shots: int, seed, psi0=None) -> dict[str, int
     if not ends:
         raise ContractError("circuit has no MEASURE ops to sample")
     # Gates after the last MEASURE cannot change a record, so none is placed.
-    # A prefix of a checked circuit is checked, so it is built without a check.
-    head = object.__new__(Circuit)
-    head.__dict__.update(n=circuit.n, ops=circuit.ops[: ends[-1]])
-    steps, measured, _ = compile_circuit(head, psi0)
-    # a list, so that the last chunk can take the start state out of it and
-    # the walk frees it at its first split; each earlier chunk walks a copy
-    base = [initial_state(circuit.n, psi0)[None]]
+    steps, measured, _ = compile_circuit(circuit.n, circuit.ops[: ends[-1]], psi0)
     rng = make_rng(seed)
 
     histogram: dict[str, int] = {}
@@ -248,8 +244,9 @@ def sample_shots(circuit: Circuit, shots: int, seed, psi0=None) -> dict[str, int
         chunk = min(_SHOT_CHUNK, shots - first)
         # rows of one table read the generator exactly as shot-by-shot draws would
         draws = rng.random((chunk, len(measured)))
-        last = first + chunk == shots
-        outcomes, _, _, rows = _walk(steps, base.pop() if last else base[0].copy(), draws)
+        # a fresh start, freed at the walk's first split; the leaf stack is
+        # not kept, so nothing of one chunk's states lives into the next
+        outcomes, rows = _walk(steps, _start(circuit.n, psi0), draws)[::3]
         counts = np.bincount(rows, minlength=len(outcomes))
         for record, count in zip(outcomes.tolist(), counts.tolist()):
             key = "".join(map(str, record))

@@ -347,6 +347,11 @@ class TestSample:
         code, out, err = run_cli(capsys, "sample", path, "--shots", "1000", "--seed", "7")
         want = "000: 131\n001: 137\n010: 109\n011: 126\n100: 118\n101: 120\n110: 137\n111: 122\n"
         assert (code, out, err) == (0, want, "")
+        # three chunks of shots (16384 + 16384 + 7232), each from its own start
+        code, out, err = run_cli(capsys, "sample", path, "--shots", "40000", "--seed", "7")
+        assert (code, err, out.count("\n")) == (0, "", 8)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "68265740d0624e38e96561f7892562ae252ee58ff24f0f92fe3f0d7af566d69d"
         code, out, err = run_cli(capsys, "simulate", path)
         assert (code, err, out.count("\n")) == (0, "", 278)
         digest = hashlib.sha256(out.encode()).hexdigest()

@@ -488,7 +488,7 @@ class TestCompileCircuit:
     def test_steps_slots_and_wire_map(self):
         circ = parse_circuit("qubits 3\nH 2\nMEASURE 1\nX 2 c=0\nMEASURE 0\n")
         # a given start, so that no wire is known to be 0 and every gate is placed
-        steps, measured, wire_map = engine.compile_circuit(circ, linalg.zero_state(3))
+        steps, measured, wire_map = engine.compile_circuit(circ.n, circ.ops, linalg.zero_state(3))
         assert [(plan is None, slot) for plan, slot in steps] == [
             (False, None), (True, 1), (False, None), (True, 0)
         ]
@@ -500,7 +500,7 @@ class TestCompileCircuit:
     def test_plan_runs_like_the_checked_entry_point(self):
         # X on live slot 1 controlled by slot 0, once wire 1 is measured away
         circ = parse_circuit("qubits 3\nMEASURE 1\nX 2 c=0\n")
-        (_, _), (plan, _) = engine.compile_circuit(circ, linalg.zero_state(3))[0]
+        (_, _), (plan, _) = engine.compile_circuit(circ.n, circ.ops, linalg.zero_state(3))[0]
         psi = linalg.random_state(2, np.random.default_rng(59))
         want = engine.apply_multi_qubit_gate(2, gates.gate_matrix("X"), (1,), psi, [(0, True)])
         assert np.array_equal(engine._run_plan(plan, psi.copy()), want)
@@ -545,6 +545,20 @@ class TestCompileCircuit:
         measurement.run_with_branches(circ)
         assert len(built) == 7
 
+    def test_the_runners_compile_once_and_only_what_they_run(self, monkeypatch):
+        built = []
+        real = engine._place
+        monkeypatch.setattr(
+            engine, "_place", lambda *args: built.append(args) or real(*args)
+        )
+        measured = parse_circuit("qubits 2\nH 0\nCX 0 1\nMEASURE 0\n")
+        with pytest.raises(ContractError, match="is a measurement"):
+            engine.run_circuit(measured)
+        assert built == []  # refused before any plan is placed
+        # a measurement-free circuit goes to run_circuit, compiled there alone
+        measurement.run_with_branches(parse_circuit("qubits 3\nH 0\nCX 0 1\nH 2\n"))
+        assert len(built) == 3
+
 
 class TestZeroWires:
     """Started at |00...0>, a compile places no plan for a gate that cannot
@@ -577,11 +591,11 @@ class TestZeroWires:
             (None, 2),
             (engine._place(3, t["H"], (2,), ((1, True),)), None),
         ]
-        steps, measured, wire_map = engine.compile_circuit(circ)
+        steps, measured, wire_map = engine.compile_circuit(circ.n, circ.ops)
         assert steps == want
         assert (measured, wire_map) == ((2,), {0: 0, 1: 1, 2: None, 3: 2})
         # given a start, no wire is known to be 0: every gate is placed as written
-        assert len(engine.compile_circuit(circ, linalg.zero_state(4))[0]) == len(circ.ops)
+        assert len(engine.compile_circuit(circ.n, circ.ops, linalg.zero_state(4))[0]) == len(circ.ops)
 
     def test_a_plan_at_the_qubit_cap_stays_under_numpys_rank_limit(self):
         n = linalg.MAX_QUBITS
@@ -589,7 +603,7 @@ class TestZeroWires:
         # the MEASURE keeps every wire on the register the walker runs
         text = "".join(f"H {w}\n" for w in range(1, n, 2))
         circ = parse_circuit(f"qubits {n}\n{text}SWAP {n - 1} {n - 3} c=1\nMEASURE 0\n")
-        plan = engine.compile_circuit(circ)[0][-2][0]
+        plan = engine.compile_circuit(circ.n, circ.ops)[0][-2][0]
         named = 3 + n // 2  # the SWAP's targets, its control and 13 anticontrols
         # named wires and the single wires between them: an axis per wire
         assert len(plan.shape) == n <= 2 * named + 1
@@ -606,7 +620,7 @@ class TestZeroWires:
         n = linalg.MAX_QUBITS
         text = "".join(f"H {w}\n" for w in range(1, n, 2))
         circ = parse_circuit(f"qubits {n}\n{text}SWAP {n - 1} {n - 3} c=1\n")
-        steps, _, wire_map = engine.compile_circuit(circ)
+        steps, _, wire_map = engine.compile_circuit(circ.n, circ.ops)
         # the 13 odd wires, as slots 0..12: the SWAP on slots 12 and 11,
         # its control on slot 0, and no wire left to anticontrol
         assert [w for w, slot in wire_map.items() if slot is not None] == list(range(1, n, 2))
@@ -650,7 +664,7 @@ class TestRegister:
             (engine._place(4, t["H"], (3,), ((2, False),)), None),
             (engine._place(4, t["ISWAP"], (2, 0), ((3, True),)), None),
         ]
-        steps, measured, wire_map = engine.compile_circuit(parse_circuit(self.SPREAD))
+        steps, measured, wire_map = engine.compile_circuit(20, parse_circuit(self.SPREAD).ops)
         assert (steps, measured) == (want, ())
         slots = {2: 0, 7: 1, 13: 2, 19: 3}
         assert wire_map == {w: slots.get(w) for w in range(20)}
@@ -664,19 +678,19 @@ class TestRegister:
         sizes.clear()
         assert np.array_equal(psi, engine.run_circuit(circ, linalg.zero_state(20)))
         assert sizes == [1 << 20] * 7
-        steps, _, wire_map = engine.compile_circuit(circ, linalg.zero_state(20))
+        steps, _, wire_map = engine.compile_circuit(circ.n, circ.ops, linalg.zero_state(20))
         assert {int(np.prod(plan.shape)) for plan, _ in steps} == {1 << 20}
         assert wire_map == {w: w for w in range(20)}
 
     def test_a_circuit_that_moves_no_wire_runs_no_plan(self, monkeypatch):
         circ = parse_circuit(self.ZERO)
-        assert engine.compile_circuit(circ) == ([], (), dict.fromkeys(range(20)))
+        assert engine.compile_circuit(circ.n, circ.ops) == ([], (), dict.fromkeys(range(20)))
         sizes = self.sizes(monkeypatch)
         psi = engine.run_circuit(circ)
         assert sizes == []
         assert psi.tobytes() == linalg.zero_state(20).tobytes()
         # a psi0 run places each of its three gates on all 20 wires
-        steps = engine.compile_circuit(circ, linalg.zero_state(20))[0]
+        steps = engine.compile_circuit(circ.n, circ.ops, linalg.zero_state(20))[0]
         assert [int(np.prod(plan.shape)) for plan, _ in steps] == [1 << 20] * 3
 
     @pytest.mark.parametrize("text", [SPREAD, ZERO, "qubits 3\nH 0\nCX 0 1\nH 2\n"])
@@ -854,7 +868,7 @@ class TestTemplates:
                 for controls in ((), ((wires[arity], True), (wires[arity + 1], False))):
                     circ = Circuit(n, (GateOp(name, targets, ControlSpec(controls)),))
                     psi = linalg.random_state(n, rng)
-                    (plan, _), = engine.compile_circuit(circ, psi)[0]
+                    (plan, _), = engine.compile_circuit(circ.n, circ.ops, psi)[0]
                     assert plan == engine._place(n, derived, targets, controls)
                     np.testing.assert_allclose(
                         engine.run_circuit(circ, psi),
@@ -871,7 +885,7 @@ class TestTemplates:
         )
         rng = np.random.default_rng(61)
         circ = random_circuit(6, 40, rng)
-        engine.compile_circuit(circ)
+        engine.compile_circuit(circ.n, circ.ops)
         engine.run_circuit(circ)
         measured = parse_circuit("qubits 2\nH 0\nX 1 c=0\nMEASURE 1\nH 0\nMEASURE 0\n")
         measurement.sample_shots(measured, 20, 1)

@@ -51,6 +51,18 @@ _REUSE = {
 }
 
 
+def traced_peak(call) -> int:
+    """tracemalloc's peak in bytes while ``call()`` runs, after a first,
+    untraced call (which may import numpy.random)."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def assert_same_up_to_phase(a, b, atol=1e-12):
     """States may differ by a global phase; compare via the overlap."""
     a = np.asarray(a, dtype=complex)
@@ -459,20 +471,19 @@ class TestSampleShots:
             got = measurement.sample_shots(circ, shots, seed)
             assert got == oracle.sample_shots_deferred(circ, shots, seed)
 
-    @pytest.mark.parametrize("shots", [1, 1000])
-    def test_one_chunk_walks_the_start_state_itself(self, shots):
-        # the walk takes the start state over and frees it at the first
-        # split, so a 16-qubit walk peaks near two states, not three
+    @pytest.mark.parametrize(
+        "shots, chunk", [(1, 1 << 14), (1000, 1 << 14), (65, 64), (200, 64)],
+        ids=["1", "1000", "65", "200"],
+    )
+    def test_one_chunk_walks_the_start_state_itself(self, monkeypatch, shots, chunk):
+        # each chunk's walk takes a fresh start state over and frees it at
+        # the first split, and no state of one chunk lives into the next, so
+        # a 16-qubit walk peaks near two states, not three, in any chunk
+        monkeypatch.setattr(measurement, "_SHOT_CHUNK", chunk)
         n = 16
         text = "".join(f"H {w}\n" for w in range(n))
         circ = parse_circuit(f"qubits {n}\n{text}MEASURE 3\nH 0\nMEASURE 5\n")
-        measurement.sample_shots(circ, 1, 1)  # a first call may import numpy.random
-        tracemalloc.start()
-        try:
-            measurement.sample_shots(circ, shots, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: measurement.sample_shots(circ, shots, 1))
         assert peak < 2.5 * linalg.zero_state(n).nbytes
 
     def test_oracle_does_not_share_the_split(self, monkeypatch):
@@ -511,6 +522,30 @@ class TestSampleShots:
             measurement.sample_shots(circ, 10, -1)
 
 
+class TestMemoryLedger:
+    """Each entry point's tracemalloc peak on 17 qubits, in states of
+    ``2**17`` amplitudes: the run's one start state, the split's stacks and
+    the kernel's temporaries, which stay within a slice on a state this big."""
+
+    N = 17
+    GATES = "".join(f"H {w}\n" for w in range(N)) + "CX 3 7\nT 5\nSWAP 1 12\nH 9 c=2\n"
+    PLAIN = parse_circuit(f"qubits {N}\n{GATES}")
+    MEASURED = parse_circuit(f"qubits {N}\n{GATES}MEASURE 3\nH 0\nMEASURE 5\nX 1\n")
+
+    @pytest.mark.parametrize(
+        "call, bound",
+        [
+            (lambda: engine.run_circuit(TestMemoryLedger.PLAIN), 1.75),
+            (lambda: measurement.run_with_branches(TestMemoryLedger.PLAIN), 1.75),
+            (lambda: measurement.run_with_branches(TestMemoryLedger.MEASURED), 2.25),
+            (lambda: measurement.sample_shots(TestMemoryLedger.MEASURED, 1000, 1), 2.25),
+        ],
+        ids=["run_circuit", "run_with_branches-plain", "run_with_branches", "sample_shots"],
+    )
+    def test_peak_in_states(self, call, bound):
+        assert traced_peak(call) < bound * linalg.zero_state(self.N).nbytes
+
+
 class TestZeroWires:
     """Started at |00...0>, a compile skips the work on wires that no gate
     has yet moved off 0, and every result stays equal to a run that takes
@@ -543,5 +578,5 @@ class TestZeroWires:
             want = measurement.sample_shots(circ, 300, seed, start)
             assert measurement.sample_shots(circ, 300, seed) == want, seed
             for c in (plain, circ):
-                skipped += len(engine.compile_circuit(c, start)[0]) - len(engine.compile_circuit(c)[0])
+                skipped += len(engine.compile_circuit(c.n, c.ops, start)[0]) - len(engine.compile_circuit(c.n, c.ops)[0])
         assert skipped > 300  # the rule is not vacuous on these circuits
