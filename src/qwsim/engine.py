@@ -34,9 +34,11 @@ of plans that take no wire as known; a skipped zero may keep a sign that
 a full run would flip.  A circuit with no MEASURE and no ``psi0`` runs
 on the register of the K wires that its placed gates target, in wire
 order: every other wire stays 0 to the end, so it takes no axis and no
-anticontrol, and :func:`run_circuit` scatters the ``2**K`` amplitudes
-once into a zeroed state of every wire.  A circuit with a MEASURE keeps
-every live wire, since a split's sums follow the state's layout.
+anticontrol, and :func:`run_circuit` tests the norm of the ``2**K``
+amplitudes, then scatters them once into a zeroed state of every wire.
+The scatter moves no value, so the test holds for the result.  A
+circuit with a MEASURE keeps every live wire, since a split's sums
+follow the state's layout.
 
 A state of at most ``2 * _SLICE`` amplitudes, over all rows, runs a
 plan's steps on the whole view and nothing else.  A bigger one takes
@@ -77,6 +79,7 @@ from .linalg import (
     check_int,
     check_matrix,
     check_state,
+    check_unit_norms,
     check_unit_state,
     check_wires,
 )
@@ -440,8 +443,10 @@ def run_circuit(circuit, psi0=None) -> np.ndarray:
     is compiled.  The compiled plans run in one working copy of ``psi0``
     or, on a register of K < n wires, of |00...0> on those K wires, which
     is then scattered once, by one strided assignment, into a zeroed state
-    of all ``n`` wires.  The result passes ``check_unit_state`` again, so a
-    norm drift beyond ``STATE_ATOL``, which would mean a kernel bug, raises.
+    of all ``n`` wires.  The run's state passes the norm test of
+    ``check_unit_state`` before that scatter, which moves no value, so the
+    test reads ``2**K`` amplitudes and a norm drift beyond ``STATE_ATOL``,
+    which would mean a kernel bug, raises.
     """
     from .circuit import Circuit  # circuit imports this module
 
@@ -456,10 +461,12 @@ def run_circuit(circuit, psi0=None) -> np.ndarray:
     state = _start(k, psi0)[0]  # a psi0 takes no wire as known, so then k == n
     for plan, _ in steps:
         _run_plan(plan, state)
-    if k < n:
-        full = np.zeros(1 << n, dtype=complex)
-        # an axis per wire, highest first; a wire off the register reads 0
-        index = tuple(_ALL if wire_map[w] is not None else 0 for w in range(n - 1, -1, -1))
-        full.reshape((2,) * n)[index] = state.reshape((2,) * k)
-        state = full
-    return check_unit_state(state, n)[0]
+    # the scatter below moves no value, so the register's norm is the result's
+    check_unit_norms(state, np.vdot(state, state).real)
+    if k == n:
+        return state
+    full = np.zeros(1 << n, dtype=complex)
+    # an axis per wire, highest first; a wire off the register reads 0
+    index = tuple(_ALL if wire_map[w] is not None else 0 for w in range(n - 1, -1, -1))
+    full.reshape((2,) * n)[index] = state.reshape((2,) * k)
+    return full

@@ -234,6 +234,11 @@ class TestStats:
         path = Path(__file__).resolve().parents[1] / "circuits" / "slice17.qc"
         code, out, err = run_cli(capsys, "stats", str(path), "--format", "records")
         assert (code, out, err) == (0, SLICE17_RECORDS, "")
+        # its amplitudes, scattered from the register into all 17 wires
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert (code, err, out.count("\n")) == (0, "", 104)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "df3c7facb860bf31c30884c729ca18559465ece65f862fc4613154dbed1c9a68"
 
     def test_wide_circuit_output_digest_is_pinned(self, capsys):
         # the digest the CI console-script step pins: every one of 17 wires

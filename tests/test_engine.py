@@ -704,6 +704,40 @@ class TestRegister:
         assert tree.measured_wires == ()
         assert tree.wire_map == {w: w for w in range(circ.n)}
 
+    @pytest.mark.parametrize(
+        "text, psi0, runner",
+        [
+            ("qubits 6\nH 2\n", None, engine.run_circuit),  # a register of 1 wire
+            ("qubits 3\nH 0\nH 1\nH 2\n", None, engine.run_circuit),  # K = n
+            ("qubits 6\nH 2\n", linalg.zero_state(6), engine.run_circuit),
+            ("qubits 6\nH 2\n", None, measurement.run_with_branches),
+        ],
+        ids=["register", "every-wire", "psi0", "branches"],
+    )
+    def test_a_result_off_the_unit_norm_raises(self, monkeypatch, text, psi0, runner):
+        # a kernel bug stand-in: an H that doubles every amplitude it writes
+        bad = engine._template(2 * gates.gate_def("H").matrix)
+        monkeypatch.setitem(engine._TEMPLATES, "H", bad)
+        with pytest.raises(ContractError, match="not normalized"):
+            runner(parse_circuit(text), psi0)
+
+    def test_the_norm_test_reads_the_register_alone(self, monkeypatch):
+        sizes = []
+
+        def spy(real):
+            return lambda states, norms: sizes.append(np.size(states)) or real(states, norms)
+
+        # engine's own name for the test, and the one check_unit_state calls
+        monkeypatch.setattr(engine, "check_unit_norms", spy(engine.check_unit_norms))
+        monkeypatch.setattr(linalg, "check_unit_norms", spy(linalg.check_unit_norms))
+        circ = parse_circuit(self.SPREAD)
+        engine.run_circuit(circ)
+        assert sizes == [1 << 4]
+        # a psi0 is checked at the start, and the run of all 20 wires at the end
+        sizes.clear()
+        engine.run_circuit(circ, linalg.zero_state(20))
+        assert sizes == [1 << 20, 1 << 20]
+
 
 MEASURED_12Q = """qubits 12
 H 11 ; H 3 ; H 6
