@@ -7,6 +7,16 @@ histogram).
 Numbers are printed with 12 significant digits; values smaller than 1e-12
 in magnitude print as plain 0, and basis entries whose amplitude or
 probability is below 1e-12 are omitted from listings.
+
+A measurement-free circuit's result is read off its register, the
+``2**K`` amplitudes of the K wires its gates move (``engine._run_register``),
+and is never scattered into ``2**n``: every other wire stays |0> to the
+end.  ``simulate`` prints each listed register entry at its ``n``-wire
+index.  ``stats`` runs ``all_qubit_stats`` on the register and prints the
+constant |0> row for every other wire; ``--pair`` traces the register and
+takes a wire off it as |0><0|; ``--magic`` is the magic of the register,
+since the order-2 stabilizer Renyi entropy adds up over a tensor product
+and is 0 on |0>, so its qubit cap bounds K, not n.
 """
 
 from __future__ import annotations
@@ -17,9 +27,11 @@ import sys
 
 import numpy as np
 
-from . import analysis, engine, measurement
+from . import analysis, measurement
 from .circuit import load_circuit
-from .errors import SimulationError
+from .engine import _run_register
+from .errors import ResourceError, SimulationError
+from .linalg import check_wires
 
 PRINT_EPS = 1e-12
 
@@ -46,7 +58,11 @@ def _bits(index: int, width: int) -> str:
     return format(index, f"0{width}b") if width else "(empty)"
 
 
-def _print_state(psi: np.ndarray, width: int, probs: bool, indent: str = "") -> None:
+def _print_state(psi: np.ndarray, width: int, probs: bool, indent: str = "", wires=None) -> None:
+    """List the entries of ``psi`` at or above ``PRINT_EPS`` as ``width``-bit
+    indices.  With ``wires`` given, ``psi`` is a register and bit ``s`` of
+    its index is wire ``wires[s]``; the wires ascend, so the listing stays in
+    index order."""
     if probs:
         values = size = np.abs(psi) ** 2
     else:
@@ -54,8 +70,14 @@ def _print_state(psi: np.ndarray, width: int, probs: bool, indent: str = "") -> 
         # can differ in the last bit and flip an entry at PRINT_EPS
         values, size = psi, np.hypot(psi.real, psi.imag)
     fmt = _fmt if probs else _fmt_amplitude
-    for i in np.flatnonzero(size >= PRINT_EPS).tolist():
-        print(f"{indent}{_bits(i, width)}: {fmt(values[i])}")
+    listed = np.flatnonzero(size >= PRINT_EPS)
+    at = listed
+    if wires is not None:
+        at = np.zeros_like(listed)
+        for s, w in enumerate(wires):
+            at |= ((listed >> s) & 1) << w
+    for i, k in zip(listed.tolist(), at.tolist()):
+        print(f"{indent}{_bits(k, width)}: {fmt(values[i])}")
 
 
 def _cmd_simulate(args) -> int:
@@ -74,9 +96,14 @@ def _cmd_simulate(args) -> int:
             print(f"branch {label}: p={_fmt(leaf.probability)}")
             _print_state(leaf.state, width, args.probs, indent="  ")
         return 0
-    psi = engine.run_circuit(circ)
-    _print_state(psi, circ.n, args.probs)
+    psi, wire_map = _run_register(circ)
+    _print_state(psi, circ.n, args.probs, wires=_register_wires(wire_map))
     return 0
+
+
+def _register_wires(wire_map: dict) -> list[int]:
+    """The register's wires by slot, which is wire order."""
+    return [w for w, slot in wire_map.items() if slot is not None]
 
 
 _STATS_COLUMNS = (
@@ -84,23 +111,54 @@ _STATS_COLUMNS = (
 )
 
 
+# The printed row of a wire that stays |0>: prob1 0, Bloch vector (0, 0, 1),
+# r 1, both angles 0, purity 1 and linear entropy 0.
+_ZERO_ROW = tuple(map(_fmt, (0, 0, 0, 1, 1, 0, 0, 1, 0)))
+# |0><0| of one wire, and |00><00| of a pair
+_ZERO_1 = np.diag([1.0, 0.0]).astype(complex)
+_ZERO_2 = np.kron(_ZERO_1, _ZERO_1)
+
+
+def _pair_matrix(psi: np.ndarray, k: int, slots: list) -> np.ndarray:
+    """The reduced matrix of two wires, from the register ``psi`` of ``k``
+    wires: ``slots`` holds each wire's slot, lower wire first, or None for a
+    wire off the register, which is |0>.  Bit 0 of its index is the lower
+    wire, as in ``partial_trace_state``."""
+    on = [s for s in slots if s is not None]
+    if not on:
+        return _ZERO_2
+    rho = analysis.partial_trace_state(k, psi, on, keep=True)
+    if len(on) == 2:
+        return rho
+    # the higher wire takes the high bit, so it is the first factor
+    return np.kron(_ZERO_1, rho) if slots[1] is None else np.kron(rho, _ZERO_1)
+
+
 def _cmd_stats(args) -> int:
     circ = load_circuit(args.circuit)
-    psi = engine.run_circuit(circ)
+    psi, wire_map = _run_register(circ)
+    wires = _register_wires(wire_map)
+    k = len(wires)
     # computed before any row is printed, so that a refusal prints nothing
     if args.pair is not None:
-        pair = sorted(args.pair)
-        p = analysis.pair_stats(analysis.partial_trace_state(circ.n, psi, pair, keep=True))
-    m2 = analysis.stabilizer_renyi_entropy(psi, circ.n) if args.magic else None
+        pair = check_wires(circ.n, sorted(args.pair))
+        p = analysis.pair_stats(_pair_matrix(psi, k, [wire_map[w] for w in pair]))
+    m2 = None
+    if args.magic:
+        try:
+            m2 = analysis.stabilizer_renyi_entropy(psi, k) if k else 0.0
+        except ResourceError as exc:
+            message = f"{exc}; the circuit's gates move {k} of its {circ.n} wires"
+            raise ResourceError(message) from None
 
-    rows = [
-        (
-            str(q),
-            _fmt(s.prob1), _fmt(s.x), _fmt(s.y), _fmt(s.z), _fmt(s.r),
-            _fmt(s.theta), _fmt(s.phi), _fmt(s.purity), _fmt(s.linear_entropy),
-        )
-        for q, s in enumerate(analysis.all_qubit_stats(psi, circ.n))
-    ]
+    stats = dict(zip(wires, analysis.all_qubit_stats(psi, k))) if k else {}
+    rows = []
+    for q in range(circ.n):
+        s = stats.get(q)
+        values = _ZERO_ROW if s is None else map(_fmt, (
+            s.prob1, s.x, s.y, s.z, s.r, s.theta, s.phi, s.purity, s.linear_entropy,
+        ))
+        rows.append((str(q), *values))
     if args.format == "records":
         for row in rows:
             pairs = " ".join(f"{k}={v}" for k, v in zip(_STATS_COLUMNS, row))

@@ -17,7 +17,8 @@ wires alone, in one pass over them from the top.  :func:`compile_circuit`
 places each gate of a checked circuit's ops once per call, on the wires
 still live when it runs; :func:`run_circuit` and the measurement walker
 run the plans from a state of :func:`_start`, the one place a run's
-start is built, and check nothing per gate.  A plan accepts leading batch
+start is built, and check nothing per gate.  Each runner checks a
+``psi0`` once, and each start copies it.  A plan accepts leading batch
 axes: on a ``(B, 2**n)`` stack it makes each numpy call once for all
 rows, with the same arithmetic per amplitude as on one state.
 
@@ -34,9 +35,11 @@ of plans that take no wire as known; a skipped zero may keep a sign that
 a full run would flip.  A circuit with no MEASURE and no ``psi0`` runs
 on the register of the K wires that its placed gates target, in wire
 order: every other wire stays 0 to the end, so it takes no axis and no
-anticontrol, and :func:`run_circuit` tests the norm of the ``2**K``
-amplitudes, then scatters them once into a zeroed state of every wire.
-The scatter moves no value, so the test holds for the result.  A
+anticontrol, and :func:`_run_register` tests the norm of the ``2**K``
+amplitudes and hands them on with the wire map.  :func:`run_circuit`
+scatters them once into a zeroed state of every wire; the scatter moves
+no value, so the test holds for the result.  The CLI reads the register
+itself and never builds the ``2**n`` state.  A
 circuit with a MEASURE keeps every live wire, since a split's sums
 follow the state's layout.
 
@@ -357,11 +360,11 @@ def apply_multi_qubit_gate(n: int, u, targets, a, controls=None) -> np.ndarray:
 
 
 def _start(width: int, psi0=None) -> np.ndarray:
-    """A fresh ``(1, 2**width)`` stack: a checked copy of ``psi0``, or
-    |00...0> on ``width`` wires, ``width = 0`` included.  Every run starts
-    from one."""
+    """A fresh ``(1, 2**width)`` stack: a copy of ``psi0``, which the caller
+    has passed through ``check_unit_state``, or |00...0> on ``width`` wires,
+    ``width = 0`` included.  Every run starts from one."""
     if psi0 is not None:
-        return check_unit_state(psi0, width)[0][None].copy()
+        return psi0[None].copy()
     stack = np.zeros((1, 1 << width), dtype=complex)
     stack[0, 0] = 1.0
     return stack
@@ -436,6 +439,35 @@ def compile_circuit(n: int, ops, psi0=None) -> tuple[list, tuple[int, ...], dict
     return steps, tuple(measured), wire_map
 
 
+def _run_register(circuit, psi0=None) -> tuple[np.ndarray, dict[int, int | None]]:
+    """Run a measurement-free circuit on its register; the core of
+    :func:`run_circuit`, with its checks, and no scatter.
+
+    Returns ``(state, wire_map)``: the ``2**K`` amplitudes of the register,
+    which passed the norm test, and the compile's ``wire_map``, which sends
+    each of the K register wires to its slot and every other wire, still
+    |0> at the end, to None.  Slots follow wire order, so slot ``s`` is the
+    ``s``-th smallest register wire, and bit ``s`` of a register index is
+    that wire's bit.  Given a ``psi0``, K = n and the map is the identity.
+    """
+    from .circuit import Circuit  # circuit imports this module
+
+    if not isinstance(circuit, Circuit):
+        raise ContractError(f"expected a Circuit, got {type(circuit).__name__}")
+    for k, op in enumerate(circuit.ops):
+        if op.gate == MEASURE:
+            raise ContractError(f"op {k} ({op}) is a measurement; use the measurement module")
+    steps, _, wire_map = compile_circuit(circuit.n, circuit.ops, psi0)
+    if psi0 is not None:  # a psi0 takes no wire as known, so the register is every wire
+        psi0 = check_unit_state(psi0, circuit.n)[0]
+    k = sum(slot is not None for slot in wire_map.values())  # the register's size
+    state = _start(k, psi0)[0]
+    for plan, _ in steps:
+        _run_plan(plan, state)
+    check_unit_norms(state, np.vdot(state, state).real)
+    return state, wire_map
+
+
 def run_circuit(circuit, psi0=None) -> np.ndarray:
     """Run every gate of a measurement-free circuit over ``psi0``.
 
@@ -446,27 +478,15 @@ def run_circuit(circuit, psi0=None) -> np.ndarray:
     of all ``n`` wires.  The run's state passes the norm test of
     ``check_unit_state`` before that scatter, which moves no value, so the
     test reads ``2**K`` amplitudes and a norm drift beyond ``STATE_ATOL``,
-    which would mean a kernel bug, raises.
+    which would mean a kernel bug, raises.  The CLI reads the register of
+    :func:`_run_register` itself and skips the scatter.
     """
-    from .circuit import Circuit  # circuit imports this module
-
-    if not isinstance(circuit, Circuit):
-        raise ContractError(f"expected a Circuit, got {type(circuit).__name__}")
-    for k, op in enumerate(circuit.ops):
-        if op.gate == MEASURE:
-            raise ContractError(f"op {k} ({op}) is a measurement; use the measurement module")
+    state, wire_map = _run_register(circuit, psi0)
     n = circuit.n
-    steps, _, wire_map = compile_circuit(n, circuit.ops, psi0)
-    k = sum(slot is not None for slot in wire_map.values())  # the register's size
-    state = _start(k, psi0)[0]  # a psi0 takes no wire as known, so then k == n
-    for plan, _ in steps:
-        _run_plan(plan, state)
-    # the scatter below moves no value, so the register's norm is the result's
-    check_unit_norms(state, np.vdot(state, state).real)
-    if k == n:
+    if state.size == 1 << n:
         return state
     full = np.zeros(1 << n, dtype=complex)
     # an axis per wire, highest first; a wire off the register reads 0
     index = tuple(_ALL if wire_map[w] is not None else 0 for w in range(n - 1, -1, -1))
-    full.reshape((2,) * n)[index] = state.reshape((2,) * k)
+    full.reshape((2,) * n)[index] = state.reshape((2,) * (state.size.bit_length() - 1))
     return full

@@ -209,6 +209,8 @@ def run_with_branches(circuit: Circuit, psi0=None) -> BranchTree:
         leaf = BranchLeaf((), 1.0, run_circuit(circuit, psi0))
         return BranchTree(circuit.n, (), {w: w for w in range(circuit.n)}, (leaf,))
     steps, measured, wire_map = compile_circuit(circuit.n, circuit.ops, psi0)
+    if psi0 is not None:
+        psi0 = check_unit_state(psi0, circuit.n)[0]
     outcomes, probs, states, _ = _walk(steps, _start(circuit.n, psi0))
     leaves = tuple(
         BranchLeaf(tuple(record), prob, state)
@@ -227,7 +229,8 @@ def sample_shots(circuit: Circuit, shots: int, seed, psi0=None) -> dict[str, int
     draw, made shot by shot, is below that outcome's probability.  The
     shots of a chunk are walked together, so each distinct outcome prefix
     is one stacked row per chunk, not one simulation per shot.  ``psi0``,
-    like in :func:`run_with_branches`, must be normalized.
+    like in :func:`run_with_branches`, must be normalized; it is checked
+    once, before the seed, and each chunk starts from a copy of it.
     """
     shots = check_int(shots, "shots", 1)
     if not isinstance(circuit, Circuit):
@@ -237,6 +240,8 @@ def sample_shots(circuit: Circuit, shots: int, seed, psi0=None) -> dict[str, int
         raise ContractError("circuit has no MEASURE ops to sample")
     # Gates after the last MEASURE cannot change a record, so none is placed.
     steps, measured, _ = compile_circuit(circuit.n, circuit.ops[: ends[-1]], psi0)
+    if psi0 is not None:  # once, before the seed, not per chunk
+        psi0 = check_unit_state(psi0, circuit.n)[0]
     rng = make_rng(seed)
 
     histogram: dict[str, int] = {}

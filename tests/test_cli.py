@@ -1,14 +1,18 @@
 import hashlib
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qwsim import cli, measurement
+from qwsim import analysis, cli, engine, measurement
+from qwsim.circuit import parse_circuit
+from qwsim.gates import gate_def, gate_names
 
 FLIP_PHASE_PAIR = "qubits 3\nH 1 ; X 2\nCX 1 0\nZ 0\nCX 1 2\n"
 MIXED_PAIR = "qubits 3\nH 0\nCX 0 1\nH 2\n"
 BELL_MEASURE = "qubits 2\nH 0\nCX 0 1\nMEASURE 0\n"
+SLICE17 = str(Path(__file__).resolve().parents[1] / "circuits" / "slice17.qc")
 # the text the CI console-script step pins for circuits/slice17.qc
 SLICE17_RECORDS = (
     "qubit=0 prob1=0.8125 x=0.25 y=0.5 z=-0.625 r=0.838525491562 theta=2.41186499736 phi=1.10714871779 purity=0.8515625 lin_entropy=0.1484375\n"
@@ -128,7 +132,8 @@ class TestSimulate:
         tree = measurement.BranchTree(
             3, (), {0: 0, 1: 1, 2: 2}, (measurement.BranchLeaf((), 1.0, edge),)
         )
-        monkeypatch.setattr(cli.engine, "run_circuit", lambda circ: edge)
+        # a measurement-free run is read off its register; this one is every wire
+        monkeypatch.setattr(cli, "_run_register", lambda circ: (edge, {0: 0, 1: 1, 2: 2}))
         monkeypatch.setattr(cli.measurement, "run_with_branches", lambda circ: tree)
         path = circuit_file("qubits 3\nH 0\n")
         amplitudes = ["000: 0.8", "001: 1.01e-12", "011: 1.01e-06", "100: 9.9e-07i",
@@ -240,6 +245,30 @@ class TestStats:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "df3c7facb860bf31c30884c729ca18559465ece65f862fc4613154dbed1c9a68"
 
+    @pytest.mark.parametrize(
+        "pair, line",
+        [
+            # 4, 5 and 6 are register wires; 8, 11 and 12 never leave |0>
+            (("4", "6"), "pair (4,6): purity=0.75 lin_entropy=0.25 concurrence=0 "
+                         "von_neumann=0.600876036693"),
+            (("4", "5"), "pair (4,5): purity=1 lin_entropy=0 concurrence=0 von_neumann=0"),
+            (("8", "7"), "pair (7,8): purity=0.84375 lin_entropy=0.15625 concurrence=0 "
+                         "von_neumann=0.421001225112"),
+            (("11", "12"), "pair (11,12): purity=1 lin_entropy=0 concurrence=0 von_neumann=0"),
+        ],
+        ids=["4-6", "4-5", "7-8-one-off", "11-12-both-off"],
+    )
+    def test_sliced_circuit_pair_lines_are_pinned(self, capsys, pair, line):
+        # the lines the CI console-script step pins
+        code, out, err = run_cli(capsys, "stats", SLICE17, "--pair", *pair, "--format", "records")
+        assert (code, out, err) == (0, f"{SLICE17_RECORDS}{line}\n", "")
+
+    def test_sliced_circuit_probabilities_are_pinned(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", SLICE17, "--probs")
+        assert (code, err, out.count("\n")) == (0, "", 104)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "5418248a9d32792f1e6ce74f6241c25aa46821149f2b55ce9d2ec379840a49f8"
+
     def test_wide_circuit_output_digest_is_pinned(self, capsys):
         # the digest the CI console-script step pins: every one of 17 wires
         # leaves |0>, so the kernel runs its multi-pass plans slice by slice
@@ -301,11 +330,21 @@ class TestStats:
         assert line == "stabilizer_renyi_2: 0.415037499279"
 
     def test_magic_over_the_cap_fails_before_any_output(self, capsys, circuit_file):
-        # the cap lives in analysis; no stats row may be printed before it
-        code, out, err = run_cli(capsys, "stats", circuit_file("qubits 11\nH 0\n"), "--magic")
+        # the cap lives in analysis and bounds the register, here all 11 wires;
+        # no stats row may be printed before it
+        text = "qubits 11\n" + "".join(f"H {w}\n" for w in range(11))
+        code, out, err = run_cli(capsys, "stats", circuit_file(text), "--magic")
         assert (code, out) == (1, "")
         assert err.startswith("error: stabilizer entropy refuses 11 qubits")
+        assert err.endswith("; the circuit's gates move 11 of its 11 wires\n")
         assert err.count("\n") == 1
+
+    def test_magic_cap_bounds_the_register_not_the_circuit(self, capsys, circuit_file):
+        # M2 adds up over a tensor product and is 0 on |0>, so 10 idle wires
+        # change nothing: the value is the 1-qubit circuit's
+        code, out, err = run_cli(capsys, "stats", circuit_file("qubits 11\nH 0\nT 0\n"), "--magic")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "stabilizer_renyi_2: 0.415037499279"
 
     def test_stats_rejects_measurement_circuits(self, capsys, circuit_file):
         code, _, err = run_cli(capsys, "stats", circuit_file(BELL_MEASURE))
@@ -317,6 +356,95 @@ class TestStats:
         assert (code, out) == (1, "")
         assert err.startswith("error: op 2 (MEASURE 0) is a measurement")
         assert err.count("\n") == 1
+
+
+def register_circuit(rng, n: int, used, spread: bool = False) -> str:
+    """Random catalog gates, with controls and anticontrols on any wire,
+    whose targets are drawn from ``used`` only: every other wire stays |0>.
+    With ``spread``, an H on each wire of ``used`` comes first."""
+    names = [g for g in gate_names() if gate_def(g).arity <= len(used)]
+    lines = [f"qubits {n}", *(f"H {w}" for w in used if spread)]
+    for _ in range(int(rng.integers(1, 3 * n)) if used else 3):
+        if not used:  # a control that wants 1 on a wire still 0: no plan
+            lines.append(f"X {n - 1} c=0")
+            continue
+        name = names[int(rng.integers(len(names)))]
+        targets = [int(w) for w in rng.choice(used, gate_def(name).arity, replace=False)]
+        others = [w for w in range(n) if w not in targets]
+        controls = [f"{'ca'[int(rng.integers(2))]}={w}" for w in others if rng.random() < 0.1]
+        lines.append(" ".join([name, *map(str, targets), *controls]))
+    return "\n".join(lines) + "\n"
+
+
+class TestRegisterReadout:
+    """``stats`` and ``simulate`` read a measurement-free run off the
+    register of the K wires its gates move, and print what they print from
+    the full state of all n wires."""
+
+    def test_register_text_equals_full_state_text(self, capsys, tmp_path, monkeypatch):
+        def full_state(circ):
+            return engine.run_circuit(circ), {w: w for w in range(circ.n)}
+
+        # the matrix --pair passes on, held to the full state's; its printed
+        # statistics are all symmetric in the two wires
+        rhos = []
+        real_pair_stats = analysis.pair_stats
+        monkeypatch.setattr(
+            analysis, "pair_stats", lambda rho: rhos.append(rho) or real_pair_stats(rho)
+        )
+        rng = np.random.default_rng(26)
+        seen = Counter()
+        for c in range(100):
+            n = int(rng.integers(2, 13))
+            used = [] if c == 0 else list(range(n)) if c % 4 == 1 else sorted(
+                int(w) for w in rng.choice(n, int(rng.integers(1, n)), replace=False)
+            )
+            text = register_circuit(rng, n, used, spread=c % 4 == 1)
+            path = tmp_path / f"c{c}.qc"
+            path.write_text(text)
+            wire_map = engine.compile_circuit(n, parse_circuit(text).ops)[2]
+            on = [w for w in range(n) if wire_map[w] is not None]
+            off = [w for w in range(n) if wire_map[w] is None]
+            seen["K=0" if not on else "K=n" if not off else "0<K<n"] += 1
+            argvs = [("simulate", "--probs")[: 1 + c % 2]]
+            for pair in (on[-2:], [*on[:1], *off[:1]], off[:2]):
+                if len(pair) == 2:
+                    seen[f"pair with {len(set(pair) & set(on))} on"] += 1
+                    fmt = ("table", "records")[len(argvs) % 2]
+                    argvs.append(("stats", "--pair", *map(str, pair[::-1]), "--format", fmt))
+            if n <= 8 or n <= 10 and c % 3 == 0:  # a 10-wire table takes ~0.1 s
+                seen[f"magic at {n}"] += 1
+                argvs[-1] += ("--magic",)
+            for cmd, *rest in argvs:
+                rhos.clear()
+                got = run_cli(capsys, cmd, str(path), *rest)
+                with monkeypatch.context() as m:
+                    m.setattr(cli, "_run_register", full_state)
+                    want = run_cli(capsys, cmd, str(path), *rest)
+                assert got == want and got[0] == 0, (text, cmd, rest)
+                if rhos:
+                    np.testing.assert_allclose(rhos[0], rhos[1], rtol=0, atol=1e-12)
+        assert {"K=0", "K=n", "0<K<n", "magic at 10"} <= set(seen), seen
+        assert all(seen[f"pair with {k} on"] >= 10 for k in range(3)), seen
+
+    def test_slice17_is_read_off_its_14_wire_register(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("run_circuit scatters 2**17 amplitudes")
+
+        monkeypatch.setattr(engine, "run_circuit", refuse)
+        sizes = []
+        for name in ("all_qubit_stats", "partial_trace_state"):
+            real = getattr(analysis, name)
+            monkeypatch.setattr(analysis, name, lambda *a, real=real, name=name, **k: (
+                sizes.append((name, max(map(np.size, a)))) or real(*a, **k)
+            ))
+        code, out, err = run_cli(capsys, "stats", SLICE17, "--pair", "0", "3", "--format", "records")
+        assert (code, err, out.startswith(SLICE17_RECORDS)) == (0, "", True)
+        assert sorted(sizes) == [("all_qubit_stats", 1 << 14), ("partial_trace_state", 1 << 14)]
+        code, out, err = run_cli(capsys, "simulate", SLICE17)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, err) == (0, "")
+        assert digest == "df3c7facb860bf31c30884c729ca18559465ece65f862fc4613154dbed1c9a68"
 
 
 class TestSample:

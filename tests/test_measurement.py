@@ -511,6 +511,24 @@ class TestSampleShots:
         with pytest.raises(DimensionError):
             measurement.sample_shots(bell, 10, 0, psi0=np.ones(2) * _SQ2)
 
+    def test_a_start_state_is_checked_once_for_every_chunk(self, monkeypatch):
+        # 40000 shots walk three chunks, each from a copy of the checked psi0
+        circ = parse_circuit("qubits 3\nH 0\nCX 0 1\nMEASURE 1\nH 2\nMEASURE 2\n")
+        psi0 = linalg.basis_state(3, 0b100)
+        want = measurement.sample_shots(circ, 40000, 7, psi0=psi0)
+        sizes = []
+        real = linalg.check_unit_norms  # the norm test of check_unit_state
+        monkeypatch.setattr(
+            linalg, "check_unit_norms", lambda states, norms: sizes.append(states.shape) or real(states, norms)
+        )
+        assert measurement.sample_shots(circ, 40000, 7, psi0=psi0) == want
+        assert sizes == [(8,)]
+
+    def test_a_bad_start_state_is_named_before_a_bad_seed(self):
+        circ = parse_circuit("qubits 1\nH 0\nMEASURE 0\n")
+        with pytest.raises(ContractError, match="not normalized"):
+            measurement.sample_shots(circ, 10, -1, psi0=np.ones(2))
+
     def test_normalized_start_state_is_used(self):
         circ = parse_circuit("qubits 2\nMEASURE 0\nMEASURE 1\n")
         psi0 = linalg.basis_state(2, 0b10)
