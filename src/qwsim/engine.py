@@ -15,12 +15,17 @@ from the matrix alone; every catalog gate's is derived once, at import.
 Its placement (the view shape and each block's index) comes from the
 wires alone, in one pass over them from the top.  :func:`compile_circuit`
 places each gate of a checked circuit's ops once per call, on the wires
-still live when it runs; :func:`run_circuit` and the measurement walker
-run the plans from a state of :func:`_start`, the one place a run's
-start is built, and check nothing per gate.  Each runner checks a
-``psi0`` once, and each start copies it.  A plan accepts leading batch
-axes: on a ``(B, 2**n)`` stack it makes each numpy call once for all
-rows, with the same arithmetic per amplitude as on one state.
+still live when it runs, as a list of two kinds of step: run a plan, or
+split on a measured wire.  :func:`_walk` is the one loop over those
+steps, for :func:`run_circuit` and for ``measurement``.  It builds the
+run's start, runs each plan once on a ``(B, 2**n_live)`` stack with a
+row per outcome prefix, splits every row at once on a MEASURE
+(:func:`_split`), and checks nothing per gate.  A walk that ends on a
+gate tests the norm of each row it ends on; one that ends on a split
+ends on rows the split made unit.  Each runner checks a ``psi0`` once,
+and each walk copies it.  A plan accepts leading batch axes: on a stack
+it makes each numpy call once for all rows, with the same arithmetic per
+amplitude as on one state.
 
 Started at |00...0>, a circuit's early gates meet wires that no gate has
 yet moved off 0, and like a control, such a wire confines the state to
@@ -35,11 +40,11 @@ of plans that take no wire as known; a skipped zero may keep a sign that
 a full run would flip.  A circuit with no MEASURE and no ``psi0`` runs
 on the register of the K wires that its placed gates target, in wire
 order: every other wire stays 0 to the end, so it takes no axis and no
-anticontrol, and :func:`_run_register` tests the norm of the ``2**K``
-amplitudes and hands them on with the wire map.  :func:`run_circuit`
-scatters them once into a zeroed state of every wire; the scatter moves
-no value, so the test holds for the result.  The CLI reads the register
-itself and never builds the ``2**n`` state.  A
+anticontrol, and :func:`_run_register` walks the ``2**K`` amplitudes,
+whose norm the walk tests, and hands them on with the wire map.
+:func:`run_circuit` scatters them once into a zeroed state of every
+wire; the scatter moves no value, so the test holds for the result.  The
+CLI reads the register itself and never builds the ``2**n`` state.  A
 circuit with a MEASURE keeps every live wire, since a split's sums
 follow the state's layout.
 
@@ -204,6 +209,9 @@ _BUFSIZE = 256
 
 _ALL = slice(None)
 
+# A split prunes each outcome of lower probability: it carries no residual.
+PRUNE_EPS = 1e-14
+
 # Every catalog gate's template, derived once here rather than per gate applied.
 _TEMPLATES = {name: _template(gate_def(name).matrix) for name in gate_names()}
 
@@ -359,17 +367,6 @@ def apply_multi_qubit_gate(n: int, u, targets, a, controls=None) -> np.ndarray:
     return _run_plan(_place(n, _template(u), targets, spec.entries), out.copy())
 
 
-def _start(width: int, psi0=None) -> np.ndarray:
-    """A fresh ``(1, 2**width)`` stack: a copy of ``psi0``, which the caller
-    has passed through ``check_unit_state``, or |00...0> on ``width`` wires,
-    ``width = 0`` included.  Every run starts from one."""
-    if psi0 is not None:
-        return psi0[None].copy()
-    stack = np.zeros((1, 1 << width), dtype=complex)
-    stack[0, 0] = 1.0
-    return stack
-
-
 def compile_circuit(n: int, ops, psi0=None) -> tuple[list, tuple[int, ...], dict[int, int | None]]:
     """Lower ``ops``, the ops of an ``n``-qubit ``Circuit`` or a slice of
     them, to kernel plans over the live wires.
@@ -400,8 +397,8 @@ def compile_circuit(n: int, ops, psi0=None) -> tuple[list, tuple[int, ...], dict
     stays 0 throughout, to None.  Such a wire takes no axis and no
     anticontrol, and an anticontrol of the circuit's own on it always
     passes, so it is dropped.  Any other circuit starts on all its wires,
-    since the measurement walker splits on the full live register (its
-    sums over a smaller one could round differently).
+    since :func:`_walk` splits on the full live register (its sums over
+    a smaller one could round differently).
     """
     zero = set(range(n)) if psi0 is None else set()  # wires still 0 in every amplitude
     kept = []  # each placed gate with its (wire, is_control) entries; each MEASURE with None
@@ -439,12 +436,99 @@ def compile_circuit(n: int, ops, psi0=None) -> tuple[list, tuple[int, ...], dict
     return steps, tuple(measured), wire_map
 
 
+def _split(stack: np.ndarray, slot: int, rows=None, draws=None) -> tuple:
+    """Split each row of a ``(B, 2**n)`` stack of states on live wire ``slot``.
+
+    Each row's ``Pr[0]`` and ``Pr[1]`` are the sums of ``|row|**2`` over
+    their own halves, and must add up to 1 (``check_unit_norms``); an
+    outcome below ``PRUNE_EPS`` is pruned.  Returns ``(nodes, bits, p,
+    children, rows)``: child ``k`` is outcome ``bits[k]`` of row
+    ``nodes[k]``, of probability ``p[k]``, with the renormalized residual
+    ``children[k]``, in order of ``2 * node + bit``.
+
+    With ``rows`` given, shot ``s`` sits at row ``rows[s]`` and takes
+    outcome 1 when ``draws[s]`` is below that row's ``Pr[1]``.  A pruned
+    outcome takes no shot and its sibling takes them all; only children
+    that some shot takes are kept, and the returned ``rows`` index them.
+    """
+    b = stack.shape[0]
+    halves = stack.reshape(b, -1, 2, 1 << slot)  # axis 2 is bit ``slot``
+    p = np.empty((2, b))  # row ``bit`` holds each stacked row's Pr[bit]
+    probs = np.abs(halves)  # rows are unit vectors, so no square overflows
+    np.square(probs, out=probs)
+    # one sum per outcome adds up each row exactly as on a lone state
+    np.add.reduce(probs[:, :, 0, :], axis=(1, 2), out=p[0])
+    np.add.reduce(probs[:, :, 1, :], axis=(1, 2), out=p[1])
+    norms = p[0] + p[1]
+    del probs
+    check_unit_norms(stack, norms)
+    p[p < PRUNE_EPS] = 0.0
+    if rows is None:
+        kept = p.T > 0.0
+    else:
+        # a pruned Pr[1] is 0 and takes no draw; every draw is below 1.0
+        child = rows * 2
+        child += draws < np.where(p[0] > 0.0, p[1], 1.0)[rows]
+        kept = np.bincount(child, minlength=2 * b).reshape(b, 2) > 0
+        rows = np.cumsum(kept)[child]
+        rows -= 1
+    nodes, bits = kept.nonzero()
+    p = p[bits, nodes]
+    children = halves[nodes, :, bits, :].reshape(len(nodes), -1)  # a fresh array
+    np.divide(children, np.sqrt(p)[:, None], out=children)
+    return nodes, bits, p, children, rows
+
+
+def _walk(steps, width: int, psi0=None, draws=None) -> tuple:
+    """Run compiled ``steps`` breadth-first over a stack of outcome prefixes.
+
+    The walk starts from a fresh ``(1, 2**width)`` stack: a copy of
+    ``psi0``, which the caller has passed through ``check_unit_state``, or
+    |00...0> on ``width`` wires, ``width = 0`` included.  It then holds one
+    ``(B, 2**n_live)`` stack with a row per live outcome prefix.  Each gate
+    plan runs once on the whole stack, in place.  Each MEASURE splits every
+    row at once (:func:`_split`) into the next stack, whose rows stay in
+    sorted outcome order, and frees the one before.  A walk that ends on a
+    gate tests the norm of each row it ends on; a split's children are unit
+    to rounding, since each row was tested before it split.
+
+    Returns ``(outcomes, probs, stack, rows)``: leaf ``k`` has the outcome
+    record ``outcomes[k]``, probability ``probs[k]`` and state ``stack[k]``.
+
+    With ``draws`` None every non-pruned branch is followed and ``rows`` is
+    None.  Otherwise shot ``s`` takes outcome 1 at the ``d``-th MEASURE
+    when ``draws[s, d]`` is below its probability, a child that no shot
+    takes is dropped, and ``rows[s]`` is the leaf that shot ``s`` reached.
+    """
+    if psi0 is None:
+        stack = np.zeros((1, 1 << width), dtype=complex)
+        stack[0, 0] = 1.0
+    else:
+        stack = psi0[None].copy()
+    outcomes = np.zeros((1, 0), dtype=np.intp)
+    probs = np.ones(1)
+    rows = None if draws is None else np.zeros(len(draws), dtype=np.intp)
+    for plan, slot in steps:
+        if plan is not None:
+            _run_plan(plan, stack)
+            continue
+        d = outcomes.shape[1]
+        column = None if draws is None else draws[:, d]
+        nodes, bits, p, stack, rows = _split(stack, slot, rows, column)
+        outcomes = np.concatenate((outcomes[nodes], bits[:, None]), axis=1)
+        probs = probs[nodes] * p
+    if steps and steps[-1][0] is not None:
+        check_unit_norms(stack, np.array([np.vdot(row, row).real for row in stack]))
+    return outcomes, probs, stack, rows
+
+
 def _run_register(circuit, psi0=None) -> tuple[np.ndarray, dict[int, int | None]]:
     """Run a measurement-free circuit on its register; the core of
     :func:`run_circuit`, with its checks, and no scatter.
 
     Returns ``(state, wire_map)``: the ``2**K`` amplitudes of the register,
-    which passed the norm test, and the compile's ``wire_map``, which sends
+    the one row of a :func:`_walk`, which tests its norm when a gate wrote
+    it, and the compile's ``wire_map``, which sends
     each of the K register wires to its slot and every other wire, still
     |0> at the end, to None.  Slots follow wire order, so slot ``s`` is the
     ``s``-th smallest register wire, and bit ``s`` of a register index is
@@ -461,24 +545,20 @@ def _run_register(circuit, psi0=None) -> tuple[np.ndarray, dict[int, int | None]
     if psi0 is not None:  # a psi0 takes no wire as known, so the register is every wire
         psi0 = check_unit_state(psi0, circuit.n)[0]
     k = sum(slot is not None for slot in wire_map.values())  # the register's size
-    state = _start(k, psi0)[0]
-    for plan, _ in steps:
-        _run_plan(plan, state)
-    check_unit_norms(state, np.vdot(state, state).real)
-    return state, wire_map
+    return _walk(steps, k, psi0)[2][0], wire_map
 
 
 def run_circuit(circuit, psi0=None) -> np.ndarray:
     """Run every gate of a measurement-free circuit over ``psi0``.
 
     ``psi0`` defaults to |00...0>.  A MEASURE is refused before anything
-    is compiled.  The compiled plans run in one working copy of ``psi0``
-    or, on a register of K < n wires, of |00...0> on those K wires, which
-    is then scattered once, by one strided assignment, into a zeroed state
-    of all ``n`` wires.  The run's state passes the norm test of
-    ``check_unit_state`` before that scatter, which moves no value, so the
-    test reads ``2**K`` amplitudes and a norm drift beyond ``STATE_ATOL``,
-    which would mean a kernel bug, raises.  The CLI reads the register of
+    is compiled.  The compiled plans run, by :func:`_walk`, in one working
+    copy of ``psi0`` or, on a register of K < n wires, of |00...0> on those
+    K wires, which is then scattered once, by one strided assignment, into
+    a zeroed state of all ``n`` wires.  The walk tests the run's norm
+    before that scatter, which moves no value, so the test reads ``2**K``
+    amplitudes and a norm drift beyond ``STATE_ATOL``, which would mean a
+    kernel bug, raises.  The CLI reads the register of
     :func:`_run_register` itself and skips the scatter.
     """
     state, wire_map = _run_register(circuit, psi0)

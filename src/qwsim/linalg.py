@@ -195,16 +195,6 @@ def basis_state(n: int, index: int) -> np.ndarray:
     return psi
 
 
-def initial_state(n: int, psi0=None) -> np.ndarray:
-    """A fresh starting state: a copy of ``psi0``, or |00...0> if it is None.
-
-    ``psi0`` passes :func:`check_unit_state`.
-    """
-    if psi0 is None:
-        return zero_state(n)
-    return check_unit_state(psi0, n)[0].copy()
-
-
 def make_rng(seed) -> np.random.Generator:
     """``np.random.default_rng(seed)``, raising ``ContractError`` on a bad seed."""
     try:

@@ -12,13 +12,16 @@ carry no residual (there is nothing meaningful to renormalize).
 
 Which wire sits where after each measurement does not depend on outcomes,
 so ``engine.compile_circuit`` places each gate's kernel plan once, on the
-live wires.  One breadth-first walker then serves both consumers.  It
-holds every live outcome prefix as one row of a ``(B, 2**n_live)`` stack
-of residuals: each gate plan runs once on the whole stack, and each
-MEASURE splits every row at once into a stack of children ordered by
-``2 * row + outcome``, so rows stay in sorted outcome order.  A split is
-a fixed handful of numpy calls whatever the rows: ``|stack|**2``, one sum
-per outcome into one ``(2, B)`` table, the norm test, one batched division.
+live wires.  The one breadth-first walker, ``engine._walk``, then serves
+both consumers, as it serves ``run_circuit``.  It holds every live
+outcome prefix as one row of a ``(B, 2**n_live)`` stack of residuals:
+each gate plan runs once on the whole stack, and each MEASURE splits
+every row at once into a stack of children ordered by ``2 * row +
+outcome``, so rows stay in sorted outcome order.  A split is a fixed
+handful of numpy calls whatever the rows: ``|stack|**2``, one sum per
+outcome into one ``(2, B)`` table, the norm test, one batched division.
+A walk whose last step is a gate tests the norm of each leaf row.  This
+module holds the checked entry points and the results' types.
 
 * :func:`run_with_branches` follows *every* non-pruned outcome, producing a
   tree whose leaves carry the outcome history, its probability, and the
@@ -46,17 +49,11 @@ import numpy as np
 
 from .errors import ContractError
 from .circuit import Circuit
-from .engine import _run_plan, _start, compile_circuit, run_circuit
+# PRUNE_EPS is the split's; ``oracle`` and callers read it here
+from .engine import PRUNE_EPS, _split, _walk, compile_circuit, run_circuit
 from .gates import MEASURE
-from .linalg import (
-    check_int,
-    check_unit_norms,
-    check_unit_state,
-    check_wires,
-    make_rng,
-)
+from .linalg import check_int, check_unit_state, check_wires, make_rng
 
-PRUNE_EPS = 1e-14
 # Shots drawn and walked together; bounds the draw table at a few MiB.
 _SHOT_CHUNK = 1 << 14
 
@@ -72,49 +69,6 @@ class MeasurementBranch:
     outcome: int
     probability: float
     residual: np.ndarray | None
-
-
-def _split(stack: np.ndarray, slot: int, rows=None, draws=None) -> tuple:
-    """Split each row of a ``(B, 2**n)`` stack of states on live wire ``slot``.
-
-    Each row's ``Pr[0]`` and ``Pr[1]`` are the sums of ``|row|**2`` over
-    their own halves, and must add up to 1 (``check_unit_norms``); an
-    outcome below ``PRUNE_EPS`` is pruned.  Returns ``(nodes, bits, p,
-    children, rows)``: child ``k`` is outcome ``bits[k]`` of row
-    ``nodes[k]``, of probability ``p[k]``, with the renormalized residual
-    ``children[k]``, in order of ``2 * node + bit``.
-
-    With ``rows`` given, shot ``s`` sits at row ``rows[s]`` and takes
-    outcome 1 when ``draws[s]`` is below that row's ``Pr[1]``.  A pruned
-    outcome takes no shot and its sibling takes them all; only children
-    that some shot takes are kept, and the returned ``rows`` index them.
-    """
-    b = stack.shape[0]
-    halves = stack.reshape(b, -1, 2, 1 << slot)  # axis 2 is bit ``slot``
-    p = np.empty((2, b))  # row ``bit`` holds each stacked row's Pr[bit]
-    probs = np.abs(halves)  # rows are unit vectors, so no square overflows
-    np.square(probs, out=probs)
-    # one sum per outcome adds up each row exactly as on a lone state
-    np.add.reduce(probs[:, :, 0, :], axis=(1, 2), out=p[0])
-    np.add.reduce(probs[:, :, 1, :], axis=(1, 2), out=p[1])
-    norms = p[0] + p[1]
-    del probs
-    check_unit_norms(stack, norms)
-    p[p < PRUNE_EPS] = 0.0
-    if rows is None:
-        kept = p.T > 0.0
-    else:
-        # a pruned Pr[1] is 0 and takes no draw; every draw is below 1.0
-        child = rows * 2
-        child += draws < np.where(p[0] > 0.0, p[1], 1.0)[rows]
-        kept = np.bincount(child, minlength=2 * b).reshape(b, 2) > 0
-        rows = np.cumsum(kept)[child]
-        rows -= 1
-    nodes, bits = kept.nonzero()
-    p = p[bits, nodes]
-    children = halves[nodes, :, bits, :].reshape(len(nodes), -1)  # a fresh array
-    np.divide(children, np.sqrt(p)[:, None], out=children)
-    return nodes, bits, p, children, rows
 
 
 def measure_qubit(psi, n: int, qubit: int) -> tuple[MeasurementBranch, MeasurementBranch]:
@@ -163,55 +117,23 @@ class BranchTree:
     leaves: tuple[BranchLeaf, ...]
 
 
-def _walk(steps, stack, draws=None) -> tuple:
-    """Walk the outcome tree of ``steps`` breadth-first from ``stack``.
-
-    The walk holds one ``(B, 2**n_live)`` stack with a row per live outcome
-    prefix, starting from ``stack``, the start state as a stack of one,
-    which the walk takes over (pass it as a temporary, so that it is freed
-    at the first split).  Each gate plan runs once on the whole stack, in
-    place.  Each MEASURE splits every row at once (:func:`_split`) into the
-    next stack, whose rows stay in sorted outcome order.
-
-    Returns ``(outcomes, probs, stack, rows)``: leaf ``k`` has the outcome
-    record ``outcomes[k]``, probability ``probs[k]`` and state ``stack[k]``.
-
-    With ``draws`` None every non-pruned branch is followed and ``rows`` is
-    None.  Otherwise shot ``s`` takes outcome 1 at the ``d``-th MEASURE
-    when ``draws[s, d]`` is below its probability, a child that no shot
-    takes is dropped, and ``rows[s]`` is the leaf that shot ``s`` reached.
-    """
-    outcomes = np.zeros((1, 0), dtype=np.intp)
-    probs = np.ones(1)
-    rows = None if draws is None else np.zeros(len(draws), dtype=np.intp)
-    for plan, slot in steps:
-        if plan is not None:
-            _run_plan(plan, stack)
-            continue
-        d = outcomes.shape[1]
-        column = None if draws is None else draws[:, d]
-        nodes, bits, p, stack, rows = _split(stack, slot, rows, column)
-        outcomes = np.concatenate((outcomes[nodes], bits[:, None]), axis=1)
-        probs = probs[nodes] * p
-    return outcomes, probs, stack, rows
-
-
 def run_with_branches(circuit: Circuit, psi0=None) -> BranchTree:
     """Follow every measurement outcome of ``circuit`` exhaustively.
 
-    Leaves come in sorted outcome order.  A circuit without measurements
+    Leaves come in sorted outcome order, and a leaf that a gate after the
+    last MEASURE wrote passes the norm test.  A circuit without measurements
     goes to :func:`~qwsim.engine.run_circuit` and yields a single leaf of
     probability 1 holding its result.
     """
     if not isinstance(circuit, Circuit):
         raise ContractError(f"expected a Circuit, got {type(circuit).__name__}")
-    if all(op.gate != MEASURE for op in circuit.ops):
+    if not circuit.has_measurements:
         leaf = BranchLeaf((), 1.0, run_circuit(circuit, psi0))
         return BranchTree(circuit.n, (), {w: w for w in range(circuit.n)}, (leaf,))
     steps, measured, wire_map = compile_circuit(circuit.n, circuit.ops, psi0)
     if psi0 is not None:
         psi0 = check_unit_state(psi0, circuit.n)[0]
-    outcomes, probs, states, _ = _walk(steps, _start(circuit.n, psi0))
+    outcomes, probs, states, _ = _walk(steps, circuit.n, psi0)
     leaves = tuple(
         BranchLeaf(tuple(record), prob, state)
         for record, prob, state in zip(outcomes.tolist(), probs.tolist(), states)
@@ -249,9 +171,9 @@ def sample_shots(circuit: Circuit, shots: int, seed, psi0=None) -> dict[str, int
         chunk = min(_SHOT_CHUNK, shots - first)
         # rows of one table read the generator exactly as shot-by-shot draws would
         draws = rng.random((chunk, len(measured)))
-        # a fresh start, freed at the walk's first split; the leaf stack is
-        # not kept, so nothing of one chunk's states lives into the next
-        outcomes, rows = _walk(steps, _start(circuit.n, psi0), draws)[::3]
+        # each walk builds its own start and frees it at its first split; the
+        # leaf stack is not kept, so nothing of one chunk lives into the next
+        outcomes, rows = _walk(steps, circuit.n, psi0, draws)[::3]
         counts = np.bincount(rows, minlength=len(outcomes))
         for record, count in zip(outcomes.tolist(), counts.tolist()):
             key = "".join(map(str, record))

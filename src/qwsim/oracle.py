@@ -12,7 +12,7 @@ other.  Shot sampling defers every MEASURE to the end (Nielsen & Chuang,
 section 4.4), which is exact because ``Circuit`` refuses any op on a
 measured wire: :func:`sample_shots_deferred` draws from the marginals of
 :func:`measured_distribution`, taken from :func:`simulate_naive`, and
-shares nothing with the walker of ``measurement`` but ``PRUNE_EPS``.
+shares nothing with the walker (``engine._walk``) but ``PRUNE_EPS``.
 The Hermitian eigensolver :func:`jacobi_eig` is the reference for the
 spectra of the density gate in ``analysis`` (LAPACK): cyclic Jacobi
 rotations written out in Python loops.
@@ -37,8 +37,9 @@ from .linalg import (
     check_matrix,
     check_qubit_count,
     check_state,
-    initial_state,
+    check_unit_state,
     make_rng,
+    zero_state,
 )
 from .measurement import PRUNE_EPS
 
@@ -102,7 +103,7 @@ def build_gate_full_matrix(n: int, gate, targets, controls=None) -> np.ndarray:
 def simulate_naive(circuit, psi0=None) -> np.ndarray:
     """Dense reference run: one full operator matrix per gate."""
     n = _check_guard(circuit.n)
-    psi = initial_state(n, psi0)
+    psi = zero_state(n) if psi0 is None else check_unit_state(psi0, n)[0].copy()
     for op in circuit.ops:
         if op.gate == MEASURE:
             raise ContractError("naive simulation does not handle measurements")

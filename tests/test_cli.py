@@ -123,6 +123,23 @@ class TestSimulate:
         assert "branch -: p=1" in lines
         assert "  1: 1" in lines
 
+    @pytest.mark.parametrize(
+        "name, flags, lines, digest",
+        [
+            # the walk's leaves, on a stack over 2**16 amplitudes
+            ("measure17.qc", (), 42, "2344347dcad2c0b886e973b55668434daa562d56c59ee4cbffbf8574c9518ae8"),
+            # the MEASURE-free branch of run_with_branches, across all 17 wires
+            ("wide17.qc", ("--branches",), 43, "a4a32b6497149722824a94bf2a6815e38139be1e40c18f98a41798ba36e412d7"),
+        ],
+        ids=["measure17", "wide17-branches"],
+    )
+    def test_walked_17_qubit_outputs_are_pinned(self, capsys, name, flags, lines, digest):
+        # the digests the CI console-script step pins
+        path = Path(__file__).resolve().parents[1] / "circuits" / name
+        code, out, err = run_cli(capsys, "simulate", str(path), *flags)
+        assert (code, err, out.count("\n")) == (0, "", lines)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_listing_threshold(self, capsys, circuit_file, monkeypatch):
         # entries just above and just below 1e-12: |z| for amplitudes, |z|**2
         # for probabilities; a listed amplitude may still print as 0

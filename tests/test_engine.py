@@ -269,7 +269,7 @@ class TestApplySwap:
 
 
 class TestMultiQubitGate:
-    def test_swap_matrix_matches_apply_swap(self):
+    def test_swap_matrix_matches_oracle_swap_wires(self):
         # the reference swap loop, with the wires named in either order
         rng = np.random.default_rng(30)
         for n, targets in ((2, (0, 1)), (4, (1, 3)), (5, (4, 2))):
@@ -321,7 +321,7 @@ class TestMultiQubitGate:
             )
             np.testing.assert_allclose(fast, big @ psi, atol=1e-10)
 
-    def test_every_catalog_gate_through_apply_op_matches_oracle(self):
+    def test_every_catalog_gate_as_a_one_op_circuit_matches_oracle(self):
         # each gate runs as a one-op circuit, so its plan is placed from
         # the catalog template in _TEMPLATES, including I's empty one
         rng = np.random.default_rng(35)
@@ -711,8 +711,10 @@ class TestRegister:
             ("qubits 3\nH 0\nH 1\nH 2\n", None, engine.run_circuit),  # K = n
             ("qubits 6\nH 2\n", linalg.zero_state(6), engine.run_circuit),
             ("qubits 6\nH 2\n", None, measurement.run_with_branches),
+            # a gate after the last MEASURE writes the leaves the walk ends on
+            ("qubits 2\nX 0\nMEASURE 0\nH 1\n", None, measurement.run_with_branches),
         ],
-        ids=["register", "every-wire", "psi0", "branches"],
+        ids=["register", "every-wire", "psi0", "branches", "measured-trailing"],
     )
     def test_a_result_off_the_unit_norm_raises(self, monkeypatch, text, psi0, runner):
         # a kernel bug stand-in: an H that doubles every amplitude it writes
@@ -835,10 +837,11 @@ class TestSlicing:
             engine.run_circuit(plain)
             assert np.getbufsize() == 4096
             # every wire leaves |0>, so every plan runs on 2**17 amplitudes the
-            # big-state way, and H 5, on a view of shape (2048, 2, 32), runs
-            # slice by slice, _SLICE amplitudes at a time
+            # big-state way, and H 5, on a view of shape (1, 2048, 2, 32) (the
+            # walk's stack of one row), runs slice by slice, _SLICE amplitudes
+            # at a time
             assert {bufsize for bufsize, _ in seen} == {engine._BUFSIZE}
-            assert (engine._SLICE // 64, 2, 32) in [shape for _, shape in seen]
+            assert (1, engine._SLICE // 64, 2, 32) in [shape for _, shape in seen]
             measurement.run_with_branches(measured)
             assert np.getbufsize() == 4096
             measurement.sample_shots(measured, 50, 7)

@@ -147,7 +147,6 @@ _TAKES_A_COUNT = {
     "partial_trace_state": lambda v: analysis.partial_trace_state(v, _PSI, [0]),
     "partial_trace_matrix": lambda v: analysis.partial_trace_matrix(v, _RHO, [0]),
     "basis_state": lambda v: linalg.basis_state(v, 0),
-    "initial_state": lambda v: linalg.initial_state(v, _PSI),
     "stabilizer_renyi_entropy": lambda v: analysis.stabilizer_renyi_entropy(_PSI, v),
     "all_qubit_stats": lambda v: analysis.all_qubit_stats(_PSI, v),
 }
@@ -314,7 +313,7 @@ class TestArgumentContract:
         assert analysis.probability_of_one(flipped, one) == 1.0
         assert analysis.partial_trace_state(two, flipped, [one], keep=True)[1, 1] == 1.0
         assert analysis.partial_trace_matrix(two, _RHO, [one]).shape == (2, 2)
-        assert np.array_equal(linalg.initial_state(two, flipped), flipped)
+        assert np.array_equal(oracle.simulate_naive(Circuit(two), flipped), flipped)
         assert abs(analysis.stabilizer_renyi_entropy(flipped, two)) < 1e-12
 
     def test_float_wire_is_not_truncated(self):
@@ -329,7 +328,7 @@ class TestArgumentContract:
     def test_state_length_is_checked_once_for_every_caller(self):
         short = np.zeros(2, dtype=complex)
         for call in (
-            lambda: linalg.initial_state(2, short),
+            lambda: oracle.simulate_naive(Circuit(2), short),
             lambda: engine.apply_multi_qubit_gate(2, _X, (0,), short),
             lambda: measurement.measure_qubit(short, 2, 0),
             lambda: analysis.partial_trace_state(2, short, [0]),
@@ -397,7 +396,7 @@ class TestMatrixContract:
 
     def test_non_numeric_state_is_a_contract_error(self):
         for call in (
-            lambda: linalg.initial_state(1, ["a", "b"]),
+            lambda: oracle.simulate_naive(Circuit(1), ["a", "b"]),
             lambda: engine.apply_multi_qubit_gate(1, np.eye(2), (0,), ["a", "b"]),
             lambda: analysis.probability_of_one(["a", "b"], 0),
             lambda: oracle.swap_wires(2, 0, 1, ["a", "b", "c", "d"]),
@@ -442,7 +441,6 @@ _MEASURED = parse_circuit("qubits 2\nH 0\nMEASURE 0\n")
 # every public entry point that reads a state as probabilities, called
 # with a bad 2-qubit state
 _TAKES_A_UNIT_STATE = {
-    "initial_state": lambda psi: linalg.initial_state(2, psi),
     "measure_qubit": lambda psi: measurement.measure_qubit(psi, 2, 1),
     "probability_of_one": lambda psi: analysis.probability_of_one(psi, 1),
     "partial_trace_state": lambda psi: analysis.partial_trace_state(2, psi, [0]),

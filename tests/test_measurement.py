@@ -430,7 +430,7 @@ class TestSampleShots:
         ],
     )
     def test_split_checks_every_stacked_row(self, monkeypatch, spoil, message):
-        real = measurement._run_plan
+        real = engine._run_plan
 
         def run_and_spoil(plan, stack):
             real(plan, stack)
@@ -439,7 +439,7 @@ class TestSampleShots:
                 stack[1] *= spoil[1]
             return stack
 
-        monkeypatch.setattr(measurement, "_run_plan", run_and_spoil)
+        monkeypatch.setattr(engine, "_run_plan", run_and_spoil)
         circ = parse_circuit("qubits 3\nH 0\nH 1\nMEASURE 0\nH 2\nMEASURE 1\n")
         with pytest.raises(ContractError, match=message):
             measurement.run_with_branches(circ)
@@ -492,13 +492,13 @@ class TestSampleShots:
         circ = parse_circuit("qubits 2\nH 1\nS 1\nH 0\nMEASURE 0\nS 1\nH 1\nMEASURE 1\n")
         want = oracle.sample_shots_deferred(circ, 100, 3)
         assert measurement.sample_shots(circ, 100, 3) == want
-        real = measurement._split
+        real = engine._split
 
         def conjugated(*args):
             nodes, bits, p, children, rows = real(*args)
             return nodes, bits, p, children.conj(), rows
 
-        monkeypatch.setattr(measurement, "_split", conjugated)
+        monkeypatch.setattr(engine, "_split", conjugated)
         assert measurement.sample_shots(circ, 100, 3) != want
         assert oracle.sample_shots_deferred(circ, 100, 3) == want
 

@@ -3,7 +3,7 @@ import pytest
 
 from qwsim import analysis, gates, linalg, oracle
 from qwsim.circuit import parse_circuit, random_circuit
-from qwsim.errors import ContractError, ResourceError
+from qwsim.errors import ContractError, DimensionError, ResourceError
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -79,6 +79,30 @@ class TestSimulateNaive:
         circ = parse_circuit("qubits 1\nH 0\n")
         with pytest.raises(ContractError):
             oracle.simulate_naive(circ, np.array([1.0, 1.0], dtype=complex))
+
+    @pytest.mark.parametrize(
+        "psi0, error, message",
+        [
+            ([1, 1], ContractError, "not normalized"),
+            ([0.1, 0.1], ContractError, "not normalized"),
+            ([1e200, 0], ContractError, "not normalized"),  # finite, but its norm overflows
+            ([1, np.nan], ContractError, "non-finite"),
+            ([np.inf, 0], ContractError, "non-finite"),
+            (["a", "b"], ContractError, "array of numbers"),
+            ([1, 0, 0, 0], DimensionError, "state must have length 2 for 1 qubits"),
+        ],
+        ids=["norm 2", "norm 0.02", "overflow", "nan", "inf", "non-numeric", "length"],
+    )
+    def test_each_bad_initial_state_is_refused(self, psi0, error, message):
+        circ = parse_circuit("qubits 1\nH 0\n")
+        with pytest.raises(error, match=message):
+            oracle.simulate_naive(circ, psi0)
+
+    def test_runs_from_a_copy_of_the_initial_state(self):
+        # a gate-free run returns its start, which must not be the caller's array
+        psi0 = linalg.basis_state(2, 0b10)
+        out = oracle.simulate_naive(parse_circuit("qubits 2\n"), psi0)
+        assert np.array_equal(out, psi0) and not np.shares_memory(out, psi0)
 
     def test_guard_rejects_large_registers(self):
         circ = parse_circuit(f"qubits {oracle.NAIVE_QUBIT_GUARD + 1}\nMEASURE 0\n")
