@@ -9,13 +9,19 @@ The text format is line-oriented::
     MEASURE 0         # measurement on one wire
 
 A line ends at CR LF, CR or LF and nowhere else, and ``#`` starts a
-comment up to it.  Names are case-insensitive, ``c=w`` / ``a=w``
+comment up to it.  Names are case-insensitive ASCII, ``c=w`` / ``a=w``
 tokens attach control / anticontrol wires to any gate.  ``CX``, ``CCX``
 and ``CSWAP`` expand to X and SWAP with controls.  A ';' between gates is
 purely cosmetic grouping: ops run in file order either way.  Wires and
-the qubit count are ASCII digits ``0-9`` only.  A gate's wires, targets
-and controls, pass one ``check_wires`` in ``GateOp``; the ``Circuit``
-checks each op against the register once, after every line is read.
+the qubit count are ASCII digits ``0-9`` only.
+
+The parser reads each gate once.  A wire token is looked up in a table
+of ``"0"`` to ``"25"``, built at import, and only a miss is read or
+refused digit by digit.  A gate that passes every check of ``GateOp`` on
+sight is built directly, masks and all; any other goes through
+``GateOp``, whose one ``check_wires`` over targets and controls names
+the fault.  The ``Circuit`` checks each op against the register once,
+after every line is read.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParseError, SimulationError
-from .gates import MEASURE, gate_def
-from .engine import NO_CONTROLS, ControlSpec, check_targets
+from .gates import MEASURE, gate_def, gate_names
+from .engine import NO_CONTROLS, ControlSpec, _checked_spec, check_targets
 from .linalg import MAX_QUBITS, check_int, check_qubit_count
 
 
@@ -41,7 +47,9 @@ class GateOp:
     controls: ControlSpec = NO_CONTROLS
 
     def __init__(self, gate, targets, controls=NO_CONTROLS):
-        gate = str(gate).upper()
+        gate = str(gate)
+        if gate.isascii():  # Unicode upper() reads the long s as S (see gate_def)
+            gate = gate.upper()
         # no register holds a wire past the cap; the circuit checks its own range
         targets, controls = check_targets(MAX_QUBITS, targets, controls)
         if gate == MEASURE:
@@ -121,6 +129,13 @@ def _lines(text: str) -> list[str]:
 # sugar name -> (base gate, number of leading wires that become controls)
 _SUGAR = {"CX": ("X", 1), "CCX": ("X", 2), "CSWAP": ("SWAP", 1)}
 
+# every wire token below the cap in its plain form, read without _parse_int
+_WIRES = {str(w): w for w in range(MAX_QUBITS)}
+
+# the number of targets of each name a gate's line may carry once its sugar
+# is expanded
+_ARITY = {**{name: gate_def(name).arity for name in gate_names()}, MEASURE: 1}
+
 
 def _parse_int(token: str, line_no: int, what: str) -> int:
     """A wire or qubit count: ASCII digits 0-9 only, no sign, no ``_``."""
@@ -132,32 +147,69 @@ def _parse_int(token: str, line_no: int, what: str) -> int:
     raise ParseError(line_no, f"{what} {token!r} is not an integer of digits 0-9")
 
 
+def _accept(name: str, targets: list[int], wires: list[int], flags: list[bool]) -> GateOp | None:
+    """The op of a line that passes every check of ``GateOp``, built
+    without repeating them, or None; ``wires`` and ``flags`` are its
+    controls' wires and their ``is_control`` flags.
+
+    A line passes when its name is a catalog gate, or MEASURE without
+    controls, with as many targets as the gate's arity, and its wires are
+    below the cap and none is named twice.  This raises nothing, so that
+    every refusal is made, and worded, by ``GateOp`` alone.
+    """
+    if _ARITY.get(name) != len(targets) or wires and name == MEASURE:
+        return None
+    named = 0  # a bit per wire so far; each is below the cap before it shifts
+    for wire in targets + wires:
+        if wire >= MAX_QUBITS or named >> wire & 1:
+            return None
+        named |= 1 << wire
+    op = object.__new__(GateOp)
+    spec = _checked_spec(tuple(wires), flags) if wires else NO_CONTROLS
+    op.__dict__.update(gate=name, targets=tuple(targets), controls=spec)
+    return op
+
+
 def _parse_gate(tokens: list[str], line_no: int) -> GateOp:
     """Read one gate's tokens and expand its sugar.
 
-    ``GateOp`` makes every check but those of the register, its wire range
-    and its measured wires, which the circuit makes; a failure becomes a
-    ``ParseError`` naming ``line_no``.
+    A wire token is looked up in ``_WIRES`` and, on a miss, read or refused
+    by :func:`_parse_int`.  A line :func:`_accept` takes is built there;
+    any other goes through ``GateOp``, which makes every check but those of
+    the register, its wire range and its measured wires, which the circuit
+    makes.  A failure becomes a ``ParseError`` naming ``line_no``.
     """
-    name = tokens[0].upper()
+    head = tokens[0]
+    name = head.upper() if head.isascii() else head  # as gates.gate_def reads it
     targets: list[int] = []
-    controls: list[tuple[int, bool]] = []
+    wires: list[int] = []  # the control and anticontrol wires
+    flags: list[bool] = []  # whether each is a control
     for token in tokens[1:]:
-        head = token[:2].lower()
-        if head == "c=" or head == "a=":
-            controls.append((_parse_int(token[2:], line_no, "control wire"), head == "c="))
+        wire = _WIRES.get(token)
+        if wire is not None:
+            targets.append(wire)
+            continue
+        kind = token[:2].lower()
+        if kind == "c=" or kind == "a=":
+            wire = _WIRES.get(token[2:])
+            wires.append(_parse_int(token[2:], line_no, "control wire") if wire is None else wire)
+            flags.append(kind == "c=")
         else:
             targets.append(_parse_int(token, line_no, "wire"))
 
     if name in _SUGAR:
         name, k = _SUGAR[name]
-        expected = k + gate_def(name).arity
+        expected = k + _ARITY[name]
         if len(targets) != expected:
             raise ParseError(line_no, f"{tokens[0]} takes {expected} wires, got {len(targets)}")
-        controls = [(w, True) for w in targets[:k]] + controls
+        wires = targets[:k] + wires
+        flags = [True] * k + flags
         targets = targets[k:]
+    op = _accept(name, targets, wires, flags)
+    if op is not None:
+        return op
     try:
-        return GateOp(name, targets, controls or NO_CONTROLS)
+        return GateOp(name, targets, list(zip(wires, flags)) or NO_CONTROLS)
     except SimulationError as exc:
         raise ParseError(line_no, str(exc)) from None
 

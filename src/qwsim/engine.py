@@ -144,15 +144,21 @@ def check_targets(n: int, targets, controls) -> tuple[tuple[int, ...], ControlSp
     cut = len(checked) - len(wires)
     if flags is None:
         return checked[:cut], controls
-    wires = checked[cut:]
+    return checked[:cut], _checked_spec(checked[cut:], flags)
+
+
+def _checked_spec(wires: tuple[int, ...], flags) -> ControlSpec:
+    """The ``ControlSpec`` of control ``wires`` that are already checked,
+    distinct plain ints below the cap, and their bool ``flags``; built
+    without ``__new__``, so without checking them again."""
     inclusion = desired = 0
     for wire, is_control in zip(wires, flags):
         inclusion |= 1 << wire
         desired |= is_control << wire
-    spec = object.__new__(ControlSpec)  # checked above, so built without __new__
+    spec = object.__new__(ControlSpec)
     spec.__dict__.update(entries=tuple(zip(wires, flags)), inclusion_mask=inclusion,
                          desired_value_mask=desired, wires=wires)
-    return checked[:cut], spec
+    return spec
 
 
 NO_CONTROLS = ControlSpec()
@@ -381,56 +387,66 @@ def compile_circuit(n: int, ops, psi0=None) -> tuple[list, tuple[int, ...], dict
     a compile checks nothing, only places templates, and cannot fail.
 
     When ``psi0`` is None the start is |00...0>, and the compile tracks the
-    live wires that no gate has yet moved off 0; given a ``psi0``, it takes
-    no wire as known.  A gate then places no plan when a control of it
-    wants 1 on such a wire, or when its targets are all such wires and its
-    template fixes block 0 (Z, S, T, SDG, TDG, I and the swaps).  Any other
-    gate gains an anticontrol on each such wire it does not name, so it
-    runs only where those wires read 0, and its targets leave the set, as
-    a measured wire does.  The skipped amplitudes are exact zeros, and
-    every other amplitude gets the same numpy work, so results compare
-    equal (``np.array_equal``) to those of the plans without it.
+    live wires that no gate has yet moved off 0, as a bitmask ``zero``;
+    given a ``psi0``, it takes no wire as known.  A gate then places no
+    plan when a control of it wants 1 on such a wire
+    (``desired_value_mask & zero``), or when its targets are all such
+    wires and its template fixes block 0 (Z, S, T, SDG, TDG, I and the
+    swaps).  Any other gate gains an anticontrol on each such wire it does
+    not name (``zero & ~(targets | inclusion_mask)``), so it runs only
+    where those wires read 0, and its targets leave the set, as a measured
+    wire does.  The skipped amplitudes are exact zeros, and every other
+    amplitude gets the same numpy work, so results compare equal
+    (``np.array_equal``) to those of the plans without it.
 
     A circuit with no MEASURE and no ``psi0`` goes one step further: its
     steps start on the register of the K wires that some placed gate
     targets, in wire order, and ``wire_map`` sends every other wire, which
     stays 0 throughout, to None.  Such a wire takes no axis and no
     anticontrol, and an anticontrol of the circuit's own on it always
-    passes, so it is dropped.  Any other circuit starts on all its wires,
+    passes, so it is dropped: a gate's anticontrols are enumerated over
+    the register's wires only.  Any other circuit starts on all its wires,
     since :func:`_walk` splits on the full live register (its sums over
     a smaller one could round differently).
     """
-    zero = set(range(n)) if psi0 is None else set()  # wires still 0 in every amplitude
-    kept = []  # each placed gate with its (wire, is_control) entries; each MEASURE with None
-    moved: set[int] = set()  # the targets of the placed gates
+    zero = (1 << n) - 1 if psi0 is None else 0  # a bit per wire still 0 in every amplitude
+    kept = []  # each placed gate with the zero mask it met; each MEASURE with None
+    moved = 0  # the targets of the placed gates
     measured: list[int] = []
     for op in ops:
         if op.gate == MEASURE:
             measured.append(op.targets[0])
-            zero.discard(measured[-1])
+            zero &= ~(1 << measured[-1])
             kept.append((op, None))
             continue
-        entries = op.controls.entries
-        if zero:
-            if any(f and w in zero for w, f in entries):
-                continue  # a control that wants 1 on a wire still 0 never fires
-            if op.gate in _FIXES_ZERO and zero.issuperset(op.targets):
-                continue  # only block 0 is nonzero, and the gate fixes it
-            entries += tuple((w, False) for w in zero.difference(op.wires))
-            zero.difference_update(op.targets)
-        moved.update(op.targets)
-        kept.append((op, entries))
-    live = sorted(moved) if psi0 is None and not measured else list(range(n))
+        if op.controls.desired_value_mask & zero:
+            continue  # a control that wants 1 on a wire still 0 never fires
+        targets = 0
+        for w in op.targets:
+            targets |= 1 << w
+        if op.gate in _FIXES_ZERO and not targets & ~zero:
+            continue  # only block 0 is nonzero, and the gate fixes it
+        kept.append((op, zero & ~(targets | op.controls.inclusion_mask)))
+        zero &= ~targets
+        moved |= targets
+    if psi0 is None and not measured:
+        live = [w for w in range(n) if moved >> w & 1]
+    else:
+        live = list(range(n))
     slot_of = {w: s for s, w in enumerate(live)}
     steps: list[tuple[tuple | None, int | None]] = []
-    for op, entries in kept:
+    for op, zero in kept:
         slots = list(map(slot_of.__getitem__, op.targets))
-        if entries is None:
+        if zero is None:
             steps.append((None, slots[0]))
             live.pop(slots[0])
             slot_of = {w: s for s, w in enumerate(live)}
             continue
-        entries = [(slot_of[w], f) for w, f in entries if w in slot_of]
+        # a wire off the register stays 0: a control of the gate's own on it is
+        # an anticontrol, which always passes, and only live wires are scanned
+        entries = [(slot_of[w], f) for w, f in op.controls.entries if w in slot_of]
+        if zero:
+            entries += [(s, False) for s, w in enumerate(live) if zero >> w & 1]
         steps.append((_place(len(live), _TEMPLATES[op.gate], slots, entries), None))
     wire_map = {w: slot_of.get(w) for w in range(n)}
     return steps, tuple(measured), wire_map

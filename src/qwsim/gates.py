@@ -77,11 +77,13 @@ def gate_names() -> tuple[str, ...]:
 
 
 def gate_def(name: str) -> GateDef:
-    """Look up a gate by (case-insensitive) name."""
-    try:
-        return _CATALOG[str(name).upper()]
-    except KeyError:
-        raise CatalogError(f"unknown gate {name!r}") from None
+    """Look up a gate by case-insensitive ASCII name: Unicode ``upper()``
+    would read the long s as S and the dotless i as I."""
+    key = str(name)
+    gate = _CATALOG.get(key.upper()) if key.isascii() else None
+    if gate is None:
+        raise CatalogError(f"unknown gate {name!r}")
+    return gate
 
 
 def gate_matrix(name: str) -> np.ndarray:

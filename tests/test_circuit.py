@@ -1,6 +1,7 @@
 import contextlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import parse_refusals
@@ -10,13 +11,20 @@ from qwsim import circuit as circ_mod
 from qwsim import engine, gates, linalg
 from qwsim.circuit import Circuit, GateOp, format_circuit, parse_circuit, random_circuit
 from qwsim.engine import ControlSpec
-from qwsim.errors import ContractError, ParseError, ResourceError
+from qwsim.errors import CatalogError, ContractError, ParseError, ResourceError
+
+CIRCUITS = Path(__file__).resolve().parents[1] / "circuits"
 
 
 class TestGateOp:
     def test_normalizes_name_case(self):
         op = GateOp("h", (0,))
         assert op.gate == "H"
+
+    @pytest.mark.parametrize("name", ["\u017fwap", "\u0131", "c\u017fwap", "mea\u017fure"])
+    def test_a_name_is_read_as_ascii_only(self, name):
+        with pytest.raises(CatalogError, match="unknown gate"):
+            GateOp(name, (0, 1) if "wap" in name else (0,))
 
     def test_arity_mismatch(self):
         with pytest.raises(ContractError):
@@ -213,6 +221,43 @@ class TestParser:
         for base, line, token, kind, new, want in table["sweep"]:
             text = parse_refusals.mutate(table["bases"][base], line, token, kind, new)
             assert parse_refusals.outcome(text) == want, text
+
+    def test_parsed_ops_equal_checked_ops(self):
+        # every accepted text of the table and every circuit file: each op the
+        # parser builds equals GateOp's, in the fields equality skips and in type
+        table = json.loads(parse_refusals.PATH.read_text())
+        texts = [text for text, (kind, _, _) in table["fixed"] if kind == "accepted"]
+        for base, line, token, kind, new, (outcome, _, _) in table["sweep"]:
+            if outcome == "accepted":
+                texts.append(parse_refusals.mutate(table["bases"][base], line, token, kind, new))
+        circuits = [circ_mod.load_circuit(path) for path in sorted(CIRCUITS.glob("*.qc"))]
+        ops = [op for text in texts for op in parse_circuit(text).ops]
+        ops += [op for circ in circuits for op in circ.ops]
+        assert len(ops) > 4000
+        for op in ops:
+            want = GateOp(op.gate, op.targets, op.controls.entries)
+            got, spec = op.controls, want.controls
+            assert op == want
+            assert (got.wires, got.inclusion_mask, got.desired_value_mask) == (
+                spec.wires, spec.inclusion_mask, spec.desired_value_mask
+            )
+            # and the masks by their definition, which no builder shares
+            assert got.wires == tuple(w for w, _ in got.entries)
+            assert got.inclusion_mask == sum(1 << w for w, _ in got.entries)
+            assert got.desired_value_mask == sum(f << w for w, f in got.entries)
+            assert type(op.gate) is str
+            assert type(op.targets) is type(got.entries) is type(got.wires) is tuple
+            assert {type(w) for w in op.targets + got.wires} <= {int}
+            assert {type(f) for _, f in got.entries} <= {bool}
+
+    @pytest.mark.parametrize(
+        "text", ["\u017fwap 0 1", "\u0131 0", "c\u017fwap 0 1 2", "mea\u017fure 0", "X 0 ; \u0131 1"]
+    )
+    def test_a_name_is_read_as_ascii_only(self, text):
+        # Unicode upper() maps the long s to S and the dotless i to I; no
+        # such name is a catalog gate, sugar or MEASURE
+        with pytest.raises(ParseError, match="unknown gate"):
+            parse_circuit(f"qubits 3\n{text}\n")
 
 
 class TestFormatter:

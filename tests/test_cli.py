@@ -557,6 +557,25 @@ class TestBadInput:
             assert "UTF-8" in err
 
 
+    @pytest.mark.parametrize("line", ["X 0 c=0", "H 26", "CX 0", "H 5", "\u017fwap 0 1"])
+    def test_a_refused_gate_line_is_one_error_line(self, capsys, circuit_file, line):
+        code, out, err = run_cli(capsys, "simulate", circuit_file(f"qubits 2\n{line}\n"))
+        assert code == 1 and out == ""
+        assert err.startswith("error: line 2: ") and err.count("\n") == 1
+
+    def test_both_ways_of_reading_a_wire_print_the_pinned_state(self, capsys, circuit_file):
+        # wires from the wire table and read digit by digit (003, 02); names in
+        # any case, sugar, a comment and a trailing ';'
+        text = (
+            "qubits 4\nh 0 ; h 2 ; cx 0 1\nCCX 0 1 3 ; cswap 2 0 3   # sugar\ny 003 a=1\n"
+            "sdg 2 c=0 A=3\nsqrtswap 1 3 C=0\nISWAP 02 0 a=1\nt 3;\n"
+        )
+        code, out, _ = run_cli(capsys, "simulate", circuit_file(text))
+        assert code == 0 and out.count("\n") == 4
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "5356a8c6788fb3a041597880c17de30d1b563c21aefaf2daf07b9a8555920d8d"
+
+
 class TestParserReuse:
     def test_main_builds_its_parser_at_most_once(self, capsys, circuit_file, monkeypatch):
         built = []

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from qwsim.errors import ContractError, DimensionError, ParseError
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 SWAP = gates.gate_matrix("SWAP")
+CIRCUITS = Path(__file__).resolve().parents[1] / "circuits"
 
 
 def random_unitary(dim, rng):
@@ -558,6 +560,34 @@ class TestCompileCircuit:
         # a measurement-free circuit goes to run_circuit, compiled there alone
         measurement.run_with_branches(parse_circuit("qubits 3\nH 0\nCX 0 1\nH 2\n"))
         assert len(built) == 3
+
+
+    def test_compiled_plans_are_pinned(self):
+        # every circuit file, with and without a given start, and seeded random
+        # circuits, also with a MEASURE mid-way and cut short as the sampler
+        # cuts them: a rewrite of the compile places the same plans
+        digest = hashlib.sha256()
+
+        def add(n, ops, psi0=None):
+            digest.update(repr(engine.compile_circuit(n, ops, psi0)).encode())
+
+        for path in sorted(CIRCUITS.glob("*.qc")):
+            circ = load_circuit(path)
+            add(circ.n, circ.ops)
+            if circ.n <= 20:
+                add(circ.n, circ.ops, linalg.zero_state(circ.n))
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = 1 + seed % 12
+            circ = random_circuit(n, 2 * n + 2, rng, single_qubit_only=seed % 6 == 5)
+            add(n, circ.ops)
+            add(n, circ.ops, linalg.zero_state(n))
+            w, k = int(rng.integers(n)), len(circ.ops) // 2
+            rest = tuple(op for op in circ.ops[k:] if w not in op.wires)
+            measured = Circuit(n, circ.ops[:k] + (GateOp("MEASURE", (w,)),) + rest)
+            add(n, measured.ops)
+            add(n, measured.ops[: k + 1])
+        assert digest.hexdigest() == "9cc1aac3f24c1bac6743520890941d32b2249c5f17719a8b2b2cfd4164b51c72"
 
 
 class TestZeroWires:

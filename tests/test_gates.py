@@ -62,6 +62,13 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             gates.gate_def("RX")
 
+    @pytest.mark.parametrize("name", ["\u017fwap", "\u0131", "\u017fqrt\u017fwap"])
+    def test_a_name_is_case_insensitive_ascii(self, name):
+        # Unicode upper() maps the long s to S and the dotless i to I
+        assert name.upper() in gates.gate_names()
+        with pytest.raises(CatalogError, match="unknown gate"):
+            gates.gate_def(name)
+
     def test_matrices_are_read_only(self):
         with pytest.raises(ValueError):
             gates.gate_matrix("X")[0, 0] = 5.0
