@@ -294,11 +294,14 @@ def concurrence(rho) -> float:
     return _concurrence(*_density_gate(check_matrix(rho), 2, vectors=True))
 
 
+# Y (x) Y, the spin flip of Wootters' concurrence
+_YY = np.kron(gate_matrix("Y"), gate_matrix("Y"))
+_YY.flags.writeable = False
+
+
 def _concurrence(rho: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
     """:func:`concurrence` of a checked ``rho`` with eigenpairs ``(w, v)``."""
-    y = gate_matrix("Y")
-    yy = np.kron(y, y)
-    flipped = yy @ rho.conj() @ yy
+    flipped = _YY @ rho.conj() @ _YY
     sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     product = sqrt_rho @ flipped @ sqrt_rho
     # product is PSD up to roundoff but only approximately Hermitian in

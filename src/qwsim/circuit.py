@@ -27,7 +27,7 @@ after every line is read.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +45,9 @@ class GateOp:
     gate: str
     targets: tuple[int, ...]
     controls: ControlSpec = NO_CONTROLS
+    # the targets as a bitmask, beside ``controls.inclusion_mask``; derived,
+    # so not compared or shown
+    target_mask: int = field(init=False, default=0, compare=False, repr=False)
 
     def __init__(self, gate, targets, controls=NO_CONTROLS):
         gate = str(gate)
@@ -61,7 +64,10 @@ class GateOp:
             g = gate_def(gate)  # raises CatalogError for unknown names
             if len(targets) != g.arity:
                 raise ContractError(f"{g.name} takes {g.arity} wire(s), got {len(targets)}")
-        self.__dict__.update(gate=gate, targets=targets, controls=controls)
+        mask = 0
+        for w in targets:
+            mask |= 1 << w
+        self.__dict__.update(gate=gate, targets=targets, controls=controls, target_mask=mask)
 
     @property
     def wires(self) -> tuple[int, ...]:
@@ -93,24 +99,35 @@ class Circuit:
             object.__setattr__(self, "ops", tuple(self.ops))
         except TypeError:
             raise ContractError(f"ops must be a sequence of GateOp, got {self.ops!r}") from None
-        measured: set[int] = set()
+        # a bit per wire: those a MEASURE took, and those outside the register
+        measured = 0
+        refused = -1 << n
         for k, op in enumerate(self.ops):
             if not isinstance(op, GateOp):
                 raise ContractError(f"op {k} is {op!r}, not a GateOp")
-            for w in op.wires:  # GateOp made them distinct ints in 0..MAX_QUBITS-1
-                if w >= n:
-                    message = f"op {k} ({op}) touches wire {w}, out of range for {n} qubits"
-                elif w not in measured:
-                    continue
-                elif op.gate == MEASURE:
+            wires = op.target_mask | op.controls.inclusion_mask
+            if wires & refused:
+                raise self._refusal(k, op, measured)
+            if op.gate == MEASURE:
+                measured |= wires
+                refused |= wires
+
+    def _refusal(self, k: int, op: GateOp, measured: int) -> ContractError:
+        """The error of op ``k``, the first to touch a wire out of range or
+        ``measured`` (a bit per wire), named at its first such wire."""
+        for w in op.wires:
+            if w >= self.n:
+                message = f"op {k} ({op}) touches wire {w}, out of range for {self.n} qubits"
+                break
+            if measured >> w & 1:
+                if op.gate == MEASURE:
                     message = f"op {k} ({op}): wire {w} measured twice"
                 else:
                     message = f"op {k} ({op}) touches wire {w}, which was measured"
-                err = ContractError(message)
-                err.op_index = k  # lets parse_circuit name the op's line
-                raise err
-            if op.gate == MEASURE:
-                measured.update(op.targets)
+                break
+        err = ContractError(message)
+        err.op_index = k  # lets parse_circuit name the op's line
+        return err
 
     @property
     def has_measurements(self) -> bool:
@@ -166,7 +183,8 @@ def _accept(name: str, targets: list[int], wires: list[int], flags: list[bool]) 
         named |= 1 << wire
     op = object.__new__(GateOp)
     spec = _checked_spec(tuple(wires), flags) if wires else NO_CONTROLS
-    op.__dict__.update(gate=name, targets=tuple(targets), controls=spec)
+    op.__dict__.update(gate=name, targets=tuple(targets), controls=spec,
+                       target_mask=named & ~spec.inclusion_mask)
     return op
 
 

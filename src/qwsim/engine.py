@@ -38,15 +38,20 @@ amplitudes this skips are exact zeros, and each other amplitude meets
 the same numpy operations, so results equal (``np.array_equal``) those
 of plans that take no wire as known; a skipped zero may keep a sign that
 a full run would flip.  A circuit with no MEASURE and no ``psi0`` runs
-on the register of the K wires that its placed gates target, in wire
-order: every other wire stays 0 to the end, so it takes no axis and no
-anticontrol, and :func:`_run_register` walks the ``2**K`` amplitudes,
-whose norm the walk tests, and hands them on with the wire map.
-:func:`run_circuit` scatters them once into a zeroed state of every
-wire; the scatter moves no value, so the test holds for the result.  The
-CLI reads the register itself and never builds the ``2**n`` state.  A
-circuit with a MEASURE keeps every live wire, since a split's sums
-follow the state's layout.
+on the register of the K wires that its placed gates target: every
+other wire stays 0 to the end, so it takes no axis and no anticontrol.
+When ``2**K`` is at most ``2 * _SLICE`` (K <= 16), the register grows in
+first-move order: a wire takes the next slot at the first gate that
+moves it, and each gate runs on the prefix of the ``2**k`` amplitudes of
+the k wires moved so far.  Every wire not yet moved reads 0 there, so no
+gate takes an anticontrol for it.  A larger register keeps wire order
+and those anticontrols.  :func:`run_circuit` scatters the ``2**K`` amplitudes,
+whose norm the walk tests, once into a zeroed state of every wire, from a
+transposed view that puts them back into wire order; the scatter moves
+no value, so the test holds for the result.  The CLI reads the register
+of :func:`_run_register`, in wire order, and never builds the ``2**n``
+state.  A circuit with a MEASURE keeps every live wire in wire order,
+since a split's sums follow the state's layout.
 
 A state of at most ``2 * _SLICE`` amplitudes, over all rows, runs a
 plan's steps on the whole view and nothing else.  A bigger one takes
@@ -380,6 +385,7 @@ def compile_circuit(n: int, ops, psi0=None) -> tuple[list, tuple[int, ...], dict
     Returns ``(steps, measured, wire_map)``.  A measured wire leaves the
     state and the live wires keep their order, so each step is fixed in
     advance: ``(plan, None)`` runs a gate's plan on the wires still live,
+    ``(plan, size)`` runs it on the first ``size`` amplitudes of the state,
     ``(None, slot)`` measures live wire ``slot``.  ``measured`` lists the
     measured wires in op order; ``wire_map`` sends each wire to its slot in
     the state the steps end on, or None when that state does not hold it.
@@ -400,14 +406,21 @@ def compile_circuit(n: int, ops, psi0=None) -> tuple[list, tuple[int, ...], dict
     (``np.array_equal``) to those of the plans without it.
 
     A circuit with no MEASURE and no ``psi0`` goes one step further: its
-    steps start on the register of the K wires that some placed gate
-    targets, in wire order, and ``wire_map`` sends every other wire, which
-    stays 0 throughout, to None.  Such a wire takes no axis and no
-    anticontrol, and an anticontrol of the circuit's own on it always
-    passes, so it is dropped: a gate's anticontrols are enumerated over
-    the register's wires only.  Any other circuit starts on all its wires,
-    since :func:`_walk` splits on the full live register (its sums over
-    a smaller one could round differently).
+    steps run on the register of the K wires that some placed gate
+    targets, and ``wire_map`` sends every other wire, which stays 0
+    throughout, to None.  Such a wire takes no axis and no anticontrol,
+    and an anticontrol of the circuit's own on it always passes, so it is
+    dropped.  When ``2**K <= 2 * _SLICE`` the slots follow first-move
+    order: each wire takes the next slot at the first placed gate that
+    targets it, and each gate is placed on the k wires moved so far, as
+    step ``(plan, 2**k)``, which runs on the first ``2**k`` amplitudes of
+    the walk's row.  Every other amplitude has a wire not yet moved at 1,
+    so is 0, and a wire not yet moved takes no anticontrol.  Otherwise the
+    register keeps wire order, each plan runs on its whole row, as step
+    ``(plan, None)``, and a gate takes an anticontrol on each register wire
+    still 0 that it does not name.  Any other circuit starts on all its
+    wires in wire order, since :func:`_walk` splits on the full live
+    register (its sums over a smaller one could round differently).
     """
     zero = (1 << n) - 1 if psi0 is None else 0  # a bit per wire still 0 in every amplitude
     kept = []  # each placed gate with the zero mask it met; each MEASURE with None
@@ -421,20 +434,30 @@ def compile_circuit(n: int, ops, psi0=None) -> tuple[list, tuple[int, ...], dict
             continue
         if op.controls.desired_value_mask & zero:
             continue  # a control that wants 1 on a wire still 0 never fires
-        targets = 0
-        for w in op.targets:
-            targets |= 1 << w
+        targets = op.target_mask
         if op.gate in _FIXES_ZERO and not targets & ~zero:
             continue  # only block 0 is nonzero, and the gate fixes it
         kept.append((op, zero & ~(targets | op.controls.inclusion_mask)))
         zero &= ~targets
         moved |= targets
+    steps: list[tuple[tuple | None, int | None]] = []
+    if psi0 is None and not measured and 1 << moved.bit_count() <= 2 * _SLICE:
+        slot_of = {}  # each moved wire's slot, in first-move order
+        for op, _ in kept:
+            for w in op.targets:
+                slot_of.setdefault(w, len(slot_of))
+            # a wire not yet moved reads 0 all over the prefix: an anticontrol
+            # of the gate's own on it always passes
+            entries = [(slot_of[w], f) for w, f in op.controls.entries if w in slot_of]
+            slots = list(map(slot_of.__getitem__, op.targets))
+            k = len(slot_of)
+            steps.append((_place(k, _TEMPLATES[op.gate], slots, entries), 1 << k))
+        return steps, (), {w: slot_of.get(w) for w in range(n)}
     if psi0 is None and not measured:
         live = [w for w in range(n) if moved >> w & 1]
     else:
         live = list(range(n))
     slot_of = {w: s for s, w in enumerate(live)}
-    steps: list[tuple[tuple | None, int | None]] = []
     for op, zero in kept:
         slots = list(map(slot_of.__getitem__, op.targets))
         if zero is None:
@@ -452,7 +475,7 @@ def compile_circuit(n: int, ops, psi0=None) -> tuple[list, tuple[int, ...], dict
     return steps, tuple(measured), wire_map
 
 
-def _split(stack: np.ndarray, slot: int, rows=None, draws=None) -> tuple:
+def _split(stack: np.ndarray, slot: int, rows=None, draws=None, residuals=True) -> tuple:
     """Split each row of a ``(B, 2**n)`` stack of states on live wire ``slot``.
 
     Each row's ``Pr[0]`` and ``Pr[1]`` are the sums of ``|row|**2`` over
@@ -460,7 +483,8 @@ def _split(stack: np.ndarray, slot: int, rows=None, draws=None) -> tuple:
     outcome below ``PRUNE_EPS`` is pruned.  Returns ``(nodes, bits, p,
     children, rows)``: child ``k`` is outcome ``bits[k]`` of row
     ``nodes[k]``, of probability ``p[k]``, with the renormalized residual
-    ``children[k]``, in order of ``2 * node + bit``.
+    ``children[k]``, in order of ``2 * node + bit``.  With ``residuals``
+    false no residual is built, and ``children`` is None.
 
     With ``rows`` given, shot ``s`` sits at row ``rows[s]`` and takes
     outcome 1 when ``draws[s]`` is below that row's ``Pr[1]``.  A pruned
@@ -490,6 +514,8 @@ def _split(stack: np.ndarray, slot: int, rows=None, draws=None) -> tuple:
         rows -= 1
     nodes, bits = kept.nonzero()
     p = p[bits, nodes]
+    if not residuals:
+        return nodes, bits, p, None, rows
     children = halves[nodes, :, bits, :].reshape(len(nodes), -1)  # a fresh array
     np.divide(children, np.sqrt(p)[:, None], out=children)
     return nodes, bits, p, children, rows
@@ -502,11 +528,13 @@ def _walk(steps, width: int, psi0=None, draws=None) -> tuple:
     ``psi0``, which the caller has passed through ``check_unit_state``, or
     |00...0> on ``width`` wires, ``width = 0`` included.  It then holds one
     ``(B, 2**n_live)`` stack with a row per live outcome prefix.  Each gate
-    plan runs once on the whole stack, in place.  Each MEASURE splits every
-    row at once (:func:`_split`) into the next stack, whose rows stay in
-    sorted outcome order, and frees the one before.  A walk that ends on a
-    gate tests the norm of each row it ends on; a split's children are unit
-    to rounding, since each row was tested before it split.
+    plan runs once on the whole stack, in place, or, on a register grown in
+    first-move order, on the prefix view ``stack[:, :size]`` of its one row.
+    Each MEASURE splits every row at once (:func:`_split`) into the next
+    stack, whose rows stay in sorted outcome order, and frees the one
+    before.  A walk that ends on a gate tests the norm of each row it ends
+    on; a split's children are unit to rounding, since each row was tested
+    before it split.
 
     Returns ``(outcomes, probs, stack, rows)``: leaf ``k`` has the outcome
     record ``outcomes[k]``, probability ``probs[k]`` and state ``stack[k]``.
@@ -515,6 +543,8 @@ def _walk(steps, width: int, psi0=None, draws=None) -> tuple:
     None.  Otherwise shot ``s`` takes outcome 1 at the ``d``-th MEASURE
     when ``draws[s, d]`` is below its probability, a child that no shot
     takes is dropped, and ``rows[s]`` is the leaf that shot ``s`` reached.
+    Only the rows are read then, so a walk that ends on a split builds no
+    residuals there, and its ``stack`` is None.
     """
     if psi0 is None:
         stack = np.zeros((1, 1 << width), dtype=complex)
@@ -524,13 +554,16 @@ def _walk(steps, width: int, psi0=None, draws=None) -> tuple:
     outcomes = np.zeros((1, 0), dtype=np.intp)
     probs = np.ones(1)
     rows = None if draws is None else np.zeros(len(draws), dtype=np.intp)
-    for plan, slot in steps:
+    last = len(steps) - 1
+    for i, (plan, at) in enumerate(steps):
         if plan is not None:
-            _run_plan(plan, stack)
+            # a prefix of the one row is a view of it, so the plan writes the row
+            _run_plan(plan, stack if at is None else stack[:, :at])
             continue
         d = outcomes.shape[1]
         column = None if draws is None else draws[:, d]
-        nodes, bits, p, stack, rows = _split(stack, slot, rows, column)
+        # a sampler's last split hands on only its rows
+        nodes, bits, p, stack, rows = _split(stack, at, rows, column, draws is None or i < last)
         outcomes = np.concatenate((outcomes[nodes], bits[:, None]), axis=1)
         probs = probs[nodes] * p
     if steps and steps[-1][0] is not None:
@@ -538,17 +571,14 @@ def _walk(steps, width: int, psi0=None, draws=None) -> tuple:
     return outcomes, probs, stack, rows
 
 
-def _run_register(circuit, psi0=None) -> tuple[np.ndarray, dict[int, int | None]]:
-    """Run a measurement-free circuit on its register; the core of
-    :func:`run_circuit`, with its checks, and no scatter.
+def _walk_register(circuit, psi0=None) -> tuple[np.ndarray, dict[int, int | None]]:
+    """Check a measurement-free circuit, compile it and walk its register.
 
-    Returns ``(state, wire_map)``: the ``2**K`` amplitudes of the register,
-    the one row of a :func:`_walk`, which tests its norm when a gate wrote
-    it, and the compile's ``wire_map``, which sends
-    each of the K register wires to its slot and every other wire, still
-    |0> at the end, to None.  Slots follow wire order, so slot ``s`` is the
-    ``s``-th smallest register wire, and bit ``s`` of a register index is
-    that wire's bit.  Given a ``psi0``, K = n and the map is the identity.
+    Returns ``(state, wire_map)``: the walk's one row of ``2**K``
+    amplitudes, whose norm the walk tests when a gate wrote it, and the
+    compile's ``wire_map``, which sends each of the K register wires to its
+    slot and every other wire, still |0> at the end, to None.  Bit ``s`` of
+    a register index is the bit of the wire in slot ``s``.
     """
     from .circuit import Circuit  # circuit imports this module
 
@@ -564,25 +594,58 @@ def _run_register(circuit, psi0=None) -> tuple[np.ndarray, dict[int, int | None]
     return _walk(steps, k, psi0)[2][0], wire_map
 
 
+def _wire_axes(wire_map: dict[int, int | None]) -> list[int]:
+    """The axis of a register's ``(2,) * K`` tensor that holds each register
+    wire, highest wire first; ``list(range(K))`` when slots follow wire order."""
+    slots = [slot for slot in wire_map.values() if slot is not None]  # in wire order
+    return [len(slots) - 1 - slot for slot in reversed(slots)]
+
+
+def _run_register(circuit, psi0=None) -> tuple[np.ndarray, dict[int, int | None]]:
+    """Run a measurement-free circuit on its register, with the checks of
+    :func:`run_circuit`, and hand the register on in wire order, unscattered.
+
+    Returns ``(state, wire_map)``: the ``2**K`` amplitudes of the register,
+    whose norm the walk tests, and a ``wire_map`` that sends each of the K
+    register wires to its slot and every other wire, still |0> at the end,
+    to None.  Slots follow wire order, so slot ``s`` is the ``s``-th
+    smallest register wire, and bit ``s`` of a register index is that
+    wire's bit.  A register walked in first-move order (see
+    :func:`compile_circuit`) is copied into wire order, at most ``2**16``
+    amplitudes, when that order is not already ascending.  Given a
+    ``psi0``, K = n and the map is the identity.
+    """
+    state, wire_map = _walk_register(circuit, psi0)
+    axes = _wire_axes(wire_map)
+    if axes != sorted(axes):
+        state = state.reshape((2,) * len(axes)).transpose(axes).reshape(-1)  # a copy
+        slots = iter(range(len(axes)))
+        wire_map = {w: None if slot is None else next(slots) for w, slot in wire_map.items()}
+    return state, wire_map
+
+
 def run_circuit(circuit, psi0=None) -> np.ndarray:
     """Run every gate of a measurement-free circuit over ``psi0``.
 
     ``psi0`` defaults to |00...0>.  A MEASURE is refused before anything
     is compiled.  The compiled plans run, by :func:`_walk`, in one working
-    copy of ``psi0`` or, on a register of K < n wires, of |00...0> on those
-    K wires, which is then scattered once, by one strided assignment, into
-    a zeroed state of all ``n`` wires.  The walk tests the run's norm
-    before that scatter, which moves no value, so the test reads ``2**K``
-    amplitudes and a norm drift beyond ``STATE_ATOL``, which would mean a
-    kernel bug, raises.  The CLI reads the register of
-    :func:`_run_register` itself and skips the scatter.
+    copy of ``psi0`` or of |00...0> on the register's K wires.  Unless that
+    register is every wire in wire order, it is then scattered once into a
+    zeroed state of all ``n`` wires, by one assignment from a transposed
+    view of it, which also restores wire order to a register walked in
+    first-move order.  The walk tests the run's norm before that scatter,
+    which moves no value, so the test reads ``2**K`` amplitudes and a norm
+    drift beyond ``STATE_ATOL``, which would mean a kernel bug, raises.
+    The CLI reads the register of :func:`_run_register` itself and skips
+    the scatter.
     """
-    state, wire_map = _run_register(circuit, psi0)
+    state, wire_map = _walk_register(circuit, psi0)
     n = circuit.n
-    if state.size == 1 << n:
+    axes = _wire_axes(wire_map)
+    if len(axes) == n and axes == sorted(axes):
         return state
     full = np.zeros(1 << n, dtype=complex)
     # an axis per wire, highest first; a wire off the register reads 0
     index = tuple(_ALL if wire_map[w] is not None else 0 for w in range(n - 1, -1, -1))
-    full.reshape((2,) * n)[index] = state.reshape((2,) * (state.size.bit_length() - 1))
+    full.reshape((2,) * n)[index] = state.reshape((2,) * len(axes)).transpose(axes)
     return full

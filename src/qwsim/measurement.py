@@ -37,7 +37,8 @@ Residuals halve at each level and the rows at most double, so a stack
 never holds more amplitudes than one state.  A split holds the stack and
 then either its ``|stack|**2`` (half a state, in float64) or the next
 stack, never both, so a level peaks near two states plus the gate
-kernel's temporaries.  Those are at most one slice each (see ``engine``),
+kernel's temporaries.  The sampler's last split builds no next stack,
+since only its shots' rows are read.  Those are at most one slice each (see ``engine``),
 unless the gate names every live wire.
 """
 

@@ -463,6 +463,33 @@ class TestRegisterReadout:
         assert (code, err) == (0, "")
         assert digest == "df3c7facb860bf31c30884c729ca18559465ece65f862fc4613154dbed1c9a68"
 
+    @pytest.mark.parametrize(
+        "name, lines, simulate, pair, stats, pair_line",
+        [
+            # all 16 wires, first moved in a shuffled order (K = n)
+            ("shuffle16.qc", 120, "b86717f65404e66f2d572552efcd9e8199bc5835428fb02eede82c04ab873162",
+             ("3", "12"), "91bdf48ad6d22d1a948f10b379aac7edbfed61c44e1694fb859005d5b1e5f644",
+             "pair (3,12): purity=0.3984375 lin_entropy=0.6015625 concurrence=0 "
+             "von_neumann=1.55531003962"),
+            # 12 of 18 wires, first moved in descending order (K < n)
+            ("descend18.qc", 96, "17a3773dca8c26ea89e0f9b60a8a386647a91ec82f5c1e4a0dd6f36e0d052fcf",
+             ("13", "4"), "638bfcc4573fe9857f67766cecaf29d9a64add62496c0b9d3d35ca4e71ef5422",
+             "pair (4,13): purity=0.4375 lin_entropy=0.5625 concurrence=0 "
+             "von_neumann=1.5487949407"),
+        ],
+        ids=["shuffle16", "descend18"],
+    )
+    def test_first_move_order_outputs_are_pinned(self, capsys, name, lines, simulate, pair, stats, pair_line):
+        # the outputs the CI console-script step pins: the register is walked
+        # in first-move order and printed in wire order
+        path = str(Path(__file__).resolve().parents[1] / "circuits" / name)
+        code, out, err = run_cli(capsys, "simulate", path)
+        assert (code, err, out.count("\n")) == (0, "", lines)
+        assert hashlib.sha256(out.encode()).hexdigest() == simulate
+        code, out, err = run_cli(capsys, "stats", path, "--pair", *pair, "--format", "records")
+        assert (code, err, out.splitlines()[-1]) == (0, "", pair_line)
+        assert hashlib.sha256(out.encode()).hexdigest() == stats
+
 
 class TestSample:
     def test_histogram_is_deterministic_per_seed(self, capsys, circuit_file):

@@ -562,14 +562,18 @@ class TestCompileCircuit:
         assert len(built) == 3
 
 
-    def test_compiled_plans_are_pinned(self):
-        # every circuit file, with and without a given start, and seeded random
-        # circuits, also with a MEASURE mid-way and cut short as the sampler
-        # cuts them: a rewrite of the compile places the same plans
-        digest = hashlib.sha256()
+    @staticmethod
+    def plan_digests():
+        """sha256 of the compiles of every circuit file, with and without a
+        given start, and of seeded random circuits, also with a MEASURE
+        mid-way and cut short as the sampler cuts them: one over the compiles
+        given a start or a MEASURE, which keep wire order, and one over the
+        rest, which grow their register in first-move order up to 16 wires."""
+        kept, prefix = hashlib.sha256(), hashlib.sha256()
 
         def add(n, ops, psi0=None):
-            digest.update(repr(engine.compile_circuit(n, ops, psi0)).encode())
+            grows = psi0 is None and all(op.gate != "MEASURE" for op in ops)
+            (prefix if grows else kept).update(repr(engine.compile_circuit(n, ops, psi0)).encode())
 
         for path in sorted(CIRCUITS.glob("*.qc")):
             circ = load_circuit(path)
@@ -587,7 +591,17 @@ class TestCompileCircuit:
             measured = Circuit(n, circ.ops[:k] + (GateOp("MEASURE", (w,)),) + rest)
             add(n, measured.ops)
             add(n, measured.ops[: k + 1])
-        assert digest.hexdigest() == "9cc1aac3f24c1bac6743520890941d32b2249c5f17719a8b2b2cfd4164b51c72"
+        return kept.hexdigest(), prefix.hexdigest()
+
+    def test_compiled_plans_are_pinned(self):
+        # a rewrite of the compile places the same plans given a start or a MEASURE
+        want = "a736347ffd428be34f5b7f5b2fc728773215d994028751ab5cc63fcd2e6694f8"
+        assert self.plan_digests()[0] == want
+
+    def test_first_move_plans_are_pinned(self):
+        # and the same plans, in first-move order, for the MEASURE-free rest
+        want = "27562aa380720d31124ee7d383b9954914c266705f28317c03ea75dfb12d50d5"
+        assert self.plan_digests()[1] == want
 
 
 class TestZeroWires:
@@ -651,11 +665,12 @@ class TestZeroWires:
         text = "".join(f"H {w}\n" for w in range(1, n, 2))
         circ = parse_circuit(f"qubits {n}\n{text}SWAP {n - 1} {n - 3} c=1\n")
         steps, _, wire_map = engine.compile_circuit(circ.n, circ.ops)
-        # the 13 odd wires, as slots 0..12: the SWAP on slots 12 and 11,
-        # its control on slot 0, and no wire left to anticontrol
+        # the 13 odd wires, first moved in wire order, as slots 0..12: the SWAP
+        # on slots 12 and 11, its control on slot 0, and no wire left to
+        # anticontrol, run on all 2**13 amplitudes of the register
         assert [w for w, slot in wire_map.items() if slot is not None] == list(range(1, n, 2))
         want = engine._place(n // 2, engine._TEMPLATES["SWAP"], (12, 11), ((0, True),))
-        assert steps[-1] == (want, None)
+        assert steps[-1] == (want, 1 << 13)
         assert int(np.prod(want.shape)) == 1 << 13
 
 
@@ -685,32 +700,79 @@ class TestRegister:
         )
         return sizes
 
-    def test_plans_sit_on_the_moved_wires_in_wire_order(self):
+    def test_plans_sit_on_the_moved_wires_in_first_move_order(self):
+        # wire 7 takes slot 0, then 2, 13 and 19; each plan names only the
+        # wires moved so far, and no wire still 0 takes an anticontrol
         t = engine._TEMPLATES
         want = [
-            (engine._place(4, t["H"], (1,), ((0, False), (2, False), (3, False))), None),
-            (engine._place(4, t["X"], (0,), ((1, True), (2, False), (3, False))), None),
-            (engine._place(4, t["SWAP"], (1, 2), ((0, False), (3, False))), None),
-            (engine._place(4, t["H"], (3,), ((2, False),)), None),
-            (engine._place(4, t["ISWAP"], (2, 0), ((3, True),)), None),
+            (engine._place(1, t["H"], (0,), ()), 2),
+            (engine._place(2, t["X"], (1,), ((0, True),)), 4),
+            (engine._place(3, t["SWAP"], (0, 2), ((1, False),)), 8),
+            (engine._place(4, t["H"], (3,), ((2, False),)), 16),
+            (engine._place(4, t["ISWAP"], (2, 1), ((3, True),)), 16),
         ]
         steps, measured, wire_map = engine.compile_circuit(20, parse_circuit(self.SPREAD).ops)
         assert (steps, measured) == (want, ())
-        slots = {2: 0, 7: 1, 13: 2, 19: 3}
+        slots = {7: 0, 2: 1, 13: 2, 19: 3}
         assert wire_map == {w: slots.get(w) for w in range(20)}
+        # the CLI's register is in wire order, as is the map it comes with
+        state, wire_map = engine._run_register(parse_circuit(self.SPREAD))
+        assert wire_map == {w: {2: 0, 7: 1, 13: 2, 19: 3}.get(w) for w in range(20)}
+        full = engine.run_circuit(parse_circuit(self.SPREAD)).reshape((2,) * 20)
+        index = tuple(slice(None) if w in slots else 0 for w in range(19, -1, -1))
+        assert state.tobytes() == full[index].tobytes()
 
     def test_every_plan_run_sees_two_to_the_k_amplitudes(self, monkeypatch):
+        # k, the wires moved so far: a prefix of the register's one row
         circ = parse_circuit(self.SPREAD)
         sizes = self.sizes(monkeypatch)
         psi = engine.run_circuit(circ)
-        assert sizes == [1 << 4] * 5
+        assert sizes == [2, 4, 8, 16, 16]
         # given a start, every plan is placed on all 20 wires and runs on them
         sizes.clear()
         assert np.array_equal(psi, engine.run_circuit(circ, linalg.zero_state(20)))
         assert sizes == [1 << 20] * 7
         steps, _, wire_map = engine.compile_circuit(circ.n, circ.ops, linalg.zero_state(20))
-        assert {int(np.prod(plan.shape)) for plan, _ in steps} == {1 << 20}
+        assert {(int(np.prod(plan.shape)), size) for plan, size in steps} == {(1 << 20, None)}
         assert wire_map == {w: w for w in range(20)}
+
+    def test_every_prefix_is_a_view_of_the_walks_row(self, monkeypatch):
+        # a plan writes through its prefix into the row: a prefix or a reshape
+        # that copied would take the writes and drop them without an error
+        bases = []
+        real = engine._run_plan
+
+        def spy(plan, state):
+            bases.append(state.base)
+            assert np.shares_memory(state.reshape(state.shape[:-1] + plan.shape), state)
+            return real(plan, state)
+
+        monkeypatch.setattr(engine, "_run_plan", spy)
+        for name in ("shuffle16.qc", "descend18.qc", "slice17.qc"):
+            circ = load_circuit(CIRCUITS / name)
+            steps, _, wire_map = engine.compile_circuit(circ.n, circ.ops)
+            k = sum(slot is not None for slot in wire_map.values())
+            bases.clear()
+            stack = engine._walk(steps, k)[2]
+            assert len(bases) == len(steps) and all(base is stack for base in bases)
+            assert [size for _, size in steps] == sorted(size for _, size in steps)
+            assert steps[-1][1] == stack.size == 1 << k
+            # so the row, in wire order, holds the run from a psi0, which
+            # places every plan on all n wires
+            row = stack[0].reshape((2,) * k).transpose(engine._wire_axes(wire_map))
+            full = engine.run_circuit(circ, linalg.zero_state(circ.n)).reshape((2,) * circ.n)
+            index = tuple(slice(None) if wire_map[w] is not None else 0 for w in range(circ.n - 1, -1, -1))
+            assert np.array_equal(row, full[index])
+
+    def test_the_register_grows_only_up_to_sixteen_wires(self):
+        # 2**K beyond 2 * _SLICE keeps wire order, every wire on the register
+        text = "".join(f"H {w}\n" for w in range(16, -1, -1))
+        steps, _, wire_map = engine.compile_circuit(17, parse_circuit(f"qubits 17\n{text}").ops)
+        assert wire_map == {w: w for w in range(17)}
+        assert {(int(np.prod(plan.shape)), size) for plan, size in steps} == {(1 << 17, None)}
+        steps, _, wire_map = engine.compile_circuit(16, parse_circuit(f"qubits 16\n{text[5:]}").ops)
+        assert wire_map == {w: 15 - w for w in range(16)}
+        assert [size for _, size in steps] == [2 << k for k in range(16)]
 
     def test_a_circuit_that_moves_no_wire_runs_no_plan(self, monkeypatch):
         circ = parse_circuit(self.ZERO)

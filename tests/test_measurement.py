@@ -486,6 +486,16 @@ class TestSampleShots:
         peak = traced_peak(lambda: measurement.sample_shots(circ, shots, 1))
         assert peak < 2.5 * linalg.zero_state(n).nbytes
 
+    def test_the_last_split_builds_no_residuals(self):
+        # only the shots' rows leave the walk, so the final MEASURE holds the
+        # state and its |state|**2, not a second state of residuals; on 17
+        # qubits the H layer's plans run slice by slice, within that peak
+        n = 17
+        text = "".join(f"H {w}\n" for w in range(n))
+        circ = parse_circuit(f"qubits {n}\n{text}MEASURE 3\n")
+        peak = traced_peak(lambda: measurement.sample_shots(circ, 1000, 1))
+        assert peak < 1.75 * linalg.zero_state(n).nbytes
+
     def test_oracle_does_not_share_the_split(self, monkeypatch):
         # a split that conjugates its residuals keeps every probability of
         # the first level but moves the second; the oracle must not follow
@@ -496,7 +506,8 @@ class TestSampleShots:
 
         def conjugated(*args):
             nodes, bits, p, children, rows = real(*args)
-            return nodes, bits, p, children.conj(), rows
+            # a sampler's last split builds no residuals
+            return nodes, bits, p, None if children is None else children.conj(), rows
 
         monkeypatch.setattr(engine, "_split", conjugated)
         assert measurement.sample_shots(circ, 100, 3) != want
@@ -549,6 +560,14 @@ class TestMemoryLedger:
     GATES = "".join(f"H {w}\n" for w in range(N)) + "CX 3 7\nT 5\nSWAP 1 12\nH 9 c=2\n"
     PLAIN = parse_circuit(f"qubits {N}\n{GATES}")
     MEASURED = parse_circuit(f"qubits {N}\n{GATES}MEASURE 3\nH 0\nMEASURE 5\nX 1\n")
+    TAIL = GATES[GATES.index("CX"):]
+    # 16 wires first moved in a shuffled order: a register grown in that
+    # order, then put back into wire order by the scatter
+    SHUFFLED = parse_circuit(
+        "qubits 16\n" + "".join(f"H {w}\n" for w in (9, 3, 14, 0, 7, 12, 5, 1, 15, 10, 2, 8, 13, 6, 11, 4)) + TAIL
+    )
+    # 17 wires, past the 16 a register grows to: wire order, in descending order
+    DESCENDING = parse_circuit(f"qubits {N}\n" + "".join(f"H {w}\n" for w in range(N - 1, -1, -1)) + TAIL)
 
     @pytest.mark.parametrize(
         "call, bound",
@@ -557,8 +576,11 @@ class TestMemoryLedger:
             (lambda: measurement.run_with_branches(TestMemoryLedger.PLAIN), 1.75),
             (lambda: measurement.run_with_branches(TestMemoryLedger.MEASURED), 2.25),
             (lambda: measurement.sample_shots(TestMemoryLedger.MEASURED, 1000, 1), 2.25),
+            (lambda: engine.run_circuit(TestMemoryLedger.SHUFFLED), 1.75),
+            (lambda: engine.run_circuit(TestMemoryLedger.DESCENDING), 1.75),
         ],
-        ids=["run_circuit", "run_with_branches-plain", "run_with_branches", "sample_shots"],
+        ids=["run_circuit", "run_with_branches-plain", "run_with_branches", "sample_shots",
+             "run_circuit-first-move-16", "run_circuit-descending-17"],
     )
     def test_peak_in_states(self, call, bound):
         assert traced_peak(call) < bound * linalg.zero_state(self.N).nbytes
