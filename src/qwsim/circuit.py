@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ContractError, ParseError, SimulationError
 from .gates import MEASURE, gate_def, gate_names
 from .engine import NO_CONTROLS, ControlSpec, _checked_spec, check_targets
-from .linalg import MAX_QUBITS, check_int, check_qubit_count
+from .linalg import MAX_QUBITS, check_int, check_qubit_count, check_rng
 
 
 @dataclass(frozen=True, init=False)
@@ -132,6 +132,13 @@ class Circuit:
     @property
     def has_measurements(self) -> bool:
         return any(op.gate == MEASURE for op in self.ops)
+
+
+def check_circuit(circuit) -> Circuit:
+    """``circuit`` itself if it is a ``Circuit``; else ``ContractError``."""
+    if not isinstance(circuit, Circuit):
+        raise ContractError(f"expected a Circuit, got {type(circuit).__name__}")
+    return circuit
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +275,7 @@ def parse_circuit(text: str) -> Circuit:
 
 def format_circuit(circuit: Circuit) -> str:
     """Render a circuit back to text.  ``parse_circuit`` round-trips it."""
+    circuit = check_circuit(circuit)
     return "\n".join([f"qubits {circuit.n}", *map(str, circuit.ops)]) + "\n"
 
 
@@ -311,8 +319,7 @@ def random_circuit(
     """
     n = check_qubit_count(n)
     depth = check_int(depth, "depth", 0)
-    if not isinstance(rng, np.random.Generator):
-        raise ContractError(f"expected a numpy Generator as rng, got {type(rng).__name__}")
+    rng = check_rng(rng)
     names = _RANDOM_1Q if (single_qubit_only or n < 2) else _RANDOM_1Q + _RANDOM_2Q
     ops = []
     for _ in range(depth):

@@ -40,18 +40,20 @@ of plans that take no wire as known; a skipped zero may keep a sign that
 a full run would flip.  A circuit with no MEASURE and no ``psi0`` runs
 on the register of the K wires that its placed gates target: every
 other wire stays 0 to the end, so it takes no axis and no anticontrol.
-When ``2**K`` is at most ``2 * _SLICE`` (K <= 16), the register grows in
-first-move order: a wire takes the next slot at the first gate that
-moves it, and each gate runs on the prefix of the ``2**k`` amplitudes of
-the k wires moved so far.  Every wire not yet moved reads 0 there, so no
-gate takes an anticontrol for it.  A larger register keeps wire order
-and those anticontrols.  :func:`run_circuit` scatters the ``2**K`` amplitudes,
-whose norm the walk tests, once into a zeroed state of every wire, from a
-transposed view that puts them back into wire order; the scatter moves
-no value, so the test holds for the result.  The CLI reads the register
-of :func:`_run_register`, in wire order, and never builds the ``2**n``
-state.  A circuit with a MEASURE keeps every live wire in wire order,
-since a split's sums follow the state's layout.
+The register grows in first-move order: a wire takes the next slot at
+the first gate that moves it, and each gate runs on the prefix of the
+``2**k`` amplitudes of the k wires moved so far.  Every wire not yet
+moved reads 0 there, so no gate takes an anticontrol for it.
+:func:`run_circuit` scatters the ``2**K`` amplitudes, whose norm the walk
+tests, once into a zeroed state of every wire, from a transposed view
+that puts them back into wire order; the scatter moves no value, so the
+test holds for the result.  The CLI reads the register of
+:func:`_run_register`, in wire order, and never builds the ``2**n``
+state.  Only a register of every wire, past ``2 * _SLICE`` amplitudes,
+starts on all its wires in wire order, with the anticontrols, as a run
+from a ``psi0`` does: putting it back into wire order would take a
+second state of all n wires.  A circuit with a MEASURE keeps every live
+wire in wire order, since a split's sums follow the state's layout.
 
 A state of at most ``2 * _SLICE`` amplitudes, over all rows, runs a
 plan's steps on the whole view and nothing else.  A bigger one takes
@@ -118,7 +120,8 @@ class ControlSpec:
         return check_targets(MAX_QUBITS, (), entries)[1]
 
     def passes(self, k: int) -> bool:
-        return (k & self.inclusion_mask) == self.desired_value_mask
+        """Whether amplitude index ``k``, a non-negative int, passes the spec."""
+        return (check_int(k, "index", 0) & self.inclusion_mask) == self.desired_value_mask
 
 
 def check_targets(n: int, targets, controls) -> tuple[tuple[int, ...], ControlSpec]:
@@ -410,17 +413,21 @@ def compile_circuit(n: int, ops, psi0=None) -> tuple[list, tuple[int, ...], dict
     targets, and ``wire_map`` sends every other wire, which stays 0
     throughout, to None.  Such a wire takes no axis and no anticontrol,
     and an anticontrol of the circuit's own on it always passes, so it is
-    dropped.  When ``2**K <= 2 * _SLICE`` the slots follow first-move
-    order: each wire takes the next slot at the first placed gate that
-    targets it, and each gate is placed on the k wires moved so far, as
-    step ``(plan, 2**k)``, which runs on the first ``2**k`` amplitudes of
-    the walk's row.  Every other amplitude has a wire not yet moved at 1,
-    so is 0, and a wire not yet moved takes no anticontrol.  Otherwise the
-    register keeps wire order, each plan runs on its whole row, as step
-    ``(plan, None)``, and a gate takes an anticontrol on each register wire
-    still 0 that it does not name.  Any other circuit starts on all its
-    wires in wire order, since :func:`_walk` splits on the full live
-    register (its sums over a smaller one could round differently).
+    dropped.  The slots follow first-move order: each wire takes the next
+    slot at the first placed gate that targets it, and each gate is placed
+    on the k wires moved so far, as step ``(plan, 2**k)``, which runs on
+    the first ``2**k`` amplitudes of the walk's row.  Every other amplitude
+    has a wire not yet moved at 1, so is 0, and a wire not yet moved takes
+    no anticontrol.
+
+    Every other run starts on all its wires in wire order, each plan runs
+    on its whole stack, as step ``(plan, None)``, and a gate takes an
+    anticontrol on each live wire still 0 that it does not name: a run
+    from a ``psi0``; a circuit with a MEASURE, since :func:`_walk` splits
+    on the full live register (its sums over a smaller one could round
+    differently); and a MEASURE-free one that moves every wire with
+    ``2**n > 2 * _SLICE``, whose grown register would take a second state
+    of ``2**n`` amplitudes to put back into wire order.
     """
     zero = (1 << n) - 1 if psi0 is None else 0  # a bit per wire still 0 in every amplitude
     kept = []  # each placed gate with the zero mask it met; each MEASURE with None
@@ -441,7 +448,9 @@ def compile_circuit(n: int, ops, psi0=None) -> tuple[list, tuple[int, ...], dict
         zero &= ~targets
         moved |= targets
     steps: list[tuple[tuple | None, int | None]] = []
-    if psi0 is None and not measured and 1 << moved.bit_count() <= 2 * _SLICE:
+    # a register of every wire past 2 * _SLICE stays in wire order, which
+    # first-move order could only restore in a second state of all n wires
+    if psi0 is None and not measured and (moved != (1 << n) - 1 or 1 << n <= 2 * _SLICE):
         slot_of = {}  # each moved wire's slot, in first-move order
         for op, _ in kept:
             for w in op.targets:
@@ -453,11 +462,8 @@ def compile_circuit(n: int, ops, psi0=None) -> tuple[list, tuple[int, ...], dict
             k = len(slot_of)
             steps.append((_place(k, _TEMPLATES[op.gate], slots, entries), 1 << k))
         return steps, (), {w: slot_of.get(w) for w in range(n)}
-    if psi0 is None and not measured:
-        live = [w for w in range(n) if moved >> w & 1]
-    else:
-        live = list(range(n))
-    slot_of = {w: s for s, w in enumerate(live)}
+    live = list(range(n))
+    slot_of = {w: w for w in live}
     for op, zero in kept:
         slots = list(map(slot_of.__getitem__, op.targets))
         if zero is None:
@@ -465,9 +471,7 @@ def compile_circuit(n: int, ops, psi0=None) -> tuple[list, tuple[int, ...], dict
             live.pop(slots[0])
             slot_of = {w: s for s, w in enumerate(live)}
             continue
-        # a wire off the register stays 0: a control of the gate's own on it is
-        # an anticontrol, which always passes, and only live wires are scanned
-        entries = [(slot_of[w], f) for w, f in op.controls.entries if w in slot_of]
+        entries = [(slot_of[w], f) for w, f in op.controls.entries]
         if zero:
             entries += [(s, False) for s, w in enumerate(live) if zero >> w & 1]
         steps.append((_place(len(live), _TEMPLATES[op.gate], slots, entries), None))
@@ -580,10 +584,9 @@ def _walk_register(circuit, psi0=None) -> tuple[np.ndarray, dict[int, int | None
     slot and every other wire, still |0> at the end, to None.  Bit ``s`` of
     a register index is the bit of the wire in slot ``s``.
     """
-    from .circuit import Circuit  # circuit imports this module
+    from .circuit import check_circuit  # circuit imports this module
 
-    if not isinstance(circuit, Circuit):
-        raise ContractError(f"expected a Circuit, got {type(circuit).__name__}")
+    circuit = check_circuit(circuit)
     for k, op in enumerate(circuit.ops):
         if op.gate == MEASURE:
             raise ContractError(f"op {k} ({op}) is a measurement; use the measurement module")
@@ -612,8 +615,9 @@ def _run_register(circuit, psi0=None) -> tuple[np.ndarray, dict[int, int | None]
     smallest register wire, and bit ``s`` of a register index is that
     wire's bit.  A register walked in first-move order (see
     :func:`compile_circuit`) is copied into wire order, at most ``2**16``
-    amplitudes, when that order is not already ascending.  Given a
-    ``psi0``, K = n and the map is the identity.
+    amplitudes when it holds every wire and at most ``2**(n-1)`` when it
+    does not, unless that order is already ascending.  Given a ``psi0``,
+    K = n and the map is the identity.
     """
     state, wire_map = _walk_register(circuit, psi0)
     axes = _wire_axes(wire_map)

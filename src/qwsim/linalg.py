@@ -9,8 +9,9 @@ as ``oracle.jacobi_eig``, and the tests hold the two to each other at
 
 Every public entry point checks its arguments here, one function per
 kind: :func:`check_int` (and any bound on it), :func:`check_qubit_count`,
-:func:`check_state`, :func:`check_unit_state`, :func:`check_matrix` and
-:func:`check_wires`; :func:`check_unit_norms` is the norm test of
+:func:`check_state`, :func:`check_unit_state`, :func:`check_matrix`,
+:func:`check_wires` and :func:`check_rng` (a ``Circuit`` is checked by
+``circuit.check_circuit``); :func:`check_unit_norms` is the norm test of
 :func:`check_unit_state`, also applied to each row of a walker's stack.
 Each raises a ``SimulationError`` subclass: a float is refused rather
 than truncated, and an array numpy cannot read as numbers is a
@@ -203,9 +204,17 @@ def make_rng(seed) -> np.random.Generator:
         raise ContractError(f"invalid seed {seed!r}: {exc}") from None
 
 
+def check_rng(rng) -> np.random.Generator:
+    """``rng`` itself if it is a numpy ``Generator``; else ``ContractError``."""
+    if not isinstance(rng, np.random.Generator):
+        raise ContractError(f"expected a numpy Generator as rng, got {type(rng).__name__}")
+    return rng
+
+
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random normalized state (Gaussian components, normalized)."""
     n = check_qubit_count(n)
+    rng = check_rng(rng)
     size = 1 << n
     psi = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     return psi / np.linalg.norm(psi)

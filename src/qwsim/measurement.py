@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .circuit import Circuit
+from .circuit import Circuit, check_circuit
 # PRUNE_EPS is the split's; ``oracle`` and callers read it here
 from .engine import PRUNE_EPS, _split, _walk, compile_circuit, run_circuit
 from .gates import MEASURE
@@ -126,8 +126,7 @@ def run_with_branches(circuit: Circuit, psi0=None) -> BranchTree:
     goes to :func:`~qwsim.engine.run_circuit` and yields a single leaf of
     probability 1 holding its result.
     """
-    if not isinstance(circuit, Circuit):
-        raise ContractError(f"expected a Circuit, got {type(circuit).__name__}")
+    circuit = check_circuit(circuit)
     if not circuit.has_measurements:
         leaf = BranchLeaf((), 1.0, run_circuit(circuit, psi0))
         return BranchTree(circuit.n, (), {w: w for w in range(circuit.n)}, (leaf,))
@@ -156,8 +155,7 @@ def sample_shots(circuit: Circuit, shots: int, seed, psi0=None) -> dict[str, int
     once, before the seed, and each chunk starts from a copy of it.
     """
     shots = check_int(shots, "shots", 1)
-    if not isinstance(circuit, Circuit):
-        raise ContractError(f"expected a Circuit, got {type(circuit).__name__}")
+    circuit = check_circuit(circuit)
     ends = [k + 1 for k, op in enumerate(circuit.ops) if op.gate == MEASURE]
     if not ends:
         raise ContractError("circuit has no MEASURE ops to sample")

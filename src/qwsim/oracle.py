@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ContractError, ResourceError
 from .gates import MEASURE, GateDef, gate_def
 from .analysis import _split_kept
-from .circuit import Circuit
+from .circuit import Circuit, check_circuit
 from .engine import check_targets, swap_bits
 from .linalg import (
     _hermitian_part,
@@ -102,7 +102,7 @@ def build_gate_full_matrix(n: int, gate, targets, controls=None) -> np.ndarray:
 
 def simulate_naive(circuit, psi0=None) -> np.ndarray:
     """Dense reference run: one full operator matrix per gate."""
-    n = _check_guard(circuit.n)
+    n = _check_guard(check_circuit(circuit).n)
     psi = zero_state(n) if psi0 is None else check_unit_state(psi0, n)[0].copy()
     for op in circuit.ops:
         if op.gate == MEASURE:
@@ -137,6 +137,7 @@ def measured_distribution(circuit, psi0=None) -> np.ndarray:
     circuit runs through :func:`simulate_naive`, and each basis index adds
     its ``|psi|**2`` at its bits on the measured wires.
     """
+    circuit = check_circuit(circuit)
     measured = [op.targets[0] for op in circuit.ops if op.gate == MEASURE]
     gates = Circuit(circuit.n, tuple(op for op in circuit.ops if op.gate != MEASURE))
     probs = np.abs(simulate_naive(gates, psi0)) ** 2
@@ -157,7 +158,7 @@ def sample_shots_deferred(circuit, shots: int, seed, psi0=None) -> dict[str, int
     this one for every seed.
     """
     count = check_int(shots, "shots", 1)
-    if not circuit.has_measurements:
+    if not check_circuit(circuit).has_measurements:
         raise ContractError("circuit has no MEASURE ops to sample")
     joint = measured_distribution(circuit, psi0)
     # marginals[d][prefix] holds Pr[prefix, 0] and Pr[prefix, 1]

@@ -476,8 +476,14 @@ class TestRegisterReadout:
              ("13", "4"), "638bfcc4573fe9857f67766cecaf29d9a64add62496c0b9d3d35ca4e71ef5422",
              "pair (4,13): purity=0.4375 lin_entropy=0.5625 concurrence=0 "
              "von_neumann=1.5487949407"),
+            # 17 of 18 wires, first moved in a shuffled order: more than 2**16
+            # amplitudes, not every wire (17 <= K < n)
+            ("grow18.qc", 8, "b03588ec7546a58bddbecffd86979e0f821d04fb9b923b8c763da038d861309a",
+             ("14", "3"), "a15670928f2b001e042f5f016aec063dcbc3a0940766c2a572a885d8a5bf9ebf",
+             "pair (3,14): purity=0.625 lin_entropy=0.375 concurrence=0 "
+             "von_neumann=0.811278124459"),
         ],
-        ids=["shuffle16", "descend18"],
+        ids=["shuffle16", "descend18", "grow18"],
     )
     def test_first_move_order_outputs_are_pinned(self, capsys, name, lines, simulate, pair, stats, pair_line):
         # the outputs the CI console-script step pins: the register is walked

@@ -31,6 +31,14 @@ class TestControlSpec:
         assert not spec.passes(0b1101)
         assert not spec.passes(0b0100)
 
+    @pytest.mark.parametrize("bad", ["x", 1.5, -1, True])
+    def test_passes_checks_its_index(self, bad):
+        # "x" and 1.5 raised a bare TypeError, and -1 passed every spec
+        spec = ControlSpec(((0, False),))
+        with pytest.raises(ContractError, match="^index must be"):
+            spec.passes(bad)
+        assert spec.passes(np.int64(2)) and not spec.passes(3)
+
     def test_empty_spec_passes_everything(self):
         assert NO_CONTROLS.inclusion_mask == 0
         assert all(NO_CONTROLS.passes(k) for k in range(16))
@@ -568,7 +576,8 @@ class TestCompileCircuit:
         given start, and of seeded random circuits, also with a MEASURE
         mid-way and cut short as the sampler cuts them: one over the compiles
         given a start or a MEASURE, which keep wire order, and one over the
-        rest, which grow their register in first-move order up to 16 wires."""
+        rest, which grow their register in first-move order unless it is
+        every wire past 16."""
         kept, prefix = hashlib.sha256(), hashlib.sha256()
 
         def add(n, ops, psi0=None):
@@ -595,12 +604,12 @@ class TestCompileCircuit:
 
     def test_compiled_plans_are_pinned(self):
         # a rewrite of the compile places the same plans given a start or a MEASURE
-        want = "a736347ffd428be34f5b7f5b2fc728773215d994028751ab5cc63fcd2e6694f8"
+        want = "18d57feaf73f8d2a8f6014fdaafe45bb8e52d300d0145f27030f958a878fcdcb"
         assert self.plan_digests()[0] == want
 
     def test_first_move_plans_are_pinned(self):
         # and the same plans, in first-move order, for the MEASURE-free rest
-        want = "27562aa380720d31124ee7d383b9954914c266705f28317c03ea75dfb12d50d5"
+        want = "ed808755d8b0d5446e0b8dff0859a400e91751ad2a3f484df38119b6e432b1d7"
         assert self.plan_digests()[1] == want
 
 
@@ -748,7 +757,7 @@ class TestRegister:
             return real(plan, state)
 
         monkeypatch.setattr(engine, "_run_plan", spy)
-        for name in ("shuffle16.qc", "descend18.qc", "slice17.qc"):
+        for name in ("shuffle16.qc", "descend18.qc", "slice17.qc", "grow18.qc"):
             circ = load_circuit(CIRCUITS / name)
             steps, _, wire_map = engine.compile_circuit(circ.n, circ.ops)
             k = sum(slot is not None for slot in wire_map.values())
@@ -764,8 +773,8 @@ class TestRegister:
             index = tuple(slice(None) if wire_map[w] is not None else 0 for w in range(circ.n - 1, -1, -1))
             assert np.array_equal(row, full[index])
 
-    def test_the_register_grows_only_up_to_sixteen_wires(self):
-        # 2**K beyond 2 * _SLICE keeps wire order, every wire on the register
+    def test_the_register_grows_unless_it_is_every_wire_past_sixteen(self):
+        # every wire, with 2**n beyond 2 * _SLICE, keeps wire order
         text = "".join(f"H {w}\n" for w in range(16, -1, -1))
         steps, _, wire_map = engine.compile_circuit(17, parse_circuit(f"qubits 17\n{text}").ops)
         assert wire_map == {w: w for w in range(17)}
@@ -773,6 +782,19 @@ class TestRegister:
         steps, _, wire_map = engine.compile_circuit(16, parse_circuit(f"qubits 16\n{text[5:]}").ops)
         assert wire_map == {w: 15 - w for w in range(16)}
         assert [size for _, size in steps] == [2 << k for k in range(16)]
+        # 17 of 18 wires, past 2 * _SLICE but not every wire: the register grows
+        order = (9, 3, 14, 0, 7, 12, 5, 1, 15, 10, 2, 8, 13, 6, 11, 4, 16)
+        circ = parse_circuit("qubits 18\n" + "".join(f"H {w}\n" for w in order) + "CX 3 7 a=17\nT 5\n")
+        steps, _, wire_map = engine.compile_circuit(18, circ.ops)
+        assert wire_map == {w: order.index(w) if w in order else None for w in range(18)}
+        assert [size for _, size in steps] == [2 << k for k in range(17)] + [1 << 17] * 2
+        assert all(int(np.prod(plan.shape)) == size for plan, size in steps)
+        # the same bytes as a run that places every plan on all 18 wires
+        psi = engine.run_circuit(circ)
+        assert np.array_equal(psi, engine.run_circuit(circ, linalg.zero_state(18)))
+        state, wire_map = engine._run_register(circ)
+        assert wire_map == {w: w if w < 17 else None for w in range(18)}
+        assert state.tobytes() == psi.reshape(2, -1)[0].tobytes()
 
     def test_a_circuit_that_moves_no_wire_runs_no_plan(self, monkeypatch):
         circ = parse_circuit(self.ZERO)

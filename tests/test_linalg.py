@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qwsim import analysis, engine, gates, linalg, measurement, oracle
-from qwsim.circuit import Circuit, GateOp, parse_circuit, random_circuit
+from qwsim.circuit import Circuit, GateOp, format_circuit, parse_circuit, random_circuit
 from qwsim.engine import ControlSpec
 from qwsim.errors import ContractError, DimensionError, ResourceError, SimulationError
 
@@ -195,6 +195,18 @@ _PAST_A_BOUND = {
         lambda: random_circuit(2, -1, np.random.default_rng(0)),
         "depth must be at least 0, got -1",
     ),
+    "ControlSpec.passes": (lambda: ControlSpec().passes(-1), "index must be at least 0, got -1"),
+}
+
+# every public entry point that takes a Circuit, called with something else
+_TAKES_A_CIRCUIT = {
+    "run_circuit": lambda v: engine.run_circuit(v),
+    "run_with_branches": lambda v: measurement.run_with_branches(v),
+    "sample_shots": lambda v: measurement.sample_shots(v, 10, 1),
+    "format_circuit": lambda v: format_circuit(v),
+    "simulate_naive": lambda v: oracle.simulate_naive(v),
+    "measured_distribution": lambda v: oracle.measured_distribution(v),
+    "sample_shots_deferred": lambda v: oracle.sample_shots_deferred(v, 10, 1),
 }
 
 
@@ -246,6 +258,12 @@ class TestArgumentContract:
             call()
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("entry", sorted(_TAKES_A_CIRCUIT))
+    def test_a_non_circuit_is_refused(self, entry):
+        # circuit.check_circuit, the one check at each of these entries
+        with pytest.raises(ContractError, match="^expected a Circuit, got str$"):
+            _TAKES_A_CIRCUIT[entry]("x")
+
     @pytest.mark.parametrize("bad", [0, None])
     @pytest.mark.parametrize("entry", sorted(_TAKES_WIRES))
     def test_non_list_of_wires(self, entry, bad):
@@ -294,10 +312,10 @@ class TestArgumentContract:
             (lambda: parse_circuit(b"qubits 1\n"), "bytes"),
             (lambda: parse_circuit(None), "NoneType"),
             (lambda: parse_circuit(5), "int"),
-            (lambda: engine.run_circuit("qubits 1\nH 0\n"), "str"),
-            (lambda: measurement.run_with_branches(None), "NoneType"),
-            (lambda: measurement.sample_shots(5, 10, 1), "int"),
             (lambda: random_circuit(2, 3, None), "NoneType"),
+            (lambda: random_circuit(2, 3, np.random.RandomState(0)), "RandomState"),
+            (lambda: linalg.random_state(2, None), "NoneType"),
+            (lambda: linalg.random_state(2, np.random.RandomState(0)), "RandomState"),
         ):
             with pytest.raises(ContractError, match=f"got {name}$"):
                 call()

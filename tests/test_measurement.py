@@ -563,11 +563,14 @@ class TestMemoryLedger:
     TAIL = GATES[GATES.index("CX"):]
     # 16 wires first moved in a shuffled order: a register grown in that
     # order, then put back into wire order by the scatter
-    SHUFFLED = parse_circuit(
-        "qubits 16\n" + "".join(f"H {w}\n" for w in (9, 3, 14, 0, 7, 12, 5, 1, 15, 10, 2, 8, 13, 6, 11, 4)) + TAIL
-    )
-    # 17 wires, past the 16 a register grows to: wire order, in descending order
+    ORDER = (9, 3, 14, 0, 7, 12, 5, 1, 15, 10, 2, 8, 13, 6, 11, 4)
+    SHUFFLED = parse_circuit("qubits 16\n" + "".join(f"H {w}\n" for w in ORDER) + TAIL)
+    # every one of 17 wires, past 2**16 amplitudes: wire order, in descending order
     DESCENDING = parse_circuit(f"qubits {N}\n" + "".join(f"H {w}\n" for w in range(N - 1, -1, -1)) + TAIL)
+    # 17 of 18 wires: a register grown in a shuffled order, which run_circuit
+    # scatters into its 2**18 result (two states) and _run_register copies
+    # into wire order (a second state)
+    GROWN = parse_circuit("qubits 18\n" + "".join(f"H {w}\n" for w in ORDER + (16,)) + TAIL)
 
     @pytest.mark.parametrize(
         "call, bound",
@@ -578,9 +581,12 @@ class TestMemoryLedger:
             (lambda: measurement.sample_shots(TestMemoryLedger.MEASURED, 1000, 1), 2.25),
             (lambda: engine.run_circuit(TestMemoryLedger.SHUFFLED), 1.75),
             (lambda: engine.run_circuit(TestMemoryLedger.DESCENDING), 1.75),
+            (lambda: engine.run_circuit(TestMemoryLedger.GROWN), 3.25),  # measured 3.00
+            (lambda: engine._run_register(TestMemoryLedger.GROWN), 2.25),  # measured 2.00
         ],
         ids=["run_circuit", "run_with_branches-plain", "run_with_branches", "sample_shots",
-             "run_circuit-first-move-16", "run_circuit-descending-17"],
+             "run_circuit-first-move-16", "run_circuit-descending-17",
+             "run_circuit-grown-17-of-18", "_run_register-grown-17-of-18"],
     )
     def test_peak_in_states(self, call, bound):
         assert traced_peak(call) < bound * linalg.zero_state(self.N).nbytes
