@@ -15,19 +15,26 @@ and ``CSWAP`` expand to X and SWAP with controls.  A ';' between gates is
 purely cosmetic grouping: ops run in file order either way.  Wires and
 the qubit count are ASCII digits ``0-9`` only.
 
-The parser reads each gate once.  A wire token is looked up in a table
-of ``"0"`` to ``"25"``, built at import, and only a miss is read or
-refused digit by digit.  A gate that passes every check of ``GateOp`` on
-sight is built directly, masks and all; any other goes through
-``GateOp``, whose one ``check_wires`` over targets and controls names
-the fault.  The ``Circuit`` checks each op against the register once,
-after every line is read.
+The parser reads each distinct gate once per process: a gate's op (one
+``;``-separated piece of a line, comment stripped) comes from a memo of
+the last 1024 distinct gates that parsed, keyed by its tokens joined by
+single spaces, so spacing takes no entry of its own.  The bound counts
+entries, not bytes: about 1.1 MB at the bound for gates of a few short
+tokens, more for longer ones.  A refused gate is never stored; it
+is read again, and refused naming its own line, each time it is met.
+A wire token is looked up in a table of ``"0"`` to ``"25"``, built at
+import, and only a miss is read or refused digit by digit.  A gate that
+passes every check of ``GateOp`` on sight is built directly, masks and
+all; any other goes through ``GateOp``, whose one ``check_wires`` over
+targets and controls names the fault.  The ``Circuit`` checks each op
+against the register once, after every line is read.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -239,6 +246,14 @@ def _parse_gate(tokens: list[str], line_no: int) -> GateOp:
         raise ParseError(line_no, str(exc)) from None
 
 
+@lru_cache(maxsize=1024)
+def _chunk_op(gate: str) -> GateOp:
+    """The op of one gate, its tokens joined by single spaces, from a memo
+    of the last 1024 distinct gates that parsed.  A refusal raises naming
+    line 0 and is not stored; the caller names the line."""
+    return _parse_gate(gate.split(), 0)
+
+
 def parse_circuit(text: str) -> Circuit:
     """Parse circuit text; every failure names the offending line."""
     if not isinstance(text, str):
@@ -252,7 +267,10 @@ def parse_circuit(text: str) -> Circuit:
             for chunk in line.split(";"):
                 tokens = chunk.split()
                 if tokens:
-                    ops.append(_parse_gate(tokens, line_no))
+                    try:
+                        ops.append(_chunk_op(" ".join(tokens)))
+                    except ParseError as exc:
+                        raise ParseError(line_no, exc.message) from None
                     op_lines.append(line_no)
             continue
         tokens = line.split()

@@ -14,18 +14,24 @@ their target bits, the blocks to copy, each written row's terms) comes
 from the matrix alone; every catalog gate's is derived once, at import.
 Its placement (the view shape and each block's index) comes from the
 wires alone, in one pass over them from the top.  :func:`compile_circuit`
-places each gate of a checked circuit's ops once per call, on the wires
-still live when it runs, as a list of two kinds of step: run a plan, or
-split on a measured wire.  :func:`_walk` is the one loop over those
-steps, for :func:`run_circuit` and for ``measurement``.  It builds the
-run's start, runs each plan once on a ``(B, 2**n_live)`` stack with a
-row per outcome prefix, splits every row at once on a MEASURE
-(:func:`_split`), and checks nothing per gate.  A walk that ends on a
-gate tests the norm of each row it ends on; one that ends on a split
-ends on rows the split made unit.  Each runner checks a ``psi0`` once,
-and each walk copies it.  A plan accepts leading batch axes: on a stack
-it makes each numpy call once for all rows, with the same arithmetic per
-amplitude as on one state.
+lowers a checked circuit's ops, on the wires still live when each runs,
+to a list of two kinds of step: run a plan, or split on a measured wire.
+It takes each plan from :func:`_placed`, a memo of the last 1024 distinct
+placements, keyed by the register size, the template's value, the target
+slots and the control entries (about 1.7 MB at the bound on 12- to
+18-wire registers), so a process places each distinct gate once.  A
+one-shot ``qwsim`` process starts with the memo empty, and gains only
+where a gate repeats within its circuit; a miss costs about 0.8 us more
+than a bare placement.  :func:`_walk` is the one loop over those steps,
+for :func:`run_circuit` and for ``measurement``.  It builds the run's
+start, runs each plan once on a ``(B, 2**n_live)`` stack with a row per
+outcome prefix, splits every row at once on a MEASURE (:func:`_split`),
+and checks nothing per gate.  A walk that ends on a gate tests the norm
+of each row it ends on; one that ends on a split ends on rows the split
+made unit.  Each runner checks a ``psi0`` once, and each walk copies
+it.  A plan accepts leading batch axes: on a stack it makes each numpy
+call once for all rows, with the same arithmetic per amplitude as on one
+state.
 
 Started at |00...0>, a circuit's early gates meet wires that no gate has
 yet moved off 0, and like a control, such a wire confines the state to
@@ -82,6 +88,7 @@ only to name a fault of theirs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
 
@@ -173,9 +180,9 @@ NO_CONTROLS = ControlSpec()
 
 
 def swap_bits(k: int, i: int, j: int) -> int:
-    """Return ``k`` with bits ``i`` and ``j`` exchanged; each position is a
-    wire, so ``0..MAX_QUBITS - 1``."""
-    k = check_int(k, "index")
+    """Return ``k``, a non-negative int, with bits ``i`` and ``j``
+    exchanged; each position is a wire, so ``0..MAX_QUBITS - 1``."""
+    k = check_int(k, "index", 0)
     i, j = (check_int(b, "bit position", 0, MAX_QUBITS - 1) for b in (i, j))
     bi = (k >> i) & 1
     bj = (k >> j) & 1
@@ -302,6 +309,15 @@ def _place(n: int, template: tuple, targets, entries) -> Plan:
     return Plan(tuple(shape), tuple(keys), copies, steps, cut, above == 1 and free > 1)
 
 
+@lru_cache(maxsize=1024)
+def _placed(n: int, template: tuple, targets: tuple, entries: tuple) -> Plan:
+    """The plan of :func:`_place`, from a memo of the last 1024 distinct
+    placements.  Every argument is a tuple, and the key holds the template's
+    value, not a gate name, so a plan is only ever shared by equal
+    templates.  A plan is immutable, so a shared one runs as a fresh one."""
+    return _place(n, template, targets, entries)
+
+
 def _run_steps(view: np.ndarray, keys: tuple, copies: tuple, steps: tuple) -> None:
     """Run a plan's steps on ``view``, a view of the plan's shape or a piece of one."""
     blocks = {}
@@ -394,6 +410,9 @@ def compile_circuit(n: int, ops, psi0=None) -> tuple[list, tuple[int, ...], dict
     the state the steps end on, or None when that state does not hold it.
     ``Circuit`` checks its ops and refuses any reuse of a measured wire, so
     a compile checks nothing, only places templates, and cannot fail.
+    Each plan comes from the memo of :func:`_placed`, keyed by ``(k,
+    template, slots, entries)``, so a placement met before, in this
+    compile or an earlier one of the process, returns the same ``Plan``.
 
     When ``psi0`` is None the start is |00...0>, and the compile tracks the
     live wires that no gate has yet moved off 0, as a bitmask ``zero``;
@@ -457,15 +476,15 @@ def compile_circuit(n: int, ops, psi0=None) -> tuple[list, tuple[int, ...], dict
                 slot_of.setdefault(w, len(slot_of))
             # a wire not yet moved reads 0 all over the prefix: an anticontrol
             # of the gate's own on it always passes
-            entries = [(slot_of[w], f) for w, f in op.controls.entries if w in slot_of]
-            slots = list(map(slot_of.__getitem__, op.targets))
+            entries = tuple((slot_of[w], f) for w, f in op.controls.entries if w in slot_of)
+            slots = tuple(map(slot_of.__getitem__, op.targets))
             k = len(slot_of)
-            steps.append((_place(k, _TEMPLATES[op.gate], slots, entries), 1 << k))
+            steps.append((_placed(k, _TEMPLATES[op.gate], slots, entries), 1 << k))
         return steps, (), {w: slot_of.get(w) for w in range(n)}
     live = list(range(n))
     slot_of = {w: w for w in live}
     for op, zero in kept:
-        slots = list(map(slot_of.__getitem__, op.targets))
+        slots = tuple(map(slot_of.__getitem__, op.targets))
         if zero is None:
             steps.append((None, slots[0]))
             live.pop(slots[0])
@@ -474,7 +493,7 @@ def compile_circuit(n: int, ops, psi0=None) -> tuple[list, tuple[int, ...], dict
         entries = [(slot_of[w], f) for w, f in op.controls.entries]
         if zero:
             entries += [(s, False) for s, w in enumerate(live) if zero >> w & 1]
-        steps.append((_place(len(live), _TEMPLATES[op.gate], slots, entries), None))
+        steps.append((_placed(len(live), _TEMPLATES[op.gate], slots, tuple(entries)), None))
     wire_map = {w: slot_of.get(w) for w in range(n)}
     return steps, tuple(measured), wire_map
 

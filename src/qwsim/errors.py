@@ -31,3 +31,4 @@ class ParseError(SimulationError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+        self.message = message

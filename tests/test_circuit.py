@@ -260,6 +260,42 @@ class TestParser:
             parse_circuit(f"qubits 3\n{text}\n")
 
 
+class TestChunkMemo:
+    """``parse_circuit`` takes each gate's op from a memo of the gates that
+    parsed, bounded at 1024 and keyed by its tokens joined by single spaces."""
+
+    def test_a_refused_chunk_is_refused_again_at_its_own_line(self):
+        circ_mod._chunk_op.cache_clear()
+        for text, line_no in (
+            ("qubits 2\nH 0\nX 1 ; FOO 0\n", 3),
+            ("qubits 2\nFOO 0\n", 2),  # the same gate, alone on its line
+            ("qubits 2\nH 0 # FOO 0\n\nY 1\nX 1 ; FOO 0\n", 5),
+        ):
+            with pytest.raises(ParseError) as err:
+                parse_circuit(text)
+            assert (err.value.line_no, str(err.value)) == (line_no, f"line {line_no}: unknown gate 'FOO'")
+            # the line-0 refusal of the memo is not chained to the one raised
+            assert err.value.__suppress_context__ and err.value.__cause__ is None
+        # "FOO 0" missed all three times it was met; only the gates that
+        # parsed are stored, "H 0 " and " X 1" sharing the entries of "H 0"
+        # and "X 1 ", and the blank line takes none
+        info = circ_mod._chunk_op.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 6, 3)
+        # a good chunk gives the same op on any line of any text
+        first = parse_circuit("qubits 3\nH 0\nX 2 c=1\n")
+        again = parse_circuit("qubits 3\nX 2  c=1\nZ 1\n\n H 0;\n")
+        assert again.ops[0] is first.ops[1] and again.ops[2] is first.ops[0]
+
+    def test_the_memo_stays_at_its_bound(self):
+        circ_mod._chunk_op.cache_clear()
+        # 2 * 26 * 25 = 1300 distinct chunks
+        lines = [f"X {t} {kind}={w}" for t in range(26) for w in range(26) if w != t for kind in "ca"]
+        assert len(parse_circuit("qubits 26\n" + "\n".join(lines)).ops) == 1300
+        info = circ_mod._chunk_op.cache_info()
+        assert info.misses == 1300
+        assert info.currsize == info.maxsize == 1024
+
+
 class TestFormatter:
     def test_round_trip_simple(self):
         text = "qubits 3\nH 1\nX 2\nX 0 c=1\nZ 0\nX 2 c=1\n"

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwsim import analysis, cli, engine, measurement
+from qwsim import analysis, circuit, cli, engine, measurement
 from qwsim.circuit import parse_circuit
 from qwsim.gates import gate_def, gate_names
 
@@ -607,6 +607,25 @@ class TestBadInput:
         assert code == 0 and out.count("\n") == 4
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "5356a8c6788fb3a041597880c17de30d1b563c21aefaf2daf07b9a8555920d8d"
+
+
+class TestMemos:
+    def test_sample_then_simulate_print_what_each_prints_cold(self, capsys):
+        # the second command of a process finds every chunk in the memo, and
+        # shares the first one's plans; each prints what it prints alone
+        path = str(Path(__file__).resolve().parents[1] / "circuits" / "sample10.qc")
+        commands = (("sample", path, "--shots", "1000", "--seed", "7"), ("simulate", path))
+        cold = []
+        for argv in commands:
+            circuit._chunk_op.cache_clear()
+            engine._placed.cache_clear()
+            cold.append(run_cli(capsys, *argv))
+        warm = [run_cli(capsys, *commands[0])]
+        misses = circuit._chunk_op.cache_info().misses
+        warm.append(run_cli(capsys, *commands[1]))
+        assert circuit._chunk_op.cache_info().misses == misses
+        assert warm == cold
+        assert cold[0] == (0, "000: 131\n001: 137\n010: 109\n011: 126\n100: 118\n101: 120\n110: 137\n111: 122\n", "")
 
 
 class TestParserReuse:

@@ -1,10 +1,12 @@
 import hashlib
 import itertools
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qwsim import circuit as circuit_module
 from qwsim import engine, gates, linalg, measurement, oracle
 from qwsim.circuit import Circuit, GateOp, load_circuit, parse_circuit, random_circuit
 from qwsim.engine import ControlSpec, NO_CONTROLS
@@ -13,6 +15,12 @@ from qwsim.errors import ContractError, DimensionError, ParseError
 _SQ2 = 1.0 / np.sqrt(2.0)
 SWAP = gates.gate_matrix("SWAP")
 CIRCUITS = Path(__file__).resolve().parents[1] / "circuits"
+
+
+def clear_memos():
+    """Empty the process's memos of parsed gate chunks and placed plans."""
+    circuit_module._chunk_op.cache_clear()
+    engine._placed.cache_clear()
 
 
 def random_unitary(dim, rng):
@@ -543,30 +551,49 @@ class TestCompileCircuit:
             parse_circuit("qubits 2\nMEASURE 0\nH 1\nX 1 a=0\n")
         assert str(err.value) == "line 4: op 2 (X 1 a=0) touches wire 0, which was measured"
 
-    def test_plans_are_built_once_per_compile(self, monkeypatch):
+    @staticmethod
+    def placements(monkeypatch):
+        """A list of the args of each plan ``_place`` builds.  A placement the
+        memo holds is not built, so each count starts from an empty memo, and
+        a memo hit on gates that are all distinct means a second compile."""
         built = []
         real = engine._place
         monkeypatch.setattr(
             engine, "_place", lambda *args: built.append(args) or real(*args)
         )
+        return built
+
+    def test_plans_are_built_once_per_compile(self, monkeypatch):
+        built = self.placements(monkeypatch)
         circ = parse_circuit("qubits 3\nH 0\nH 1\nMEASURE 0\nX 2 c=1\nMEASURE 1\nH 2\n")
+        engine._placed.cache_clear()
         measurement.sample_shots(circ, 500, 3)
         assert len(built) == 3  # H 2, after the last MEASURE, is not placed
+        assert engine._placed.cache_info().hits == 0
+        engine._placed.cache_clear()
+        measurement.run_with_branches(circ)
+        assert len(built) == 7
+        assert engine._placed.cache_info().hits == 0
+        # a repeat compile of the same ops places nothing new
+        measurement.sample_shots(circ, 500, 3)
         measurement.run_with_branches(circ)
         assert len(built) == 7
 
     def test_the_runners_compile_once_and_only_what_they_run(self, monkeypatch):
-        built = []
-        real = engine._place
-        monkeypatch.setattr(
-            engine, "_place", lambda *args: built.append(args) or real(*args)
-        )
+        built = self.placements(monkeypatch)
         measured = parse_circuit("qubits 2\nH 0\nCX 0 1\nMEASURE 0\n")
+        engine._placed.cache_clear()
         with pytest.raises(ContractError, match="is a measurement"):
             engine.run_circuit(measured)
         assert built == []  # refused before any plan is placed
         # a measurement-free circuit goes to run_circuit, compiled there alone
-        measurement.run_with_branches(parse_circuit("qubits 3\nH 0\nCX 0 1\nH 2\n"))
+        free = parse_circuit("qubits 3\nH 0\nCX 0 1\nH 2\n")
+        measurement.run_with_branches(free)
+        assert len(built) == 3
+        assert engine._placed.cache_info().hits == 0
+        # a repeat compile of the same ops places nothing new
+        measurement.run_with_branches(free)
+        engine.run_circuit(free)
         assert len(built) == 3
 
 
@@ -603,13 +630,20 @@ class TestCompileCircuit:
         return kept.hexdigest(), prefix.hexdigest()
 
     def test_compiled_plans_are_pinned(self):
-        # a rewrite of the compile places the same plans given a start or a MEASURE
+        # a rewrite of the compile places the same plans given a start or a
+        # MEASURE, from empty memos of parsed chunks and placed plans, and
+        # again once both memos hold every chunk and plan
         want = "18d57feaf73f8d2a8f6014fdaafe45bb8e52d300d0145f27030f958a878fcdcb"
+        clear_memos()
+        assert self.plan_digests()[0] == want
         assert self.plan_digests()[0] == want
 
     def test_first_move_plans_are_pinned(self):
-        # and the same plans, in first-move order, for the MEASURE-free rest
+        # and the same plans, in first-move order, for the MEASURE-free rest,
+        # cold and warm
         want = "ed808755d8b0d5446e0b8dff0859a400e91751ad2a3f484df38119b6e432b1d7"
+        clear_memos()
+        assert self.plan_digests()[1] == want
         assert self.plan_digests()[1] == want
 
 
@@ -1044,3 +1078,116 @@ class TestTemplates:
         # any other matrix derives its own template, once per call
         engine.apply_multi_qubit_gate(1, gates.gate_matrix("H"), (0,), [1, 0])
         assert len(derived) == 1
+
+
+class TestPlacementMemo:
+    """``compile_circuit`` takes each plan from a memo of ``_place``, bounded
+    at 1024 placements and keyed by ``(k, template, slots, entries)``."""
+
+    def test_a_repeat_compile_returns_the_same_plans(self):
+        clear_memos()
+        for text, psi0 in (
+            (MEASURED_12Q, None),  # wire order, with zero-wire anticontrols
+            (TestRegister.SPREAD, None),  # a register grown in first-move order
+            (TestRegister.SPREAD, linalg.zero_state(20)),
+        ):
+            circ = parse_circuit(text)
+            first = engine.compile_circuit(circ.n, circ.ops, psi0)
+            misses = engine._placed.cache_info().misses
+            again = engine.compile_circuit(circ.n, circ.ops, psi0)
+            assert engine._placed.cache_info().misses == misses
+            assert again == first
+            assert all(p is q for (p, _), (q, _) in zip(first[0], again[0]))
+
+    def test_a_template_swapped_in_gets_a_plan_of_its_own(self, monkeypatch):
+        # the key holds the template itself, not the gate's name
+        circ = parse_circuit("qubits 2\nH 0\nX 1 c=0\n")
+        (real, _), _ = engine.compile_circuit(circ.n, circ.ops)[0]
+        bad = engine._template(2 * gates.gate_def("H").matrix)
+        monkeypatch.setitem(engine._TEMPLATES, "H", bad)
+        (swapped, _), _ = engine.compile_circuit(circ.n, circ.ops)[0]
+        assert swapped == engine._place(1, bad, (0,), ())
+        assert swapped.steps != real.steps
+        monkeypatch.undo()
+        assert engine.compile_circuit(circ.n, circ.ops)[0][0][0] is real
+
+    def test_the_memo_stays_at_its_bound(self):
+        clear_memos()
+        # 3 * (1 + ... + 26) = 1053 distinct placements: a MEASURE keeps every
+        # wire in wire order, so each gate takes an anticontrol on every other
+        for n in range(1, linalg.MAX_QUBITS + 1):
+            for w in range(n):
+                for name in ("H", "X", "Y"):
+                    ops = (GateOp(name, (w,)), GateOp("MEASURE", (w,)))
+                    engine.compile_circuit(n, ops)
+        info = engine._placed.cache_info()
+        assert info.misses == 1053
+        assert info.currsize == info.maxsize == 1024
+
+
+def _inverse_check_lines(n, rng):
+    """An H on every wire, then ``3 * n`` gates in perfbench's mix, then the
+    inverse of all of it, as circuit lines.
+
+    Half the mix is plain 1-qubit gates, a quarter 1-qubit gates with one
+    or two controls or anticontrols, alternating, and the rest the 2-qubit
+    gates in turn, every other one with a control or anticontrol.  A gate's
+    inverse keeps its wires: S and SDG, and T and TDG, swap; H, X, Y, Z and
+    SWAP are their own; ISWAP and SQRTSWAP, whose fourth powers are I, take
+    three copies.
+    """
+    one, two = ("H", "X", "Y", "Z", "S", "SDG", "T", "TDG"), ("SWAP", "ISWAP", "SQRTSWAP")
+    count = 3 * n
+    plain, controlled = count - count // 2, count // 4
+    mix = []
+    for k in range(count):
+        if k < plain + controlled:
+            name, arity = one[int(rng.integers(len(one)))], 1
+            n_controls = 0 if k < plain else 1 + k % 2
+        else:
+            name, arity, n_controls = two[k % 3], 2, k % 2
+        wires = [int(w) for w in rng.choice(n, arity + n_controls, replace=False)]
+        tokens = [name, *map(str, wires[:arity])]
+        tokens += [f"{'ca'[int(rng.integers(2))]}={w}" for w in wires[arity:]]
+        mix.append(tokens)
+    mix = [mix[i] for i in rng.permutation(count)]
+    forward = [["H", str(w)] for w in range(n)] + mix
+    inverse = {"S": "SDG", "SDG": "S", "T": "TDG", "TDG": "T"}
+    backward = []
+    for name, *rest in reversed(forward):
+        copies = 3 if name in ("ISWAP", "SQRTSWAP") else 1
+        backward += [[inverse.get(name, name), *rest]] * copies
+    return [" ".join(tokens) for tokens in forward + backward]
+
+
+# 22 qubits take about 2 s and a few 64 MiB states; set this to run them
+WIDE = os.environ.get("QWSIM_TEST_WIDE") == "1"
+
+
+class TestInverseAtFullWidth:
+    """A circuit followed by its inverse returns |00...0>: an answer that
+    the engine does not produce, checked on states past ``2 * _SLICE``
+    amplitudes, where plans run sliced, under ``_BUFSIZE`` and as wire-0
+    halves, at their real sizes."""
+
+    @pytest.mark.parametrize(
+        "n", [20, pytest.param(22, marks=pytest.mark.skipif(not WIDE, reason="QWSIM_TEST_WIDE=1"))]
+    )
+    def test_a_circuit_then_its_inverse_returns_to_zero(self, n):
+        text = "\n".join([f"qubits {n}", *_inverse_check_lines(n, np.random.default_rng(n))])
+        zero = linalg.zero_state(n)
+        runs = []
+        clear_memos()
+        for _ in ("cold", "warm"):
+            circ = parse_circuit(text)
+            steps = engine.compile_circuit(circ.n, circ.ops)[0]
+            runs.append(engine.run_circuit(circ))
+            assert np.max(np.abs(runs[-1] - zero)) < 1e-12
+        assert runs[0].tobytes() == runs[1].tobytes()
+        # every wire in wire order, so every plan runs on all 2**n amplitudes;
+        # the inverse half shares the plans of the forward half
+        plans = [plan for plan, _ in steps]
+        assert all(size is None for _, size in steps)
+        assert any(plan.cut is not None for plan in plans)
+        assert any(plan.halves for plan in plans)
+        assert len({id(plan) for plan in plans}) < len(plans)

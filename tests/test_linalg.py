@@ -175,6 +175,9 @@ _PAST_A_BOUND = {
         lambda: linalg.basis_state(2, -1), "basis index -1 is outside 0..3"
     ),
     "basis_state above": (lambda: linalg.basis_state(2, 4), "basis index 4 is outside 0..3"),
+    # a negative index had its bits exchanged in two's complement: -2 gave -3
+    "swap_bits index": (lambda: engine.swap_bits(-2, 0, 1), "index must be at least 0, got -2"),
+    "swap_bits index -1": (lambda: engine.swap_bits(-1, 0, 1), "index must be at least 0, got -1"),
     "swap_bits i": (lambda: engine.swap_bits(5, -1, 0), "bit position -1 is outside 0..25"),
     "swap_bits j": (lambda: engine.swap_bits(5, 0, -1), "bit position -1 is outside 0..25"),
     # a position is a wire; past the cap it used to build an int of that many bits
