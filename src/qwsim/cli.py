@@ -9,14 +9,18 @@ in magnitude print as plain 0, and basis entries whose amplitude or
 probability is below 1e-12 are omitted from listings.
 
 A measurement-free circuit's result is read off its register, the
-``2**K`` amplitudes of the K wires its gates move (``engine._run_register``),
-and is never scattered into ``2**n``: every other wire stays |0> to the
-end.  ``simulate`` prints each listed register entry at its ``n``-wire
-index.  ``stats`` runs ``all_qubit_stats`` on the register and prints the
-constant |0> row for every other wire; ``--pair`` traces the register and
-takes a wire off it as |0><0|; ``--magic`` is the magic of the register,
-since the order-2 stabilizer Renyi entropy adds up over a tensor product
-and is 0 on |0>, so its qubit cap bounds K, not n.
+``2**K`` amplitudes of the K wires its gates move, as walked
+(``engine._walk_register``): in first-move slot order, never copied into
+wire order nor scattered into ``2**n``, as every other wire stays |0> to
+the end.  Bit ``s`` of a register index is the wire in slot ``s``.
+``simulate`` prints each listed register entry at its ``n``-wire index,
+in index order.  ``stats`` runs ``all_qubit_stats`` on the register, keys
+each slot's row by its wire, and prints the constant |0> row for every
+other wire; ``--pair`` traces the pair's slots and takes a wire off the
+register as |0><0|; ``--magic`` is the magic of the register, since the
+order-2 stabilizer Renyi entropy does not change when the qubits are
+relabelled, adds up over a tensor product and is 0 on |0>, so its qubit
+cap bounds K, not n.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from . import analysis, measurement
 from .circuit import load_circuit
-from .engine import _run_register
+from .engine import _walk_register
 from .errors import ResourceError, SimulationError
 from .linalg import check_wires
 
@@ -60,9 +64,8 @@ def _bits(index: int, width: int) -> str:
 
 def _print_state(psi: np.ndarray, width: int, probs: bool, indent: str = "", wires=None) -> None:
     """List the entries of ``psi`` at or above ``PRINT_EPS`` as ``width``-bit
-    indices.  With ``wires`` given, ``psi`` is a register and bit ``s`` of
-    its index is wire ``wires[s]``; the wires ascend, so the listing stays in
-    index order."""
+    indices, in index order.  With ``wires`` given, ``psi`` is a register
+    and bit ``s`` of its index is wire ``wires[s]``."""
     if probs:
         values = size = np.abs(psi) ** 2
     else:
@@ -76,6 +79,8 @@ def _print_state(psi: np.ndarray, width: int, probs: bool, indent: str = "", wir
         at = np.zeros_like(listed)
         for s, w in enumerate(wires):
             at |= ((listed >> s) & 1) << w
+        order = np.argsort(at)  # slots need not follow wire order
+        listed, at = listed[order], at[order]
     for i, k in zip(listed.tolist(), at.tolist()):
         print(f"{indent}{_bits(k, width)}: {fmt(values[i])}")
 
@@ -96,14 +101,14 @@ def _cmd_simulate(args) -> int:
             print(f"branch {label}: p={_fmt(leaf.probability)}")
             _print_state(leaf.state, width, args.probs, indent="  ")
         return 0
-    psi, wire_map = _run_register(circ)
+    psi, wire_map = _walk_register(circ)
     _print_state(psi, circ.n, args.probs, wires=_register_wires(wire_map))
     return 0
 
 
 def _register_wires(wire_map: dict) -> list[int]:
-    """The register's wires by slot, which is wire order."""
-    return [w for w, slot in wire_map.items() if slot is not None]
+    """The register's wires by slot: bit ``s`` of a register index is wire ``wires[s]``."""
+    return sorted((w for w, slot in wire_map.items() if slot is not None), key=wire_map.get)
 
 
 _STATS_COLUMNS = (
@@ -117,6 +122,8 @@ _ZERO_ROW = tuple(map(_fmt, (0, 0, 0, 1, 1, 0, 0, 1, 0)))
 # |0><0| of one wire, and |00><00| of a pair
 _ZERO_1 = np.diag([1.0, 0.0]).astype(complex)
 _ZERO_2 = np.kron(_ZERO_1, _ZERO_1)
+# the two-bit indices 0..3 with their bits swapped
+_BIT_SWAP = [0, 2, 1, 3]
 
 
 def _pair_matrix(psi: np.ndarray, k: int, slots: list) -> np.ndarray:
@@ -127,16 +134,17 @@ def _pair_matrix(psi: np.ndarray, k: int, slots: list) -> np.ndarray:
     on = [s for s in slots if s is not None]
     if not on:
         return _ZERO_2
-    rho = analysis.partial_trace_state(k, psi, on, keep=True)
+    rho = analysis.partial_trace_state(k, psi, sorted(on), keep=True)
     if len(on) == 2:
-        return rho
+        # bit 0 is the lower slot: swap the two bits when it is the higher wire
+        return rho if on[0] < on[1] else rho[np.ix_(_BIT_SWAP, _BIT_SWAP)]
     # the higher wire takes the high bit, so it is the first factor
     return np.kron(_ZERO_1, rho) if slots[1] is None else np.kron(rho, _ZERO_1)
 
 
 def _cmd_stats(args) -> int:
     circ = load_circuit(args.circuit)
-    psi, wire_map = _run_register(circ)
+    psi, wire_map = _walk_register(circ)
     wires = _register_wires(wire_map)
     k = len(wires)
     # computed before any row is printed, so that a refusal prints nothing

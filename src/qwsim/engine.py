@@ -53,9 +53,10 @@ moved reads 0 there, so no gate takes an anticontrol for it.
 :func:`run_circuit` scatters the ``2**K`` amplitudes, whose norm the walk
 tests, once into a zeroed state of every wire, from a transposed view
 that puts them back into wire order; the scatter moves no value, so the
-test holds for the result.  The CLI reads the register of
-:func:`_run_register`, in wire order, and never builds the ``2**n``
-state.  Only a register of every wire, past ``2 * _SLICE`` amplitudes,
+test holds for the result.  The CLI reads the row of
+:func:`_walk_register` in first-move slot order, relabels bits by its
+``wire_map``, and never builds the ``2**n`` state or a wire-order copy.
+Only a register of every wire, past ``2 * _SLICE`` amplitudes,
 starts on all its wires in wire order, with the anticontrols, as a run
 from a ``psi0`` does: putting it back into wire order would take a
 second state of all n wires.  A circuit with a MEASURE keeps every live
@@ -616,37 +617,6 @@ def _walk_register(circuit, psi0=None) -> tuple[np.ndarray, dict[int, int | None
     return _walk(steps, k, psi0)[2][0], wire_map
 
 
-def _wire_axes(wire_map: dict[int, int | None]) -> list[int]:
-    """The axis of a register's ``(2,) * K`` tensor that holds each register
-    wire, highest wire first; ``list(range(K))`` when slots follow wire order."""
-    slots = [slot for slot in wire_map.values() if slot is not None]  # in wire order
-    return [len(slots) - 1 - slot for slot in reversed(slots)]
-
-
-def _run_register(circuit, psi0=None) -> tuple[np.ndarray, dict[int, int | None]]:
-    """Run a measurement-free circuit on its register, with the checks of
-    :func:`run_circuit`, and hand the register on in wire order, unscattered.
-
-    Returns ``(state, wire_map)``: the ``2**K`` amplitudes of the register,
-    whose norm the walk tests, and a ``wire_map`` that sends each of the K
-    register wires to its slot and every other wire, still |0> at the end,
-    to None.  Slots follow wire order, so slot ``s`` is the ``s``-th
-    smallest register wire, and bit ``s`` of a register index is that
-    wire's bit.  A register walked in first-move order (see
-    :func:`compile_circuit`) is copied into wire order, at most ``2**16``
-    amplitudes when it holds every wire and at most ``2**(n-1)`` when it
-    does not, unless that order is already ascending.  Given a ``psi0``,
-    K = n and the map is the identity.
-    """
-    state, wire_map = _walk_register(circuit, psi0)
-    axes = _wire_axes(wire_map)
-    if axes != sorted(axes):
-        state = state.reshape((2,) * len(axes)).transpose(axes).reshape(-1)  # a copy
-        slots = iter(range(len(axes)))
-        wire_map = {w: None if slot is None else next(slots) for w, slot in wire_map.items()}
-    return state, wire_map
-
-
 def run_circuit(circuit, psi0=None) -> np.ndarray:
     """Run every gate of a measurement-free circuit over ``psi0``.
 
@@ -659,16 +629,18 @@ def run_circuit(circuit, psi0=None) -> np.ndarray:
     first-move order.  The walk tests the run's norm before that scatter,
     which moves no value, so the test reads ``2**K`` amplitudes and a norm
     drift beyond ``STATE_ATOL``, which would mean a kernel bug, raises.
-    The CLI reads the register of :func:`_run_register` itself and skips
+    The CLI reads the row of :func:`_walk_register` as walked and skips
     the scatter.
     """
     state, wire_map = _walk_register(circuit, psi0)
     n = circuit.n
-    axes = _wire_axes(wire_map)
-    if len(axes) == n and axes == sorted(axes):
+    slots = [slot for slot in wire_map.values() if slot is not None]  # in wire order
+    if slots == list(range(n)):
         return state
     full = np.zeros(1 << n, dtype=complex)
     # an axis per wire, highest first; a wire off the register reads 0
     index = tuple(_ALL if wire_map[w] is not None else 0 for w in range(n - 1, -1, -1))
-    full.reshape((2,) * n)[index] = state.reshape((2,) * len(axes)).transpose(axes)
+    # axis a of the register's tensor holds slot K - 1 - a: take them highest wire first
+    axes = [len(slots) - 1 - slot for slot in reversed(slots)]
+    full.reshape((2,) * n)[index] = state.reshape((2,) * len(slots)).transpose(axes)
     return full

@@ -150,7 +150,7 @@ class TestSimulate:
             3, (), {0: 0, 1: 1, 2: 2}, (measurement.BranchLeaf((), 1.0, edge),)
         )
         # a measurement-free run is read off its register; this one is every wire
-        monkeypatch.setattr(cli, "_run_register", lambda circ: (edge, {0: 0, 1: 1, 2: 2}))
+        monkeypatch.setattr(cli, "_walk_register", lambda circ: (edge, {0: 0, 1: 1, 2: 2}))
         monkeypatch.setattr(cli.measurement, "run_with_branches", lambda circ: tree)
         path = circuit_file("qubits 3\nH 0\n")
         amplitudes = ["000: 0.8", "001: 1.01e-12", "011: 1.01e-06", "100: 9.9e-07i",
@@ -436,7 +436,7 @@ class TestRegisterReadout:
                 rhos.clear()
                 got = run_cli(capsys, cmd, str(path), *rest)
                 with monkeypatch.context() as m:
-                    m.setattr(cli, "_run_register", full_state)
+                    m.setattr(cli, "_walk_register", full_state)
                     want = run_cli(capsys, cmd, str(path), *rest)
                 assert got == want and got[0] == 0, (text, cmd, rest)
                 if rhos:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qwsim import circuit as circuit_module
-from qwsim import engine, gates, linalg, measurement, oracle
+from qwsim import analysis, cli, engine, gates, linalg, measurement, oracle
 from qwsim.circuit import Circuit, GateOp, load_circuit, parse_circuit, random_circuit
 from qwsim.engine import ControlSpec, NO_CONTROLS
 from qwsim.errors import ContractError, DimensionError, ParseError
@@ -758,12 +758,13 @@ class TestRegister:
         assert (steps, measured) == (want, ())
         slots = {7: 0, 2: 1, 13: 2, 19: 3}
         assert wire_map == {w: slots.get(w) for w in range(20)}
-        # the CLI's register is in wire order, as is the map it comes with
-        state, wire_map = engine._run_register(parse_circuit(self.SPREAD))
-        assert wire_map == {w: {2: 0, 7: 1, 13: 2, 19: 3}.get(w) for w in range(20)}
+        # the CLI reads the walked row, whose bit s is the wire in slot s
+        state, walked = engine._walk_register(parse_circuit(self.SPREAD))
+        assert walked == wire_map
         full = engine.run_circuit(parse_circuit(self.SPREAD)).reshape((2,) * 20)
         index = tuple(slice(None) if w in slots else 0 for w in range(19, -1, -1))
-        assert state.tobytes() == full[index].tobytes()
+        # axes highest wire first (19, 13, 7, 2) to highest slot first (19, 13, 2, 7)
+        assert state.tobytes() == full[index].transpose(0, 1, 3, 2).tobytes()
 
     def test_every_plan_run_sees_two_to_the_k_amplitudes(self, monkeypatch):
         # k, the wires moved so far: a prefix of the register's one row
@@ -801,8 +802,9 @@ class TestRegister:
             assert [size for _, size in steps] == sorted(size for _, size in steps)
             assert steps[-1][1] == stack.size == 1 << k
             # so the row, in wire order, holds the run from a psi0, which
-            # places every plan on all n wires
-            row = stack[0].reshape((2,) * k).transpose(engine._wire_axes(wire_map))
+            # places every plan on all n wires; axis a holds slot k - 1 - a
+            on = [w for w in range(circ.n) if wire_map[w] is not None]
+            row = stack[0].reshape((2,) * k).transpose([k - 1 - wire_map[w] for w in reversed(on)])
             full = engine.run_circuit(circ, linalg.zero_state(circ.n)).reshape((2,) * circ.n)
             index = tuple(slice(None) if wire_map[w] is not None else 0 for w in range(circ.n - 1, -1, -1))
             assert np.array_equal(row, full[index])
@@ -826,9 +828,11 @@ class TestRegister:
         # the same bytes as a run that places every plan on all 18 wires
         psi = engine.run_circuit(circ)
         assert np.array_equal(psi, engine.run_circuit(circ, linalg.zero_state(18)))
-        state, wire_map = engine._run_register(circ)
-        assert wire_map == {w: w if w < 17 else None for w in range(18)}
-        assert state.tobytes() == psi.reshape(2, -1)[0].tobytes()
+        # the walked row holds wire 17 = 0 of it, with slots in first-move order
+        state, walked = engine._walk_register(circ)
+        assert walked == wire_map
+        by_slot = psi.reshape((2,) * 18)[0].transpose([16 - w for w in reversed(order)])
+        assert state.tobytes() == by_slot.tobytes()
 
     def test_a_circuit_that_moves_no_wire_runs_no_plan(self, monkeypatch):
         circ = parse_circuit(self.ZERO)
@@ -1191,3 +1195,118 @@ class TestInverseAtFullWidth:
         assert any(plan.cut is not None for plan in plans)
         assert any(plan.halves for plan in plans)
         assert len({id(plan) for plan in plans}) < len(plans)
+
+
+def _product_blocks(n, idle, rng):
+    """Three interleaved blocks of an ``n``-wire circuit, wire ``w`` in block
+    ``w % 3`` and ``idle`` in none, as ``(wires, gates)`` per block.
+
+    A gate is ``(name, targets, controls)`` on the block's own wires 0 to
+    m - 1, each control a ``(flag, wire)`` pair.  Each block has an H on
+    each of its wires, in a shuffled order, then three catalog gates per
+    wire with up to two controls or anticontrols, all inside the block.
+    """
+    names = gates.gate_names()
+    blocks = []
+    for b in range(3):
+        wires = [w for w in range(b, n, 3) if w != idle]
+        m = len(wires)
+        ops = [("H", (int(w),), ()) for w in rng.permutation(m)]
+        for _ in range(3 * m):
+            name = names[int(rng.integers(len(names)))]
+            arity = gates.gate_def(name).arity
+            picked = [int(w) for w in rng.choice(m, arity + int(rng.integers(3)), replace=False)]
+            controls = tuple(("ca"[int(rng.integers(2))], w) for w in picked[arity:])
+            ops.append((name, tuple(picked[:arity]), controls))
+        blocks.append((wires, ops))
+    return blocks
+
+
+def _gate_line(gate, wire):
+    """A circuit line of ``(name, targets, controls)``, each wire mapped by ``wire``."""
+    name, targets, controls = gate
+    return " ".join([name, *(str(wire(t)) for t in targets), *(f"{f}={wire(w)}" for f, w in controls)])
+
+
+class TestProductAtFullWidth:
+    """A circuit of three blocks that no gate crosses ends in the tensor
+    product of each block's state, which the dense oracle gives on at most
+    seven wires: an answer the engine does not produce, checked at 20 wires,
+    on every wire in wire order and on a grown register of 19 in a shuffled
+    order, as ``run_circuit`` returns it and as ``qwsim stats`` reads it."""
+
+    N = 20
+
+    @staticmethod
+    def build(idle, seed):
+        """The circuit's text, with the blocks' gates interleaved at random,
+        and each block's wires and oracle state."""
+        rng = np.random.default_rng(seed)
+        blocks = _product_blocks(TestProductAtFullWidth.N, idle, rng)
+        pending = [iter(ops) for _, ops in blocks]
+        turns = rng.permutation([b for b, (_, ops) in enumerate(blocks) for _ in ops])
+        lines = [f"qubits {TestProductAtFullWidth.N}"]
+        lines += [_gate_line(next(pending[b]), blocks[b][0].__getitem__) for b in turns]
+        states = []
+        for wires, ops in blocks:
+            local = "\n".join([f"qubits {len(wires)}", *(_gate_line(op, int) for op in ops)])
+            states.append((wires, oracle.simulate_naive(parse_circuit(local))))
+        return "\n".join(lines) + "\n", states
+
+    @staticmethod
+    def product(states, idle):
+        """The blocks' states as one state of every wire, in wire order; the
+        idle wire, if any, is |0>."""
+        tensor, axis_of = np.ones(()), {}
+        for wires, psi in states + ([([idle], linalg.zero_state(1))] if idle is not None else []):
+            m = len(wires)
+            axis_of.update((w, tensor.ndim + m - 1 - i) for i, w in enumerate(wires))
+            tensor = np.multiply.outer(tensor, psi.reshape((2,) * m))
+        return tensor.transpose([axis_of[w] for w in range(len(axis_of) - 1, -1, -1)]).reshape(-1)
+
+    @pytest.mark.parametrize("idle", [None, 11], ids=["every-wire", "one-idle"])
+    def test_run_circuit_is_the_product_of_the_blocks(self, idle):
+        text, states = self.build(idle, 3)
+        circ = parse_circuit(text)
+        steps, _, wire_map = engine.compile_circuit(circ.n, circ.ops)
+        if idle is None:  # every wire past 2 * _SLICE: wire order, whole-state plans
+            assert all(size is None for _, size in steps)
+        else:  # 19 wires grown in a shuffled first-move order
+            slots = [wire_map[w] for w in range(self.N) if w != idle]
+            assert wire_map[idle] is None and slots != sorted(slots)
+            assert steps[-1][1] == 1 << 19
+        assert np.max(np.abs(engine.run_circuit(circ) - self.product(states, idle))) < 1e-10
+
+    def test_stats_of_the_grown_register_are_the_blocks(self, capsys, tmp_path, monkeypatch):
+        idle = 11
+        text, states = self.build(idle, 3)
+        path = tmp_path / "product.qc"
+        path.write_text(text)
+        wire_map = engine.compile_circuit(self.N, parse_circuit(text).ops)[2]
+        # a pair inside block 0 whose lower wire holds the higher slot
+        block, block_psi = states[0]
+        lo, hi = next((a, b) for a, b in itertools.combinations(block, 2) if wire_map[a] > wire_map[b])
+        rhos = []
+        real_pair_stats = analysis.pair_stats
+        monkeypatch.setattr(analysis, "pair_stats", lambda rho: rhos.append(rho) or real_pair_stats(rho))
+        code = cli.main(["stats", str(path), "--pair", str(hi), str(lo), "--format", "records"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        *rows, pair_line = out.splitlines()
+        assert pair_line.startswith(f"pair ({lo},{hi}): ")
+        records = [dict(field.split("=") for field in row.split()) for row in rows]
+        assert [int(r["qubit"]) for r in records] == list(range(self.N))
+        assert rows[idle] == (f"qubit={idle} prob1=0 x=0 y=0 z=1 r=1 theta=0 phi=0 "
+                              "purity=1 lin_entropy=0")
+        for wires, psi in states:
+            m = len(wires)
+            rho = np.outer(psi, psi.conj())
+            for i, w in enumerate(wires):
+                want = analysis.qubit_stats(oracle.partial_trace_by_definition(rho, m, [j for j in range(m) if j != i]))
+                got = [float(v) for k, v in records[w].items() if k != "qubit"]
+                np.testing.assert_allclose(got, list(vars(want).values()), rtol=0, atol=1e-10)
+        # bit 0 of the pair's matrix is the lower wire, as in the oracle's
+        traced = [j for j, w in enumerate(block) if w not in (lo, hi)]
+        want = oracle.partial_trace_by_definition(np.outer(block_psi, block_psi.conj()), len(block), traced)
+        (got,) = rhos
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)

@@ -568,8 +568,7 @@ class TestMemoryLedger:
     # every one of 17 wires, past 2**16 amplitudes: wire order, in descending order
     DESCENDING = parse_circuit(f"qubits {N}\n" + "".join(f"H {w}\n" for w in range(N - 1, -1, -1)) + TAIL)
     # 17 of 18 wires: a register grown in a shuffled order, which run_circuit
-    # scatters into its 2**18 result (two states) and _run_register copies
-    # into wire order (a second state)
+    # scatters into its 2**18 result (two states) and the CLI reads as walked
     GROWN = parse_circuit("qubits 18\n" + "".join(f"H {w}\n" for w in ORDER + (16,)) + TAIL)
 
     @pytest.mark.parametrize(
@@ -582,11 +581,11 @@ class TestMemoryLedger:
             (lambda: engine.run_circuit(TestMemoryLedger.SHUFFLED), 1.75),
             (lambda: engine.run_circuit(TestMemoryLedger.DESCENDING), 1.75),
             (lambda: engine.run_circuit(TestMemoryLedger.GROWN), 3.25),  # measured 3.00
-            (lambda: engine._run_register(TestMemoryLedger.GROWN), 2.25),  # measured 2.00
+            (lambda: engine._walk_register(TestMemoryLedger.GROWN), 1.75),  # measured 1.50
         ],
         ids=["run_circuit", "run_with_branches-plain", "run_with_branches", "sample_shots",
              "run_circuit-first-move-16", "run_circuit-descending-17",
-             "run_circuit-grown-17-of-18", "_run_register-grown-17-of-18"],
+             "run_circuit-grown-17-of-18", "_walk_register-grown-17-of-18"],
     )
     def test_peak_in_states(self, call, bound):
         assert traced_peak(call) < bound * linalg.zero_state(self.N).nbytes
