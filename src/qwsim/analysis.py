@@ -43,6 +43,7 @@ from .errors import ContractError, ResourceError
 from .gates import gate_matrix
 from .linalg import (
     EIGEN_ATOL,
+    MAX_QUBITS,
     STATE_ATOL,
     _hermitian_part,
     _state_size,
@@ -111,9 +112,15 @@ def partial_trace_state(n: int, psi, qubits, *, keep: bool = False) -> np.ndarra
     traced qubits.  Then ``rho[r, c] = sum_t M[r, t] conj(M[c, t])`` is the
     single product ``M @ M^H``: one reordered copy of ``psi`` and
     O(4**K * 2**T) work in BLAS.  ``psi`` passes ``check_unit_state``.
+    The ``2**K x 2**K`` result is refused (``ResourceError``) before any
+    copy when it would outgrow a state of ``MAX_QUBITS`` qubits.
     """
     psi, n = check_unit_state(psi, n)
     traced, kept = _split_kept(n, qubits, keep)
+    if 2 * len(kept) > MAX_QUBITS:
+        k, cap = len(kept), MAX_QUBITS // 2
+        raise ResourceError(f"partial trace refuses {k} kept qubits: its 4**{k} matrix takes "
+                            f"{_state_size(2 * k)} (cap {cap}, {_state_size(2 * cap)})")
     # highest kept wire first; the order of the traced axes is immaterial
     axes = [n - 1 - w for w in kept[::-1] + traced]
     m = psi.reshape((2,) * n).transpose(axes).reshape(1 << len(kept), -1)

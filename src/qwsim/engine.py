@@ -14,8 +14,8 @@ their target bits, the blocks to copy, each written row's terms) comes
 from the matrix alone; every catalog gate's is derived once, at import.
 Its placement (the view shape and each block's index) comes from the
 wires alone, in one pass over them from the top.  :func:`compile_circuit`
-lowers a checked circuit's ops, on the wires still live when each runs,
-to a list of two kinds of step: run a plan, or split on a measured wire.
+lowers a checked circuit's ops, on the slots their wires hold when each
+runs, to a list of two kinds of step: run a plan, or split on a wire.
 It takes each plan from :func:`_placed`, a memo of the last 1024 distinct
 placements, keyed by the register size, the template's value, the target
 slots and the control entries (about 1.7 MB at the bound on 12- to
@@ -28,7 +28,7 @@ start, runs each plan once on a ``(B, 2**n_live)`` stack with a row per
 outcome prefix, splits every row at once on a MEASURE (:func:`_split`),
 and checks nothing per gate.  A walk that ends on a gate tests the norm
 of each row it ends on; one that ends on a split ends on rows the split
-made unit.  Each runner checks a ``psi0`` once, and each walk copies
+made unit.  :func:`_lower` checks a ``psi0`` once, and each walk copies
 it.  A plan accepts leading batch axes: on a stack it makes each numpy
 call once for all rows, with the same arithmetic per amplitude as on one
 state.
@@ -38,29 +38,32 @@ yet moved off 0, and like a control, such a wire confines the state to
 the amplitudes where it reads 0.  :func:`compile_circuit` tracks these
 wires.  A gate with a control that wants 1 on one of them, or whose
 targets are all such wires and whose template fixes block 0 (writes no
-row 0 and reads block 0 in no row it writes), places no plan; any other
-gate gains an anticontrol on each such wire it does not name.  The
+row 0 and reads block 0 in no row it writes), places no plan.  The
 amplitudes this skips are exact zeros, and each other amplitude meets
 the same numpy operations, so results equal (``np.array_equal``) those
 of plans that take no wire as known; a skipped zero may keep a sign that
-a full run would flip.  A circuit with no MEASURE and no ``psi0`` runs
-on the register of the K wires that its placed gates target: every
-other wire stays 0 to the end, so it takes no axis and no anticontrol.
-The register grows in first-move order: a wire takes the next slot at
-the first gate that moves it, and each gate runs on the prefix of the
-``2**k`` amplitudes of the k wires moved so far.  Every wire not yet
-moved reads 0 there, so no gate takes an anticontrol for it.
-:func:`run_circuit` scatters the ``2**K`` amplitudes, whose norm the walk
-tests, once into a zeroed state of every wire, from a transposed view
-that puts them back into wire order; the scatter moves no value, so the
-test holds for the result.  The CLI reads the row of
-:func:`_walk_register` in first-move slot order, relabels bits by its
-``wire_map``, and never builds the ``2**n`` state or a wire-order copy.
-Only a register of every wire, past ``2 * _SLICE`` amplitudes,
-starts on all its wires in wire order, with the anticontrols, as a run
-from a ``psi0`` does: putting it back into wire order would take a
-second state of all n wires.  A circuit with a MEASURE keeps every live
-wire in wire order, since a split's sums follow the state's layout.
+a full run would flip.
+
+The compile places the gates it keeps in one loop over slots, the state's
+wires from bit 0 up, from one of two starts.  A run with no MEASURE and
+no ``psi0`` starts with no slot and grows its register in first-move
+order: a wire takes the next slot at the first gate that moves it, and
+each gate runs on the ``2**k`` amplitudes of the k wires slotted so far,
+where every wire not yet slotted reads 0, so it needs no anticontrol.
+Every other run starts with every wire in wire order, and there a gate
+also takes an anticontrol on each slotted wire still 0 that it does not
+name; a MEASURE drops its wire's slot.  That start serves a ``psi0``,
+which takes no wire as known, a MEASURE, since a split's sums follow the
+state's layout, and a register of every wire past ``2 * _SLICE``
+amplitudes, which first-move order could only put back into wire order
+in a second state of all n wires.  :func:`_lower` compiles for every
+runner and gives the walk its start: K wires for a grown register, n
+otherwise.  :func:`run_circuit` scatters the ``2**K`` amplitudes, whose
+norm the walk tests, once into a zeroed state of every wire, from a
+transposed view that puts them back into wire order; the scatter moves
+no value, so the test holds for the result.  The CLI reads the row of
+:func:`_walk_register` in slot order, relabels bits by its ``wire_map``,
+and never builds the ``2**n`` state or a wire-order copy.
 
 A state of at most ``2 * _SLICE`` amplitudes, over all rows, runs a
 plan's steps on the whole view and nothing else.  A bigger one takes
@@ -399,59 +402,33 @@ def apply_multi_qubit_gate(n: int, u, targets, a, controls=None) -> np.ndarray:
 
 
 def compile_circuit(n: int, ops, psi0=None) -> tuple[list, tuple[int, ...], dict[int, int | None]]:
-    """Lower ``ops``, the ops of an ``n``-qubit ``Circuit`` or a slice of
-    them, to kernel plans over the live wires.
+    """Lower ``ops``, the ops of an ``n``-qubit ``Circuit`` or a prefix of
+    them, to kernel plans over the slotted wires.
 
-    Returns ``(steps, measured, wire_map)``.  A measured wire leaves the
-    state and the live wires keep their order, so each step is fixed in
-    advance: ``(plan, None)`` runs a gate's plan on the wires still live,
-    ``(plan, size)`` runs it on the first ``size`` amplitudes of the state,
-    ``(None, slot)`` measures live wire ``slot``.  ``measured`` lists the
-    measured wires in op order; ``wire_map`` sends each wire to its slot in
-    the state the steps end on, or None when that state does not hold it.
-    ``Circuit`` checks its ops and refuses any reuse of a measured wire, so
-    a compile checks nothing, only places templates, and cannot fail.
-    Each plan comes from the memo of :func:`_placed`, keyed by ``(k,
-    template, slots, entries)``, so a placement met before, in this
-    compile or an earlier one of the process, returns the same ``Plan``.
+    Returns ``(steps, measured, wire_map)``.  Which wire sits in which slot
+    does not depend on outcomes, so each step is fixed in advance:
+    ``(plan, None)`` runs a gate's plan on the whole stack, ``(plan,
+    size)`` on the first ``size`` amplitudes of the walk's row, and
+    ``(None, slot)`` measures the wire in ``slot``, whose slot goes, so
+    the slots above it shift down.  ``measured`` lists the measured wires
+    in op order; ``wire_map`` sends each wire to its slot in the state the
+    steps end on, or None when that state does not hold it.  ``Circuit``
+    checks its ops and refuses any reuse of a measured wire, so a compile
+    checks nothing, only places templates, and cannot fail.  Each plan
+    comes from the memo of :func:`_placed`.
 
-    When ``psi0`` is None the start is |00...0>, and the compile tracks the
-    live wires that no gate has yet moved off 0, as a bitmask ``zero``;
-    given a ``psi0``, it takes no wire as known.  A gate then places no
-    plan when a control of it wants 1 on such a wire
-    (``desired_value_mask & zero``), or when its targets are all such
-    wires and its template fixes block 0 (Z, S, T, SDG, TDG, I and the
-    swaps).  Any other gate gains an anticontrol on each such wire it does
-    not name (``zero & ~(targets | inclusion_mask)``), so it runs only
-    where those wires read 0, and its targets leave the set, as a measured
-    wire does.  The skipped amplitudes are exact zeros, and every other
-    amplitude gets the same numpy work, so results compare equal
-    (``np.array_equal``) to those of the plans without it.
-
-    A circuit with no MEASURE and no ``psi0`` goes one step further: its
-    steps run on the register of the K wires that some placed gate
-    targets, and ``wire_map`` sends every other wire, which stays 0
-    throughout, to None.  Such a wire takes no axis and no anticontrol,
-    and an anticontrol of the circuit's own on it always passes, so it is
-    dropped.  The slots follow first-move order: each wire takes the next
-    slot at the first placed gate that targets it, and each gate is placed
-    on the k wires moved so far, as step ``(plan, 2**k)``, which runs on
-    the first ``2**k`` amplitudes of the walk's row.  Every other amplitude
-    has a wire not yet moved at 1, so is 0, and a wire not yet moved takes
-    no anticontrol.
-
-    Every other run starts on all its wires in wire order, each plan runs
-    on its whole stack, as step ``(plan, None)``, and a gate takes an
-    anticontrol on each live wire still 0 that it does not name: a run
-    from a ``psi0``; a circuit with a MEASURE, since :func:`_walk` splits
-    on the full live register (its sums over a smaller one could round
-    differently); and a MEASURE-free one that moves every wire with
-    ``2**n > 2 * _SLICE``, whose grown register would take a second state
-    of ``2**n`` amplitudes to put back into wire order.
+    From |00...0> (``psi0`` None) the compile tracks, as a bitmask, the
+    wires still 0, and drops each gate they leave nothing to do (see the
+    module docstring).  One loop then places the rest from one of two
+    starts.  With no MEASURE and no ``psi0``, unless it moves every wire
+    and ``2**n > 2 * _SLICE``, it starts with no slot: a gate gives each
+    unslotted target the next slot and is step ``(plan, 2**k)`` on the k
+    wires slotted so far.  Otherwise it starts with every wire in wire
+    order, and a gate takes an anticontrol on each wire still 0 that it
+    does not name, as step ``(plan, None)``.
     """
     zero = (1 << n) - 1 if psi0 is None else 0  # a bit per wire still 0 in every amplitude
     kept = []  # each placed gate with the zero mask it met; each MEASURE with None
-    moved = 0  # the targets of the placed gates
     measured: list[int] = []
     for op in ops:
         if op.gate == MEASURE:
@@ -466,37 +443,26 @@ def compile_circuit(n: int, ops, psi0=None) -> tuple[list, tuple[int, ...], dict
             continue  # only block 0 is nonzero, and the gate fixes it
         kept.append((op, zero & ~(targets | op.controls.inclusion_mask)))
         zero &= ~targets
-        moved |= targets
+    # a register of every wire (none left 0) past 2 * _SLICE stays in wire
+    # order, which first-move order could only restore in a second state
+    grow = psi0 is None and not measured and (zero != 0 or 1 << n <= 2 * _SLICE)
+    # each slotted wire's slot, in slot order: every wire, or none yet
+    slot_of = {} if grow else {w: w for w in range(n)}
     steps: list[tuple[tuple | None, int | None]] = []
-    # a register of every wire past 2 * _SLICE stays in wire order, which
-    # first-move order could only restore in a second state of all n wires
-    if psi0 is None and not measured and (moved != (1 << n) - 1 or 1 << n <= 2 * _SLICE):
-        slot_of = {}  # each moved wire's slot, in first-move order
-        for op, _ in kept:
-            for w in op.targets:
-                slot_of.setdefault(w, len(slot_of))
-            # a wire not yet moved reads 0 all over the prefix: an anticontrol
-            # of the gate's own on it always passes
-            entries = tuple((slot_of[w], f) for w, f in op.controls.entries if w in slot_of)
-            slots = tuple(map(slot_of.__getitem__, op.targets))
-            k = len(slot_of)
-            steps.append((_placed(k, _TEMPLATES[op.gate], slots, entries), 1 << k))
-        return steps, (), {w: slot_of.get(w) for w in range(n)}
-    live = list(range(n))
-    slot_of = {w: w for w in live}
     for op, zero in kept:
-        slots = tuple(map(slot_of.__getitem__, op.targets))
         if zero is None:
-            steps.append((None, slots[0]))
-            live.pop(slots[0])
-            slot_of = {w: s for s, w in enumerate(live)}
+            steps.append((None, slot_of.pop(op.targets[0])))
+            slot_of = {w: s for s, w in enumerate(slot_of)}
             continue
-        entries = [(slot_of[w], f) for w, f in op.controls.entries]
-        if zero:
-            entries += [(s, False) for s, w in enumerate(live) if zero >> w & 1]
-        steps.append((_placed(len(live), _TEMPLATES[op.gate], slots, tuple(entries)), None))
-    wire_map = {w: slot_of.get(w) for w in range(n)}
-    return steps, tuple(measured), wire_map
+        slots = tuple(slot_of.setdefault(w, len(slot_of)) for w in op.targets)
+        # a wire not yet slotted reads 0 all over the register: a control of
+        # the gate's own on it is an anticontrol, which always passes
+        entries = [(slot_of[w], f) for w, f in op.controls.entries if w in slot_of]
+        if zero and not grow:
+            entries += [(s, False) for w, s in slot_of.items() if zero >> w & 1]
+        plan = _placed(len(slot_of), _TEMPLATES[op.gate], slots, tuple(entries))
+        steps.append((plan, 1 << len(slot_of) if grow else None))
+    return steps, tuple(measured), {w: slot_of.get(w) for w in range(n)}
 
 
 def _split(stack: np.ndarray, slot: int, rows=None, draws=None, residuals=True) -> tuple:
@@ -549,11 +515,11 @@ def _walk(steps, width: int, psi0=None, draws=None) -> tuple:
     """Run compiled ``steps`` breadth-first over a stack of outcome prefixes.
 
     The walk starts from a fresh ``(1, 2**width)`` stack: a copy of
-    ``psi0``, which the caller has passed through ``check_unit_state``, or
-    |00...0> on ``width`` wires, ``width = 0`` included.  It then holds one
-    ``(B, 2**n_live)`` stack with a row per live outcome prefix.  Each gate
-    plan runs once on the whole stack, in place, or, on a register grown in
-    first-move order, on the prefix view ``stack[:, :size]`` of its one row.
+    ``psi0``, or |00...0> on ``width`` wires, ``width = 0`` included, as
+    :func:`_lower` gives them.  It then holds one ``(B, 2**n_live)`` stack
+    with a row per live outcome prefix.  Each gate plan runs once on the
+    whole stack, in place, or, on a register grown in first-move order, on
+    the prefix view ``stack[:, :size]`` of its one row.
     Each MEASURE splits every row at once (:func:`_split`) into the next
     stack, whose rows stay in sorted outcome order, and frees the one
     before.  A walk that ends on a gate tests the norm of each row it ends
@@ -595,6 +561,22 @@ def _walk(steps, width: int, psi0=None, draws=None) -> tuple:
     return outcomes, probs, stack, rows
 
 
+def _lower(circuit, ops, psi0=None) -> tuple:
+    """Compile ``ops``, those of the checked ``circuit`` or a prefix of
+    them, and check ``psi0`` once, for every runner.
+
+    Returns ``(steps, measured, wire_map, psi0, width)``: the compile's
+    output, ``psi0`` as checked, or None, and the width of the walk's
+    start, its measured wires and the wires its end state holds: K for a
+    grown register, ``circuit.n`` otherwise.
+    """
+    steps, measured, wire_map = compile_circuit(circuit.n, ops, psi0)
+    if psi0 is not None:
+        psi0 = check_unit_state(psi0, circuit.n)[0]
+    width = len(measured) + sum(slot is not None for slot in wire_map.values())
+    return steps, measured, wire_map, psi0, width
+
+
 def _walk_register(circuit, psi0=None) -> tuple[np.ndarray, dict[int, int | None]]:
     """Check a measurement-free circuit, compile it and walk its register.
 
@@ -610,11 +592,8 @@ def _walk_register(circuit, psi0=None) -> tuple[np.ndarray, dict[int, int | None
     for k, op in enumerate(circuit.ops):
         if op.gate == MEASURE:
             raise ContractError(f"op {k} ({op}) is a measurement; use the measurement module")
-    steps, _, wire_map = compile_circuit(circuit.n, circuit.ops, psi0)
-    if psi0 is not None:  # a psi0 takes no wire as known, so the register is every wire
-        psi0 = check_unit_state(psi0, circuit.n)[0]
-    k = sum(slot is not None for slot in wire_map.values())  # the register's size
-    return _walk(steps, k, psi0)[2][0], wire_map
+    steps, _, wire_map, psi0, width = _lower(circuit, circuit.ops, psi0)
+    return _walk(steps, width, psi0)[2][0], wire_map
 
 
 def run_circuit(circuit, psi0=None) -> np.ndarray:

@@ -11,13 +11,13 @@ check of the next split.  Residuals live on ``n - 1`` qubits; wires above
 carry no residual (there is nothing meaningful to renormalize).
 
 Which wire sits where after each measurement does not depend on outcomes,
-so ``engine.compile_circuit`` places each gate's kernel plan once, on the
-live wires.  The one breadth-first walker, ``engine._walk``, then serves
-both consumers, as it serves ``run_circuit``.  It holds every live
-outcome prefix as one row of a ``(B, 2**n_live)`` stack of residuals:
-each gate plan runs once on the whole stack, and each MEASURE splits
-every row at once into a stack of children ordered by ``2 * row +
-outcome``, so rows stay in sorted outcome order.  A split is a fixed
+so one lowering, ``engine._lower``, places each gate's kernel plan once
+and checks a start state once, for both consumers as for ``run_circuit``.
+The one breadth-first walker, ``engine._walk``, then serves them all.
+It holds every live outcome prefix as one row of a ``(B, 2**n_live)``
+stack of residuals: each gate plan runs once on the whole stack, and
+each MEASURE splits every row at once into a stack of children ordered
+by ``2 * row + outcome``, so rows stay in sorted outcome order.  A split is a fixed
 handful of numpy calls whatever the rows: ``|stack|**2``, one sum per
 outcome into one ``(2, B)`` table, the norm test, one batched division.
 A walk whose last step is a gate tests the norm of each leaf row.  This
@@ -51,7 +51,7 @@ import numpy as np
 from .errors import ContractError
 from .circuit import Circuit, check_circuit
 # PRUNE_EPS is the split's; ``oracle`` and callers read it here
-from .engine import PRUNE_EPS, _split, _walk, compile_circuit, run_circuit
+from .engine import PRUNE_EPS, _lower, _split, _walk, run_circuit
 from .gates import MEASURE
 from .linalg import check_int, check_unit_state, check_wires, make_rng
 
@@ -130,10 +130,8 @@ def run_with_branches(circuit: Circuit, psi0=None) -> BranchTree:
     if not circuit.has_measurements:
         leaf = BranchLeaf((), 1.0, run_circuit(circuit, psi0))
         return BranchTree(circuit.n, (), {w: w for w in range(circuit.n)}, (leaf,))
-    steps, measured, wire_map = compile_circuit(circuit.n, circuit.ops, psi0)
-    if psi0 is not None:
-        psi0 = check_unit_state(psi0, circuit.n)[0]
-    outcomes, probs, states, _ = _walk(steps, circuit.n, psi0)
+    steps, measured, wire_map, psi0, width = _lower(circuit, circuit.ops, psi0)
+    outcomes, probs, states, _ = _walk(steps, width, psi0)
     leaves = tuple(
         BranchLeaf(tuple(record), prob, state)
         for record, prob, state in zip(outcomes.tolist(), probs.tolist(), states)
@@ -160,10 +158,8 @@ def sample_shots(circuit: Circuit, shots: int, seed, psi0=None) -> dict[str, int
     if not ends:
         raise ContractError("circuit has no MEASURE ops to sample")
     # Gates after the last MEASURE cannot change a record, so none is placed.
-    steps, measured, _ = compile_circuit(circuit.n, circuit.ops[: ends[-1]], psi0)
-    if psi0 is not None:  # once, before the seed, not per chunk
-        psi0 = check_unit_state(psi0, circuit.n)[0]
-    rng = make_rng(seed)
+    steps, measured, _, psi0, width = _lower(circuit, circuit.ops[: ends[-1]], psi0)
+    rng = make_rng(seed)  # after psi0 is checked, once for every chunk
 
     histogram: dict[str, int] = {}
     for first in range(0, shots, _SHOT_CHUNK):
@@ -172,7 +168,7 @@ def sample_shots(circuit: Circuit, shots: int, seed, psi0=None) -> dict[str, int
         draws = rng.random((chunk, len(measured)))
         # each walk builds its own start and frees it at its first split; the
         # leaf stack is not kept, so nothing of one chunk lives into the next
-        outcomes, rows = _walk(steps, circuit.n, psi0, draws)[::3]
+        outcomes, rows = _walk(steps, width, psi0, draws)[::3]
         counts = np.bincount(rows, minlength=len(outcomes))
         for record, count in zip(outcomes.tolist(), counts.tolist()):
             key = "".join(map(str, record))

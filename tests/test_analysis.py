@@ -180,6 +180,29 @@ class TestPartialTraceState:
         with pytest.raises(DimensionError):
             analysis.partial_trace_state(3, np.zeros(4, dtype=complex), [0])
 
+    def test_a_matrix_past_the_largest_state_is_refused_before_any_copy(self):
+        # 2**22 x 2**22 entries would take 256 TiB
+        with pytest.raises(ResourceError) as err:
+            analysis.partial_trace_state(22, linalg.zero_state(22), range(22), keep=True)
+        assert str(err.value) == (
+            "partial trace refuses 22 kept qubits: its 4**22 matrix takes 256 TiB (cap 13, 1 GiB)"
+        )
+
+    def test_the_cap_is_a_state_of_max_qubits(self, monkeypatch):
+        monkeypatch.setattr(analysis, "MAX_QUBITS", 6)
+        psi = linalg.random_state(5, np.random.default_rng(5))
+        rho = np.outer(psi, psi.conj())
+        # 3 kept qubits make a matrix of 2 * 3 qubits' amplitudes, under the cap
+        np.testing.assert_allclose(
+            analysis.partial_trace_state(5, psi, [0, 2, 4], keep=True),
+            analysis.partial_trace_matrix(5, rho, [0, 2, 4], keep=True),
+            atol=1e-12,
+        )
+        with pytest.raises(ResourceError, match="refuses 4 kept qubits: .* 4 KiB .cap 3, 1 KiB"):
+            analysis.partial_trace_state(5, psi, [0, 1, 2, 3], keep=True)
+        with pytest.raises(ResourceError, match="refuses 4 kept qubits"):
+            analysis.partial_trace_state(5, psi, [4])
+
     def test_twenty_qubit_single_keep_diagonal_matches_probability_of_one(self):
         n = 20
         psi = linalg.random_state(n, np.random.default_rng(13))

@@ -1237,15 +1237,15 @@ class TestProductAtFullWidth:
 
     N = 20
 
-    @staticmethod
-    def build(idle, seed):
+    @classmethod
+    def build(cls, idle, seed):
         """The circuit's text, with the blocks' gates interleaved at random,
         and each block's wires and oracle state."""
         rng = np.random.default_rng(seed)
-        blocks = _product_blocks(TestProductAtFullWidth.N, idle, rng)
+        blocks = _product_blocks(cls.N, idle, rng)
         pending = [iter(ops) for _, ops in blocks]
         turns = rng.permutation([b for b, (_, ops) in enumerate(blocks) for _ in ops])
-        lines = [f"qubits {TestProductAtFullWidth.N}"]
+        lines = [f"qubits {cls.N}"]
         lines += [_gate_line(next(pending[b]), blocks[b][0].__getitem__) for b in turns]
         states = []
         for wires, ops in blocks:
@@ -1274,7 +1274,7 @@ class TestProductAtFullWidth:
         else:  # 19 wires grown in a shuffled first-move order
             slots = [wire_map[w] for w in range(self.N) if w != idle]
             assert wire_map[idle] is None and slots != sorted(slots)
-            assert steps[-1][1] == 1 << 19
+            assert steps[-1][1] == 1 << (self.N - 1)
         assert np.max(np.abs(engine.run_circuit(circ) - self.product(states, idle))) < 1e-10
 
     def test_stats_of_the_grown_register_are_the_blocks(self, capsys, tmp_path, monkeypatch):
@@ -1310,3 +1310,68 @@ class TestProductAtFullWidth:
         want = oracle.partial_trace_by_definition(np.outer(block_psi, block_psi.conj()), len(block), traced)
         (got,) = rhos
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    @classmethod
+    def build_measured(cls, seed, count):
+        """The every-wire circuit of :meth:`build` with ``count`` wires of
+        block 0 measured, those whose last gate comes first, each right after
+        that gate; block 0's own circuit with the same MEASUREs on its local
+        wires ``w // 3``; and each block's wires and oracle state."""
+        text, states = cls.build(None, seed)
+        ops = parse_circuit(text).ops
+        last = {w: k for k, op in enumerate(ops) for w in op.wires if w % 3 == 0}
+        picked = sorted(last, key=last.get)[:count]
+        lines, local = [f"qubits {cls.N}"], [f"qubits {len(states[0][0])}"]
+        for k, op in enumerate(ops):
+            lines.append(str(op))
+            if op.targets[0] % 3 == 0:
+                entries = [(w // 3, f) for w, f in op.controls.entries]
+                local.append(str(GateOp(op.gate, [w // 3 for w in op.targets], entries)))
+            for w in (w for w in picked if last[w] == k):
+                lines.append(f"MEASURE {w}")
+                local.append(f"MEASURE {w // 3}")
+        return parse_circuit("\n".join(lines)), parse_circuit("\n".join(local)), states
+
+    def test_branches_and_shots_of_a_measured_block_are_the_oracles(self):
+        circ, local, states = self.build_measured(7, 3)
+        # gates run in wire order, after each MEASURE on a stack of its rows
+        steps = engine.compile_circuit(circ.n, circ.ops)[0]
+        splits = [k for k, (plan, _) in enumerate(steps) if plan is None]
+        assert len(splits) == 3 and splits[-1] < len(steps) - 1
+        assert all(size is None for plan, size in steps if plan is not None)
+        assert all(steps[k + 1][0] is not None for k in splits[:-1])
+        tree = measurement.run_with_branches(circ)
+        (block, psi), rest = states[0], states[1:]
+        m, measured = len(block), tree.measured_wires
+        kept = [w for w in block if w not in measured]
+        # each outcome record of block 0's oracle state: its probability, and
+        # the residual on the block's other wires, tensored with the other
+        # blocks, each wire at its index in the leaf states
+        want = {}
+        for record in itertools.product((0, 1), repeat=len(measured)):
+            index = [slice(None)] * m  # axis a holds the block's local wire m - 1 - a
+            for w, bit in zip(measured, record):
+                index[m - 1 - w // 3] = bit
+            part = psi.reshape((2,) * m)[tuple(index)].reshape(-1)
+            p = float(np.vdot(part, part).real)
+            if p >= measurement.PRUNE_EPS:
+                parts = [(kept, part / np.sqrt(p))] + rest
+                relabelled = [([tree.wire_map[w] for w in wires], s) for wires, s in parts]
+                want[record] = p, self.product(relabelled, None)
+        assert [leaf.outcomes for leaf in tree.leaves] == sorted(want)
+        for leaf in tree.leaves:
+            p, state = want[leaf.outcomes]
+            assert abs(leaf.probability - p) < 1e-10
+            assert np.max(np.abs(leaf.state - state)) < 1e-10
+        # the other blocks cannot move a record: block 0 alone samples the same
+        got = measurement.sample_shots(circ, 300, 11)
+        assert got == oracle.sample_shots_deferred(local, 300, 11)
+        assert len(got) > 1
+
+
+@pytest.mark.skipif(not WIDE, reason="QWSIM_TEST_WIDE=1")
+class TestProductAt22Wires(TestProductAtFullWidth):
+    """The product checks at 22 wires: plans on 2**22 amplitudes, a grown
+    register of 21 wires, and stacks of 2**21 and fewer per row."""
+
+    N = 22
