@@ -50,39 +50,74 @@ def _fmt(value: float) -> str:
 def _fmt_amplitude(z: complex) -> str:
     re = 0.0 if abs(z.real) < PRINT_EPS else z.real
     im = 0.0 if abs(z.imag) < PRINT_EPS else z.imag
+    # each part is 0.0 or at least PRINT_EPS, so it prints as _fmt prints it
     if im == 0.0:
-        return _fmt(re)
+        return f"{re:.12g}"
     if re == 0.0:
-        return f"{_fmt(im)}i"
-    sign = "+" if im > 0 else "-"
-    return f"{_fmt(re)}{sign}{_fmt(abs(im))}i"
+        return f"{im:.12g}i"
+    return f"{re:.12g}{'+' if im > 0 else '-'}{abs(im):.12g}i"
 
 
-def _bits(index: int, width: int) -> str:
-    return format(index, f"0{width}b") if width else "(empty)"
+# Entries formatted and printed at a time: each holds a few Python objects
+# until it is printed, so this bounds the listing's memory on a big state.
+_CHUNK = 1 << 12
 
 
-def _print_state(psi: np.ndarray, width: int, probs: bool, indent: str = "", wires=None) -> None:
-    """List the entries of ``psi`` at or above ``PRINT_EPS`` as ``width``-bit
-    indices, in index order.  With ``wires`` given, ``psi`` is a register
-    and bit ``s`` of its index is wire ``wires[s]``."""
+def _print_state(psi: np.ndarray, width: int, probs: bool, heads=None, wires=None) -> None:
+    """List the entries of a state ``psi``, or of each row of a ``(B, 2**k)``
+    stack of them, at or above ``PRINT_EPS`` as ``width``-bit indices, in
+    index order.  With ``heads`` given, each row's entries are indented
+    under its line ``heads[r]``.  With ``wires`` given, ``psi`` is one
+    register row, and bit ``s`` of its index is wire ``wires[s]``.
+
+    One numpy pass over every row finds the entries.  They are formatted
+    and printed ``_CHUNK`` at a time, a row's first chunk in one ``print``
+    with its head, so the text of one chunk is held at a time.
+    """
+    states = psi.reshape(-1, psi.shape[-1])
     if probs:
-        values = size = np.abs(psi) ** 2
+        values = size = np.abs(states)
+        np.square(size, out=size)  # rounds as ** 2 does
     else:
         # hypot rounds as the scalar abs(z) does; numpy's vector complex abs
         # can differ in the last bit and flip an entry at PRINT_EPS
-        values, size = psi, np.hypot(psi.real, psi.imag)
-    fmt = _fmt if probs else _fmt_amplitude
-    listed = np.flatnonzero(size >= PRINT_EPS)
-    at = listed
-    if wires is not None:
-        at = np.zeros_like(listed)
+        values, size = states, np.hypot(states.real, states.imag)
+    listed = np.flatnonzero(size >= PRINT_EPS)  # row by row, each in index order
+    del size
+    row_size = states.shape[1]
+    if wires is None:
+        at, order = listed & (row_size - 1), None
+        ends = np.searchsorted(listed, row_size * np.arange(1, len(states) + 1)).tolist()
+    else:
+        at, bit = np.zeros_like(listed), np.empty_like(listed)
         for s, w in enumerate(wires):
-            at |= ((listed >> s) & 1) << w
+            np.right_shift(listed, s, out=bit)
+            bit &= 1
+            bit <<= w
+            at |= bit
+        del bit
         order = np.argsort(at)  # slots need not follow wire order
-        listed, at = listed[order], at[order]
-    for i, k in zip(listed.tolist(), at.tolist()):
-        print(f"{indent}{_bits(k, width)}: {fmt(values[i])}")
+        at.sort()
+        ends = [len(listed)]
+    values = values.reshape(-1)
+    fmt = _fmt if probs else _fmt_amplitude
+    indent = "" if heads is None else "  "
+    spec = f"0{width}b"
+    start = 0
+    for r, end in enumerate(ends):
+        lines = [] if heads is None else [heads[r]]
+        for lo in range(start, end, _CHUNK):
+            hi = min(lo + _CHUNK, end)
+            picked = values[listed[lo:hi] if order is None else listed[order[lo:hi]]]
+            lines += [
+                f"{indent}{format(k, spec) if width else '(empty)'}: {fmt(v)}"
+                for k, v in zip(at[lo:hi].tolist(), picked.tolist())
+            ]
+            print("\n".join(lines))
+            lines = []
+        if lines:  # a head with no entry under it
+            print(lines[0])
+        start = end
 
 
 def _cmd_simulate(args) -> int:
@@ -95,11 +130,12 @@ def _cmd_simulate(args) -> int:
             "kept wires: "
             + (", ".join(f"{w}->{tree.wire_map[w]}" for w in kept) or "none")
         )
-        width = len(kept)
-        for leaf in tree.leaves:
-            label = "".join(map(str, leaf.outcomes)) or "-"
-            print(f"branch {label}: p={_fmt(leaf.probability)}")
-            _print_state(leaf.state, width, args.probs, indent="  ")
+        heads = [
+            f"branch {''.join(map(str, leaf.outcomes)) or '-'}: p={_fmt(leaf.probability)}"
+            for leaf in tree.leaves
+        ]
+        states = np.stack([leaf.state for leaf in tree.leaves])
+        _print_state(states, len(kept), args.probs, heads)
         return 0
     psi, wire_map = _walk_register(circ)
     _print_state(psi, circ.n, args.probs, wires=_register_wires(wire_map))

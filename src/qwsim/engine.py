@@ -195,6 +195,19 @@ def swap_bits(k: int, i: int, j: int) -> int:
     return k
 
 
+class _Template(tuple):
+    """A template's tuple, which hashes its value once, when it is built,
+    rather than at each memo lookup; it compares as the plain tuple."""
+
+    def __new__(cls, value):
+        template = super().__new__(cls, value)
+        template._hash = tuple.__hash__(template)
+        return template
+
+    def __hash__(self):
+        return self._hash
+
+
 def _template(u: np.ndarray) -> tuple:
     """Work out, unchecked, what the kernel does with the matrix ``u``.
 
@@ -219,7 +232,7 @@ def _template(u: np.ndarray) -> tuple:
         for r in writes
     )
     multi_pass = bool(copies) or len(steps) > 1 or any(len(terms) > 1 for _, terms in steps)
-    return labels, copies, steps, multi_pass
+    return _Template((labels, copies, steps, multi_pass))
 
 
 # Amplitudes, over all stacked rows, in one slice of a sliced plan: its
@@ -445,13 +458,16 @@ def compile_circuit(n: int, ops, psi0=None) -> tuple[list, tuple[int, ...], dict
         zero &= ~targets
     # a register of every wire (none left 0) past 2 * _SLICE stays in wire
     # order, which first-move order could only restore in a second state
-    grow = psi0 is None and not measured and (zero != 0 or 1 << n <= 2 * _SLICE)
+    grow = psi0 is None and (zero != 0 or 1 << n <= 2 * _SLICE)
     # each slotted wire's slot, in slot order: every wire, or none yet
     slot_of = {} if grow else {w: w for w in range(n)}
-    steps: list[tuple[tuple | None, int | None]] = []
+    steps: list[tuple] = []
     for op, zero in kept:
         if zero is None:
-            steps.append((None, slot_of.pop(op.targets[0])))
+            # a wire that no gate moved takes the next slot, and splits as 0
+            slot = slot_of.setdefault(op.targets[0], len(slot_of))
+            steps.append((None, (slot, 1 << len(slot_of))))
+            del slot_of[op.targets[0]]
             slot_of = {w: s for s, w in enumerate(slot_of)}
             continue
         slots = tuple(slot_of.setdefault(w, len(slot_of)) for w in op.targets)
@@ -462,19 +478,27 @@ def compile_circuit(n: int, ops, psi0=None) -> tuple[list, tuple[int, ...], dict
             entries += [(s, False) for w, s in slot_of.items() if zero >> w & 1]
         plan = _placed(len(slot_of), _TEMPLATES[op.gate], slots, tuple(entries))
         steps.append((plan, 1 << len(slot_of) if grow else None))
+    # a split's children are rows as wide as the register before the next
+    # split, or at the end, the widest of the steps up to there
+    if measured:
+        widths = iter([at[1] for plan, at in steps if plan is None][1:] + [1 << len(slot_of)])
+        steps = [(plan, at if plan is not None else (*at, next(widths))) for plan, at in steps]
     return steps, tuple(measured), {w: slot_of.get(w) for w in range(n)}
 
 
-def _split(stack: np.ndarray, slot: int, rows=None, draws=None, residuals=True) -> tuple:
-    """Split each row of a ``(B, 2**n)`` stack of states on live wire ``slot``.
+def _split(stack: np.ndarray, slot: int, width=None, rows=None, draws=None, residuals=True) -> tuple:
+    """Split each row of a ``(B, 2**k)`` stack of states on wire ``slot``.
 
-    Each row's ``Pr[0]`` and ``Pr[1]`` are the sums of ``|row|**2`` over
-    their own halves, and must add up to 1 (``check_unit_norms``); an
-    outcome below ``PRUNE_EPS`` is pruned.  Returns ``(nodes, bits, p,
-    children, rows)``: child ``k`` is outcome ``bits[k]`` of row
-    ``nodes[k]``, of probability ``p[k]``, with the renormalized residual
-    ``children[k]``, in order of ``2 * node + bit``.  With ``residuals``
-    false no residual is built, and ``children`` is None.
+    ``stack`` may be the prefix view of wider rows.  Each row's ``Pr[0]``
+    and ``Pr[1]`` are the sums of ``|row|**2`` over their own halves, and
+    must add up to 1 (``check_unit_norms``); an outcome below ``PRUNE_EPS``
+    is pruned.  Returns ``(nodes, bits, p, children, rows)``: child ``k``
+    is outcome ``bits[k]`` of row ``nodes[k]``, of probability ``p[k]``,
+    with the renormalized residual ``children[k]``, in order of ``2 * node
+    + bit``.  A residual is written straight into the first ``2**(k-1)``
+    amplitudes of a zeroed row ``width`` amplitudes wide, when ``width`` is
+    given and wider.  With ``residuals`` false no residual is built, and
+    ``children`` is None.
 
     With ``rows`` given, shot ``s`` sits at row ``rows[s]`` and takes
     outcome 1 when ``draws[s]`` is below that row's ``Pr[1]``.  A pruned
@@ -506,25 +530,30 @@ def _split(stack: np.ndarray, slot: int, rows=None, draws=None, residuals=True) 
     p = p[bits, nodes]
     if not residuals:
         return nodes, bits, p, None, rows
-    children = halves[nodes, :, bits, :].reshape(len(nodes), -1)  # a fresh array
-    np.divide(children, np.sqrt(p)[:, None], out=children)
-    return nodes, bits, p, children, rows
+    residual = halves[nodes, :, bits, :]  # a fresh (len(nodes), 2**(k-1) / 2**slot, 2**slot) array
+    children = out = residual
+    half = stack.shape[1] // 2
+    if width is not None and width > half:
+        children = np.zeros((len(nodes), width), dtype=complex)
+        out = children[:, :half].reshape(residual.shape)  # a view of the rows' prefixes
+    np.divide(residual, np.sqrt(p)[:, None, None], out=out)
+    return nodes, bits, p, children.reshape(len(nodes), -1), rows
 
 
 def _walk(steps, width: int, psi0=None, draws=None) -> tuple:
     """Run compiled ``steps`` breadth-first over a stack of outcome prefixes.
 
-    The walk starts from a fresh ``(1, 2**width)`` stack: a copy of
-    ``psi0``, or |00...0> on ``width`` wires, ``width = 0`` included, as
-    :func:`_lower` gives them.  It then holds one ``(B, 2**n_live)`` stack
-    with a row per live outcome prefix.  Each gate plan runs once on the
-    whole stack, in place, or, on a register grown in first-move order, on
-    the prefix view ``stack[:, :size]`` of its one row.
-    Each MEASURE splits every row at once (:func:`_split`) into the next
-    stack, whose rows stay in sorted outcome order, and frees the one
-    before.  A walk that ends on a gate tests the norm of each row it ends
-    on; a split's children are unit to rounding, since each row was tested
-    before it split.
+    The walk starts from a fresh ``(1, width)`` stack: a copy of ``psi0``,
+    or |00...0> in ``width`` amplitudes, ``width = 1`` included, as
+    :func:`_lower` gives them.  It then holds one ``(B, W)`` stack with a
+    row per live outcome prefix.  Each gate plan runs once on the whole
+    stack, in place, or, on a register grown in first-move order, on the
+    prefix view ``stack[:, :size]`` of every row.  Each MEASURE splits the
+    prefix of every row it names at once (:func:`_split`) into the next
+    stack, as wide as the step gives, whose rows stay in sorted outcome
+    order, and frees the one before.  A walk that ends on a gate tests the
+    norm of each row it ends on; a split's children are unit to rounding,
+    since each row was tested before it split.
 
     Returns ``(outcomes, probs, stack, rows)``: leaf ``k`` has the outcome
     record ``outcomes[k]``, probability ``probs[k]`` and state ``stack[k]``.
@@ -537,7 +566,7 @@ def _walk(steps, width: int, psi0=None, draws=None) -> tuple:
     residuals there, and its ``stack`` is None.
     """
     if psi0 is None:
-        stack = np.zeros((1, 1 << width), dtype=complex)
+        stack = np.zeros((1, width), dtype=complex)
         stack[0, 0] = 1.0
     else:
         stack = psi0[None].copy()
@@ -547,13 +576,15 @@ def _walk(steps, width: int, psi0=None, draws=None) -> tuple:
     last = len(steps) - 1
     for i, (plan, at) in enumerate(steps):
         if plan is not None:
-            # a prefix of the one row is a view of it, so the plan writes the row
+            # a prefix of the rows is a view of them, so the plan writes the rows
             _run_plan(plan, stack if at is None else stack[:, :at])
             continue
+        slot, size, width = at
         d = outcomes.shape[1]
         column = None if draws is None else draws[:, d]
         # a sampler's last split hands on only its rows
-        nodes, bits, p, stack, rows = _split(stack, at, rows, column, draws is None or i < last)
+        residuals = draws is None or i < last
+        nodes, bits, p, stack, rows = _split(stack[:, :size], slot, width, rows, column, residuals)
         outcomes = np.concatenate((outcomes[nodes], bits[:, None]), axis=1)
         probs = probs[nodes] * p
     if steps and steps[-1][0] is not None:
@@ -566,15 +597,39 @@ def _lower(circuit, ops, psi0=None) -> tuple:
     them, and check ``psi0`` once, for every runner.
 
     Returns ``(steps, measured, wire_map, psi0, width)``: the compile's
-    output, ``psi0`` as checked, or None, and the width of the walk's
-    start, its measured wires and the wires its end state holds: K for a
-    grown register, ``circuit.n`` otherwise.
+    output, ``psi0`` as checked, or None, and the amplitudes of the walk's
+    start, the register of the first split or else of the end: ``2**n``
+    in wire order.
     """
     steps, measured, wire_map = compile_circuit(circuit.n, ops, psi0)
     if psi0 is not None:
         psi0 = check_unit_state(psi0, circuit.n)[0]
-    width = len(measured) + sum(slot is not None for slot in wire_map.values())
+    end = 1 << sum(slot is not None for slot in wire_map.values())
+    width = next((at[1] for plan, at in steps if plan is None), end)
     return steps, measured, wire_map, psi0, width
+
+
+def _scatter(rows: np.ndarray, wire_map: dict, wires) -> np.ndarray:
+    """The ``(B, 2**len(wires))`` states, bit ``i`` wire ``wires[i]``, of
+    the walk's rows, whose bit ``s`` is the wire in slot ``s`` of
+    ``wire_map``; a wire of ``wires`` off the register reads 0.
+
+    ``rows`` comes back as it is when its slots are ``wires`` in order.
+    Otherwise the rows are scattered once into zeroed states, by one
+    assignment from a transposed view, which moves no value.
+    """
+    slots = [wire_map[w] for w in wires if wire_map[w] is not None]
+    k = len(slots)
+    if slots == list(range(len(wires))):
+        return rows
+    b = len(rows)
+    full = np.zeros((b, 1 << len(wires)), dtype=complex)
+    # an axis per wire, highest first; a wire off the register reads 0
+    index = (_ALL, *(_ALL if wire_map[w] is not None else 0 for w in reversed(wires)))
+    # axis 1 + a of the register's tensor holds slot k - 1 - a: take them highest wire first
+    axes = [0, *(k - slot for slot in reversed(slots))]
+    full.reshape((b,) + (2,) * len(wires))[index] = rows.reshape((b,) + (2,) * k).transpose(axes)
+    return full
 
 
 def _walk_register(circuit, psi0=None) -> tuple[np.ndarray, dict[int, int | None]]:
@@ -612,14 +667,4 @@ def run_circuit(circuit, psi0=None) -> np.ndarray:
     the scatter.
     """
     state, wire_map = _walk_register(circuit, psi0)
-    n = circuit.n
-    slots = [slot for slot in wire_map.values() if slot is not None]  # in wire order
-    if slots == list(range(n)):
-        return state
-    full = np.zeros(1 << n, dtype=complex)
-    # an axis per wire, highest first; a wire off the register reads 0
-    index = tuple(_ALL if wire_map[w] is not None else 0 for w in range(n - 1, -1, -1))
-    # axis a of the register's tensor holds slot K - 1 - a: take them highest wire first
-    axes = [len(slots) - 1 - slot for slot in reversed(slots)]
-    full.reshape((2,) * n)[index] = state.reshape((2,) * len(slots)).transpose(axes)
-    return full
+    return _scatter(state[None], wire_map, range(circuit.n))[0]

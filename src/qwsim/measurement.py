@@ -51,7 +51,7 @@ import numpy as np
 from .errors import ContractError
 from .circuit import Circuit, check_circuit
 # PRUNE_EPS is the split's; ``oracle`` and callers read it here
-from .engine import PRUNE_EPS, _lower, _split, _walk, run_circuit
+from .engine import PRUNE_EPS, _lower, _scatter, _split, _walk, run_circuit
 from .gates import MEASURE
 from .linalg import check_int, check_unit_state, check_wires, make_rng
 
@@ -132,10 +132,15 @@ def run_with_branches(circuit: Circuit, psi0=None) -> BranchTree:
         return BranchTree(circuit.n, (), {w: w for w in range(circuit.n)}, (leaf,))
     steps, measured, wire_map, psi0, width = _lower(circuit, circuit.ops, psi0)
     outcomes, probs, states, _ = _walk(steps, width, psi0)
+    # each unmeasured wire at its rank in wire order, as the leaves hold them
+    kept = [w for w in range(circuit.n) if w not in measured]
+    states = _scatter(states, wire_map, kept)
     leaves = tuple(
         BranchLeaf(tuple(record), prob, state)
         for record, prob, state in zip(outcomes.tolist(), probs.tolist(), states)
     )
+    wire_map = dict.fromkeys(range(circuit.n))
+    wire_map.update((w, rank) for rank, w in enumerate(kept))
     return BranchTree(circuit.n, measured, wire_map, leaves)
 
 

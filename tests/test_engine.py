@@ -507,8 +507,9 @@ class TestCompileCircuit:
         circ = parse_circuit("qubits 3\nH 2\nMEASURE 1\nX 2 c=0\nMEASURE 0\n")
         # a given start, so that no wire is known to be 0 and every gate is placed
         steps, measured, wire_map = engine.compile_circuit(circ.n, circ.ops, linalg.zero_state(3))
-        assert [(plan is None, slot) for plan, slot in steps] == [
-            (False, None), (True, 1), (False, None), (True, 0)
+        # a split names its slot, the register it splits and its children's rows
+        assert [(plan is None, at) for plan, at in steps] == [
+            (False, None), (True, (1, 8, 4)), (False, None), (True, (0, 4, 2))
         ]
         # each plan views a state of the wires still live: 3, then 2
         assert [int(np.prod(plan[0])) for plan, _ in steps if plan is not None] == [8, 4]
@@ -565,10 +566,11 @@ class TestCompileCircuit:
 
     def test_plans_are_built_once_per_compile(self, monkeypatch):
         built = self.placements(monkeypatch)
-        circ = parse_circuit("qubits 3\nH 0\nH 1\nMEASURE 0\nX 2 c=1\nMEASURE 1\nH 2\n")
+        # Y 2 runs on the one slot that H 0 ran on, so it must differ from H
+        circ = parse_circuit("qubits 3\nH 0\nH 1\nMEASURE 0\nX 2 c=1\nMEASURE 1\nY 2\n")
         engine._placed.cache_clear()
         measurement.sample_shots(circ, 500, 3)
-        assert len(built) == 3  # H 2, after the last MEASURE, is not placed
+        assert len(built) == 3  # Y 2, after the last MEASURE, is not placed
         assert engine._placed.cache_info().hits == 0
         engine._placed.cache_clear()
         measurement.run_with_branches(circ)
@@ -602,9 +604,9 @@ class TestCompileCircuit:
         """sha256 of the compiles of every circuit file, with and without a
         given start, and of seeded random circuits, also with a MEASURE
         mid-way and cut short as the sampler cuts them: one over the compiles
-        given a start or a MEASURE, which keep wire order, and one over the
-        rest, which grow their register in first-move order unless it is
-        every wire past 16."""
+        given a start, which keep wire order, or a MEASURE, and one over the
+        MEASURE-free rest.  Without a start, a run grows its register in
+        first-move order unless it is every wire past 16."""
         kept, prefix = hashlib.sha256(), hashlib.sha256()
 
         def add(n, ops, psi0=None):
@@ -633,7 +635,7 @@ class TestCompileCircuit:
         # a rewrite of the compile places the same plans given a start or a
         # MEASURE, from empty memos of parsed chunks and placed plans, and
         # again once both memos hold every chunk and plan
-        want = "18d57feaf73f8d2a8f6014fdaafe45bb8e52d300d0145f27030f958a878fcdcb"
+        want = "bd459a587314dbb7393ae5fc215fcc75ab9dc28ed4c846a6323b4807f5294fd6"
         clear_memos()
         assert self.plan_digests()[0] == want
         assert self.plan_digests()[0] == want
@@ -657,40 +659,59 @@ class TestZeroWires:
         want = {"I", "Z", "S", "SDG", "T", "TDG", "SWAP", "ISWAP", "SQRTSWAP"}
         assert engine._FIXES_ZERO == want
 
-    def test_which_ops_place_no_plan_and_which_gain_anticontrols(self):
-        circ = parse_circuit(
-            "qubits 4\n"
-            "Z 0\n"  # diagonal on a wire still 0: no plan
-            "X 1 c=2\n"  # wants 1 on wire 2, still 0: no plan
-            "SWAP 2 3\n"  # both targets still 0: no plan
-            "H 0\n"  # wire 0 leaves the set; anticontrols on 1, 2, 3
-            "X 1 a=2\n"  # its own anticontrol on 2, an implicit one on 3
-            "CX 0 3\n"  # target 3 is still 0, but X moves block 0
-            "T 2 c=0\n"  # T fixes block 0 and wire 2 is still 0: no plan
-            "MEASURE 2\n"  # splits as ever; wire 2 leaves the set
-            "H 3 c=1\n"  # live wires 0, 1, 3 as slots 0, 1, 2, none still 0
-        )
+    FRESH = (
+        "qubits 4\n"
+        "Z 0\n"  # diagonal on a wire still 0: no plan
+        "X 1 c=2\n"  # wants 1 on wire 2, still 0: no plan
+        "SWAP 2 3\n"  # both targets still 0: no plan
+        "H 0\n"  # wire 0 leaves the set; wire order: anticontrols on 1, 2, 3
+        "X 1 a=2\n"  # its own anticontrol on 2, an implicit one on 3
+        "CX 0 3\n"  # target 3 is still 0, but X moves block 0
+        "T 2 c=0\n"  # T fixes block 0 and wire 2 is still 0: no plan
+        "MEASURE 2\n"  # splits as ever; wire 2 leaves the set
+        "H 3 c=1\n"  # live wires 0, 1, 3 as slots 0, 1, 2, none still 0
+    )
+
+    def test_which_ops_place_no_plan_and_which_gain_anticontrols(self, monkeypatch):
+        circ = parse_circuit(self.FRESH)
         t = engine._TEMPLATES
+        # grown: each gate runs on the wires slotted so far, with no
+        # anticontrol; wire 2, moved by no gate, takes slot 3 to split
         want = [
-            (engine._place(4, t["H"], (0,), ((1, False), (2, False), (3, False))), None),
-            (engine._place(4, t["X"], (1,), ((2, False), (3, False))), None),
-            (engine._place(4, t["X"], (3,), ((0, True), (2, False))), None),
-            (None, 2),
-            (engine._place(3, t["H"], (2,), ((1, True),)), None),
+            (engine._place(1, t["H"], (0,), ()), 2),
+            (engine._place(2, t["X"], (1,), ()), 4),
+            (engine._place(3, t["X"], (2,), ((0, True),)), 8),
+            (None, (3, 16, 8)),
+            (engine._place(3, t["H"], (2,), ((1, True),)), 8),
         ]
         steps, measured, wire_map = engine.compile_circuit(circ.n, circ.ops)
         assert steps == want
         assert (measured, wire_map) == ((2,), {0: 0, 1: 1, 2: None, 3: 2})
         # given a start, no wire is known to be 0: every gate is placed as written
         assert len(engine.compile_circuit(circ.n, circ.ops, linalg.zero_state(4))[0]) == len(circ.ops)
+        # every wire moves or is measured, so past 2 * _SLICE amplitudes the
+        # run keeps wire order, where a gate anticontrols each wire still 0
+        monkeypatch.setattr(engine, "_SLICE", 4)
+        want = [
+            (engine._place(4, t["H"], (0,), ((1, False), (2, False), (3, False))), None),
+            (engine._place(4, t["X"], (1,), ((2, False), (3, False))), None),
+            (engine._place(4, t["X"], (3,), ((0, True), (2, False))), None),
+            (None, (2, 16, 8)),
+            (engine._place(3, t["H"], (2,), ((1, True),)), None),
+        ]
+        steps, measured, wire_map = engine.compile_circuit(circ.n, circ.ops)
+        assert steps == want
+        assert (measured, wire_map) == ((2,), {0: 0, 1: 1, 2: None, 3: 2})
 
     def test_a_plan_at_the_qubit_cap_stays_under_numpys_rank_limit(self):
         n = linalg.MAX_QUBITS
         # every odd wire leaves the set, so each even wire is an anticontrol;
-        # the MEASURE keeps every wire on the register the walker runs
+        # the even wires move after the SWAP, so every wire moves and stays
+        # on the register the walker runs
         text = "".join(f"H {w}\n" for w in range(1, n, 2))
-        circ = parse_circuit(f"qubits {n}\n{text}SWAP {n - 1} {n - 3} c=1\nMEASURE 0\n")
-        plan = engine.compile_circuit(circ.n, circ.ops)[0][-2][0]
+        evens = "".join(f"H {w}\n" for w in range(0, n, 2))
+        circ = parse_circuit(f"qubits {n}\n{text}SWAP {n - 1} {n - 3} c=1\n{evens}")
+        plan = engine.compile_circuit(circ.n, circ.ops)[0][n // 2][0]
         named = 3 + n // 2  # the SWAP's targets, its control and 13 anticontrols
         # named wires and the single wires between them: an axis per wire
         assert len(plan.shape) == n <= 2 * named + 1
@@ -797,7 +818,7 @@ class TestRegister:
             steps, _, wire_map = engine.compile_circuit(circ.n, circ.ops)
             k = sum(slot is not None for slot in wire_map.values())
             bases.clear()
-            stack = engine._walk(steps, k)[2]
+            stack = engine._walk(steps, 1 << k)[2]
             assert len(bases) == len(steps) and all(base is stack for base in bases)
             assert [size for _, size in steps] == sorted(size for _, size in steps)
             assert steps[-1][1] == stack.size == 1 << k
@@ -808,6 +829,39 @@ class TestRegister:
             full = engine.run_circuit(circ, linalg.zero_state(circ.n)).reshape((2,) * circ.n)
             index = tuple(slice(None) if wire_map[w] is not None else 0 for w in range(circ.n - 1, -1, -1))
             assert np.array_equal(row, full[index])
+
+        # a measured walk: after a split, each plan runs on the prefix of
+        # every row of the stack that split made, wider rows than the plan's
+        # register included
+        stacks = []
+        real_split = engine._split
+
+        def split_spy(*args):
+            out = real_split(*args)
+            stacks.append(out[3])
+            return out
+
+        monkeypatch.setattr(engine, "_split", split_spy)
+        monkeypatch.setattr(engine, "_run_plan", lambda plan, state: bases.append((state, len(stacks))) or real(plan, state))
+        narrower = False  # some plan's prefix is narrower than a stack of rows
+        for name in ("sample10.qc", "measure17.qc", "fresh12.qc"):
+            circ = load_circuit(CIRCUITS / name)
+            bases.clear()
+            stacks.clear()
+            tree = measurement.run_with_branches(circ)
+            after = [(state, stacks[d - 1]) for state, d in bases if d]
+            narrower |= any(len(state) > 1 and state.shape[1] < rows.shape[1] for state, rows in after)
+            for state, rows in after:
+                assert state.shape[0] == rows.shape[0] and state.shape[1] <= rows.shape[1]
+                assert np.shares_memory(state, rows)
+            # so the plans' writes reach the leaves: they are those of a psi0
+            # run, which walks every wire in wire order
+            ref = measurement.run_with_branches(circ, linalg.zero_state(circ.n))
+            assert [leaf.outcomes for leaf in tree.leaves] == [leaf.outcomes for leaf in ref.leaves]
+            for leaf, want in zip(tree.leaves, ref.leaves):
+                assert abs(leaf.probability - want.probability) <= 1e-15
+                np.testing.assert_allclose(leaf.state, want.state, rtol=0, atol=1e-15)
+        assert narrower
 
     def test_the_register_grows_unless_it_is_every_wire_past_sixteen(self):
         # every wire, with 2**n beyond 2 * _SLICE, keeps wire order
@@ -1042,6 +1096,44 @@ class TestSlicing:
         assert all(map(np.array_equal, sliced_states, states))
         assert sliced_histogram == histogram
 
+    def test_grown_branches_and_shots_are_bit_identical(self, monkeypatch):
+        # wire 12 stays idle, so the walk grows its register under either
+        # _SLICE; forced, its plans run slice by slice and as wire-0 halves on
+        # the prefixes of stacks of several rows, which H 11 then widens
+        circ = parse_circuit(
+            "qubits 13\n" + "".join(f"H {w}\n" for w in range(10))
+            + "T 9\nCX 9 4\nMEASURE 9\nH 1\nSWAP 2 5 c=8\nISWAP 4 6 a=0\nCX 3 1\nT 8\nH 11 c=2\n"
+            "H 1\nCX 8 3\nMEASURE 8\nH 1 c=3\nSQRTSWAP 1 7\nY 6 a=11\nCX 5 11\nMEASURE 5\nX 1 c=11\n"
+        )
+        runs = []
+        real = engine._run_plan
+        monkeypatch.setattr(
+            engine, "_run_plan", lambda plan, state: runs.append((plan, state)) or real(plan, state)
+        )
+
+        def outputs():
+            tree = measurement.run_with_branches(circ)
+            leaves = [(leaf.outcomes, leaf.probability) for leaf in tree.leaves]
+            return leaves, [leaf.state for leaf in tree.leaves], measurement.sample_shots(circ, 3000, 9)
+
+        leaves, states, histogram = outputs()
+        monkeypatch.setattr(engine, "_SLICE", self.FORCED)
+        runs.clear()
+        sliced_leaves, sliced_states, sliced_histogram = outputs()
+        steps = engine.compile_circuit(circ.n, circ.ops)[0]
+        assert all(size is not None for plan, size in steps if plan is not None)
+        assert len(leaves) == 8
+        assert sliced_leaves == leaves
+        assert all(map(np.array_equal, sliced_states, states))
+        assert sliced_histogram == histogram
+        # plans on strided prefixes of stacks, each past 2 * _SLICE amplitudes
+        prefixes = [
+            plan for plan, state in runs
+            if len(state) > 1 and not state.flags.c_contiguous and state.size > 2 * self.FORCED
+        ]
+        assert any(plan.halves for plan in prefixes)
+        assert any(plan.cut is not None for plan in prefixes)
+
 
 class TestTemplates:
     """Each catalog gate's template is derived once, at import."""
@@ -1117,13 +1209,15 @@ class TestPlacementMemo:
 
     def test_the_memo_stays_at_its_bound(self):
         clear_memos()
-        # 3 * (1 + ... + 26) = 1053 distinct placements: a MEASURE keeps every
-        # wire in wire order, so each gate takes an anticontrol on every other
+        # 3 * (1 + ... + 26) = 1053 distinct placements: a given start keeps
+        # every wire in wire order, so each gate is placed on its own wire of
+        # n; the compile reads no amplitude of it, so zero strides make it
         for n in range(1, linalg.MAX_QUBITS + 1):
+            psi0 = np.broadcast_to(np.zeros(1, dtype=complex), (1 << n,))
             for w in range(n):
                 for name in ("H", "X", "Y"):
                     ops = (GateOp(name, (w,)), GateOp("MEASURE", (w,)))
-                    engine.compile_circuit(n, ops)
+                    engine.compile_circuit(n, ops, psi0)
         info = engine._placed.cache_info()
         assert info.misses == 1053
         assert info.currsize == info.maxsize == 1024
@@ -1312,12 +1406,12 @@ class TestProductAtFullWidth:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
     @classmethod
-    def build_measured(cls, seed, count):
-        """The every-wire circuit of :meth:`build` with ``count`` wires of
-        block 0 measured, those whose last gate comes first, each right after
-        that gate; block 0's own circuit with the same MEASUREs on its local
-        wires ``w // 3``; and each block's wires and oracle state."""
-        text, states = cls.build(None, seed)
+    def build_measured(cls, seed, count, idle=None):
+        """The circuit of :meth:`build` with ``count`` wires of block 0
+        measured, those whose last gate comes first, each right after that
+        gate; block 0's own circuit with the same MEASUREs on its local wires
+        ``w // 3``; and each block's wires and oracle state."""
+        text, states = cls.build(idle, seed)
         ops = parse_circuit(text).ops
         last = {w: k for k, op in enumerate(ops) for w in op.wires if w % 3 == 0}
         picked = sorted(last, key=last.get)[:count]
@@ -1340,6 +1434,24 @@ class TestProductAtFullWidth:
         assert len(splits) == 3 and splits[-1] < len(steps) - 1
         assert all(size is None for plan, size in steps if plan is not None)
         assert all(steps[k + 1][0] is not None for k in splits[:-1])
+        self.check_measured_block(circ, local, states, None)
+
+    def test_branches_and_shots_of_a_grown_measured_block_are_the_oracles(self):
+        idle = 11
+        circ, local, states = self.build_measured(7, 3, idle)
+        # the walk grows its register over the other wires in first-move
+        # order and splits it three times: plans after each MEASURE run on
+        # the prefixes of stacks of 2, 4 and then 8 rows
+        steps = engine.compile_circuit(circ.n, circ.ops)[0]
+        splits = [at for plan, at in steps if plan is None]
+        sizes = [size for plan, size in steps if plan is not None]
+        assert None not in sizes and max(sizes) <= 1 << (self.N - 1)
+        assert len(splits) == 3 and splits[-1][1] < 1 << (self.N - 1)
+        self.check_measured_block(circ, local, states, idle)
+
+    def check_measured_block(self, circ, local, states, idle):
+        """The leaves and shots of ``circ``, from :meth:`build_measured`,
+        against block 0's oracle state and its own circuit ``local``."""
         tree = measurement.run_with_branches(circ)
         (block, psi), rest = states[0], states[1:]
         m, measured = len(block), tree.measured_wires
@@ -1357,7 +1469,7 @@ class TestProductAtFullWidth:
             if p >= measurement.PRUNE_EPS:
                 parts = [(kept, part / np.sqrt(p))] + rest
                 relabelled = [([tree.wire_map[w] for w in wires], s) for wires, s in parts]
-                want[record] = p, self.product(relabelled, None)
+                want[record] = p, self.product(relabelled, None if idle is None else tree.wire_map[idle])
         assert [leaf.outcomes for leaf in tree.leaves] == sorted(want)
         for leaf in tree.leaves:
             p, state = want[leaf.outcomes]

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -570,6 +571,11 @@ class TestMemoryLedger:
     # 17 of 18 wires: a register grown in a shuffled order, which run_circuit
     # scatters into its 2**18 result (two states) and the CLI reads as walked
     GROWN = parse_circuit("qubits 18\n" + "".join(f"H {w}\n" for w in ORDER + (16,)) + TAIL)
+    # the same, measured: a grown walk, whose leaves run_with_branches
+    # scatters into wire order over the 16 unmeasured wires (two states)
+    GROWN_MEASURED = parse_circuit(
+        "qubits 18\n" + "".join(f"H {w}\n" for w in ORDER + (16,)) + TAIL + "MEASURE 3\nH 0\nMEASURE 5\nX 1\n"
+    )
 
     @pytest.mark.parametrize(
         "call, bound",
@@ -582,10 +588,13 @@ class TestMemoryLedger:
             (lambda: engine.run_circuit(TestMemoryLedger.DESCENDING), 1.75),
             (lambda: engine.run_circuit(TestMemoryLedger.GROWN), 3.25),  # measured 3.00
             (lambda: engine._walk_register(TestMemoryLedger.GROWN), 1.75),  # measured 1.50
+            (lambda: measurement.run_with_branches(TestMemoryLedger.GROWN_MEASURED), 3.25),  # measured 3.00
+            (lambda: measurement.sample_shots(TestMemoryLedger.GROWN_MEASURED, 1000, 1), 2.25),  # measured 2.09
         ],
         ids=["run_circuit", "run_with_branches-plain", "run_with_branches", "sample_shots",
              "run_circuit-first-move-16", "run_circuit-descending-17",
-             "run_circuit-grown-17-of-18", "_walk_register-grown-17-of-18"],
+             "run_circuit-grown-17-of-18", "_walk_register-grown-17-of-18",
+             "run_with_branches-grown-17-of-18", "sample_shots-grown-17-of-18"],
     )
     def test_peak_in_states(self, call, bound):
         assert traced_peak(call) < bound * linalg.zero_state(self.N).nbytes
@@ -625,3 +634,100 @@ class TestZeroWires:
             for c in (plain, circ):
                 skipped += len(engine.compile_circuit(c.n, c.ops, start)[0]) - len(engine.compile_circuit(c.n, c.ops)[0])
         assert skipped > 300  # the rule is not vacuous on these circuits
+
+
+def deferred_leaves(circ):
+    """Each outcome record of ``circ``'s MEASUREs with its probability and
+    residual, from the oracle's run of its gates alone: no gate touches a
+    measured wire, so measuring at the end gives the same branches.  A
+    residual's bit ``i`` is the ``i``-th lowest unmeasured wire."""
+    n = circ.n
+    plain = Circuit(n, tuple(op for op in circ.ops if op.gate != MEASURE))
+    psi = oracle.simulate_naive(plain).reshape((2,) * n)  # axis a is wire n - 1 - a
+    measured = [op.targets[0] for op in circ.ops if op.gate == MEASURE]
+    want = {}
+    for record in itertools.product((0, 1), repeat=len(measured)):
+        index = [slice(None)] * n
+        for w, bit in zip(measured, record):
+            index[n - 1 - w] = bit
+        part = psi[tuple(index)].reshape(-1)
+        p = float(np.vdot(part, part).real)
+        if p >= measurement.PRUNE_EPS:
+            want[record] = p, part / np.sqrt(p)
+    return want
+
+
+class TestGrownWalk:
+    """A run from |00...0> with a MEASURE grows its register too.  A MEASURE
+    of a wire that no gate moved gives it the next slot and splits it as
+    outcome 0 with p = 1, and a split writes its children into rows as wide
+    as the register before the next split.  The leaves are put back into
+    wire order over the unmeasured wires, as a psi0 run, which keeps wire
+    order, holds them; the two add a split's terms in their own orders."""
+
+    # each circuit, and the (slot, register, children's row) of each split
+    CASES = {
+        # an idle wire measured first, from a register of one slot
+        "idle-first": ("qubits 3\nMEASURE 1\nH 0\nCX 0 2\nMEASURE 0\n", [(0, 2, 4), (0, 4, 2)]),
+        # an idle wire measured between two splits: after MEASURE 0 the
+        # register is empty, but the next split needs a row of one slot
+        "idle-between": (
+            "qubits 4\nH 0\nMEASURE 0\nMEASURE 2\nH 1\nCX 1 3\nMEASURE 3\n",
+            [(0, 2, 2), (0, 2, 4), (1, 4, 2)],
+        ),
+        "idle-last": ("qubits 3\nH 0\nCX 0 1\nMEASURE 0\nMEASURE 2\n", [(0, 4, 4), (1, 4, 2)]),
+        # every wire measured: the leaves hold one amplitude each
+        "every-wire": (
+            "qubits 3\nH 0\nH 1\nCX 1 2\nMEASURE 2\nMEASURE 0\nMEASURE 1\n",
+            [(2, 8, 4), (0, 4, 2), (0, 2, 1)],
+        ),
+        # gates after a split slot three new wires, so its rows have room for them
+        "new-wires": ("qubits 4\nH 0\nMEASURE 0\nH 2\nCX 2 3\nH 1 c=2\n", [(0, 2, 8)]),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_leaves_and_shots_equal_the_wire_order_walk_and_the_oracle(self, name):
+        text, splits = self.CASES[name]
+        circ = parse_circuit(text)
+        steps = engine.compile_circuit(circ.n, circ.ops)[0]
+        assert [at for plan, at in steps if plan is None] == splits
+        assert all(size is not None for plan, size in steps if plan is not None)
+        tree = measurement.run_with_branches(circ)
+        ref = measurement.run_with_branches(circ, linalg.zero_state(circ.n))
+        # each unmeasured wire at its rank in wire order
+        kept = [w for w in range(circ.n) if w not in tree.measured_wires]
+        assert tree.wire_map == {w: kept.index(w) if w in kept else None for w in range(circ.n)}
+        assert tree.wire_map == ref.wire_map
+        want = deferred_leaves(circ)
+        assert [leaf.outcomes for leaf in tree.leaves] == [leaf.outcomes for leaf in ref.leaves] == sorted(want)
+        for leaf, other in zip(tree.leaves, ref.leaves):
+            assert leaf.state.shape == (1 << len(kept),)
+            assert abs(leaf.probability - other.probability) <= 1e-15
+            np.testing.assert_allclose(leaf.state, other.state, rtol=0, atol=1e-15)
+            p, state = want[leaf.outcomes]
+            assert abs(leaf.probability - p) < 1e-12
+            np.testing.assert_allclose(leaf.state, state, rtol=0, atol=1e-12)
+        hist = measurement.sample_shots(circ, 500, 5)
+        assert hist == measurement.sample_shots(circ, 500, 5, linalg.zero_state(circ.n))
+        assert hist == oracle.sample_shots_deferred(circ, 500, 5)
+
+    def test_an_idle_wire_splits_as_zero_with_certainty(self):
+        # wires 2 and 1 are never moved: their outcomes are 0 on every branch
+        circ = parse_circuit("qubits 4\nH 0\nMEASURE 0\nMEASURE 2\nMEASURE 1\nH 3\nMEASURE 3\n")
+        tree = measurement.run_with_branches(circ)
+        assert [leaf.outcomes for leaf in tree.leaves] == [(0, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 0), (1, 0, 0, 1)]
+        assert all(abs(leaf.probability - 0.25) < 1e-15 for leaf in tree.leaves)
+        assert measurement.sample_shots(circ, 100, 3).keys() == {"0000", "0001", "1000", "1001"}
+
+    def test_random_measured_circuits_equal_the_wire_order_walk(self):
+        rng = np.random.default_rng(71)
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            circ = measured_circuit(rng, n)
+            tree = measurement.run_with_branches(circ)
+            ref = measurement.run_with_branches(circ, linalg.zero_state(n))
+            assert tree.wire_map == ref.wire_map
+            assert [leaf.outcomes for leaf in tree.leaves] == [leaf.outcomes for leaf in ref.leaves]
+            for leaf, other in zip(tree.leaves, ref.leaves):
+                assert abs(leaf.probability - other.probability) <= 1e-15
+                np.testing.assert_allclose(leaf.state, other.state, rtol=0, atol=1e-15)
