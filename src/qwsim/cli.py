@@ -89,13 +89,9 @@ def _print_state(psi: np.ndarray, width: int, probs: bool, heads=None, wires=Non
         at, order = listed & (row_size - 1), None
         ends = np.searchsorted(listed, row_size * np.arange(1, len(states) + 1)).tolist()
     else:
-        at, bit = np.zeros_like(listed), np.empty_like(listed)
+        at = np.zeros_like(listed)
         for s, w in enumerate(wires):
-            np.right_shift(listed, s, out=bit)
-            bit &= 1
-            bit <<= w
-            at |= bit
-        del bit
+            at |= ((listed >> s) & 1) << w
         order = np.argsort(at)  # slots need not follow wire order
         at.sort()
         ends = [len(listed)]

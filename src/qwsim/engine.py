@@ -20,13 +20,16 @@ It takes each plan from :func:`_placed`, a memo of the last 1024 distinct
 placements, keyed by the register size, the template's value, the target
 slots and the control entries (about 1.7 MB at the bound on 12- to
 18-wire registers), so a process places each distinct gate once.  A
-one-shot ``qwsim`` process starts with the memo empty, and gains only
-where a gate repeats within its circuit; a miss costs about 0.8 us more
-than a bare placement.  :func:`_walk` is the one loop over those steps,
+template hashes its value once, when it is derived (:class:`_Template`),
+so a hit costs about 0.22 us rather than 0.4 us, most of which went to
+hashing the template at each lookup.  A one-shot ``qwsim`` process
+starts with the memo empty, and gains only where a gate repeats within
+its circuit; a miss costs about 0.8 us more than a bare placement.  :func:`_walk` is the one loop over those steps,
 for :func:`run_circuit` and for ``measurement``.  It builds the run's
-start, runs each plan once on a ``(B, 2**n_live)`` stack with a row per
-outcome prefix, splits every row at once on a MEASURE (:func:`_split`),
-and checks nothing per gate.  A walk that ends on a gate tests the norm
+start, runs each plan once on a ``(B, W)`` stack with a row per outcome
+prefix, or on the prefix of its rows that the plan's register fills,
+splits every row at once on a MEASURE (:func:`_split`), and checks
+nothing per gate.  A walk that ends on a gate tests the norm
 of each row it ends on; one that ends on a split ends on rows the split
 made unit.  :func:`_lower` checks a ``psi0`` once, and each walk copies
 it.  A plan accepts leading batch axes: on a stack it makes each numpy
@@ -45,23 +48,27 @@ of plans that take no wire as known; a skipped zero may keep a sign that
 a full run would flip.
 
 The compile places the gates it keeps in one loop over slots, the state's
-wires from bit 0 up, from one of two starts.  A run with no MEASURE and
-no ``psi0`` starts with no slot and grows its register in first-move
-order: a wire takes the next slot at the first gate that moves it, and
-each gate runs on the ``2**k`` amplitudes of the k wires slotted so far,
-where every wire not yet slotted reads 0, so it needs no anticontrol.
-Every other run starts with every wire in wire order, and there a gate
-also takes an anticontrol on each slotted wire still 0 that it does not
-name; a MEASURE drops its wire's slot.  That start serves a ``psi0``,
-which takes no wire as known, a MEASURE, since a split's sums follow the
-state's layout, and a register of every wire past ``2 * _SLICE``
+wires from bit 0 up, from one of two starts, by one rule: a run from
+|00...0> grows its register unless it moves every wire with ``2**n``
+past ``2 * _SLICE``, and a ``psi0`` run starts in wire order.  A grown
+register starts with no slot: a wire takes the next slot at the first
+gate that moves it, and each gate runs on the ``2**k`` amplitudes of the
+k wires slotted so far, where every wire not yet slotted reads 0, so it
+needs no anticontrol.  A MEASURE drops its wire's slot, and the slots
+above shift down; a wire that no gate moved takes the next slot first,
+and splits as outcome 0 with p = 1.  In wire order every wire starts in
+its own slot, and a gate also takes an anticontrol on each slotted wire
+still 0 that it does not name.  That start serves a ``psi0``, which
+takes no wire as known, and a register of every wire past ``2 * _SLICE``
 amplitudes, which first-move order could only put back into wire order
 in a second state of all n wires.  :func:`_lower` compiles for every
-runner and gives the walk its start: K wires for a grown register, n
-otherwise.  :func:`run_circuit` scatters the ``2**K`` amplitudes, whose
-norm the walk tests, once into a zeroed state of every wire, from a
-transposed view that puts them back into wire order; the scatter moves
-no value, so the test holds for the result.  The CLI reads the row of
+runner and gives the walk its start: the register of its first split, or
+else of its end, ``2**n`` amplitudes in wire order.  :func:`run_circuit`
+scatters the ``2**K`` amplitudes, whose norm the walk tests, once into a
+zeroed state of every wire, from a transposed view that puts them back
+into wire order (:func:`_scatter`); the scatter moves no value, so the
+test holds for the result.  ``run_with_branches`` scatters its leaves
+the same way, over the unmeasured wires.  The CLI reads the row of
 :func:`_walk_register` in slot order, relabels bits by its ``wire_map``,
 and never builds the ``2**n`` state or a wire-order copy.
 
@@ -356,8 +363,10 @@ def _run_steps(view: np.ndarray, keys: tuple, copies: tuple, steps: tuple) -> No
 
 
 def _run_plan(plan: Plan, state: np.ndarray) -> np.ndarray:
-    """Run a plan of :func:`_place` in ``state``, a contiguous vector or a
-    contiguous stack of them along leading axes, every row alike.
+    """Run a plan of :func:`_place` in ``state``, a vector or a stack of
+    them along leading axes, every row alike, whose last axis is
+    contiguous: the reshape to the plan's shape is then a view, also of
+    the prefix of wider rows, so the plan writes the rows.
 
     A state of at most ``2 * _SLICE`` amplitudes, over all rows, runs the
     steps on the whole view.  A bigger one runs them under a ``_BUFSIZE``
@@ -421,11 +430,14 @@ def compile_circuit(n: int, ops, psi0=None) -> tuple[list, tuple[int, ...], dict
     Returns ``(steps, measured, wire_map)``.  Which wire sits in which slot
     does not depend on outcomes, so each step is fixed in advance:
     ``(plan, None)`` runs a gate's plan on the whole stack, ``(plan,
-    size)`` on the first ``size`` amplitudes of the walk's row, and
-    ``(None, slot)`` measures the wire in ``slot``, whose slot goes, so
-    the slots above it shift down.  ``measured`` lists the measured wires
-    in op order; ``wire_map`` sends each wire to its slot in the state the
-    steps end on, or None when that state does not hold it.  ``Circuit``
+    size)`` on the first ``size`` amplitudes of each of its rows, and
+    ``(None, (slot, size, width))`` measures the wire in ``slot`` of the
+    register of the rows' first ``size`` amplitudes, into rows ``width``
+    amplitudes wide: those of the widest register before the next split,
+    or at the end.  The measured wire's slot goes, so the slots above it
+    shift down.  ``measured`` lists the measured wires in op order;
+    ``wire_map`` sends each wire to its slot in the state the steps end
+    on, or None when that state does not hold it.  ``Circuit``
     checks its ops and refuses any reuse of a measured wire, so a compile
     checks nothing, only places templates, and cannot fail.  Each plan
     comes from the memo of :func:`_placed`.
@@ -433,12 +445,12 @@ def compile_circuit(n: int, ops, psi0=None) -> tuple[list, tuple[int, ...], dict
     From |00...0> (``psi0`` None) the compile tracks, as a bitmask, the
     wires still 0, and drops each gate they leave nothing to do (see the
     module docstring).  One loop then places the rest from one of two
-    starts.  With no MEASURE and no ``psi0``, unless it moves every wire
-    and ``2**n > 2 * _SLICE``, it starts with no slot: a gate gives each
-    unslotted target the next slot and is step ``(plan, 2**k)`` on the k
-    wires slotted so far.  Otherwise it starts with every wire in wire
-    order, and a gate takes an anticontrol on each wire still 0 that it
-    does not name, as step ``(plan, None)``.
+    starts.  From |00...0>, unless it moves every wire and ``2**n > 2 *
+    _SLICE``, it starts with no slot: a gate gives each unslotted target
+    the next slot and is step ``(plan, 2**k)`` on the k wires slotted so
+    far, and a MEASURE of an unslotted wire slots it first.  Otherwise it
+    starts with every wire in wire order, and a gate takes an anticontrol
+    on each wire still 0 that it does not name, as step ``(plan, None)``.
     """
     zero = (1 << n) - 1 if psi0 is None else 0  # a bit per wire still 0 in every amplitude
     kept = []  # each placed gate with the zero mask it met; each MEASURE with None
@@ -530,12 +542,12 @@ def _split(stack: np.ndarray, slot: int, width=None, rows=None, draws=None, resi
     p = p[bits, nodes]
     if not residuals:
         return nodes, bits, p, None, rows
-    residual = halves[nodes, :, bits, :]  # a fresh (len(nodes), 2**(k-1) / 2**slot, 2**slot) array
-    children = out = residual
+    residual = children = halves[nodes, :, bits, :]  # a fresh array
     half = stack.shape[1] // 2
     if width is not None and width > half:
         children = np.zeros((len(nodes), width), dtype=complex)
-        out = children[:, :half].reshape(residual.shape)  # a view of the rows' prefixes
+    # a view of the residuals' place in each row, in the shape of the halves
+    out = children.reshape(len(nodes), -1)[:, :half].reshape(residual.shape)
     np.divide(residual, np.sqrt(p)[:, None, None], out=out)
     return nodes, bits, p, children.reshape(len(nodes), -1), rows
 
@@ -548,10 +560,10 @@ def _walk(steps, width: int, psi0=None, draws=None) -> tuple:
     :func:`_lower` gives them.  It then holds one ``(B, W)`` stack with a
     row per live outcome prefix.  Each gate plan runs once on the whole
     stack, in place, or, on a register grown in first-move order, on the
-    prefix view ``stack[:, :size]`` of every row.  Each MEASURE splits the
-    prefix of every row it names at once (:func:`_split`) into the next
-    stack, as wide as the step gives, whose rows stay in sorted outcome
-    order, and frees the one before.  A walk that ends on a gate tests the
+    prefix view ``stack[:, :size]`` of its rows.  Each MEASURE splits the
+    register's prefix of every row at once (:func:`_split`) into the next
+    stack, of rows as wide as the step gives, in sorted outcome order, and
+    frees the one before.  A walk that ends on a gate tests the
     norm of each row it ends on; a split's children are unit to rounding,
     since each row was tested before it split.
 

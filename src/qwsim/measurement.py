@@ -14,14 +14,27 @@ Which wire sits where after each measurement does not depend on outcomes,
 so one lowering, ``engine._lower``, places each gate's kernel plan once
 and checks a start state once, for both consumers as for ``run_circuit``.
 The one breadth-first walker, ``engine._walk``, then serves them all.
-It holds every live outcome prefix as one row of a ``(B, 2**n_live)``
-stack of residuals: each gate plan runs once on the whole stack, and
-each MEASURE splits every row at once into a stack of children ordered
-by ``2 * row + outcome``, so rows stay in sorted outcome order.  A split is a fixed
+It holds every live outcome prefix as one row of a ``(B, W)`` stack of
+residuals: each gate plan runs once on the whole stack, and each MEASURE
+splits every row at once into a stack of children ordered by ``2 * row +
+outcome``, so rows stay in sorted outcome order.  A split is a fixed
 handful of numpy calls whatever the rows: ``|stack|**2``, one sum per
 outcome into one ``(2, B)`` table, the norm test, one batched division.
 A walk whose last step is a gate tests the norm of each leaf row.  This
 module holds the checked entry points and the results' types.
+
+The layout rule is ``engine``'s: a run from |00...0> grows its register
+in first-move order unless it moves every wire with ``2**n`` past ``2 *
+engine._SLICE``, and a ``psi0`` run starts in wire order.  A grown walk
+runs each plan on the prefix of its rows that the plan's register fills,
+gives a measured wire that no gate moved the next slot (it splits as 0
+with p = 1), and splits each row's live prefix into children as wide as
+the widest register before the next split.  :func:`run_with_branches`
+then scatters the leaves once into wire order over the unmeasured wires,
+so a leaf's layout is the same from either start; :func:`sample_shots`
+reads only the rows.  A grown split sums each outcome over the live
+register alone, so a leaf may differ from a ``psi0`` run's in the last
+bit.
 
 * :func:`run_with_branches` follows *every* non-pruned outcome, producing a
   tree whose leaves carry the outcome history, its probability, and the
@@ -34,12 +47,14 @@ module holds the checked entry points and the results' types.
   shots x circuit.  Statistical.
 
 Residuals halve at each level and the rows at most double, so a stack
-never holds more amplitudes than one state.  A split holds the stack and
-then either its ``|stack|**2`` (half a state, in float64) or the next
-stack, never both, so a level peaks near two states plus the gate
-kernel's temporaries.  The sampler's last split builds no next stack,
-since only its shots' rows are read.  Those are at most one slice each (see ``engine``),
-unless the gate names every live wire.
+never holds more amplitudes than one state; a grown row holds at most
+the wires not yet measured.  A split holds the stack and then either its
+``|stack|**2`` (half a state, in float64) or the next stack, never both,
+so a level peaks near two states plus the gate kernel's temporaries,
+which are at most one slice each (see ``engine``), unless the gate names
+every live wire.  A split into wider rows also holds its residuals until
+they are written into those rows.  The sampler's last split builds no
+next stack, since only its shots' rows are read.
 """
 
 from __future__ import annotations
@@ -122,7 +137,9 @@ def run_with_branches(circuit: Circuit, psi0=None) -> BranchTree:
     """Follow every measurement outcome of ``circuit`` exhaustively.
 
     Leaves come in sorted outcome order, and a leaf that a gate after the
-    last MEASURE wrote passes the norm test.  A circuit without measurements
+    last MEASURE wrote passes the norm test.  A leaf's state holds the
+    unmeasured wires in wire order, scattered once from the walk's rows
+    when the walk grew its register.  A circuit without measurements
     goes to :func:`~qwsim.engine.run_circuit` and yields a single leaf of
     probability 1 holding its result.
     """

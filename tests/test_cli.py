@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -126,12 +128,14 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "name, flags, lines, digest",
         [
-            # the walk's leaves, on a stack over 2**16 amplitudes
+            # the leaves of a walk grown to at most 10 wires, in wire order
             ("measure17.qc", (), 42, "2344347dcad2c0b886e973b55668434daa562d56c59ee4cbffbf8574c9518ae8"),
+            # the walk's leaves, in wire order, on stacks of 2**17 amplitudes
+            ("measure17all.qc", (), 970, "0df264d4744ddcfb073eb2ebb66ce1acaa556a9c0be8e0a0ae04e15e5146de4c"),
             # the MEASURE-free branch of run_with_branches, across all 17 wires
             ("wide17.qc", ("--branches",), 43, "a4a32b6497149722824a94bf2a6815e38139be1e40c18f98a41798ba36e412d7"),
         ],
-        ids=["measure17", "wide17-branches"],
+        ids=["measure17", "measure17all", "wide17-branches"],
     )
     def test_walked_17_qubit_outputs_are_pinned(self, capsys, name, flags, lines, digest):
         # the digests the CI console-script step pins
@@ -497,6 +501,39 @@ class TestRegisterReadout:
         assert hashlib.sha256(out.encode()).hexdigest() == stats
 
 
+    def test_a_dense_register_lists_in_bounded_memory(self, tmp_path):
+        # an H on 15 of 16 wires lists all 2**15 register entries; the text
+        # goes out in chunks, so the peak is the walked row, the listing's
+        # arrays and one chunk's text: measured 4.38 states of 2**15
+        # amplitudes, against 8.01 when every line was built before any print
+        order = (9, 3, 14, 0, 7, 12, 5, 1, 10, 2, 8, 13, 6, 11, 4)
+        path = tmp_path / "h15.qc"
+        path.write_text("qubits 16\n" + "".join(f"H {w}\n" for w in order) + "T 3\nCX 3 7\n")
+        warm = tmp_path / "h1.qc"  # imports and builds the parser, untraced
+        warm.write_text("qubits 1\nH 0\n")
+        writes = []
+
+        class Sink:  # keeps each write's line count, not its text
+            def write(self, text):
+                writes.append(text.count("\n"))
+                return len(text)
+
+            def flush(self):
+                pass
+
+        with contextlib.redirect_stdout(Sink()):
+            cli.main(["simulate", str(warm), "--probs"])
+            writes.clear()
+            tracemalloc.start()
+            try:
+                assert cli.main(["simulate", str(path), "--probs"]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert sum(writes) == 1 << 15 and max(writes) <= cli._CHUNK
+        assert peak < 4.75 * (16 << 15)
+
+
 class TestSample:
     def test_histogram_is_deterministic_per_seed(self, capsys, circuit_file):
         path = circuit_file(BELL_MEASURE)
@@ -515,11 +552,19 @@ class TestSample:
         assert (code, out, err) == (0, "0: 498\n1: 502\n", "")
 
     def test_measured_17_qubit_histogram_is_pinned(self, capsys):
-        # the text the CI console-script step pins: a stack of branches over
-        # 2**16 amplitudes, so every plan runs the big-state way
+        # the text the CI console-script step pins: a walk grown to at most
+        # 10 of the 17 wires
         path = Path(__file__).resolve().parents[1] / "circuits" / "measure17.qc"
         code, out, err = run_cli(capsys, "sample", str(path), "--shots", "1000", "--seed", "7")
         want = "000: 212\n001: 225\n010: 210\n011: 220\n100: 37\n101: 32\n110: 36\n111: 28\n"
+        assert (code, out, err) == (0, want, "")
+
+    def test_measured_17_qubit_wire_order_histogram_is_pinned(self, capsys):
+        # the text the CI console-script step pins: every wire moves, so the
+        # walk keeps wire order on stacks of 2**17 amplitudes, the big-state way
+        path = Path(__file__).resolve().parents[1] / "circuits" / "measure17all.qc"
+        code, out, err = run_cli(capsys, "sample", str(path), "--shots", "1000", "--seed", "7")
+        want = "000: 325\n001: 337\n010: 97\n011: 108\n100: 54\n101: 48\n110: 19\n111: 12\n"
         assert (code, out, err) == (0, want, "")
 
     def test_measured_10_qubit_outputs_are_pinned(self, capsys):

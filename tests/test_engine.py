@@ -1052,6 +1052,13 @@ class TestSlicing:
             assert np.getbufsize() == 4096
             measurement.sample_shots(measured, 50, 7)
             assert np.getbufsize() == 4096
+            # every wire moves: stacks of 2**17 amplitudes, the big-state way
+            seen.clear()
+            every = load_circuit(root / "measure17all.qc")
+            measurement.run_with_branches(every)
+            measurement.sample_shots(every, 50, 7)
+            assert np.getbufsize() == 4096
+            assert {bufsize for bufsize, _ in seen} == {engine._BUFSIZE}
         finally:
             np.setbufsize(old)
 
