@@ -563,9 +563,9 @@ def _walk(steps, width: int, psi0=None, draws=None) -> tuple:
     prefix view ``stack[:, :size]`` of its rows.  Each MEASURE splits the
     register's prefix of every row at once (:func:`_split`) into the next
     stack, of rows as wide as the step gives, in sorted outcome order, and
-    frees the one before.  A walk that ends on a gate tests the
-    norm of each row it ends on; a split's children are unit to rounding,
-    since each row was tested before it split.
+    frees the one before.  A walk that ends on a gate tests the norm of
+    each row it ends on; a split's children are unit to rounding, since
+    each row was tested before it split.
 
     Returns ``(outcomes, probs, stack, rows)``: leaf ``k`` has the outcome
     record ``outcomes[k]``, probability ``probs[k]`` and state ``stack[k]``.
@@ -591,12 +591,12 @@ def _walk(steps, width: int, psi0=None, draws=None) -> tuple:
             # a prefix of the rows is a view of them, so the plan writes the rows
             _run_plan(plan, stack if at is None else stack[:, :at])
             continue
-        slot, size, width = at
+        slot, size, next_width = at
         d = outcomes.shape[1]
         column = None if draws is None else draws[:, d]
         # a sampler's last split hands on only its rows
         residuals = draws is None or i < last
-        nodes, bits, p, stack, rows = _split(stack[:, :size], slot, width, rows, column, residuals)
+        nodes, bits, p, stack, rows = _split(stack[:, :size], slot, next_width, rows, column, residuals)
         outcomes = np.concatenate((outcomes[nodes], bits[:, None]), axis=1)
         probs = probs[nodes] * p
     if steps and steps[-1][0] is not None:
@@ -609,9 +609,9 @@ def _lower(circuit, ops, psi0=None) -> tuple:
     them, and check ``psi0`` once, for every runner.
 
     Returns ``(steps, measured, wire_map, psi0, width)``: the compile's
-    output, ``psi0`` as checked, or None, and the amplitudes of the walk's
-    start, the register of the first split or else of the end: ``2**n``
-    in wire order.
+    output, ``psi0`` as checked, or None, and the walk's start width in
+    amplitudes: the register of its first split or, with no split, the
+    register it ends on; ``2**n`` in wire order.
     """
     steps, measured, wire_map = compile_circuit(circuit.n, ops, psi0)
     if psi0 is not None:
