@@ -76,8 +76,7 @@ def _print_state(psi: np.ndarray, width: int, probs: bool, heads=None, wires=Non
     """
     states = psi.reshape(-1, psi.shape[-1])
     if probs:
-        values = size = np.abs(states)
-        np.square(size, out=size)  # rounds as ** 2 does
+        values = size = np.abs(states) ** 2
     else:
         # hypot rounds as the scalar abs(z) does; numpy's vector complex abs
         # can differ in the last bit and flip an entry at PRINT_EPS

@@ -659,21 +659,19 @@ class TestZeroWires:
         want = {"I", "Z", "S", "SDG", "T", "TDG", "SWAP", "ISWAP", "SQRTSWAP"}
         assert engine._FIXES_ZERO == want
 
-    FRESH = (
-        "qubits 4\n"
-        "Z 0\n"  # diagonal on a wire still 0: no plan
-        "X 1 c=2\n"  # wants 1 on wire 2, still 0: no plan
-        "SWAP 2 3\n"  # both targets still 0: no plan
-        "H 0\n"  # wire 0 leaves the set; wire order: anticontrols on 1, 2, 3
-        "X 1 a=2\n"  # its own anticontrol on 2, an implicit one on 3
-        "CX 0 3\n"  # target 3 is still 0, but X moves block 0
-        "T 2 c=0\n"  # T fixes block 0 and wire 2 is still 0: no plan
-        "MEASURE 2\n"  # splits as ever; wire 2 leaves the set
-        "H 3 c=1\n"  # live wires 0, 1, 3 as slots 0, 1, 2, none still 0
-    )
-
     def test_which_ops_place_no_plan_and_which_gain_anticontrols(self, monkeypatch):
-        circ = parse_circuit(self.FRESH)
+        circ = parse_circuit(
+            "qubits 4\n"
+            "Z 0\n"  # diagonal on a wire still 0: no plan
+            "X 1 c=2\n"  # wants 1 on wire 2, still 0: no plan
+            "SWAP 2 3\n"  # both targets still 0: no plan
+            "H 0\n"  # wire 0 leaves the set; in wire order, anticontrols on 1, 2, 3
+            "X 1 a=2\n"  # its own anticontrol on 2, an implicit one on 3
+            "CX 0 3\n"  # target 3 is still 0, but X moves block 0
+            "T 2 c=0\n"  # T fixes block 0 and wire 2 is still 0: no plan
+            "MEASURE 2\n"  # splits as ever; wire 2 leaves the set
+            "H 3 c=1\n"  # live wires 0, 1, 3 as slots 0, 1, 2, none still 0
+        )
         t = engine._TEMPLATES
         # grown: each gate runs on the wires slotted so far, with no
         # anticontrol; wire 2, moved by no gate, takes slot 3 to split
