@@ -21,17 +21,16 @@ placements, keyed by the register size, the template's value, the target
 slots and the control entries (about 1.7 MB at the bound on 12- to
 18-wire registers), so a process places each distinct gate once.  A
 template hashes its value once, when it is derived (:class:`_Template`),
-so a hit costs about 0.22 us rather than 0.4 us, most of which went to
-hashing the template at each lookup.  A one-shot ``qwsim`` process
+so a hit costs about 0.22 us, not 0.4 us.  A one-shot ``qwsim`` process
 starts with the memo empty, and gains only where a gate repeats within
-its circuit; a miss costs about 0.8 us more than a bare placement.  :func:`_walk` is the one loop over those steps,
-for :func:`run_circuit` and for ``measurement``.  It builds the run's
-start, runs each plan once on a ``(B, W)`` stack with a row per outcome
-prefix, or on the prefix of its rows that the plan's register fills,
-splits every row at once on a MEASURE (:func:`_split`), and checks
-nothing per gate.  A walk that ends on a gate tests the norm
-of each row it ends on; one that ends on a split ends on rows the split
-made unit.  :func:`_lower` checks a ``psi0`` once, and each walk copies
+its circuit; a miss costs about 0.8 us more than a bare placement.
+:func:`_walk` is the one loop over those steps, for :func:`run_circuit`
+and for ``measurement``.  It builds the run's start, runs each plan once
+on a ``(B, W)`` stack with a row per outcome prefix, or on the prefix of
+its rows that the plan's register fills, splits every row at once on a
+MEASURE (:func:`_split`), and checks nothing per gate.  A walk that ends
+on a gate tests the norm of each row it ends on; one that ends on a
+split ends on rows the split made unit.  :func:`_lower` checks a ``psi0`` once, and each walk copies
 it.  A plan accepts leading batch axes: on a stack it makes each numpy
 call once for all rows, with the same arithmetic per amplitude as on one
 state.

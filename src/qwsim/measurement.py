@@ -25,16 +25,11 @@ module holds the checked entry points and the results' types.
 
 The layout rule is ``engine``'s: a run from |00...0> grows its register
 in first-move order unless it moves every wire with ``2**n`` past ``2 *
-engine._SLICE``, and a ``psi0`` run starts in wire order.  A grown walk
-runs each plan on the prefix of its rows that the plan's register fills,
-gives a measured wire that no gate moved the next slot (it splits as 0
-with p = 1), and splits each row's live prefix into children as wide as
-the widest register before the next split.  :func:`run_with_branches`
-then scatters the leaves once into wire order over the unmeasured wires,
-so a leaf's layout is the same from either start; :func:`sample_shots`
-reads only the rows.  A grown split sums each outcome over the live
-register alone, so a leaf may differ from a ``psi0`` run's in the last
-bit.
+engine._SLICE``, and a ``psi0`` run starts in wire order.
+:func:`run_with_branches` scatters a grown walk's leaves once into wire
+order over the unmeasured wires; :func:`sample_shots` reads only the
+rows.  A grown split sums each outcome over the live register alone, so
+a leaf may differ from a ``psi0`` run's in the last bit.
 
 * :func:`run_with_branches` follows *every* non-pruned outcome, producing a
   tree whose leaves carry the outcome history, its probability, and the
