@@ -1188,7 +1188,9 @@ class TestPlacementMemo:
     def test_a_repeat_compile_returns_the_same_plans(self):
         clear_memos()
         for text, psi0 in (
-            (MEASURED_12Q, None),  # wire order, with zero-wire anticontrols
+            (MEASURED_12Q, None),  # a measured register grown in first-move order
+            # every wire moved past 2 * _SLICE: wire order, with zero-wire anticontrols
+            ((CIRCUITS / "measure17all.qc").read_text(), None),
             (TestRegister.SPREAD, None),  # a register grown in first-move order
             (TestRegister.SPREAD, linalg.zero_state(20)),
         ):
