@@ -8,13 +8,18 @@ Numbers are printed with 12 significant digits; values smaller than 1e-12
 in magnitude print as plain 0, and basis entries whose amplitude or
 probability is below 1e-12 are omitted from listings.
 
-A measurement-free circuit's result is read off its register, the
-``2**K`` amplitudes of the K wires its gates move, as walked
-(``engine._walk_register``): in first-move slot order, never copied into
+A result is read off the walk's rows as walked (``engine._lower`` and
+``engine._walk``): each row is the register of the K wires the gates
+moved and did not measure, in first-move slot order, never copied into
 wire order nor scattered into ``2**n``, as every other wire stays |0> to
 the end.  Bit ``s`` of a register index is the wire in slot ``s``.
-``simulate`` prints each listed register entry at its ``n``-wire index,
-in index order.  ``stats`` runs ``all_qubit_stats`` on the register, keys
+``simulate`` lists every circuit this one way: under the ``measured
+wires`` / ``kept wires`` / ``branch`` heads when the circuit measures or
+``--branches`` is given, it prints each listed entry of each row at its
+index over the unmeasured wires, bit ``s`` at the rank of the wire in
+slot ``s`` among them (the wire itself when nothing is measured), in
+index order.  ``stats``, which refuses a MEASURE, runs
+``all_qubit_stats`` on the one row of ``engine._walk_register``, keys
 each slot's row by its wire, and prints the constant |0> row for every
 other wire; ``--pair`` traces the pair's slots and takes a wire off the
 register as |0><0|; ``--magic`` is the magic of the register, since the
@@ -33,7 +38,7 @@ import numpy as np
 
 from . import analysis, measurement
 from .circuit import load_circuit
-from .engine import _walk_register
+from .engine import _lower, _walk, _walk_register
 from .errors import ResourceError, SimulationError
 from .linalg import check_wires
 
@@ -63,37 +68,44 @@ def _fmt_amplitude(z: complex) -> str:
 _CHUNK = 1 << 12
 
 
-def _print_state(psi: np.ndarray, width: int, probs: bool, heads=None, wires=None) -> None:
-    """List the entries of a state ``psi``, or of each row of a ``(B, 2**k)``
-    stack of them, at or above ``PRINT_EPS`` as ``width``-bit indices, in
-    index order.  With ``heads`` given, each row's entries are indented
-    under its line ``heads[r]``.  With ``wires`` given, ``psi`` is one
-    register row, and bit ``s`` of its index is wire ``wires[s]``.
+def _print_state(rows: np.ndarray, width: int, probs: bool, heads, bits) -> None:
+    """List the entries of each row of a ``(B, 2**k)`` stack of the walk's
+    rows at or above ``PRINT_EPS``, as ``width``-bit indices in index order.
+    Bit ``s`` of a row index prints at bit ``bits[s]``.  With ``heads``
+    given, each row's entries are indented under its line ``heads[r]``.
 
     One numpy pass over every row finds the entries.  They are formatted
     and printed ``_CHUNK`` at a time, a row's first chunk in one ``print``
     with its head, so the text of one chunk is held at a time.
     """
-    states = psi.reshape(-1, psi.shape[-1])
     if probs:
-        values = size = np.abs(states) ** 2
+        values = size = np.abs(rows) ** 2
     else:
         # hypot rounds as the scalar abs(z) does; numpy's vector complex abs
         # can differ in the last bit and flip an entry at PRINT_EPS
-        values, size = states, np.hypot(states.real, states.imag)
-    listed = np.flatnonzero(size >= PRINT_EPS)  # row by row, each in index order
+        values, size = rows, np.hypot(rows.real, rows.imag)
+    listed = np.flatnonzero(size >= PRINT_EPS)  # row by row, each in slot order
     del size
-    row_size = states.shape[1]
-    if wires is None:
-        at, order = listed & (row_size - 1), None
-        ends = np.searchsorted(listed, row_size * np.arange(1, len(states) + 1)).tolist()
+    row_size = rows.shape[1]
+    ends = np.searchsorted(listed, row_size * np.arange(1, len(rows) + 1)).tolist()
+    if bits == list(range(len(bits))):
+        # slots already in print order (measure17all.qc, wide17.qc) skip the
+        # relabel and the sort, which read 5-10% slower on their listings and
+        # held 0.66 states more on a dense listing of 17 wires
+        at = listed & (row_size - 1)
     else:
-        at = np.zeros_like(listed)
-        for s, w in enumerate(wires):
-            at |= ((listed >> s) & 1) << w
-        order = np.argsort(at)  # slots need not follow wire order
-        at.sort()
-        ends = [len(listed)]
+        # each row's listed entries at their printed index, above the row's
+        # number, so one sort orders them within each row
+        at = (listed >> len(bits)) << width
+        for s, b in enumerate(bits):
+            at |= ((listed >> s) & 1) << b
+        # the stable sort was no slower on these keys, and a process's first
+        # quicksort and sort fault in 0.5 MB more of numpy's code
+        order = np.argsort(at, kind="stable")
+        listed = listed[order]
+        at = at[order]
+        at &= (1 << width) - 1
+        del order
     values = values.reshape(-1)
     fmt = _fmt if probs else _fmt_amplitude
     indent = "" if heads is None else "  "
@@ -103,7 +115,7 @@ def _print_state(psi: np.ndarray, width: int, probs: bool, heads=None, wires=Non
         lines = [] if heads is None else [heads[r]]
         for lo in range(start, end, _CHUNK):
             hi = min(lo + _CHUNK, end)
-            picked = values[listed[lo:hi] if order is None else listed[order[lo:hi]]]
+            picked = values[listed[lo:hi]]
             lines += [
                 f"{indent}{format(k, spec) if width else '(empty)'}: {fmt(v)}"
                 for k, v in zip(at[lo:hi].tolist(), picked.tolist())
@@ -117,23 +129,19 @@ def _print_state(psi: np.ndarray, width: int, probs: bool, heads=None, wires=Non
 
 def _cmd_simulate(args) -> int:
     circ = load_circuit(args.circuit)
-    if circ.has_measurements or args.branches:
-        tree = measurement.run_with_branches(circ)
-        kept = [w for w in range(circ.n) if tree.wire_map[w] is not None]
-        print(f"measured wires: {' '.join(map(str, tree.measured_wires)) or 'none'}")
-        print(
-            "kept wires: "
-            + (", ".join(f"{w}->{tree.wire_map[w]}" for w in kept) or "none")
-        )
+    steps, measured, wire_map, _, width = _lower(circ, circ.ops)
+    outcomes, probs, rows, _ = _walk(steps, width)
+    # each unmeasured wire prints at its rank in wire order
+    rank = {w: r for r, w in enumerate(w for w in range(circ.n) if w not in measured)}
+    heads = None
+    if measured or args.branches:
+        print(f"measured wires: {' '.join(map(str, measured)) or 'none'}")
+        print("kept wires: " + (", ".join(f"{w}->{r}" for w, r in rank.items()) or "none"))
         heads = [
-            f"branch {''.join(map(str, leaf.outcomes)) or '-'}: p={_fmt(leaf.probability)}"
-            for leaf in tree.leaves
+            f"branch {''.join(map(str, record)) or '-'}: p={_fmt(p)}"
+            for record, p in zip(outcomes.tolist(), probs.tolist())
         ]
-        states = np.stack([leaf.state for leaf in tree.leaves])
-        _print_state(states, len(kept), args.probs, heads)
-        return 0
-    psi, wire_map = _walk_register(circ)
-    _print_state(psi, circ.n, args.probs, wires=_register_wires(wire_map))
+    _print_state(rows, len(rank), args.probs, heads, [rank[w] for w in _register_wires(wire_map)])
     return 0
 
 
@@ -224,8 +232,8 @@ def _cmd_stats(args) -> int:
 def _cmd_sample(args) -> int:
     circ = load_circuit(args.circuit)
     histogram = measurement.sample_shots(circ, args.shots, args.seed)
-    for key in sorted(histogram):
-        print(f"{key}: {histogram[key]}")
+    for key, count in histogram.items():  # in sorted key order
+        print(f"{key}: {count}")
     return 0
 
 

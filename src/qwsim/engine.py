@@ -24,11 +24,11 @@ template hashes its value once, when it is derived (:class:`_Template`),
 so a hit costs about 0.22 us, not 0.4 us.  A one-shot ``qwsim`` process
 starts with the memo empty, and gains only where a gate repeats within
 its circuit; a miss costs about 0.8 us more than a bare placement.
-:func:`_walk` is the one loop over those steps, for :func:`run_circuit`
-and for ``measurement``.  It builds the run's start, runs each plan once
-on a ``(B, W)`` stack with a row per outcome prefix, or on the prefix of
-its rows that the plan's register fills, splits every row at once on a
-MEASURE (:func:`_split`), and checks nothing per gate.  A walk that ends
+:func:`_walk` is the one loop over those steps, for :func:`run_circuit`,
+``measurement`` and ``qwsim simulate``.  It builds the run's start, runs
+each plan once on a ``(B, W)`` stack with a row per outcome prefix, or on
+the prefix of its rows that the plan's register fills, splits every row
+at once on a MEASURE (:func:`_split`), and checks nothing per gate.  A walk that ends
 on a gate tests the norm of each row it ends on; one that ends on a
 split ends on rows the split made unit.  :func:`_lower` checks a ``psi0`` once, and each walk copies
 it.  A plan accepts leading batch axes: on a stack it makes each numpy
@@ -67,9 +67,9 @@ scatters the ``2**K`` amplitudes, whose norm the walk tests, once into a
 zeroed state of every wire, from a transposed view that puts them back
 into wire order (:func:`_scatter`); the scatter moves no value, so the
 test holds for the result.  ``run_with_branches`` scatters its leaves
-the same way, over the unmeasured wires.  The CLI reads the row of
-:func:`_walk_register` in slot order, relabels bits by its ``wire_map``,
-and never builds the ``2**n`` state or a wire-order copy.
+the same way, over the unmeasured wires.  The CLI reads the walk's rows
+in slot order, relabels bits by its ``wire_map``, and never builds the
+``2**n`` state or a wire-order copy.
 
 A state of at most ``2 * _SLICE`` amplitudes, over all rows, runs a
 plan's steps on the whole view and nothing else.  A bigger one takes
@@ -674,8 +674,7 @@ def run_circuit(circuit, psi0=None) -> np.ndarray:
     first-move order.  The walk tests the run's norm before that scatter,
     which moves no value, so the test reads ``2**K`` amplitudes and a norm
     drift beyond ``STATE_ATOL``, which would mean a kernel bug, raises.
-    The CLI reads the row of :func:`_walk_register` as walked and skips
-    the scatter.
+    The CLI reads the walk's rows as walked and skips the scatter.
     """
     state, wire_map = _walk_register(circuit, psi0)
     return _scatter(state[None], wire_map, range(circuit.n))[0]

@@ -27,9 +27,10 @@ The layout rule is ``engine``'s: a run from |00...0> grows its register
 in first-move order unless it moves every wire with ``2**n`` past ``2 *
 engine._SLICE``, and a ``psi0`` run starts in wire order.
 :func:`run_with_branches` scatters a grown walk's leaves once into wire
-order over the unmeasured wires; :func:`sample_shots` reads only the
-rows.  A grown split sums each outcome over the live register alone, so
-a leaf may differ from a ``psi0`` run's in the last bit.
+order over the unmeasured wires, measured or not; :func:`sample_shots`
+and ``qwsim simulate`` read only the rows.  A grown split sums each
+outcome over the live register alone, so a leaf may differ from a
+``psi0`` run's in the last bit.
 
 * :func:`run_with_branches` follows *every* non-pruned outcome, producing a
   tree whose leaves carry the outcome history, its probability, and the
@@ -61,7 +62,7 @@ import numpy as np
 from .errors import ContractError
 from .circuit import Circuit, check_circuit
 # PRUNE_EPS is the split's; ``oracle`` and callers read it here
-from .engine import PRUNE_EPS, _lower, _scatter, _split, _walk, run_circuit
+from .engine import PRUNE_EPS, _lower, _scatter, _split, _walk
 from .gates import MEASURE
 from .linalg import check_int, check_unit_state, check_wires, make_rng
 
@@ -135,13 +136,10 @@ def run_with_branches(circuit: Circuit, psi0=None) -> BranchTree:
     last MEASURE wrote passes the norm test.  A leaf's state holds the
     unmeasured wires in wire order, scattered once from the walk's rows
     when the walk grew its register.  A circuit without measurements
-    goes to :func:`~qwsim.engine.run_circuit` and yields a single leaf of
-    probability 1 holding its result.
+    yields a single leaf of probability 1, equal to the result of
+    :func:`~qwsim.engine.run_circuit`.
     """
     circuit = check_circuit(circuit)
-    if not circuit.has_measurements:
-        leaf = BranchLeaf((), 1.0, run_circuit(circuit, psi0))
-        return BranchTree(circuit.n, (), {w: w for w in range(circuit.n)}, (leaf,))
     steps, measured, wire_map, psi0, width = _lower(circuit, circuit.ops, psi0)
     outcomes, probs, states, _ = _walk(steps, width, psi0)
     # each unmeasured wire at its rank in wire order, as the leaves hold them

@@ -1,0 +1,186 @@
+"""A differential of ``qwsim``'s outputs, to hold two trees to the same text.
+
+For each circuit it records a sha256 digest of every CLI text (exit code,
+stdout and stderr) of ``simulate`` with and without ``--probs`` and
+``--branches``, of ``stats --format records`` with a seeded ``--pair``,
+and of ``sample`` at a fixed seed, and of the float bits of
+``run_circuit``'s state and of ``run_with_branches``'s leaves.  A refused
+call records its error text.  The circuits are ``circuits/*.qc`` and
+seeded random ones of four kinds, in turn: grown (gates on some of the
+wires), wire order (an H on every wire first, in order), measured, and
+measured in a shuffled first-move order.
+
+Run from the repository root, with the tree under test on ``PYTHONPATH``,
+then compare two digest files::
+
+    PYTHONPATH=src python tests/differential.py --out new.json [--random 300] [--seed 0]
+    python tests/differential.py --diff old.json new.json
+
+``--diff`` prints each entry that changed or that only one file holds,
+then the counts, and exits 1 when any entry differs.  Standard library and
+numpy only; pytest collects no ``test_*`` name here.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+# qwsim is imported where it is used, so that --diff runs without it on the path
+
+KINDS = ("grown", "wire-order", "measured", "shuffled-measured")
+SIMULATE_FLAGS = ((), ("--probs",), ("--branches",), ("--branches", "--probs"))
+
+
+def random_text(rng: np.random.Generator, kind: str) -> str:
+    """A random circuit file of ``kind`` (one of ``KINDS``) on 2 to 10 wires."""
+    from qwsim.gates import gate_def, gate_names
+
+    n = int(rng.integers(2, 11))
+    lines = [f"qubits {n}"]
+    if kind == "wire-order":
+        lines += [f"H {w}" for w in range(n)]
+    elif kind == "shuffled-measured":
+        lines += [f"H {int(w)}" for w in rng.permutation(n)[: int(rng.integers(2, n + 1))]]
+    # the grown kind moves only some wires, so the others stay |0> to the end
+    used = list(range(n)) if kind != "grown" else sorted(
+        int(w) for w in rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
+    )
+    measured: set[int] = set()
+    for _ in range(int(rng.integers(1, 3 * n))):
+        live = [w for w in used if w not in measured]
+        if kind.endswith("measured") and len(measured) < 3 and rng.random() < 0.15:
+            wire = int(rng.integers(n))  # an idle wire may be measured too
+            if wire not in measured:
+                measured.add(wire)
+                lines.append(f"MEASURE {wire}")
+            continue
+        names = [g for g in gate_names() if gate_def(g).arity <= len(live)]
+        if not names:
+            break
+        name = names[int(rng.integers(len(names)))]
+        targets = [int(w) for w in rng.choice(live, gate_def(name).arity, replace=False)]
+        others = [w for w in range(n) if w not in targets and w not in measured]
+        controls = [f"{'ca'[int(rng.integers(2))]}={w}" for w in others if rng.random() < 0.15]
+        lines.append(" ".join([name, *map(str, targets), *controls]))
+    return "\n".join(lines) + "\n"
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()
+
+
+def _cli(argv) -> str:
+    from qwsim import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return _digest(code, out.getvalue(), err.getvalue())
+
+
+def _bits(run) -> str:
+    from qwsim.errors import SimulationError
+
+    try:
+        return run()
+    except SimulationError as exc:
+        return _digest(type(exc).__name__, str(exc))
+
+
+def circuit_digests(name: str, path: str, rng: np.random.Generator) -> dict[str, str]:
+    """The digest of every output of the circuit file at ``path``, keyed
+    ``"<name> | <output>"``; ``rng`` picks the ``--pair``."""
+    from qwsim import measurement
+    from qwsim.circuit import load_circuit
+    from qwsim.engine import run_circuit
+
+    circ = load_circuit(path)
+    pair = [str(int(w)) for w in rng.choice(circ.n, 2, replace=False)] if circ.n > 1 else []
+    argvs = [("simulate", path, *flags) for flags in SIMULATE_FLAGS]
+    argvs.append(("stats", path, "--format", "records", *(["--pair", *pair] if pair else [])))
+    argvs.append(("sample", path, "--shots", "100", "--seed", "7"))
+    entries = {f"{name} | {' '.join(a for a in argv if a != path)}": _cli(argv) for argv in argvs}
+
+    def leaves():
+        tree = measurement.run_with_branches(circ)
+        return _digest(tree.measured_wires, sorted(tree.wire_map.items()), *(
+            part for leaf in tree.leaves
+            for part in (leaf.outcomes, np.float64(leaf.probability).tobytes(), leaf.state.tobytes())
+        ))
+
+    entries[f"{name} | run_circuit bits"] = _bits(lambda: _digest(run_circuit(circ).tobytes()))
+    entries[f"{name} | run_with_branches bits"] = _bits(leaves)
+    return entries
+
+
+def digests(count: int, seed: int = 0, files: bool = True) -> dict[str, str]:
+    """Every entry of ``circuits/*.qc`` (when ``files``) and of ``count``
+    seeded random circuits, each written to a temporary file."""
+    entries: dict[str, str] = {}
+    rng = np.random.default_rng(seed)
+    if files:
+        for path in sorted((Path(__file__).resolve().parents[1] / "circuits").glob("*.qc")):
+            entries.update(circuit_digests(f"circuits/{path.name}", str(path), rng))
+    with tempfile.TemporaryDirectory() as tmp:
+        for i in range(count):
+            kind = KINDS[i % len(KINDS)]
+            path = Path(tmp) / f"r{i}.qc"
+            text = random_text(rng, kind)
+            path.write_text(text, encoding="utf-8")
+            name = f"random/{i}-{kind}"
+            entries[f"{name} | text"] = _digest(text)
+            entries.update(circuit_digests(name, str(path), rng))
+    return entries
+
+
+def diff(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """A line per entry that changed, or that only one of the two holds."""
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        if key not in new:
+            lines.append(f"only in the first: {key}")
+        elif key not in old:
+            lines.append(f"only in the second: {key}")
+        elif old[key] != new[key]:
+            lines.append(f"changed: {key}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", help="write the digest file here")
+    parser.add_argument("--random", type=int, default=300, help="random circuits (default 300)")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--diff", nargs=2, metavar=("A", "B"), help="compare two digest files")
+    args = parser.parse_args(argv)
+    if args.diff:
+        old, new = (json.loads(Path(p).read_text(encoding="utf-8")) for p in args.diff)
+        lines = diff(old, new)
+        print("\n".join(lines + [
+            f"{len(old)} and {len(new)} entries, "
+            f"{sum(line.startswith('changed') for line in lines)} changed, "
+            f"{sum(not line.startswith('changed') for line in lines)} in one file only"
+        ]))
+        return 1 if lines else 0
+    if not args.out:
+        parser.error("give --out FILE or --diff A B")
+    entries = digests(args.random, args.seed)
+    Path(args.out).write_text(json.dumps(entries, indent=0, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"{len(entries)} entries written to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,9 +1,11 @@
 import contextlib
 import hashlib
+import json
 import tracemalloc
 from collections import Counter
 from pathlib import Path
 
+import differential
 import numpy as np
 import pytest
 
@@ -132,10 +134,18 @@ class TestSimulate:
             ("measure17.qc", (), 42, "2344347dcad2c0b886e973b55668434daa562d56c59ee4cbffbf8574c9518ae8"),
             # the walk's leaves, in wire order, on stacks of 2**17 amplitudes
             ("measure17all.qc", (), 970, "0df264d4744ddcfb073eb2ebb66ce1acaa556a9c0be8e0a0ae04e15e5146de4c"),
-            # the MEASURE-free branch of run_with_branches, across all 17 wires
+            # a MEASURE-free branch listing whose slots are every wire in wire
+            # order, so the listing neither relabels nor sorts
             ("wide17.qc", ("--branches",), 43, "a4a32b6497149722824a94bf2a6815e38139be1e40c18f98a41798ba36e412d7"),
+            # MEASURE-free branch listings of registers walked in shuffled
+            # first-move order: 17 of 18 wires, and all 16
+            ("grow18.qc", ("--branches",), 11, "cf4de3c93790bee7d3151c9835759110167e9098a44f9bec414103ec8bcfc5b2"),
+            ("shuffle16.qc", ("--branches", "--probs"), 123, "20cada57f844223750c25683ba9c17983ab2ee1bbe223a02d46057c181ff3b3d"),
+            # the measured leaves' probabilities, relabelled to wire order
+            ("measure17.qc", ("--probs",), 42, "2368ffc33e4e62b6cb255a6e6e0403503679ad5edfd8cbdf71727fbddd1ad15a"),
         ],
-        ids=["measure17", "measure17all", "wide17-branches"],
+        ids=["measure17", "measure17all", "wide17-branches", "grow18-branches",
+             "shuffle16-branches-probs", "measure17-probs"],
     )
     def test_walked_17_qubit_outputs_are_pinned(self, capsys, name, flags, lines, digest):
         # the digests the CI console-script step pins
@@ -150,26 +160,30 @@ class TestSimulate:
         edge = np.array(
             [0.8, 1.01e-12, 0.99e-12, 1.01e-6, 0.99e-6j, 0.8e-12 + 0.8e-12j, 0.0, -0.6]
         )
-        tree = measurement.BranchTree(
-            3, (), {0: 0, 1: 1, 2: 2}, (measurement.BranchLeaf((), 1.0, edge),)
-        )
-        # a measurement-free run is read off its register; this one is every wire
-        monkeypatch.setattr(cli, "_walk_register", lambda circ: (edge, {0: 0, 1: 1, 2: 2}))
-        monkeypatch.setattr(cli.measurement, "run_with_branches", lambda circ: tree)
-        path = circuit_file("qubits 3\nH 0\n")
-        amplitudes = ["000: 0.8", "001: 1.01e-12", "011: 1.01e-06", "100: 9.9e-07i",
-                      "101: 0", "111: -0.6"]
-        probs = ["000: 0.64", "011: 1.0201e-12", "111: 0.36"]
-        header = ["measured wires: none", "kept wires: 0->0, 1->1, 2->2", "branch -: p=1"]
-        for args, want in (
-            ((), amplitudes),
-            (("--probs",), probs),
-            (("--branches",), header + ["  " + line for line in amplitudes]),
-            (("--branches", "--probs"), header + ["  " + line for line in probs]),
-        ):
-            code, out, err = run_cli(capsys, "simulate", path, *args)
-            assert (code, err) == (0, "")
-            assert out.splitlines() == want
+        # the walk's one row, with no outcome record, in place of the H layer's
+        no_record = np.zeros((1, 0), dtype=np.intp)
+        monkeypatch.setattr(cli, "_walk", lambda steps, width: (no_record, np.ones(1), edge[None], None))
+        amplitudes = {0: "0.8", 1: "1.01e-12", 3: "1.01e-06", 4: "9.9e-07i", 5: "0", 7: "-0.6"}
+        probs = {0: "0.64", 3: "1.0201e-12", 7: "0.36"}
+        for order in ((0, 1, 2), (1, 2, 0)):
+            # bit s of a row index is the wire in slot s, the s-th wire moved
+            path = circuit_file("qubits 3\n" + "".join(f"H {w}\n" for w in order))
+
+            def listing(entries):
+                at = {sum(((k >> s) & 1) << w for s, w in enumerate(order)): v
+                      for k, v in entries.items()}
+                return [f"{k:03b}: {at[k]}" for k in sorted(at)]
+
+            header = ["measured wires: none", "kept wires: 0->0, 1->1, 2->2", "branch -: p=1"]
+            for args, want in (
+                ((), listing(amplitudes)),
+                (("--probs",), listing(probs)),
+                (("--branches",), header + ["  " + line for line in listing(amplitudes)]),
+                (("--branches", "--probs"), header + ["  " + line for line in listing(probs)]),
+            ):
+                code, out, err = run_cli(capsys, "simulate", path, *args)
+                assert (code, err) == (0, "")
+                assert out.splitlines() == want, (order, args)
 
     def test_listing_threshold_is_the_scalar_abs(self, capsys):
         # each |z| is within an ulp of 1e-12, where numpy's vector complex abs
@@ -180,7 +194,7 @@ class TestSimulate:
             5.372111492017122e-13 + 8.43447793982162e-13j,
             9.861287376072356e-13 - 1.6598226671894655e-13j,
         ])
-        cli._print_state(psi, 2, probs=False)
+        cli._print_state(psi[None], 2, False, None, [0, 1])
         listed = [int(line.split(":")[0], 2) for line in capsys.readouterr().out.splitlines()]
         assert listed == [i for i, z in enumerate(psi) if abs(z) >= cli.PRINT_EPS]
 
@@ -260,7 +274,7 @@ class TestStats:
         path = Path(__file__).resolve().parents[1] / "circuits" / "slice17.qc"
         code, out, err = run_cli(capsys, "stats", str(path), "--format", "records")
         assert (code, out, err) == (0, SLICE17_RECORDS, "")
-        # its amplitudes, scattered from the register into all 17 wires
+        # its amplitudes, read off the 14-wire register at their 17-wire indices
         code, out, err = run_cli(capsys, "simulate", str(path))
         assert (code, err, out.count("\n")) == (0, "", 104)
         digest = hashlib.sha256(out.encode()).hexdigest()
@@ -397,10 +411,41 @@ def register_circuit(rng, n: int, used, spread: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+def scattered_listing(circ, probs: bool, branches: bool) -> str:
+    """The ``simulate`` text, built entry by entry from the scattered
+    result: the state of every wire from ``run_circuit``, or each leaf of
+    ``run_with_branches``, whose bit i is the i-th unmeasured wire."""
+    fmt = cli._fmt if probs else cli._fmt_amplitude
+    lines = []
+    if circ.has_measurements or branches:
+        tree = measurement.run_with_branches(circ)
+        kept = [w for w in range(circ.n) if tree.wire_map[w] is not None]
+        lines += [
+            f"measured wires: {' '.join(map(str, tree.measured_wires)) or 'none'}",
+            "kept wires: " + (", ".join(f"{w}->{tree.wire_map[w]}" for w in kept) or "none"),
+        ]
+        leaves = [
+            (f"branch {''.join(map(str, leaf.outcomes)) or '-'}: p={cli._fmt(leaf.probability)}",
+             leaf.state)
+            for leaf in tree.leaves
+        ]
+        width, indent = len(kept), "  "
+    else:
+        leaves, width, indent = [(None, engine.run_circuit(circ))], circ.n, ""
+    for head, state in leaves:
+        if head is not None:
+            lines.append(head)
+        values = np.abs(state) ** 2 if probs else state
+        size = values if probs else np.hypot(state.real, state.imag)
+        for k in np.flatnonzero(size >= cli.PRINT_EPS).tolist():
+            lines.append(f"{indent}{format(k, f'0{width}b') if width else '(empty)'}: {fmt(values[k])}")
+    return "".join(line + "\n" for line in lines)
+
+
 class TestRegisterReadout:
-    """``stats`` and ``simulate`` read a measurement-free run off the
+    """``stats`` and ``simulate`` read a run off the walk's rows, the
     register of the K wires its gates move, and print what they print from
-    the full state of all n wires."""
+    the scattered state of all n wires, or of the unmeasured wires."""
 
     def test_register_text_equals_full_state_text(self, capsys, tmp_path, monkeypatch):
         def full_state(circ):
@@ -427,7 +472,7 @@ class TestRegisterReadout:
             on = [w for w in range(n) if wire_map[w] is not None]
             off = [w for w in range(n) if wire_map[w] is None]
             seen["K=0" if not on else "K=n" if not off else "0<K<n"] += 1
-            argvs = [("simulate", "--probs")[: 1 + c % 2]]
+            argvs = [("simulate", "--probs")[: 1 + c % 2] + ("--branches",) * (c % 4 > 1)]
             for pair in (on[-2:], [*on[:1], *off[:1]], off[:2]):
                 if len(pair) == 2:
                     seen[f"pair with {len(set(pair) & set(on))} on"] += 1
@@ -439,14 +484,37 @@ class TestRegisterReadout:
             for cmd, *rest in argvs:
                 rhos.clear()
                 got = run_cli(capsys, cmd, str(path), *rest)
-                with monkeypatch.context() as m:
-                    m.setattr(cli, "_walk_register", full_state)
-                    want = run_cli(capsys, cmd, str(path), *rest)
+                if cmd == "simulate":
+                    circ = parse_circuit(text)
+                    want = (0, scattered_listing(circ, "--probs" in rest, "--branches" in rest), "")
+                else:
+                    with monkeypatch.context() as m:
+                        m.setattr(cli, "_walk_register", full_state)
+                        want = run_cli(capsys, cmd, str(path), *rest)
                 assert got == want and got[0] == 0, (text, cmd, rest)
                 if rhos:
                     np.testing.assert_allclose(rhos[0], rhos[1], rtol=0, atol=1e-12)
         assert {"K=0", "K=n", "0<K<n", "magic at 10"} <= set(seen), seen
         assert all(seen[f"pair with {k} on"] >= 10 for k in range(3)), seen
+        # measured circuits grown in shuffled first-move order: each leaf row
+        # prints each slot's bit at its wire's rank among the unmeasured wires
+        for c in range(80):
+            text = differential.random_text(rng, "shuffled-measured")
+            path = tmp_path / f"m{c}.qc"
+            path.write_text(text)
+            circ = parse_circuit(text)
+            _, measured, wire_map = engine.compile_circuit(circ.n, circ.ops)
+            kept = [w for w in range(circ.n) if w not in measured]
+            wires = cli._register_wires(wire_map)
+            ranks = [kept.index(w) for w in wires]
+            seen["slots out of order"] += ranks != sorted(ranks)
+            seen["ranks not wires"] += ranks != wires  # a measured wire below a kept one
+            flags = ("--probs", "--branches")
+            rest = [f for i, f in enumerate(flags) if c >> i & 1]
+            got = run_cli(capsys, "simulate", str(path), *rest)
+            want = (0, scattered_listing(circ, "--probs" in rest, "--branches" in rest), "")
+            assert got == want, (text, rest)
+        assert seen["slots out of order"] >= 40 and seen["ranks not wires"] >= 20, seen
 
     def test_slice17_is_read_off_its_14_wire_register(self, capsys, monkeypatch):
         def refuse(*args):
@@ -504,11 +572,13 @@ class TestRegisterReadout:
     def test_a_dense_register_lists_in_bounded_memory(self, tmp_path):
         # an H on 15 of 16 wires lists all 2**15 register entries; the text
         # goes out in chunks, so the peak is the walked row, the listing's
-        # arrays and one chunk's text: measured 4.38 states of 2**15
-        # amplitudes, against 8.01 when every line was built before any print
+        # arrays and one chunk's text: measured 3.88 states of 2**15
+        # amplitudes, against 8.01 when every line was built before any print.
+        # The same listed as a branch, and measured twice, read the walk's
+        # rows too: 3.86 and 3.33 states, against 7.36 and 6.83 when the
+        # leaves were scattered into wire order and stacked again.
         order = (9, 3, 14, 0, 7, 12, 5, 1, 10, 2, 8, 13, 6, 11, 4)
-        path = tmp_path / "h15.qc"
-        path.write_text("qubits 16\n" + "".join(f"H {w}\n" for w in order) + "T 3\nCX 3 7\n")
+        layer = "qubits 16\n" + "".join(f"H {w}\n" for w in order) + "T 3\nCX 3 7\n"
         warm = tmp_path / "h1.qc"  # imports and builds the parser, untraced
         warm.write_text("qubits 1\nH 0\n")
         writes = []
@@ -521,17 +591,27 @@ class TestRegisterReadout:
             def flush(self):
                 pass
 
-        with contextlib.redirect_stdout(Sink()):
-            cli.main(["simulate", str(warm), "--probs"])
-            writes.clear()
-            tracemalloc.start()
-            try:
-                assert cli.main(["simulate", str(path), "--probs"]) == 0
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert sum(writes) == 1 << 15 and max(writes) <= cli._CHUNK
-        assert peak < 4.75 * (16 << 15)
+        for text, flags, lines in (
+            (layer, (), 1 << 15),
+            # 3 head lines, then every entry of the one branch
+            (layer, ("--branches",), 3 + (1 << 15)),
+            # 2 head lines, then 4 branches of 2**12 entries: wire 0 is back
+            # to |0>, and wires 3 and 5 are measured away
+            (layer + "MEASURE 3\nH 0\nMEASURE 5\n", (), 2 + 4 * (1 + (1 << 12))),
+        ):
+            path = tmp_path / "h15.qc"
+            path.write_text(text)
+            with contextlib.redirect_stdout(Sink()):
+                cli.main(["simulate", str(warm), "--probs"])
+                writes.clear()
+                tracemalloc.start()
+                try:
+                    assert cli.main(["simulate", str(path), "--probs", *flags]) == 0
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert sum(writes) == lines and max(writes) <= cli._CHUNK, flags
+            assert peak < 4.75 * (16 << 15), (flags, peak / (16 << 15))
 
 
 class TestSample:
@@ -671,6 +751,28 @@ class TestMemos:
         assert circuit._chunk_op.cache_info().misses == misses
         assert warm == cold
         assert cold[0] == (0, "000: 131\n001: 137\n010: 109\n011: 126\n100: 118\n101: 120\n110: 137\n111: 122\n", "")
+
+
+class TestDifferential:
+    def test_twenty_circuits_digest_alike_twice_in_one_process(self, capsys, tmp_path):
+        # the first pass starts from empty memos, the second finds every
+        # chunk and plan in them
+        circuit._chunk_op.cache_clear()
+        engine._placed.cache_clear()
+        first = differential.digests(20, seed=3, files=False)
+        assert differential.digests(20, seed=3, files=False) == first
+        # each circuit's text, 4 simulate texts, stats, sample and 2 results' bits
+        assert len(first) == 20 * 9
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text(json.dumps(first))
+        key = "random/6-measured | simulate --branches"
+        new.write_text(json.dumps({**first, key: "0" * 64}))
+        assert differential.main(["--diff", str(old), str(old)]) == 0
+        assert capsys.readouterr().out == "180 and 180 entries, 0 changed, 0 in one file only\n"
+        assert differential.main(["--diff", str(old), str(new)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"changed: {key}", "180 and 180 entries, 1 changed, 0 in one file only"
+        ]
 
 
 class TestParserReuse:

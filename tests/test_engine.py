@@ -588,7 +588,7 @@ class TestCompileCircuit:
         with pytest.raises(ContractError, match="is a measurement"):
             engine.run_circuit(measured)
         assert built == []  # refused before any plan is placed
-        # a measurement-free circuit goes to run_circuit, compiled there alone
+        # a measurement-free circuit places its three plans, and nothing else
         free = parse_circuit("qubits 3\nH 0\nCX 0 1\nH 2\n")
         measurement.run_with_branches(free)
         assert len(built) == 3
