@@ -38,7 +38,7 @@ import numpy as np
 
 from . import analysis, measurement
 from .circuit import load_circuit
-from .engine import _lower, _walk, _walk_register
+from .engine import _kept_ranks, _lower, _walk, _walk_register
 from .errors import ResourceError, SimulationError
 from .linalg import check_wires
 
@@ -88,24 +88,18 @@ def _print_state(rows: np.ndarray, width: int, probs: bool, heads, bits) -> None
     del size
     row_size = rows.shape[1]
     ends = np.searchsorted(listed, row_size * np.arange(1, len(rows) + 1)).tolist()
-    if bits == list(range(len(bits))):
-        # slots already in print order (measure17all.qc, wide17.qc) skip the
-        # relabel and the sort, which read 5-10% slower on their listings and
-        # held 0.66 states more on a dense listing of 17 wires
-        at = listed & (row_size - 1)
-    else:
-        # each row's listed entries at their printed index, above the row's
-        # number, so one sort orders them within each row
-        at = (listed >> len(bits)) << width
-        for s, b in enumerate(bits):
-            at |= ((listed >> s) & 1) << b
-        # the stable sort was no slower on these keys, and a process's first
-        # quicksort and sort fault in 0.5 MB more of numpy's code
-        order = np.argsort(at, kind="stable")
-        listed = listed[order]
-        at = at[order]
-        at &= (1 << width) - 1
-        del order
+    # each row's listed entries at their printed index, above the row's
+    # number, so one sort orders them within each row
+    at = (listed >> len(bits)) << width
+    for s, b in enumerate(bits):
+        at |= ((listed >> s) & 1) << b
+    # the stable sort was no slower on these keys, and a process's first
+    # quicksort and sort fault in 0.5 MB more of numpy's code
+    order = np.argsort(at, kind="stable")
+    listed = listed[order]
+    at = at[order]
+    at &= (1 << width) - 1
+    del order
     values = values.reshape(-1)
     fmt = _fmt if probs else _fmt_amplitude
     indent = "" if heads is None else "  "
@@ -131,8 +125,7 @@ def _cmd_simulate(args) -> int:
     circ = load_circuit(args.circuit)
     steps, measured, wire_map, _, width = _lower(circ, circ.ops)
     outcomes, probs, rows, _ = _walk(steps, width)
-    # each unmeasured wire prints at its rank in wire order
-    rank = {w: r for r, w in enumerate(w for w in range(circ.n) if w not in measured)}
+    rank = _kept_ranks(circ.n, measured)
     heads = None
     if measured or args.branches:
         print(f"measured wires: {' '.join(map(str, measured)) or 'none'}")

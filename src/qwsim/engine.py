@@ -620,6 +620,13 @@ def _lower(circuit, ops, psi0=None) -> tuple:
     return steps, measured, wire_map, psi0, width
 
 
+def _kept_ranks(n: int, measured) -> dict[int, int]:
+    """Each of the ``n`` wires not in ``measured`` at its rank among them in
+    wire order: its bit in a ``run_with_branches`` leaf and in a ``qwsim
+    simulate`` listing."""
+    return {w: r for r, w in enumerate(w for w in range(n) if w not in measured)}
+
+
 def _scatter(rows: np.ndarray, wire_map: dict, wires) -> np.ndarray:
     """The ``(B, 2**len(wires))`` states, bit ``i`` wire ``wires[i]``, of
     the walk's rows, whose bit ``s`` is the wire in slot ``s`` of

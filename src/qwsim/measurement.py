@@ -62,7 +62,7 @@ import numpy as np
 from .errors import ContractError
 from .circuit import Circuit, check_circuit
 # PRUNE_EPS is the split's; ``oracle`` and callers read it here
-from .engine import PRUNE_EPS, _lower, _scatter, _split, _walk
+from .engine import PRUNE_EPS, _kept_ranks, _lower, _scatter, _split, _walk
 from .gates import MEASURE
 from .linalg import check_int, check_unit_state, check_wires, make_rng
 
@@ -142,15 +142,14 @@ def run_with_branches(circuit: Circuit, psi0=None) -> BranchTree:
     circuit = check_circuit(circuit)
     steps, measured, wire_map, psi0, width = _lower(circuit, circuit.ops, psi0)
     outcomes, probs, states, _ = _walk(steps, width, psi0)
-    # each unmeasured wire at its rank in wire order, as the leaves hold them
-    kept = [w for w in range(circuit.n) if w not in measured]
-    states = _scatter(states, wire_map, kept)
+    ranks = _kept_ranks(circuit.n, measured)
+    states = _scatter(states, wire_map, list(ranks))
     leaves = tuple(
         BranchLeaf(tuple(record), prob, state)
         for record, prob, state in zip(outcomes.tolist(), probs.tolist(), states)
     )
     wire_map = dict.fromkeys(range(circuit.n))
-    wire_map.update((w, rank) for rank, w in enumerate(kept))
+    wire_map.update(ranks)
     return BranchTree(circuit.n, measured, wire_map, leaves)
 
 

@@ -472,7 +472,8 @@ class TestRegisterReadout:
             on = [w for w in range(n) if wire_map[w] is not None]
             off = [w for w in range(n) if wire_map[w] is None]
             seen["K=0" if not on else "K=n" if not off else "0<K<n"] += 1
-            argvs = [("simulate", "--probs")[: 1 + c % 2] + ("--branches",) * (c % 4 > 1)]
+            listing = ("simulate", "--probs")[: 1 + c % 2]
+            argvs = [listing]
             for pair in (on[-2:], [*on[:1], *off[:1]], off[:2]):
                 if len(pair) == 2:
                     seen[f"pair with {len(set(pair) & set(on))} on"] += 1
@@ -481,6 +482,8 @@ class TestRegisterReadout:
             if n <= 8 or n <= 10 and c % 3 == 0:  # a 10-wire table takes ~0.1 s
                 seen[f"magic at {n}"] += 1
                 argvs[-1] += ("--magic",)
+            if c % 4 > 1:  # half the circuits list as a branch too
+                argvs.append(listing + ("--branches",))
             for cmd, *rest in argvs:
                 rhos.clear()
                 got = run_cli(capsys, cmd, str(path), *rest)
