@@ -26,6 +26,12 @@ register as |0><0|; ``--magic`` is the magic of the register, since the
 order-2 stabilizer Renyi entropy does not change when the qubits are
 relabelled, adds up over a tensor product and is 0 on |0>, so its qubit
 cap bounds K, not n.
+
+Each subcommand imports, when it runs, the layers that only it uses:
+``stats`` imports ``analysis`` and ``sample`` imports ``measurement``, so
+``simulate`` loads neither, and no subcommand loads the ``oracle``.
+Ctrl-C ends a run with one ``error: interrupted`` line and exit status
+130.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ import sys
 
 import numpy as np
 
-from . import analysis, measurement
 from .circuit import load_circuit
 from .engine import _kept_ranks, _lower, _walk, _walk_register
 from .errors import ResourceError, SimulationError
@@ -163,6 +168,8 @@ def _pair_matrix(psi: np.ndarray, k: int, slots: list) -> np.ndarray:
     wires: ``slots`` holds each wire's slot, lower wire first, or None for a
     wire off the register, which is |0>.  Bit 0 of its index is the lower
     wire, as in ``partial_trace_state``."""
+    from . import analysis
+
     on = [s for s in slots if s is not None]
     if not on:
         return _ZERO_2
@@ -175,6 +182,8 @@ def _pair_matrix(psi: np.ndarray, k: int, slots: list) -> np.ndarray:
 
 
 def _cmd_stats(args) -> int:
+    from . import analysis
+
     circ = load_circuit(args.circuit)
     psi, wire_map = _walk_register(circ)
     wires = _register_wires(wire_map)
@@ -223,6 +232,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from . import measurement
+
     circ = load_circuit(args.circuit)
     histogram = measurement.sample_shots(circ, args.shots, args.seed)
     for key, count in histogram.items():  # in sorted key order
@@ -290,6 +301,9 @@ def main(argv=None) -> int:
     except (SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, as a shell reports it
 
 
 if __name__ == "__main__":

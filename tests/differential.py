@@ -2,13 +2,16 @@
 
 For each circuit it records a sha256 digest of every CLI text (exit code,
 stdout and stderr) of ``simulate`` with and without ``--probs`` and
-``--branches``, of ``stats --format records`` with a seeded ``--pair``,
-and of ``sample`` at a fixed seed, and of the float bits of
-``run_circuit``'s state and of ``run_with_branches``'s leaves.  A refused
-call records its error text.  The circuits are ``circuits/*.qc`` and
-seeded random ones of four kinds, in turn: grown (gates on some of the
-wires), wire order (an H on every wire first, in order), measured, and
-measured in a shuffled first-move order.
+``--branches``, of ``stats`` in table format, with ``--magic`` (which
+refuses a register of more than 10 wires) and as ``--format records``
+with a seeded ``--pair``, and of ``sample`` at a fixed seed, and of the
+float bits of ``run_circuit``'s state, of ``run_with_branches``'s leaves
+and of ``all_qubit_stats`` of that state.  A refused call records its
+error text.  The circuits are ``circuits/*.qc`` and seeded random ones of
+five kinds, in turn: grown (gates on some of the wires), wire order (an H
+on every wire first, in order), measured, measured in a shuffled
+first-move order, and psi0 (grown, and run from a seeded random state by
+the three calls whose bits are kept; the CLI runs it from |0>).
 
 Run from the repository root, with the tree under test on ``PYTHONPATH``,
 then compare two digest files::
@@ -17,7 +20,8 @@ then compare two digest files::
     python tests/differential.py --diff old.json new.json
 
 ``--diff`` prints each entry that changed or that only one file holds,
-then the counts, and exits 1 when any entry differs.  Standard library and
+then the counts, with the changed CLI texts and float bits counted apart,
+and exits 1 when any entry differs.  Standard library and
 numpy only; pytest collects no ``test_*`` name here.
 """
 
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -36,7 +41,7 @@ import numpy as np
 
 # qwsim is imported where it is used, so that --diff runs without it on the path
 
-KINDS = ("grown", "wire-order", "measured", "shuffled-measured")
+KINDS = ("grown", "wire-order", "measured", "shuffled-measured", "psi0")
 SIMULATE_FLAGS = ((), ("--probs",), ("--branches",), ("--branches", "--probs"))
 
 
@@ -50,8 +55,8 @@ def random_text(rng: np.random.Generator, kind: str) -> str:
         lines += [f"H {w}" for w in range(n)]
     elif kind == "shuffled-measured":
         lines += [f"H {int(w)}" for w in rng.permutation(n)[: int(rng.integers(2, n + 1))]]
-    # the grown kind moves only some wires, so the others stay |0> to the end
-    used = list(range(n)) if kind != "grown" else sorted(
+    # the grown kinds move only some wires, so the others keep their start state
+    used = list(range(n)) if kind not in ("grown", "psi0") else sorted(
         int(w) for w in rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
     )
     measured: set[int] = set()
@@ -99,29 +104,37 @@ def _bits(run) -> str:
         return _digest(type(exc).__name__, str(exc))
 
 
-def circuit_digests(name: str, path: str, rng: np.random.Generator) -> dict[str, str]:
+def circuit_digests(name: str, path: str, rng: np.random.Generator, psi0=None) -> dict[str, str]:
     """The digest of every output of the circuit file at ``path``, keyed
-    ``"<name> | <output>"``; ``rng`` picks the ``--pair``."""
+    ``"<name> | <output>"``; ``rng`` picks the ``--pair``, and ``psi0`` is
+    the start state of the calls whose bits are kept."""
     from qwsim import measurement
+    from qwsim.analysis import all_qubit_stats
     from qwsim.circuit import load_circuit
     from qwsim.engine import run_circuit
 
     circ = load_circuit(path)
     pair = [str(int(w)) for w in rng.choice(circ.n, 2, replace=False)] if circ.n > 1 else []
     argvs = [("simulate", path, *flags) for flags in SIMULATE_FLAGS]
+    argvs += [("stats", path), ("stats", path, "--magic")]
     argvs.append(("stats", path, "--format", "records", *(["--pair", *pair] if pair else [])))
     argvs.append(("sample", path, "--shots", "100", "--seed", "7"))
     entries = {f"{name} | {' '.join(a for a in argv if a != path)}": _cli(argv) for argv in argvs}
 
     def leaves():
-        tree = measurement.run_with_branches(circ)
+        tree = measurement.run_with_branches(circ, psi0)
         return _digest(tree.measured_wires, sorted(tree.wire_map.items()), *(
             part for leaf in tree.leaves
             for part in (leaf.outcomes, np.float64(leaf.probability).tobytes(), leaf.state.tobytes())
         ))
 
-    entries[f"{name} | run_circuit bits"] = _bits(lambda: _digest(run_circuit(circ).tobytes()))
+    def stats():
+        rows = [dataclasses.astuple(s) for s in all_qubit_stats(run_circuit(circ, psi0), circ.n)]
+        return _digest(np.array(rows, dtype=float).tobytes())
+
+    entries[f"{name} | run_circuit bits"] = _bits(lambda: _digest(run_circuit(circ, psi0).tobytes()))
     entries[f"{name} | run_with_branches bits"] = _bits(leaves)
+    entries[f"{name} | all_qubit_stats bits"] = _bits(stats)
     return entries
 
 
@@ -139,14 +152,19 @@ def digests(count: int, seed: int = 0, files: bool = True) -> dict[str, str]:
             path = Path(tmp) / f"r{i}.qc"
             text = random_text(rng, kind)
             path.write_text(text, encoding="utf-8")
+            psi0 = None
+            if kind == "psi0":
+                psi0 = rng.normal(size=(2, 1 << int(text.split()[1]))).T @ [1, 1j]
+                psi0 /= np.linalg.norm(psi0)
             name = f"random/{i}-{kind}"
-            entries[f"{name} | text"] = _digest(text)
-            entries.update(circuit_digests(name, str(path), rng))
+            entries[f"{name} | text"] = _digest(text, *([] if psi0 is None else [psi0.tobytes()]))
+            entries.update(circuit_digests(name, str(path), rng, psi0))
     return entries
 
 
 def diff(old: dict[str, str], new: dict[str, str]) -> list[str]:
-    """A line per entry that changed, or that only one of the two holds."""
+    """A line per entry that changed, or that only one of the two holds.
+    An entry whose key ends in ``bits`` holds float bits; any other, a text."""
     lines = []
     for key in sorted(old.keys() | new.keys()):
         if key not in new:
@@ -168,10 +186,12 @@ def main(argv=None) -> int:
     if args.diff:
         old, new = (json.loads(Path(p).read_text(encoding="utf-8")) for p in args.diff)
         lines = diff(old, new)
+        changed = [line for line in lines if line.startswith("changed")]
+        bits = sum(line.endswith(" bits") for line in changed)
         print("\n".join(lines + [
             f"{len(old)} and {len(new)} entries, "
-            f"{sum(line.startswith('changed') for line in lines)} changed, "
-            f"{sum(not line.startswith('changed') for line in lines)} in one file only"
+            f"{len(changed) - bits} text and {bits} bits changed, "
+            f"{len(lines) - len(changed)} in one file only"
         ]))
         return 1 if lines else 0
     if not args.out:

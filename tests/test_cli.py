@@ -315,10 +315,11 @@ class TestStats:
 
     def test_one_partial_trace_per_run(self, capsys, circuit_file, monkeypatch):
         # every wire's row comes from one sweep; only the pair takes a trace
+        # stats imports the analysis module when it runs, so the spy goes there
         calls = []
-        real = cli.analysis.partial_trace_state
+        real = analysis.partial_trace_state
         monkeypatch.setattr(
-            cli.analysis, "partial_trace_state", lambda *a, **k: calls.append(1) or real(*a, **k)
+            analysis, "partial_trace_state", lambda *a, **k: calls.append(1) or real(*a, **k)
         )
         path = circuit_file(MIXED_PAIR)
         assert run_cli(capsys, "stats", path)[0] == 0
@@ -736,6 +737,16 @@ class TestBadInput:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "5356a8c6788fb3a041597880c17de30d1b563c21aefaf2daf07b9a8555920d8d"
 
+    def test_an_interrupt_is_one_error_line(self, capsys, monkeypatch):
+        # Ctrl-C during a long sample stops it without a traceback
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(measurement, "sample_shots", interrupted)
+        path = Path(__file__).resolve().parents[1] / "circuits" / "bell_measure.qc"
+        code, out, err = run_cli(capsys, "sample", str(path), "--shots", "10")
+        assert (code, out, err) == (130, "", "error: interrupted\n")
+
 
 class TestMemos:
     def test_sample_then_simulate_print_what_each_prints_cold(self, capsys):
@@ -764,17 +775,19 @@ class TestDifferential:
         engine._placed.cache_clear()
         first = differential.digests(20, seed=3, files=False)
         assert differential.digests(20, seed=3, files=False) == first
-        # each circuit's text, 4 simulate texts, stats, sample and 2 results' bits
-        assert len(first) == 20 * 9
+        # each circuit's text, 4 simulate texts, 3 stats texts, sample and 3 results' bits
+        assert len(first) == 20 * 12
         old, new = tmp_path / "old.json", tmp_path / "new.json"
         old.write_text(json.dumps(first))
-        key = "random/6-measured | simulate --branches"
-        new.write_text(json.dumps({**first, key: "0" * 64}))
+        text = "random/7-measured | simulate --branches"
+        bits = "random/7-measured | run_with_branches bits"
+        new.write_text(json.dumps({**first, text: "0" * 64, bits: "0" * 64}))
         assert differential.main(["--diff", str(old), str(old)]) == 0
-        assert capsys.readouterr().out == "180 and 180 entries, 0 changed, 0 in one file only\n"
+        summary = "240 and 240 entries, {} text and {} bits changed, 0 in one file only"
+        assert capsys.readouterr().out == summary.format(0, 0) + "\n"
         assert differential.main(["--diff", str(old), str(new)]) == 1
         assert capsys.readouterr().out.splitlines() == [
-            f"changed: {key}", "180 and 180 entries, 1 changed, 0 in one file only"
+            f"changed: {bits}", f"changed: {text}", summary.format(1, 1)
         ]
 
 
