@@ -157,7 +157,7 @@ def digests(count: int, seed: int = 0, files: bool = True) -> dict[str, str]:
                 psi0 = rng.normal(size=(2, 1 << int(text.split()[1]))).T @ [1, 1j]
                 psi0 /= np.linalg.norm(psi0)
             name = f"random/{i}-{kind}"
-            entries[f"{name} | text"] = _digest(text, *([] if psi0 is None else [psi0.tobytes()]))
+            entries[f"{name} | text"] = _digest(text, b"" if psi0 is None else psi0.tobytes())
             entries.update(circuit_digests(name, str(path), rng, psi0))
     return entries
 
