@@ -58,7 +58,6 @@ class TestExports:
                 assert getattr(qwsim, name) is getattr(home, name), name
                 assert star[name] is getattr(home, name), name
         assert set(star) - {"__builtins__"} == set(qwsim.__all__)
-        assert sorted(qwsim._HOME) == qwsim.__all__
 
     def test_dir_lists_every_name_and_module(self):
         assert set(qwsim.__all__) | set(qwsim._EXPORTS) <= set(dir(qwsim))
