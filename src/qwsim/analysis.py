@@ -47,9 +47,11 @@ from .linalg import (
     STATE_ATOL,
     _hermitian_part,
     _state_size,
+    check_bool,
     check_matrix,
     check_qubit_count,
     check_state,
+    check_unit_norms,
     check_unit_state,
     check_wires,
 )
@@ -63,6 +65,7 @@ STABILIZER_ENTROPY_MAX_QUBITS = 10
 
 
 def _split_kept(n: int, qubits, keep: bool) -> tuple[list[int], list[int]]:
+    keep = check_bool(keep, "keep")
     qs = list(check_wires(n, qubits))
     if sorted(qs) != qs:
         raise ContractError(f"qubit list {qs} must be strictly ascending")
@@ -373,7 +376,7 @@ def stabilizer_renyi_entropy(psi, n: int) -> float:
             f"stabilizer entropy refuses {n} qubits: its 4**{n} table takes "
             f"{_state_size(2 * n)} (cap {cap}, {_state_size(2 * cap)})"
         )
-    check_unit_state(psi, n)
+    check_unit_norms(psi, np.vdot(psi, psi).real)
 
     dim = 1 << n
     k = np.arange(dim)

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import ContractError, ParseError, SimulationError
 from .gates import MEASURE, gate_def, gate_names
 from .engine import NO_CONTROLS, ControlSpec, _checked_spec, check_targets
-from .linalg import MAX_QUBITS, check_int, check_qubit_count, check_rng
+from .linalg import MAX_QUBITS, check_bool, check_int, check_qubit_count, check_rng
 
 
 @dataclass(frozen=True, init=False)
@@ -338,6 +338,7 @@ def random_circuit(
     n = check_qubit_count(n)
     depth = check_int(depth, "depth", 0)
     rng = check_rng(rng)
+    single_qubit_only = check_bool(single_qubit_only, "single_qubit_only")
     names = _RANDOM_1Q if (single_qubit_only or n < 2) else _RANDOM_1Q + _RANDOM_2Q
     ops = []
     for _ in range(depth):

@@ -250,11 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a circuit file and print the state")
     p.add_argument("circuit", help="path to a circuit file")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--probs", action="store_true", help="print probabilities")
-    group.add_argument(
-        "--amplitudes", action="store_true", help="print amplitudes (default)"
-    )
+    p.add_argument("--probs", action="store_true", help="print probabilities, not amplitudes")
     p.add_argument(
         "--branches",
         action="store_true",

@@ -19,15 +19,14 @@ runs, to a list of two kinds of step: run a plan, or split on a wire.
 It takes each plan from :func:`_placed`, a memo of the last 1024 distinct
 placements, keyed by the register size, the template's value, the target
 slots and the control entries (about 1.7 MB at the bound on 12- to
-18-wire registers), so a process places each distinct gate once.  A
-template hashes its value once, when it is derived (:class:`_Template`),
-so a hit costs about 0.22 us, not 0.4 us.  A one-shot ``qwsim`` process
-starts with the memo empty, and gains only where a gate repeats within
-its circuit; a miss costs about 0.8 us more than a bare placement.
+18-wire registers), so a process places each distinct gate once.  A hit
+costs about 0.4 us, most of it hashing the key.  A one-shot ``qwsim``
+process starts with the memo empty, and gains only where a gate repeats
+within its circuit; a miss costs about 0.8 us more than a bare placement.
 :func:`_walk` is the one loop over those steps, for :func:`run_circuit`,
 ``measurement`` and ``qwsim simulate``.  It builds the run's start, runs
-each plan once on a ``(B, W)`` stack with a row per outcome prefix, or on
-the prefix of its rows that the plan's register fills, splits every row
+each plan once on the prefix of a ``(B, W)`` stack's rows that the plan's
+register fills, the whole rows unless the register grows, splits every row
 at once on a MEASURE (:func:`_split`), and checks nothing per gate.  A walk that ends
 on a gate tests the norm of each row it ends on; one that ends on a
 split ends on rows the split made unit.  :func:`_lower` checks a ``psi0`` once, and each walk copies
@@ -108,6 +107,7 @@ from .errors import ContractError
 from .gates import MEASURE, gate_def, gate_names
 from .linalg import (
     MAX_QUBITS,
+    check_bool,
     check_int,
     check_matrix,
     check_state,
@@ -153,7 +153,7 @@ def check_targets(n: int, targets, controls) -> tuple[tuple[int, ...], ControlSp
         try:
             for wire, is_control in () if controls is None else controls:
                 wires.append(wire)
-                flags.append(bool(is_control))
+                flags.append(check_bool(is_control, "is_control"))
         except (TypeError, ValueError):
             message = f"controls must be (wire, is_control) pairs, got {controls!r}"
             raise ContractError(message) from None
@@ -201,19 +201,6 @@ def swap_bits(k: int, i: int, j: int) -> int:
     return k
 
 
-class _Template(tuple):
-    """A template's tuple, which hashes its value once, when it is built,
-    rather than at each memo lookup; it compares as the plain tuple."""
-
-    def __new__(cls, value):
-        template = super().__new__(cls, value)
-        template._hash = tuple.__hash__(template)
-        return template
-
-    def __hash__(self):
-        return self._hash
-
-
 def _template(u: np.ndarray) -> tuple:
     """Work out, unchecked, what the kernel does with the matrix ``u``.
 
@@ -238,7 +225,7 @@ def _template(u: np.ndarray) -> tuple:
         for r in writes
     )
     multi_pass = bool(copies) or len(steps) > 1 or any(len(terms) > 1 for _, terms in steps)
-    return _Template((labels, copies, steps, multi_pass))
+    return labels, copies, steps, multi_pass
 
 
 # Amplitudes, over all stacked rows, in one slice of a sliced plan: its
@@ -410,9 +397,9 @@ def apply_multi_qubit_gate(n: int, u, targets, a, controls=None) -> np.ndarray:
 
     The checked entry point for any matrix: it validates its arguments,
     derives the template of ``u``, places it and runs the plan on a fresh
-    copy of ``a``.  ``u`` is applied as given, unitary or not: catalog
-    gates are checked once at import and ``run_circuit`` checks the norm
-    of its result.
+    copy of ``a``.  ``u`` is applied as given, unitary or not: the tests
+    hold every catalog gate unitary (``test_every_entry_is_unitary``) and
+    ``run_circuit`` checks the norm of its result.
     """
     out, n = check_state(a, n)
     targets, spec = check_targets(n, targets, controls)
@@ -557,9 +544,10 @@ def _walk(steps, width: int, psi0=None, draws=None) -> tuple:
     The walk starts from a fresh ``(1, width)`` stack: a copy of ``psi0``,
     or |00...0> in ``width`` amplitudes, ``width = 1`` included, as
     :func:`_lower` gives them.  It then holds one ``(B, W)`` stack with a
-    row per live outcome prefix.  Each gate plan runs once on the whole
-    stack, in place, or, on a register grown in first-move order, on the
-    prefix view ``stack[:, :size]`` of its rows.  Each MEASURE splits the
+    row per live outcome prefix.  Each gate plan runs once, in place, on
+    the prefix view ``stack[:, :size]`` of its rows: the whole rows when
+    ``size`` is None, and on a register grown in first-move order the
+    amplitudes it has grown to.  Each MEASURE splits the
     register's prefix of every row at once (:func:`_split`) into the next
     stack, of rows as wide as the step gives, in sorted outcome order, and
     frees the one before.  A walk that ends on a gate tests the norm of
@@ -587,8 +575,9 @@ def _walk(steps, width: int, psi0=None, draws=None) -> tuple:
     last = len(steps) - 1
     for i, (plan, at) in enumerate(steps):
         if plan is not None:
-            # a prefix of the rows is a view of them, so the plan writes the rows
-            _run_plan(plan, stack if at is None else stack[:, :at])
+            # a prefix of the rows is a view of them, so the plan writes the
+            # rows; a bound of None takes the whole rows
+            _run_plan(plan, stack[:, :at])
             continue
         slot, size, next_width = at
         d = outcomes.shape[1]

@@ -8,11 +8,12 @@ as ``oracle.jacobi_eig``, and the tests hold the two to each other at
 1e-9, as the naive oracle checks the gate kernel.
 
 Every public entry point checks its arguments here, one function per
-kind: :func:`check_int` (and any bound on it), :func:`check_qubit_count`,
-:func:`check_state`, :func:`check_unit_state`, :func:`check_matrix`,
-:func:`check_wires` and :func:`check_rng` (a ``Circuit`` is checked by
-``circuit.check_circuit``); :func:`check_unit_norms` is the norm test of
-:func:`check_unit_state`, also applied to each row of a walker's stack.
+kind: :func:`check_int` (and any bound on it), :func:`check_bool`,
+:func:`check_qubit_count`, :func:`check_state`, :func:`check_unit_state`,
+:func:`check_matrix`, :func:`check_wires` and :func:`check_rng` (a
+``Circuit`` is checked by ``circuit.check_circuit``); :func:`check_unit_norms`
+is the norm test of :func:`check_unit_state`, also applied to each row of
+a walker's stack.
 Each raises a ``SimulationError`` subclass: a float is refused rather
 than truncated, and an array numpy cannot read as numbers is a
 ``ContractError``.  A matrix is also refused for a non-finite entry.  A
@@ -69,6 +70,15 @@ def check_int(value, what: str, lo: int | None = None, hi: int | None = None) ->
     except TypeError:
         pass
     raise ContractError(f"{what} must be an integer, got {value!r}")
+
+
+def check_bool(value, what: str) -> bool:
+    """``value`` as a plain bool: a Python or numpy bool, or the integer 0
+    or 1; else ``ContractError``.  Nothing is read by its truth, so
+    ``"False"``, ``None``, ``[]`` and ``1.0`` are refused."""
+    if isinstance(value, (int, np.integer, np.bool_)) and value in (0, 1):
+        return bool(value)
+    raise ContractError(f"{what} must be a bool, got {value!r}")
 
 
 def check_qubit_count(n) -> int:

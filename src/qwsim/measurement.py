@@ -89,8 +89,10 @@ def measure_qubit(psi, n: int, qubit: int) -> tuple[MeasurementBranch, Measureme
     Returns the ``(outcome 0, outcome 1)`` branch pair.  ``psi`` passes
     ``check_unit_state``.  Each probability is the sum of ``|psi|**2`` over
     its own half of the amplitudes, so the two sum to the squared norm of
-    ``psi``, and each residual is a unit vector of length ``2**(n-1)`` to
-    rounding.  The checked entry to the walker's split, on a stack of one.
+    ``psi`` to within ``PRUNE_EPS``: an outcome below it is pruned, and
+    reads probability 0.0 and residual None.  Each kept residual is a unit
+    vector of length ``2**(n-1)`` to rounding.  The checked entry to the
+    walker's split, on a stack of one.
     """
     psi, n = check_unit_state(psi, n)  # before the split squares any amplitude
     (qubit,) = check_wires(n, (qubit,))

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import json
+import re
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -95,10 +96,29 @@ class TestSimulate:
 
     def test_gate_free_circuit_prints_ground_state(self, capsys, circuit_file):
         code, out, _ = run_cli(
-            capsys, "simulate", circuit_file("qubits 2\n"), "--amplitudes"
+            capsys, "simulate", circuit_file("qubits 2\n")
         )
         assert code == 0
         assert out.splitlines() == ["00: 1"]
+
+    def test_help_lists_two_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--help"])
+        assert exc.value.code == 0
+        assert set(re.findall(r"--[a-z]+", capsys.readouterr().out)) == {
+            "--help", "--probs", "--branches"
+        }
+
+    def test_amplitudes_flag_is_refused(self, capsys, circuit_file):
+        # it selected the default and changed nothing; argparse refuses it
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", circuit_file("qubits 1\n"), "--amplitudes"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines()[-1].endswith(
+            "error: unrecognized arguments: --amplitudes"
+        )
+        assert "Traceback" not in err
 
     def test_imaginary_amplitudes(self, capsys, circuit_file):
         text = "qubits 1\nH 0\nS 0\n"
@@ -268,6 +288,24 @@ class TestStats:
             "stabilizer_renyi_2: 0\n"
         )
         assert (code, out, err) == (0, rows + tail, "")
+
+    def test_register_walked_in_shuffled_order(self, capsys, circuit_file):
+        # the text the CI's shuffled-order step pins: 8 of 10 wires take slots
+        # in the order 7, 2, 9, 4, 0, 5, 6, 1, so wire 1 holds a higher slot
+        # than wire 6: --pair swaps the matrix's two bits, and --magic reads
+        # the register as walked
+        text = (
+            "qubits 10\nH 7\nT 7\nH 2\nCX 7 2\nT 2\nH 9\nSQRTSWAP 9 4 c=2\nT 4\n"
+            "H 0\nISWAP 0 5 a=7\nTDG 5\nH 6\nCX 6 1\nS 1\nT 6\n"
+        )
+        code, out, err = run_cli(
+            capsys, "stats", circuit_file(text), "--pair", "1", "6", "--magic",
+            "--format", "records",
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "stabilizer_renyi_2: 3.4701424596"
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "0c0cadf07c39764c708d1686d16db2790a9374808b8fdefef2d9cc8b6319ec88"
 
     def test_sliced_circuit_output_is_pinned(self, capsys):
         # 17 qubits, of which 14 leave |0>: a register of 14 wires, run in one piece

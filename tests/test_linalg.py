@@ -238,9 +238,62 @@ _TAKES_WIRES = {
 }
 
 
+def _assert_equal_results(a, b):
+    """Two results of one entry point: arrays entry for entry, else by ``==``."""
+    if isinstance(a, np.ndarray):
+        np.testing.assert_array_equal(a, b)
+    else:
+        assert a == b
+
+
+# every public entry point that takes a bool, called with a value for it:
+# each used to read the value by its truth, so ``"False"`` meant True
+_TAKES_A_BOOL = {
+    "ControlSpec": (lambda v: ControlSpec([(1, v)]), "is_control"),
+    "GateOp controls": (lambda v: GateOp("H", (0,), [(1, v)]), "is_control"),
+    "apply_multi_qubit_gate controls": (
+        lambda v: engine.apply_multi_qubit_gate(2, _X, (0,), _PSI, [(1, v)]), "is_control"
+    ),
+    "build_gate_full_matrix controls": (
+        lambda v: oracle.build_gate_full_matrix(2, "X", (0,), [(1, v)]), "is_control"
+    ),
+    "partial_trace_state": (
+        lambda v: analysis.partial_trace_state(2, _PSI, [0], keep=v), "keep"
+    ),
+    "partial_trace_matrix": (
+        lambda v: analysis.partial_trace_matrix(2, _RHO, [0], keep=v), "keep"
+    ),
+    "random_circuit": (
+        lambda v: random_circuit(3, 4, np.random.default_rng(0), single_qubit_only=v),
+        "single_qubit_only",
+    ),
+}
+
+
 class TestArgumentContract:
     """A bad count or wire raises a SimulationError, never a bare
     ValueError, and a float is refused rather than truncated."""
+
+    @pytest.mark.parametrize("bad", ["False", "no", None, [], 1.0, 0.0, 2, -1, np.float64(1)])
+    @pytest.mark.parametrize("entry", sorted(_TAKES_A_BOOL))
+    def test_a_non_bool_flag_is_refused(self, entry, bad):
+        call, what = _TAKES_A_BOOL[entry]
+        with pytest.raises(ContractError) as err:
+            call(bad)
+        assert str(err.value) == f"{what} must be a bool, got {bad!r}"
+
+    @pytest.mark.parametrize("entry", sorted(_TAKES_A_BOOL))
+    def test_a_bool_flag_is_read_as_given(self, entry):
+        call, _ = _TAKES_A_BOOL[entry]
+        for flag in (True, np.True_, 1, np.int64(1)):
+            _assert_equal_results(call(flag), call(True))
+        for flag in (False, np.False_, 0, np.int8(0)):
+            _assert_equal_results(call(flag), call(False))
+
+    def test_check_bool_returns_a_plain_bool(self):
+        for value, want in ((np.True_, True), (np.int64(0), False), (1, True), (False, False)):
+            got = linalg.check_bool(value, "flag")
+            assert type(got) is bool and got is want
 
     @pytest.mark.parametrize("bad", [-1, "a", 1.7, 2.5])
     @pytest.mark.parametrize("entry", sorted(_TAKES_A_COUNT))
