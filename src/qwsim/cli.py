@@ -16,16 +16,21 @@ the end.  Bit ``s`` of a register index is the wire in slot ``s``.
 ``simulate`` lists every circuit this one way: under the ``measured
 wires`` / ``kept wires`` / ``branch`` heads when the circuit measures or
 ``--branches`` is given, it prints each listed entry of each row at its
-index over the unmeasured wires, bit ``s`` at the rank of the wire in
-slot ``s`` among them (the wire itself when nothing is measured), in
-index order.  ``stats``, which refuses a MEASURE, runs
-``all_qubit_stats`` on the one row of ``engine._walk_register``, keys
-each slot's row by its wire, and prints the constant |0> row for every
-other wire; ``--pair`` traces the pair's slots and takes a wire off the
-register as |0><0|; ``--magic`` is the magic of the register, since the
-order-2 stabilizer Renyi entropy does not change when the qubits are
-relabelled, adds up over a tensor product and is 0 on |0>, so its qubit
-cap bounds K, not n.
+index over the unmeasured wires, bit ``s`` at the bit that
+``engine._register_bits`` gives slot ``s`` (the rank of its wire among
+them, the wire itself when nothing is measured), in index order.
+``stats``, which refuses a MEASURE, runs ``all_qubit_stats`` on the one
+row of ``engine._walk_register``, keys each slot's row by the wire that
+``_walk_register`` lists for that slot, and prints the constant |0> row
+for every other wire; ``--pair`` traces the pair's slots on the
+register and places each bit of that matrix at its wire's bit, so a wire
+off the register reads |0><0|; ``--magic`` is the magic of the register,
+since the order-2 stabilizer Renyi entropy does not change when the
+qubits are relabelled, adds up over a tensor product and is 0 on |0>, so
+its qubit cap bounds K, not n.
+
+An unknown option is reported by the chosen subcommand's parser, with
+that subcommand's usage line, and exits 2, as argparse's other refusals do.
 
 Each subcommand imports, when it runs, the layers that only it uses:
 ``stats`` imports ``analysis`` and ``sample`` imports ``measurement``, so
@@ -43,7 +48,7 @@ import sys
 import numpy as np
 
 from .circuit import load_circuit
-from .engine import _kept_ranks, _lower, _walk, _walk_register
+from .engine import _lower, _register_bits, _scatter, _walk, _walk_register
 from .errors import ResourceError, SimulationError
 from .linalg import check_wires
 
@@ -121,8 +126,6 @@ def _print_state(rows: np.ndarray, width: int, probs: bool, heads, bits) -> None
             ]
             print("\n".join(lines))
             lines = []
-        if lines:  # a head with no entry under it
-            print(lines[0])
         start = end
 
 
@@ -130,22 +133,17 @@ def _cmd_simulate(args) -> int:
     circ = load_circuit(args.circuit)
     steps, measured, wire_map, _, width = _lower(circ, circ.ops)
     outcomes, probs, rows, _ = _walk(steps, width)
-    rank = _kept_ranks(circ.n, measured)
+    kept, bits = _register_bits(measured, wire_map)
     heads = None
     if measured or args.branches:
         print(f"measured wires: {' '.join(map(str, measured)) or 'none'}")
-        print("kept wires: " + (", ".join(f"{w}->{r}" for w, r in rank.items()) or "none"))
+        print("kept wires: " + (", ".join(f"{w}->{r}" for r, w in enumerate(kept)) or "none"))
         heads = [
             f"branch {''.join(map(str, record)) or '-'}: p={_fmt(p)}"
             for record, p in zip(outcomes.tolist(), probs.tolist())
         ]
-    _print_state(rows, len(rank), args.probs, heads, [rank[w] for w in _register_wires(wire_map)])
+    _print_state(rows, len(kept), args.probs, heads, bits)
     return 0
-
-
-def _register_wires(wire_map: dict) -> list[int]:
-    """The register's wires by slot: bit ``s`` of a register index is wire ``wires[s]``."""
-    return sorted((w for w, slot in wire_map.items() if slot is not None), key=wire_map.get)
 
 
 _STATS_COLUMNS = (
@@ -156,42 +154,38 @@ _STATS_COLUMNS = (
 # The printed row of a wire that stays |0>: prob1 0, Bloch vector (0, 0, 1),
 # r 1, both angles 0, purity 1 and linear entropy 0.
 _ZERO_ROW = tuple(map(_fmt, (0, 0, 0, 1, 1, 0, 0, 1, 0)))
-# |0><0| of one wire, and |00><00| of a pair
-_ZERO_1 = np.diag([1.0, 0.0]).astype(complex)
-_ZERO_2 = np.kron(_ZERO_1, _ZERO_1)
-# the two-bit indices 0..3 with their bits swapped
-_BIT_SWAP = [0, 2, 1, 3]
 
 
-def _pair_matrix(psi: np.ndarray, k: int, slots: list) -> np.ndarray:
-    """The reduced matrix of two wires, from the register ``psi`` of ``k``
-    wires: ``slots`` holds each wire's slot, lower wire first, or None for a
-    wire off the register, which is |0>.  Bit 0 of its index is the lower
-    wire, as in ``partial_trace_state``."""
+def _pair_matrix(psi: np.ndarray, wires: list, pair: tuple) -> np.ndarray:
+    """The reduced matrix of the two wires ``pair``, lower first, from the
+    register ``psi`` whose bit ``s`` is wire ``wires[s]``; a wire off the
+    register is |0>.  Bit 0 of its index is the lower wire, as in
+    ``partial_trace_state``.
+
+    The trace keeps the pair's slots on the register.  Bit ``j`` of its
+    row and column index is then placed at its wire's bit in the pair by
+    ``engine._scatter``, on the matrix read as a vector whose low bits are
+    the column's and high bits the row's.
+    """
     from . import analysis
 
-    on = [s for s in slots if s is not None]
-    if not on:
-        return _ZERO_2
-    rho = analysis.partial_trace_state(k, psi, sorted(on), keep=True)
-    if len(on) == 2:
-        # bit 0 is the lower slot: swap the two bits when it is the higher wire
-        return rho if on[0] < on[1] else rho[np.ix_(_BIT_SWAP, _BIT_SWAP)]
-    # the higher wire takes the high bit, so it is the first factor
-    return np.kron(_ZERO_1, rho) if slots[1] is None else np.kron(rho, _ZERO_1)
+    slots = sorted(wires.index(w) for w in pair if w in wires)
+    # with neither wire on the register, the pair is |00>
+    rho = analysis.partial_trace_state(len(wires), psi, slots, keep=True) if slots else np.eye(1)
+    at = [pair.index(wires[s]) for s in slots]
+    return _scatter(rho.reshape(1, -1), at + [2 + b for b in at], 4).reshape(4, 4)
 
 
 def _cmd_stats(args) -> int:
     from . import analysis
 
     circ = load_circuit(args.circuit)
-    psi, wire_map = _walk_register(circ)
-    wires = _register_wires(wire_map)
+    psi, wires = _walk_register(circ)
     k = len(wires)
     # computed before any row is printed, so that a refusal prints nothing
     if args.pair is not None:
         pair = check_wires(circ.n, sorted(args.pair))
-        p = analysis.pair_stats(_pair_matrix(psi, k, [wire_map[w] for w in pair]))
+        p = analysis.pair_stats(_pair_matrix(psi, wires, pair))
     m2 = None
     if args.magic:
         try:
@@ -256,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the full branch tree even without measurements",
     )
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, parser=p)
 
     p = sub.add_parser("stats", help="per-qubit statistics of the final state")
     p.add_argument("circuit", help="path to a circuit file")
@@ -273,13 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="also report the order-2 stabilizer Renyi entropy",
     )
     p.add_argument("--format", choices=("table", "records"), default="table")
-    p.set_defaults(func=_cmd_stats)
+    p.set_defaults(func=_cmd_stats, parser=p)
 
     p = sub.add_parser("sample", help="sample measurement records")
     p.add_argument("circuit", help="path to a circuit file")
     p.add_argument("--shots", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_sample)
+    p.set_defaults(func=_cmd_sample, parser=p)
 
     return parser
 
@@ -291,7 +285,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args, rest = _parser().parse_known_args(argv)
+    if rest:  # the subcommand's parser reports them, with its own usage line
+        args.parser.error(f"unrecognized arguments: {' '.join(rest)}")
     try:
         return args.func(args)
     except (SimulationError, OSError) as exc:

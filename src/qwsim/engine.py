@@ -67,8 +67,10 @@ zeroed state of every wire, from a transposed view that puts them back
 into wire order (:func:`_scatter`); the scatter moves no value, so the
 test holds for the result.  ``run_with_branches`` scatters its leaves
 the same way, over the unmeasured wires.  The CLI reads the walk's rows
-in slot order, relabels bits by its ``wire_map``, and never builds the
-``2**n`` state or a wire-order copy.
+in slot order and never builds the ``2**n`` state or a wire-order copy.
+Every reader places slot ``s`` of the register at the one bit that
+:func:`_register_bits` gives it: the rank of the slot's wire among the
+unmeasured wires, which is the wire itself when nothing is measured.
 
 A state of at most ``2 * _SLICE`` amplitudes, over all rows, runs a
 plan's steps on the whole view and nothing else.  A bigger one takes
@@ -609,44 +611,50 @@ def _lower(circuit, ops, psi0=None) -> tuple:
     return steps, measured, wire_map, psi0, width
 
 
-def _kept_ranks(n: int, measured) -> dict[int, int]:
-    """Each of the ``n`` wires not in ``measured`` at its rank among them in
-    wire order: its bit in a ``run_with_branches`` leaf and in a ``qwsim
-    simulate`` listing."""
-    return {w: r for r, w in enumerate(w for w in range(n) if w not in measured)}
+def _register_bits(measured, wire_map: dict) -> tuple[list[int], list[int]]:
+    """Where each slot of the walk's register lands in a reader's index.
+
+    Returns ``(kept, bits)``: the wires of the compile's ``wire_map`` not
+    in ``measured``, in wire order, and the bit of each register slot in an
+    index over them: ``bits[s]`` is the rank in ``kept`` of the wire in
+    slot ``s``, which with nothing measured is that wire.  ``run_circuit``,
+    ``run_with_branches``, ``qwsim simulate`` and ``qwsim stats`` place a
+    row's bits by this list.
+    """
+    kept = [w for w in wire_map if w not in measured]
+    wires = sorted((w for w in kept if wire_map[w] is not None), key=wire_map.get)
+    return kept, [kept.index(w) for w in wires] if measured else wires
 
 
-def _scatter(rows: np.ndarray, wire_map: dict, wires) -> np.ndarray:
-    """The ``(B, 2**len(wires))`` states, bit ``i`` wire ``wires[i]``, of
-    the walk's rows, whose bit ``s`` is the wire in slot ``s`` of
-    ``wire_map``; a wire of ``wires`` off the register reads 0.
+def _scatter(rows: np.ndarray, bits: list, width: int) -> np.ndarray:
+    """The ``(B, 2**width)`` states of the walk's ``(B, 2**k)`` rows, whose
+    bit ``s`` lands at bit ``bits[s]``; every other bit reads 0.
 
-    ``rows`` comes back as it is when its slots are ``wires`` in order.
+    ``rows`` comes back as it is when ``bits`` is ``0, 1, ..., width - 1``.
     Otherwise the rows are scattered once into zeroed states, by one
     assignment from a transposed view, which moves no value.
     """
-    slots = [wire_map[w] for w in wires if wire_map[w] is not None]
-    k = len(slots)
-    if slots == list(range(len(wires))):
+    if bits == list(range(width)):
         return rows
-    b = len(rows)
-    full = np.zeros((b, 1 << len(wires)), dtype=complex)
-    # an axis per wire, highest first; a wire off the register reads 0
-    index = (_ALL, *(_ALL if wire_map[w] is not None else 0 for w in reversed(wires)))
-    # axis 1 + a of the register's tensor holds slot k - 1 - a: take them highest wire first
-    axes = [0, *(k - slot for slot in reversed(slots))]
-    full.reshape((b,) + (2,) * len(wires))[index] = rows.reshape((b,) + (2,) * k).transpose(axes)
-    return full
+    b, k = len(rows), len(bits)
+    full = np.zeros((b,) + (2,) * width, dtype=complex)
+    # each bit's axis in the register's tensor, whose axis 1 + a holds slot
+    # k - 1 - a, highest bit first; 0 for a bit off the register, which reads 0
+    axis = [0] * width
+    for s, bit in enumerate(bits):
+        axis[width - 1 - bit] = k - s
+    index = (_ALL, *[_ALL if a else 0 for a in axis])
+    full[index] = rows.reshape((b,) + (2,) * k).transpose([0, *filter(None, axis)])
+    return full.reshape(b, -1)
 
 
-def _walk_register(circuit, psi0=None) -> tuple[np.ndarray, dict[int, int | None]]:
+def _walk_register(circuit, psi0=None) -> tuple[np.ndarray, list[int]]:
     """Check a measurement-free circuit, compile it and walk its register.
 
-    Returns ``(state, wire_map)``: the walk's one row of ``2**K``
-    amplitudes, whose norm the walk tests when a gate wrote it, and the
-    compile's ``wire_map``, which sends each of the K register wires to its
-    slot and every other wire, still |0> at the end, to None.  Bit ``s`` of
-    a register index is the bit of the wire in slot ``s``.
+    Returns ``(state, wires)``: the walk's one row of ``2**K`` amplitudes,
+    whose norm the walk tests when a gate wrote it, and the register's K
+    wires by slot, so bit ``s`` of a register index is wire ``wires[s]``.
+    Every other wire is still |0> at the end.
     """
     from .circuit import check_circuit  # circuit imports this module
 
@@ -655,7 +663,7 @@ def _walk_register(circuit, psi0=None) -> tuple[np.ndarray, dict[int, int | None
         if op.gate == MEASURE:
             raise ContractError(f"op {k} ({op}) is a measurement; use the measurement module")
     steps, _, wire_map, psi0, width = _lower(circuit, circuit.ops, psi0)
-    return _walk(steps, width, psi0)[2][0], wire_map
+    return _walk(steps, width, psi0)[2][0], _register_bits((), wire_map)[1]
 
 
 def run_circuit(circuit, psi0=None) -> np.ndarray:
@@ -672,5 +680,5 @@ def run_circuit(circuit, psi0=None) -> np.ndarray:
     drift beyond ``STATE_ATOL``, which would mean a kernel bug, raises.
     The CLI reads the walk's rows as walked and skips the scatter.
     """
-    state, wire_map = _walk_register(circuit, psi0)
-    return _scatter(state[None], wire_map, range(circuit.n))[0]
+    state, wires = _walk_register(circuit, psi0)
+    return _scatter(state[None], wires, circuit.n)[0]

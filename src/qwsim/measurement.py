@@ -27,8 +27,10 @@ The layout rule is ``engine``'s: a run from |00...0> grows its register
 in first-move order unless it moves every wire with ``2**n`` past ``2 *
 engine._SLICE``, and a ``psi0`` run starts in wire order.
 :func:`run_with_branches` scatters a grown walk's leaves once into wire
-order over the unmeasured wires, measured or not; :func:`sample_shots`
-and ``qwsim simulate`` read only the rows.  A grown split sums each
+order over the unmeasured wires, measured or not, each slot at the bit
+``engine._register_bits`` gives it, and builds ``BranchTree.wire_map``
+from the unmeasured wires it returns; :func:`sample_shots` and ``qwsim
+simulate`` read only the rows.  A grown split sums each
 outcome over the live register alone, so a leaf may differ from a
 ``psi0`` run's in the last bit.
 
@@ -62,7 +64,7 @@ import numpy as np
 from .errors import ContractError
 from .circuit import Circuit, check_circuit
 # PRUNE_EPS is the split's; ``oracle`` and callers read it here
-from .engine import PRUNE_EPS, _kept_ranks, _lower, _scatter, _split, _walk
+from .engine import PRUNE_EPS, _lower, _register_bits, _scatter, _split, _walk
 from .gates import MEASURE
 from .linalg import check_int, check_unit_state, check_wires, make_rng
 
@@ -144,15 +146,14 @@ def run_with_branches(circuit: Circuit, psi0=None) -> BranchTree:
     circuit = check_circuit(circuit)
     steps, measured, wire_map, psi0, width = _lower(circuit, circuit.ops, psi0)
     outcomes, probs, states, _ = _walk(steps, width, psi0)
-    ranks = _kept_ranks(circuit.n, measured)
-    states = _scatter(states, wire_map, list(ranks))
+    kept, bits = _register_bits(measured, wire_map)
+    states = _scatter(states, bits, len(kept))
     leaves = tuple(
         BranchLeaf(tuple(record), prob, state)
         for record, prob, state in zip(outcomes.tolist(), probs.tolist(), states)
     )
-    wire_map = dict.fromkeys(range(circuit.n))
-    wire_map.update(ranks)
-    return BranchTree(circuit.n, measured, wire_map, leaves)
+    leaf_bits = dict.fromkeys(range(circuit.n)) | {w: r for r, w in enumerate(kept)}
+    return BranchTree(circuit.n, measured, leaf_bits, leaves)
 
 
 def sample_shots(circuit: Circuit, shots: int, seed, psi0=None) -> dict[str, int]:

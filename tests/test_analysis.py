@@ -454,6 +454,10 @@ class TestNonFiniteInputs:
 class TestDensityGate:
     """Entropy and concurrence refuse every matrix the density check refuses."""
 
+    def test_side_not_a_power_of_two_is_refused(self):
+        with pytest.raises(ContractError, match="^density matrix dimension 3 is not a power of two$"):
+            analysis.check_density_matrix(np.eye(3) / 3)
+
     def test_trace_two_is_refused(self):
         for rho in (np.eye(2), np.eye(4) / 2):
             with pytest.raises(ContractError, match="trace is not 1"):

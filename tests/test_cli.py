@@ -120,6 +120,19 @@ class TestSimulate:
         )
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, usage", [
+        (["simulate", "--amplitudes"], "usage: qwsim simulate [-h] [--probs] [--branches] circuit"),
+        (["stats", "--pairs", "0", "1"], "usage: qwsim stats [-h] [--pair I J] [--magic]"),
+    ], ids=["simulate", "stats"])
+    def test_an_unknown_option_prints_its_subcommands_usage(self, capsys, circuit_file, argv, usage):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([argv[0], circuit_file("qubits 1\n"), *argv[1:]])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(usage)
+        refused = " ".join(argv[1:])
+        assert err.splitlines()[-1] == f"qwsim {argv[0]}: error: unrecognized arguments: {refused}"
+
     def test_imaginary_amplitudes(self, capsys, circuit_file):
         text = "qubits 1\nH 0\nS 0\n"
         code, out, _ = run_cli(capsys, "simulate", circuit_file(text))
@@ -488,7 +501,7 @@ class TestRegisterReadout:
 
     def test_register_text_equals_full_state_text(self, capsys, tmp_path, monkeypatch):
         def full_state(circ):
-            return engine.run_circuit(circ), {w: w for w in range(circ.n)}
+            return engine.run_circuit(circ), list(range(circ.n))
 
         # the matrix --pair passes on, held to the full state's; its printed
         # statistics are all symmetric in the two wires
@@ -547,7 +560,7 @@ class TestRegisterReadout:
             circ = parse_circuit(text)
             _, measured, wire_map = engine.compile_circuit(circ.n, circ.ops)
             kept = [w for w in range(circ.n) if w not in measured]
-            wires = cli._register_wires(wire_map)
+            wires = engine._register_bits((), wire_map)[1]
             ranks = [kept.index(w) for w in wires]
             seen["slots out of order"] += ranks != sorted(ranks)
             seen["ranks not wires"] += ranks != wires  # a measured wire below a kept one

@@ -362,6 +362,10 @@ class TestMultiQubitGate:
                         rtol=0,
                     )
 
+    def test_no_target_is_refused(self):
+        with pytest.raises(ContractError, match="^multi-qubit gate needs at least one target$"):
+            engine.apply_multi_qubit_gate(2, [[1]], (), linalg.zero_state(2))
+
     def test_gate_bit_order_follows_sorted_targets(self):
         rng = np.random.default_rng(32)
         u = random_unitary(4, rng)
@@ -779,7 +783,7 @@ class TestRegister:
         assert wire_map == {w: slots.get(w) for w in range(20)}
         # the CLI reads the walked row, whose bit s is the wire in slot s
         state, walked = engine._walk_register(parse_circuit(self.SPREAD))
-        assert walked == wire_map
+        assert walked == sorted(slots, key=slots.get)
         full = engine.run_circuit(parse_circuit(self.SPREAD)).reshape((2,) * 20)
         index = tuple(slice(None) if w in slots else 0 for w in range(19, -1, -1))
         # axes highest wire first (19, 13, 7, 2) to highest slot first (19, 13, 2, 7)
@@ -882,7 +886,7 @@ class TestRegister:
         assert np.array_equal(psi, engine.run_circuit(circ, linalg.zero_state(18)))
         # the walked row holds wire 17 = 0 of it, with slots in first-move order
         state, walked = engine._walk_register(circ)
-        assert walked == wire_map
+        assert walked == list(order)
         by_slot = psi.reshape((2,) * 18)[0].transpose([16 - w for w in reversed(order)])
         assert state.tobytes() == by_slot.tobytes()
 

@@ -393,6 +393,12 @@ class TestSampleShots:
         with pytest.raises(ContractError):
             measurement.sample_shots(circ, 0, 0)
 
+    def test_rejects_a_circuit_without_measurements(self):
+        circ = parse_circuit("qubits 1\nH 0\n")
+        for sample in (measurement.sample_shots, oracle.sample_shots_deferred):
+            with pytest.raises(ContractError, match="^circuit has no MEASURE ops to sample$"):
+                sample(circ, 10, 0)
+
     @pytest.mark.parametrize("shots", [2.7, 3.0, "3", True, np.bool_(True), None])
     def test_rejects_non_integral_shot_counts(self, shots):
         circ = parse_circuit("qubits 1\nH 0\nMEASURE 0\n")
@@ -576,6 +582,9 @@ class TestMemoryLedger:
     GROWN_MEASURED = parse_circuit(
         "qubits 18\n" + "".join(f"H {w}\n" for w in ORDER + (16,)) + TAIL + "MEASURE 3\nH 0\nMEASURE 5\nX 1\n"
     )
+    # all_qubit_stats holds |psi|**2 and the two strided halves np.vdot copies
+    PLAIN_STATE = engine.run_circuit(PLAIN)
+    RANDOM_STATE = linalg.random_state(N, np.random.default_rng(17))
 
     @pytest.mark.parametrize(
         "call, bound",
@@ -590,11 +599,14 @@ class TestMemoryLedger:
             (lambda: engine._walk_register(TestMemoryLedger.GROWN), 1.75),  # measured 1.50
             (lambda: measurement.run_with_branches(TestMemoryLedger.GROWN_MEASURED), 3.25),  # measured 3.00
             (lambda: measurement.sample_shots(TestMemoryLedger.GROWN_MEASURED, 1000, 1), 2.25),  # measured 2.09
+            (lambda: analysis.all_qubit_stats(TestMemoryLedger.PLAIN_STATE, 17), 1.75),  # measured 1.50
+            (lambda: analysis.all_qubit_stats(TestMemoryLedger.RANDOM_STATE, 17), 1.75),  # measured 1.50
         ],
         ids=["run_circuit", "run_with_branches-plain", "run_with_branches", "sample_shots",
              "run_circuit-first-move-16", "run_circuit-descending-17",
              "run_circuit-grown-17-of-18", "_walk_register-grown-17-of-18",
-             "run_with_branches-grown-17-of-18", "sample_shots-grown-17-of-18"],
+             "run_with_branches-grown-17-of-18", "sample_shots-grown-17-of-18",
+             "all_qubit_stats-plain", "all_qubit_stats-random"],
     )
     def test_peak_in_states(self, call, bound):
         assert traced_peak(call) < bound * linalg.zero_state(self.N).nbytes

@@ -60,6 +60,8 @@ class TestBuildGateFullMatrix:
             oracle.build_gate_full_matrix(2, "X", [0], [(0, True)])
         with pytest.raises(ContractError):
             oracle.build_gate_full_matrix(2, "SWAP", [0, 0])
+        with pytest.raises(ContractError, match="^gate H acts on 1 wires, got 2 targets$"):
+            oracle.build_gate_full_matrix(2, "H", (0, 1))
 
 
 class TestSimulateNaive:
@@ -255,6 +257,11 @@ class TestJacobiEig:
         np.testing.assert_allclose((v * w) @ v.conj().T, m, atol=1e-9)
         np.testing.assert_allclose(v.conj().T @ v, np.eye(dim), atol=1e-9)
         assert np.all(np.diff(w) >= 0)
+
+    def test_refuses_a_matrix_left_unconverged(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_JACOBI_MAX_SWEEPS", 0)
+        with pytest.raises(ContractError, match="^Jacobi eigensolver did not converge$"):
+            oracle.jacobi_eig(np.array([[0, 1], [1, 0]], dtype=complex))
 
     def test_one_by_one(self):
         w, v = oracle.jacobi_eig(np.array([[2.5]], dtype=complex))
