@@ -16,12 +16,15 @@ Every density-matrix statistic passes one gate, the checks of
 purity, entropy and the per-qubit and pair statistics refuse the same
 matrices, and :func:`pair_stats` solves for the spectrum of ``rho`` once.
 The gate takes one matrix or a ``(k, d, d)`` stack of them, with one
-eigensolve for the whole stack.
+eigensolve for the whole stack: a 2x2 whose eigenvectors are not needed
+is solved in closed form, and anything larger by one LAPACK call.
 
 :func:`all_qubit_stats` reports every wire of a pure state in one sweep:
 each wire's 2x2 reduced matrix is read off strided views of the state,
 with no transpose and no ``M @ M^H``, and the ``(n, 2, 2)`` stack passes
-the gate once.
+the gate once.  Its fields come from ``_qubit_rows``, one ``(n, 9)``
+float array in :class:`QubitStats` field order, which ``qwsim stats``
+prints from directly.
 :func:`qubit_stats` is the same computation on a stack of one.
 
 A pure state passes ``linalg.check_unit_state`` before any work.
@@ -35,6 +38,7 @@ expectations at once with a Walsh-Hadamard transform; see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,8 +154,11 @@ def _density_gate(rho, qubits=None, *, vectors=False) -> tuple:
     matrix must pass the Hermitian test, and have a power-of-two side
     (``2**qubits`` when ``qubits`` is given), unit trace and no eigenvalue
     below ``-EIGEN_ATOL`` (``ContractError``).  Returned are ``rho``, the
-    ascending eigenvalues ``w`` of each matrix from one LAPACK call and,
-    when ``vectors``, the matching eigenvectors ``v`` (else None).
+    ascending eigenvalues ``w`` of each matrix and, when ``vectors``, the
+    matching eigenvectors ``v`` (else None).  A 2x2 without eigenvectors
+    is solved in closed form: the Hermitian part ``[[a, b], [b*, d]]`` has
+    eigenvalues ``(a + d -+ hypot(a - d, 2|b|)) / 2``.  Anything else is
+    solved by one LAPACK call for the whole stack.
     """
     herm = _hermitian_part(rho)
     dim = rho.shape[-1]
@@ -162,7 +169,12 @@ def _density_gate(rho, qubits=None, *, vectors=False) -> tuple:
     trace = np.trace(rho, axis1=-2, axis2=-1)
     if not ((abs(trace.real - 1.0) <= STATE_ATOL) & (abs(trace.imag) <= STATE_ATOL)).all():
         raise ContractError("density matrix trace is not 1")
-    w, v = np.linalg.eigh(herm) if vectors else (np.linalg.eigvalsh(herm), None)
+    if dim == 2 and not vectors:
+        a, d = herm[..., 0, 0].real, herm[..., 1, 1].real
+        s, h = a + d, np.hypot(a - d, 2.0 * abs(herm[..., 0, 1]))
+        w, v = np.stack((s - h, s + h), axis=-1) / 2.0, None
+    else:
+        w, v = np.linalg.eigh(herm) if vectors else (np.linalg.eigvalsh(herm), None)
     if (w[..., 0] < -EIGEN_ATOL).any():
         raise ContractError("density matrix has a negative eigenvalue")
     return rho, w, v
@@ -230,29 +242,37 @@ class QubitStats:
     linear_entropy: float
 
 
-def _bloch_stats(rho: np.ndarray) -> list[QubitStats]:
-    """:class:`QubitStats` of each matrix in a gated ``(k, 2, 2)`` stack.
+def _bloch_rows(rho: np.ndarray) -> np.ndarray:
+    """The :class:`QubitStats` fields of each matrix in a gated ``(k, 2, 2)``
+    stack, as a ``(k, 9)`` float array in field order.
 
     The Bloch components are read off the matrix entries: for
     ``rho = [[a, b+ic], [b-ic, 1-a]]`` they are ``x=2b, y=-2c, z=2a-1``,
     which equal ``Tr(rho P)`` for the Paulis ``P`` on any Hermitian
-    unit-trace input; the tests hold them to the trace form.  Every field
-    is one array over the stack.  The angles are selected, not divided,
-    where the vector is shorter than ``BLOCH_DEGENERATE_EPS``.
+    unit-trace input; the tests hold them to the trace form.  Each field
+    is computed over the whole stack into its own contiguous row of one
+    ``(9, k)`` array, whose transpose is returned.  The angles are
+    selected, not divided, where the vector is shorter than
+    ``BLOCH_DEGENERATE_EPS``.
     """
-    x = 2.0 * rho[:, 0, 1].real
-    y = -2.0 * rho[:, 0, 1].imag
-    z = 2.0 * rho[:, 0, 0].real - 1.0
-    r = np.sqrt(x * x + y * y + z * z)
-    cos = np.divide(z, r, out=np.ones_like(r), where=r >= BLOCH_DEGENERATE_EPS)
-    theta = np.arccos(np.clip(cos, -1.0, 1.0))
+    fields = np.empty((9, len(rho)))
+    prob1, x, y, z, r, theta, phi, p, lin = fields
+    prob1[:] = rho[:, 1, 1].real
+    np.multiply(rho[:, 0, 1].real, 2.0, out=x)
+    np.multiply(rho[:, 0, 1].imag, -2.0, out=y)
+    np.subtract(2.0 * rho[:, 0, 0].real, 1.0, out=z)
+    np.sqrt(x * x + y * y + z * z, out=r)
+    theta[:] = 1.0
+    np.divide(z, r, out=theta, where=r >= BLOCH_DEGENERATE_EPS)
+    np.arccos(np.minimum(np.maximum(theta, -1.0, out=theta), 1.0, out=theta), out=theta)
     # on the z-axis x and y are roundoff, and so would be their arctan2;
     # on the negative x half-axis a y of -0.0 gives phi = -pi
-    phi = np.where(np.hypot(x, y) >= BLOCH_DEGENERATE_EPS, np.arctan2(y, x), 0.0)
-    p = _trace_of_square(rho)
-    fields = np.stack((rho[:, 1, 1].real, x, y, z, r, theta, phi, p, 1.0 - p), axis=1)
-    # adding 0.0 turns -0.0 into +0.0 and moves no other value
-    return [QubitStats(*row) for row in (fields + 0.0).tolist()]
+    np.arctan2(y, x, out=phi)
+    phi[np.hypot(x, y) < BLOCH_DEGENERATE_EPS] = 0.0
+    p[:] = _trace_of_square(rho)
+    np.subtract(1.0, p, out=lin)
+    fields += 0.0  # turns -0.0 into +0.0 and moves no other value
+    return fields.T
 
 
 def qubit_stats(rho) -> QubitStats:
@@ -261,7 +281,22 @@ def qubit_stats(rho) -> QubitStats:
     ``rho`` passes ``check_matrix``, then the gate and the statistics of
     :func:`all_qubit_stats` as a stack of one.
     """
-    return _bloch_stats(_density_gate(check_matrix(rho)[None], 1)[0])[0]
+    return QubitStats(*_bloch_rows(_density_gate(check_matrix(rho)[None], 1)[0])[0].tolist())
+
+
+def _qubit_rows(psi, n) -> np.ndarray:
+    """The rows of :func:`all_qubit_stats` as one ``(n, 9)`` float array,
+    wire 0 first, each in :class:`QubitStats` field order."""
+    psi, n = check_unit_state(psi, n)
+    p = np.abs(psi) ** 2
+    rho = np.empty((n, 2, 2), dtype=complex)
+    for q in range(n):
+        halves, probs = psi.reshape(-1, 2, 1 << q), p.reshape(-1, 2, 1 << q)
+        rho[q, 0, 0] = np.add.reduce(probs[:, 0], None)
+        rho[q, 1, 1] = np.add.reduce(probs[:, 1], None)
+        rho[q, 0, 1] = np.vdot(halves[:, 1], halves[:, 0])
+    rho[:, 1, 0] = rho[:, 0, 1].conj()
+    return _bloch_rows(_density_gate(rho, 1)[0])
 
 
 def all_qubit_stats(psi, n) -> list[QubitStats]:
@@ -273,19 +308,10 @@ def all_qubit_stats(psi, n) -> list[QubitStats]:
     ``sum(psi_0 * conj(psi_1))`` over the two halves: the matrix of
     ``partial_trace_state(n, psi, [q], keep=True)`` without its transposed
     copy of ``psi``.  The ``(n, 2, 2)`` stack then passes the density gate
-    with one eigensolve.  ``psi`` passes ``check_unit_state``, which
+    once, in closed form.  ``psi`` passes ``check_unit_state``, which
     refuses a non-finite amplitude, so the stack needs no finiteness test.
     """
-    psi, n = check_unit_state(psi, n)
-    p = np.abs(psi) ** 2
-    rho = np.empty((n, 2, 2), dtype=complex)
-    for q in range(n):
-        halves, probs = psi.reshape(-1, 2, 1 << q), p.reshape(-1, 2, 1 << q)
-        rho[q, 0, 0] = probs[:, 0].sum()
-        rho[q, 1, 1] = probs[:, 1].sum()
-        rho[q, 0, 1] = np.vdot(halves[:, 1], halves[:, 0])
-    rho[:, 1, 0] = rho[:, 0, 1].conj()
-    return _bloch_stats(_density_gate(rho, 1)[0])
+    return [QubitStats(*row) for row in _qubit_rows(psi, n).tolist()]
 
 
 def concurrence(rho) -> float:
@@ -317,11 +343,11 @@ def _concurrence(rho: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
     # product is PSD up to roundoff but only approximately Hermitian in
     # floating point; LAPACK reads one triangle, so average both.
     product = (product + product.conj().T) / 2.0
-    mus = np.clip(np.linalg.eigvalsh(product), 0.0, None)
-    floor = 1e-13 * max(1.0, float(mus.max()))
-    mus[mus < floor] = 0.0
-    lams = np.sort(np.sqrt(mus))[::-1]
-    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
+    # ascending, so the square roots come out ascending too
+    mus = [max(mu, 0.0) for mu in np.linalg.eigvalsh(product).tolist()]
+    floor = 1e-13 * max(1.0, mus[-1])
+    l4, l3, l2, l1 = (math.sqrt(mu) if mu >= floor else 0.0 for mu in mus)
+    return max(0.0, l1 - l2 - l3 - l4)
 
 
 @dataclass(frozen=True)

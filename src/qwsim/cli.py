@@ -6,7 +6,10 @@ histogram).
 
 Numbers are printed with 12 significant digits; values smaller than 1e-12
 in magnitude print as plain 0, and basis entries whose amplitude or
-probability is below 1e-12 are omitted from listings.
+probability is below 1e-12 are omitted from listings.  ``stats`` applies
+that rule (:func:`_fmt`'s) once to its array of rows, then formats each
+value with ``.12g``: a records row through one template, a table cell by
+``format``.
 
 A result is read off the walk's rows as walked (``engine._lower`` and
 ``engine._walk``): each row is the register of the K wires the gates
@@ -19,18 +22,23 @@ wires`` / ``kept wires`` / ``branch`` heads when the circuit measures or
 index over the unmeasured wires, bit ``s`` at the bit that
 ``engine._register_bits`` gives slot ``s`` (the rank of its wire among
 them, the wire itself when nothing is measured), in index order.
-``stats``, which refuses a MEASURE, runs ``all_qubit_stats`` on the one
-row of ``engine._walk_register``, keys each slot's row by the wire that
-``_walk_register`` lists for that slot, and prints the constant |0> row
-for every other wire; ``--pair`` traces the pair's slots on the
-register and places each bit of that matrix at its wire's bit, so a wire
-off the register reads |0><0|; ``--magic`` is the magic of the register,
-since the order-2 stabilizer Renyi entropy does not change when the
-qubits are relabelled, adds up over a tensor product and is 0 on |0>, so
-its qubit cap bounds K, not n.
+``stats``, which refuses a MEASURE, reads the one row of
+``engine._walk_register`` into ``analysis._qubit_rows``, the fields of
+``all_qubit_stats`` as one ``(K, 9)`` array, keys each slot's row by the
+wire that ``_walk_register`` lists for that slot, and prints the
+constant |0> row for every other wire; ``--pair`` traces the pair's
+slots on the register and places each bit of that matrix at its wire's
+bit, so a wire off the register reads |0><0|; ``--magic`` is the magic
+of the register, since the order-2 stabilizer Renyi entropy does not
+change when the qubits are relabelled, adds up over a tensor product
+and is 0 on |0>, so its qubit cap bounds K, not n.
 
-An unknown option is reported by the chosen subcommand's parser, with
-that subcommand's usage line, and exits 2, as argparse's other refusals do.
+When the first argument names a subcommand, :func:`main` parses the rest
+with that subcommand's own parser, as the top-level parser would hand it
+on; anything else (no argument, ``-h``, an unknown name, an option
+first) goes through the top-level parser.  Either way an unknown option
+is reported by the chosen subcommand's parser, with that subcommand's
+usage line, and exits 2, as argparse's other refusals do.
 
 Each subcommand imports, when it runs, the layers that only it uses:
 ``stats`` imports ``analysis`` and ``sample`` imports ``measurement``, so
@@ -150,10 +158,22 @@ _STATS_COLUMNS = (
     "qubit", "prob1", "x", "y", "z", "r", "theta", "phi", "purity", "lin_entropy"
 )
 
+# A --format records row: the wire, then its statistics, each after _printable.
+_RECORD = (
+    "qubit={} prob1={:.12g} x={:.12g} y={:.12g} z={:.12g} r={:.12g} "
+    "theta={:.12g} phi={:.12g} purity={:.12g} lin_entropy={:.12g}"
+)
 
-# The printed row of a wire that stays |0>: prob1 0, Bloch vector (0, 0, 1),
-# r 1, both angles 0, purity 1 and linear entropy 0.
-_ZERO_ROW = tuple(map(_fmt, (0, 0, 0, 1, 1, 0, 0, 1, 0)))
+# The row of a wire that stays |0>: prob1 0, Bloch vector (0, 0, 1), r 1,
+# both angles 0, purity 1 and linear entropy 0.
+_ZERO_ROW = (0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0)
+
+
+def _printable(values: np.ndarray) -> list:
+    """``values`` as nested lists of floats under :func:`_fmt`'s rule:
+    ``|v| < PRINT_EPS`` becomes 0.0, which also clears -0.0, so each
+    prints as ``_fmt`` prints it with ``format(v, ".12g")``."""
+    return np.where(abs(values) < PRINT_EPS, 0.0, values).tolist()
 
 
 def _pair_matrix(psi: np.ndarray, wires: list, pair: tuple) -> np.ndarray:
@@ -194,25 +214,15 @@ def _cmd_stats(args) -> int:
             message = f"{exc}; the circuit's gates move {k} of its {circ.n} wires"
             raise ResourceError(message) from None
 
-    stats = dict(zip(wires, analysis.all_qubit_stats(psi, k))) if k else {}
-    rows = []
-    for q in range(circ.n):
-        s = stats.get(q)
-        values = _ZERO_ROW if s is None else map(_fmt, (
-            s.prob1, s.x, s.y, s.z, s.r, s.theta, s.phi, s.purity, s.linear_entropy,
-        ))
-        rows.append((str(q), *values))
+    stats = dict(zip(wires, _printable(analysis._qubit_rows(psi, k)))) if k else {}
+    rows = [stats.get(q, _ZERO_ROW) for q in range(circ.n)]
     if args.format == "records":
-        for row in rows:
-            pairs = " ".join(f"{k}={v}" for k, v in zip(_STATS_COLUMNS, row))
-            print(pairs)
+        print("\n".join(_RECORD.format(q, *row) for q, row in enumerate(rows)))
     else:
-        widths = [
-            max(len(_STATS_COLUMNS[c]), *(len(r[c]) for r in rows))
-            for c in range(len(_STATS_COLUMNS))
-        ]
+        cells = [[str(q), *(format(v, ".12g") for v in row)] for q, row in enumerate(rows)]
+        widths = [max(map(len, column)) for column in zip(_STATS_COLUMNS, *cells)]
         print("  ".join(h.ljust(w) for h, w in zip(_STATS_COLUMNS, widths)).rstrip())
-        for row in rows:
+        for row in cells:
             print("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
 
     if args.pair is not None:
@@ -279,15 +289,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of :func:`main`, built on its first call only."""
-    return build_parser()
+def _parser() -> tuple:
+    """The parser of :func:`main` and its subcommands' parsers by name,
+    built on the first call only."""
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args, rest = _parser().parse_known_args(argv)
-    if rest:  # the subcommand's parser reports them, with its own usage line
-        args.parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, subcommands = _parser()
+    if argv and argv[0] in subcommands:
+        # the subcommand's own parser, as argparse would hand argv[1:] to it
+        args = subcommands[argv[0]].parse_args(argv[1:])
+    else:
+        args, rest = parser.parse_known_args(argv)
+        if rest:  # the subcommand's parser reports them, with its own usage line
+            args.parser.error(f"unrecognized arguments: {' '.join(rest)}")
     try:
         return args.func(args)
     except (SimulationError, OSError) as exc:

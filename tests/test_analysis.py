@@ -485,10 +485,63 @@ class TestDensityGate:
         assert abs(p.concurrence - 1.0) < 1e-9
         calls.clear()
         analysis.qubit_stats(np.eye(2) / 2)
-        assert calls == ["eigvalsh"]  # no eigenvectors for a 2x2
-        calls.clear()
+        assert calls == []  # a 2x2 is solved in closed form
         analysis.all_qubit_stats(linalg.random_state(6, np.random.default_rng(9)), 6)
-        assert calls == ["eigvalsh"]  # one for the stack of all six wires
+        assert calls == []  # and so is the stack of all six wires
+
+
+def _spectrum_2x2(lo: float, hi: float) -> np.ndarray:
+    """A Hermitian 2x2 with eigenvalues ``lo`` and ``hi`` and complex off-diagonals."""
+    u = np.array([[np.cos(0.3), -np.exp(-0.7j) * np.sin(0.3)],
+                  [np.exp(0.7j) * np.sin(0.3), np.cos(0.3)]])
+    return (u * [lo, hi]) @ u.conj().T
+
+
+class TestClosedFormGate:
+    """The gate solves a 2x2 in closed form and refuses what it refused
+    when LAPACK solved it, by every entry point that reads a 2x2."""
+
+    ENTRY_POINTS = {
+        "qubit_stats": analysis.qubit_stats,
+        "purity": analysis.purity,
+        "von_neumann_entropy": analysis.von_neumann_entropy,
+        "check_density_matrix": analysis.check_density_matrix,
+        # the stack the per-qubit sweep hands the gate, the matrix in the middle
+        "all_qubit_stats stack": lambda rho: analysis._density_gate(
+            np.stack([np.eye(2) / 2, rho, np.eye(2) / 2]).astype(complex), 1
+        ),
+    }
+
+    @pytest.mark.parametrize("rho, message", [
+        (_spectrum_2x2(-2e-9, 1 + 2e-9), "^density matrix has a negative eigenvalue$"),
+        (np.array([[0.5, 0.25], [0.25 + 2e-10j, 0.5]]), "^matrix is not Hermitian within tolerance$"),
+        (np.diag([0.5 + 2e-10, 0.5]), "^density matrix trace is not 1$"),
+    ], ids=["eigenvalue -2e-9", "not Hermitian", "trace 1+2e-10"])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_refused(self, entry, rho, message):
+        with pytest.raises(ContractError, match=message):
+            self.ENTRY_POINTS[entry](rho)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_eigenvalue_within_tolerance_is_accepted(self, entry):
+        rho = _spectrum_2x2(-5e-10, 1 + 5e-10)
+        assert analysis._density_gate(rho)[1][0] == pytest.approx(-5e-10, abs=1e-15)
+        self.ENTRY_POINTS[entry](rho)
+
+    def test_closed_form_equals_lapack(self):
+        rng = np.random.default_rng(44)
+        pure = linalg.random_state(1, rng)
+        rhos = [np.eye(2) / 2, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.outer(pure, pure.conj())]
+        for k in range(996):
+            m = rng.standard_normal((2, 1 + k % 2)) + 1j * rng.standard_normal((2, 1 + k % 2))
+            rho = m @ m.conj().T  # rank 1 for even k
+            rhos.append(rho / np.trace(rho).real)
+        stack = np.array(rhos, dtype=complex)
+        w = analysis._density_gate(stack, 1)[1]
+        lapack = np.linalg.eigvalsh(linalg._hermitian_part(stack))
+        np.testing.assert_allclose(w, lapack, rtol=0, atol=1e-15)
+        for rho, want in zip(rhos[:50], lapack):
+            np.testing.assert_allclose(analysis._density_gate(rho)[1], want, rtol=0, atol=1e-15)
 
 
 class TestPurityEntropy:

@@ -68,6 +68,37 @@ class TestFormatting:
         assert cli._fmt(9.9e-13) == "0"
         assert cli._fmt(2e-12) == "2e-12"
 
+    # both sides of PRINT_EPS, -0.0, and values the rule must leave alone
+    EDGES = (1e-12, -1e-12, 9.999999999999e-13, -9.9e-13, -0.0,
+             0.5, 1.0, -3.14159265358979, 2.5e-5, 1e-300)
+
+    def test_the_array_rule_prints_as_fmt(self):
+        # stats clears its rows as one array, then prints each value with .12g
+        want = [cli._fmt(v) for v in self.EDGES]
+        assert want[:5] == ["1e-12", "-1e-12", "0", "0", "0"]
+        assert [format(v, ".12g") for v in cli._printable(np.array(self.EDGES))] == want
+        rows = cli._printable(np.array(self.EDGES).reshape(2, 5))
+        assert [format(v, ".12g") for row in rows for v in row] == want
+
+    def test_rows_on_and_off_the_register(self, capsys, circuit_file):
+        # wire 1 is the register; its z and linear entropy are roundoff of
+        # 1e-16, and wires 0 and 2 stay |0>
+        path = circuit_file("qubits 3\nH 1\nT 1\n")
+        code, out, err = run_cli(capsys, "stats", path, "--format", "records")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:2] == [
+            "qubit=0 prob1=0 x=0 y=0 z=1 r=1 theta=0 phi=0 purity=1 lin_entropy=0",
+            "qubit=1 prob1=0.5 x=0.707106781187 y=0.707106781187 z=0 r=1 "
+            "theta=1.57079632679 phi=0.785398163397 purity=1 lin_entropy=0",
+        ]
+        code, out, err = run_cli(capsys, "stats", path)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:3] == [
+            "qubit  prob1  x               y               z  r  theta          phi             purity  lin_entropy",
+            "0      0      0               0               1  1  0              0               1       0",
+            "1      0.5    0.707106781187  0.707106781187  0  1  1.57079632679  0.785398163397  1       0",
+        ]
+
     def test_amplitude_rendering(self):
         assert cli._fmt_amplitude(complex(1, 0)) == "1"
         assert cli._fmt_amplitude(complex(0, -0.5)) == "-0.5i"
@@ -577,14 +608,14 @@ class TestRegisterReadout:
 
         monkeypatch.setattr(engine, "run_circuit", refuse)
         sizes = []
-        for name in ("all_qubit_stats", "partial_trace_state"):
+        for name in ("_qubit_rows", "partial_trace_state"):
             real = getattr(analysis, name)
             monkeypatch.setattr(analysis, name, lambda *a, real=real, name=name, **k: (
                 sizes.append((name, max(map(np.size, a)))) or real(*a, **k)
             ))
         code, out, err = run_cli(capsys, "stats", SLICE17, "--pair", "0", "3", "--format", "records")
         assert (code, err, out.startswith(SLICE17_RECORDS)) == (0, "", True)
-        assert sorted(sizes) == [("all_qubit_stats", 1 << 14), ("partial_trace_state", 1 << 14)]
+        assert sorted(sizes) == [("_qubit_rows", 1 << 14), ("partial_trace_state", 1 << 14)]
         code, out, err = run_cli(capsys, "simulate", SLICE17)
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert (code, err) == (0, "")
@@ -855,3 +886,61 @@ class TestParserReuse:
             assert len(built) <= 1
         finally:
             cli._parser.cache_clear()
+
+
+_TOP_USAGE = "usage: qwsim [-h] {simulate,stats,sample} ...\n"
+_STATS_USAGE = (
+    "usage: qwsim stats [-h] [--pair I J] [--magic] [--format {table,records}]\n"
+    "                   circuit\n"
+)
+# newer argparse prints the choices without quotes
+_CHOICES = r"\(choose from '?simulate'?, '?stats'?, '?sample'?\)"
+
+
+class TestDispatch:
+    """What ``main`` prints for argument lists that argparse answers itself,
+    with a subcommand named first, none, or an option first."""
+
+    @pytest.mark.parametrize("argv, code, out, err", [
+        ([], 2, "", _TOP_USAGE + "qwsim: error: the following arguments are required: command\n"),
+        (["-h"], 0, _TOP_USAGE + (
+            "\nState-vector quantum circuit simulator.\n\n"
+            "positional arguments:\n"
+            "  {simulate,stats,sample}\n"
+            "    simulate            run a circuit file and print the state\n"
+            "    stats               per-qubit statistics of the final state\n"
+            "    sample              sample measurement records\n\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+        ), ""),
+        (["bogus", "x.qc"], 2, "", re.escape(_TOP_USAGE)
+         + "qwsim: error: argument command: invalid choice: 'bogus' " + _CHOICES + "\n"),
+        (["stats"], 2, "", _STATS_USAGE + "qwsim stats: error: the following arguments are required: circuit\n"),
+        (["stats", "-h"], 0, _STATS_USAGE + (
+            "\npositional arguments:\n"
+            "  circuit               path to a circuit file\n\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --pair I J            also report two-qubit statistics for wires I and J\n"
+            "  --magic               also report the order-2 stabilizer Renyi entropy\n"
+            "  --format {table,records}\n"
+        ), ""),
+        (["sample", "x.qc"], 2, "", "usage: qwsim sample [-h] --shots SHOTS [--seed SEED] circuit\n"
+         "qwsim sample: error: the following arguments are required: --shots\n"),
+        (["stats", "x.qc", "--pair", "1"], 2, "", _STATS_USAGE + "qwsim stats: error: argument --pair: expected 2 arguments\n"),
+        (["--pair", "1", "2", "stats", "x.qc"], 2, "", re.escape(_TOP_USAGE)
+         + "qwsim: error: argument command: invalid choice: '1' " + _CHOICES + "\n"),
+        (["simulate", "x.qc", "--amplitudes"], 2, "", "usage: qwsim simulate [-h] [--probs] [--branches] circuit\n"
+         "qwsim simulate: error: unrecognized arguments: --amplitudes\n"),
+    ], ids=["none", "help", "bogus", "stats", "stats-help", "sample-no-shots", "one-pair-wire",
+            "option-first", "amplitudes"])
+    def test_argparse_answers_are_pinned(self, capsys, monkeypatch, argv, code, out, err):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help at the terminal width
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        got_out, got_err = capsys.readouterr()
+        assert (exc.value.code, got_out) == (code, out)
+        if "invalid choice" in err:
+            assert re.fullmatch(err, got_err), got_err
+        else:
+            assert got_err == err
