@@ -27,7 +27,8 @@ float array in :class:`QubitStats` field order, which ``qwsim stats``
 prints from directly.
 :func:`qubit_stats` is the same computation on a stack of one.
 
-A pure state passes ``linalg.check_unit_state`` before any work.
+A pure state passes ``linalg.check_unit_state`` before any work, once,
+at the public entry it comes in by.
 :func:`probability_of_one` sums ``|psi|**2`` over the half where the bit
 is 1, as ``measure_qubit`` sums each outcome over its own half.
 
@@ -286,8 +287,10 @@ def qubit_stats(rho) -> QubitStats:
 
 def _qubit_rows(psi, n) -> np.ndarray:
     """The rows of :func:`all_qubit_stats` as one ``(n, 9)`` float array,
-    wire 0 first, each in :class:`QubitStats` field order."""
-    psi, n = check_unit_state(psi, n)
+    wire 0 first, each in :class:`QubitStats` field order, of a complex
+    unit vector ``psi`` of ``2**n`` amplitudes that is already checked:
+    ``all_qubit_stats`` checks it, and ``qwsim stats`` passes the walk's
+    register, whose norm the walk has tested."""
     p = np.abs(psi) ** 2
     rho = np.empty((n, 2, 2), dtype=complex)
     for q in range(n):
@@ -311,6 +314,7 @@ def all_qubit_stats(psi, n) -> list[QubitStats]:
     once, in closed form.  ``psi`` passes ``check_unit_state``, which
     refuses a non-finite amplitude, so the stack needs no finiteness test.
     """
+    psi, n = check_unit_state(psi, n)
     return [QubitStats(*row) for row in _qubit_rows(psi, n).tolist()]
 
 

@@ -11,17 +11,18 @@ that rule (:func:`_fmt`'s) once to its array of rows, then formats each
 value with ``.12g``: a records row through one template, a table cell by
 ``format``.
 
-A result is read off the walk's rows as walked (``engine._lower`` and
-``engine._walk``): each row is the register of the K wires the gates
-moved and did not measure, in first-move slot order, never copied into
-wire order nor scattered into ``2**n``, as every other wire stays |0> to
-the end.  Bit ``s`` of a register index is the wire in slot ``s``.
-``simulate`` lists every circuit this one way: under the ``measured
-wires`` / ``kept wires`` / ``branch`` heads when the circuit measures or
-``--branches`` is given, it prints each listed entry of each row at its
-index over the unmeasured wires, bit ``s`` at the bit that
-``engine._register_bits`` gives slot ``s`` (the rank of its wire among
-them, the wire itself when nothing is measured), in index order.
+A result is read off the walk's rows as walked (``engine._walk`` of the
+``engine.Lowered`` record of ``engine._lower``, read by field name): each
+row is the register of the K wires the gates moved and did not measure,
+in first-move slot order, never copied into wire order nor scattered
+into ``2**n``, as every other wire stays |0> to the end.  Bit ``s`` of a
+register index is the wire in slot ``s``.  ``simulate`` lists every
+circuit this one way: under the ``measured wires`` / ``kept wires`` /
+``branch`` heads when the circuit measures or ``--branches`` is given,
+it prints each listed entry of each row at its index over the unmeasured
+wires ``Lowered.kept``, bit ``s`` at bit ``Lowered.bits[s]`` (the rank
+of its wire among them, the wire itself when nothing is measured), in
+index order.
 ``stats``, which refuses a MEASURE, reads the one row of
 ``engine._walk_register`` into ``analysis._qubit_rows``, the fields of
 ``all_qubit_stats`` as one ``(K, 9)`` array, keys each slot's row by the
@@ -56,7 +57,7 @@ import sys
 import numpy as np
 
 from .circuit import load_circuit
-from .engine import _lower, _register_bits, _scatter, _walk, _walk_register
+from .engine import _lower, _scatter, _walk, _walk_register
 from .errors import ResourceError, SimulationError
 from .linalg import check_wires
 
@@ -139,18 +140,17 @@ def _print_state(rows: np.ndarray, width: int, probs: bool, heads, bits) -> None
 
 def _cmd_simulate(args) -> int:
     circ = load_circuit(args.circuit)
-    steps, measured, wire_map, _, width = _lower(circ, circ.ops)
-    outcomes, probs, rows, _ = _walk(steps, width)
-    kept, bits = _register_bits(measured, wire_map)
+    low = _lower(circ, circ.ops)
+    outcomes, probs, rows, _ = _walk(low)
     heads = None
-    if measured or args.branches:
-        print(f"measured wires: {' '.join(map(str, measured)) or 'none'}")
-        print("kept wires: " + (", ".join(f"{w}->{r}" for r, w in enumerate(kept)) or "none"))
+    if low.measured or args.branches:
+        print(f"measured wires: {' '.join(map(str, low.measured)) or 'none'}")
+        print("kept wires: " + (", ".join(f"{w}->{r}" for r, w in enumerate(low.kept)) or "none"))
         heads = [
             f"branch {''.join(map(str, record)) or '-'}: p={_fmt(p)}"
             for record, p in zip(outcomes.tolist(), probs.tolist())
         ]
-    _print_state(rows, len(kept), args.probs, heads, bits)
+    _print_state(rows, len(low.kept), args.probs, heads, low.bits)
     return 0
 
 

@@ -60,16 +60,17 @@ still 0 that it does not name.  That start serves a ``psi0``, which
 takes no wire as known, and a register of every wire past ``2 * _SLICE``
 amplitudes, which first-move order could only put back into wire order
 in a second state of all n wires.  :func:`_lower` compiles for every
-runner and gives the walk its start: the register of its first split, or
-else of its end, ``2**n`` amplitudes in wire order.  :func:`run_circuit`
-scatters the ``2**K`` amplitudes, whose norm the walk tests, once into a
-zeroed state of every wire, from a transposed view that puts them back
-into wire order (:func:`_scatter`); the scatter moves no value, so the
-test holds for the result.  ``run_with_branches`` scatters its leaves
+runner into one record, :class:`Lowered`, which the runners read by
+field name, and the walk works out its start from it: the register of
+its first split, or else of its end, ``2**n`` amplitudes in wire order.
+:func:`run_circuit` scatters the ``2**K`` amplitudes, whose norm the
+walk tests, once into a zeroed state of every wire, from a transposed
+view that puts them back into wire order (:func:`_scatter`); the scatter
+moves no value, so the test holds for the result.  ``run_with_branches`` scatters its leaves
 the same way, over the unmeasured wires.  The CLI reads the walk's rows
 in slot order and never builds the ``2**n`` state or a wire-order copy.
 Every reader places slot ``s`` of the register at the one bit that
-:func:`_register_bits` gives it: the rank of the slot's wire among the
+``Lowered.bits`` gives it: the rank of the slot's wire among the
 unmeasured wires, which is the wire itself when nothing is measured.
 
 A state of at most ``2 * _SLICE`` amplitudes, over all rows, runs a
@@ -540,13 +541,14 @@ def _split(stack: np.ndarray, slot: int, width=None, rows=None, draws=None, resi
     return nodes, bits, p, children.reshape(len(nodes), -1), rows
 
 
-def _walk(steps, width: int, psi0=None, draws=None) -> tuple:
-    """Run compiled ``steps`` breadth-first over a stack of outcome prefixes.
+def _walk(low: Lowered, draws=None) -> tuple:
+    """Run the steps of a lowering (:func:`_lower`) breadth-first over a
+    stack of outcome prefixes.
 
-    The walk starts from a fresh ``(1, width)`` stack: a copy of ``psi0``,
-    or |00...0> in ``width`` amplitudes, ``width = 1`` included, as
-    :func:`_lower` gives them.  It then holds one ``(B, W)`` stack with a
-    row per live outcome prefix.  Each gate plan runs once, in place, on
+    The walk starts from a fresh ``(1, W)`` stack: a copy of ``low.psi0``,
+    or |00...0> in the register of the first split or else of the end,
+    ``2**len(low.bits)`` amplitudes, 1 included.  It then holds one
+    ``(B, W)`` stack with a row per live outcome prefix.  Each gate plan runs once, in place, on
     the prefix view ``stack[:, :size]`` of its rows: the whole rows when
     ``size`` is None, and on a register grown in first-move order the
     amplitudes it has grown to.  Each MEASURE splits the
@@ -566,64 +568,60 @@ def _walk(steps, width: int, psi0=None, draws=None) -> tuple:
     Only the rows are read then, so a walk that ends on a split builds no
     residuals there, and its ``stack`` is None.
     """
-    if psi0 is None:
+    if low.psi0 is None:
+        width = next((at[1] for plan, at in low.steps if plan is None), 1 << len(low.bits))
         stack = np.zeros((1, width), dtype=complex)
         stack[0, 0] = 1.0
     else:
-        stack = psi0[None].copy()
+        stack = low.psi0[None].copy()
     outcomes = np.zeros((1, 0), dtype=np.intp)
     probs = np.ones(1)
     rows = None if draws is None else np.zeros(len(draws), dtype=np.intp)
-    last = len(steps) - 1
-    for i, (plan, at) in enumerate(steps):
+    for i, (plan, at) in enumerate(low.steps):
         if plan is not None:
             # a prefix of the rows is a view of them, so the plan writes the
             # rows; a bound of None takes the whole rows
             _run_plan(plan, stack[:, :at])
             continue
         slot, size, next_width = at
-        d = outcomes.shape[1]
-        column = None if draws is None else draws[:, d]
+        column = None if draws is None else draws[:, outcomes.shape[1]]
         # a sampler's last split hands on only its rows
-        residuals = draws is None or i < last
+        residuals = draws is None or i < len(low.steps) - 1
         nodes, bits, p, stack, rows = _split(stack[:, :size], slot, next_width, rows, column, residuals)
         outcomes = np.concatenate((outcomes[nodes], bits[:, None]), axis=1)
         probs = probs[nodes] * p
-    if steps and steps[-1][0] is not None:
+    if low.steps and low.steps[-1][0] is not None:
         check_unit_norms(stack, np.array([np.vdot(row, row).real for row in stack]))
     return outcomes, probs, stack, rows
 
 
-def _lower(circuit, ops, psi0=None) -> tuple:
-    """Compile ``ops``, those of the checked ``circuit`` or a prefix of
-    them, and check ``psi0`` once, for every runner.
+class Lowered(NamedTuple):
+    """What every runner reads of a compile: see :func:`_lower`."""
 
-    Returns ``(steps, measured, wire_map, psi0, width)``: the compile's
-    output, ``psi0`` as checked, or None, and the walk's start width in
-    amplitudes: the register of its first split or, with no split, the
-    register it ends on; ``2**n`` in wire order.
+    steps: list  # the compile's steps
+    measured: tuple[int, ...]  # the measured wires, in op order
+    psi0: np.ndarray | None  # the start state as checked, or None for |00...0>
+    kept: list[int]  # the unmeasured wires, in wire order
+    bits: list[int]  # each register slot's bit in an index over ``kept``
+
+
+def _lower(circuit, ops, psi0=None) -> Lowered:
+    """Compile ``ops``, those of the checked ``circuit`` or a prefix of
+    them, and check ``psi0`` once, for every runner, into one record that
+    the runners read by field name.
+
+    Every reader places slot ``s`` of the walk's register at bit
+    ``bits[s]`` of an index over the unmeasured wires ``kept``: the rank in
+    ``kept`` of the wire in slot ``s``, which with nothing measured is that
+    wire.  ``run_circuit``, ``run_with_branches``, ``qwsim simulate`` and
+    ``qwsim stats`` place a row's bits by this one list.
     """
     steps, measured, wire_map = compile_circuit(circuit.n, ops, psi0)
     if psi0 is not None:
         psi0 = check_unit_state(psi0, circuit.n)[0]
-    end = 1 << sum(slot is not None for slot in wire_map.values())
-    width = next((at[1] for plan, at in steps if plan is None), end)
-    return steps, measured, wire_map, psi0, width
-
-
-def _register_bits(measured, wire_map: dict) -> tuple[list[int], list[int]]:
-    """Where each slot of the walk's register lands in a reader's index.
-
-    Returns ``(kept, bits)``: the wires of the compile's ``wire_map`` not
-    in ``measured``, in wire order, and the bit of each register slot in an
-    index over them: ``bits[s]`` is the rank in ``kept`` of the wire in
-    slot ``s``, which with nothing measured is that wire.  ``run_circuit``,
-    ``run_with_branches``, ``qwsim simulate`` and ``qwsim stats`` place a
-    row's bits by this list.
-    """
     kept = [w for w in wire_map if w not in measured]
     wires = sorted((w for w in kept if wire_map[w] is not None), key=wire_map.get)
-    return kept, [kept.index(w) for w in wires] if measured else wires
+    return Lowered(steps, measured, psi0, kept, [kept.index(w) for w in wires] if measured else wires)
 
 
 def _scatter(rows: np.ndarray, bits: list, width: int) -> np.ndarray:
@@ -662,8 +660,8 @@ def _walk_register(circuit, psi0=None) -> tuple[np.ndarray, list[int]]:
     for k, op in enumerate(circuit.ops):
         if op.gate == MEASURE:
             raise ContractError(f"op {k} ({op}) is a measurement; use the measurement module")
-    steps, _, wire_map, psi0, width = _lower(circuit, circuit.ops, psi0)
-    return _walk(steps, width, psi0)[2][0], _register_bits((), wire_map)[1]
+    low = _lower(circuit, circuit.ops, psi0)
+    return _walk(low)[2][0], low.bits
 
 
 def run_circuit(circuit, psi0=None) -> np.ndarray:

@@ -12,7 +12,8 @@ carry no residual (there is nothing meaningful to renormalize).
 
 Which wire sits where after each measurement does not depend on outcomes,
 so one lowering, ``engine._lower``, places each gate's kernel plan once
-and checks a start state once, for both consumers as for ``run_circuit``.
+and checks a start state once, for both consumers as for ``run_circuit``,
+into one ``engine.Lowered`` record that each reads by field name.
 The one breadth-first walker, ``engine._walk``, then serves them all.
 It holds every live outcome prefix as one row of a ``(B, W)`` stack of
 residuals: each gate plan runs once on the whole stack, and each MEASURE
@@ -28,9 +29,9 @@ in first-move order unless it moves every wire with ``2**n`` past ``2 *
 engine._SLICE``, and a ``psi0`` run starts in wire order.
 :func:`run_with_branches` scatters a grown walk's leaves once into wire
 order over the unmeasured wires, measured or not, each slot at the bit
-``engine._register_bits`` gives it, and builds ``BranchTree.wire_map``
-from the unmeasured wires it returns; :func:`sample_shots` and ``qwsim
-simulate`` read only the rows.  A grown split sums each
+that the lowering's ``bits`` give it, and builds ``BranchTree.wire_map``
+from its ``kept`` wires; :func:`sample_shots` and ``qwsim simulate``
+read only the rows.  A grown split sums each
 outcome over the live register alone, so a leaf may differ from a
 ``psi0`` run's in the last bit.
 
@@ -64,7 +65,7 @@ import numpy as np
 from .errors import ContractError
 from .circuit import Circuit, check_circuit
 # PRUNE_EPS is the split's; ``oracle`` and callers read it here
-from .engine import PRUNE_EPS, _lower, _register_bits, _scatter, _split, _walk
+from .engine import PRUNE_EPS, _lower, _scatter, _split, _walk
 from .gates import MEASURE
 from .linalg import check_int, check_unit_state, check_wires, make_rng
 
@@ -144,16 +145,15 @@ def run_with_branches(circuit: Circuit, psi0=None) -> BranchTree:
     :func:`~qwsim.engine.run_circuit`.
     """
     circuit = check_circuit(circuit)
-    steps, measured, wire_map, psi0, width = _lower(circuit, circuit.ops, psi0)
-    outcomes, probs, states, _ = _walk(steps, width, psi0)
-    kept, bits = _register_bits(measured, wire_map)
-    states = _scatter(states, bits, len(kept))
+    low = _lower(circuit, circuit.ops, psi0)
+    outcomes, probs, states, _ = _walk(low)
+    states = _scatter(states, low.bits, len(low.kept))
     leaves = tuple(
         BranchLeaf(tuple(record), prob, state)
         for record, prob, state in zip(outcomes.tolist(), probs.tolist(), states)
     )
-    leaf_bits = dict.fromkeys(range(circuit.n)) | {w: r for r, w in enumerate(kept)}
-    return BranchTree(circuit.n, measured, leaf_bits, leaves)
+    leaf_bits = dict.fromkeys(range(circuit.n)) | {w: r for r, w in enumerate(low.kept)}
+    return BranchTree(circuit.n, low.measured, leaf_bits, leaves)
 
 
 def sample_shots(circuit: Circuit, shots: int, seed, psi0=None) -> dict[str, int]:
@@ -175,17 +175,17 @@ def sample_shots(circuit: Circuit, shots: int, seed, psi0=None) -> dict[str, int
     if not ends:
         raise ContractError("circuit has no MEASURE ops to sample")
     # Gates after the last MEASURE cannot change a record, so none is placed.
-    steps, measured, _, psi0, width = _lower(circuit, circuit.ops[: ends[-1]], psi0)
+    low = _lower(circuit, circuit.ops[: ends[-1]], psi0)
     rng = make_rng(seed)  # after psi0 is checked, once for every chunk
 
     histogram: dict[str, int] = {}
     for first in range(0, shots, _SHOT_CHUNK):
         chunk = min(_SHOT_CHUNK, shots - first)
         # rows of one table read the generator exactly as shot-by-shot draws would
-        draws = rng.random((chunk, len(measured)))
+        draws = rng.random((chunk, len(low.measured)))
         # each walk builds its own start and frees it at its first split; the
         # leaf stack is not kept, so nothing of one chunk lives into the next
-        outcomes, rows = _walk(steps, width, psi0, draws)[::3]
+        outcomes, rows = _walk(low, draws)[::3]
         counts = np.bincount(rows, minlength=len(outcomes))
         for record, count in zip(outcomes.tolist(), counts.tolist()):
             key = "".join(map(str, record))

@@ -21,8 +21,20 @@ then compare two digest files::
 
 ``--diff`` prints each entry that changed or that only one file holds,
 then the counts, with the changed CLI texts and float bits counted apart,
-and exits 1 when any entry differs.  Standard library and
-numpy only; pytest collects no ``test_*`` name here.
+and exits 1 when any entry differs.  In one command, against another
+checkout (say ``git archive`` of the parent, unpacked into ``DIR``)::
+
+    PYTHONPATH=src python tests/differential.py --base DIR [--random 300] [--seed 0]
+
+digests the tree that ``qwsim`` is found in from here (the one on
+``PYTHONPATH``) and the tree under ``DIR/src``, each in a child process of
+this same script that differs from this one only in ``PYTHONPATH``, then
+prints the ``--diff`` report of the two, base first.  So the two trees
+never share a process, and both run under one environment: a process's
+BLAS thread count, fixed when numpy loads, sets the float bits of
+``all_qubit_stats`` on 17 wires.
+
+Standard library and numpy only; pytest collects no ``test_*`` name here.
 """
 
 from __future__ import annotations
@@ -31,8 +43,11 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -176,26 +191,47 @@ def diff(old: dict[str, str], new: dict[str, str]) -> list[str]:
     return lines
 
 
+def report(old: dict[str, str], new: dict[str, str]) -> int:
+    """Print the :func:`diff` of two digest sets and their counts; 1 when
+    any entry differs, else 0."""
+    lines = diff(old, new)
+    changed = [line for line in lines if line.startswith("changed")]
+    bits = sum(line.endswith(" bits") for line in changed)
+    print("\n".join(lines + [
+        f"{len(old)} and {len(new)} entries, "
+        f"{len(changed) - bits} text and {bits} bits changed, "
+        f"{len(lines) - len(changed)} in one file only"
+    ]))
+    return 1 if lines else 0
+
+
+def child_digests(src: Path, count: int, seed: int) -> dict[str, str]:
+    """:func:`digests` of the tree whose package directory is in ``src``,
+    made by this script in a child process with ``src`` alone on
+    ``PYTHONPATH`` and this process's environment otherwise."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "digests.json"
+        env = {**os.environ, "PYTHONPATH": str(src.resolve())}
+        argv = [sys.executable, __file__, "--out", str(out), "--random", str(count), "--seed", str(seed)]
+        subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL)
+        return json.loads(out.read_text(encoding="utf-8"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="write the digest file here")
     parser.add_argument("--random", type=int, default=300, help="random circuits (default 300)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--diff", nargs=2, metavar=("A", "B"), help="compare two digest files")
+    parser.add_argument("--base", metavar="DIR", help="compare with the tree under DIR/src")
     args = parser.parse_args(argv)
     if args.diff:
-        old, new = (json.loads(Path(p).read_text(encoding="utf-8")) for p in args.diff)
-        lines = diff(old, new)
-        changed = [line for line in lines if line.startswith("changed")]
-        bits = sum(line.endswith(" bits") for line in changed)
-        print("\n".join(lines + [
-            f"{len(old)} and {len(new)} entries, "
-            f"{len(changed) - bits} text and {bits} bits changed, "
-            f"{len(lines) - len(changed)} in one file only"
-        ]))
-        return 1 if lines else 0
+        return report(*(json.loads(Path(p).read_text(encoding="utf-8")) for p in args.diff))
+    if args.base:
+        here = Path(importlib.util.find_spec("qwsim").origin).parents[1]
+        return report(*(child_digests(src, args.random, args.seed) for src in (Path(args.base, "src"), here)))
     if not args.out:
-        parser.error("give --out FILE or --diff A B")
+        parser.error("give --out FILE, --diff A B or --base DIR")
     entries = digests(args.random, args.seed)
     Path(args.out).write_text(json.dumps(entries, indent=0, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{len(entries)} entries written to {args.out}")

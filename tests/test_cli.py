@@ -226,7 +226,7 @@ class TestSimulate:
         )
         # the walk's one row, with no outcome record, in place of the H layer's
         no_record = np.zeros((1, 0), dtype=np.intp)
-        monkeypatch.setattr(cli, "_walk", lambda steps, width: (no_record, np.ones(1), edge[None], None))
+        monkeypatch.setattr(cli, "_walk", lambda low: (no_record, np.ones(1), edge[None], None))
         amplitudes = {0: "0.8", 1: "1.01e-12", 3: "1.01e-06", 4: "9.9e-07i", 5: "0", 7: "-0.6"}
         probs = {0: "0.64", 3: "1.0201e-12", 7: "0.36"}
         for order in ((0, 1, 2), (1, 2, 0)):
@@ -407,6 +407,20 @@ class TestStats:
         assert run_cli(capsys, "stats", path)[0] == 0
         assert calls == []
         assert run_cli(capsys, "stats", path, "--pair", "0", "2")[0] == 0
+        assert calls == [1]
+
+    def test_one_norm_test_per_run(self, capsys, circuit_file, monkeypatch):
+        # the walk tests the register it ends on; the rows read it unchecked.
+        # A norm test is check_unit_norms, which check_unit_state calls in
+        # linalg and which engine and analysis import by name
+        from qwsim import linalg
+
+        calls = []
+        real = linalg.check_unit_norms
+        for module in (linalg, engine, analysis):
+            monkeypatch.setattr(module, "check_unit_norms", lambda *a: calls.append(1) or real(*a))
+        path = circuit_file(MIXED_PAIR)
+        assert run_cli(capsys, "stats", path, "--format", "records")[0] == 0
         assert calls == [1]
 
     def test_pair_block(self, capsys, circuit_file):
@@ -591,7 +605,7 @@ class TestRegisterReadout:
             circ = parse_circuit(text)
             _, measured, wire_map = engine.compile_circuit(circ.n, circ.ops)
             kept = [w for w in range(circ.n) if w not in measured]
-            wires = engine._register_bits((), wire_map)[1]
+            wires = sorted((w for w in wire_map if wire_map[w] is not None), key=wire_map.get)
             ranks = [kept.index(w) for w in wires]
             seen["slots out of order"] += ranks != sorted(ranks)
             seen["ranks not wires"] += ranks != wires  # a measured wire below a kept one
@@ -871,6 +885,15 @@ class TestDifferential:
         assert capsys.readouterr().out.splitlines() == [
             f"changed: {bits}", f"changed: {text}", summary.format(1, 1)
         ]
+
+    def test_a_base_run_against_this_tree_changes_nothing(self, capsys):
+        # this tree twice, each time in a child process under the same
+        # environment, which need not be the one this process started under:
+        # collecting perfbench sets the BLAS thread variables to 1
+        root = Path(__file__).resolve().parents[1]
+        assert differential.main(["--base", str(root), "--random", "5"]) == 0
+        out = capsys.readouterr().out
+        assert re.fullmatch(r"(\d+) and \1 entries, 0 text and 0 bits changed, 0 in one file only\n", out), out
 
 
 class TestParserReuse:

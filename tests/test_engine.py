@@ -3,6 +3,7 @@ import itertools
 import os
 from pathlib import Path
 
+import differential
 import numpy as np
 import pytest
 
@@ -820,7 +821,7 @@ class TestRegister:
             steps, _, wire_map = engine.compile_circuit(circ.n, circ.ops)
             k = sum(slot is not None for slot in wire_map.values())
             bases.clear()
-            stack = engine._walk(steps, 1 << k)[2]
+            stack = engine._walk(engine._lower(circ, circ.ops))[2]
             assert len(bases) == len(steps) and all(base is stack for base in bases)
             assert [size for _, size in steps] == sorted(size for _, size in steps)
             assert steps[-1][1] == stack.size == 1 << k
@@ -948,8 +949,42 @@ class TestRegister:
         engine.run_circuit(circ, linalg.zero_state(20))
         assert sizes == [1 << 20, 1 << 20]
 
+    def test_the_lowering_places_each_slot_by_the_one_rule(self, monkeypatch):
+        # each slot's bit is the rank of its wire among the unmeasured wires,
+        # worked out here from the compile's wire_map; the walk starts on the
+        # register of the first split, or else on 2**len(bits) amplitudes
+        starts = []
+        real = engine._split
+        monkeypatch.setattr(engine, "_split", lambda stack, *a: starts.append(stack.base.shape[1]) or real(stack, *a))
+        rng = np.random.default_rng(11)
+        seen = {"measured, ranks not wires": 0, "slots out of order": 0, "split": 0}
+        for c in range(100):
+            kind = differential.KINDS[c % len(differential.KINDS)]
+            circ = parse_circuit(differential.random_text(rng, kind))
+            psi0 = None
+            if kind == "psi0":
+                psi0 = rng.normal(size=(2, 1 << circ.n)).T @ [1, 1j]
+                psi0 /= np.linalg.norm(psi0)
+            steps, measured, wire_map = engine.compile_circuit(circ.n, circ.ops, psi0)
+            kept = [w for w in range(circ.n) if w not in measured]
+            wires = sorted((w for w in kept if wire_map[w] is not None), key=wire_map.get)
+            bits = [kept.index(w) for w in wires]
+            if not measured:
+                assert bits == wires
+            seen["measured, ranks not wires"] += bits != wires
+            seen["slots out of order"] += bits != sorted(bits)
+            low = engine._lower(circ, circ.ops, psi0)
+            assert (low.steps, low.measured, low.kept, low.bits) == (steps, measured, kept, bits)
+            assert (psi0 is None) == (low.psi0 is None)
+            starts.clear()
+            stack = engine._walk(low)[2]
+            sizes = [at[1] for plan, at in steps if plan is None]
+            seen["split"] += bool(sizes)
+            assert (starts or [stack.shape[1]])[0] == (sizes or [1 << len(bits)])[0], (kind, circ)
+        assert all(count >= 10 for count in seen.values()), seen
 
-MEASURED_12Q = """qubits 12
+
+MEASURED_12Q ="""qubits 12
 H 11 ; H 3 ; H 6
 SQRTSWAP 11 2
 Y 7 c=3
