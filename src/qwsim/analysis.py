@@ -291,13 +291,15 @@ def _qubit_rows(psi, n) -> np.ndarray:
     unit vector ``psi`` of ``2**n`` amplitudes that is already checked:
     ``all_qubit_stats`` checks it, and ``qwsim stats`` passes the walk's
     register, whose norm the walk has tested."""
-    p = np.abs(psi) ** 2
+    p, conj = np.abs(psi) ** 2, psi.conj()
     rho = np.empty((n, 2, 2), dtype=complex)
     for q in range(n):
         halves, probs = psi.reshape(-1, 2, 1 << q), p.reshape(-1, 2, 1 << q)
         rho[q, 0, 0] = np.add.reduce(probs[:, 0], None)
         rho[q, 1, 1] = np.add.reduce(probs[:, 1], None)
-        rho[q, 0, 1] = np.vdot(halves[:, 1], halves[:, 0])
+        # einsum sums in its own loops, where a BLAS vdot would split the
+        # sum across threads and so make its bits follow the thread count
+        rho[q, 0, 1] = np.einsum("ij,ij->", conj.reshape(-1, 2, 1 << q)[:, 1], halves[:, 0])
     rho[:, 1, 0] = rho[:, 0, 1].conj()
     return _bloch_rows(_density_gate(rho, 1)[0])
 

@@ -30,9 +30,10 @@ digests the tree that ``qwsim`` is found in from here (the one on
 ``PYTHONPATH``) and the tree under ``DIR/src``, each in a child process of
 this same script that differs from this one only in ``PYTHONPATH``, then
 prints the ``--diff`` report of the two, base first.  So the two trees
-never share a process, and both run under one environment: a process's
-BLAS thread count, fixed when numpy loads, sets the float bits of
-``all_qubit_stats`` on 17 wires.
+never share a process, and both run under one environment.  The float
+bits do not follow the BLAS thread count: digests made with
+``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` at 1 and at 2 read 0
+changed entries.
 
 Standard library and numpy only; pytest collects no ``test_*`` name here.
 """

@@ -1,7 +1,11 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,6 +396,30 @@ class TestAllQubitStats:
                 zeros = [v for v in dataclasses.astuple(s) if v == 0.0]
                 assert all(math.copysign(1.0, v) == 1.0 for v in zeros)  # no -0.0
             assert stats[2].theta == math.pi and stats[3].theta == 0.0
+
+    def test_bits_do_not_follow_the_blas_thread_count(self, tmp_path):
+        # BLAS reads its thread count once, when numpy loads it, so each count
+        # gets its own child process; both are set here, since collecting
+        # perfbench sets them to 1 in this process's environment.  The state
+        # is made here, as its normalization is a BLAS call too
+        state = tmp_path / "psi.npy"
+        np.save(state, linalg.random_state(17, np.random.default_rng(19)))
+        code = (
+            "import dataclasses, sys, numpy as np\n"
+            "from qwsim import analysis\n"
+            f"rows = analysis.all_qubit_stats(np.load({str(state)!r}), 17)\n"
+            "sys.stdout.write(np.array([dataclasses.astuple(r) for r in rows]).tobytes().hex())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        bits = [
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": src,
+                     "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert len(bits[0]) == 17 * 9 * 16 and bits[0] == bits[1]
 
 
 class TestNonFiniteInputs:

@@ -1,7 +1,9 @@
-"""The package's surface: the export table, and the modules each entry point loads."""
+"""The package's surface: the export table, the modules each entry point
+loads, and a CI workflow that pins no output."""
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -70,3 +72,12 @@ class TestExports:
         with pytest.raises(AttributeError, match="'qwsim' has no attribute 'no_such_name'"):
             qwsim.no_such_name  # noqa: B018
         assert not hasattr(qwsim, "cli_main")
+
+
+class TestWorkflow:
+    def test_ci_pins_no_output(self):
+        # every output pin lives in tier-1, once; the CI's console step
+        # checks only what a real process shows
+        text = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+        assert re.findall(r"\b[0-9a-f]{64}\b", text) == []
+        assert "sha256sum" not in text
