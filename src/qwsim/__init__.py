@@ -10,7 +10,8 @@ Quick start::
 See the individual modules for the full API: ``engine`` (the gate kernel),
 ``analysis`` (partial traces and statistics, every wire's in one sweep),
 ``measurement`` (branch trees and sampling), ``oracle`` (naive reference
-path), ``circuit`` (parsing), and ``cli``.
+path), ``circuit`` (ops, their ``ControlSpec`` bitmasks, and parsing), and
+``cli``.
 
 ``import qwsim`` loads no other module.  Each public name below, and each
 module that ``_EXPORTS`` names (``qwsim.oracle``), is imported on its first
@@ -34,7 +35,7 @@ _EXPORTS = {
         "zero_state",
     ),
     "gates": ("GateDef", "gate_def", "gate_matrix", "gate_names"),
-    "engine": ("ControlSpec", "apply_multi_qubit_gate", "run_circuit", "swap_bits"),
+    "engine": ("apply_multi_qubit_gate", "run_circuit"),
     "oracle": (
         "NAIVE_QUBIT_GUARD", "build_gate_full_matrix", "partial_trace_by_definition",
         "rearrange_bits", "simulate_naive",
@@ -49,7 +50,8 @@ _EXPORTS = {
         "sample_shots",
     ),
     "circuit": (
-        "Circuit", "GateOp", "format_circuit", "load_circuit", "parse_circuit", "random_circuit",
+        "Circuit", "ControlSpec", "GateOp", "format_circuit", "load_circuit", "parse_circuit",
+        "random_circuit", "swap_bits",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,4 +1,4 @@
-"""Circuit representation, text format, and random circuit generation.
+"""Ops and circuits, with their control bitmasks; text format; random circuits.
 
 The text format is line-oriented::
 
@@ -28,6 +28,12 @@ passes every check of ``GateOp`` on sight is built directly, masks and
 all; any other goes through ``GateOp``, whose one ``check_wires`` over
 targets and controls names the fault.  The ``Circuit`` checks each op
 against the register once, after every line is read.
+
+Every public entry checks its arguments with the one check of each kind
+in ``linalg``.  A gate's targets and controls go through
+:func:`check_targets` as one list, one ``check_wires``, so each wire is
+in range and none twice; ``ControlSpec`` pairs are checked on their own
+only to name a fault of theirs.
 """
 
 from __future__ import annotations
@@ -35,13 +41,97 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
 from .errors import ContractError, ParseError, SimulationError
 from .gates import MEASURE, gate_def, gate_names
-from .engine import NO_CONTROLS, ControlSpec, _checked_spec, check_targets
-from .linalg import MAX_QUBITS, check_bool, check_int, check_qubit_count, check_rng
+from .linalg import MAX_QUBITS, check_bool, check_int, check_qubit_count, check_rng, check_wires
+
+
+@dataclass(frozen=True, init=False)
+class ControlSpec:
+    """Control and anticontrol wires compiled to a pair of bitmasks.
+
+    ``entries`` holds ``(wire, is_control)`` pairs; ``is_control=False``
+    marks an anticontrol (wire must read 0).  An amplitude index ``k``
+    passes the spec iff ``(k & inclusion_mask) == desired_value_mask``.
+    """
+
+    entries: tuple[tuple[int, bool], ...] = ()
+    inclusion_mask: int = field(init=False, default=0)
+    desired_value_mask: int = field(init=False, default=0)
+    # the wires of ``entries``, in order; derived, so not compared or shown
+    wires: tuple[int, ...] = field(init=False, default=(), compare=False, repr=False)
+
+    def __new__(cls, entries=()):
+        # no register holds a wire past the cap; refuse it before 1 << wire
+        return check_targets(MAX_QUBITS, (), entries)[1]
+
+    def passes(self, k: int) -> bool:
+        """Whether amplitude index ``k``, a non-negative int, passes the spec."""
+        return (check_int(k, "index", 0) & self.inclusion_mask) == self.desired_value_mask
+
+
+def check_targets(n: int, targets, controls) -> tuple[tuple[int, ...], ControlSpec]:
+    """``targets`` as ints and ``controls`` (a ``ControlSpec``, None or
+    ``(wire, is_control)`` pairs) as a ``ControlSpec``, checked as one list
+    of wires.  Pairs are checked alone, against the cap, only once that
+    check fails, so that a fault of theirs is named a control's."""
+    if isinstance(controls, ControlSpec):
+        wires, flags = controls.wires, None
+    else:
+        wires, flags = [], []
+        try:
+            for wire, is_control in () if controls is None else controls:
+                wires.append(wire)
+                flags.append(check_bool(is_control, "is_control"))
+        except (TypeError, ValueError):
+            message = f"controls must be (wire, is_control) pairs, got {controls!r}"
+            raise ContractError(message) from None
+    try:
+        checked = check_wires(n, chain(targets, wires))
+    except ContractError:
+        if flags is not None:
+            try:
+                check_wires(MAX_QUBITS, wires)
+            except ContractError as exc:
+                raise ContractError(f"control {exc}") from None
+        raise
+    cut = len(checked) - len(wires)
+    if flags is None:
+        return checked[:cut], controls
+    return checked[:cut], _checked_spec(checked[cut:], flags)
+
+
+def _checked_spec(wires: tuple[int, ...], flags) -> ControlSpec:
+    """The ``ControlSpec`` of control ``wires`` that are already checked,
+    distinct plain ints below the cap, and their bool ``flags``; built
+    without ``__new__``, so without checking them again."""
+    inclusion = desired = 0
+    for wire, is_control in zip(wires, flags):
+        inclusion |= 1 << wire
+        desired |= is_control << wire
+    spec = object.__new__(ControlSpec)
+    spec.__dict__.update(entries=tuple(zip(wires, flags)), inclusion_mask=inclusion,
+                         desired_value_mask=desired, wires=wires)
+    return spec
+
+
+NO_CONTROLS = ControlSpec()
+
+
+def swap_bits(k: int, i: int, j: int) -> int:
+    """Return ``k``, a non-negative int, with bits ``i`` and ``j``
+    exchanged; each position is a wire, so ``0..MAX_QUBITS - 1``."""
+    k = check_int(k, "index", 0)
+    i, j = (check_int(b, "bit position", 0, MAX_QUBITS - 1) for b in (i, j))
+    bi = (k >> i) & 1
+    bj = (k >> j) & 1
+    if bi != bj:
+        k ^= (1 << i) | (1 << j)
+    return k
 
 
 @dataclass(frozen=True, init=False)

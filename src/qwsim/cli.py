@@ -13,16 +13,13 @@ value with ``.12g``: a records row through one template, a table cell by
 
 A result is read off the walk's rows as walked (``engine._walk`` of the
 ``engine.Lowered`` record of ``engine._lower``, read by field name): each
-row is the register of the K wires the gates moved and did not measure,
-in first-move slot order, never copied into wire order nor scattered
-into ``2**n``, as every other wire stays |0> to the end.  Bit ``s`` of a
-register index is the wire in slot ``s``.  ``simulate`` lists every
-circuit this one way: under the ``measured wires`` / ``kept wires`` /
-``branch`` heads when the circuit measures or ``--branches`` is given,
-it prints each listed entry of each row at its index over the unmeasured
-wires ``Lowered.kept``, bit ``s`` at bit ``Lowered.bits[s]`` (the rank
-of its wire among them, the wire itself when nothing is measured), in
-index order.
+row is the register that ``engine``'s layout rule gives the walk, never
+copied into wire order nor scattered into ``2**n``, as every other wire
+stays |0> to the end.  ``simulate`` lists every circuit this one way:
+under the ``measured wires`` / ``kept wires`` / ``branch`` heads when the
+circuit measures or ``--branches`` is given, it prints each listed entry
+of each row at its index over the unmeasured wires ``Lowered.kept``,
+placed by ``engine``'s slot-to-bit rule, in index order.
 ``stats``, which refuses a MEASURE, reads the one row of
 ``engine._walk_register`` into ``analysis._qubit_rows``, the fields of
 ``all_qubit_stats`` as one ``(K, 9)`` array, keys each slot's row by the
@@ -36,10 +33,11 @@ and is 0 on |0>, so its qubit cap bounds K, not n.
 
 When the first argument names a subcommand, :func:`main` parses the rest
 with that subcommand's own parser, as the top-level parser would hand it
-on; anything else (no argument, ``-h``, an unknown name, an option
-first) goes through the top-level parser.  Either way an unknown option
-is reported by the chosen subcommand's parser, with that subcommand's
-usage line, and exits 2, as argparse's other refusals do.
+on, so an unknown option after it is reported with that subcommand's
+usage line.  Anything else (no argument, ``-h``, an unknown name, an
+option first) goes through the top-level parser, which reports an
+unknown option under its own usage line.  Either way a refusal exits 2,
+as argparse's other refusals do.
 
 Each subcommand imports, when it runs, the layers that only it uses:
 ``stats`` imports ``analysis`` and ``sample`` imports ``measurement``, so
@@ -260,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the full branch tree even without measurements",
     )
-    p.set_defaults(func=_cmd_simulate, parser=p)
+    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("stats", help="per-qubit statistics of the final state")
     p.add_argument("circuit", help="path to a circuit file")
@@ -277,13 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="also report the order-2 stabilizer Renyi entropy",
     )
     p.add_argument("--format", choices=("table", "records"), default="table")
-    p.set_defaults(func=_cmd_stats, parser=p)
+    p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("sample", help="sample measurement records")
     p.add_argument("circuit", help="path to a circuit file")
     p.add_argument("--shots", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_sample, parser=p)
+    p.set_defaults(func=_cmd_sample)
 
     return parser
 
@@ -304,9 +302,7 @@ def main(argv=None) -> int:
         # the subcommand's own parser, as argparse would hand argv[1:] to it
         args = subcommands[argv[0]].parse_args(argv[1:])
     else:
-        args, rest = parser.parse_known_args(argv)
-        if rest:  # the subcommand's parser reports them, with its own usage line
-            args.parser.error(f"unrecognized arguments: {' '.join(rest)}")
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (SimulationError, OSError) as exc:

@@ -46,9 +46,9 @@ of plans that take no wire as known; a skipped zero may keep a sign that
 a full run would flip.
 
 The compile places the gates it keeps in one loop over slots, the state's
-wires from bit 0 up, from one of two starts, by one rule: a run from
-|00...0> grows its register unless it moves every wire with ``2**n``
-past ``2 * _SLICE``, and a ``psi0`` run starts in wire order.  A grown
+wires from bit 0 up, from one of two starts, by the layout rule: a run
+from |00...0> grows its register unless it moves every wire with
+``2**n`` past ``2 * _SLICE``, and a ``psi0`` run starts in wire order.  A grown
 register starts with no slot: a wire takes the next slot at the first
 gate that moves it, and each gate runs on the ``2**k`` amplitudes of the
 k wires slotted so far, where every wire not yet slotted reads 0, so it
@@ -69,9 +69,10 @@ view that puts them back into wire order (:func:`_scatter`); the scatter
 moves no value, so the test holds for the result.  ``run_with_branches`` scatters its leaves
 the same way, over the unmeasured wires.  The CLI reads the walk's rows
 in slot order and never builds the ``2**n`` state or a wire-order copy.
-Every reader places slot ``s`` of the register at the one bit that
-``Lowered.bits`` gives it: the rank of the slot's wire among the
-unmeasured wires, which is the wire itself when nothing is measured.
+By the slot-to-bit rule, every reader places slot ``s`` of the
+register at the one bit that ``Lowered.bits`` gives it: the rank of the
+slot's wire among the unmeasured wires, which is the wire itself when
+nothing is measured.
 
 A state of at most ``2 * _SLICE`` amplitudes, over all rows, runs a
 plan's steps on the whole view and nothing else.  A bigger one takes
@@ -89,119 +90,19 @@ another axis free, runs each piece as its two wire-0 halves, so numpy's
 inner loop runs along a long axis rather than once per run of 2.  Without
 the other free axis a half would be one amplitude, which numpy rounds
 unlike a stack's rows (see :func:`_place`).
-
-Every public entry checks its arguments with the one check of each kind
-in ``linalg``.  A gate's targets and controls go through
-:func:`check_targets` as one list, one ``check_wires``, so each wire is
-in range and none twice; ``ControlSpec`` pairs are checked on their own
-only to name a fault of theirs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
+from .circuit import check_circuit, check_targets
 from .errors import ContractError
 from .gates import MEASURE, gate_def, gate_names
-from .linalg import (
-    MAX_QUBITS,
-    check_bool,
-    check_int,
-    check_matrix,
-    check_state,
-    check_unit_norms,
-    check_unit_state,
-    check_wires,
-)
-
-
-@dataclass(frozen=True, init=False)
-class ControlSpec:
-    """Control and anticontrol wires compiled to a pair of bitmasks.
-
-    ``entries`` holds ``(wire, is_control)`` pairs; ``is_control=False``
-    marks an anticontrol (wire must read 0).  An amplitude index ``k``
-    passes the spec iff ``(k & inclusion_mask) == desired_value_mask``.
-    """
-
-    entries: tuple[tuple[int, bool], ...] = ()
-    inclusion_mask: int = field(init=False, default=0)
-    desired_value_mask: int = field(init=False, default=0)
-    # the wires of ``entries``, in order; derived, so not compared or shown
-    wires: tuple[int, ...] = field(init=False, default=(), compare=False, repr=False)
-
-    def __new__(cls, entries=()):
-        # no register holds a wire past the cap; refuse it before 1 << wire
-        return check_targets(MAX_QUBITS, (), entries)[1]
-
-    def passes(self, k: int) -> bool:
-        """Whether amplitude index ``k``, a non-negative int, passes the spec."""
-        return (check_int(k, "index", 0) & self.inclusion_mask) == self.desired_value_mask
-
-
-def check_targets(n: int, targets, controls) -> tuple[tuple[int, ...], ControlSpec]:
-    """``targets`` as ints and ``controls`` (a ``ControlSpec``, None or
-    ``(wire, is_control)`` pairs) as a ``ControlSpec``, checked as one list
-    of wires.  Pairs are checked alone, against the cap, only once that
-    check fails, so that a fault of theirs is named a control's."""
-    if isinstance(controls, ControlSpec):
-        wires, flags = controls.wires, None
-    else:
-        wires, flags = [], []
-        try:
-            for wire, is_control in () if controls is None else controls:
-                wires.append(wire)
-                flags.append(check_bool(is_control, "is_control"))
-        except (TypeError, ValueError):
-            message = f"controls must be (wire, is_control) pairs, got {controls!r}"
-            raise ContractError(message) from None
-    try:
-        checked = check_wires(n, chain(targets, wires))
-    except ContractError:
-        if flags is not None:
-            try:
-                check_wires(MAX_QUBITS, wires)
-            except ContractError as exc:
-                raise ContractError(f"control {exc}") from None
-        raise
-    cut = len(checked) - len(wires)
-    if flags is None:
-        return checked[:cut], controls
-    return checked[:cut], _checked_spec(checked[cut:], flags)
-
-
-def _checked_spec(wires: tuple[int, ...], flags) -> ControlSpec:
-    """The ``ControlSpec`` of control ``wires`` that are already checked,
-    distinct plain ints below the cap, and their bool ``flags``; built
-    without ``__new__``, so without checking them again."""
-    inclusion = desired = 0
-    for wire, is_control in zip(wires, flags):
-        inclusion |= 1 << wire
-        desired |= is_control << wire
-    spec = object.__new__(ControlSpec)
-    spec.__dict__.update(entries=tuple(zip(wires, flags)), inclusion_mask=inclusion,
-                         desired_value_mask=desired, wires=wires)
-    return spec
-
-
-NO_CONTROLS = ControlSpec()
-
-
-def swap_bits(k: int, i: int, j: int) -> int:
-    """Return ``k``, a non-negative int, with bits ``i`` and ``j``
-    exchanged; each position is a wire, so ``0..MAX_QUBITS - 1``."""
-    k = check_int(k, "index", 0)
-    i, j = (check_int(b, "bit position", 0, MAX_QUBITS - 1) for b in (i, j))
-    bi = (k >> i) & 1
-    bj = (k >> j) & 1
-    if bi != bj:
-        k ^= (1 << i) | (1 << j)
-    return k
+from .linalg import check_matrix, check_state, check_unit_norms, check_unit_state
 
 
 def _template(u: np.ndarray) -> tuple:
@@ -654,8 +555,6 @@ def _walk_register(circuit, psi0=None) -> tuple[np.ndarray, list[int]]:
     wires by slot, so bit ``s`` of a register index is wire ``wires[s]``.
     Every other wire is still |0> at the end.
     """
-    from .circuit import check_circuit  # circuit imports this module
-
     circuit = check_circuit(circuit)
     for k, op in enumerate(circuit.ops):
         if op.gate == MEASURE:

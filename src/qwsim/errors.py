@@ -10,7 +10,7 @@ class SimulationError(Exception):
 
 
 class DimensionError(SimulationError):
-    """Operand shapes are incompatible, or a result would exceed a size cap."""
+    """Operand shapes are incompatible."""
 
 
 class ContractError(SimulationError):

@@ -227,7 +227,8 @@ def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     rng = check_rng(rng)
     size = 1 << n
     psi = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    return psi / np.linalg.norm(psi)
+    # numpy's own sum, not BLAS's, so the bits do not follow the thread count
+    return psi / np.sqrt(np.add.reduce(psi.real**2 + psi.imag**2))
 
 
 # ---------------------------------------------------------------------------

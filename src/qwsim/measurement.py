@@ -24,14 +24,13 @@ outcome into one ``(2, B)`` table, the norm test, one batched division.
 A walk whose last step is a gate tests the norm of each leaf row.  This
 module holds the checked entry points and the results' types.
 
-The layout rule is ``engine``'s: a run from |00...0> grows its register
-in first-move order unless it moves every wire with ``2**n`` past ``2 *
-engine._SLICE``, and a ``psi0`` run starts in wire order.
-:func:`run_with_branches` scatters a grown walk's leaves once into wire
-order over the unmeasured wires, measured or not, each slot at the bit
-that the lowering's ``bits`` give it, and builds ``BranchTree.wire_map``
-from its ``kept`` wires; :func:`sample_shots` and ``qwsim simulate``
-read only the rows.  A grown split sums each
+A walk's register follows ``engine``'s layout rule, and its slots land
+by ``engine``'s slot-to-bit rule; both are stated once, in ``engine``'s
+docstring.  :func:`run_with_branches` scatters a grown walk's leaves once
+into wire order over the unmeasured wires by the slot-to-bit rule, and
+builds ``BranchTree.wire_map`` from the lowering's ``kept`` wires;
+:func:`sample_shots` and ``qwsim simulate`` read only the rows.  A grown
+split sums each
 outcome over the live register alone, so a leaf may differ from a
 ``psi0`` run's in the last bit.
 

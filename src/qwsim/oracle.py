@@ -28,8 +28,7 @@ import numpy as np
 from .errors import ContractError, ResourceError
 from .gates import MEASURE, GateDef, gate_def
 from .analysis import _split_kept
-from .circuit import Circuit, check_circuit
-from .engine import check_targets, swap_bits
+from .circuit import Circuit, check_circuit, check_targets, swap_bits
 from .linalg import (
     _hermitian_part,
     _state_size,

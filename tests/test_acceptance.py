@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 
 from qwsim import analysis, engine, gates, linalg, measurement, oracle
-from qwsim.circuit import parse_circuit, random_circuit
+from qwsim.circuit import ControlSpec, parse_circuit, random_circuit, swap_bits
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -94,7 +94,7 @@ def test_criterion_3_mixed_pair_reduced_matrices():
 def test_criterion_4_bit_swap_worked_pairs():
     cases = [(14, 0, 3, 7), (10, 0, 3, 3), (13, 1, 2, 11), (10, 1, 2, 12)]
     for k, i, j, expected in cases:
-        assert engine.swap_bits(k, i, j) == expected
+        assert swap_bits(k, i, j) == expected
     _report(4, "all four worked bit-swap pairs exact")
 
 
@@ -180,7 +180,7 @@ def test_criterion_8_invariant_bundle():
         psi = linalg.random_state(n, rng)
         target = int(rng.integers(n))
         free = [w for w in range(n) if w != target]
-        spec = engine.ControlSpec(
+        spec = ControlSpec(
             tuple((w, bool(rng.integers(2))) for w in free[: 1 + int(rng.integers(len(free)))])
         )
         out = engine.apply_multi_qubit_gate(n, gates.gate_matrix("H"), (target,), psi, spec)

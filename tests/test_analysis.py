@@ -401,7 +401,7 @@ class TestAllQubitStats:
         # BLAS reads its thread count once, when numpy loads it, so each count
         # gets its own child process; both are set here, since collecting
         # perfbench sets them to 1 in this process's environment.  The state
-        # is made here, as its normalization is a BLAS call too
+        # is made once, here, and handed to both
         state = tmp_path / "psi.npy"
         np.save(state, linalg.random_state(17, np.random.default_rng(19)))
         code = (

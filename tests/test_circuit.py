@@ -10,7 +10,7 @@ import pytest
 from qwsim import circuit as circ_mod
 from qwsim import engine, gates, linalg
 from qwsim.circuit import Circuit, GateOp, format_circuit, parse_circuit, random_circuit
-from qwsim.engine import ControlSpec
+from qwsim.circuit import ControlSpec
 from qwsim.errors import CatalogError, ContractError, ParseError, ResourceError
 
 CIRCUITS = Path(__file__).resolve().parents[1] / "circuits"

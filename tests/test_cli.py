@@ -960,8 +960,9 @@ class TestDispatch:
          + "qwsim: error: argument command: invalid choice: '1' " + _CHOICES + "\n"),
         (["simulate", "x.qc", "--amplitudes"], 2, "", "usage: qwsim simulate [-h] [--probs] [--branches] circuit\n"
          "qwsim simulate: error: unrecognized arguments: --amplitudes\n"),
+        (["--probs", "simulate", "x.qc"], 2, "", _TOP_USAGE + "qwsim: error: unrecognized arguments: --probs\n"),
     ], ids=["none", "help", "bogus", "stats", "stats-help", "sample-no-shots", "one-pair-wire",
-            "option-first", "amplitudes"])
+            "option-first", "amplitudes", "unknown-option-first"])
     def test_argparse_answers_are_pinned(self, capsys, monkeypatch, argv, code, out, err):
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help at the terminal width
         with pytest.raises(SystemExit) as exc:

@@ -10,7 +10,7 @@ import pytest
 from qwsim import circuit as circuit_module
 from qwsim import analysis, cli, engine, gates, linalg, measurement, oracle
 from qwsim.circuit import Circuit, GateOp, load_circuit, parse_circuit, random_circuit
-from qwsim.engine import ControlSpec, NO_CONTROLS
+from qwsim.circuit import NO_CONTROLS, ControlSpec, swap_bits
 from qwsim.errors import ContractError, DimensionError, ParseError
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -177,20 +177,20 @@ class TestSwapBits:
         [(14, 0, 3, 7), (10, 0, 3, 3), (13, 1, 2, 11), (10, 1, 2, 12)],
     )
     def test_worked_pairs(self, k, i, j, expected):
-        assert engine.swap_bits(k, i, j) == expected
+        assert swap_bits(k, i, j) == expected
 
     def test_equal_bits_are_fixed_points(self):
-        assert engine.swap_bits(0b1001, 0, 3) == 0b1001
-        assert engine.swap_bits(0b0110, 0, 3) == 0b0110
+        assert swap_bits(0b1001, 0, 3) == 0b1001
+        assert swap_bits(0b0110, 0, 3) == 0b0110
 
     def test_involution_and_symmetry(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             k = int(rng.integers(1 << 10))
             i, j = rng.choice(10, size=2, replace=False)
-            once = engine.swap_bits(k, int(i), int(j))
-            assert engine.swap_bits(once, int(i), int(j)) == k
-            assert engine.swap_bits(k, int(j), int(i)) == once
+            once = swap_bits(k, int(i), int(j))
+            assert swap_bits(once, int(i), int(j)) == k
+            assert swap_bits(k, int(j), int(i)) == once
 
     def test_matches_arithmetic_shuffle(self):
         for k in range(64):
@@ -199,14 +199,14 @@ class TestSwapBits:
                     bi = (k >> i) & 1
                     bj = (k >> j) & 1
                     rebuilt = k & ~(1 << i) & ~(1 << j) | (bj << i) | (bi << j)
-                    assert engine.swap_bits(k, i, j) == rebuilt
+                    assert swap_bits(k, i, j) == rebuilt
 
     def test_arguments_must_be_integers(self):
         # a float used to escape as a bare TypeError from the shift
         for args in ((3, 1.5, 0), (3, 0, "1"), (3.0, 0, 1), (True, 0, 1)):
             with pytest.raises(ContractError, match="must be an integer"):
-                engine.swap_bits(*args)
-        assert engine.swap_bits(np.int64(2), np.int32(1), np.uint8(0)) == 1
+                swap_bits(*args)
+        assert swap_bits(np.int64(2), np.int32(1), np.uint8(0)) == 1
 
 
 class TestApplySwap:

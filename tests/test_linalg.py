@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qwsim import analysis, engine, gates, linalg, measurement, oracle
-from qwsim.circuit import Circuit, GateOp, format_circuit, parse_circuit, random_circuit
-from qwsim.engine import ControlSpec
+from qwsim.circuit import (
+    Circuit, ControlSpec, GateOp, format_circuit, parse_circuit, random_circuit, swap_bits,
+)
 from qwsim.errors import ContractError, DimensionError, ResourceError, SimulationError
 
 
@@ -60,6 +66,26 @@ class TestStates:
         a = linalg.random_state(4, np.random.default_rng(9))
         b = linalg.random_state(4, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
+
+    def test_random_state_bits_do_not_follow_the_blas_thread_count(self):
+        # BLAS reads its thread count once, when numpy loads it, so each count
+        # gets its own child process; both are set here, since collecting
+        # perfbench sets them to 1 in this process's environment
+        code = (
+            "import sys, numpy as np\n"
+            "from qwsim import linalg\n"
+            "sys.stdout.write(linalg.random_state(17, np.random.default_rng(5)).tobytes().hex())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        bits = [
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": src,
+                     "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert len(bits[0]) == (1 << 17) * 16 * 2 and bits[0] == bits[1]
 
 
 def random_hermitian(dim, rng):
@@ -176,16 +202,16 @@ _PAST_A_BOUND = {
     ),
     "basis_state above": (lambda: linalg.basis_state(2, 4), "basis index 4 is outside 0..3"),
     # a negative index had its bits exchanged in two's complement: -2 gave -3
-    "swap_bits index": (lambda: engine.swap_bits(-2, 0, 1), "index must be at least 0, got -2"),
-    "swap_bits index -1": (lambda: engine.swap_bits(-1, 0, 1), "index must be at least 0, got -1"),
-    "swap_bits i": (lambda: engine.swap_bits(5, -1, 0), "bit position -1 is outside 0..25"),
-    "swap_bits j": (lambda: engine.swap_bits(5, 0, -1), "bit position -1 is outside 0..25"),
+    "swap_bits index": (lambda: swap_bits(-2, 0, 1), "index must be at least 0, got -2"),
+    "swap_bits index -1": (lambda: swap_bits(-1, 0, 1), "index must be at least 0, got -1"),
+    "swap_bits i": (lambda: swap_bits(5, -1, 0), "bit position -1 is outside 0..25"),
+    "swap_bits j": (lambda: swap_bits(5, 0, -1), "bit position -1 is outside 0..25"),
     # a position is a wire; past the cap it used to build an int of that many bits
     "swap_bits i above": (
-        lambda: engine.swap_bits(5, 26, 0), "bit position 26 is outside 0..25"
+        lambda: swap_bits(5, 26, 0), "bit position 26 is outside 0..25"
     ),
     "swap_bits j above": (
-        lambda: engine.swap_bits(5, 0, 26), "bit position 26 is outside 0..25"
+        lambda: swap_bits(5, 0, 26), "bit position 26 is outside 0..25"
     ),
     "sample_shots": (
         lambda: measurement.sample_shots(_MEASURE_0, 0, 0), "shots must be at least 1, got 0"

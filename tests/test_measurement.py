@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qwsim import analysis, engine, linalg, measurement, oracle
-from qwsim.circuit import Circuit, GateOp, format_circuit, parse_circuit, random_circuit
+from qwsim.circuit import Circuit, ControlSpec, GateOp, format_circuit, parse_circuit, random_circuit
 from qwsim.errors import ContractError, DimensionError, ParseError
 from qwsim.gates import MEASURE, gate_def, gate_names
 
@@ -35,7 +35,7 @@ def measured_circuit(rng, n):
             for w in live
             if w not in targets and rng.random() < 0.2
         )
-        ops.append(GateOp(name, targets, engine.ControlSpec(controls)))
+        ops.append(GateOp(name, targets, ControlSpec(controls)))
     if live and not any(op.gate == MEASURE for op in ops):
         ops.append(GateOp(MEASURE, (live[0],)))
     return Circuit(n, tuple(ops))

@@ -1,6 +1,7 @@
 """The package's surface: the export table, the modules each entry point
-loads, and a CI workflow that pins no output."""
+loads, the order of its layers, and a CI workflow that pins no output."""
 
+import ast
 import importlib
 import os
 import re
@@ -8,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import line_trace
 import pytest
 
 import qwsim
@@ -49,6 +51,30 @@ class TestLoadedModules:
     def test_a_reference_name_loads_the_oracle(self):
         assert "qwsim.oracle" in loaded_after("import qwsim; qwsim.simulate_naive")
 
+    def test_the_op_model_loads_no_kernel(self):
+        expected = {"qwsim"} | {f"qwsim.{m}" for m in ("circuit", "errors", "gates", "linalg")}
+        assert loaded_after("import qwsim.circuit") == expected
+
+
+# The package's modules, each importing only those before it.
+LAYERS = ("errors", "linalg", "gates", "circuit", "engine", "analysis", "measurement", "oracle", "cli")
+
+
+class TestLayers:
+    def test_each_module_imports_only_earlier_layers(self):
+        modules = {path.stem: path for path in (ROOT / "src" / "qwsim").glob("*.py")}
+        assert set(modules) - {"__init__"} == set(LAYERS)
+        wrong = []
+        for rank, name in enumerate(LAYERS):
+            tree = ast.parse(modules[name].read_text(encoding="utf-8"))
+            for node in ast.walk(tree):  # function-local imports too
+                if not isinstance(node, ast.ImportFrom) or not node.level:
+                    continue
+                # ``from .x import y`` names x; ``from . import x, y`` names x and y
+                named = [node.module] if node.module else [alias.name for alias in node.names]
+                wrong += [(name, node.lineno, m) for m in named if m not in LAYERS[:rank]]
+        assert wrong == []
+
 
 class TestExports:
     def test_every_name_is_its_home_modules_object(self):
@@ -72,6 +98,32 @@ class TestExports:
         with pytest.raises(AttributeError, match="'qwsim' has no attribute 'no_such_name'"):
             qwsim.no_such_name  # noqa: B018
         assert not hasattr(qwsim, "cli_main")
+
+
+class TestLineTrace:
+    def test_statements_leave_out_docstrings_defs_imports_and_the_main_guard(self):
+        source = "\n".join([
+            '"""doc"""',
+            "import os",
+            "X = (1,",
+            "     2)",
+            "def f(a):",
+            '    """doc"""',
+            "    if a:",
+            "        return 1",
+            "    try:",
+            "        pass",
+            "    except ValueError:",
+            "        raise",
+            '    "not a docstring"',
+            "if __name__ == '__main__':",
+            "    f(0)",
+        ])
+        # each statement by its first line, with the lines that mean it ran
+        assert line_trace.statements(source) == {
+            3: range(3, 5), 7: range(7, 8), 8: range(8, 9), 9: range(9, 10),
+            10: range(10, 11), 12: range(12, 13), 13: range(13, 14),
+        }
 
 
 class TestWorkflow:
