@@ -12,7 +12,7 @@ and the full density matrix is never formed.  For a density matrix an
 on a ``(2,)*2n`` view of the input, O(2**T * 4**K) work and no copy.
 
 Every density-matrix statistic passes one gate, the checks of
-:func:`check_density_matrix`, which hands on the spectrum it solved for:
+``_density_gate``, which hands on the spectrum it solved for:
 purity, entropy and the per-qubit and pair statistics refuse the same
 matrices, and :func:`pair_stats` solves for the spectrum of ``rho`` once.
 The gate takes one matrix or a ``(k, d, d)`` stack of them, with one
@@ -181,16 +181,6 @@ def _density_gate(rho, qubits=None, *, vectors=False) -> tuple:
     return rho, w, v
 
 
-def check_density_matrix(rho) -> int:
-    """Validate finiteness, Hermiticity, unit trace and positive semidefiniteness.
-
-    Returns the qubit count of the matrix.  Raises ``DimensionError`` for
-    an empty or non-square matrix and ``ContractError`` for any other
-    violation.  Every statistic below passes the same checks.
-    """
-    return _density_gate(check_matrix(rho))[0].shape[0].bit_length() - 1
-
-
 def _trace_of_square(rho: np.ndarray):
     """``Tr(rho^2)`` of one matrix, or of each in a stack."""
     return np.trace(rho @ rho, axis1=-2, axis2=-1).real
@@ -199,7 +189,7 @@ def _trace_of_square(rho: np.ndarray):
 def purity(rho) -> float:
     """``Tr(rho^2)`` as a real number; 1 for pure states, 1/2**k at minimum.
 
-    ``rho`` must pass :func:`check_density_matrix`.
+    ``rho`` must pass ``check_matrix`` and the rules of ``_density_gate``.
     """
     return float(_trace_of_square(_density_gate(check_matrix(rho))[0]))
 
@@ -215,10 +205,10 @@ def _entropy(w: np.ndarray) -> float:
 def von_neumann_entropy(rho) -> float:
     """Entropy ``-sum(lam * log2(lam))`` over the spectrum, in bits.
 
-    ``rho`` must pass :func:`check_density_matrix`.  Eigenvalues are
-    clamped to [0, 1] before the logarithm so the tiny negative values a
-    finite eigensolver produces for rank-deficient matrices do not turn
-    into NaNs; ``0 * log(0)`` counts as 0.
+    ``rho`` must pass ``check_matrix`` and the rules of ``_density_gate``.
+    Eigenvalues are clamped to [0, 1] before the logarithm so the tiny
+    negative values a finite eigensolver produces for rank-deficient
+    matrices do not turn into NaNs; ``0 * log(0)`` counts as 0.
     """
     return _entropy(_density_gate(check_matrix(rho))[1])
 
@@ -327,7 +317,7 @@ def concurrence(rho) -> float:
     the square roots of the eigenvalues of ``sqrt(rho) rho~ sqrt(rho)``
     (a Hermitian PSD product), sorted descending:
     ``C = max(0, l1 - l2 - l3 - l4)``.  ``rho`` must pass
-    :func:`check_density_matrix` and be 4x4.
+    ``check_matrix`` and the rules of ``_density_gate``, and be 4x4.
 
     Eigenvalues of the triple product below the solver's noise floor are
     zeroed before the square root: ``sqrt`` turns O(1e-15) roundoff on an

@@ -36,11 +36,11 @@ import operator
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, ResourceError, SimulationError
+from .errors import ContractError, DimensionError, ResourceError
 
-# Absolute tolerances used across modules: state-vector comparisons (and
-# the Hermitian and unit-trace tests of a matrix), eigenvalue comparisons,
-# and unitarity checks respectively.
+# Absolute tolerances: state-vector comparisons (and the Hermitian and
+# unit-trace tests of a matrix), eigenvalue comparisons, and the bound
+# within which the tests hold every catalog gate unitary, respectively.
 STATE_ATOL = 1e-10
 EIGEN_ATOL = 1e-9
 UNITARY_ATOL = 1e-12
@@ -176,16 +176,6 @@ def check_matrix(m, dim=None) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ContractError("matrix has a non-finite entry")
     return a
-
-
-def is_unitary(m) -> bool:
-    """True for a matrix with ``m^H m = I`` entrywise within ``UNITARY_ATOL``."""
-    try:
-        a = check_matrix(m)
-    except SimulationError:
-        return False
-    eye = np.eye(a.shape[0])
-    return bool(np.max(np.abs(a.conj().T @ a - eye)) <= UNITARY_ATOL)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import time
 from itertools import combinations
 
 import numpy as np
+from helpers import check_density_matrix
 
 from qwsim import analysis, engine, gates, linalg, measurement, oracle
 from qwsim.circuit import ControlSpec, parse_circuit, random_circuit, swap_bits
@@ -205,7 +206,7 @@ def test_criterion_8_invariant_bundle():
             a = analysis.partial_trace_state(5, psi, list(subset), keep=True)
             b = analysis.partial_trace_state(5, shifted, list(subset), keep=True)
             np.testing.assert_allclose(a, b, atol=1e-12, rtol=0)
-            assert analysis.check_density_matrix(a) == k
+            assert check_density_matrix(a) == k
 
     # Bloch round trip reconstructs every single-qubit reduced state, from
     # one wire's matrix and from the sweep over all wires

@@ -1,14 +1,11 @@
 import dataclasses
 import math
-import os
-import subprocess
-import sys
 import warnings
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import check_density_matrix, stdout_at_one_and_two_blas_threads
 
 from qwsim import analysis, engine, gates, linalg, oracle
 from qwsim.circuit import format_circuit, parse_circuit, random_circuit
@@ -30,32 +27,6 @@ def dense_pauli_string(labels):
     for name in reversed(labels):  # highest wire first so wire 0 lands low
         out = np.kron(out, gates.gate_matrix(name))
     return out
-
-
-class TestRearrangeBits:
-    def test_swap_two_bits(self):
-        assert oracle.rearrange_bits(0b01, [1, 0]) == 0b10
-        assert oracle.rearrange_bits(0b10, [1, 0]) == 0b01
-
-    def test_identity_placement(self):
-        assert oracle.rearrange_bits(0b101, [0, 1, 2]) == 0b101
-        assert oracle.rearrange_bits(0, [3, 1, 0]) == 0
-
-    def test_scatter_to_sparse_positions(self):
-        # bit 0 -> position 1, bit 1 -> position 3: 0b11 -> 0b1010
-        assert oracle.rearrange_bits(0b11, [1, 3]) == 0b1010
-
-    def test_bit_zero_to_top_rotation(self):
-        # positions [3, 0, 1, 2] rotate the low four bits right
-        assert oracle.rearrange_bits(0b0001, [3, 0, 1, 2]) == 0b1000
-        assert oracle.rearrange_bits(0b1110, [3, 0, 1, 2]) == 0b0111
-
-    def test_negative_position_drops_bit(self):
-        assert oracle.rearrange_bits(0b111, [0, -1, 1]) == 0b11
-        assert oracle.rearrange_bits(0b010, [0, -1, 1]) == 0
-
-    def test_extra_high_bits_dropped(self):
-        assert oracle.rearrange_bits(0b1101, [0, 1]) == 0b01
 
 
 class TestPartialTraceMatrix:
@@ -178,7 +149,7 @@ class TestPartialTraceState:
             k = int(rng.integers(1, n))
             sub = sorted(int(q) for q in rng.choice(n, size=k, replace=False))
             rho = analysis.partial_trace_state(n, psi, sub, keep=True)
-            assert analysis.check_density_matrix(rho) == k
+            assert check_density_matrix(rho) == k
 
     def test_bad_state_length(self):
         with pytest.raises(DimensionError):
@@ -397,28 +368,17 @@ class TestAllQubitStats:
                 assert all(math.copysign(1.0, v) == 1.0 for v in zeros)  # no -0.0
             assert stats[2].theta == math.pi and stats[3].theta == 0.0
 
-    def test_bits_do_not_follow_the_blas_thread_count(self, tmp_path):
-        # BLAS reads its thread count once, when numpy loads it, so each count
-        # gets its own child process; both are set here, since collecting
-        # perfbench sets them to 1 in this process's environment.  The state
-        # is made once, here, and handed to both
-        state = tmp_path / "psi.npy"
-        np.save(state, linalg.random_state(17, np.random.default_rng(19)))
+    def test_bits_do_not_follow_the_blas_thread_count(self):
+        # each child makes the state itself: random_state's bits follow no
+        # thread count either
         code = (
             "import dataclasses, sys, numpy as np\n"
-            "from qwsim import analysis\n"
-            f"rows = analysis.all_qubit_stats(np.load({str(state)!r}), 17)\n"
+            "from qwsim import analysis, linalg\n"
+            "psi = linalg.random_state(17, np.random.default_rng(19))\n"
+            "rows = analysis.all_qubit_stats(psi, 17)\n"
             "sys.stdout.write(np.array([dataclasses.astuple(r) for r in rows]).tobytes().hex())\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        bits = [
-            subprocess.run(
-                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                env={**os.environ, "PYTHONPATH": src,
-                     "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
-            ).stdout
-            for threads in ("1", "2")
-        ]
+        bits = stdout_at_one_and_two_blas_threads(code)
         assert len(bits[0]) == 17 * 9 * 16 and bits[0] == bits[1]
 
 
@@ -445,7 +405,7 @@ class TestNonFiniteInputs:
         rho = np.eye(2, dtype=complex) / 2
         rho[0, 1] = rho[1, 0] = bad
         with pytest.raises(ContractError, match="non-finite"):
-            analysis.check_density_matrix(rho)
+            check_density_matrix(rho)
         with pytest.raises(ContractError, match="non-finite"):
             analysis.qubit_stats(rho)
         pair = np.eye(4, dtype=complex) / 4
@@ -484,7 +444,7 @@ class TestDensityGate:
 
     def test_side_not_a_power_of_two_is_refused(self):
         with pytest.raises(ContractError, match="^density matrix dimension 3 is not a power of two$"):
-            analysis.check_density_matrix(np.eye(3) / 3)
+            check_density_matrix(np.eye(3) / 3)
 
     def test_trace_two_is_refused(self):
         for rho in (np.eye(2), np.eye(4) / 2):
@@ -533,7 +493,7 @@ class TestClosedFormGate:
         "qubit_stats": analysis.qubit_stats,
         "purity": analysis.purity,
         "von_neumann_entropy": analysis.von_neumann_entropy,
-        "check_density_matrix": analysis.check_density_matrix,
+        "check_density_matrix": check_density_matrix,
         # the stack the per-qubit sweep hands the gate, the matrix in the middle
         "all_qubit_stats stack": lambda rho: analysis._density_gate(
             np.stack([np.eye(2) / 2, rho, np.eye(2) / 2]).astype(complex), 1

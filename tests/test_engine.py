@@ -7,10 +7,10 @@ import differential
 import numpy as np
 import pytest
 
-from qwsim import circuit as circuit_module
 from qwsim import analysis, cli, engine, gates, linalg, measurement, oracle
-from qwsim.circuit import Circuit, GateOp, load_circuit, parse_circuit, random_circuit
-from qwsim.circuit import NO_CONTROLS, ControlSpec, swap_bits
+from qwsim.circuit import (
+    Circuit, ControlSpec, GateOp, _chunk_op, load_circuit, parse_circuit, random_circuit,
+)
 from qwsim.errors import ContractError, DimensionError, ParseError
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -20,7 +20,7 @@ CIRCUITS = Path(__file__).resolve().parents[1] / "circuits"
 
 def clear_memos():
     """Empty the process's memos of parsed gate chunks and placed plans."""
-    circuit_module._chunk_op.cache_clear()
+    _chunk_op.cache_clear()
     engine._placed.cache_clear()
 
 
@@ -28,58 +28,6 @@ def random_unitary(dim, rng):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(m)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-class TestControlSpec:
-    def test_masks(self):
-        spec = ControlSpec(((0, True), (3, False), (2, True)))
-        assert spec.inclusion_mask == 0b1101
-        assert spec.desired_value_mask == 0b0101
-        assert spec.passes(0b0101)
-        assert spec.passes(0b0111)  # untested bit may be anything
-        assert not spec.passes(0b1101)
-        assert not spec.passes(0b0100)
-
-    @pytest.mark.parametrize("bad", ["x", 1.5, -1, True])
-    def test_passes_checks_its_index(self, bad):
-        # "x" and 1.5 raised a bare TypeError, and -1 passed every spec
-        spec = ControlSpec(((0, False),))
-        with pytest.raises(ContractError, match="^index must be"):
-            spec.passes(bad)
-        assert spec.passes(np.int64(2)) and not spec.passes(3)
-
-    def test_empty_spec_passes_everything(self):
-        assert NO_CONTROLS.inclusion_mask == 0
-        assert all(NO_CONTROLS.passes(k) for k in range(16))
-
-    def test_duplicate_wire_rejected(self):
-        with pytest.raises(ContractError):
-            ControlSpec(((1, True), (1, True)))
-        with pytest.raises(ContractError):
-            ControlSpec(((1, True), (1, False)))
-
-    def test_negative_wire_rejected(self):
-        with pytest.raises(ContractError):
-            ControlSpec(((-1, True),))
-
-    def test_wire_past_the_qubit_cap_rejected(self):
-        assert ControlSpec(((linalg.MAX_QUBITS - 1, True),)).inclusion_mask == 1 << 25
-        for wire in (linalg.MAX_QUBITS, 10**18, 10**4000):
-            with pytest.raises(ContractError, match="is outside 0..25"):
-                ControlSpec(((wire, False),))
-
-    def test_wires_are_derived_once_and_change_no_comparison(self):
-        spec = ControlSpec(((0, True), (3, False)))
-        assert spec.wires == (0, 3)
-        assert spec.wires is spec.wires
-        assert NO_CONTROLS.wires == ()
-        assert spec == ControlSpec([(0, 1), (3, 0)])
-        assert spec != ControlSpec(((3, False), (0, True)))
-        assert hash(spec) == hash((((0, True), (3, False)), 0b1001, 0b0001))
-        assert repr(spec) == (
-            "ControlSpec(entries=((0, True), (3, False)), "
-            "inclusion_mask=9, desired_value_mask=1)"
-        )
 
 
 class TestQubitWiseMultiply:
@@ -169,44 +117,6 @@ class TestQubitWiseMultiply:
             engine.apply_multi_qubit_gate(2, np.eye(2), (0,), np.zeros(5))
         with pytest.raises(ContractError):
             engine.apply_multi_qubit_gate(2, np.eye(2), (2,), linalg.zero_state(2))
-
-
-class TestSwapBits:
-    @pytest.mark.parametrize(
-        "k,i,j,expected",
-        [(14, 0, 3, 7), (10, 0, 3, 3), (13, 1, 2, 11), (10, 1, 2, 12)],
-    )
-    def test_worked_pairs(self, k, i, j, expected):
-        assert swap_bits(k, i, j) == expected
-
-    def test_equal_bits_are_fixed_points(self):
-        assert swap_bits(0b1001, 0, 3) == 0b1001
-        assert swap_bits(0b0110, 0, 3) == 0b0110
-
-    def test_involution_and_symmetry(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            k = int(rng.integers(1 << 10))
-            i, j = rng.choice(10, size=2, replace=False)
-            once = swap_bits(k, int(i), int(j))
-            assert swap_bits(once, int(i), int(j)) == k
-            assert swap_bits(k, int(j), int(i)) == once
-
-    def test_matches_arithmetic_shuffle(self):
-        for k in range(64):
-            for i in range(6):
-                for j in range(6):
-                    bi = (k >> i) & 1
-                    bj = (k >> j) & 1
-                    rebuilt = k & ~(1 << i) & ~(1 << j) | (bj << i) | (bi << j)
-                    assert swap_bits(k, i, j) == rebuilt
-
-    def test_arguments_must_be_integers(self):
-        # a float used to escape as a bare TypeError from the shift
-        for args in ((3, 1.5, 0), (3, 0, "1"), (3.0, 0, 1), (True, 0, 1)):
-            with pytest.raises(ContractError, match="must be an integer"):
-                swap_bits(*args)
-        assert swap_bits(np.int64(2), np.int32(1), np.uint8(0)) == 1
 
 
 class TestApplySwap:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from helpers import is_unitary
 
-from qwsim import gates, linalg
+from qwsim import gates
 from qwsim.errors import CatalogError
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -52,7 +53,7 @@ class TestCatalog:
     def test_every_entry_is_unitary(self, name):
         g = gates.gate_def(name)
         assert g.matrix.shape == (1 << g.arity, 1 << g.arity)
-        assert linalg.is_unitary(g.matrix)
+        assert is_unitary(g.matrix)
 
     def test_lookup_is_case_insensitive(self):
         assert gates.gate_def("h") is gates.gate_def("H")

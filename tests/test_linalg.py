@@ -1,10 +1,6 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
+from helpers import check_density_matrix, is_unitary, stdout_at_one_and_two_blas_threads
 
 from qwsim import analysis, engine, gates, linalg, measurement, oracle
 from qwsim.circuit import (
@@ -22,9 +18,9 @@ def random_unitary(dim, rng):
 class TestBasicOps:
     def test_is_unitary(self):
         rng = np.random.default_rng(4)
-        assert linalg.is_unitary(random_unitary(8, rng))
-        assert not linalg.is_unitary(np.array([[1, 0], [0, 0]]))
-        assert not linalg.is_unitary(np.zeros((2, 3)))
+        assert is_unitary(random_unitary(8, rng))
+        assert not is_unitary(np.array([[1, 0], [0, 0]]))
+        assert not is_unitary(np.zeros((2, 3)))
 
 
 class TestStates:
@@ -68,23 +64,12 @@ class TestStates:
         np.testing.assert_array_equal(a, b)
 
     def test_random_state_bits_do_not_follow_the_blas_thread_count(self):
-        # BLAS reads its thread count once, when numpy loads it, so each count
-        # gets its own child process; both are set here, since collecting
-        # perfbench sets them to 1 in this process's environment
         code = (
             "import sys, numpy as np\n"
             "from qwsim import linalg\n"
             "sys.stdout.write(linalg.random_state(17, np.random.default_rng(5)).tobytes().hex())\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        bits = [
-            subprocess.run(
-                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                env={**os.environ, "PYTHONPATH": src,
-                     "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
-            ).stdout
-            for threads in ("1", "2")
-        ]
+        bits = stdout_at_one_and_two_blas_threads(code)
         assert len(bits[0]) == (1 << 17) * 16 * 2 and bits[0] == bits[1]
 
 
@@ -140,24 +125,24 @@ class TestHermitianEig:
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ContractError, match="not Hermitian"):
-            analysis.check_density_matrix(np.array([[0, 1], [0, 0]], dtype=complex))
+            check_density_matrix(np.array([[0, 1], [0, 0]], dtype=complex))
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
-            analysis.check_density_matrix(np.zeros((2, 3)))
+            check_density_matrix(np.zeros((2, 3)))
 
     def test_rejects_empty(self):
         with pytest.raises(DimensionError):
-            analysis.check_density_matrix(np.zeros((0, 0)))
+            check_density_matrix(np.zeros((0, 0)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
         # symmetric placement, so a NaN-blind Hermitian test would pass it
         m = np.array([[0.5, bad], [bad, 0.5]], dtype=complex)
         with pytest.raises(ContractError, match="non-finite"):
-            analysis.check_density_matrix(m)
+            check_density_matrix(m)
         with pytest.raises(ContractError, match="non-finite"):
-            analysis.check_density_matrix(np.diag([bad, 1.0]).astype(complex))
+            check_density_matrix(np.diag([bad, 1.0]).astype(complex))
 
 
 _PSI = linalg.zero_state(2)
@@ -454,7 +439,7 @@ _TAKES_A_MATRIX = {
     "apply_multi_qubit_gate": lambda m: engine.apply_multi_qubit_gate(1, m, (0,), _PSI1),
     "partial_trace_matrix": lambda m: analysis.partial_trace_matrix(1, m, [0]),
     "partial_trace_by_definition": lambda m: oracle.partial_trace_by_definition(m, 1, [0]),
-    "check_density_matrix": analysis.check_density_matrix,
+    "check_density_matrix": check_density_matrix,
     "purity": analysis.purity,
     "von_neumann_entropy": analysis.von_neumann_entropy,
     "qubit_stats": analysis.qubit_stats,
@@ -484,7 +469,7 @@ class TestMatrixContract:
 
     def test_is_unitary_stays_a_predicate(self):
         for bad in (np.full((2, 3), 0.5), [["a", 0], [0, 1]], _NAN, np.zeros((0, 0))):
-            assert not linalg.is_unitary(bad)
+            assert not is_unitary(bad)
 
     def test_wrong_side_is_a_dimension_error(self):
         with pytest.raises(DimensionError, match="must be 4x4"):
@@ -506,11 +491,11 @@ class TestMatrixContract:
 
     def test_hermitian_bound_is_the_state_tolerance(self):
         off = np.array([[0.5, 0.0], [5e-10, 0.5]])  # within 1e-9, beyond 1e-10
-        for call in (oracle.jacobi_eig, analysis.check_density_matrix):
+        for call in (oracle.jacobi_eig, check_density_matrix):
             with pytest.raises(ContractError, match="not Hermitian"):
                 call(off)
         off[1, 0] = 5e-11
-        assert analysis.check_density_matrix(off) == 1
+        assert check_density_matrix(off) == 1
 
 
 class TestStackedDensityGate:

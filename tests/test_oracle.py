@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import is_unitary
 
 from qwsim import analysis, gates, linalg, oracle
 from qwsim.circuit import parse_circuit, random_circuit
@@ -51,7 +52,7 @@ class TestBuildGateFullMatrix:
             free = [w for w in range(n) if w not in targets]
             controls = [(w, bool(rng.integers(2))) for w in free if rng.random() < 0.4]
             m = oracle.build_gate_full_matrix(n, name, targets, controls)
-            assert linalg.is_unitary(m)
+            assert is_unitary(m)
 
     def test_wire_validation(self):
         with pytest.raises(ContractError):
@@ -62,6 +63,32 @@ class TestBuildGateFullMatrix:
             oracle.build_gate_full_matrix(2, "SWAP", [0, 0])
         with pytest.raises(ContractError, match="^gate H acts on 1 wires, got 2 targets$"):
             oracle.build_gate_full_matrix(2, "H", (0, 1))
+
+
+class TestRearrangeBits:
+    def test_swap_two_bits(self):
+        assert oracle.rearrange_bits(0b01, [1, 0]) == 0b10
+        assert oracle.rearrange_bits(0b10, [1, 0]) == 0b01
+
+    def test_identity_placement(self):
+        assert oracle.rearrange_bits(0b101, [0, 1, 2]) == 0b101
+        assert oracle.rearrange_bits(0, [3, 1, 0]) == 0
+
+    def test_scatter_to_sparse_positions(self):
+        # bit 0 -> position 1, bit 1 -> position 3: 0b11 -> 0b1010
+        assert oracle.rearrange_bits(0b11, [1, 3]) == 0b1010
+
+    def test_bit_zero_to_top_rotation(self):
+        # positions [3, 0, 1, 2] rotate the low four bits right
+        assert oracle.rearrange_bits(0b0001, [3, 0, 1, 2]) == 0b1000
+        assert oracle.rearrange_bits(0b1110, [3, 0, 1, 2]) == 0b0111
+
+    def test_negative_position_drops_bit(self):
+        assert oracle.rearrange_bits(0b111, [0, -1, 1]) == 0b11
+        assert oracle.rearrange_bits(0b010, [0, -1, 1]) == 0
+
+    def test_extra_high_bits_dropped(self):
+        assert oracle.rearrange_bits(0b1101, [0, 1]) == 0b01
 
 
 class TestSimulateNaive:

@@ -1,5 +1,6 @@
 """The package's surface: the export table, the modules each entry point
-loads, the order of its layers, and a CI workflow that pins no output."""
+loads, the order of its layers, no name that only tests call, the tools
+beside the tests, and a CI workflow that pins no output."""
 
 import ast
 import importlib
@@ -76,6 +77,50 @@ class TestLayers:
         assert wrong == []
 
 
+def _defined(stmt) -> list[str]:
+    """The names a top-level ``def``, ``class`` or assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def _referenced(stmt) -> set[str]:
+    """The names ``stmt`` reads: each ``Name``, attribute and imported alias."""
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+class TestSurface:
+    def test_every_private_name_has_a_package_caller(self):
+        # a name that only tests call belongs in the tests; the oracle is
+        # the independent reference, reached from the tests on purpose
+        stmts = [
+            (path.stem, stmt)
+            for path in sorted((ROOT / "src" / "qwsim").glob("*.py"))
+            for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+        ]
+        reads = [_referenced(stmt) for _, stmt in stmts]
+        uncalled = [
+            f"{module}.{name}"
+            for k, (module, stmt) in enumerate(stmts)
+            if module not in ("oracle", "__init__")
+            for name in _defined(stmt)
+            if name not in qwsim._HOME and not (name.startswith("__") and name.endswith("__"))
+            and not any(name in r for j, r in enumerate(reads) if j != k)
+        ]
+        assert uncalled == []
+
+
 class TestExports:
     def test_every_name_is_its_home_modules_object(self):
         star: dict = {}
@@ -124,6 +169,20 @@ class TestLineTrace:
             3: range(3, 5), 7: range(7, 8), 8: range(8, 9), 9: range(9, 10),
             10: range(10, 11), 12: range(12, 13), 13: range(13, 14),
         }
+
+
+class TestABTimer:
+    def test_one_round_of_a_tree_against_itself(self):
+        out = subprocess.run(
+            [sys.executable, str(ROOT / "tests" / "ab.py"), str(ROOT), str(ROOT),
+             "--workload", "sample-10q", "--rounds", "1"],
+            capture_output=True, text=True, check=True,
+        ).stdout.splitlines()
+        assert out[0] == "sample-10q: 8 inputs x 1 rounds, timing op"
+        assert [line.split(":")[0] for line in out[1:3]] == [f"A {ROOT}", f"B {ROOT}"]
+        assert re.fullmatch(r"B/A per op: median [\d.]+, 95% interval \[[\d.]+, [\d.]+\]; "
+                            r"B faster in \d of 8 \(\d+%\)", out[3])
+        assert len(out) == 4  # both sides printed the same records
 
 
 class TestWorkflow:
