@@ -1,6 +1,6 @@
 """Time two source trees of qwsim against each other in one process.
 
-    python tests/ab.py A B --workload W [--rounds R] [--call MODULE.FUNC]
+    python tests/ab.py A B --workload W [--rounds R]
 
 ``A`` and ``B`` are checkouts (say ``git archive`` of two commits,
 unpacked); each tree's ``src/qwsim`` is loaded as its own package,
@@ -10,10 +10,9 @@ only relatively.  The workload's seeded inputs and its op come from
 its default seed.
 After one untimed pass per side, which fills the memos and checks that
 both sides print the same records, each round runs every input once on
-each side, A first in even rounds and B first in odd ones.  With
-``--call`` only the time spent inside that function during each op is
-counted.  It prints each side's median, the median of the per-op ratios
-B/A with a bootstrap 95% interval, and the share of ops that B ran faster.
+each side, A first in even rounds and B first in odd ones.  It prints
+each side's median, the median of the per-op ratios B/A with a bootstrap
+95% interval, and the share of ops that B ran faster.
 Importing perfbench's runner sets BLAS to one thread before numpy loads,
 as in a benchmark run.  pytest does not collect this file.
 """
@@ -21,7 +20,6 @@ as in a benchmark run.  pytest does not collect this file.
 from __future__ import annotations
 
 import argparse
-import functools
 import importlib
 import importlib.util
 import random
@@ -50,27 +48,6 @@ def load(tree: str, name: str):
     return package, importlib.import_module(f"{name}.cli")
 
 
-def count_time_in(package, dotted: str) -> list[float]:
-    """Wrap ``package``'s ``MODULE.FUNC`` wherever a loaded module binds it;
-    the returned list collects the seconds of each call."""
-    module, func = dotted.rsplit(".", 1)
-    target = getattr(importlib.import_module(f"{package.__name__}.{module}"), func)
-    spent: list[float] = []
-
-    @functools.wraps(target)
-    def timed(*args, **kwargs):
-        t0 = perf_counter()
-        try:
-            return target(*args, **kwargs)
-        finally:
-            spent.append(perf_counter() - t0)
-
-    for name, loaded in list(sys.modules.items()):
-        if name.partition(".")[0] == package.__name__ and getattr(loaded, func, None) is target:
-            setattr(loaded, func, timed)
-    return spent
-
-
 def bootstrap_interval(ratios: list[float]) -> tuple[float, float]:
     """The 2.5th and 97.5th percentiles of the median of resampled ``ratios``."""
     rng = random.Random(0)
@@ -84,22 +61,15 @@ def main(argv=None) -> int:
     parser.add_argument("b", help="checkout timed as B")
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--call", metavar="MODULE.FUNC", help="time only this function")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    if args.call is not None and "." not in args.call:
-        parser.error("--call takes MODULE.FUNC, such as engine.run_circuit")
     wl = WORKLOADS[args.workload]
     sides = [load(args.a, "qwsim_a"), load(args.b, "qwsim_b")]
     with tempfile.TemporaryDirectory() as workdir:
         inputs = wl.make_inputs(run.input_rng(DEFAULT_SEED, wl.name), Path(workdir))
         firsts = [[wl.op(qw, cli, inp) for inp in inputs] for qw, cli in sides]
         differ = sum(bool(compare(wl.golden(b), wl.golden(a))) for a, b in zip(*firsts))
-        try:
-            spent = [count_time_in(qw, args.call) if args.call else None for qw, _ in sides]
-        except (ImportError, AttributeError) as exc:
-            parser.error(f"--call {args.call}: {exc}")
         times: list[list[float]] = [[], []]
         for r in range(args.rounds):
             for inp in inputs:
@@ -107,17 +77,11 @@ def main(argv=None) -> int:
                     qw, cli = sides[side]
                     t0 = perf_counter()
                     wl.op(qw, cli, inp)
-                    elapsed = perf_counter() - t0
-                    if spent[side] is not None:
-                        elapsed = sum(spent[side])
-                        spent[side].clear()
-                    times[side].append(elapsed)
-    if not all(times[0] + times[1]):
-        parser.error(f"--call {args.call}: not called in every op")
+                    times[side].append(perf_counter() - t0)
     ratios = [b / a for a, b in zip(*times)]
     lo, hi = bootstrap_interval(ratios)
     faster = sum(b < a for a, b in zip(*times))
-    print(f"{wl.name}: {len(inputs)} inputs x {args.rounds} rounds, timing {args.call or 'op'}")
+    print(f"{wl.name}: {len(inputs)} inputs x {args.rounds} rounds, timing op")
     for label, tree, t in (("A", args.a, times[0]), ("B", args.b, times[1])):
         print(f"{label} {tree}: median {statistics.median(t) * 1e6:.1f} us")
     print(f"B/A per op: median {statistics.median(ratios):.4f}, 95% interval [{lo:.4f}, {hi:.4f}]; "

@@ -88,10 +88,10 @@ def _defined(stmt) -> list[str]:
 
 
 def _referenced(stmt) -> set[str]:
-    """The names ``stmt`` reads: each ``Name``, attribute and imported alias."""
+    """The names ``stmt`` reads: each loaded ``Name``, attribute and imported alias."""
     names = set()
     for node in ast.walk(stmt):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -115,7 +115,7 @@ class TestSurface:
             for k, (module, stmt) in enumerate(stmts)
             if module not in ("oracle", "__init__")
             for name in _defined(stmt)
-            if name not in qwsim._HOME and not (name.startswith("__") and name.endswith("__"))
+            if qwsim._HOME.get(name) != module and not (name.startswith("__") and name.endswith("__"))
             and not any(name in r for j, r in enumerate(reads) if j != k)
         ]
         assert uncalled == []
