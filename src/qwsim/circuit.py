@@ -46,7 +46,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ContractError, ParseError, SimulationError
-from .gates import MEASURE, gate_def, gate_names
+from .gates import MEASURE, gate_def, gate_key, gate_names
 from .linalg import MAX_QUBITS, check_bool, check_int, check_qubit_count, check_rng, check_wires
 
 
@@ -147,9 +147,7 @@ class GateOp:
     target_mask: int = field(init=False, default=0, compare=False, repr=False)
 
     def __init__(self, gate, targets, controls=NO_CONTROLS):
-        gate = str(gate)
-        if gate.isascii():  # Unicode upper() reads the long s as S (see gate_def)
-            gate = gate.upper()
+        gate = gate_key(str(gate))
         # no register holds a wire past the cap; the circuit checks its own range
         targets, controls = check_targets(MAX_QUBITS, targets, controls)
         if gate == MEASURE:
@@ -258,14 +256,14 @@ _WIRES = {str(w): w for w in range(MAX_QUBITS)}
 _ARITY = {**{name: gate_def(name).arity for name in gate_names()}, MEASURE: 1}
 
 
-def _parse_int(token: str, line_no: int, what: str) -> int:
+def _parse_int(token: str, what: str) -> int:
     """A wire or qubit count: ASCII digits 0-9 only, no sign, no ``_``."""
     try:
         if token.isascii() and token.isdigit():
             return int(token)
     except ValueError:  # more digits than int() reads
         pass
-    raise ParseError(line_no, f"{what} {token!r} is not an integer of digits 0-9")
+    raise ContractError(f"{what} {token!r} is not an integer of digits 0-9")
 
 
 def _accept(name: str, targets: list[int], wires: list[int], flags: list[bool]) -> GateOp | None:
@@ -292,17 +290,16 @@ def _accept(name: str, targets: list[int], wires: list[int], flags: list[bool]) 
     return op
 
 
-def _parse_gate(tokens: list[str], line_no: int) -> GateOp:
+def _parse_gate(tokens: list[str]) -> GateOp:
     """Read one gate's tokens and expand its sugar.
 
     A wire token is looked up in ``_WIRES`` and, on a miss, read or refused
     by :func:`_parse_int`.  A line :func:`_accept` takes is built there;
     any other goes through ``GateOp``, which makes every check but those of
     the register, its wire range and its measured wires, which the circuit
-    makes.  A failure becomes a ``ParseError`` naming ``line_no``.
+    makes.  A refusal raises a ``SimulationError`` that names no line.
     """
-    head = tokens[0]
-    name = head.upper() if head.isascii() else head  # as gates.gate_def reads it
+    name = gate_key(tokens[0])
     targets: list[int] = []
     wires: list[int] = []  # the control and anticontrol wires
     flags: list[bool] = []  # whether each is a control
@@ -314,34 +311,31 @@ def _parse_gate(tokens: list[str], line_no: int) -> GateOp:
         kind = token[:2].lower()
         if kind == "c=" or kind == "a=":
             wire = _WIRES.get(token[2:])
-            wires.append(_parse_int(token[2:], line_no, "control wire") if wire is None else wire)
+            wires.append(_parse_int(token[2:], "control wire") if wire is None else wire)
             flags.append(kind == "c=")
         else:
-            targets.append(_parse_int(token, line_no, "wire"))
+            targets.append(_parse_int(token, "wire"))
 
     if name in _SUGAR:
         name, k = _SUGAR[name]
         expected = k + _ARITY[name]
         if len(targets) != expected:
-            raise ParseError(line_no, f"{tokens[0]} takes {expected} wires, got {len(targets)}")
+            raise ContractError(f"{tokens[0]} takes {expected} wires, got {len(targets)}")
         wires = targets[:k] + wires
         flags = [True] * k + flags
         targets = targets[k:]
     op = _accept(name, targets, wires, flags)
     if op is not None:
         return op
-    try:
-        return GateOp(name, targets, list(zip(wires, flags)) or NO_CONTROLS)
-    except SimulationError as exc:
-        raise ParseError(line_no, str(exc)) from None
+    return GateOp(name, targets, list(zip(wires, flags)) or NO_CONTROLS)
 
 
 @lru_cache(maxsize=1024)
 def _chunk_op(gate: str) -> GateOp:
     """The op of one gate, its tokens joined by single spaces, from a memo
-    of the last 1024 distinct gates that parsed.  A refusal raises naming
-    line 0 and is not stored; the caller names the line."""
-    return _parse_gate(gate.split(), 0)
+    of the last 1024 distinct gates that parsed.  A refusal is not stored,
+    and names no line; the caller names it."""
+    return _parse_gate(gate.split())
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -359,8 +353,8 @@ def parse_circuit(text: str) -> Circuit:
                 if tokens:
                     try:
                         ops.append(_chunk_op(" ".join(tokens)))
-                    except ParseError as exc:
-                        raise ParseError(line_no, exc.message) from None
+                    except SimulationError as exc:
+                        raise ParseError(line_no, str(exc)) from None
                     op_lines.append(line_no)
             continue
         tokens = line.split()
@@ -368,9 +362,8 @@ def parse_circuit(text: str) -> Circuit:
             continue
         if len(tokens) != 2 or tokens[0].lower() != "qubits":
             raise ParseError(line_no, "expected 'qubits <n>' header")
-        count = _parse_int(tokens[1], line_no, "qubit count")  # names its line itself
         try:
-            n = check_qubit_count(count)
+            n = check_qubit_count(_parse_int(tokens[1], "qubit count"))
         except SimulationError as exc:
             raise ParseError(line_no, str(exc)) from None
     if n is None:

@@ -6,10 +6,12 @@ histogram).
 
 Numbers are printed with 12 significant digits; values smaller than 1e-12
 in magnitude print as plain 0, and basis entries whose amplitude or
-probability is below 1e-12 are omitted from listings.  ``stats`` applies
-that rule (:func:`_fmt`'s) once to its array of rows, then formats each
-value with ``.12g``: a records row through one template, a table cell by
-``format``.
+probability is below 1e-12 are omitted from listings.  That rule is
+:func:`_printable`'s, and every printed number goes through it once, as
+part of an array, before it is formatted with ``.12g``: a listing's
+probabilities or its real and imaginary parts, the branch heads, the
+``stats`` rows (a records row through one template, a table cell by
+``format``), the ``--pair`` line and the magic line.
 
 A result is read off the walk's rows as walked (``engine._walk`` of the
 ``engine.Lowered`` record of ``engine._lower``, read by field name): each
@@ -62,17 +64,14 @@ from .linalg import check_wires
 PRINT_EPS = 1e-12
 
 
-def _fmt(value: float) -> str:
-    v = float(value)
-    if abs(v) < PRINT_EPS:
-        v = 0.0  # also normalizes -0
-    return f"{v:.12g}"
+def _printable(values) -> np.ndarray:
+    """``values`` (an array, or numbers) as an array under the one print
+    rule: ``|v| < PRINT_EPS`` becomes 0.0, which also clears -0.0."""
+    return np.where(np.abs(values) < PRINT_EPS, 0.0, values)
 
 
-def _fmt_amplitude(z: complex) -> str:
-    re = 0.0 if abs(z.real) < PRINT_EPS else z.real
-    im = 0.0 if abs(z.imag) < PRINT_EPS else z.imag
-    # each part is 0.0 or at least PRINT_EPS, so it prints as _fmt prints it
+def _amplitude(re: float, im: float) -> str:
+    """An amplitude from its parts, each already through :func:`_printable`."""
     if im == 0.0:
         return f"{re:.12g}"
     if re == 0.0:
@@ -93,7 +92,8 @@ def _print_state(rows: np.ndarray, width: int, probs: bool, heads, bits) -> None
 
     One numpy pass over every row finds the entries.  They are formatted
     and printed ``_CHUNK`` at a time, a row's first chunk in one ``print``
-    with its head, so the text of one chunk is held at a time.
+    with its head, so the text of one chunk is held at a time.  The listed
+    values go through :func:`_printable` once, as one array.
     """
     if probs:
         values = size = np.abs(rows) ** 2
@@ -117,8 +117,10 @@ def _print_state(rows: np.ndarray, width: int, probs: bool, heads, bits) -> None
     at = at[order]
     at &= (1 << width) - 1
     del order
-    values = values.reshape(-1)
-    fmt = _fmt if probs else _fmt_amplitude
+    # one column of probabilities, or of real then imaginary parts
+    picked = _printable(values.reshape(-1)[listed].view(float).reshape(len(listed), -1))
+    del listed, values
+    fmt = "{:.12g}".format if probs else _amplitude
     indent = "" if heads is None else "  "
     spec = f"0{width}b"
     start = 0
@@ -126,10 +128,10 @@ def _print_state(rows: np.ndarray, width: int, probs: bool, heads, bits) -> None
         lines = [] if heads is None else [heads[r]]
         for lo in range(start, end, _CHUNK):
             hi = min(lo + _CHUNK, end)
-            picked = values[listed[lo:hi]]
+            texts = map(fmt, *picked[lo:hi].T.tolist())
             lines += [
-                f"{indent}{format(k, spec) if width else '(empty)'}: {fmt(v)}"
-                for k, v in zip(at[lo:hi].tolist(), picked.tolist())
+                f"{indent}{format(k, spec) if width else '(empty)'}: {text}"
+                for k, text in zip(at[lo:hi].tolist(), texts)
             ]
             print("\n".join(lines))
             lines = []
@@ -145,8 +147,8 @@ def _cmd_simulate(args) -> int:
         print(f"measured wires: {' '.join(map(str, low.measured)) or 'none'}")
         print("kept wires: " + (", ".join(f"{w}->{r}" for r, w in enumerate(low.kept)) or "none"))
         heads = [
-            f"branch {''.join(map(str, record)) or '-'}: p={_fmt(p)}"
-            for record, p in zip(outcomes.tolist(), probs.tolist())
+            f"branch {''.join(map(str, record)) or '-'}: p={p:.12g}"
+            for record, p in zip(outcomes.tolist(), _printable(probs).tolist())
         ]
     _print_state(rows, len(low.kept), args.probs, heads, low.bits)
     return 0
@@ -157,21 +159,11 @@ _STATS_COLUMNS = (
 )
 
 # A --format records row: the wire, then its statistics, each after _printable.
-_RECORD = (
-    "qubit={} prob1={:.12g} x={:.12g} y={:.12g} z={:.12g} r={:.12g} "
-    "theta={:.12g} phi={:.12g} purity={:.12g} lin_entropy={:.12g}"
-)
+_RECORD = "qubit={} " + " ".join(f"{c}={{:.12g}}" for c in _STATS_COLUMNS[1:])
 
 # The row of a wire that stays |0>: prob1 0, Bloch vector (0, 0, 1), r 1,
 # both angles 0, purity 1 and linear entropy 0.
 _ZERO_ROW = (0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0)
-
-
-def _printable(values: np.ndarray) -> list:
-    """``values`` as nested lists of floats under :func:`_fmt`'s rule:
-    ``|v| < PRINT_EPS`` becomes 0.0, which also clears -0.0, so each
-    prints as ``_fmt`` prints it with ``format(v, ".12g")``."""
-    return np.where(abs(values) < PRINT_EPS, 0.0, values).tolist()
 
 
 def _pair_matrix(psi: np.ndarray, wires: list, pair: tuple) -> np.ndarray:
@@ -212,7 +204,7 @@ def _cmd_stats(args) -> int:
             message = f"{exc}; the circuit's gates move {k} of its {circ.n} wires"
             raise ResourceError(message) from None
 
-    stats = dict(zip(wires, _printable(analysis._qubit_rows(psi, k)))) if k else {}
+    stats = dict(zip(wires, _printable(analysis._qubit_rows(psi, k)).tolist())) if k else {}
     rows = [stats.get(q, _ZERO_ROW) for q in range(circ.n)]
     if args.format == "records":
         print("\n".join(_RECORD.format(q, *row) for q, row in enumerate(rows)))
@@ -224,12 +216,12 @@ def _cmd_stats(args) -> int:
             print("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
 
     if args.pair is not None:
-        print(f"pair ({pair[0]},{pair[1]}): purity={_fmt(p.purity)} "
-              f"lin_entropy={_fmt(p.linear_entropy)} "
-              f"concurrence={_fmt(p.concurrence)} "
-              f"von_neumann={_fmt(p.von_neumann_entropy)}")
+        purity, lin, conc, vn = _printable(
+            [p.purity, p.linear_entropy, p.concurrence, p.von_neumann_entropy]).tolist()
+        print(f"pair ({pair[0]},{pair[1]}): purity={purity:.12g} lin_entropy={lin:.12g} "
+              f"concurrence={conc:.12g} von_neumann={vn:.12g}")
     if m2 is not None:
-        print(f"stabilizer_renyi_2: {_fmt(m2)}")
+        print(f"stabilizer_renyi_2: {_printable(m2).tolist():.12g}")
     return 0
 
 

@@ -75,11 +75,16 @@ def gate_names() -> tuple[str, ...]:
     return tuple(_CATALOG)
 
 
+def gate_key(name: str) -> str:
+    """The str ``name`` as a gate is named: upper-cased only if it is ASCII,
+    since Unicode ``upper()`` would read the long s as S and the dotless i
+    as I."""
+    return name.upper() if name.isascii() else name
+
+
 def gate_def(name: str) -> GateDef:
-    """Look up a gate by case-insensitive ASCII name: Unicode ``upper()``
-    would read the long s as S and the dotless i as I."""
-    key = str(name)
-    gate = _CATALOG.get(key.upper()) if key.isascii() else None
+    """Look up a gate by case-insensitive ASCII name (:func:`gate_key`)."""
+    gate = _CATALOG.get(gate_key(str(name)))
     if gate is None:
         raise CatalogError(f"unknown gate {name!r}")
     return gate

@@ -13,8 +13,9 @@ both sides print the same records, each round runs every input once on
 each side, A first in even rounds and B first in odd ones.  It prints
 each side's median, the median of the per-op ratios B/A with a bootstrap
 95% interval, and the share of ops that B ran faster.
-Importing perfbench's runner sets BLAS to one thread before numpy loads,
-as in a benchmark run.  pytest does not collect this file.
+:func:`main` imports perfbench's runner, which sets BLAS to one thread
+before numpy loads, as in a benchmark run; importing this file does
+neither.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -29,10 +30,7 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-import run  # noqa: E402
-from workloads import DEFAULT_SEED, WORKLOADS, compare  # noqa: E402
-
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 BOOTSTRAP = 2000
 
 
@@ -56,6 +54,10 @@ def bootstrap_interval(ratios: list[float]) -> tuple[float, float]:
 
 
 def main(argv=None) -> int:
+    sys.path.insert(0, str(PERFBENCH))
+    import run
+    from workloads import DEFAULT_SEED, WORKLOADS, compare
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a", help="checkout timed as A")
     parser.add_argument("b", help="checkout timed as B")

@@ -56,29 +56,53 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def printed(value) -> str:
+    """A number as the CLI prints it: through the print rule, then ``.12g``."""
+    return format(cli._printable(value).tolist(), ".12g")
+
+
+def printed_amplitude(z: complex) -> str:
+    """An amplitude as ``simulate`` prints it, its parts through the print rule."""
+    return cli._amplitude(*cli._printable([z.real, z.imag]).tolist())
+
+
 class TestFormatting:
     def test_twelve_significant_digits(self):
-        assert cli._fmt(1 / np.sqrt(2)) == "0.707106781187"
+        assert printed(1 / np.sqrt(2)) == "0.707106781187"
 
     def test_negative_zero_normalized(self):
-        assert cli._fmt(-0.0) == "0"
-        assert cli._fmt(-1e-15) == "0"
+        assert printed(-0.0) == "0"
+        assert printed(-1e-15) == "0"
 
     def test_tiny_magnitudes_collapse_to_zero(self):
-        assert cli._fmt(9.9e-13) == "0"
-        assert cli._fmt(2e-12) == "2e-12"
+        assert printed(9.9e-13) == "0"
+        assert printed(2e-12) == "2e-12"
 
     # both sides of PRINT_EPS, -0.0, and values the rule must leave alone
     EDGES = (1e-12, -1e-12, 9.999999999999e-13, -9.9e-13, -0.0,
              0.5, 1.0, -3.14159265358979, 2.5e-5, 1e-300)
 
     def test_the_array_rule_prints_as_fmt(self):
-        # stats clears its rows as one array, then prints each value with .12g
-        want = [cli._fmt(v) for v in self.EDGES]
-        assert want[:5] == ["1e-12", "-1e-12", "0", "0", "0"]
-        assert [format(v, ".12g") for v in cli._printable(np.array(self.EDGES))] == want
-        rows = cli._printable(np.array(self.EDGES).reshape(2, 5))
+        # the one rule clears an array at once, then each value prints with .12g
+        want = ["1e-12", "-1e-12", "0", "0", "0", "0.5", "1", "-3.14159265359", "2.5e-05", "0"]
+        assert [format(v, ".12g") for v in cli._printable(np.array(self.EDGES)).tolist()] == want
+        rows = cli._printable(np.array(self.EDGES).reshape(2, 5)).tolist()
         assert [format(v, ".12g") for row in rows for v in row] == want
+
+    def test_the_pair_and_magic_lines_print_as_the_rows_do(self, capsys, circuit_file, monkeypatch):
+        # the edges of PRINT_EPS and -0.0, printed by stats rows as "0",
+        # "-1e-12" and "0" (above)
+        edges = analysis.PairStats(9.999999999999e-13, -1e-12, -0.0, 1e-12)
+        monkeypatch.setattr(analysis, "pair_stats", lambda rho: edges)
+        path = circuit_file(MIXED_PAIR)
+        for m2, want in ((9.999999999999e-13, "0"), (-1e-12, "-1e-12"), (-0.0, "0")):
+            monkeypatch.setattr(analysis, "stabilizer_renyi_entropy", lambda psi, n: m2)
+            code, out, err = run_cli(capsys, "stats", path, "--pair", "0", "1", "--magic")
+            assert (code, err) == (0, "")
+            assert out.splitlines()[-2:] == [
+                "pair (0,1): purity=0 lin_entropy=-1e-12 concurrence=0 von_neumann=1e-12",
+                f"stabilizer_renyi_2: {want}",
+            ]
 
     def test_rows_on_and_off_the_register(self, capsys, circuit_file):
         # wire 1 is the register; its z and linear entropy are roundoff of
@@ -100,11 +124,11 @@ class TestFormatting:
         ]
 
     def test_amplitude_rendering(self):
-        assert cli._fmt_amplitude(complex(1, 0)) == "1"
-        assert cli._fmt_amplitude(complex(0, -0.5)) == "-0.5i"
-        assert cli._fmt_amplitude(complex(0.5, 0.5)) == "0.5+0.5i"
-        assert cli._fmt_amplitude(complex(0.5, -0.5)) == "0.5-0.5i"
-        assert cli._fmt_amplitude(complex(-0.0, 1e-14)) == "0"
+        assert printed_amplitude(complex(1, 0)) == "1"
+        assert printed_amplitude(complex(0, -0.5)) == "-0.5i"
+        assert printed_amplitude(complex(0.5, 0.5)) == "0.5+0.5i"
+        assert printed_amplitude(complex(0.5, -0.5)) == "0.5-0.5i"
+        assert printed_amplitude(complex(-0.0, 1e-14)) == "0"
 
 
 class TestSimulate:
@@ -518,7 +542,7 @@ def scattered_listing(circ, probs: bool, branches: bool) -> str:
     """The ``simulate`` text, built entry by entry from the scattered
     result: the state of every wire from ``run_circuit``, or each leaf of
     ``run_with_branches``, whose bit i is the i-th unmeasured wire."""
-    fmt = cli._fmt if probs else cli._fmt_amplitude
+    fmt = printed if probs else printed_amplitude
     lines = []
     if circ.has_measurements or branches:
         tree = measurement.run_with_branches(circ)
@@ -528,7 +552,7 @@ def scattered_listing(circ, probs: bool, branches: bool) -> str:
             "kept wires: " + (", ".join(f"{w}->{tree.wire_map[w]}" for w in kept) or "none"),
         ]
         leaves = [
-            (f"branch {''.join(map(str, leaf.outcomes)) or '-'}: p={cli._fmt(leaf.probability)}",
+            (f"branch {''.join(map(str, leaf.outcomes)) or '-'}: p={printed(leaf.probability)}",
              leaf.state)
             for leaf in tree.leaves
         ]

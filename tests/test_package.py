@@ -4,6 +4,7 @@ beside the tests, and a CI workflow that pins no output."""
 
 import ast
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -18,6 +19,7 @@ import qwsim
 ROOT = Path(__file__).resolve().parents[1]
 BELL_MEASURE = str(ROOT / "circuits" / "bell_measure.qc")
 MIXED_PAIR = str(ROOT / "circuits" / "mixed_pair.qc")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
 def loaded_after(code: str) -> set[str]:
@@ -183,6 +185,42 @@ class TestABTimer:
         assert re.fullmatch(r"B/A per op: median [\d.]+, 95% interval \[[\d.]+, [\d.]+\]; "
                             r"B faster in \d of 8 \(\d+%\)", out[3])
         assert len(out) == 4  # both sides printed the same records
+
+
+class TestBenchRecord:
+    def test_one_run_of_the_tree(self):
+        import bench_record
+
+        before = os.environ.get("MALLOC_MMAP_THRESHOLD_")
+        doc = bench_record.record(0, None, 1, ["sample-10q"], seconds=0)
+        got = doc["workloads"]["sample-10q"]
+        assert (got["context"]["ops"], got["change"]["failed"], len(got["change"]["wall_s"])) == (101, 0, 1)
+        assert set(got["change"]["metrics"]) == {m["name"] for m in BENCHMARK["end_to_end"]}
+        assert set(got["context"]["machine"]["threads"].values()) == {"1"}
+        assert doc["environment"]["MALLOC_MMAP_THRESHOLD_"] == str(256 << 20)
+        assert os.environ.get("MALLOC_MMAP_THRESHOLD_") == before  # set in the child only
+
+    def test_pairs_alternate_and_compare_each_metric(self, monkeypatch):
+        import bench_record
+
+        trees = []
+
+        def run_once(tree, workload, seconds, env):
+            # the change reads 0.5 of the base on every metric and every run
+            trees.append(tree)
+            value = 1.0 if tree == ROOT else 2.0
+            metrics = {m["name"]: {"value": value} for m in BENCHMARK["end_to_end"]}
+            return {"workload": workload}, {"correct": True, "failed": 0, "metrics": metrics}, 0.1
+
+        monkeypatch.setattr(bench_record, "run_once", run_once)
+        doc = bench_record.record(0, ROOT / "base", 3, ["stats-12q"])
+        assert trees == [ROOT / "base", ROOT, ROOT, ROOT / "base", ROOT / "base", ROOT]
+        compare = doc["workloads"]["stats-12q"]["compare"]
+        assert compare["setup_s"] == {
+            "median_ratio": 0.5, "pair_ratios": [0.5] * 3, "pair_median": 0.5,
+            "interval95": (0.5, 0.5), "lower_share": 1.0, "verdict": "within",
+        }
+        assert compare["ok_frac"]["verdict"] == "worse"  # higher is better
 
 
 class TestWorkflow:
