@@ -48,6 +48,7 @@ def run_once(tree: Path, workload: str, seconds: float, env: dict) -> tuple[dict
 
 
 def summary(values: list[float]) -> dict:
+    """One metric's runs with their median and quartile distance; one run is its own quartiles."""
     q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": q2, "iqr": q3 - q1, "values": values}
 

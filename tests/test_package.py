@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import bench_record
 import line_trace
 import pytest
 
@@ -189,8 +190,6 @@ class TestABTimer:
 
 class TestBenchRecord:
     def test_one_run_of_the_tree(self):
-        import bench_record
-
         before = os.environ.get("MALLOC_MMAP_THRESHOLD_")
         doc = bench_record.record(0, None, 1, ["sample-10q"], seconds=0)
         got = doc["workloads"]["sample-10q"]
@@ -201,8 +200,6 @@ class TestBenchRecord:
         assert os.environ.get("MALLOC_MMAP_THRESHOLD_") == before  # set in the child only
 
     def test_pairs_alternate_and_compare_each_metric(self, monkeypatch):
-        import bench_record
-
         trees = []
 
         def run_once(tree, workload, seconds, env):
