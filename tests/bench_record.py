@@ -1,6 +1,6 @@
 """Record perfbench runs of this checkout, and of a base tree beside it.
 
-    python tests/bench_record.py --pr N [--base DIR] [--runs R] [--workload W ...]
+    python tests/bench_record.py --pr N [--base DIR] [--runs R]
 
 Runs the unmodified ``perfbench/run.py`` ``R`` times (default 10) on each
 workload of ``BENCHMARK.json``, at its declared run length and default
@@ -9,14 +9,18 @@ and trim thresholds at 256 MiB.  With ``--base DIR`` (a ``git archive``
 tree of the base commit at a path as long as this checkout's; a longer
 path has read slower) the trees run in pairs, base first in even pairs.
 ``BENCH_<N>.json`` at the repository root then holds the children's
-environment, each workload's first context line, and per workload, tree
-and end-to-end metric the median, quartile distance and every run's
-value, beside each run's wall time.  With ``--base`` each metric also
-gets the ratio change/base of the medians, the per-pair ratios, their
-median with ``ab.py``'s bootstrap 95% interval, the share of pairs the
-change read lower, and a verdict: ``worse`` past the metric's bound,
-``unresolved`` when either side's quartile distance over its median is
-wider than the bound, else ``within``.  pytest does not collect this file.
+environment, each workload's first context line, and per workload and
+tree the failed ops and the runs that failed perfbench's check
+(``failed``, ``incorrect_runs``), each run's wall time, and per
+end-to-end metric the median, quartile distance and every run's value.
+With ``--base`` each metric also gets the ratio change/base of the
+medians, the per-pair ratios, their median with ``ab.py``'s bootstrap
+95% interval, the share of pairs the change read lower, and a verdict:
+``worse`` past the metric's bound, ``unresolved`` when either side's
+quartile distance over its median is wider than the bound, else
+``within``.  The verdict is the gate; the interval is informational, as
+a tree against itself has read an interval that misses 1.0.  pytest does
+not collect this file.
 """
 
 from __future__ import annotations
@@ -83,13 +87,14 @@ def record(pr: int, base: Path | None, runs: int, workloads=None, seconds=None) 
     doc = {"pr": pr, "base": None if base is None else base.name, "runs": runs,
            "environment": {v: env.get(v) for v in (*REPORTED_ENV, *MALLOC)}, "workloads": {}}
     for wl in workloads or [w["name"] for w in bench["workloads"]]:
-        got = {side: {"wall_s": [], "failed": 0, "metrics": {}} for side in trees}
+        got = {side: {"wall_s": [], "failed": 0, "incorrect_runs": 0, "metrics": {}} for side in trees}
         for r in range(runs):
             for side in list(trees) if r % 2 == 0 else list(trees)[::-1]:
                 context, result, wall = run_once(trees[side], wl, seconds, env)
                 doc["workloads"].setdefault(wl, {"context": context})
                 got[side]["wall_s"].append(wall)
-                got[side]["failed"] += result["failed"] + (not result["correct"])
+                got[side]["failed"] += result["failed"]
+                got[side]["incorrect_runs"] += not result["correct"]
                 for name in specs:
                     got[side]["metrics"].setdefault(name, []).append(result["metrics"][name]["value"])
         for side in got.values():
@@ -108,13 +113,12 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True, help="names the file BENCH_<N>.json")
     parser.add_argument("--base", type=Path, help="a tree of the base commit, run in pairs")
     parser.add_argument("--runs", type=int, default=10, help="runs (pairs with --base) per workload")
-    parser.add_argument("--workload", action="append", help="only this workload (repeatable)")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
     if args.base is not None and len(str(args.base.resolve())) != len(str(ROOT)):
         print(f"warning: {args.base} and {ROOT} differ in path length", file=sys.stderr)
-    doc = record(args.pr, args.base and args.base.resolve(), args.runs, args.workload)
+    doc = record(args.pr, args.base and args.base.resolve(), args.runs)
     (ROOT / f"BENCH_{args.pr}.json").write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

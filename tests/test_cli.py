@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import itertools
 import json
 import re
 import tracemalloc
@@ -699,11 +700,13 @@ class TestRegisterReadout:
     def test_a_dense_register_lists_in_bounded_memory(self, tmp_path):
         # an H on 15 of 16 wires lists all 2**15 register entries; the text
         # goes out in chunks, so the peak is the walked row, the listing's
-        # arrays and one chunk's text: measured 3.88 states of 2**15
-        # amplitudes, against 8.01 when every line was built before any print.
-        # The same listed as a branch, and measured twice, read the walk's
-        # rows too: 3.86 and 3.33 states, against 7.36 and 6.83 when the
-        # leaves were scattered into wire order and stacked again.
+        # arrays and one chunk's text: measured 3.60 states of 2**15
+        # amplitudes with --probs, against 8.01 when every line was built
+        # before any print.  The same listed as a branch, and measured
+        # twice, read the walk's rows too: 3.57 and 2.77 states, against
+        # 7.36 and 6.83 when the leaves were scattered into wire order and
+        # stacked again.  Amplitudes hold real and imaginary parts through
+        # the chunks: 4.13, 4.13 and 3.47 states.
         order = (9, 3, 14, 0, 7, 12, 5, 1, 10, 2, 8, 13, 6, 11, 4)
         layer = "qubits 16\n" + "".join(f"H {w}\n" for w in order) + "T 3\nCX 3 7\n"
         warm = tmp_path / "h1.qc"  # imports and builds the parser, untraced
@@ -718,27 +721,28 @@ class TestRegisterReadout:
             def flush(self):
                 pass
 
-        for text, flags, lines in (
+        cases = (
             (layer, (), 1 << 15),
             # 3 head lines, then every entry of the one branch
             (layer, ("--branches",), 3 + (1 << 15)),
             # 2 head lines, then 4 branches of 2**12 entries: wire 0 is back
             # to |0>, and wires 3 and 5 are measured away
             (layer + "MEASURE 3\nH 0\nMEASURE 5\n", (), 2 + 4 * (1 + (1 << 12))),
-        ):
+        )
+        for listing, (text, flags, lines) in itertools.product((["--probs"], []), cases):
             path = tmp_path / "h15.qc"
             path.write_text(text)
             with contextlib.redirect_stdout(Sink()):
-                cli.main(["simulate", str(warm), "--probs"])
+                cli.main(["simulate", str(warm), *listing])
                 writes.clear()
                 tracemalloc.start()
                 try:
-                    assert cli.main(["simulate", str(path), "--probs", *flags]) == 0
+                    assert cli.main(["simulate", str(path), *listing, *flags]) == 0
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-            assert sum(writes) == lines and max(writes) <= cli._CHUNK, flags
-            assert peak < 4.75 * (16 << 15), (flags, peak / (16 << 15))
+            assert sum(writes) == lines and max(writes) <= cli._CHUNK, (listing, flags)
+            assert peak < 4.75 * (16 << 15), (listing, flags, peak / (16 << 15))
 
 
 class TestSample:

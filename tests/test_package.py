@@ -193,7 +193,8 @@ class TestBenchRecord:
         before = os.environ.get("MALLOC_MMAP_THRESHOLD_")
         doc = bench_record.record(0, None, 1, ["sample-10q"], seconds=0)
         got = doc["workloads"]["sample-10q"]
-        assert (got["context"]["ops"], got["change"]["failed"], len(got["change"]["wall_s"])) == (101, 0, 1)
+        change = got["change"]
+        assert (got["context"]["ops"], change["failed"], change["incorrect_runs"], len(change["wall_s"])) == (101, 0, 0, 1)
         assert set(got["change"]["metrics"]) == {m["name"] for m in BENCHMARK["end_to_end"]}
         assert set(got["context"]["machine"]["threads"].values()) == {"1"}
         assert doc["environment"]["MALLOC_MMAP_THRESHOLD_"] == str(256 << 20)
@@ -203,16 +204,21 @@ class TestBenchRecord:
         trees = []
 
         def run_once(tree, workload, seconds, env):
-            # the change reads 0.5 of the base on every metric and every run
+            # the change reads 0.5 of the base on every metric and every
+            # run; each base run fails its check and 2 of its ops
             trees.append(tree)
             value = 1.0 if tree == ROOT else 2.0
             metrics = {m["name"]: {"value": value} for m in BENCHMARK["end_to_end"]}
-            return {"workload": workload}, {"correct": True, "failed": 0, "metrics": metrics}, 0.1
+            result = {"correct": tree == ROOT, "failed": 0 if tree == ROOT else 2, "metrics": metrics}
+            return {"workload": workload}, result, 0.1
 
         monkeypatch.setattr(bench_record, "run_once", run_once)
         doc = bench_record.record(0, ROOT / "base", 3, ["stats-12q"])
         assert trees == [ROOT / "base", ROOT, ROOT, ROOT / "base", ROOT / "base", ROOT]
-        compare = doc["workloads"]["stats-12q"]["compare"]
+        got = doc["workloads"]["stats-12q"]
+        # failed ops and failed runs are counted apart
+        assert [(got[side]["failed"], got[side]["incorrect_runs"]) for side in ("base", "change")] == [(6, 3), (0, 0)]
+        compare = got["compare"]
         assert compare["setup_s"] == {
             "median_ratio": 0.5, "pair_ratios": [0.5] * 3, "pair_median": 0.5,
             "interval95": (0.5, 0.5), "lower_share": 1.0, "verdict": "within",
