@@ -77,7 +77,8 @@ def compare(base: dict, change: dict, spec: dict) -> dict:
 
 
 def record(pr: int, base: Path | None, runs: int, workloads=None, seconds=None) -> dict:
-    """The runs as ``BENCH_<pr>.json`` holds them; ``seconds`` replaces the
+    """The runs as ``BENCH_<pr>.json`` holds them.  The tests narrow a run:
+    ``workloads`` replaces every declared workload and ``seconds`` the
     declared run length (``perfbench/run.py`` runs at least 101 ops)."""
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"] if seconds is None else seconds
