@@ -44,14 +44,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ResourceError
+from .errors import ContractError
 from .gates import gate_matrix
 from .linalg import (
     EIGEN_ATOL,
     MAX_QUBITS,
     STATE_ATOL,
+    _check_table,
     _hermitian_part,
-    _state_size,
     check_bool,
     check_matrix,
     check_qubit_count,
@@ -125,10 +125,8 @@ def partial_trace_state(n: int, psi, qubits, *, keep: bool = False) -> np.ndarra
     """
     psi, n = check_unit_state(psi, n)
     traced, kept = _split_kept(n, qubits, keep)
-    if 2 * len(kept) > MAX_QUBITS:
-        k, cap = len(kept), MAX_QUBITS // 2
-        raise ResourceError(f"partial trace refuses {k} kept qubits: its 4**{k} matrix takes "
-                            f"{_state_size(2 * k)} (cap {cap}, {_state_size(2 * cap)})")
+    what = "partial trace refuses {k} kept qubits: its 4**{k} matrix"
+    _check_table(len(kept), MAX_QUBITS // 2, what)
     # highest kept wire first; the order of the traced axes is immaterial
     axes = [n - 1 - w for w in kept[::-1] + traced]
     m = psi.reshape((2,) * n).transpose(axes).reshape(1 << len(kept), -1)
@@ -392,12 +390,8 @@ def stabilizer_renyi_entropy(psi, n: int) -> float:
     building and reducing it takes a few temporaries of that order.
     """
     psi, n = check_state(psi, n)
-    if n > STABILIZER_ENTROPY_MAX_QUBITS:
-        cap = STABILIZER_ENTROPY_MAX_QUBITS
-        raise ResourceError(
-            f"stabilizer entropy refuses {n} qubits: its 4**{n} table takes "
-            f"{_state_size(2 * n)} (cap {cap}, {_state_size(2 * cap)})"
-        )
+    what = "stabilizer entropy refuses {k} qubits: its 4**{k} table"
+    _check_table(n, STABILIZER_ENTROPY_MAX_QUBITS, what)
     check_unit_norms(psi, np.vdot(psi, psi).real)
 
     dim = 1 << n

@@ -339,7 +339,13 @@ def _chunk_op(gate: str) -> GateOp:
 
 
 def parse_circuit(text: str) -> Circuit:
-    """Parse circuit text; every failure names the offending line."""
+    """Parse circuit text; every failure names the offending line.
+
+    One ``except SimulationError`` around each line's body, the header or
+    its gates, names that line in a refusal.  A wire out of range or
+    measured again, which the ``Circuit`` finds once every line is read,
+    names the line of its op.
+    """
     if not isinstance(text, str):
         raise ContractError(f"expected circuit text as a str, got {type(text).__name__}")
     n: int | None = None
@@ -347,22 +353,19 @@ def parse_circuit(text: str) -> Circuit:
     op_lines: list[int] = []
     for line_no, raw in enumerate(_lines(text), start=1):
         line = raw.split("#", 1)[0]
-        if n is not None:
-            for chunk in line.split(";"):
-                tokens = chunk.split()
-                if tokens:
-                    try:
-                        ops.append(_chunk_op(" ".join(tokens)))
-                    except SimulationError as exc:
-                        raise ParseError(line_no, str(exc)) from None
-                    op_lines.append(line_no)
-            continue
-        tokens = line.split()
-        if not tokens:
-            continue
-        if len(tokens) != 2 or tokens[0].lower() != "qubits":
-            raise ParseError(line_no, "expected 'qubits <n>' header")
         try:
+            if n is not None:
+                for chunk in line.split(";"):
+                    tokens = chunk.split()
+                    if tokens:
+                        ops.append(_chunk_op(" ".join(tokens)))
+                        op_lines.append(line_no)
+                continue
+            tokens = line.split()
+            if not tokens:
+                continue
+            if len(tokens) != 2 or tokens[0].lower() != "qubits":
+                raise ContractError("expected 'qubits <n>' header")
             n = check_qubit_count(_parse_int(tokens[1], "qubit count"))
         except SimulationError as exc:
             raise ParseError(line_no, str(exc)) from None

@@ -21,7 +21,9 @@ stays |0> to the end.  ``simulate`` lists every circuit this one way:
 under the ``measured wires`` / ``kept wires`` / ``branch`` heads when the
 circuit measures or ``--branches`` is given, it prints each listed entry
 of each row at its index over the unmeasured wires ``Lowered.kept``,
-placed by ``engine``'s slot-to-bit rule, in index order.
+placed by ``engine``'s slot-to-bit rule, in index order: one ``print``
+per ``_CHUNK`` entries of the whole sorted listing, each head placed
+where its row starts.
 ``stats``, which refuses a MEASURE, reads the one row of
 ``engine._walk_register`` into ``analysis._qubit_rows``, the fields of
 ``all_qubit_stats`` as one ``(K, 9)`` array, keys each slot's row by the
@@ -90,21 +92,17 @@ def _print_state(rows: np.ndarray, width: int, probs: bool, heads, bits) -> None
     Bit ``s`` of a row index prints at bit ``bits[s]``.  With ``heads``
     given, each row's entries are indented under its line ``heads[r]``.
 
-    One numpy pass over every row finds the entries.  They are formatted
-    and printed ``_CHUNK`` at a time, a row's first chunk in one ``print``
-    with its head, so the text of one chunk is held at a time.  The listed
-    values go through :func:`_printable` once, as one array.
+    One numpy pass over every row finds the entries, and one sort orders
+    the whole listing.  It is printed ``_CHUNK`` entries at a time, one
+    ``print`` per chunk with each head placed where its row starts, so the
+    text of one chunk is held at a time.  Each chunk gathers its values
+    from the rows and puts them through :func:`_printable` once.
     """
-    if probs:
-        values = size = np.abs(rows) ** 2
-    else:
-        # hypot rounds as the scalar abs(z) does; numpy's vector complex abs
-        # can differ in the last bit and flip an entry at PRINT_EPS
-        values, size = rows, np.hypot(rows.real, rows.imag)
+    # hypot rounds as the scalar abs(z) does; numpy's vector complex abs can
+    # differ in the last bit and flip an entry at PRINT_EPS
+    size = np.abs(rows) ** 2 if probs else np.hypot(rows.real, rows.imag)
     listed = np.flatnonzero(size >= PRINT_EPS)  # row by row, each in slot order
     del size
-    row_size = rows.shape[1]
-    ends = np.searchsorted(listed, row_size * np.arange(1, len(rows) + 1)).tolist()
     # each row's listed entries at their printed index, above the row's
     # number, so one sort orders them within each row
     at = (listed >> len(bits)) << width
@@ -115,27 +113,25 @@ def _print_state(rows: np.ndarray, width: int, probs: bool, heads, bits) -> None
     order = np.argsort(at, kind="stable")
     listed = listed[order]
     at = at[order]
-    at &= (1 << width) - 1
     del order
-    # one column of probabilities, or of real then imaginary parts
-    picked = _printable(values.reshape(-1)[listed].view(float).reshape(len(listed), -1))
-    del listed, values
-    fmt = "{:.12g}".format if probs else _amplitude
     indent = "" if heads is None else "  "
+    # each head, with its line end, goes before its row's first entry.  Every
+    # unit row lists one: its largest |a|**2 is at least 2**-k >= 2**-26 > PRINT_EPS
+    starts = np.searchsorted(at, np.arange(len(rows)) << width).tolist()
+    head_at = dict(zip(starts, (f"{head}\n" for head in heads or ())))
+    at &= (1 << width) - 1
+    flat = rows.reshape(-1)
+    fmt = "{:.12g}".format if probs else _amplitude
     spec = f"0{width}b"
-    start = 0
-    for r, end in enumerate(ends):
-        lines = [] if heads is None else [heads[r]]
-        for lo in range(start, end, _CHUNK):
-            hi = min(lo + _CHUNK, end)
-            texts = map(fmt, *picked[lo:hi].T.tolist())
-            lines += [
-                f"{indent}{format(k, spec) if width else '(empty)'}: {text}"
-                for k, text in zip(at[lo:hi].tolist(), texts)
-            ]
-            print("\n".join(lines))
-            lines = []
-        start = end
+    for lo in range(0, len(listed), _CHUNK):
+        values = flat[listed[lo:lo + _CHUNK]]
+        # one column of probabilities, or of real then imaginary parts
+        values = (np.abs(values) ** 2)[:, None] if probs else values.view(float).reshape(-1, 2)
+        texts = map(fmt, *_printable(values).T.tolist())
+        print("\n".join(
+            f"{head_at.get(i, '')}{indent}{format(k, spec) if width else '(empty)'}: {text}"
+            for i, (k, text) in enumerate(zip(at[lo:lo + _CHUNK].tolist(), texts), lo)
+        ))
 
 
 def _cmd_simulate(args) -> int:

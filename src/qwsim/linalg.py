@@ -9,7 +9,8 @@ as ``oracle.jacobi_eig``, and the tests hold the two to each other at
 
 Every public entry point checks its arguments here, one function per
 kind: :func:`check_int` (and any bound on it), :func:`check_bool`,
-:func:`check_qubit_count`, :func:`check_state`, :func:`check_unit_state`,
+:func:`check_qubit_count` (and :func:`_check_table` for a ``4**k`` table
+past its cap, stated in bytes), :func:`check_state`, :func:`check_unit_state`,
 :func:`check_matrix`, :func:`check_wires` and :func:`check_rng` (a
 ``Circuit`` is checked by ``circuit.check_circuit``); :func:`check_unit_norms`
 is the norm test of :func:`check_unit_state`, also applied to each row of
@@ -90,6 +91,15 @@ def check_qubit_count(n) -> int:
             f"cap {MAX_QUBITS} ({_state_size(MAX_QUBITS)})"
         )
     return n
+
+
+def _check_table(k: int, cap: int, what: str, bound: str = "cap") -> None:
+    """Refuse (``ResourceError``) a table of ``4**k`` complex128 values for
+    ``k`` past ``cap``, stated in bytes.  ``what`` is the message's start,
+    with ``{k}`` where ``k`` goes."""
+    if k > cap:
+        raise ResourceError(f"{what.format(k=k)} takes {_state_size(2 * k)} "
+                            f"({bound} {cap}, {_state_size(2 * cap)})")
 
 
 def _as_complex(x) -> np.ndarray:

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, ResourceError
+from .errors import ContractError
 from .gates import MEASURE, GateDef, gate_def
 from .analysis import _split_kept
 from .circuit import Circuit, check_circuit, check_targets, swap_bits
 from .linalg import (
+    _check_table,
     _hermitian_part,
-    _state_size,
     check_int,
     check_matrix,
     check_qubit_count,
@@ -49,11 +49,7 @@ _JACOBI_MAX_SWEEPS = 100
 
 def _check_guard(n: int) -> int:
     n = check_qubit_count(n)
-    if n > NAIVE_QUBIT_GUARD:
-        raise ResourceError(
-            f"naive path refuses {n} qubits: its 4**{n} matrix takes {_state_size(2 * n)} "
-            f"(guard {NAIVE_QUBIT_GUARD}, {_state_size(2 * NAIVE_QUBIT_GUARD)})"
-        )
+    _check_table(n, NAIVE_QUBIT_GUARD, "naive path refuses {k} qubits: its 4**{k} matrix", "guard")
     return n
 
 

@@ -163,8 +163,10 @@ class TestPartialTraceState:
             "partial trace refuses 22 kept qubits: its 4**22 matrix takes 256 TiB (cap 13, 1 GiB)"
         )
 
-    def test_the_cap_is_a_state_of_max_qubits(self, monkeypatch):
-        monkeypatch.setattr(analysis, "MAX_QUBITS", 6)
+    @pytest.mark.parametrize("max_qubits", [6, 7])
+    def test_the_cap_is_a_state_of_max_qubits(self, monkeypatch, max_qubits):
+        # an odd cap rounds down: 2 * 4 kept qubits outgrow 7 as they do 6
+        monkeypatch.setattr(analysis, "MAX_QUBITS", max_qubits)
         psi = linalg.random_state(5, np.random.default_rng(5))
         rho = np.outer(psi, psi.conj())
         # 3 kept qubits make a matrix of 2 * 3 qubits' amplitudes, under the cap
@@ -173,8 +175,11 @@ class TestPartialTraceState:
             analysis.partial_trace_matrix(5, rho, [0, 2, 4], keep=True),
             atol=1e-12,
         )
-        with pytest.raises(ResourceError, match="refuses 4 kept qubits: .* 4 KiB .cap 3, 1 KiB"):
+        with pytest.raises(ResourceError) as err:
             analysis.partial_trace_state(5, psi, [0, 1, 2, 3], keep=True)
+        assert str(err.value) == (
+            "partial trace refuses 4 kept qubits: its 4**4 matrix takes 4 KiB (cap 3, 1 KiB)"
+        )
         with pytest.raises(ResourceError, match="refuses 4 kept qubits"):
             analysis.partial_trace_state(5, psi, [4])
 
@@ -704,7 +709,10 @@ class TestStabilizerRenyiEntropy:
             assert abs(got - expect) < 1e-10
 
     def test_qubit_cap(self):
-        n = analysis.STABILIZER_ENTROPY_MAX_QUBITS + 1
+        # the cap itself is accepted: |0...0> is a stabilizer state
+        n = analysis.STABILIZER_ENTROPY_MAX_QUBITS
+        assert analysis.stabilizer_renyi_entropy(linalg.zero_state(n), n) == 0.0
+        n += 1
         with pytest.raises(ResourceError) as err:
             analysis.stabilizer_renyi_entropy(np.zeros(1 << n, dtype=complex), n)
         # stated in bytes: the 4**n complex128 transform

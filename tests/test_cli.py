@@ -252,6 +252,50 @@ class TestSimulate:
         assert (code, err, out.count("\n")) == (0, "", lines)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize(
+        "name, flags",
+        [(name, flags) for name in ("sample10.qc", "measure17.qc")
+         for flags in ((), ("--probs",), ("--branches",), ("--probs", "--branches"))]
+        # a listing without heads
+        + [("shuffle16.qc", ("--probs",))],
+    )
+    def test_a_small_chunk_prints_the_same_text(self, capsys, monkeypatch, chunk, name, flags):
+        # the chunks run over the whole listing, so a row starts inside a
+        # chunk, and at the default size every head shares one print
+        path = str(Path(__file__).resolve().parents[1] / "circuits" / name)
+        code, text, _ = run_cli(capsys, "simulate", path, *flags)
+        assert code == 0
+        prints = []
+
+        def counting(*args, **kwargs):
+            prints.append(args[0])
+            print(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "print", counting, raising=False)
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        assert run_cli(capsys, "simulate", path, *flags) == (0, text, "")
+        lines = text.splitlines()
+        entries = [line for line in lines if line.startswith(("0", "1", "  "))]
+        listing = [p for p in prints if not p.startswith(("measured wires", "kept wires"))]
+        # one print per chunk, each holding _CHUNK entries but the last
+        assert [p.count(": ") - p.count("branch ") for p in listing] == [
+            min(chunk, len(entries) - lo) for lo in range(0, len(entries), chunk)
+        ]
+        heads = [i for i, line in enumerate(lines) if line.startswith("branch ")]
+        circ = circuit.load_circuit(path)
+        low = engine._lower(circ, circ.ops)
+        rows = engine._walk(low)[2]
+        if low.measured or "--branches" in flags:
+            assert len(heads) == len(set(lines[i] for i in heads)) == len(rows)
+        assert heads == sorted(heads)
+        # each head stands directly before its own row's entries, in index order
+        for r, (i, end) in enumerate(zip(heads, heads[1:] + [len(lines)])):
+            own = [line.split(":")[0] for line in lines[i + 1:end]]
+            assert own == sorted(own) and all(k.startswith("  ") for k in own)
+            size = np.abs(rows[r]) ** 2 if "--probs" in flags else np.abs(rows[r])
+            assert len(own) == np.count_nonzero(size >= cli.PRINT_EPS)
+
     def test_listing_threshold(self, capsys, circuit_file, monkeypatch):
         # entries just above and just below 1e-12: |z| for amplitudes, |z|**2
         # for probabilities; a listed amplitude may still print as 0
@@ -699,14 +743,14 @@ class TestRegisterReadout:
 
     def test_a_dense_register_lists_in_bounded_memory(self, tmp_path):
         # an H on 15 of 16 wires lists all 2**15 register entries; the text
-        # goes out in chunks, so the peak is the walked row, the listing's
-        # arrays and one chunk's text: measured 3.60 states of 2**15
-        # amplitudes with --probs, against 8.01 when every line was built
-        # before any print.  The same listed as a branch, and measured
-        # twice, read the walk's rows too: 3.57 and 2.77 states, against
-        # 7.36 and 6.83 when the leaves were scattered into wire order and
-        # stacked again.  Amplitudes hold real and imaginary parts through
-        # the chunks: 4.13, 4.13 and 3.47 states.
+        # goes out in chunks, so the peak is the walked row, the listed
+        # indices and keys and one chunk's text: measured 3.38 states of
+        # 2**15 amplitudes with --probs, against 8.01 when every line was
+        # built before any print.  The same listed as a branch, and
+        # measured twice, read the walk's rows too: 3.37 and 2.83 states,
+        # against 7.36 and 6.83 when the leaves were scattered into wire
+        # order and stacked again.  Amplitudes, gathered per chunk: 3.69,
+        # 3.70 and 3.34 states.
         order = (9, 3, 14, 0, 7, 12, 5, 1, 10, 2, 8, 13, 6, 11, 4)
         layer = "qubits 16\n" + "".join(f"H {w}\n" for w in order) + "T 3\nCX 3 7\n"
         warm = tmp_path / "h1.qc"  # imports and builds the parser, untraced

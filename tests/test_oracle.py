@@ -134,6 +134,9 @@ class TestSimulateNaive:
         assert np.array_equal(out, psi0) and not np.shares_memory(out, psi0)
 
     def test_guard_rejects_large_registers(self):
+        # the guard itself is accepted; a gate-free run builds no matrix
+        psi = oracle.simulate_naive(parse_circuit(f"qubits {oracle.NAIVE_QUBIT_GUARD}\n"))
+        assert np.array_equal(psi, linalg.zero_state(oracle.NAIVE_QUBIT_GUARD))
         circ = parse_circuit(f"qubits {oracle.NAIVE_QUBIT_GUARD + 1}\nMEASURE 0\n")
         with pytest.raises(ResourceError):
             oracle.sample_shots_deferred(circ, 10, 0)
