@@ -180,8 +180,12 @@ class Circuit:
     """An ``n``-qubit register plus an ordered tuple of operations.
 
     Every wire of every op is below ``n``, and no op touches a wire once a
-    MEASURE has taken it out of the state.  A violation raises
-    ``ContractError`` with ``op_index`` set to the offending op.
+    MEASURE has taken it out of the state.  One mask holds both rules: a
+    bit for every wire from ``n`` up and for each wire a MEASURE took.  The
+    first op to touch a set bit raises ``ContractError``, with ``op_index``
+    set to it, named at its first such wire in ``op.wires`` order: "out of
+    range" from ``n`` up, else "measured twice" for a MEASURE and "which
+    was measured" for any other op.
     """
 
     n: int
@@ -194,35 +198,26 @@ class Circuit:
             object.__setattr__(self, "ops", tuple(self.ops))
         except TypeError:
             raise ContractError(f"ops must be a sequence of GateOp, got {self.ops!r}") from None
-        # a bit per wire: those a MEASURE took, and those outside the register
-        measured = 0
+        # a bit per wire no op may touch: every wire from n up, and each
+        # wire a MEASURE took
         refused = -1 << n
         for k, op in enumerate(self.ops):
             if not isinstance(op, GateOp):
                 raise ContractError(f"op {k} is {op!r}, not a GateOp")
             wires = op.target_mask | op.controls.inclusion_mask
             if wires & refused:
-                raise self._refusal(k, op, measured)
-            if op.gate == MEASURE:
-                measured |= wires
-                refused |= wires
-
-    def _refusal(self, k: int, op: GateOp, measured: int) -> ContractError:
-        """The error of op ``k``, the first to touch a wire out of range or
-        ``measured`` (a bit per wire), named at its first such wire."""
-        for w in op.wires:
-            if w >= self.n:
-                message = f"op {k} ({op}) touches wire {w}, out of range for {self.n} qubits"
-                break
-            if measured >> w & 1:
-                if op.gate == MEASURE:
-                    message = f"op {k} ({op}): wire {w} measured twice"
+                w = next(w for w in op.wires if refused >> w & 1)
+                if w >= n:
+                    fault = f" touches wire {w}, out of range for {n} qubits"
+                elif op.gate == MEASURE:
+                    fault = f": wire {w} measured twice"
                 else:
-                    message = f"op {k} ({op}) touches wire {w}, which was measured"
-                break
-        err = ContractError(message)
-        err.op_index = k  # lets parse_circuit name the op's line
-        return err
+                    fault = f" touches wire {w}, which was measured"
+                err = ContractError(f"op {k} ({op}){fault}")
+                err.op_index = k  # lets parse_circuit name the op's line
+                raise err
+            if op.gate == MEASURE:
+                refused |= wires
 
     @property
     def has_measurements(self) -> bool:

@@ -456,8 +456,10 @@ def _walk(low: Lowered, draws=None) -> tuple:
     register's prefix of every row at once (:func:`_split`) into the next
     stack, of rows as wide as the step gives, in sorted outcome order, and
     frees the one before.  A walk that ends on a gate tests the norm of
-    each row it ends on; a split's children are unit to rounding, since
-    each row was tested before it split.
+    each row it ends on, all rows by one ``einsum`` over their real and
+    imaginary parts: numpy's own loops, no BLAS thread, and only whether
+    the test passes reads the sums.  A split's children are unit to
+    rounding, since each row was tested before it split.
 
     Returns ``(outcomes, probs, stack, rows)``: leaf ``k`` has the outcome
     record ``outcomes[k]``, probability ``probs[k]`` and state ``stack[k]``.
@@ -492,7 +494,8 @@ def _walk(low: Lowered, draws=None) -> tuple:
         outcomes = np.concatenate((outcomes[nodes], bits[:, None]), axis=1)
         probs = probs[nodes] * p
     if low.steps and low.steps[-1][0] is not None:
-        check_unit_norms(stack, np.array([np.vdot(row, row).real for row in stack]))
+        parts = stack.view(float)  # each row's real and imaginary parts, interleaved
+        check_unit_norms(stack, np.einsum("ij,ij->i", parts, parts))
     return outcomes, probs, stack, rows
 
 

@@ -265,6 +265,10 @@ class TestParser:
         for text, message in [
             ("qubits 2\nH 0\nX 9\n", "line 3: op 1 (X 9) touches wire 9, out of range for 2 qubits"),
             ("qubits 2\nX 0 c=5\n", "line 2: op 0 (X 0 c=5) touches wire 5, out of range for 2 qubits"),
+            # an op with a measured wire and one out of range is named at
+            # its first, targets before controls
+            ("qubits 2\nMEASURE 0\nX 0 c=5\n", "line 3: op 1 (X 0 c=5) touches wire 0, which was measured"),
+            ("qubits 2\nMEASURE 0\nX 5 c=0\n", "line 3: op 1 (X 5 c=0) touches wire 5, out of range for 2 qubits"),
             ("qubits 2\nH 0\n\nH 0 1\n", "line 4: H takes 1 wire(s), got 2"),
             ("qubits 2\nMEASURE 0 1\n", "line 2: MEASURE takes exactly one wire"),
             ("qubits 2\nH 0 ; foo 1\n", "line 2: unknown gate 'FOO'"),

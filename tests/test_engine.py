@@ -832,8 +832,12 @@ class TestRegister:
             ("qubits 6\nH 2\n", None, measurement.run_with_branches),
             # a gate after the last MEASURE writes the leaves the walk ends on
             ("qubits 2\nX 0\nMEASURE 0\nH 1\n", None, measurement.run_with_branches),
+            # the trailing gate writes one leaf of two, the last or the first;
+            # SQRTSWAP, not H, splits the state, so every split reads unit rows
+            ("qubits 3\nX 0\nSQRTSWAP 0 1\nMEASURE 0\nH 2 a=1\n", None, measurement.run_with_branches),
+            ("qubits 3\nX 0\nSQRTSWAP 0 1\nMEASURE 0\nH 2 c=1\n", None, measurement.run_with_branches),
         ],
-        ids=["register", "every-wire", "psi0", "branches", "measured-trailing"],
+        ids=["register", "every-wire", "psi0", "branches", "measured-trailing", "last-leaf", "first-leaf"],
     )
     def test_a_result_off_the_unit_norm_raises(self, monkeypatch, text, psi0, runner):
         # a kernel bug stand-in: an H that doubles every amplitude it writes
@@ -841,6 +845,15 @@ class TestRegister:
         monkeypatch.setitem(engine._TEMPLATES, "H", bad)
         with pytest.raises(ContractError, match="not normalized"):
             runner(parse_circuit(text), psi0)
+
+    def test_a_walk_of_1024_unit_leaves_passes_the_norm_test(self):
+        # 10 MEASUREs, then a gate, so the walk ends on 1024 rows it tests
+        text = "qubits 11\n" + "".join(f"H {w}\nMEASURE {w}\n" for w in range(10)) + "H 10\n"
+        tree = measurement.run_with_branches(parse_circuit(text))
+        assert len(tree.leaves) == 1024
+        plus = gates.gate_def("H").matrix[:, 0]
+        for leaf in tree.leaves:
+            assert leaf.state.tobytes() == plus.astype(complex).tobytes()
 
     def test_the_norm_test_reads_the_register_alone(self, monkeypatch):
         sizes = []

@@ -321,6 +321,9 @@ class TestMeasuredCircuitText:
         [
             (GateOp(MEASURE, (0,)), "op 2 (MEASURE 0): wire 0 measured twice"),
             (GateOp("X", (1,), ((0, True),)), "op 2 (X 1 c=0) touches wire 0, which was measured"),
+            # two refused wires of different kinds: the first, in op.wires order, is named
+            (GateOp("X", (0,), ((5, True),)), "op 2 (X 0 c=5) touches wire 0, which was measured"),
+            (GateOp("X", (5,), ((0, True),)), "op 2 (X 5 c=0) touches wire 5, out of range for 2 qubits"),
         ],
     )
     def test_reuse_refused_by_constructor_and_parser(self, reuse, message):
