@@ -15,9 +15,8 @@ Every density-matrix statistic passes one gate, the checks of
 ``_density_gate``, which hands on the spectrum it solved for:
 purity, entropy and the per-qubit and pair statistics refuse the same
 matrices, and :func:`pair_stats` solves for the spectrum of ``rho`` once.
-The gate takes one matrix or a ``(k, d, d)`` stack of them, with one
-eigensolve for the whole stack: a 2x2 whose eigenvectors are not needed
-is solved in closed form, and anything larger by one LAPACK call.
+The gate takes one matrix or a ``(k, d, d)`` stack of them, and solves
+for every spectrum of the stack by one LAPACK call.
 
 :func:`all_qubit_stats` reports every wire of a pure state in one sweep:
 each wire's 2x2 reduced matrix is read off strided views of the state,
@@ -154,10 +153,8 @@ def _density_gate(rho, qubits=None, *, vectors=False) -> tuple:
     (``2**qubits`` when ``qubits`` is given), unit trace and no eigenvalue
     below ``-EIGEN_ATOL`` (``ContractError``).  Returned are ``rho``, the
     ascending eigenvalues ``w`` of each matrix and, when ``vectors``, the
-    matching eigenvectors ``v`` (else None).  A 2x2 without eigenvectors
-    is solved in closed form: the Hermitian part ``[[a, b], [b*, d]]`` has
-    eigenvalues ``(a + d -+ hypot(a - d, 2|b|)) / 2``.  Anything else is
-    solved by one LAPACK call for the whole stack.
+    matching eigenvectors ``v`` (else None), from one LAPACK call for the
+    whole stack, ``eigh`` or ``eigvalsh``.
     """
     herm = _hermitian_part(rho)
     dim = rho.shape[-1]
@@ -168,12 +165,7 @@ def _density_gate(rho, qubits=None, *, vectors=False) -> tuple:
     trace = np.trace(rho, axis1=-2, axis2=-1)
     if not ((abs(trace.real - 1.0) <= STATE_ATOL) & (abs(trace.imag) <= STATE_ATOL)).all():
         raise ContractError("density matrix trace is not 1")
-    if dim == 2 and not vectors:
-        a, d = herm[..., 0, 0].real, herm[..., 1, 1].real
-        s, h = a + d, np.hypot(a - d, 2.0 * abs(herm[..., 0, 1]))
-        w, v = np.stack((s - h, s + h), axis=-1) / 2.0, None
-    else:
-        w, v = np.linalg.eigh(herm) if vectors else (np.linalg.eigvalsh(herm), None)
+    w, v = np.linalg.eigh(herm) if vectors else (np.linalg.eigvalsh(herm), None)
     if (w[..., 0] < -EIGEN_ATOL).any():
         raise ContractError("density matrix has a negative eigenvalue")
     return rho, w, v
@@ -301,7 +293,7 @@ def all_qubit_stats(psi, n) -> list[QubitStats]:
     ``sum(psi_0 * conj(psi_1))`` over the two halves: the matrix of
     ``partial_trace_state(n, psi, [q], keep=True)`` without its transposed
     copy of ``psi``.  The ``(n, 2, 2)`` stack then passes the density gate
-    once, in closed form.  ``psi`` passes ``check_unit_state``, which
+    once, one ``eigvalsh`` call.  ``psi`` passes ``check_unit_state``, which
     refuses a non-finite amplitude, so the stack needs no finiteness test.
     """
     psi, n = check_unit_state(psi, n)

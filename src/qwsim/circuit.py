@@ -32,8 +32,8 @@ against the register once, after every line is read.
 Every public entry checks its arguments with the one check of each kind
 in ``linalg``.  A gate's targets and controls go through
 :func:`check_targets` as one list, one ``check_wires``, so each wire is
-in range and none twice; ``ControlSpec`` pairs are checked on their own
-only to name a fault of theirs.
+in range and none twice, after the control wires alone, against the cap,
+so that a fault of theirs is named a control's.
 """
 
 from __future__ import annotations
@@ -76,32 +76,25 @@ class ControlSpec:
 
 def check_targets(n: int, targets, controls) -> tuple[tuple[int, ...], ControlSpec]:
     """``targets`` as ints and ``controls`` (a ``ControlSpec``, None or
-    ``(wire, is_control)`` pairs) as a ``ControlSpec``, checked as one list
-    of wires.  Pairs are checked alone, against the cap, only once that
-    check fails, so that a fault of theirs is named a control's."""
+    ``(wire, is_control)`` pairs) as a ``ControlSpec``, in two checks: the
+    control wires alone against the cap, so that a fault of theirs is named
+    a control's, then targets and controls as one list of wires below ``n``."""
     if isinstance(controls, ControlSpec):
-        wires, flags = controls.wires, None
-    else:
-        wires, flags = [], []
-        try:
-            for wire, is_control in () if controls is None else controls:
-                wires.append(wire)
-                flags.append(check_bool(is_control, "is_control"))
-        except (TypeError, ValueError):
-            message = f"controls must be (wire, is_control) pairs, got {controls!r}"
-            raise ContractError(message) from None
+        controls = controls.entries
+    wires, flags = [], []
     try:
-        checked = check_wires(n, chain(targets, wires))
-    except ContractError:
-        if flags is not None:
-            try:
-                check_wires(MAX_QUBITS, wires)
-            except ContractError as exc:
-                raise ContractError(f"control {exc}") from None
-        raise
+        for wire, is_control in () if controls is None else controls:
+            wires.append(wire)
+            flags.append(check_bool(is_control, "is_control"))
+    except (TypeError, ValueError):
+        message = f"controls must be (wire, is_control) pairs, got {controls!r}"
+        raise ContractError(message) from None
+    try:
+        check_wires(MAX_QUBITS, wires)
+    except ContractError as exc:
+        raise ContractError(f"control {exc}") from None
+    checked = check_wires(n, chain(targets, wires))
     cut = len(checked) - len(wires)
-    if flags is None:
-        return checked[:cut], controls
     return checked[:cut], _checked_spec(checked[cut:], flags)
 
 

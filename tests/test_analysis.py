@@ -478,9 +478,10 @@ class TestDensityGate:
         assert abs(p.concurrence - 1.0) < 1e-9
         calls.clear()
         analysis.qubit_stats(np.eye(2) / 2)
-        assert calls == []  # a 2x2 is solved in closed form
+        assert calls == ["eigvalsh"]  # one call for a stack of one
+        calls.clear()
         analysis.all_qubit_stats(linalg.random_state(6, np.random.default_rng(9)), 6)
-        assert calls == []  # and so is the stack of all six wires
+        assert calls == ["eigvalsh"]  # and one for the stack of all six wires
 
 
 def _spectrum_2x2(lo: float, hi: float) -> np.ndarray:
@@ -491,8 +492,8 @@ def _spectrum_2x2(lo: float, hi: float) -> np.ndarray:
 
 
 class TestClosedFormGate:
-    """The gate solves a 2x2 in closed form and refuses what it refused
-    when LAPACK solved it, by every entry point that reads a 2x2."""
+    """The gate refuses the same 2x2s by every entry point that reads one,
+    and its spectrum of a 2x2 is LAPACK's, also on a stack."""
 
     ENTRY_POINTS = {
         "qubit_stats": analysis.qubit_stats,

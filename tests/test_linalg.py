@@ -355,6 +355,32 @@ class TestArgumentContract:
                 call()
             assert str(err.value) == "wire 1 is named more than once"
 
+    def test_a_control_fault_is_named_before_a_target_fault(self):
+        # check_targets checks the control wires alone, against the cap,
+        # before targets and controls as one list
+        for call, message in (
+            (lambda: GateOp("X", (30,), [(27, True)]), "control wire 27 is outside 0..25"),
+            (lambda: engine.apply_multi_qubit_gate(2, _X, (5,), _PSI, [(27, True)]),
+             "control wire 27 is outside 0..25"),
+            (lambda: oracle.build_gate_full_matrix(2, "X", (1, 1), [(26, True)]),
+             "control wire 26 is outside 0..25"),
+            (lambda: oracle.swap_wires(2, 0, 0, _PSI, [(1, True), (1, False)]),
+             "control wire 1 is named more than once"),
+        ):
+            with pytest.raises(ContractError) as err:
+                call()
+            assert str(err.value) == message
+
+    def test_a_control_spec_past_the_register_is_a_plain_wire_out_of_range(self):
+        spec = ControlSpec([(3, True)])
+        for call in (
+            lambda: engine.apply_multi_qubit_gate(2, _X, (0,), _PSI, spec),
+            lambda: oracle.build_gate_full_matrix(2, "X", (0,), spec),
+        ):
+            with pytest.raises(ContractError) as err:
+                call()
+            assert str(err.value) == "wire 3 is outside 0..1"
+
     def test_malformed_arguments_are_simulation_errors(self):
         # a malformed list of wires, controls or ops is a ContractError,
         # never a bare TypeError or ValueError

@@ -3,19 +3,25 @@ loads, the order of its layers, no name that only tests call, the tools
 beside the tests, and a CI workflow that pins no output."""
 
 import ast
+import dataclasses
 import importlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import ab
+import ab_sets
 import bench_record
 import line_trace
+import numpy as np
 import pytest
 
 import qwsim
+from qwsim import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 BELL_MEASURE = str(ROOT / "circuits" / "bell_measure.qc")
@@ -186,6 +192,45 @@ class TestABTimer:
         assert re.fullmatch(r"B/A per op: median [\d.]+, 95% interval \[[\d.]+, [\d.]+\]; "
                             r"B faster in \d of 8 \(\d+%\)", out[3])
         assert len(out) == 4  # both sides printed the same records
+
+    def test_a_tree_that_prints_other_records_is_refused_before_timing(self, tmp_path):
+        shutil.copytree(ROOT / "src", tmp_path / "src")
+        source = tmp_path / "src" / "qwsim" / "cli.py"
+        text = source.read_text(encoding="utf-8")
+        assert "\nPRINT_EPS = 1e-12\n" in text
+        source.write_text(text.replace("\nPRINT_EPS = 1e-12\n", "\nPRINT_EPS = 0.5\n"), encoding="utf-8")
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "tests" / "ab.py"), str(ROOT), str(tmp_path),
+             "--workload", "sample-10q", "--rounds", "1"],
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""  # no ratio line, nor any other
+        assert done.stderr == "error: B's records differ from A's at input 0 of sample-10q\n"
+
+    @pytest.mark.parametrize("name", sorted(ab_sets.SETS))
+    def test_one_round_of_each_set_at_10_wires(self, name, tmp_path):
+        wset = ab_sets.SETS[name](10)
+        sides = [(qwsim, cli)] * 2
+        inputs = wset.inputs(-1, tmp_path)
+        assert ab.first_difference(sides, wset, inputs) is None
+        times = ab.timed_rounds(sides, wset, 1, tmp_path)
+        assert [len(t) for t in times] == [len(inputs)] * 2
+        if name == "fresh-12q":  # a round draws texts of its own
+            assert wset.inputs(0, tmp_path) != inputs
+            assert wset.inputs(0, tmp_path) == wset.inputs(0, tmp_path)
+
+    def test_records_compare_by_value_across_packages(self):
+        @dataclasses.dataclass(frozen=True)
+        class QubitStats:  # as each loaded package has its own class
+            x: float
+
+        other = dataclasses.make_dataclass("QubitStats", ["x"], frozen=True)
+        a = np.array([0.5, -0.0])
+        assert ab_sets.same((a, [QubitStats(1.0)]), (a.copy(), [other(1.0)]))
+        assert not ab_sets.same(a, np.nextafter(a, 1.0))
+        assert not ab_sets.same([QubitStats(1.0)], [other(2.0)])
+        assert not ab_sets.same((0, "ab12"), (0, "ab13"))
 
 
 class TestBenchRecord:
